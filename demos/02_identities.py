@@ -9,10 +9,7 @@ from pbzlat import catalog, terms
 
 def show(A, text):
     stmt = terms.parse_statement(text)
-    if isinstance(stmt, terms.QuasiIdentity):
-        ok, w = terms.holds_quasi(A, stmt)
-    else:
-        ok, w = terms.holds(A, stmt)
+    ok, w = terms.holds(A, stmt)
     verdict = "holds" if ok else "fails"
     where = "" if ok else "  at " + " ".join(
         f"{k}={A.labels[v]}" for k, v in sorted(w.items()))

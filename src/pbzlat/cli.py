@@ -44,12 +44,6 @@ def _statement(text):
     return terms.parse_statement(text)
 
 
-def _holds(A, stmt):
-    if isinstance(stmt, terms.QuasiIdentity):
-        return terms.holds_quasi(A, stmt)
-    return terms.holds(A, stmt)
-
-
 def _labelled(A, values):
     if isinstance(values, dict):
         return {k: A.labels[v] for k, v in sorted(values.items())}
@@ -88,7 +82,7 @@ def cmd_check(args):
         checks.append(("class", c, flags[c], dict(report.witnesses).get(c)))
     for text in args.identities:
         stmt = _statement(text)
-        ok, witness = _holds(A, stmt)
+        ok, witness = terms.holds(A, stmt)
         checks.append(("identity", text, ok, witness))
     ok_all = all(ok for _, _, ok, _ in checks)
 
@@ -140,7 +134,7 @@ def cmd_check(args):
 def cmd_eval(args):
     A = _load_algebra(args.algebra)
     stmt = _statement(args.identity)
-    ok, witness = _holds(A, stmt)
+    ok, witness = terms.holds(A, stmt)
     if args.format == "structured":
         print(json.dumps({
             "algebra": A.name, "identity": terms.pretty(stmt), "ok": ok,
@@ -271,6 +265,7 @@ def cmd_enumerate(args):
     counts = {}
     written = []
     try:
+        spec.check_size(spec.max_size)
         for n in range(1, spec.max_size + 1):
             level = list(enumeration.enumerate_pbz(n, spec, jobs=args.jobs))
             counts[n] = len(level)

@@ -7,8 +7,6 @@ and the block decomposition used to recognize horizontal sums.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import axioms, congruences
 from .core import BoundedLattice, FiniteAlgebra, ValidationError
 

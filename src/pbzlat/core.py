@@ -4,9 +4,12 @@ Carrier objects plus the order machinery everything else builds on:
 validation of raw tables, meets and joins, the modal operators derived
 from the two unary maps, isomorphism testing and canonical forms.
 
-Elements are plain integer indices 0..n-1.  The full "less or equal"
-table is the source of truth; covers, meets and joins are derived.
-Labels are presentation only and never carry semantics.
+Elements are plain integer indices 0..n-1.  The order is stored once,
+as up- and down-set bitmasks (bit b of ``up[a]`` is set iff a <= b)
+with the meet and join tables computed when it is validated; ``le`` is
+a bit test, covers come from the masks, and ``leq`` is a read-only
+array built from them when it is read.  Labels are presentation only
+and never carry semantics.
 """
 
 from dataclasses import dataclass
@@ -62,21 +65,6 @@ def _bits(mask):
         mask ^= low
 
 
-def _masks_from_leq(leq):
-    n = len(leq)
-    up = [0] * n
-    down = [0] * n
-    for a in range(n):
-        row = leq[a]
-        m = 0
-        for b in range(n):
-            if row[b]:
-                m |= 1 << b
-                down[b] |= 1 << a
-        up[a] = m
-    return up, down
-
-
 def _least_of(mask, up):
     """Least element of the set ``mask``, or -1 if there is none."""
     for d in _bits(mask):
@@ -93,13 +81,13 @@ def _greatest_of(mask, down):
 
 
 class _Order:
-    """Validated bounded-lattice order with precomputed op tables."""
+    """Validated bounded-lattice order: up- and down-sets as bitmasks
+    (bit b of ``up[a]`` is set iff a <= b) plus meet and join tables."""
 
-    __slots__ = ("n", "leq", "up", "down", "meet", "join", "zero", "one")
+    __slots__ = ("n", "up", "down", "meet", "join", "zero", "one")
 
-    def __init__(self, n, leq, up, down, meet, join, zero, one):
+    def __init__(self, n, up, down, meet, join, zero, one):
         self.n = n
-        self.leq = leq
         self.up = up
         self.down = down
         self.meet = meet
@@ -108,37 +96,57 @@ class _Order:
         self.one = one
 
 
-def _check_order(leq_arr):
-    """Check partial order + lattice axioms on an n x n boolean array.
+def _invalid(violations):
+    return ValidationError(ValidationReport(False, tuple(violations)))
+
+
+def _parse_leq(leq):
+    """Up-set bitmasks of a square boolean table: ``(up, violations)``,
+    with ``up`` None when the table is not a nonempty square."""
+    try:
+        arr = np.asarray(leq, dtype=bool)
+    except (TypeError, ValueError):
+        return None, [("format:leq-shape", ())]
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        return None, [("format:leq-shape", arr.shape)]
+    return [sum(1 << b for b, x in enumerate(row) if x)
+            for row in arr.tolist()], []
+
+
+def _check_order(up):
+    """Check partial order + lattice axioms on up-set bitmasks.
 
     Returns ``(order_or_None, violations)``.  The order object is built
     only when every check passes.
     """
-    n = leq_arr.shape[0]
+    n = len(up)
+    down = [0] * n
+    for a in range(n):
+        for b in _bits(up[a]):
+            down[b] |= 1 << a
     violations = []
-    leq = [[bool(leq_arr[a, b]) for b in range(n)] for a in range(n)]
-
-    refl = next(((a,) for a in range(n) if not leq[a][a]), None)
+    refl = next(((a,) for a in range(n) if not up[a] >> a & 1), None)
     if refl:
         violations.append(("order:reflexive", refl))
-    anti = next(
-        ((a, b) for a in range(n) for b in range(n)
-         if a != b and leq[a][b] and leq[b][a]),
-        None,
-    )
+    anti = trans = None
+    for a in range(n):
+        both = up[a] & down[a] & ~(1 << a)
+        if both and anti is None:
+            anti = (a, next(_bits(both)))
+        if trans is None:
+            # a <= b <= c with a </= c, least b first, then least c
+            for b in _bits(up[a]):
+                missing = up[b] & ~up[a]
+                if missing:
+                    trans = (a, b, next(_bits(missing)))
+                    break
     if anti:
         violations.append(("order:antisymmetric", anti))
-    trans = next(
-        ((a, b, c) for a in range(n) for b in range(n) for c in range(n)
-         if leq[a][b] and leq[b][c] and not leq[a][c]),
-        None,
-    )
     if trans:
         violations.append(("order:transitive", trans))
     if violations:
         return None, violations
 
-    up, down = _masks_from_leq(leq)
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     no_meet = no_join = None
@@ -167,31 +175,15 @@ def _check_order(leq_arr):
         violations.append(("bounds:one", ()))
     if violations:
         return None, violations
-    order = _Order(n, leq_arr, tuple(up), tuple(down),
+    order = _Order(n, tuple(up), tuple(down),
                    tuple(tuple(r) for r in meet),
                    tuple(tuple(r) for r in join), zero, one)
     return order, []
 
 
-def validate_tables(leq, kleene, brouwer, labels=None, zero=None, one=None):
-    """Validate raw tables for a bounded involution lattice with ~.
-
-    Reports every violated rule with a minimal witness instead of
-    stopping at the first problem.  ``zero``/``one``, when given, are
-    checked against the computed bounds.
-    """
+def _format_violations(n, kleene, brouwer, labels):
+    """Shape problems of the two maps and the labels over n elements."""
     violations = []
-    try:
-        arr = np.asarray(leq, dtype=bool)
-    except Exception:
-        violations.append(("format:leq-shape", ()))
-        return ValidationReport(False, tuple(violations))
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        violations.append(("format:leq-shape", arr.shape))
-        return ValidationReport(False, tuple(violations))
-    n = arr.shape[0]
-    kleene = list(kleene)
-    brouwer = list(brouwer)
     if len(kleene) != n or len(brouwer) != n:
         violations.append(("format:map-length", (len(kleene), len(brouwer))))
     else:
@@ -206,29 +198,55 @@ def validate_tables(leq, kleene, brouwer, labels=None, zero=None, one=None):
         labels = list(labels)
         if len(labels) != n or len(set(labels)) != n:
             violations.append(("format:labels", (len(labels),)))
-    if violations:
-        return ValidationReport(False, tuple(violations))
+    return violations
 
-    order, order_violations = _check_order(arr)
-    violations.extend(order_violations)
-    if order is None:
-        return ValidationReport(False, tuple(violations))
 
-    if zero is not None and zero != order.zero:
-        violations.append(("bounds:zero", (zero,)))
-    if one is not None and one != order.one:
-        violations.append(("bounds:one", (one,)))
-
+def _kleene_violations(order, kleene):
+    """' must be an order-reversing involution of the validated order."""
+    n, up = order.n, order.up
+    violations = []
     inv = next(((a,) for a in range(n) if kleene[kleene[a]] != a), None)
     if inv:
         violations.append(("kleene:involution", inv))
     antitone = next(
-        ((a, b) for a in range(n) for b in range(n)
-         if arr[a, b] and not arr[kleene[b], kleene[a]]),
+        ((a, b) for a in range(n) for b in _bits(up[a])
+         if not up[kleene[b]] >> kleene[a] & 1),
         None,
     )
     if antitone:
         violations.append(("kleene:antitone", antitone))
+    return violations
+
+
+def _validate(leq, kleene, brouwer, labels=None, zero=None, one=None):
+    """Every violated rule of raw tables, and the order once it has
+    passed as a bounded lattice (else None)."""
+    up, violations = _parse_leq(leq)
+    if up is None:
+        return violations, None
+    kleene = list(kleene)
+    brouwer = list(brouwer)
+    violations = _format_violations(len(up), kleene, brouwer, labels)
+    if violations:
+        return violations, None
+    order, violations = _check_order(up)
+    if order is None:
+        return violations, None
+    if zero is not None and zero != order.zero:
+        violations.append(("bounds:zero", (zero,)))
+    if one is not None and one != order.one:
+        violations.append(("bounds:one", (one,)))
+    return violations + _kleene_violations(order, kleene), order
+
+
+def validate_tables(leq, kleene, brouwer, labels=None, zero=None, one=None):
+    """Validate raw tables for a bounded involution lattice with ~.
+
+    Reports every violated rule with a minimal witness instead of
+    stopping at the first problem.  ``zero``/``one``, when given, are
+    checked against the computed bounds.
+    """
+    violations, _ = _validate(leq, kleene, brouwer, labels, zero, one)
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -247,41 +265,99 @@ def _default_labels(n, zero, one):
     return tuple(names)
 
 
-class BoundedLattice:
+class _Carrier:
+    """The order accessors and the presentation that bare lattices and
+    decorated algebras share.
+
+    ``labels`` and ``name`` are read-only because the enumeration memos
+    hand the same instances to every caller; ``relabel`` makes a renamed
+    copy instead.
+    """
+
+    __slots__ = ("_ord", "_labels", "_name")
+
+    def _set(self, order, labels, name):
+        self._ord = order
+        self._labels = labels or _default_labels(order.n, order.zero,
+                                                 order.one)
+        self._name = name
+
+    @property
+    def labels(self):
+        return self._labels
+
+    @property
+    def name(self):
+        return self._name
+
+    @property
+    def n(self):
+        return self._ord.n
+
+    @property
+    def leq(self):
+        """The order as a read-only boolean array, built from the
+        bitmasks on each read."""
+        n = self._ord.n
+        arr = np.array([[u >> b & 1 for b in range(n)] for u in self._ord.up],
+                       dtype=bool)
+        arr.setflags(write=False)
+        return arr
+
+    @property
+    def zero(self):
+        return self._ord.zero
+
+    @property
+    def one(self):
+        return self._ord.one
+
+    def le(self, a, b):
+        return self._ord.up[a] >> b & 1 == 1
+
+    def meet(self, a, b):
+        return self._ord.meet[a][b]
+
+    def join(self, a, b):
+        return self._ord.join[a][b]
+
+    def covers(self):
+        """Hasse cover pairs (a, b) with a covered by b, lex sorted."""
+        up, down = self._ord.up, self._ord.down
+        out = []
+        for a in range(self._ord.n):
+            for b in _bits(up[a] & ~(1 << a)):
+                if up[a] & down[b] & ~(1 << a) & ~(1 << b) == 0:
+                    out.append((a, b))
+        return out
+
+
+class BoundedLattice(_Carrier):
     """A finite bounded lattice, no unary maps.
 
     Input and output carrier for the twist and sum constructions, and
     the thing the lattice enumerator emits.
     """
 
-    __slots__ = ("_ord", "labels", "name")
+    __slots__ = ()
 
     def __init__(self, leq, labels=None, name=None):
-        arr = np.asarray(leq, dtype=bool).copy()
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise ValidationError(
-                ValidationReport(False, (("format:leq-shape", arr.shape),)))
-        order, violations = _check_order(arr)
+        up, violations = _parse_leq(leq)
+        if up is None:
+            raise _invalid(violations)
+        order, violations = _check_order(up)
         if order is None:
-            raise ValidationError(ValidationReport(False, tuple(violations)))
-        arr.setflags(write=False)
-        self._ord = order
-        if labels is None:
-            labels = _default_labels(order.n, order.zero, order.one)
-        else:
+            raise _invalid(violations)
+        if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != order.n or len(set(labels)) != order.n:
-                raise ValidationError(
-                    ValidationReport(False, (("format:labels", (len(labels),)),)))
-        self.labels = labels
-        self.name = name
+                raise _invalid([("format:labels", (len(labels),))])
+        self._set(order, labels, name)
 
     @classmethod
     def _from_order(cls, order, labels=None, name=None):
         obj = object.__new__(cls)
-        obj._ord = order
-        obj.labels = labels or _default_labels(order.n, order.zero, order.one)
-        obj.name = name
+        obj._set(order, labels, name)
         return obj
 
     @classmethod
@@ -290,72 +366,24 @@ class BoundedLattice:
         leq = _closure_from_covers(n, covers)
         return cls(leq, labels=labels, name=name)
 
-    @property
-    def n(self):
-        return self._ord.n
-
-    @property
-    def leq(self):
-        return self._ord.leq
-
-    @property
-    def zero(self):
-        return self._ord.zero
-
-    @property
-    def one(self):
-        return self._ord.one
-
-    def le(self, a, b):
-        return bool(self._ord.leq[a, b])
-
-    def meet(self, a, b):
-        return self._ord.meet[a][b]
-
-    def join(self, a, b):
-        return self._ord.join[a][b]
-
-    def covers(self):
-        return _covers_of(self._ord)
-
     def __repr__(self):
         tag = self.name or "lattice"
         return f"<BoundedLattice {tag} n={self.n}>"
 
 
 def _closure_from_covers(n, covers):
-    leq = [[a == b for b in range(n)] for a in range(n)]
+    """Reflexive-transitive closure of cover pairs, as an n x n table."""
+    up = [1 << a for a in range(n)]
     for a, b in covers:
-        leq[a][b] = True
-    changed = True
-    while changed:
-        changed = False
+        up[a] |= 1 << range(n)[b]  # an index past n raises, as up[a] does
+    for k in range(n):
         for a in range(n):
-            ra = leq[a]
-            for b in range(n):
-                if ra[b]:
-                    rb = leq[b]
-                    for c in range(n):
-                        if rb[c] and not ra[c]:
-                            ra[c] = True
-                            changed = True
-    return leq
+            if up[a] >> k & 1:
+                up[a] |= up[k]
+    return [[u >> b & 1 for b in range(n)] for u in up]
 
 
-def _covers_of(order):
-    """Hasse cover pairs (a, b) with a covered by b, lex sorted."""
-    n = order.n
-    out = []
-    for a in range(n):
-        above = order.up[a] & ~(1 << a)
-        for b in _bits(above):
-            between = order.up[a] & order.down[b] & ~(1 << a) & ~(1 << b)
-            if between == 0:
-                out.append((a, b))
-    return out
-
-
-class FiniteAlgebra:
+class FiniteAlgebra(_Carrier):
     """Bounded involution lattice with a Brouwer complement.
 
     ``kleene`` is the involution ', ``brouwer`` the map ~.  Both are
@@ -363,75 +391,46 @@ class FiniteAlgebra:
     construction and treated as immutable afterwards.
     """
 
-    __slots__ = ("_ord", "kleene", "brouwer", "labels", "name", "_canon")
+    __slots__ = ("kleene", "brouwer", "_canon")
 
     def __init__(self, leq, kleene, brouwer, labels=None, name=None):
-        report = validate_tables(leq, kleene, brouwer, labels=labels)
-        if not report.ok:
-            raise ValidationError(report)
-        arr = np.asarray(leq, dtype=bool).copy()
-        order, _ = _check_order(arr)
-        arr.setflags(write=False)
-        self._ord = order
+        violations, order = _validate(leq, kleene, brouwer, labels=labels)
+        if violations:
+            raise _invalid(violations)
+        self._set(order, None if labels is None
+                  else tuple(str(x) for x in labels), name)
         self.kleene = tuple(int(x) for x in kleene)
         self.brouwer = tuple(int(x) for x in brouwer)
-        self.labels = (tuple(str(x) for x in labels) if labels is not None
-                       else _default_labels(order.n, order.zero, order.one))
-        self.name = name
         self._canon = None
 
     @classmethod
     def _from_order(cls, order, kleene, brouwer, labels=None, name=None):
         # internal fast path: order comes from an already validated source
         obj = object.__new__(cls)
-        obj._ord = order
+        obj._set(order, labels, name)
         obj.kleene = tuple(kleene)
         obj.brouwer = tuple(brouwer)
-        obj.labels = labels or _default_labels(order.n, order.zero, order.one)
-        obj.name = name
         obj._canon = None
         return obj
 
     @classmethod
     def from_lattice(cls, lattice, kleene, brouwer, labels=None, name=None):
-        """Decorate a BoundedLattice with ' and ~ (with validation)."""
-        report = validate_tables(lattice.leq, kleene, brouwer,
-                                 labels=labels or lattice.labels)
-        if not report.ok:
-            raise ValidationError(report)
-        return cls._from_order(lattice._ord, tuple(kleene), tuple(brouwer),
-                               labels=tuple(labels or lattice.labels),
+        """Decorate a BoundedLattice with ' and ~.  The lattice's order is
+        already validated, so only the maps and labels are checked."""
+        kleene = tuple(kleene)
+        brouwer = tuple(brouwer)
+        labels = tuple(labels or lattice.labels)
+        violations = (_format_violations(lattice.n, kleene, brouwer, labels)
+                      or _kleene_violations(lattice._ord, kleene))
+        if violations:
+            raise _invalid(violations)
+        return cls._from_order(lattice._ord, kleene, brouwer, labels=labels,
                                name=name)
 
     @classmethod
     def from_covers(cls, n, covers, kleene, brouwer, labels=None, name=None):
         leq = _closure_from_covers(n, covers)
         return cls(leq, kleene, brouwer, labels=labels, name=name)
-
-    @property
-    def n(self):
-        return self._ord.n
-
-    @property
-    def leq(self):
-        return self._ord.leq
-
-    @property
-    def zero(self):
-        return self._ord.zero
-
-    @property
-    def one(self):
-        return self._ord.one
-
-    def le(self, a, b):
-        return bool(self._ord.leq[a, b])
-
-    def meet(self, a, b):
-        return self._ord.meet[a][b]
-
-    def join(self, a, b):
-        return self._ord.join[a][b]
 
     def box(self, a):
         """box a = (a')~"""
@@ -440,9 +439,6 @@ class FiniteAlgebra:
     def diamond(self, a):
         """diamond a = (a~)~"""
         return self.brouwer[self.brouwer[a]]
-
-    def covers(self):
-        return _covers_of(self._ord)
 
     def lattice_reduct(self):
         return BoundedLattice._from_order(self._ord, labels=self.labels,
@@ -458,8 +454,7 @@ class FiniteAlgebra:
 
     def tables_equal(self, other):
         """Element-wise identity of order and maps (labels ignored)."""
-        return (self.n == other.n
-                and bool(np.array_equal(self.leq, other.leq))
+        return (self._ord.up == other._ord.up
                 and self.kleene == other.kleene
                 and self.brouwer == other.brouwer)
 

@@ -6,12 +6,11 @@ Brouwer complements by backtracking.  On top of that sit a smallest
 counterexample search and a registry of corpus-wide claims.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from . import axioms, congruences, terms
-from .core import (BoundedLattice, FiniteAlgebra, canonical_form,
-                   chain_lattice, is_isomorphic)
+from .core import (BoundedLattice, FiniteAlgebra, _canon_bytes, _least_of,
+                   canonical_form, chain_lattice, is_isomorphic)
 
 __all__ = [
     "CAPS", "EnumerationSpec", "SearchResult", "CorpusReport",
@@ -66,73 +65,77 @@ class EnumerationSpec:
     def cap(self):
         return CAPS[self.cap_key()]
 
+    def check_size(self, n):
+        """Raise ValueError when size n is above this spec's cap."""
+        if n > self.cap():
+            raise ValueError(
+                f"size {n} above {self.cap_key()} cap {self.cap()}; "
+                "raise CAPS to override")
+
 
 # ---------------------------------------------------------------------------
 # bounded lattices
 
 
-def _atom_extensions(leq):
-    """All ways to insert a new atom into the lattice given by leq.
+def _atom_extensions(order):
+    """All ways to insert a new atom into a validated lattice order.
 
     The new element sits just above 0 and strictly below an up-closed
     set U.  The result is a lattice iff for every old a outside U the
     common upper bounds U & up(a) have a least element; meets never
     break because the only things under the atom are itself and 0.
+    Returns each extension's up-set masks, the new atom last.  The list
+    order decides which isomorphic copy is kept, so U runs over its
+    membership vectors on the nonzero elements in lexicographic order.
     """
-    n = len(leq)
-    up = [frozenset(b for b in range(n) if leq[a][b]) for a in range(n)]
-    zero = next(a for a in range(n) if all(leq[a][b] for b in range(n)))
+    n, up, down, zero = order.n, order.up, order.down, order.zero
     interior = [a for a in range(n) if a != zero]
+    atom = 1 << n
     out = []
-    for bits in itertools.product((False, True), repeat=len(interior)):
-        U = {a for a, keep in zip(interior, bits) if keep}
-        if any(a in U and b not in U for a in interior for b in up[a]
-               if b != a):
-            continue  # not up-closed
-        ok = True
-        for a in interior:
-            if a in U:
-                continue
-            common = U & up[a]
-            if not any(all(leq[c][d] for d in common) for c in common):
-                ok = False
-                break
-        if not ok:
-            continue
-        m = n + 1
-        new = [row[:] + [False] for row in leq]
-        new.append([False] * m)
-        x = m - 1
-        new[x][x] = True
-        new[zero][x] = True
-        for b in U:
-            new[x][b] = True
-        out.append(new)
+
+    def grow(i, U, left_out):
+        if i == len(interior):
+            if all(_least_of(U & up[a], up) >= 0
+                   for a in interior if not U >> a & 1):
+                ext = list(up)
+                ext[zero] |= atom
+                ext.append(U | atom)
+                out.append(ext)
+            return
+        a = interior[i]
+        if not down[a] & U:  # nothing put in lies below a
+            grow(i + 1, U, left_out | 1 << a)
+        if not up[a] & left_out:  # nothing left out lies above a
+            grow(i + 1, U | 1 << a, left_out)
+
+    grow(0, 0, 0)
     return out
 
 
 _LATTICE_MEMO = {}
 
 
-def _lattice_matrices(n):
-    """leq matrices for all lattices of size n, one per isomorphism
-    class, memoized."""
+def _lattices(n):
+    """All lattices of size n, one per isomorphism class, memoized.
+    Extensions are deduplicated on the canonical bytes of their masks,
+    so only the kept ones are built and validated."""
     if n in _LATTICE_MEMO:
         return _LATTICE_MEMO[n]
     if n == 1:
-        mats = [[[True]]]
+        kept = [[1]]
     else:
-        mats = []
+        kept = []
         seen = set()
-        for leq in _lattice_matrices(n - 1):
-            for ext in _atom_extensions(leq):
-                L = BoundedLattice(ext)
-                key = canonical_form(L)
+        for L in _lattices(n - 1):
+            for up in _atom_extensions(L._ord):
+                key = _canon_bytes(n, up, ())
                 if key not in seen:
                     seen.add(key)
-                    mats.append(ext)
-    _LATTICE_MEMO[n] = mats
-    return mats
+                    kept.append(up)
+    lattices = [BoundedLattice([[u >> b & 1 for b in range(n)] for u in up])
+                for up in kept]
+    _LATTICE_MEMO[n] = lattices
+    return lattices
 
 
 def enumerate_lattices(n, cap=None):
@@ -140,8 +143,7 @@ def enumerate_lattices(n, cap=None):
     cap = CAPS["antiortholattice"] if cap is None else cap
     if n > cap:
         raise ValueError(f"size {n} above cap {cap}; raise CAPS to override")
-    for leq in _lattice_matrices(n):
-        yield BoundedLattice(leq)
+    yield from _lattices(n)
 
 
 def _is_distributive(L):
@@ -315,10 +317,7 @@ def enumerate_pbz(n, spec, jobs=1):
     about lives inside BZ); spec.classes narrows it and the structural
     filter changes the generation strategy.
     """
-    if n > spec.cap():
-        raise ValueError(
-            f"size {n} above {spec.cap_key()} cap {spec.cap()}; "
-            "raise CAPS to override")
+    spec.check_size(n)
     key = (n, spec.classes, spec.structure, spec.identities)
     if key in _CORPUS_MEMO:
         yield from _CORPUS_MEMO[key]
@@ -343,6 +342,7 @@ def enumerate_pbz(n, spec, jobs=1):
 
 def enumerate_all(spec, jobs=1):
     """Every size from 1 to spec.max_size, ascending."""
+    spec.check_size(spec.max_size)
     for n in range(1, spec.max_size + 1):
         yield from enumerate_pbz(n, spec, jobs=jobs)
 
@@ -368,8 +368,6 @@ class SearchResult:
 
 def _check_identity(args):
     A, identity = args
-    if isinstance(identity, terms.QuasiIdentity):
-        return terms.holds_quasi(A, identity)
     return terms.holds(A, identity)
 
 
@@ -381,6 +379,7 @@ def search_counterexample(identity, spec, jobs=1):
     nothing fails up to spec.max_size the result says exhausted rather
     than claiming the identity holds everywhere.
     """
+    spec.check_size(spec.max_size)
     if isinstance(identity, str):
         identity = terms.parse_statement(identity)
     examined = 0
@@ -512,8 +511,9 @@ def _si_aol_basis_cones(A, flags):
     antiortholattice obtained by padding the diamond M3 with a new
     bottom and top is subdirectly irreducible (its congruences form a
     3-chain) yet its swapped coatoms are incomparable to their
-    involutes.  Kept verbatim so the refutation stays visible; the
-    repaired version is si-aol-basis-cones-distributive."""
+    involutes.  Kept verbatim so the refutation stays visible;
+    si-aol-basis-cones-distributive adds distributivity to the
+    hypotheses, which only pushes the first failure to size 10."""
     if not _gate_si_aol_basis(A, flags):
         return None
     if _cones_cover(A):
@@ -522,6 +522,11 @@ def _si_aol_basis_cones(A, flags):
 
 
 def _si_aol_basis_cones_distributive(A, flags):
+    """The covering claim for distributive algebras.  It holds on every
+    antiortholattice up to size 9 and fails on one of size 10, whose
+    covers are 0<g 0<h a<1 b<1 c<b d<a d<b e<d f<c f<d g<f h<e h<f
+    and whose ' swaps a<->g, b<->h, c<->e and d<->f: it is distributive
+    and subdirectly irreducible, yet c and c' = e are incomparable."""
     if not (_gate_si_aol_basis(A, flags)
             and terms.holds(A, terms.THEORY["DIST"])[0]):
         return None
@@ -651,7 +656,8 @@ _CLAIMS = {
         _si_aol_basis_cones),
     "si-aol-basis-cones-distributive": (
         "s.i. distributive PBZ* algebras satisfying AOL1-3 have every "
-        "element comparable to its involute",
+        "element comparable to its involute (holds up to size 9; "
+        "refuted at size 10)",
         _si_aol_basis_cones_distributive),
     "sk-implies-distributive-sdm": (
         "PBZ* + AOL1-3 + SK forces DIST and SDM",

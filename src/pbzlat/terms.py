@@ -346,31 +346,32 @@ def _identity_ok(A, ident, assignment):
     return lv == rv if ident.kind == "eq" else A.le(lv, rv)
 
 
-def holds(A, ident):
-    """Exhaustively check an identity; (True, None) or (False, assignment).
+def holds(A, statement):
+    """Exhaustively check an identity or a quasi-identity; (True, None)
+    or (False, assignment).
 
     Assignments run in odometer order over sorted variable names, so the
     reported counterexample is the lexicographically first one.
+    Assignments at which a premise of a quasi-identity fails are skipped.
     """
-    names = term_vars(ident)
+    if isinstance(statement, QuasiIdentity):
+        premises, ident = statement.premises, statement.conclusion
+    else:
+        premises, ident = (), statement
+    names = term_vars(statement)
     for values in itertools.product(range(A.n), repeat=len(names)):
         assignment = dict(zip(names, values))
+        if premises and not all(_identity_ok(A, p, assignment)
+                                for p in premises):
+            continue
         if not _identity_ok(A, ident, assignment):
             return False, assignment
     return True, None
 
 
 def holds_quasi(A, quasi):
-    """Check a quasi-identity; premises filter the assignments."""
-    if isinstance(quasi, Identity):
-        return holds(A, quasi)
-    names = term_vars(quasi)
-    for values in itertools.product(range(A.n), repeat=len(names)):
-        assignment = dict(zip(names, values))
-        if all(_identity_ok(A, p, assignment) for p in quasi.premises):
-            if not _identity_ok(A, quasi.conclusion, assignment):
-                return False, assignment
-    return True, None
+    """Check a quasi-identity (or an identity); the same as ``holds``."""
+    return holds(A, quasi)
 
 
 # Named identities and quasi-identities used throughout the package.

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from pbzlat import core
 from pbzlat.core import (BoundedLattice, FiniteAlgebra, ValidationError,
                          boolean_lattice, canonical_form, chain_lattice,
                          is_isomorphic, is_order_isomorphic, validate_tables)
@@ -39,6 +40,41 @@ def test_validate_rule_names():
     m[0][2] = m[0][3] = m[1][2] = m[1][3] = True
     assert any(r.startswith("lattice:") for r in
                validate_tables(m, [1, 0, 3, 2], [1, 0, 3, 2]).rules())
+
+
+def test_order_witnesses_are_lex_least():
+    # 0 < 1 < 4 and 0 < 2 < 3 without 0 <= 4 or 0 <= 3, and 3 <= 2
+    leq = [[a == b for b in range(5)] for a in range(5)]
+    for a, b in ((0, 1), (1, 4), (0, 2), (2, 3), (3, 2)):
+        leq[a][b] = True
+    ident = list(range(5))
+    assert validate_tables(leq, ident, ident).violations == (
+        ("order:antisymmetric", (2, 3)), ("order:transitive", (0, 1, 4)))
+
+
+def test_antitone_witness_is_lex_least():
+    leq, _, bro = d4_tables()
+    # an involution fixing 1 and 2 on the chain 0 < 1 < 2 < 3
+    assert validate_tables(leq, [3, 1, 2, 0], bro).violations == (
+        ("kleene:antitone", (1, 2)),)
+
+
+def test_order_checked_once_per_construction(monkeypatch):
+    from pbzlat.enumeration import enumerate_lattices
+    calls = []
+    check = core._check_order
+    monkeypatch.setattr(core, "_check_order",
+                        lambda up: calls.append(up) or check(up))
+    leq, kle, bro = d4_tables()
+    FiniteAlgebra(leq, kle, bro)
+    assert len(calls) == 1
+    L = BoundedLattice(leq)
+    FiniteAlgebra.from_lattice(L, kle, bro)
+    assert len(calls) == 2
+    list(enumerate_lattices(6))
+    calls.clear()
+    list(enumerate_lattices(6))
+    assert calls == []
 
 
 def test_constructor_raises_with_report():

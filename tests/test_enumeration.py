@@ -2,7 +2,7 @@
 
 import pytest
 
-from pbzlat import catalog, terms
+from pbzlat import catalog, enumeration, terms
 from pbzlat.core import (
     FiniteAlgebra, boolean_lattice, chain_lattice, canonical_form,
     is_isomorphic,
@@ -27,6 +27,33 @@ def test_lattice_counts_match_bruteforce():
     for n in range(1, 6):
         assert len(list(enumerate_lattices(n))) == \
             _oracles.brute_lattice_count(n)
+
+
+def test_enumerated_lattices_against_nested_loops():
+    for n in range(1, 8):
+        for L in enumerate_lattices(n):
+            leq = L.leq.tolist()
+            assert _oracles._lattice_ok(leq)
+            for a in range(n):
+                for b in range(n):
+                    lower = [c for c in range(n) if leq[c][a] and leq[c][b]]
+                    upper = [c for c in range(n) if leq[a][c] and leq[b][c]]
+                    assert L.meet(a, b) == next(
+                        c for c in lower if all(leq[d][c] for d in lower))
+                    assert L.join(a, b) == next(
+                        c for c in upper if all(leq[c][d] for d in upper))
+
+
+def test_shared_instances_are_frozen():
+    L = next(enumerate_lattices(4))
+    A = next(enumerate_pbz(4, EnumerationSpec(max_size=4)))
+    for obj in (L, A):
+        with pytest.raises(AttributeError):
+            obj.name = "renamed"
+        with pytest.raises(AttributeError):
+            obj.labels = tuple("abcd")
+    assert A.relabel(A.labels, name="renamed").name == "renamed"
+    assert A.name is None and next(enumerate_lattices(4)) is L
 
 
 def test_lattice_counts_frozen():
@@ -118,10 +145,22 @@ def test_spec_validation():
         CAPS["chain"]
 
 
-def test_size_caps_enforced():
+def _no_level(order):
+    raise AssertionError("a lattice level was generated")
+
+
+def test_size_caps_enforced(monkeypatch):
     spec = EnumerationSpec(max_size=9)
     with pytest.raises(ValueError, match="general cap"):
         list(enumerate_pbz(9, spec))
+    # an above-cap spec is refused before level 1
+    monkeypatch.setattr(enumeration, "_LATTICE_MEMO", {})
+    monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
+    monkeypatch.setattr(enumeration, "_atom_extensions", _no_level)
+    with pytest.raises(ValueError, match="general cap"):
+        search_counterexample(terms.THEORY["J"], spec)
+    with pytest.raises(ValueError, match="general cap"):
+        next(enumerate_all(spec))
 
 
 def test_search_finds_smallest_j_failure():
@@ -215,6 +254,30 @@ def test_cone_claim_fails_at_seven_and_repair_holds():
     assert is_isomorphic(bad, padded_m3())
     fixed = verify_over_corpus("si-aol-basis-cones-distributive", spec)
     assert fixed.ok and fixed.checked > 0
+
+
+def test_distributive_cone_claim_fails_at_ten():
+    claim = "si-aol-basis-cones-distributive"
+    assert verify_over_corpus(claim, EnumerationSpec(
+        max_size=9, structure="antiortholattice")).ok
+    rep = verify_over_corpus(claim, EnumerationSpec(
+        max_size=10, structure="antiortholattice"))
+    assert len(rep.failures) == 1
+    bad, _ = rep.failures[0]
+    assert bad.n == 10
+    assert any(not bad.le(a, bad.kleene[a]) and not bad.le(bad.kleene[a], a)
+               for a in range(bad.n))
+    # the algebra the claim's docstring describes
+    labels = ["0", "a", "b", "c", "d", "e", "f", "g", "h", "1"]
+    ix = labels.index
+    covers = [(ix(x), ix(y)) for x, y in (
+        "0g 0h a1 b1 cb da db ed fc fd gf he hf".split())]
+    swaps = {"0": "1", "a": "g", "b": "h", "c": "e", "d": "f"}
+    swaps.update({v: k for k, v in swaps.items()})
+    kleene = [ix(swaps[x]) for x in labels]
+    brouwer = [9] + [0] * 9
+    assert is_isomorphic(bad, FiniteAlgebra.from_covers(
+        10, covers, kleene, brouwer, labels=labels))
 
 
 def test_vacuous_corpus_report():

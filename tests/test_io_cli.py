@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from pbzlat import catalog, fileformat
+from pbzlat import catalog, enumeration, fileformat
 from pbzlat.cli import main, parse_recipe
 from pbzlat.core import FiniteAlgebra, ValidationError, is_isomorphic
 from pbzlat.enumeration import EnumerationSpec, enumerate_all
@@ -256,9 +256,21 @@ def test_cli_enumerate_structured(capsys):
     assert doc["spec"]["structure"] == "antiortholattice"
 
 
-def test_cli_enumerate_cap_error(capsys):
+def _no_level(order):
+    raise AssertionError("a lattice level was generated")
+
+
+def test_cli_enumerate_cap_error(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "enumerate", "--max", "9")
     assert code == 2 and "general cap" in err
+    # the cap is checked before any level is generated or written
+    monkeypatch.setattr(enumeration, "_LATTICE_MEMO", {})
+    monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
+    monkeypatch.setattr(enumeration, "_atom_extensions", _no_level)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "enumerate", "--max", "9", "-o", str(out))
+    assert code == 2 and "general cap" in err
+    assert not out.exists()
 
 
 def test_cli_search_found(tmp_path, capsys):

@@ -103,6 +103,19 @@ def test_quasi_identity_examples():
     assert holds_quasi(catalog.get("B4"), trivial)[0]
 
 
+def test_holds_takes_quasi_identities():
+    quasi = [k for k, stmt in THEORY.items()
+             if isinstance(stmt, QuasiIdentity)]
+    assert quasi == ["BZ3", "OM", "POM"]
+    for name in ("D5", "O6-benzene"):
+        A = catalog.get(name)
+        for key in quasi:
+            assert holds(A, THEORY[key]) == holds_quasi(A, THEORY[key]), \
+                (name, key)
+    assert holds(catalog.get("D5"), THEORY["POM"]) == (True, None)
+    assert not holds(catalog.get("O6-benzene"), THEORY["POM"])[0]
+
+
 def test_term_engine_agrees_with_handcoded_axioms():
     probes = {
         "PK": lambda A: axioms.is_pseudo_kleene(A)[0],
@@ -111,16 +124,12 @@ def test_term_engine_agrees_with_handcoded_axioms():
         "OM": lambda A: axioms.is_orthomodular(A)[0],
         "POM": lambda A: axioms.is_paraorthomodular(A)[0],
     }
-    def check(A, stmt):
-        return (holds_quasi(A, stmt) if isinstance(stmt, QuasiIdentity)
-                else holds(A, stmt))[0]
-
     bz_probe = ("BZ1", "BZ2", "BZ3", "BZ4")
     for name in catalog.names():
         A = catalog.get(name)
         for key, fn in probes.items():
-            assert check(A, THEORY[key]) == fn(A), (name, key)
-        assert all(check(A, THEORY[k]) for k in bz_probe) == \
+            assert holds(A, THEORY[key])[0] == fn(A), (name, key)
+        assert all(holds(A, THEORY[k])[0] for k in bz_probe) == \
             axioms.is_bz(A)[0], name
 
 
