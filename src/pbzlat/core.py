@@ -387,11 +387,30 @@ class FiniteAlgebra(_Carrier):
     """Bounded involution lattice with a Brouwer complement.
 
     ``kleene`` is the involution ', ``brouwer`` the map ~.  Both are
-    stored as tuples of image indices.  Instances are validated at
-    construction and treated as immutable afterwards.
+    tuples of image indices.  Instances are validated at construction
+    and immutable afterwards: like the labels, the maps cannot be
+    reassigned, so the cached canonical form cannot go stale.  They
+    stay plain slots, which the term evaluator reads in its inner loop;
+    only assignment is refused.
     """
 
     __slots__ = ("kleene", "brouwer", "_canon")
+
+    def __setattr__(self, name, value):
+        if name in ("kleene", "brouwer"):
+            raise AttributeError(f"{name!r} of FiniteAlgebra is read-only")
+        super().__setattr__(name, value)
+
+    def _set_maps(self, kleene, brouwer):
+        object.__setattr__(self, "kleene", kleene)
+        object.__setattr__(self, "brouwer", brouwer)
+        self._canon = None
+
+    def __reduce__(self):
+        # pickling (worker processes) and copying cannot assign the maps
+        # slot by slot, so they rebuild through the validated fast path
+        return (type(self)._from_order,
+                (self._ord, self.kleene, self.brouwer, self.labels, self.name))
 
     def __init__(self, leq, kleene, brouwer, labels=None, name=None):
         violations, order = _validate(leq, kleene, brouwer, labels=labels)
@@ -399,18 +418,15 @@ class FiniteAlgebra(_Carrier):
             raise _invalid(violations)
         self._set(order, None if labels is None
                   else tuple(str(x) for x in labels), name)
-        self.kleene = tuple(int(x) for x in kleene)
-        self.brouwer = tuple(int(x) for x in brouwer)
-        self._canon = None
+        self._set_maps(tuple(int(x) for x in kleene),
+                       tuple(int(x) for x in brouwer))
 
     @classmethod
     def _from_order(cls, order, kleene, brouwer, labels=None, name=None):
         # internal fast path: order comes from an already validated source
         obj = object.__new__(cls)
         obj._set(order, labels, name)
-        obj.kleene = tuple(kleene)
-        obj.brouwer = tuple(brouwer)
-        obj._canon = None
+        obj._set_maps(tuple(kleene), tuple(brouwer))
         return obj
 
     @classmethod
@@ -470,30 +486,62 @@ class FiniteAlgebra(_Carrier):
 # so the lattice enumerator can use them without building carrier objects.
 
 
+def _ranks(sigs):
+    """Each signature's rank among the distinct ones, and their number."""
+    ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    return [ranking[s] for s in sigs], len(ranking)
+
+
 def _refine_colors(n, up, down, unaries):
     """Iterated invariant refinement; returns a color per element.
 
     Colors are ranks of structural signatures, so they are deterministic
     across processes and comparable between structures refined jointly.
+    A round's signature is the element's color, the sorted colors of its
+    strict lower and upper bounds, of its images and of its preimages.
+    On a single color these are runs of zeros, which compare as their
+    lengths do, so the first round ranks by those lengths.  Refinement
+    stops when a round splits no class (such a round, its signatures
+    led by the colors, would rank them as they are) or when every
+    element has a color of its own.
     """
-    col = [0] * n
-    classes = 1
-    while True:
-        sigs = []
-        for a in range(n):
-            below = tuple(sorted(col[b] for b in _bits(down[a] & ~(1 << a))))
-            above = tuple(sorted(col[b] for b in _bits(up[a] & ~(1 << a))))
-            imgs = tuple(col[f[a]] for f in unaries)
-            pres = tuple(
-                tuple(sorted(col[x] for x in range(n) if f[x] == a))
-                for f in unaries)
-            sigs.append((col[a], below, above, imgs, pres))
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        new_classes = len(ranking)
+    below = [tuple(_bits(down[a] & ~(1 << a))) for a in range(n)]
+    above = [tuple(_bits(up[a] & ~(1 << a))) for a in range(n)]
+    imgs = [tuple(f[a] for f in unaries) for a in range(n)]
+    pres = [tuple([] for _ in unaries) for _ in range(n)]
+    for k, f in enumerate(unaries):
+        for x in range(n):
+            pres[f[x]][k].append(x)
+    col, classes = _ranks([(len(below[a]), len(above[a]),
+                            *(len(p) for p in pres[a])) for a in range(n)])
+    while 1 < classes < n:
+        get = col.__getitem__
+        new, new_classes = _ranks([
+            (col[a],
+             tuple(sorted(map(get, below[a]))),
+             tuple(sorted(map(get, above[a]))),
+             tuple(map(get, imgs[a])),
+             tuple(tuple(sorted(map(get, p))) for p in pres[a]))
+            for a in range(n)])
         if new_classes == classes:
-            return new
+            break
         col, classes = new, new_classes
+    return col
+
+
+def _orbit(e, gens):
+    """Orbit of e under the group the permutations ``gens`` generate,
+    as a bitmask."""
+    orbit = 1 << e
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = g[x]
+            if not orbit >> y & 1:
+                orbit |= 1 << y
+                stack.append(y)
+    return orbit
 
 
 def _canonical_search(n, up, unaries):
@@ -501,64 +549,117 @@ def _canonical_search(n, up, unaries):
 
     Returns ``(ordering, encoding)`` where the encoding is a flat tuple
     of small ints that fully determines the structure.  Equal encodings
-    mean isomorphic structures and vice versa.
+    mean isomorphic structures and vice versa.  The ordering is the
+    first one, in depth-first order over ascending candidates, whose
+    encoding is the minimum.
+
+    Colors never change during the search, so the orderings searched
+    place the color classes one after another, each in every order.
+    Two rules cut the depth-first search.  Neither can change the
+    result, because each skips only orderings none of which is strictly
+    smaller than the best found so far, and the best changes only on a
+    strict improvement; so the minimum and the first ordering reaching
+    it stay those of the unpruned search kept in ``tests/_oracles.py``.
+
+    - Bound: while the prefix built so far equals the best's prefix, a
+      candidate whose increment exceeds the best's next segment is
+      skipped; every completion through it is larger.
+    - Orbits: a leaf whose encoding ties with the best gives the
+      automorphism g with ``g(best_order[i]) = placed[i]``.  Because
+      colors are invariants, g carries each searched ordering to a
+      searched ordering with the same encoding.  At a node with prefix
+      P, candidate e is skipped when an earlier sibling, searched or
+      cut, lies in its orbit under the group generated by the recorded
+      automorphisms that fix P pointwise: some such automorphism carries
+      the orderings through the sibling onto those through e, and none
+      of those is smaller than the best once the sibling is done.
     """
     down = [0] * n
     for a in range(n):
         for b in _bits(up[a]):
             down[b] |= 1 << a
     col = _refine_colors(n, up, down, unaries)
+    by_color = sorted(range(n), key=lambda a: (col[a], a))
+    members = {}
+    for a in by_color:
+        members.setdefault(col[a], []).append(a)
+    # the candidates at depth d are the unplaced members of the color
+    # class of the d-th element in color order
+    cells = [members[col[a]] for a in by_color]
 
+    SENT = n  # placeholder for "image not placed yet"
+    placed = []
+    pos = [SENT] * n
+    enc = []
     best = None
     best_order = None
-    SENT = n  # placeholder for "image not placed yet"
+    autos = []
 
-    def increment(e, placed, pos_of):
+    def increment(e, d):
+        ue, de = up[e], down[e]
         inc = [col[e]]
-        for j in placed:
-            inc.append(1 if up[j] >> e & 1 else 0)
-        for j in placed:
-            inc.append(1 if up[e] >> j & 1 else 0)
+        inc += [de >> j & 1 for j in placed]
+        inc += [ue >> j & 1 for j in placed]
         for f in unaries:
             img = f[e]
             # a self-image gets the slot being filled; SENT means the
             # image comes later (recorded then via the preimage bits)
-            inc.append(len(placed) if img == e else pos_of.get(img, SENT))
-            for j in placed:
-                inc.append(1 if f[j] == e else 0)
+            inc.append(d if img == e else pos[img])
+            inc += [1 if f[j] == e else 0 for j in placed]
         return inc
 
-    placed = []
-    pos_of = {}
-    enc = []
-
-    def search(remaining):
+    def search(d, tight):
+        """Search below the prefix ``placed`` of length d; ``tight`` says
+        it equals the best's prefix.  Returns True when the best
+        improved."""
         nonlocal best, best_order
-        if not remaining:
-            if best is None or enc < best:
-                best = list(enc)
-                best_order = list(placed)
-            return
-        mincol = min(col[e] for e in remaining)
+        if d == n:
+            if tight:  # a tie with the best: record the automorphism
+                g = [0] * n
+                for a, b in zip(best_order, placed):
+                    g[a] = b
+                autos.append(g)
+                return False
+            best = list(enc)
+            best_order = list(placed)
+            return True
         start = len(enc)
-        for e in sorted(e for e in remaining if col[e] == mincol):
-            inc = increment(e, placed, pos_of)
+        improved = False
+        tried = 0     # bitmask of the siblings already considered
+        gens = []     # recorded automorphisms that fix the prefix
+        scanned = 0   # how many of autos have been sorted into gens
+        for e in cells[d]:
+            if pos[e] != SENT:
+                continue
+            if tried and scanned < len(autos):
+                gens += [g for g in autos[scanned:]
+                         if all(g[p] == p for p in placed)]
+                scanned = len(autos)
+            if gens and _orbit(e, gens) & tried:
+                continue
+            tried |= 1 << e
+            inc = increment(e, d)
             # pruning against best is only sound while the built prefix
             # still matches best's prefix; once it is strictly smaller,
             # every completion wins and must be explored
-            if best is not None and enc == best[:start]:
+            child_tight = False
+            if tight:
                 seg = best[start:start + len(inc)]
                 if inc > seg:
                     continue
+                child_tight = inc == seg
             placed.append(e)
-            pos_of[e] = len(placed) - 1
+            pos[e] = d
             enc.extend(inc)
-            search(remaining - {e})
+            if search(d + 1, child_tight):
+                # the new best extends this prefix
+                improved = tight = True
             del enc[start:]
-            del pos_of[e]
+            pos[e] = SENT
             placed.pop()
+        return improved
 
-    search(frozenset(range(n)))
+    search(0, False)
     return tuple(best_order), tuple(best)
 
 

@@ -160,17 +160,37 @@ def _is_distributive(L):
 # decorations
 
 
+def _self_dual_degrees(order):
+    """Whether the multiset of (|up a|, |down a|) equals that of
+    (|down a|, |up a|)."""
+    degrees = sorted((u.bit_count(), d.bit_count())
+                     for u, d in zip(order.up, order.down))
+    return degrees == sorted((d, u) for u, d in degrees)
+
+
 def order_reversing_involutions(L):
-    """All maps with f(f(a)) = a and a <= b iff f(b) <= f(a)."""
-    n = L.n
+    """All maps with f(f(a)) = a and a <= b iff f(b) <= f(a).
+
+    Such an f maps up(a) onto down(f(a)) and down(a) onto up(f(a)), so
+    it pairs each element of degrees (|up a|, |down a|) with one of
+    degrees (|down a|, |up a|).  A lattice whose degree multiset is not
+    self-dual therefore has none, and the backtracking is skipped; on
+    the others it runs unchanged, so the list keeps its order.
+    """
+    if not _self_dual_degrees(L._ord):
+        return []
+    n, up, down = L.n, L._ord.up, L._ord.down
     out = []
     f = [None] * n
 
     def place(a, b):
+        # a <= c iff f(c) <= b, and c <= a iff b <= f(c)
+        ua, da, ub, db = up[a], down[a], up[b], down[b]
         for c in range(n):
-            if f[c] is None or c == a:
+            fc = f[c]
+            if fc is None or c == a:
                 continue
-            if L.le(a, c) != L.le(f[c], b) or L.le(c, a) != L.le(b, f[c]):
+            if ua >> c & 1 != db >> fc & 1 or da >> c & 1 != ub >> fc & 1:
                 return False
         return True
 

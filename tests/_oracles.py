@@ -2,7 +2,10 @@
 
 Everything here avoids the package's own algorithms on purpose: orders
 are checked by nested loops, isomorphism by trying all permutations,
-congruences by filtering every set partition.  Slow and simple.
+congruences by filtering every set partition, involutions by testing
+every involutive permutation.  Slow and simple.  The canonical search
+is here too in its unpruned form, as the reference its pruned library
+version must reproduce exactly.
 """
 
 import itertools
@@ -102,6 +105,35 @@ def _lattice_ok(leq):
     return True
 
 
+def involutions(n):
+    """Every involutive permutation of range(n), in lexicographic order:
+    the least unpaired element is paired with itself or a later one."""
+    f = [None] * n
+
+    def rec():
+        if None not in f:
+            yield tuple(f)
+            return
+        a = f.index(None)
+        for b in range(a, n):
+            if f[b] is None:
+                f[a], f[b] = b, a
+                yield from rec()
+                f[a] = f[b] = None
+    yield from rec()
+
+
+def brute_involutions(L):
+    """Order-reversing involutions of a lattice, by testing a <= b iff
+    f(b) <= f(a) on every involutive permutation, in lexicographic
+    order."""
+    leq = L.leq.tolist()
+    n = len(leq)
+    return [f for f in involutions(n)
+            if all(leq[a][b] == leq[f[b]][f[a]]
+                   for a in range(n) for b in range(n))]
+
+
 def brute_lattice_count(n):
     """Number of lattices with n elements up to isomorphism, found by
     scanning every strictly-upper-triangular relation pattern."""
@@ -120,3 +152,87 @@ def brute_lattice_count(n):
             continue
         reps.append(leq)
     return len(reps)
+
+
+def _refine_colors(n, up, down, unaries):
+    """Iterated invariant refinement of up/down-set bitmasks, the
+    signatures rebuilt from the masks on every round."""
+    col = [0] * n
+    classes = 1
+    while True:
+        sigs = []
+        for a in range(n):
+            below = tuple(sorted(col[b] for b in range(n)
+                                 if b != a and down[a] >> b & 1))
+            above = tuple(sorted(col[b] for b in range(n)
+                                 if b != a and up[a] >> b & 1))
+            imgs = tuple(col[f[a]] for f in unaries)
+            pres = tuple(
+                tuple(sorted(col[x] for x in range(n) if f[x] == a))
+                for f in unaries)
+            sigs.append((col[a], below, above, imgs, pres))
+        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        new_classes = len(ranking)
+        if new_classes == classes:
+            return new
+        col, classes = new, new_classes
+
+
+def unpruned_canonical_search(n, up, unaries):
+    """The canonical search with only the bound against the best prefix:
+    ``(ordering, encoding)`` of the first color-sorted ordering, in
+    depth-first order, whose prefix-incremental encoding is least."""
+    down = [0] * n
+    for a in range(n):
+        for b in range(n):
+            if up[a] >> b & 1:
+                down[b] |= 1 << a
+    col = _refine_colors(n, up, down, unaries)
+
+    best = None
+    best_order = None
+    SENT = n  # placeholder for "image not placed yet"
+
+    def increment(e, placed, pos_of):
+        inc = [col[e]]
+        for j in placed:
+            inc.append(1 if up[j] >> e & 1 else 0)
+        for j in placed:
+            inc.append(1 if up[e] >> j & 1 else 0)
+        for f in unaries:
+            img = f[e]
+            inc.append(len(placed) if img == e else pos_of.get(img, SENT))
+            for j in placed:
+                inc.append(1 if f[j] == e else 0)
+        return inc
+
+    placed = []
+    pos_of = {}
+    enc = []
+
+    def search(remaining):
+        nonlocal best, best_order
+        if not remaining:
+            if best is None or enc < best:
+                best = list(enc)
+                best_order = list(placed)
+            return
+        mincol = min(col[e] for e in remaining)
+        start = len(enc)
+        for e in sorted(e for e in remaining if col[e] == mincol):
+            inc = increment(e, placed, pos_of)
+            if best is not None and enc == best[:start]:
+                seg = best[start:start + len(inc)]
+                if inc > seg:
+                    continue
+            placed.append(e)
+            pos_of[e] = len(placed) - 1
+            enc.extend(inc)
+            search(remaining - {e})
+            del enc[start:]
+            del pos_of[e]
+            placed.pop()
+
+    search(frozenset(range(n)))
+    return tuple(best_order), tuple(best)

@@ -1,8 +1,11 @@
 """Corpus generation, counterexample search, registered claims."""
 
+import hashlib
+import pickle
+
 import pytest
 
-from pbzlat import catalog, enumeration, terms
+from pbzlat import catalog, core, enumeration, terms
 from pbzlat.core import (
     FiniteAlgebra, boolean_lattice, chain_lattice, canonical_form,
     is_isomorphic,
@@ -52,6 +55,16 @@ def test_shared_instances_are_frozen():
             obj.name = "renamed"
         with pytest.raises(AttributeError):
             obj.labels = tuple("abcd")
+    # the maps cannot change under a cached canonical form either
+    cf = canonical_form(A)
+    for attr in ("kleene", "brouwer"):
+        with pytest.raises(AttributeError):
+            setattr(A, attr, tuple(range(4)))
+    assert canonical_form(A) == cf == core._canon_bytes(
+        4, A._ord.up, (A.kleene, A.brouwer))
+    # worker processes still get whole copies
+    B = pickle.loads(pickle.dumps(A))
+    assert B.tables_equal(A) and (B.labels, B.name) == (A.labels, A.name)
     assert A.relabel(A.labels, name="renamed").name == "renamed"
     assert A.name is None and next(enumerate_lattices(4)) is L
 
@@ -59,6 +72,66 @@ def test_shared_instances_are_frozen():
 def test_lattice_counts_frozen():
     got = [len(list(enumerate_lattices(n))) for n in range(1, 8)]
     assert got == [1, 1, 1, 2, 5, 15, 53]
+
+
+AOL10 = EnumerationSpec(max_size=10, structure="antiortholattice")
+BZ8 = EnumerationSpec(max_size=8)
+
+
+def test_canonical_search_matches_unpruned_on_extensions():
+    for n in range(2, 10):
+        for L in enumerate_lattices(n - 1):
+            for up in enumeration._atom_extensions(L._ord):
+                assert core._canonical_search(n, up, ()) == \
+                    _oracles.unpruned_canonical_search(n, up, ())
+
+
+def test_canonical_search_matches_unpruned_on_corpora():
+    for spec in (BZ8, AOL10):
+        for A in enumerate_all(spec):
+            args = (A.n, A._ord.up, (A.kleene, A.brouwer))
+            assert core._canonical_search(*args) == \
+                _oracles.unpruned_canonical_search(*args)
+
+
+def _sha256(forms):
+    h = hashlib.sha256()
+    for cf in forms:
+        h.update(cf)
+    return h.hexdigest()
+
+
+def test_canonical_bytes_frozen():
+    assert _sha256(canonical_form(L) for n in range(1, 10)
+                   for L in enumerate_lattices(n)) == \
+        "bb2b209e63ca1835f1878f7f9d1e8a01b03b1fe935b1791f4c95ab7347780a20"
+    assert _sha256(map(canonical_form, enumerate_all(AOL10))) == \
+        "eaa89830df5c5f8416a76108de225251477625426cecd11d391ee773159184ce"
+    assert _sha256(map(canonical_form, enumerate_all(BZ8))) == \
+        "cb41f2e7ea7795d45b3f669570b0781d81645074f00c5a6d34557266ef7f3dc1"
+
+
+def test_involutions_against_brute_force():
+    for n in range(1, 9):
+        for L in enumerate_lattices(n):
+            assert order_reversing_involutions(L) == \
+                _oracles.brute_involutions(L)
+
+
+def test_involution_counts_frozen():
+    got = []
+    gated = 0
+    for n in range(1, 11):
+        lattices = list(enumerate_lattices(n))
+        found = [order_reversing_involutions(L) for L in lattices]
+        got.append((sum(1 for f in found if f), sum(map(len, found))))
+        gated += sum(enumeration._self_dual_degrees(L._ord)
+                     for L in lattices)
+    # (lattices carrying ', involutions) per size
+    assert got == [(1, 1), (1, 1), (1, 1), (2, 3), (3, 6), (7, 19),
+                   (13, 48), (36, 159), (76, 452), (232, 1544)]
+    # the degree test lets 394 of the 7372 lattices through to the search
+    assert gated == 394
 
 
 def test_involution_and_brouwer_helpers():
