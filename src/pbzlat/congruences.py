@@ -151,32 +151,25 @@ class _UnionFind:
 def congruence_generated(A, pairs):
     """Least congruence containing the given pairs.
 
-    Transitive closure via union-find plus closure under the basic
-    translations (both unary maps and meet/join against every
-    constant), iterated to a fixpoint.
+    A worklist closure: every pair that union-find actually merges is
+    pushed once and translated once, under both unary maps and meet and
+    join against every constant, and the translated pairs are merged in
+    turn.  The merged pairs span each block by paths, so a translation
+    of any related pair is joined by the translated path; the partition
+    left when the worklist runs dry is therefore closed under the basic
+    translations, which makes it a congruence, and it holds only merges
+    forced by the pairs.
     """
     uf = _UnionFind(A.n)
-    for a, b in pairs:
-        uf.union(a, b)
-    changed = True
-    while changed:
-        changed = False
-        reps = {}
-        groups = {}
-        for x in range(A.n):
-            groups.setdefault(uf.find(x), []).append(x)
-        for members in groups.values():
-            base = members[0]
-            for y in members[1:]:
-                for tx, ty in ((A.kleene[base], A.kleene[y]),
-                               (A.brouwer[base], A.brouwer[y])):
-                    if uf.union(tx, ty):
-                        changed = True
-                for c in range(A.n):
-                    if uf.union(A.meet(base, c), A.meet(y, c)):
-                        changed = True
-                    if uf.union(A.join(base, c), A.join(y, c)):
-                        changed = True
+    kleene, brouwer = A.kleene, A.brouwer
+    meet, join = A._ord.meet, A._ord.join
+    work = [(a, b) for a, b in pairs if uf.union(a, b)]
+    while work:
+        a, b = work.pop()
+        for x, y in ((kleene[a], kleene[b]), (brouwer[a], brouwer[b]),
+                     *zip(meet[a], meet[b]), *zip(join[a], join[b])):
+            if uf.union(x, y):
+                work.append((x, y))
     return Congruence([uf.find(x) for x in range(A.n)])
 
 
@@ -193,26 +186,43 @@ def meet_congruences(t1, t2):
     return Congruence(list(zip(t1.block_of, t2.block_of)))
 
 
+def _join_partitions(t1, t2):
+    """Join of two equivalence relations: the transitive closure of
+    their union."""
+    uf = _UnionFind(t1.n)
+    for block_of in (t1.block_of, t2.block_of):
+        first = {}
+        for a, k in enumerate(block_of):
+            uf.union(first.setdefault(k, a), a)
+    return Congruence([uf.find(x) for x in range(t1.n)])
+
+
 def all_congruences(A):
     """Every congruence of A, sorted coarsest-last.
 
-    Principal congruences are generated for all pairs and closed under
-    joins.  Guarded to n <= 12; the closure is exponential in the worst
-    case and this package only needs desk scale.
+    The generators are the principal congruences of the cover pairs.
+    They suffice: a congruence of a lattice-based algebra relates a and
+    b iff it relates a ^ b and a v b, and its blocks are convex, so
+    con(a, b) = con(a ^ b, a v b) is the join of the cover congruences
+    along any maximal chain from a ^ b to a v b.  Every congruence is
+    the join of the principal ones it contains, hence a join of cover
+    congruences.  The generators are closed under joins, taken as joins
+    of equivalence relations: Con A is a sublattice of the lattice of
+    equivalence relations (Burris and Sankappanavar, A Course in
+    Universal Algebra, ch. II), so no translation pass is needed.
+    Guarded to n <= 12; the closure is exponential in the worst case
+    and this package only needs desk scale.
     """
     if A.n > 12:
         raise ValueError("all_congruences is capped at 12 elements")
-    principals = set()
-    for a in range(A.n):
-        for b in range(a + 1, A.n):
-            principals.add(principal_congruence(A, a, b))
-    principals = sorted(principals, key=lambda t: t.block_of)
+    principals = list({principal_congruence(A, a, b)
+                       for a, b in A.covers()})
     found = {Congruence.identity(A.n)} | set(principals)
     frontier = list(principals)
     while frontier:
         theta = frontier.pop()
         for phi in principals:
-            psi = join_congruences(A, theta, phi)
+            psi = _join_partitions(theta, phi)
             if psi not in found:
                 found.add(psi)
                 frontier.append(psi)

@@ -65,19 +65,13 @@ def _bits(mask):
         mask ^= low
 
 
-def _least_of(mask, up):
-    """Least element of the set ``mask``, or -1 if there is none."""
-    for d in _bits(mask):
-        if mask & ~up[d] == 0:
-            return d
-    return -1
-
-
-def _greatest_of(mask, down):
-    for d in _bits(mask):
-        if mask & ~down[d] == 0:
-            return d
-    return -1
+def _set_index(masks):
+    """Element by its up- (or down-) set mask, for an antisymmetric
+    order.  An up-closed set, such as the common upper bounds
+    up(a) & up(b), has a least element d iff it equals up(d); so it has
+    one iff it is a key here, and the key's element is that least one
+    (dually for down-sets and greatest elements)."""
+    return {m: a for a, m in enumerate(masks)}
 
 
 class _Order:
@@ -147,15 +141,17 @@ def _check_order(up):
     if violations:
         return None, violations
 
+    by_up = _set_index(up)
+    by_down = _set_index(down)
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     no_meet = no_join = None
     for a in range(n):
         for b in range(a, n):
-            g = _greatest_of(down[a] & down[b], down)
+            g = by_down.get(down[a] & down[b], -1)
             if g < 0 and no_meet is None:
                 no_meet = (a, b)
-            l = _least_of(up[a] & up[b], up)
+            l = by_up.get(up[a] & up[b], -1)
             if l < 0 and no_join is None:
                 no_join = (a, b)
             meet[a][b] = meet[b][a] = g
@@ -167,8 +163,8 @@ def _check_order(up):
     if violations:
         return None, violations
     full = (1 << n) - 1
-    zero = _least_of(full, up)
-    one = _greatest_of(full, down)
+    zero = by_up.get(full, -1)
+    one = by_down.get(full, -1)
     if zero < 0:
         violations.append(("bounds:zero", ()))
     if one < 0:

@@ -9,7 +9,7 @@ counterexample search and a registry of corpus-wide claims.
 from dataclasses import dataclass
 
 from . import axioms, congruences, terms
-from .core import (BoundedLattice, FiniteAlgebra, _canon_bytes, _least_of,
+from .core import (BoundedLattice, FiniteAlgebra, _canon_bytes, _set_index,
                    canonical_form, chain_lattice, is_isomorphic)
 
 __all__ = [
@@ -82,20 +82,22 @@ def _atom_extensions(order):
 
     The new element sits just above 0 and strictly below an up-closed
     set U.  The result is a lattice iff for every old a outside U the
-    common upper bounds U & up(a) have a least element; meets never
-    break because the only things under the atom are itself and 0.
+    common upper bounds U & up(a) have a least element, that is, are
+    the up-set of some element; meets never break because the only
+    things under the atom are itself and 0.
     Returns each extension's up-set masks, the new atom last.  The list
     order decides which isomorphic copy is kept, so U runs over its
     membership vectors on the nonzero elements in lexicographic order.
     """
     n, up, down, zero = order.n, order.up, order.down, order.zero
+    by_up = _set_index(up)
     interior = [a for a in range(n) if a != zero]
     atom = 1 << n
     out = []
 
     def grow(i, U, left_out):
         if i == len(interior):
-            if all(_least_of(U & up[a], up) >= 0
+            if all(U & up[a] in by_up
                    for a in interior if not U >> a & 1):
                 ext = list(up)
                 ext[zero] |= atom
@@ -144,16 +146,6 @@ def enumerate_lattices(n, cap=None):
     if n > cap:
         raise ValueError(f"size {n} above cap {cap}; raise CAPS to override")
     yield from _lattices(n)
-
-
-def _is_distributive(L):
-    for a in range(L.n):
-        for b in range(L.n):
-            for c in range(L.n):
-                if L.meet(a, L.join(b, c)) != \
-                        L.join(L.meet(a, b), L.meet(a, c)):
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +339,8 @@ def enumerate_pbz(n, spec, jobs=1):
     else:
         lattices = list(enumerate_lattices(n, cap=spec.cap()))
         if spec.structure == "distributive":
-            lattices = [L for L in lattices if _is_distributive(L)]
+            lattices = [L for L in lattices
+                        if terms.holds(L, terms.THEORY["DIST"])[0]]
     emitted = []
     seen = set()
     for level in _map_jobs(_decorated_level,

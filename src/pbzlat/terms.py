@@ -19,6 +19,8 @@ primitive constructors.
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Term", "Var", "Zero", "One", "Meet", "Join", "Kleene", "Brouwer",
     "Box", "Diamond", "Identity", "QuasiIdentity", "ParseError",
@@ -340,10 +342,54 @@ def evaluate(A, t, assignment):
     raise TypeError(f"not a term: {t!r}")
 
 
-def _identity_ok(A, ident, assignment):
-    lv = evaluate(A, ident.lhs, assignment)
-    rv = evaluate(A, ident.rhs, assignment)
-    return lv == rv if ident.kind == "eq" else A.le(lv, rv)
+# assignments evaluated at once: the leading variables are fixed per
+# block and each of the others gets a broadcast axis of its own
+_BLOCK = 1 << 16
+
+
+def _table(A, tabs, op):
+    """numpy copy of one operation table of A, made on first use, so a
+    statement reads only the tables its terms need (a bare
+    BoundedLattice has no ' or ~)."""
+    tab = tabs.get(op)
+    if tab is None:
+        if op == "le":
+            tab = A.leq
+        elif op in ("meet", "join"):
+            tab = np.array(getattr(A._ord, op), dtype=np.intp)
+        else:
+            tab = np.array(getattr(A, op), dtype=np.intp)
+        tabs[op] = tab
+    return tab
+
+
+def _gather(A, t, env, tabs):
+    """Values of a term over the assignments in env, by table lookups."""
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, Zero):
+        return A.zero
+    if isinstance(t, One):
+        return A.one
+    if isinstance(t, Meet):
+        return _table(A, tabs, "meet")[_gather(A, t.left, env, tabs),
+                                       _gather(A, t.right, env, tabs)]
+    if isinstance(t, Join):
+        return _table(A, tabs, "join")[_gather(A, t.left, env, tabs),
+                                       _gather(A, t.right, env, tabs)]
+    if isinstance(t, Kleene):
+        return _table(A, tabs, "kleene")[_gather(A, t.arg, env, tabs)]
+    if isinstance(t, Brouwer):
+        return _table(A, tabs, "brouwer")[_gather(A, t.arg, env, tabs)]
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _satisfied(A, ident, env, tabs):
+    lv = _gather(A, ident.lhs, env, tabs)
+    rv = _gather(A, ident.rhs, env, tabs)
+    if ident.kind == "eq":
+        return np.equal(lv, rv)
+    return _table(A, tabs, "le")[lv, rv]
 
 
 def holds(A, statement):
@@ -353,19 +399,44 @@ def holds(A, statement):
     Assignments run in odometer order over sorted variable names, so the
     reported counterexample is the lexicographically first one.
     Assignments at which a premise of a quasi-identity fails are skipped.
+
+    The terms are evaluated by numpy gathers from the operation tables,
+    a block of assignments at a time.  The trailing variables get one
+    broadcast axis each, as many as keep a block within ``_BLOCK``
+    assignments; the leading ones are fixed per block and run through
+    their values in odometer order.  A block's failures form a boolean
+    array (for a quasi-identity: every premise holds and the conclusion
+    does not) whose C order is the odometer order of the trailing
+    variables, so its first True, in the first block that has one, is
+    the first failing assignment of the whole scan.  The scan stops
+    there; blocks bound the memory a statement with many variables
+    takes.
     """
     if isinstance(statement, QuasiIdentity):
         premises, ident = statement.premises, statement.conclusion
     else:
         premises, ident = (), statement
     names = term_vars(statement)
-    for values in itertools.product(range(A.n), repeat=len(names)):
-        assignment = dict(zip(names, values))
-        if premises and not all(_identity_ok(A, p, assignment)
-                                for p in premises):
-            continue
-        if not _identity_ok(A, ident, assignment):
-            return False, assignment
+    n = A.n
+    inner = 0
+    while inner < len(names) and n ** (inner + 1) <= _BLOCK:
+        inner += 1
+    lead = names[:len(names) - inner]
+    shape = (n,) * inner
+    env = {}
+    for axis, name in enumerate(names[len(lead):]):
+        env[name] = np.arange(n, dtype=np.intp).reshape(
+            [n if j == axis else 1 for j in range(inner)])
+    tabs = {}
+    for values in itertools.product(range(n), repeat=len(lead)):
+        env.update(zip(lead, values))
+        bad = np.logical_not(_satisfied(A, ident, env, tabs))
+        for p in premises:
+            bad = bad & _satisfied(A, p, env, tabs)
+        if bad.any():
+            first = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)),
+                                     shape)
+            return False, dict(zip(names, [*values, *map(int, first)]))
     return True, None
 
 

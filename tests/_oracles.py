@@ -5,10 +5,15 @@ are checked by nested loops, isomorphism by trying all permutations,
 congruences by filtering every set partition, involutions by testing
 every involutive permutation.  Slow and simple.  The canonical search
 is here too in its unpruned form, as the reference its pruned library
-version must reproduce exactly.
+version must reproduce exactly; so are the recursive identity checker
+and the pairwise congruence lattice the library's table kernels
+replaced.
 """
 
 import itertools
+
+from pbzlat.congruences import Congruence
+from pbzlat.terms import QuasiIdentity, evaluate, term_vars
 
 
 def set_partitions(n):
@@ -236,3 +241,85 @@ def unpruned_canonical_search(n, up, unaries):
 
     search(frozenset(range(n)))
     return tuple(best_order), tuple(best)
+
+
+def _identity_ok(A, ident, assignment):
+    lv = evaluate(A, ident.lhs, assignment)
+    rv = evaluate(A, ident.rhs, assignment)
+    return lv == rv if ident.kind == "eq" else A.le(lv, rv)
+
+
+def holds(A, statement):
+    """The recursive interpreter: (True, None) or (False, the first
+    failing assignment in odometer order over sorted variable names),
+    skipping assignments at which a premise fails."""
+    if isinstance(statement, QuasiIdentity):
+        premises, ident = statement.premises, statement.conclusion
+    else:
+        premises, ident = (), statement
+    names = term_vars(statement)
+    for values in itertools.product(range(A.n), repeat=len(names)):
+        assignment = dict(zip(names, values))
+        if premises and not all(_identity_ok(A, p, assignment)
+                                for p in premises):
+            continue
+        if not _identity_ok(A, ident, assignment):
+            return False, assignment
+    return True, None
+
+
+def congruence_generated(A, pairs):
+    """Least congruence containing the pairs: union-find plus full
+    passes of the basic translations over every block, until a pass
+    merges nothing."""
+    parent = list(range(A.n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = sorted((find(a), find(b)))
+        if ra == rb:
+            return False
+        parent[rb] = ra
+        return True
+
+    for a, b in pairs:
+        union(a, b)
+    changed = True
+    while changed:
+        changed = False
+        groups = {}
+        for x in range(A.n):
+            groups.setdefault(find(x), []).append(x)
+        for members in groups.values():
+            base = members[0]
+            for y in members[1:]:
+                moved = [(A.kleene[base], A.kleene[y]),
+                         (A.brouwer[base], A.brouwer[y])]
+                for c in range(A.n):
+                    moved += [(A.meet(base, c), A.meet(y, c)),
+                              (A.join(base, c), A.join(y, c))]
+                for u, v in moved:
+                    changed |= union(u, v)
+    return Congruence([find(x) for x in range(A.n)])
+
+
+def pairwise_congruences(A):
+    """Every congruence of A, sorted coarsest-last: principal
+    congruences of all pairs, closed under joins generated anew from
+    the union of both relations' pairs."""
+    principals = {congruence_generated(A, [(a, b)])
+                  for a in range(A.n) for b in range(a + 1, A.n)}
+    found = {Congruence.identity(A.n)} | principals
+    frontier = list(principals)
+    while frontier:
+        theta = frontier.pop()
+        for phi in principals:
+            psi = congruence_generated(A, theta.pairs() + phi.pairs())
+            if psi not in found:
+                found.add(psi)
+                frontier.append(psi)
+    return sorted(found, key=lambda t: (len(t.pairs()), t.block_of))

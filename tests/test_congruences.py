@@ -11,6 +11,7 @@ from pbzlat.congruences import (
     tilde_partition,
 )
 from pbzlat.constructions import horizontal_sum, product
+from pbzlat.enumeration import EnumerationSpec, enumerate_all
 
 import _oracles
 
@@ -78,6 +79,40 @@ def test_all_congruences_against_bruteforce():
         got = sorted(tuple(t.blocks()) for t in all_congruences(A))
         want = [tuple(p) for p in _oracles.brute_congruences(A)]
         assert got == want, name
+
+
+AOL10 = EnumerationSpec(max_size=10, structure="antiortholattice")
+BZ8 = EnumerationSpec(max_size=8)
+
+
+def test_all_congruences_match_pairwise_oracle():
+    """Cover generators and equivalence joins give the list the
+    all-pairs generators with generated joins give, order included."""
+    for spec in (AOL10, BZ8):
+        for A in enumerate_all(spec):
+            assert all_congruences(A) == _oracles.pairwise_congruences(A), A
+
+
+def test_all_congruences_against_bruteforce_on_corpora():
+    for spec in (AOL10, BZ8):
+        for A in enumerate_all(spec):
+            if A.n > 7:
+                break
+            got = sorted(tuple(t.blocks()) for t in all_congruences(A))
+            want = [tuple(p) for p in _oracles.brute_congruences(A)]
+            assert got == want, A
+
+
+def test_principal_congruences_match_full_passes():
+    for spec in (AOL10, BZ8):
+        for A in enumerate_all(spec):
+            if A.n > 8:
+                break
+            for a in range(A.n):
+                for b in range(A.n):
+                    assert principal_congruence(A, a, b) == \
+                        _oracles.congruence_generated(A, [(a, b)]), \
+                        (A, a, b)
 
 
 def test_all_congruences_capped():

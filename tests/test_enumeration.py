@@ -197,6 +197,12 @@ def test_distributive_structure_filter():
         {canonical_form(A) for A in gen}
 
 
+def test_distributive_counts_frozen():
+    spec = EnumerationSpec(max_size=8, structure="distributive")
+    got = [len(list(enumerate_pbz(n, spec))) for n in range(1, 9)]
+    assert got == [1, 1, 1, 3, 1, 4, 2, 9]
+
+
 def test_levels_pairwise_nonisomorphic():
     spec = EnumerationSpec(max_size=6, classes=("pbz-star",))
     level = list(enumerate_pbz(6, spec))

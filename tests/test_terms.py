@@ -1,12 +1,21 @@
 """Identity parsing, evaluation and the built-in theory table."""
 
+import pathlib
+import tracemalloc
+
 import pytest
 
 from pbzlat import axioms, catalog, terms
+from pbzlat.core import canonical_form
+from pbzlat.enumeration import EnumerationSpec, enumerate_all, enumerate_pbz
 from pbzlat.terms import (Brouwer, Identity, Join, Kleene, Meet,
                          QuasiIdentity, Var, evaluate, holds, holds_quasi,
                          parse_identity, parse_statement, parse_term, pretty,
                          term_vars, THEORY)
+
+import _oracles
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def idx(A, label):
@@ -155,3 +164,91 @@ def test_twist_catalog_identity_profile():
     N = catalog.get("T1(N5+1)")
     assert not holds(N, THEORY["DIST"])[0]
     assert holds(N, THEORY["SDM"])[0]
+
+
+# The BZ*- and PBZ*-corpora are the BZ corpus narrowed by class, so the
+# union of the four, each algebra once, costs no more than two of them.
+CORPORA = (
+    EnumerationSpec(max_size=10, structure="antiortholattice"),
+    EnumerationSpec(max_size=8),
+    EnumerationSpec(max_size=8, classes=("bz-star",)),
+    EnumerationSpec(max_size=8, classes=("pbz-star",)),
+)
+
+
+def _corpus():
+    seen = {}
+    for spec in CORPORA:
+        for A in enumerate_all(spec):
+            seen.setdefault(canonical_form(A), A)
+    return list(seen.values())
+
+
+def _random_statements(monkeypatch, seeds):
+    # the benchmark's seeded generator of random identities
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from statements import random_identities
+    return [parse_statement(text)
+            for seed in seeds for text in random_identities(seed)]
+
+
+def _assert_matches_interpreter(A, stmt):
+    got = holds(A, stmt)
+    assert got == _oracles.holds(A, stmt), (A, pretty(stmt))
+    if not got[0]:
+        assert list(got[1]) == term_vars(stmt)
+        assert all(type(v) is int for v in got[1].values())
+
+
+def test_holds_matches_interpreter_on_corpora(monkeypatch):
+    statements = list(THEORY.values()) + \
+        _random_statements(monkeypatch, (1, 2, 3))
+    corpus = _corpus()
+    assert len(corpus) == 138  # antiortholattices to 8 are in the BZ corpus
+    for A in corpus:
+        for stmt in statements:
+            _assert_matches_interpreter(A, stmt)
+
+
+def test_holds_edge_cases():
+    edge = [parse_statement(text) for text in (
+        "0 <= 1", "1 = 0", "1 <= 0 => 0 = 1",   # no variables
+        "x ^ 0 = 0", "x v 0 = 0", "0 <= x'",      # one side only
+        "x ^ x~ = 1 & x' = x => x = y",           # premises never hold
+        "x <= y & y <= x => x = y", "x <= y => y' <= x'",
+    )]
+    for A in _corpus():
+        for stmt in edge:
+            _assert_matches_interpreter(A, stmt)
+    D3 = catalog.get("D3")
+    assert holds(D3, parse_statement("0 <= 1")) == (True, None)
+    assert holds(D3, parse_statement("1 = 0")) == (False, {})
+    assert holds(D3, parse_statement("x ^ 0 = 0")) == (True, None)
+    assert holds(D3, parse_statement("x ^ x~ = 1 & x' = x => x = y")) == \
+        (True, None)
+
+
+def test_holds_reads_only_the_tables_it_uses():
+    L = catalog.get("B4").lattice_reduct()
+    assert holds(L, THEORY["DIST"]) == (True, None)
+    assert holds(L, parse_statement("x v y <= x => y <= x")) == (True, None)
+
+
+def test_holds_blocks_bound_memory():
+    """Seven variables over ten elements are 10**7 assignments; a block
+    holds at most 2**16 of them, so no array of the whole scan is
+    built, and the scan still stops at the first failing block."""
+    A = next(enumerate_pbz(10, CORPORA[0]))
+    law = parse_statement("a ^ (b v c v d v e v f v g) <= a")
+    tracemalloc.start()
+    try:
+        assert holds(A, law) == (True, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # one int64 array of 10**7 entries is 80 MB
+    # first failure at the 110001st assignment, in the twelfth block
+    late = parse_statement("b ^ c <= a v d v e v f v g")
+    ok, w = holds(A, late)
+    assert not ok and list(w.values()) == [0, 1, 1, 0, 0, 0, 0]
+    assert (ok, w) == _oracles.holds(A, late)
