@@ -4,7 +4,8 @@ Subcommands: check, eval, construct, enumerate, search, export-dot.
 Algebras are given as a file path, '-' for stdin, or a catalog name.
 Exit codes: 0 when the command succeeds and every requested property
 holds, 1 when a property fails or a search exhausts its cap, 2 for
-usage, parse and validation errors.
+usage, parse and validation errors and for files that cannot be read
+or written.
 """
 
 import argparse
@@ -266,11 +267,12 @@ def cmd_enumerate(args):
     written = []
     try:
         spec.check_size(spec.max_size)
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
         for n in range(1, spec.max_size + 1):
             level = list(enumeration.enumerate_pbz(n, spec, jobs=args.jobs))
             counts[n] = len(level)
             if args.out:
-                os.makedirs(args.out, exist_ok=True)
                 for i, A in enumerate(level):
                     stem = f"n{n}-{i:03d}"
                     path = os.path.join(args.out, stem + ".alg")
@@ -345,6 +347,13 @@ def _add_format(p):
                    default="text", help="report style (default text)")
 
 
+def _jobs(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_spec_flags(p):
     p.add_argument("--max", type=int, required=True,
                    help="largest size to generate")
@@ -357,7 +366,7 @@ def _add_spec_flags(p):
     p.add_argument("--require", action="append", default=[], metavar="NAME",
                    help="theory identity the corpus must satisfy, "
                    "repeatable: " + " ".join(sorted(terms.THEORY)))
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_jobs, default=1,
                    help="worker processes (results do not depend on this)")
 
 
@@ -423,10 +432,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, fileformat.ParseError, terms.ParseError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValidationError as e:
+    except (CliError, fileformat.ParseError, terms.ParseError,
+            ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

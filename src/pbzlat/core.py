@@ -25,6 +25,7 @@ __all__ = [
     "is_isomorphic",
     "is_order_isomorphic",
     "canonical_form",
+    "canonical_copy",
     "chain_lattice",
     "boolean_lattice",
 ]
@@ -88,6 +89,25 @@ class _Order:
         self.join = join
         self.zero = zero
         self.one = one
+
+    def permuted(self, ordering):
+        """The same order with element ``ordering[i]`` renamed i."""
+        pos = [0] * self.n
+        for i, a in enumerate(ordering):
+            pos[a] = i
+
+        def rename(mask):
+            return sum(1 << pos[b] for b in _bits(mask))
+
+        return _Order(
+            self.n,
+            tuple(rename(self.up[a]) for a in ordering),
+            tuple(rename(self.down[a]) for a in ordering),
+            tuple(tuple(pos[self.meet[a][b]] for b in ordering)
+                  for a in ordering),
+            tuple(tuple(pos[self.join[a][b]] for b in ordering)
+                  for a in ordering),
+            pos[self.zero], pos[self.one])
 
 
 def _invalid(violations):
@@ -404,9 +424,11 @@ class FiniteAlgebra(_Carrier):
 
     def __reduce__(self):
         # pickling (worker processes) and copying cannot assign the maps
-        # slot by slot, so they rebuild through the validated fast path
+        # slot by slot, so they rebuild through the validated fast path;
+        # the cached canonical form travels along as slot state
         return (type(self)._from_order,
-                (self._ord, self.kleene, self.brouwer, self.labels, self.name))
+                (self._ord, self.kleene, self.brouwer, self.labels, self.name),
+                (None, {"_canon": self._canon}))
 
     def __init__(self, leq, kleene, brouwer, labels=None, name=None):
         violations, order = _validate(leq, kleene, brouwer, labels=labels)
@@ -674,75 +696,44 @@ def canonical_form(algebra):
     return algebra._canon
 
 
-def _iso_search(n, upA, unA, upB, unB):
-    """Backtracking bijection search; returns image tuple or None."""
-    # joint refinement makes the colors of the two sides comparable
-    N = 2 * n
-    up = list(upA) + [m << n for m in upB]
-    down = [0] * N
-    for a in range(N):
-        for b in _bits(up[a]):
-            down[b] |= 1 << a
-    unaries = tuple(
-        tuple(list(fA) + [fB[i] + n for i in range(n)])
-        for fA, fB in zip(unA, unB))
-    col = _refine_colors(N, up, down, unaries)
-    colA, colB = col[:n], col[n:]
-    if sorted(colA) != sorted(colB):
+def canonical_copy(algebra):
+    """The isomorphic copy numbered along the canonical ordering, with
+    default labels and the canonical form already cached.
+
+    Isomorphic algebras have equal copies, tables and labels included,
+    and an algebra that is its own copy comes back unchanged: its
+    ordering is the identity, the first one the canonical search tries.
+    """
+    n, unaries = algebra.n, (algebra.kleene, algebra.brouwer)
+    ordering, enc = _canonical_search(n, algebra._ord.up, unaries)
+    pos = [0] * n
+    for i, a in enumerate(ordering):
+        pos[a] = i
+    kleene, brouwer = (tuple(pos[f[a]] for a in ordering) for f in unaries)
+    copy = FiniteAlgebra._from_order(algebra._ord.permuted(ordering),
+                                     kleene, brouwer, None, algebra.name)
+    copy._canon = algebra._canon = bytes([n, 2]) + bytes(enc)
+    return copy
+
+
+def _unaries(A):
+    return () if isinstance(A, BoundedLattice) else (A.kleene, A.brouwer)
+
+
+def _isomorphism(upA, unA, upB, unB):
+    """Image tuple of an isomorphism A -> B of the orders and the maps,
+    or None.  Equal canonical encodings mean isomorphic, and then the
+    i-th elements of the two canonical orderings correspond."""
+    n = len(upA)
+    if len(upB) != n:
         return None
-
-    order = sorted(range(n), key=lambda a: (colA[a], a))
-    img = [-1] * n
-    used = [False] * n
-
-    def ok(a, b, placed):
-        if colA[a] != colB[b]:
-            return False
-        for x in placed:
-            y = img[x]
-            if (upA[x] >> a & 1) != (upB[y] >> b & 1):
-                return False
-            if (upA[a] >> x & 1) != (upB[b] >> y & 1):
-                return False
-        for fA, fB in zip(unA, unB):
-            ia = fA[a]
-            if ia == a:
-                if fB[b] != b:
-                    return False
-            elif img[ia] != -1 and fB[b] != img[ia]:
-                return False
-            for x in placed:
-                if fA[x] == a and fB[img[x]] != b:
-                    return False
-                if fA[a] == x and fB[b] != img[x]:
-                    return False
-        return True
-
-    def bt(i, placed):
-        if i == n:
-            return True
-        a = order[i]
-        for b in range(n):
-            if not used[b] and ok(a, b, placed):
-                img[a] = b
-                used[b] = True
-                if bt(i + 1, placed + [a]):
-                    return True
-                img[a] = -1
-                used[b] = False
-        return False
-
-    if not bt(0, []):
+    ordA, encA = _canonical_search(n, upA, unA)
+    ordB, encB = _canonical_search(n, upB, unB)
+    if encA != encB:
         return None
-    # full verification, cheap insurance against pruning slips
-    for a in range(n):
-        for b in range(n):
-            if (upA[a] >> b & 1) != (upB[img[a]] >> img[b] & 1):
-                return None
-    for fA, fB in zip(unA, unB):
-        for a in range(n):
-            if img[fA[a]] != fB[img[a]]:
-                return None
+    img = [0] * n
+    for a, b in zip(ordA, ordB):
+        img[a] = b
     return tuple(img)
 
 
@@ -754,19 +745,12 @@ def is_isomorphic(A, B):
     """
     if isinstance(A, BoundedLattice) != isinstance(B, BoundedLattice):
         raise TypeError("cannot compare a bare lattice with an algebra")
-    if A.n != B.n:
-        return None
-    if isinstance(A, BoundedLattice):
-        return _iso_search(A.n, A._ord.up, (), B._ord.up, ())
-    return _iso_search(A.n, A._ord.up, (A.kleene, A.brouwer),
-                       B._ord.up, (B.kleene, B.brouwer))
+    return _isomorphism(A._ord.up, _unaries(A), B._ord.up, _unaries(B))
 
 
 def is_order_isomorphic(A, B):
     """Lattice-reduct isomorphism, ignoring unary maps."""
-    if A.n != B.n:
-        return None
-    return _iso_search(A.n, A._ord.up, (), B._ord.up, ())
+    return _isomorphism(A._ord.up, (), B._ord.up, ())
 
 
 # ---------------------------------------------------------------------------

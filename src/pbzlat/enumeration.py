@@ -2,15 +2,24 @@
 
 Bounded lattices are grown by atom insertion with canonical-form
 deduplication, then decorated with order-reversing involutions and
-Brouwer complements by backtracking.  On top of that sit a smallest
-counterexample search and a registry of corpus-wide claims.
+Brouwer complements by backtracking.  Antiortholattices take a shorter
+route: pseudo-Kleene pairs (a lattice with its involution) are grown
+directly by inserting an atom together with its coatom image, and the
+pairs whose Kleene-sharp elements are only 0 and 1 get the trivial ~.
+Either way each level is emitted as canonical copies (every algebra
+renumbered along its canonical ordering) sorted by canonical bytes, so
+what a level holds, in which copy and in what order, depends only on
+its isomorphism classes and not on the generator or the jobs count.
+On top of that sit a smallest counterexample search and a registry of
+corpus-wide claims.
 """
 
 from dataclasses import dataclass
 
 from . import axioms, congruences, terms
-from .core import (BoundedLattice, FiniteAlgebra, _canon_bytes, _set_index,
-                   canonical_form, chain_lattice, is_isomorphic)
+from .core import (BoundedLattice, FiniteAlgebra, _bits, _canon_bytes,
+                   _check_order, _set_index, canonical_copy, canonical_form,
+                   chain_lattice, is_isomorphic)
 
 __all__ = [
     "CAPS", "EnumerationSpec", "SearchResult", "CorpusReport",
@@ -264,51 +273,137 @@ def bz_brouwer_maps(L, kleene):
         tilde[a] = None
 
     if axioms.is_pseudo_kleene(FiniteAlgebra._from_order(
-            L._ord, kleene, tuple(L.zero if a != L.zero else L.one
-                                  for a in range(n)), L.labels, None))[0]:
+            L._ord, kleene, _trivial_brouwer(L)))[0]:
         rec(0)
     return out
 
 
-def _trivial_brouwer(L):
-    return tuple(L.one if a == L.zero else L.zero for a in range(L.n))
+def _trivial_brouwer(order):
+    """0~ = 1 and a~ = 0 otherwise; takes a lattice or its order."""
+    return tuple(order.one if a == order.zero else order.zero
+                 for a in range(order.n))
 
 
-def _decorations(L, spec):
-    """(kleene, brouwer) pairs for one lattice under the spec's
-    structural strategy."""
-    for kleene in order_reversing_involutions(L):
-        if spec.structure == "antiortholattice" or \
-                "antiortholattice" in spec.classes:
-            yield kleene, _trivial_brouwer(L)
-        else:
-            for brouwer in bz_brouwer_maps(L, kleene):
-                yield kleene, brouwer
+# ---------------------------------------------------------------------------
+# pseudo-Kleene pairs
+
+
+def _fixed_insertion(order, kleene):
+    """Up-set masks and involution after adding x = x', an element that
+    is both an atom and a coatom; always a lattice when n >= 2."""
+    x = order.n
+    up = list(order.up)
+    up[order.zero] |= 1 << x
+    up.append(1 << x | 1 << order.one)
+    return up, kleene + (x,)
+
+
+def _pair_insertions(order, kleene):
+    """Up-set masks and involutions after adding an atom x and a coatom
+    x', the image of x.
+
+    x sits above 0 and strictly below an up-closed set U that holds 1.
+    Without x' that must already be a lattice (removing a coatom keeps
+    one), so U runs over the atom extensions of the order.  x' sits
+    below 1 and strictly above U' = {u' : u in U}.  x < x' is forced
+    when U and U' meet, and is tried both ways when they do not."""
+    x, xc, one = order.n, order.n + 1, order.one
+    for ext in _atom_extensions(order):
+        U = ext[x] & ~(1 << x)
+        Uc = sum(1 << kleene[u] for u in _bits(U))
+        base = [m | 1 << xc if Uc >> a & 1 else m for a, m in enumerate(ext)]
+        base.append(1 << xc | 1 << one)
+        for below in ((True,) if U & Uc else (False, True)):
+            up = list(base)
+            if below:
+                up[x] |= 1 << xc
+            yield up, kleene + (xc, x)
+
+
+def _pk_candidates(n):
+    """Every insertion into the pairs of size n-1 and n-2, for n >= 3."""
+    for order, kleene in _pk_pairs(n - 1):
+        yield _fixed_insertion(order, kleene)
+    if n >= 4:
+        for order, kleene in _pk_pairs(n - 2):
+            yield from _pair_insertions(order, kleene)
+
+
+_PK_MEMO = {}
+
+
+def _pk_pairs(n):
+    """Pseudo-Kleene pairs (order, kleene) of size n, one per isomorphism
+    class, memoized.
+
+    PK is hereditary: removing an atom x of a PK pair together with the
+    coatom x' (only x when x' = x) leaves a PK pair, since meets can
+    only fall and joins only rise.  So every pair of size n >= 3 is an
+    insertion into a pair of size n-1 or n-2, and keeping the inserted
+    lattices that are PK, deduplicated on canonical bytes, is complete.
+    """
+    if n in _PK_MEMO:
+        return _PK_MEMO[n]
+    if n <= 2:
+        pairs = [(chain_lattice(n)._ord, tuple(range(n))[::-1])]
+    else:
+        pairs = []
+        seen = set()
+        for up, kleene in _pk_candidates(n):
+            order, _ = _check_order(up)
+            if order is None or not axioms.is_pseudo_kleene(
+                    FiniteAlgebra._from_order(order, kleene,
+                                              _trivial_brouwer(order)))[0]:
+                continue
+            key = _canon_bytes(n, up, (kleene,))
+            if key not in seen:
+                seen.add(key)
+                pairs.append((order, kleene))
+    _PK_MEMO[n] = pairs
+    return pairs
+
+
+def _antiortholattices(n):
+    """The PK pairs with S_K = {0, 1}, each with the trivial ~.  With
+    that ~, BZ reduces to PK, and BZ* and diamond-orthomodularity hold;
+    so these are all antiortholattices of size n."""
+    for order, kleene in _pk_pairs(n):
+        if all(order.meet[a][kleene[a]] != order.zero for a in range(n)
+               if a not in (order.zero, order.one)):
+            yield FiniteAlgebra._from_order(order, kleene,
+                                            _trivial_brouwer(order))
+
+
+# ---------------------------------------------------------------------------
+# corpora
 
 
 _CORPUS_MEMO = {}
 
 
+def _admitted(A, spec):
+    """Whether a candidate is a BZ-lattice that passes the spec's class
+    and identity filters."""
+    flags = axioms.classify(A).flags()
+    if not flags["bz"]:
+        return False
+    if spec.structure == "antiortholattice" and not flags["antiortholattice"]:
+        return False
+    return (all(flags[c] for c in spec.classes)
+            and all(terms.holds(A, terms.THEORY[i])[0]
+                    for i in spec.identities))
+
+
 def _decorated_level(args):
-    """All matching decorations of one base lattice, with canonical
-    bytes attached.  Module-level so worker processes can import it."""
+    """Canonical copies of the admitted BZ decorations of one base
+    lattice.  Module-level so worker processes can import it."""
     L, spec = args
     out = []
-    for kleene, brouwer in _decorations(L, spec):
-        A = FiniteAlgebra._from_order(L._ord, tuple(kleene),
-                                      tuple(brouwer), L.labels, None)
-        flags = axioms.classify(A).flags()
-        if not flags["bz"]:
-            continue
-        if spec.structure == "antiortholattice" and \
-                not flags["antiortholattice"]:
-            continue
-        if any(not flags[c] for c in spec.classes):
-            continue
-        if any(not terms.holds(A, terms.THEORY[i])[0]
-               for i in spec.identities):
-            continue
-        out.append((canonical_form(A), A))
+    for kleene in order_reversing_involutions(L):
+        for brouwer in bz_brouwer_maps(L, kleene):
+            A = FiniteAlgebra._from_order(L._ord, kleene, brouwer)
+            if _admitted(A, spec):
+                out.append(canonical_copy(A))
     return out
 
 
@@ -322,18 +417,14 @@ def _map_jobs(fn, items, jobs):
     return [fn(x) for x in items]
 
 
-def enumerate_pbz(n, spec, jobs=1):
-    """All algebras of size n matching the spec, up to isomorphism.
-
-    The base corpus is BZ-lattices (every class the workbench cares
-    about lives inside BZ); spec.classes narrows it and the structural
-    filter changes the generation strategy.
-    """
-    spec.check_size(n)
-    key = (n, spec.classes, spec.structure, spec.identities)
-    if key in _CORPUS_MEMO:
-        yield from _CORPUS_MEMO[key]
-        return
+def _candidates(n, spec, jobs):
+    """Canonical copies of every admitted algebra of size n, possibly
+    with repeats."""
+    if spec.structure != "chain" and spec.cap_key() == "antiortholattice":
+        return [canonical_copy(A) for A in _antiortholattices(n)
+                if (spec.structure != "distributive"
+                    or terms.holds(A, terms.THEORY["DIST"])[0])
+                and _admitted(A, spec)]
     if spec.structure == "chain":
         lattices = [chain_lattice(n)]
     else:
@@ -341,16 +432,29 @@ def enumerate_pbz(n, spec, jobs=1):
         if spec.structure == "distributive":
             lattices = [L for L in lattices
                         if terms.holds(L, terms.THEORY["DIST"])[0]]
-    emitted = []
-    seen = set()
-    for level in _map_jobs(_decorated_level,
-                           [(L, spec) for L in lattices], jobs):
-        for cf, A in level:
-            if cf not in seen:
-                seen.add(cf)
-                emitted.append(A)
-    _CORPUS_MEMO[key] = emitted
-    yield from emitted
+    levels = _map_jobs(_decorated_level, [(L, spec) for L in lattices], jobs)
+    return [A for level in levels for A in level]
+
+
+def enumerate_pbz(n, spec, jobs=1):
+    """All algebras of size n matching the spec, up to isomorphism, each
+    as its canonical copy, in the order of their canonical bytes.
+
+    The base corpus is BZ-lattices (every class the workbench cares
+    about lives inside BZ); spec.classes narrows it and the structural
+    filter changes the generation strategy.  Antiortholattice specs
+    other than chains are grown from pseudo-Kleene pairs in this
+    process; the rest decorate each lattice of size n, spread over the
+    jobs.
+    """
+    spec.check_size(n)
+    key = (n, spec.classes, spec.structure, spec.identities)
+    if key not in _CORPUS_MEMO:
+        copies = {}
+        for A in _candidates(n, spec, jobs):
+            copies.setdefault(canonical_form(A), A)
+        _CORPUS_MEMO[key] = [copies[cf] for cf in sorted(copies)]
+    yield from _CORPUS_MEMO[key]
 
 
 def enumerate_all(spec, jobs=1):

@@ -7,11 +7,13 @@ every involutive permutation.  Slow and simple.  The canonical search
 is here too in its unpruned form, as the reference its pruned library
 version must reproduce exactly; so are the recursive identity checker
 and the pairwise congruence lattice the library's table kernels
-replaced.
+replaced, and the lattice-first antiortholattice decoration that the
+pseudo-Kleene generator replaced.
 """
 
 import itertools
 
+from pbzlat import axioms, core, enumeration, terms
 from pbzlat.congruences import Congruence
 from pbzlat.terms import QuasiIdentity, evaluate, term_vars
 
@@ -157,6 +159,42 @@ def brute_lattice_count(n):
             continue
         reps.append(leq)
     return len(reps)
+
+
+def _trivially_decorated(L):
+    """Every order-reversing involution of L, with the trivial ~."""
+    brouwer = tuple(L.one if a == L.zero else L.zero for a in range(L.n))
+    for kleene in enumeration.order_reversing_involutions(L):
+        yield core.FiniteAlgebra.from_lattice(L, kleene, brouwer)
+
+
+def lattice_first_antiortholattices(n, spec):
+    """Sorted canonical forms of the size-n level of an antiortholattice spec,
+    by the old route: decorate every lattice of size n (the distributive
+    ones for structure "distributive") with each of its involutions and
+    the trivial ~, and keep what classify and the spec's filters admit."""
+    forms = set()
+    for L in enumeration.enumerate_lattices(n):
+        if spec.structure == "distributive" and \
+                not terms.holds(L, terms.THEORY["DIST"])[0]:
+            continue
+        for A in _trivially_decorated(L):
+            flags = axioms.classify(A).flags()
+            if flags["bz"] and flags["antiortholattice"] and \
+                    all(flags[c] for c in spec.classes) and \
+                    all(terms.holds(A, terms.THEORY[i])[0]
+                        for i in spec.identities):
+                forms.add(core.canonical_form(A))
+    return sorted(forms)
+
+
+def lattice_first_pk_pairs(n):
+    """Canonical bytes of the order and ' of every pseudo-Kleene pair of
+    size n, found among the involutions of every lattice."""
+    return {core._canon_bytes(n, A._ord.up, (A.kleene,))
+            for L in enumeration.enumerate_lattices(n)
+            for A in _trivially_decorated(L)
+            if axioms.is_pseudo_kleene(A)[0]}
 
 
 def _refine_colors(n, up, down, unaries):

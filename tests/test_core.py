@@ -5,8 +5,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pbzlat import core
+from pbzlat import core, enumeration
 from pbzlat.core import (BoundedLattice, FiniteAlgebra, ValidationError,
                          boolean_lattice, canonical_form, chain_lattice,
                          is_isomorphic, is_order_isomorphic, validate_tables)
@@ -133,9 +134,9 @@ def test_lattice_reduct_drops_maps():
 # isomorphism and canonical bytes
 
 
-def label_shuffle(A, rng):
-    perm = list(range(A.n))
-    rng.shuffle(perm)
+def permuted(A, perm):
+    """A with element a renamed perm[a], through the validating
+    constructor."""
     inv = [0] * A.n
     for i, p in enumerate(perm):
         inv[p] = i
@@ -144,6 +145,12 @@ def label_shuffle(A, rng):
     kle = [perm[A.kleene[inv[a]]] for a in range(A.n)]
     bro = [perm[A.brouwer[inv[a]]] for a in range(A.n)]
     return FiniteAlgebra(leq, kle, bro)
+
+
+def label_shuffle(A, rng):
+    perm = list(range(A.n))
+    rng.shuffle(perm)
+    return permuted(A, perm)
 
 
 def test_isomorphic_to_own_shuffle():
@@ -237,3 +244,59 @@ def test_leq_is_readonly_numpy():
     assert isinstance(A.leq, np.ndarray)
     with pytest.raises(ValueError):
         A.leq[0, 1] = False
+
+
+# ---------------------------------------------------------------------------
+# canonical copies and isomorphisms, property-based over the corpora
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+_CORPUS = []
+
+
+def corpus():
+    """The antiortholattices up to n=10 and the BZ-lattices up to n=8."""
+    if not _CORPUS:
+        for spec in (enumeration.EnumerationSpec(
+                         max_size=10, structure="antiortholattice"),
+                     enumeration.EnumerationSpec(max_size=8)):
+            _CORPUS.extend(enumeration.enumerate_all(spec))
+    return _CORPUS
+
+
+@PROPERTY
+@given(st.data())
+def test_canonical_copy_ignores_relabelling(data):
+    A = data.draw(st.sampled_from(corpus()))
+    B = permuted(A, data.draw(st.permutations(range(A.n))))
+    C = core.canonical_copy(B)
+    # corpus members are canonical copies already
+    assert C.tables_equal(A) and C.labels == A.labels
+    assert canonical_form(B) == canonical_form(C) == canonical_form(A)
+    D = core.canonical_copy(C)
+    assert D.tables_equal(C) and D.labels == C.labels
+
+
+def is_isomorphism(A, B, img):
+    n = A.n
+    return sorted(img) == list(range(n)) and all(
+        A.le(a, b) == B.le(img[a], img[b])
+        for a in range(n) for b in range(n)) and all(
+        img[A.kleene[a]] == B.kleene[img[a]]
+        and img[A.brouwer[a]] == B.brouwer[img[a]] for a in range(n))
+
+
+@PROPERTY
+@given(st.data())
+def test_isomorphism_agrees_with_brute_force(data):
+    small = [A for A in corpus() if A.n <= 7]
+    A = data.draw(st.sampled_from(small))
+    B = data.draw(st.one_of(
+        st.just(A), st.sampled_from([B for B in small if B.n == A.n])))
+    B = permuted(B, data.draw(st.permutations(range(B.n))))
+    img = is_isomorphic(A, B)
+    assert (img is not None) == _oracles.brute_is_isomorphic(A, B)
+    assert img is None or is_isomorphism(A, B, img)
+    (leqA, _), (leqB, _) = _oracles.tables_of(A), _oracles.tables_of(B)
+    assert (is_order_isomorphic(A, B) is not None) == \
+        _oracles.brute_iso(leqA, (), leqB, ())

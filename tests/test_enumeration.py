@@ -106,9 +106,55 @@ def test_canonical_bytes_frozen():
                    for L in enumerate_lattices(n)) == \
         "bb2b209e63ca1835f1878f7f9d1e8a01b03b1fe935b1791f4c95ab7347780a20"
     assert _sha256(map(canonical_form, enumerate_all(AOL10))) == \
-        "eaa89830df5c5f8416a76108de225251477625426cecd11d391ee773159184ce"
+        "903c5e5e00d22393ac67d22a8c38c76f370884c798b2fcf6ee44eb4cc72d2ab2"
     assert _sha256(map(canonical_form, enumerate_all(BZ8))) == \
-        "cb41f2e7ea7795d45b3f669570b0781d81645074f00c5a6d34557266ef7f3dc1"
+        "cbb99ffae3c765d39b54a5e5de666bd35aa9ef4415b39bb9b532cd3b52deebd5"
+
+
+def test_levels_are_sorted_canonical_copies():
+    for spec in (AOL10, BZ8):
+        for n in range(1, spec.max_size + 1):
+            level = list(enumerate_pbz(n, spec))
+            forms = [canonical_form(A) for A in level]
+            assert forms == sorted(forms)
+            for A in level:
+                # each algebra is its own canonical copy, and the form
+                # cached on it is the true one
+                assert core._canonical_search(
+                    n, A._ord.up, (A.kleene, A.brouwer))[0] == \
+                    tuple(range(n))
+                C = core.canonical_copy(A)
+                assert C.tables_equal(A) and C.labels == A.labels
+                assert A._canon == core._canon_bytes(
+                    n, A._ord.up, (A.kleene, A.brouwer))
+                # worker processes hand the cached form back with the copy
+                assert pickle.loads(pickle.dumps(A))._canon == A._canon
+
+
+AOL_SPECS = (
+    EnumerationSpec(max_size=10, structure="antiortholattice"),
+    EnumerationSpec(max_size=10, classes=("antiortholattice",)),
+    EnumerationSpec(max_size=8, structure="distributive",
+                    classes=("antiortholattice",)),
+)
+
+
+def test_pk_route_matches_lattice_first_decoration():
+    for spec in AOL_SPECS:
+        for n in range(1, spec.max_size + 1):
+            assert [canonical_form(A) for A in enumerate_pbz(n, spec)] == \
+                _oracles.lattice_first_antiortholattices(n, spec)
+
+
+def test_pk_pairs_against_involutions():
+    got = []
+    for n in range(1, 11):
+        keys = [core._canon_bytes(n, order.up, (kleene,))
+                for order, kleene in enumeration._pk_pairs(n)]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == _oracles.lattice_first_pk_pairs(n)
+        got.append(len(keys))
+    assert got == [1, 1, 1, 2, 2, 6, 7, 24, 31, 120]
 
 
 def test_involutions_against_brute_force():
@@ -248,7 +294,7 @@ def test_search_finds_smallest_j_failure():
     assert res and not res.exhausted
     assert res.found.n == 7
     assert res.examined == 18
-    assert res.assignment == {"x": 5, "y": 6}
+    assert res.assignment == {"x": 4, "y": 2}
 
 
 def test_search_separates_the_two_varieties():

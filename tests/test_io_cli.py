@@ -278,7 +278,7 @@ def test_cli_search_found(tmp_path, capsys):
                        "--class", "pbz-star")
     assert code == 0
     assert "counterexample at n=7 (examined 18)" in out
-    assert "fails at x=d y=e" in out
+    assert "fails at x=d y=b" in out
     assert "algebra cex-n7" in out
 
     dest = tmp_path / "cex.alg"
@@ -330,3 +330,53 @@ def test_cli_bad_inputs(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "D4", "--class", "magic"])
     assert exc.value.code == 2
+
+
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.out"
+    plain = tmp_path / "plain"
+    plain.write_text("", encoding="utf-8")
+    for argv in (
+            ("export-dot", "D4", "-o", str(missing)),
+            ("construct", "twist1(chain3)", "-o", str(missing)),
+            ("search", "J", "--max", "7", "--class", "pbz-star",
+             "-o", str(missing)),
+            ("enumerate", "--max", "3", "-o", str(plain / "x"))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: "), argv
+    assert not missing.parent.exists()
+
+
+def test_cli_enumerate_makes_directory_first(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "corpus"
+    seen = []
+    generate = enumeration.enumerate_pbz
+
+    def watched(n, spec, jobs=1):
+        seen.append(out.is_dir())
+        return generate(n, spec, jobs=jobs)
+
+    monkeypatch.setattr(enumeration, "enumerate_pbz", watched)
+    code, _, _ = run(capsys, "enumerate", "--max", "3", "-o", str(out))
+    assert code == 0 and seen == [True, True, True]
+
+
+def test_cli_refuses_nonpositive_jobs(capsys):
+    for jobs in ("0", "-1", "two"):
+        for argv in (["enumerate", "--max", "3"],
+                     ["search", "J", "--max", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--jobs", jobs])
+            assert exc.value.code == 2
+            assert "positive integer" in capsys.readouterr().err
+
+
+def test_cli_enumerate_bytes_independent_of_jobs(tmp_path, capsys):
+    trees = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        code, _, _ = run(capsys, "enumerate", "--max", "6", "-o", str(out),
+                         "--jobs", jobs)
+        assert code == 0
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert trees[0] == trees[1] and len(trees[0]) == 21
