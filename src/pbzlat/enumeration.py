@@ -1,17 +1,18 @@
 """Exhaustive model generation at desk scale.
 
-Bounded lattices are grown by atom insertion with canonical-form
-deduplication, then decorated with order-reversing involutions and
-Brouwer complements by backtracking.  Antiortholattices take a shorter
-route: pseudo-Kleene pairs (a lattice with its involution) are grown
-directly by inserting an atom together with its coatom image, and the
-pairs whose Kleene-sharp elements are only 0 and 1 get the trivial ~.
-Either way each level is emitted as canonical copies (every algebra
-renumbered along its canonical ordering) sorted by canonical bytes, so
-what a level holds, in which copy and in what order, depends only on
-its isomorphism classes and not on the generator or the jobs count.
-On top of that sit a smallest counterexample search and a registry of
-corpus-wide claims.
+Every class the workbench decorates lies inside the pseudo-Kleene
+lattices, so every corpus is grown from pseudo-Kleene pairs (a lattice
+with its involution), built directly by inserting an atom together
+with its coatom image; a chain corpus starts from the chain and its
+reversal.  Each pair is decorated with the Brouwer complements read
+off its sharp sets, and classify and the spec's filters keep what
+belongs to the corpus.  Each level is emitted as canonical copies
+(every algebra renumbered along its canonical ordering) sorted by
+canonical bytes, so what a level holds, in which copy and in what
+order, depends only on its isomorphism classes and not on the
+generator or the jobs count.  Bare lattices are grown by atom
+insertion with canonical-form deduplication.  On top of that sit a
+smallest counterexample search and a registry of corpus-wide claims.
 """
 
 from dataclasses import dataclass
@@ -150,11 +151,14 @@ def _lattices(n):
 
 
 def enumerate_lattices(n, cap=None):
-    """All bounded lattices of size n up to isomorphism."""
+    """An iterator over all bounded lattices of size n up to isomorphism.
+    The size is checked on the call, before any lattice is built."""
     cap = CAPS["antiortholattice"] if cap is None else cap
+    if n < 1:
+        raise ValueError(f"size {n} below 1")
     if n > cap:
         raise ValueError(f"size {n} above cap {cap}; raise CAPS to override")
-    yield from _lattices(n)
+    return iter(_lattices(n))
 
 
 # ---------------------------------------------------------------------------
@@ -219,63 +223,50 @@ def order_reversing_involutions(L):
 
 
 def bz_brouwer_maps(L, kleene):
-    """All Brouwer complements making (L, kleene, ~) a BZ-lattice.
+    """All Brouwer complements making (L, kleene, ~) a BZ-lattice,
+    sorted by their values along a descending linear extension.  Only
+    the order of L is read, so L may also be an algebra.
 
-    Elements get their ~ value along a descending linear extension.
-    Disjointness and antitonicity prune as soon as one end is placed;
-    the expansion and link clauses fire once the needed images exist;
-    a full axiom check runs on every completed map.
+    In a BZ-lattice, a~ is the largest element of the modal-sharp set
+    S = {s : s~ = s'} below a'.  With BZ1-BZ4 the clauses of
+    axioms.is_bz (disjoint, expanding, antitone, link): a <= a~~ = a~'
+    gives a~ <= a', and a~' = a~~ puts a~ in S; if s is in S and
+    s <= a', then a <= s' = s~, so s <= s~~ <= a~.  Further, 1 ^ 1~ = 0
+    gives 1~ = 0 and then 0~ = 1~~ = 1, so 0 and 1 are in S; s ^ s' =
+    s ^ s~ = 0, so S lies in the Kleene-sharp set S_K; and by the rule
+    just shown s'~ = s, so S is closed under '.  Hence every such ~ is
+    the map a~ = the join of the elements of S below a', for one
+    '-closed S with {0, 1} <= S <= S_K that holds every such join.
+    Those sets are the unions of {0, 1} with '-orbits of S_K; each gives
+    at most one map, kept when it passes is_bz.
     """
-    n = L.n
-    order = sorted(range(n), key=lambda a: (-sum(L.le(b, a)
-                                                 for b in range(n)), a))
-    tilde = [None] * n
-    tilde[L.one] = L.zero
-    tilde[L.zero] = L.one
-    todo = [a for a in order if a not in (L.zero, L.one)]
-    out = []
+    order = L._ord
+    n, zero, one, join = order.n, order.zero, order.one, order.join
+    orbits = [a for a in _sharp_interior(order, kleene) if a < kleene[a]]
+    maps = set()
+    for chosen in range(1 << len(orbits)):
+        S = 1 << zero | 1 << one
+        for i, a in enumerate(orbits):
+            if chosen >> i & 1:
+                S |= 1 << a | 1 << kleene[a]
+        tilde = []
+        for a in range(n):
+            t = zero
+            for s in _bits(S & order.down[kleene[a]]):
+                t = join[t][s]
+            tilde.append(t)
+        tilde = tuple(tilde)
+        if all(S >> t & 1 for t in tilde) and axioms.is_bz(
+                FiniteAlgebra._from_order(order, kleene, tilde))[0]:
+            maps.add(tilde)
+    ext = sorted(range(n), key=lambda a: (-order.down[a].bit_count(), a))
+    return sorted(maps, key=lambda tilde: [tilde[a] for a in ext])
 
-    def consistent(a):
-        b = tilde[a]
-        if L.meet(a, b) != L.zero:
-            return False
-        for c in range(n):
-            if tilde[c] is None or c == a:
-                continue
-            if L.le(a, c) and not L.le(tilde[c], b):
-                return False
-            if L.le(c, a) and not L.le(b, tilde[c]):
-                return False
-        if tilde[b] is not None:
-            if not L.le(a, tilde[b]):
-                return False
-            if kleene[b] != tilde[b]:
-                return False
-        for c in range(n):
-            if tilde[c] == a and tilde[a] is not None:
-                if not L.le(c, tilde[a]) or kleene[a] != tilde[a]:
-                    return False
-        return True
 
-    def rec(i):
-        if i == len(todo):
-            cand = tuple(tilde)
-            ok, _ = axioms.is_bz(FiniteAlgebra._from_order(
-                L._ord, kleene, cand, L.labels, None))
-            if ok:
-                out.append(cand)
-            return
-        a = todo[i]
-        for b in range(n):
-            tilde[a] = b
-            if consistent(a):
-                rec(i + 1)
-        tilde[a] = None
-
-    if axioms.is_pseudo_kleene(FiniteAlgebra._from_order(
-            L._ord, kleene, _trivial_brouwer(L)))[0]:
-        rec(0)
-    return out
+def _sharp_interior(order, kleene):
+    """The Kleene-sharp elements (a ^ a' = 0) other than 0 and 1."""
+    return [a for a in range(order.n) if a not in (order.zero, order.one)
+            and order.meet[a][kleene[a]] == order.zero]
 
 
 def _trivial_brouwer(order):
@@ -363,17 +354,6 @@ def _pk_pairs(n):
     return pairs
 
 
-def _antiortholattices(n):
-    """The PK pairs with S_K = {0, 1}, each with the trivial ~.  With
-    that ~, BZ reduces to PK, and BZ* and diamond-orthomodularity hold;
-    so these are all antiortholattices of size n."""
-    for order, kleene in _pk_pairs(n):
-        if all(order.meet[a][kleene[a]] != order.zero for a in range(n)
-               if a not in (order.zero, order.one)):
-            yield FiniteAlgebra._from_order(order, kleene,
-                                            _trivial_brouwer(order))
-
-
 # ---------------------------------------------------------------------------
 # corpora
 
@@ -382,28 +362,29 @@ _CORPUS_MEMO = {}
 
 
 def _admitted(A, spec):
-    """Whether a candidate is a BZ-lattice that passes the spec's class
-    and identity filters."""
+    """Whether a BZ-lattice passes the spec's class and identity
+    filters."""
     flags = axioms.classify(A).flags()
-    if not flags["bz"]:
-        return False
-    if spec.structure == "antiortholattice" and not flags["antiortholattice"]:
-        return False
     return (all(flags[c] for c in spec.classes)
             and all(terms.holds(A, terms.THEORY[i])[0]
                     for i in spec.identities))
 
 
-def _decorated_level(args):
-    """Canonical copies of the admitted BZ decorations of one base
-    lattice.  Module-level so worker processes can import it."""
-    L, spec = args
+def _decorations(args):
+    """Canonical copies of the admitted BZ decorations of one
+    pseudo-Kleene pair.  Module-level so worker processes can import it."""
+    order, kleene, spec = args
+    # the pair with the trivial ~; DIST and the Brouwer search read
+    # only its order
+    pair = FiniteAlgebra._from_order(order, kleene, _trivial_brouwer(order))
+    if spec.structure == "distributive" and \
+            not terms.holds(pair, terms.THEORY["DIST"])[0]:
+        return []
     out = []
-    for kleene in order_reversing_involutions(L):
-        for brouwer in bz_brouwer_maps(L, kleene):
-            A = FiniteAlgebra._from_order(L._ord, kleene, brouwer)
-            if _admitted(A, spec):
-                out.append(canonical_copy(A))
+    for brouwer in bz_brouwer_maps(pair, kleene):
+        A = FiniteAlgebra._from_order(order, kleene, brouwer)
+        if _admitted(A, spec):
+            out.append(canonical_copy(A))
     return out
 
 
@@ -419,20 +400,18 @@ def _map_jobs(fn, items, jobs):
 
 def _candidates(n, spec, jobs):
     """Canonical copies of every admitted algebra of size n, possibly
-    with repeats."""
-    if spec.structure != "chain" and spec.cap_key() == "antiortholattice":
-        return [canonical_copy(A) for A in _antiortholattices(n)
-                if (spec.structure != "distributive"
-                    or terms.holds(A, terms.THEORY["DIST"])[0])
-                and _admitted(A, spec)]
+    with repeats.  The antiortholattices are exactly the pairs with
+    S_K = {0, 1}: on such a pair the only Brouwer map is the trivial
+    one, and with it the pair is a PBZ*-lattice."""
     if spec.structure == "chain":
-        lattices = [chain_lattice(n)]
+        pairs = [(chain_lattice(n)._ord, tuple(range(n))[::-1])]
     else:
-        lattices = list(enumerate_lattices(n, cap=spec.cap()))
-        if spec.structure == "distributive":
-            lattices = [L for L in lattices
-                        if terms.holds(L, terms.THEORY["DIST"])[0]]
-    levels = _map_jobs(_decorated_level, [(L, spec) for L in lattices], jobs)
+        pairs = _pk_pairs(n)
+    if spec.cap_key() == "antiortholattice":
+        pairs = [(order, kleene) for order, kleene in pairs
+                 if not _sharp_interior(order, kleene)]
+    levels = _map_jobs(_decorations, [(order, kleene, spec)
+                                      for order, kleene in pairs], jobs)
     return [A for level in levels for A in level]
 
 
@@ -441,11 +420,12 @@ def enumerate_pbz(n, spec, jobs=1):
     as its canonical copy, in the order of their canonical bytes.
 
     The base corpus is BZ-lattices (every class the workbench cares
-    about lives inside BZ); spec.classes narrows it and the structural
-    filter changes the generation strategy.  Antiortholattice specs
-    other than chains are grown from pseudo-Kleene pairs in this
-    process; the rest decorate each lattice of size n, spread over the
-    jobs.
+    about lives inside BZ), and every BZ-lattice is a pseudo-Kleene pair
+    with a Brouwer map.  So each pair of size n (the n-chain with its
+    reversal for structure "chain") is decorated with each Brouwer map
+    bz_brouwer_maps reads off its sharp sets, and spec.classes, the
+    identities and the structure narrow the result.  The pairs are
+    spread over the jobs.
     """
     spec.check_size(n)
     key = (n, spec.classes, spec.structure, spec.identities)

@@ -3,12 +3,12 @@
 Everything here avoids the package's own algorithms on purpose: orders
 are checked by nested loops, isomorphism by trying all permutations,
 congruences by filtering every set partition, involutions by testing
-every involutive permutation.  Slow and simple.  The canonical search
-is here too in its unpruned form, as the reference its pruned library
-version must reproduce exactly; so are the recursive identity checker
-and the pairwise congruence lattice the library's table kernels
-replaced, and the lattice-first antiortholattice decoration that the
-pseudo-Kleene generator replaced.
+every involutive permutation.  Slow and simple.  The algorithms the
+library replaced live here too, as the references its faster versions
+must reproduce exactly: the unpruned canonical search, the recursive
+identity checker, the pairwise congruence lattice, the backtracking
+Brouwer search, and the lattice-first decoration of every lattice that
+the pseudo-Kleene generator replaced.
 """
 
 import itertools
@@ -161,30 +161,124 @@ def brute_lattice_count(n):
     return len(reps)
 
 
+def backtrack_brouwer_maps(L, kleene):
+    """All Brouwer complements making (L, kleene, ~) a BZ-lattice.
+
+    Elements get their ~ value along a descending linear extension.
+    Disjointness and antitonicity prune as soon as one end is placed;
+    the expansion and link clauses fire once the needed images exist;
+    a full axiom check runs on every completed map.
+    """
+    n = L.n
+    order = sorted(range(n), key=lambda a: (-sum(L.le(b, a)
+                                                 for b in range(n)), a))
+    tilde = [None] * n
+    tilde[L.one] = L.zero
+    tilde[L.zero] = L.one
+    todo = [a for a in order if a not in (L.zero, L.one)]
+    out = []
+
+    def consistent(a):
+        b = tilde[a]
+        if L.meet(a, b) != L.zero:
+            return False
+        for c in range(n):
+            if tilde[c] is None or c == a:
+                continue
+            if L.le(a, c) and not L.le(tilde[c], b):
+                return False
+            if L.le(c, a) and not L.le(b, tilde[c]):
+                return False
+        if tilde[b] is not None:
+            if not L.le(a, tilde[b]):
+                return False
+            if kleene[b] != tilde[b]:
+                return False
+        for c in range(n):
+            if tilde[c] == a and tilde[a] is not None:
+                if not L.le(c, tilde[a]) or kleene[a] != tilde[a]:
+                    return False
+        return True
+
+    def rec(i):
+        if i == len(todo):
+            cand = tuple(tilde)
+            ok, _ = axioms.is_bz(core.FiniteAlgebra._from_order(
+                L._ord, kleene, cand, L.labels, None))
+            if ok:
+                out.append(cand)
+            return
+        a = todo[i]
+        for b in range(n):
+            tilde[a] = b
+            if consistent(a):
+                rec(i + 1)
+        tilde[a] = None
+
+    if axioms.is_pseudo_kleene(core.FiniteAlgebra._from_order(
+            L._ord, kleene, _trivial_brouwer(L)))[0]:
+        rec(0)
+    return out
+
+
+def _trivial_brouwer(L):
+    """0~ = 1 and a~ = 0 otherwise."""
+    return tuple(L.one if a == L.zero else L.zero for a in range(L.n))
+
+
 def _trivially_decorated(L):
     """Every order-reversing involution of L, with the trivial ~."""
-    brouwer = tuple(L.one if a == L.zero else L.zero for a in range(L.n))
     for kleene in enumeration.order_reversing_involutions(L):
-        yield core.FiniteAlgebra.from_lattice(L, kleene, brouwer)
+        yield core.FiniteAlgebra.from_lattice(L, kleene, _trivial_brouwer(L))
 
 
-def lattice_first_antiortholattices(n, spec):
-    """Sorted canonical forms of the size-n level of an antiortholattice spec,
-    by the old route: decorate every lattice of size n (the distributive
-    ones for structure "distributive") with each of its involutions and
-    the trivial ~, and keep what classify and the spec's filters admit."""
+_DECORATED_MEMO = {}
+
+
+def _decorated(n, cap_key):
+    """(algebra, class flags) of every BZ-lattice the lattice-first route
+    finds at size n, computed once per size and strategy: each lattice
+    of size n (only the chain for "chain") with each of its involutions
+    and each Brouwer map the backtracker finds.  For "antiortholattice"
+    the only map tried is the trivial ~, the one an antiortholattice
+    carries, which keeps sizes 9 and 10 affordable."""
+    key = (n, cap_key)
+    if key not in _DECORATED_MEMO:
+        lattices = ([core.chain_lattice(n)] if cap_key == "chain"
+                    else enumeration.enumerate_lattices(n))
+        found = []
+        for L in lattices:
+            for kleene in enumeration.order_reversing_involutions(L):
+                maps = ([_trivial_brouwer(L)]
+                        if cap_key == "antiortholattice"
+                        else backtrack_brouwer_maps(L, kleene))
+                for brouwer in maps:
+                    A = core.FiniteAlgebra._from_order(L._ord, kleene,
+                                                       brouwer)
+                    flags = axioms.classify(A).flags()
+                    if flags["bz"]:
+                        found.append((A, flags))
+        _DECORATED_MEMO[key] = found
+    return _DECORATED_MEMO[key]
+
+
+def lattice_first_corpus(n, spec):
+    """Sorted canonical forms of the size-n level of a spec, by the
+    lattice-first route the pseudo-Kleene generator replaced: decorate
+    the lattices of size n and keep what classify and the spec's
+    structure, class and identity filters admit."""
     forms = set()
-    for L in enumeration.enumerate_lattices(n):
+    for A, flags in _decorated(n, spec.cap_key()):
         if spec.structure == "distributive" and \
-                not terms.holds(L, terms.THEORY["DIST"])[0]:
+                not terms.holds(A, terms.THEORY["DIST"])[0]:
             continue
-        for A in _trivially_decorated(L):
-            flags = axioms.classify(A).flags()
-            if flags["bz"] and flags["antiortholattice"] and \
-                    all(flags[c] for c in spec.classes) and \
-                    all(terms.holds(A, terms.THEORY[i])[0]
-                        for i in spec.identities):
-                forms.add(core.canonical_form(A))
+        if spec.structure == "antiortholattice" and \
+                not flags["antiortholattice"]:
+            continue
+        if all(flags[c] for c in spec.classes) and \
+                all(terms.holds(A, terms.THEORY[i])[0]
+                    for i in spec.identities):
+            forms.add(core.canonical_form(A))
     return sorted(forms)
 
 

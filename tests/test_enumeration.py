@@ -139,11 +139,34 @@ AOL_SPECS = (
 )
 
 
+GENERAL_SPECS = (
+    BZ8,
+    EnumerationSpec(max_size=8, classes=("bz-star",)),
+    EnumerationSpec(max_size=8, classes=("pbz-star",)),
+    EnumerationSpec(max_size=8, structure="distributive"),
+    EnumerationSpec(max_size=8, identities=("SDM",)),
+    EnumerationSpec(max_size=8, classes=("orthomodular",)),
+    EnumerationSpec(max_size=12, structure="chain"),
+)
+
+
 def test_pk_route_matches_lattice_first_decoration():
-    for spec in AOL_SPECS:
+    for spec in AOL_SPECS + GENERAL_SPECS:
         for n in range(1, spec.max_size + 1):
             assert [canonical_form(A) for A in enumerate_pbz(n, spec)] == \
-                _oracles.lattice_first_antiortholattices(n, spec)
+                _oracles.lattice_first_corpus(n, spec), (spec, n)
+
+
+def test_brouwer_maps_match_backtracking():
+    pairs = maps = 0
+    for n in range(1, 9):
+        for L in enumerate_lattices(n):
+            for kleene in order_reversing_involutions(L):
+                found = bz_brouwer_maps(L, kleene)
+                assert found == _oracles.backtrack_brouwer_maps(L, kleene)
+                pairs += 1
+                maps += len(found)
+    assert (pairs, maps) == (238, 328)
 
 
 def test_pk_pairs_against_involutions():
@@ -183,10 +206,6 @@ def test_involution_counts_frozen():
 def test_involution_and_brouwer_helpers():
     assert len(order_reversing_involutions(boolean_lattice(4))) == 2
     assert len(order_reversing_involutions(chain_lattice(4))) == 1
-    m3 = enumerate_lattices(5)
-    diamonds = [L for L in m3
-                if sum(L.le(0, a) for a in range(5)) == 5
-                and sum(L.covers()[0][1] == 0 for _ in (0,)) >= 0]
     # the square carries two BZ Brouwer maps over its complement, the
     # 4-chain only the trivial one, and a non-pseudo-Kleene involution
     # admits none at all
@@ -275,6 +294,12 @@ def _no_level(order):
 
 
 def test_size_caps_enforced(monkeypatch):
+    # sizes outside 1..cap are refused on the call, before any level
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="below 1"):
+            enumerate_lattices(n)
+    with pytest.raises(ValueError, match="above cap"):
+        enumerate_lattices(11)
     spec = EnumerationSpec(max_size=9)
     with pytest.raises(ValueError, match="general cap"):
         list(enumerate_pbz(9, spec))
@@ -328,18 +353,24 @@ def test_search_accepts_raw_text():
     assert res.identity == "x ^ x' = 0"
 
 
-def test_jobs_do_not_change_results():
+def test_jobs_do_not_change_results(monkeypatch):
+    # each jobs count builds its levels afresh instead of reading the
+    # levels the other one memoized
     spec = EnumerationSpec(max_size=7, classes=("pbz-star",))
     solo = search_counterexample(terms.THEORY["J"], spec, jobs=1)
+    monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
     multi = search_counterexample(terms.THEORY["J"], spec, jobs=3)
     assert solo.examined == multi.examined
     assert solo.assignment == multi.assignment
     assert canonical_form(solo.found) == canonical_form(multi.found)
-    a = [canonical_form(A) for A in enumerate_pbz(
-        6, EnumerationSpec(max_size=6), jobs=1)]
-    b = [canonical_form(A) for A in enumerate_pbz(
-        6, EnumerationSpec(max_size=6), jobs=2)]
-    assert a == b
+    for spec in (EnumerationSpec(max_size=6),
+                 EnumerationSpec(max_size=8, structure="antiortholattice")):
+        a = [canonical_form(A) for A in enumerate_pbz(
+            spec.max_size, spec, jobs=1)]
+        monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
+        b = [canonical_form(A) for A in enumerate_pbz(
+            spec.max_size, spec, jobs=2)]
+        assert a == b
 
 
 def test_claim_registry():
