@@ -257,7 +257,17 @@ def classify(A):
     BZ*-dependent flags are gated on BZ membership; that keeps the
     by-definition containments (PBZ* inside BZ* inside BZ) true on the
     report regardless of what the raw inequality scans would say.
+
+    The report is computed on the first call and kept on the algebra,
+    whose maps cannot change; later calls return the same frozen
+    report.
     """
+    if A._classes is None:
+        A._classes = _classify(A)
+    return A._classes
+
+
+def _classify(A):
     witnesses = {}
 
     def note(name, pair):

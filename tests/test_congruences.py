@@ -1,5 +1,7 @@
 """Congruence lattices, subdirect irreducibility, coset relations."""
 
+import pickle
+
 import pytest
 
 from pbzlat import catalog
@@ -31,6 +33,18 @@ def test_partition_container():
     assert not t.refines(Congruence.identity(5))
     with pytest.raises(ValueError):
         Congruence.from_blocks(3, [(0, 2)])
+
+
+def test_congruences_are_immutable():
+    # cached congruence lattices hand the same instances to every caller
+    t = Congruence([5, 5, 2, 2, 9])
+    for attr, value in (("block_of", (0, 0, 0, 0, 0)), ("n", 4),
+                        ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(t, attr, value)
+    assert t.block_of == (0, 0, 1, 1, 2) and t.n == 5
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t and hash(copy) == hash(t)
 
 
 def test_is_congruence_witness():

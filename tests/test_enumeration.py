@@ -1,6 +1,7 @@
 """Corpus generation, counterexample search, registered claims."""
 
 import hashlib
+import multiprocessing
 import pickle
 
 import pytest
@@ -371,6 +372,34 @@ def test_jobs_do_not_change_results(monkeypatch):
         b = [canonical_form(A) for A in enumerate_pbz(
             spec.max_size, spec, jobs=2)]
         assert a == b
+
+
+def test_one_pool_per_jobs_count(monkeypatch):
+    # the CLI maps every level through the jobs' pool, so a search or an
+    # enumeration starts one pool, not one per level and step
+    real, made = multiprocessing.Pool, []
+
+    def counting_pool(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    def pools_started(run):
+        monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
+        monkeypatch.setattr(enumeration, "_POOLS", {})
+        before = len(made)
+        run()
+        return len(made) - before
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    try:
+        assert pools_started(lambda: search_counterexample(
+            terms.THEORY["J"],
+            EnumerationSpec(max_size=8, classes=("pbz-star",)), jobs=2)) == 1
+        assert pools_started(lambda: list(enumerate_all(
+            EnumerationSpec(max_size=8), jobs=2))) == 1
+    finally:
+        for pool in made:
+            pool.terminate()
 
 
 def test_claim_registry():
