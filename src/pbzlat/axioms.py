@@ -7,6 +7,8 @@ results are reproducible and witnesses are minimal.
 
 from dataclasses import dataclass
 
+from . import terms
+
 __all__ = [
     "is_pseudo_kleene",
     "is_ortholattice",
@@ -144,9 +146,10 @@ def sharp_sets(A):
     Raises ValueError off the BZ class, where the modal and Brouwer
     variants are not meaningful.
     """
-    ok, w = is_bz(A)
-    if not ok:
-        raise ValueError(f"sharp_sets needs a BZ-lattice, violated {w}")
+    report = classify(A)
+    if not report.bz:
+        raise ValueError("sharp_sets needs a BZ-lattice, violated "
+                         f"{dict(report.witnesses)['bz']}")
     s_diamond = frozenset(a for a in range(A.n) if A.diamond(a) == a)
     # a = <>a and a' = a~ are equivalent on BZ-lattices; keep both
     # computations around as a live cross-check rather than an assumption
@@ -158,58 +161,32 @@ def sharp_sets(A):
     return SharpSets(kleene_sharp(A), s_diamond, s_b)
 
 
-_BASIC_CLAUSES = (
-    "triple-brouwer",      # a~~~ = a~
-    "brouwer-below-kleene",  # a~ <= a'
-    "join-demorgan",       # (a v b)~ = a~ ^ b~
-    "meet-halfdemorgan",   # a~ v b~ <= (a ^ b)~
-    "box-kleene-link",     # (box(a'))' = <>a
-    "box-meet",            # box(a ^ b) = box a ^ box b
-    "diamond-join",        # <>(a v b) = <>a v <>b
-    "diamond-meet",        # <>(a ^ b) <= <>a ^ <>b
-    "negative-kills",      # a' <= a implies a~ = 0
-)
+_BASIC_CLAUSES = tuple(
+    (clause, terms.parse_statement(text)) for clause, text in (
+        ("triple-brouwer", "a~~~ = a~"),
+        ("brouwer-below-kleene", "a~ <= a'"),
+        ("join-demorgan", "(a v b)~ = a~ ^ b~"),
+        ("meet-halfdemorgan", "a~ v b~ <= (a ^ b)~"),
+        ("box-kleene-link", "([](a'))' = <>a"),
+        ("box-meet", "[](a ^ b) = []a ^ []b"),
+        ("diamond-join", "<>(a v b) = <>a v <>b"),
+        ("diamond-meet", "<>(a ^ b) <= <>a ^ <>b"),
+        ("negative-kills", "a' <= a => a~ = 0"),
+    ))
 
 
 def check_basics(A):
     """Brouwer/modal arithmetic facts that hold in every BZ-lattice.
 
-    Returns a list of (clause, witness) for whatever fails; empty means
-    all nine clauses hold.  Assumes A is BZ.
+    Returns a list of (clause, witness) for whatever fails, the witness
+    being the first failing assignment's values in variable order;
+    empty means all nine clauses hold.  Assumes A is BZ.
     """
-    n, bro, kle = A.n, A.brouwer, A.kleene
     bad = []
-
-    def first(clause, gen):
-        w = next(gen, None)
-        if w is not None:
-            bad.append((clause, w))
-
-    first("triple-brouwer",
-          ((a,) for a in range(n) if bro[bro[bro[a]]] != bro[a]))
-    first("brouwer-below-kleene",
-          ((a,) for a in range(n) if not A.le(bro[a], kle[a])))
-    first("join-demorgan",
-          ((a, b) for a in range(n) for b in range(n)
-           if bro[A.join(a, b)] != A.meet(bro[a], bro[b])))
-    first("meet-halfdemorgan",
-          ((a, b) for a in range(n) for b in range(n)
-           if not A.le(A.join(bro[a], bro[b]), bro[A.meet(a, b)])))
-    first("box-kleene-link",
-          ((a,) for a in range(n) if kle[A.box(kle[a])] != A.diamond(a)))
-    first("box-meet",
-          ((a, b) for a in range(n) for b in range(n)
-           if A.box(A.meet(a, b)) != A.meet(A.box(a), A.box(b))))
-    first("diamond-join",
-          ((a, b) for a in range(n) for b in range(n)
-           if A.diamond(A.join(a, b)) != A.join(A.diamond(a), A.diamond(b))))
-    first("diamond-meet",
-          ((a, b) for a in range(n) for b in range(n)
-           if not A.le(A.diamond(A.meet(a, b)),
-                       A.meet(A.diamond(a), A.diamond(b)))))
-    first("negative-kills",
-          ((a,) for a in range(n)
-           if A.le(kle[a], a) and bro[a] != A.zero))
+    for clause, statement in _BASIC_CLAUSES:
+        ok, w = terms.holds(A, statement)
+        if not ok:
+            bad.append((clause, tuple(w[v] for v in sorted(w))))
     return bad
 
 

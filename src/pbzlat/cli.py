@@ -49,7 +49,7 @@ def _labelled(A, values):
     if isinstance(values, dict):
         return {k: A.labels[v] for k, v in sorted(values.items())}
     if isinstance(values, (tuple, list)):
-        return tuple(A.labels[v] if isinstance(v, int) else str(v)
+        return tuple(A.labels[v] if isinstance(v, int) else _labelled(A, v)
                      for v in values)
     return str(values)
 

@@ -12,7 +12,10 @@ canonical bytes, so what a level holds, in which copy and in what
 order, depends only on its isomorphism classes and not on the
 generator or the jobs count.  Bare lattices are grown by atom
 insertion with canonical-form deduplication.  On top of that sit a
-smallest counterexample search and a registry of corpus-wide claims.
+smallest counterexample search and a registry of corpus-wide claims,
+each claim declaring its hypotheses.  The jobs count spreads only the
+decoration of the pairs over worker processes; identity and claim
+checks run in the main process, over each level in its canonical order.
 """
 
 import atexit
@@ -364,8 +367,8 @@ _CORPUS_MEMO = {}
 
 
 def _admitted(A, spec):
-    """Whether a BZ-lattice passes the spec's class and identity
-    filters."""
+    """Whether a BZ-lattice passes the class and identity filters of a
+    spec, or the hypotheses of a claim."""
     flags = axioms.classify(A).flags()
     return (all(flags[c] for c in spec.classes)
             and all(terms.holds(A, terms.THEORY[i])[0]
@@ -481,18 +484,16 @@ class SearchResult:
         return self.found is not None
 
 
-def _check_identity(args):
-    A, identity = args
-    return terms.holds(A, identity)
-
-
 def search_counterexample(identity, spec, jobs=1):
     """Smallest algebra in the spec's class failing the identity.
 
-    Size is the primary order; canonical form bytes break ties, so
-    reruns return the identical algebra whatever the jobs count.  When
-    nothing fails up to spec.max_size the result says exhausted rather
-    than claiming the identity holds everywhere.
+    Size is the primary order; within a size the corpus comes in the
+    order of canonical bytes, and the first failing algebra is returned,
+    so reruns return the identical algebra whatever the jobs count.  The
+    jobs only spread the decoration of each level; the identity is
+    checked in this process.  When nothing fails up to spec.max_size the
+    result says exhausted rather than claiming the identity holds
+    everywhere.
     """
     spec.check_size(spec.max_size)
     if isinstance(identity, str):
@@ -501,15 +502,11 @@ def search_counterexample(identity, spec, jobs=1):
     for n in range(1, spec.max_size + 1):
         level = list(enumerate_pbz(n, spec, jobs=jobs))
         examined += len(level)
-        verdicts = _map_jobs(_check_identity,
-                             [(A, identity) for A in level], jobs)
-        failures = [(canonical_form(A), A, witness)
-                    for A, (ok, witness) in zip(level, verdicts) if not ok]
-        if failures:
-            failures.sort(key=lambda t: t[0])
-            _, A, witness = failures[0]
-            return SearchResult(terms.pretty(identity), spec, A, witness,
-                                examined, False)
+        for A in level:
+            ok, witness = terms.holds(A, identity)
+            if not ok:
+                return SearchResult(terms.pretty(identity), spec, A, witness,
+                                    examined, False)
     return SearchResult(terms.pretty(identity), spec, None, None,
                         examined, True)
 
@@ -535,32 +532,35 @@ class CorpusReport:
         return self.checked == 0
 
 
-def _sharp_sets_collapse(A, flags):
-    if not (flags["bz-star"] and flags["paraorthomodular"]):
-        return None
+@dataclass(frozen=True)
+class _Claim:
+    """A registered claim: its text, its hypotheses (class flags, THEORY
+    identities and subdirect irreducibility), and the check of its
+    conclusion, which returns (ok, detail), or None for an algebra
+    outside a hypothesis the declaration cannot state."""
+
+    text: str
+    check: object
+    classes: tuple = ()
+    identities: tuple = ()
+    si: bool = False
+
+
+def _sharp_sets_collapse(A):
     s = axioms.sharp_sets(A)
     if s.s_diamond == s.s_b == s.s_k:
         return True, None
     return False, (sorted(s.s_k), sorted(s.s_diamond), sorted(s.s_b))
 
 
-def _paraorthomodular_equivalence(A, flags):
-    if not flags["bz-star"]:
-        return None
-    if flags["paraorthomodular"] == flags["diamond-orthomodular"]:
+def _paraorthomodular_equivalence(A):
+    report = axioms.classify(A)
+    if report.paraorthomodular == report.diamond_orthomodular:
         return True, None
-    return False, (flags["paraorthomodular"], flags["diamond-orthomodular"])
+    return False, (report.paraorthomodular, report.diamond_orthomodular)
 
 
-def _si_distributive_sdm(A, flags):
-    if not flags["antiortholattice"]:
-        return None
-    for name in ("DIST", "SDM"):
-        if not terms.holds(A, terms.THEORY[name])[0]:
-            return None
-    si, _ = congruences.is_subdirectly_irreducible(A)
-    if not si:
-        return None
+def _small_kleene_chain(A):
     if A.n > 5:
         return False, f"unexpected size {A.n}"
     if is_isomorphic(A, _kleene_chain(A.n)):
@@ -575,14 +575,12 @@ def _kleene_chain(n):
                                      L.labels, f"D{n}")
 
 
-def _chain_structure(A, flags):
-    if not flags["pbz-star"]:
-        return None
+def _chain_structure(A):
     if any(not A.le(a, b) and not A.le(b, a)
            for a in range(A.n) for b in range(a + 1, A.n)):
         return None
     probs = []
-    if not flags["antiortholattice"]:
+    if not axioms.classify(A).antiortholattice:
         probs.append("not an antiortholattice")
     for name in ("DIST", "SDM"):
         if not terms.holds(A, terms.THEORY[name])[0]:
@@ -592,62 +590,29 @@ def _chain_structure(A, flags):
     return (True, None) if not probs else (False, tuple(probs))
 
 
-def _satisfies_aol_basis(A):
-    return all(terms.holds(A, terms.THEORY[k])[0]
-               for k in ("AOL1", "AOL2", "AOL3"))
-
-
-def _gate_si_aol_basis(A, flags):
-    if not (flags["pbz-star"] and _satisfies_aol_basis(A)):
-        return False
-    si, _ = congruences.is_subdirectly_irreducible(A)
-    return si
-
-
-def _cones_cover(A):
-    from .constructions import cones
-    c = cones(A)
-    return c.negative | c.positive == frozenset(range(A.n))
-
-
-def _si_aol_basis_structure(A, flags):
-    if not _gate_si_aol_basis(A, flags):
-        return None
+def _aol_and_indecomposable(A):
     probs = []
-    if not flags["antiortholattice"]:
+    if not axioms.classify(A).antiortholattice:
         probs.append("s.i. member is not an antiortholattice")
     if not congruences.is_directly_indecomposable(A):
         probs.append("not directly indecomposable")
     return (True, None) if not probs else (False, tuple(probs))
 
 
-def _si_aol_basis_cones(A, flags):
-    """The literal covering claim.  Known to fail: the 7-element
-    antiortholattice obtained by padding the diamond M3 with a new
-    bottom and top is subdirectly irreducible (its congruences form a
-    3-chain) yet its swapped coatoms are incomparable to their
-    involutes.  Kept verbatim so the refutation stays visible;
-    si-aol-basis-cones-distributive adds distributivity to the
-    hypotheses, which only pushes the first failure to size 10."""
-    if not _gate_si_aol_basis(A, flags):
-        return None
-    if _cones_cover(A):
+def _cones_cover(A):
+    from .constructions import cones
+    c = cones(A)
+    if c.negative | c.positive == frozenset(range(A.n)):
         return True, None
     return False, "cones do not cover the universe"
 
 
-def _si_aol_basis_cones_distributive(A, flags):
-    """The covering claim for distributive algebras.  It holds on every
-    antiortholattice up to size 9 and fails on one of size 10, whose
-    covers are 0<g 0<h a<1 b<1 c<b d<a d<b e<d f<c f<d g<f h<e h<f
-    and whose ' swaps a<->g, b<->h, c<->e and d<->f: it is distributive
-    and subdirectly irreducible, yet c and c' = e are incomparable."""
-    if not (_gate_si_aol_basis(A, flags)
-            and terms.holds(A, terms.THEORY["DIST"])[0]):
-        return None
-    if _cones_cover(A):
-        return True, None
-    return False, "cones do not cover the universe"
+def _dist_and_sdm(A):
+    probs = []
+    for name in ("DIST", "SDM"):
+        if not terms.holds(A, terms.THEORY[name])[0]:
+            probs.append(f"fails {name}")
+    return (True, None) if not probs else (False, tuple(probs))
 
 
 def _no_disjoint_nonzero_pair(A):
@@ -658,26 +623,7 @@ def _no_disjoint_nonzero_pair(A):
     return None
 
 
-def _sk_implies_distributive_sdm(A, flags):
-    """Identities only.  Disjointness of nonzero pairs is NOT implied
-    at this gate: the four-element Boolean algebra is a product of two
-    2-chains, hence satisfies every antiortholattice identity plus SK,
-    yet its atoms meet to 0.  See aol-sk-collapse for the version with
-    the honest antiortholattice hypothesis."""
-    if not (flags["pbz-star"] and _satisfies_aol_basis(A)
-            and terms.holds(A, terms.THEORY["SK"])[0]):
-        return None
-    probs = []
-    for name in ("DIST", "SDM"):
-        if not terms.holds(A, terms.THEORY[name])[0]:
-            probs.append(f"fails {name}")
-    return (True, None) if not probs else (False, tuple(probs))
-
-
-def _aol_sk_collapse(A, flags):
-    if not (flags["antiortholattice"]
-            and terms.holds(A, terms.THEORY["SK"])[0]):
-        return None
+def _disjointness_and_sdm(A):
     probs = []
     pair = _no_disjoint_nonzero_pair(A)
     if pair is not None:
@@ -687,11 +633,7 @@ def _aol_sk_collapse(A, flags):
     return (True, None) if not probs else (False, tuple(probs))
 
 
-def _sdm_meet_distributivity(A, flags):
-    if not (flags["pbz-star"] and _satisfies_aol_basis(A)
-            and terms.holds(A, terms.THEORY["SK"])[0]
-            and terms.holds(A, terms.THEORY["SDM"])[0]):
-        return None
+def _meet_distributivity_chain(A):
     probs = []
     for name in ("DCHAIN1", "DCHAIN2", "DCHAIN3", "DCHAIN4", "DIST"):
         ok, w = terms.holds(A, terms.THEORY[name])
@@ -700,9 +642,7 @@ def _sdm_meet_distributivity(A, flags):
     return (True, None) if not probs else (False, tuple(probs))
 
 
-def _horizontal_sum_agreement(A, flags):
-    if not flags["pbz-star"]:
-        return None
+def _horizontal_sum_agreement(A):
     from .constructions import is_horizontal_sum_of_blocks
     rep = is_horizontal_sum_of_blocks(A)
     if rep.agree:
@@ -710,15 +650,7 @@ def _horizontal_sum_agreement(A, flags):
     return False, (rep.by_conditions, rep.by_blocks, rep.conditions)
 
 
-def _si_agreement_relations(A, flags):
-    if not flags["antiortholattice"]:
-        return None
-    for name in ("DIST", "SDM"):
-        if not terms.holds(A, terms.THEORY[name])[0]:
-            return None
-    si, _ = congruences.is_subdirectly_irreducible(A)
-    if not si:
-        return None
+def _agreement_relations(A):
     probs = []
     from .constructions import cones
     pos = cones(A).positive
@@ -748,49 +680,79 @@ def _si_agreement_relations(A, flags):
     return (True, None) if not probs else (False, tuple(probs))
 
 
+_AOL_BASIS = ("AOL1", "AOL2", "AOL3")
+
 _CLAIMS = {
-    "sharp-sets-collapse": (
+    "sharp-sets-collapse": _Claim(
         "on paraorthomodular BZ*-algebras the Kleene, Brouwer and "
-        "join-complement sharp sets coincide", _sharp_sets_collapse),
-    "paraorthomodular-equivalence": (
+        "join-complement sharp sets coincide", _sharp_sets_collapse,
+        classes=("bz-star", "paraorthomodular")),
+    "paraorthomodular-equivalence": _Claim(
         "on BZ*-algebras paraorthomodularity and diamond-orthomodularity "
-        "agree", _paraorthomodular_equivalence),
-    "si-distributive-sdm-chains": (
+        "agree", _paraorthomodular_equivalence, classes=("bz-star",)),
+    "si-distributive-sdm-chains": _Claim(
         "subdirectly irreducible distributive strong-De-Morgan "
         "antiortholattices are the Kleene chains with 2..5 elements",
-        _si_distributive_sdm),
-    "pbz-chains-are-kleene-chains": (
+        _small_kleene_chain, classes=("antiortholattice",),
+        identities=("DIST", "SDM"), si=True),
+    # "A is a chain" is neither a flag nor an identity, so the check
+    # skips the other PBZ*-lattices itself
+    "pbz-chains-are-kleene-chains": _Claim(
         "every PBZ* chain is the Kleene chain of its size and satisfies "
-        "DIST and SDM", _chain_structure),
-    "si-aol-basis-structure": (
+        "DIST and SDM", _chain_structure, classes=("pbz-star",)),
+    "si-aol-basis-structure": _Claim(
         "s.i. PBZ* algebras satisfying AOL1-3 are antiortholattices and "
-        "directly indecomposable", _si_aol_basis_structure),
-    "si-aol-basis-cones": (
+        "directly indecomposable", _aol_and_indecomposable,
+        classes=("pbz-star",), identities=_AOL_BASIS, si=True),
+    # The literal covering claim.  Known to fail: the 7-element
+    # antiortholattice obtained by padding the diamond M3 with a new
+    # bottom and top is subdirectly irreducible (its congruences form a
+    # 3-chain) yet its swapped coatoms are incomparable to their
+    # involutes.  Kept verbatim so the refutation stays visible;
+    # si-aol-basis-cones-distributive adds distributivity to the
+    # hypotheses, which only pushes the first failure to size 10.
+    "si-aol-basis-cones": _Claim(
         "s.i. PBZ* algebras satisfying AOL1-3 have every element "
         "comparable to its involute (literal claim; refuted at size 7)",
-        _si_aol_basis_cones),
-    "si-aol-basis-cones-distributive": (
+        _cones_cover, classes=("pbz-star",), identities=_AOL_BASIS,
+        si=True),
+    # The covering claim for distributive algebras.  It holds on every
+    # antiortholattice up to size 9 and fails on one of size 10, whose
+    # covers are 0<g 0<h a<1 b<1 c<b d<a d<b e<d f<c f<d g<f h<e h<f
+    # and whose ' swaps a<->g, b<->h, c<->e and d<->f: it is distributive
+    # and subdirectly irreducible, yet c and c' = e are incomparable.
+    "si-aol-basis-cones-distributive": _Claim(
         "s.i. distributive PBZ* algebras satisfying AOL1-3 have every "
         "element comparable to its involute (holds up to size 9; "
         "refuted at size 10)",
-        _si_aol_basis_cones_distributive),
-    "sk-implies-distributive-sdm": (
-        "PBZ* + AOL1-3 + SK forces DIST and SDM",
-        _sk_implies_distributive_sdm),
-    "aol-sk-collapse": (
+        _cones_cover, classes=("pbz-star",),
+        identities=_AOL_BASIS + ("DIST",), si=True),
+    # Identities only.  Disjointness of nonzero pairs is NOT implied
+    # under these hypotheses: the four-element Boolean algebra is a
+    # product of two 2-chains, hence satisfies every antiortholattice
+    # identity plus SK, yet its atoms meet to 0.  See aol-sk-collapse
+    # for the version with the honest antiortholattice hypothesis.
+    "sk-implies-distributive-sdm": _Claim(
+        "PBZ* + AOL1-3 + SK forces DIST and SDM", _dist_and_sdm,
+        classes=("pbz-star",), identities=_AOL_BASIS + ("SK",)),
+    "aol-sk-collapse": _Claim(
         "an antiortholattice satisfying SK has no disjoint nonzero pair "
-        "and satisfies SDM", _aol_sk_collapse),
-    "sdm-meet-distributivity": (
+        "and satisfies SDM", _disjointness_and_sdm,
+        classes=("antiortholattice",), identities=("SK",)),
+    "sdm-meet-distributivity": _Claim(
         "PBZ* + AOL1-3 + SK + SDM forces the stepwise meet-distributivity "
-        "chain and full DIST", _sdm_meet_distributivity),
-    "horizontal-sum-conditions": (
+        "chain and full DIST", _meet_distributivity_chain,
+        classes=("pbz-star",), identities=_AOL_BASIS + ("SK", "SDM")),
+    "horizontal-sum-conditions": _Claim(
         "the four pairwise conditions hold iff the algebra is the "
-        "horizontal sum of its blocks", _horizontal_sum_agreement),
-    "si-agreement-relations": (
+        "horizontal sum of its blocks", _horizontal_sum_agreement,
+        classes=("pbz-star",)),
+    "si-agreement-relations": _Claim(
         "agreement-below-p relations on s.i. distributive strong-De-"
         "Morgan antiortholattices: congruences, trivial exactly at "
         "positive p, intersections multiplicative, tilde family behaves",
-        _si_agreement_relations),
+        _agreement_relations, classes=("antiortholattice",),
+        identities=("DIST", "SDM"), si=True),
 }
 
 
@@ -803,24 +765,25 @@ def verify_over_corpus(claim, spec):
 
     Algebras outside the claim's hypotheses are skipped (counted as
     examined, not checked); a report with zero checked algebras says
-    vacuous rather than ok.
+    vacuous rather than ok.  Failures come in corpus order: by size,
+    then by canonical bytes.
     """
     if claim not in _CLAIMS:
         raise KeyError(f"unknown claim {claim!r}; see claim_names()")
-    _, fn = _CLAIMS[claim]
+    entry = _CLAIMS[claim]
     examined = 0
     checked = 0
     failures = []
     for A in enumerate_all(spec):
         examined += 1
-        flags = axioms.classify(A).flags()
-        res = fn(A, flags)
+        if not _admitted(A, entry) or (
+                entry.si and not congruences.is_subdirectly_irreducible(A)[0]):
+            continue
+        res = entry.check(A)
         if res is None:
             continue
         checked += 1
         ok, detail = res
         if not ok:
-            failures.append((canonical_form(A), A, detail))
-    failures.sort(key=lambda t: t[0])
-    return CorpusReport(claim, spec, examined, checked,
-                        tuple((A, d) for _, A, d in failures))
+            failures.append((A, detail))
+    return CorpusReport(claim, spec, examined, checked, tuple(failures))

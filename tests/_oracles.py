@@ -7,8 +7,8 @@ every involutive permutation.  Slow and simple.  The algorithms the
 library replaced live here too, as the references its faster versions
 must reproduce exactly: the unpruned canonical search, the recursive
 identity checker, the pairwise congruence lattice, the backtracking
-Brouwer search, and the lattice-first decoration of every lattice that
-the pseudo-Kleene generator replaced.
+Brouwer search, the nested loops of check_basics, and the lattice-first
+decoration of every lattice that the pseudo-Kleene generator replaced.
 """
 
 import itertools
@@ -398,6 +398,45 @@ def holds(A, statement):
         if not _identity_ok(A, ident, assignment):
             return False, assignment
     return True, None
+
+
+def check_basics(A):
+    """The nested loops axioms.check_basics replaced: the first failing
+    elements of each of its nine clauses, in its clause order."""
+    n, bro, kle = A.n, A.brouwer, A.kleene
+    bad = []
+
+    def first(clause, gen):
+        w = next(gen, None)
+        if w is not None:
+            bad.append((clause, w))
+
+    first("triple-brouwer",
+          ((a,) for a in range(n) if bro[bro[bro[a]]] != bro[a]))
+    first("brouwer-below-kleene",
+          ((a,) for a in range(n) if not A.le(bro[a], kle[a])))
+    first("join-demorgan",
+          ((a, b) for a in range(n) for b in range(n)
+           if bro[A.join(a, b)] != A.meet(bro[a], bro[b])))
+    first("meet-halfdemorgan",
+          ((a, b) for a in range(n) for b in range(n)
+           if not A.le(A.join(bro[a], bro[b]), bro[A.meet(a, b)])))
+    first("box-kleene-link",
+          ((a,) for a in range(n) if kle[A.box(kle[a])] != A.diamond(a)))
+    first("box-meet",
+          ((a, b) for a in range(n) for b in range(n)
+           if A.box(A.meet(a, b)) != A.meet(A.box(a), A.box(b))))
+    first("diamond-join",
+          ((a, b) for a in range(n) for b in range(n)
+           if A.diamond(A.join(a, b)) != A.join(A.diamond(a), A.diamond(b))))
+    first("diamond-meet",
+          ((a, b) for a in range(n) for b in range(n)
+           if not A.le(A.diamond(A.meet(a, b)),
+                       A.meet(A.diamond(a), A.diamond(b)))))
+    first("negative-kills",
+          ((a,) for a in range(n)
+           if A.le(kle[a], a) and bro[a] != A.zero))
+    return bad
 
 
 def congruence_generated(A, pairs):

@@ -1,8 +1,10 @@
 """Class predicates: pseudo-Kleene through PBZ* and the sharp sets."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pbzlat import axioms, catalog
+import _oracles
+from pbzlat import axioms, catalog, enumeration
 from pbzlat.core import FiniteAlgebra, chain_lattice
 
 
@@ -46,9 +48,11 @@ def test_non_bz_brouwer_detected():
     # on the chain, ~ = ' breaks a ^ a~ = 0
     A = decorate(4, [(0, 1), (1, 2), (2, 3)], [3, 2, 1, 0], [3, 2, 1, 0])
     ok, witness = axioms.is_bz(A)
-    assert not ok and witness is not None
-    with pytest.raises(ValueError):
+    assert witness == ("bz:disjoint", (1,))
+    with pytest.raises(ValueError) as err:
         axioms.sharp_sets(A)
+    assert str(err.value) == \
+        "sharp_sets needs a BZ-lattice, violated ('bz:disjoint', (1,))"
 
 
 def test_trivial_brouwer_is_always_bz_on_pseudo_kleene():
@@ -120,6 +124,19 @@ def test_check_basics_clean_on_catalog():
         A = catalog.get(name)
         if axioms.is_bz(A)[0]:
             assert axioms.check_basics(A) == [], name
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_check_basics_agrees_with_nested_loops(data):
+    # pseudo-Kleene pairs with arbitrary ~ maps, BZ or not, so that every
+    # clause fails somewhere and the witnesses are compared too
+    n = data.draw(st.integers(1, 8))
+    order, kleene = data.draw(st.sampled_from(enumeration._pk_pairs(n)))
+    brouwer = data.draw(st.lists(st.integers(0, n - 1), min_size=n,
+                                 max_size=n))
+    A = FiniteAlgebra._from_order(order, kleene, brouwer)
+    assert axioms.check_basics(A) == _oracles.check_basics(A)
 
 
 def test_paraorthomodular_iff_diamond_om_on_catalog_bz_star():

@@ -429,6 +429,37 @@ def test_claims_over_small_corpus():
         assert rep.examined >= rep.checked > 0
 
 
+# (examined, checked, failures) of every claim over the antiortholattices
+# to n=10 and the BZ-lattices to n=8; a declared hypothesis that admits
+# more or fewer algebras than the claim's text changes a count
+CLAIM_COUNTS = {
+    "aol-sk-collapse": ((58, 3, 0), (97, 3, 0)),
+    "horizontal-sum-conditions": ((58, 58, 0), (97, 34, 0)),
+    "paraorthomodular-equivalence": ((58, 58, 0), (97, 43, 0)),
+    "pbz-chains-are-kleene-chains": ((58, 10, 0), (97, 8, 0)),
+    "sdm-meet-distributivity": ((58, 3, 0), (97, 6, 0)),
+    "sharp-sets-collapse": ((58, 58, 0), (97, 34, 0)),
+    "si-agreement-relations": ((58, 4, 0), (97, 4, 0)),
+    "si-aol-basis-cones": ((58, 32, 22), (97, 10, 4)),
+    "si-aol-basis-cones-distributive": ((58, 8, 1), (97, 6, 0)),
+    "si-aol-basis-structure": ((58, 32, 0), (97, 10, 0)),
+    "si-distributive-sdm-chains": ((58, 4, 0), (97, 4, 0)),
+    "sk-implies-distributive-sdm": ((58, 3, 0), (97, 6, 0)),
+}
+
+
+def test_claim_counts_frozen_on_sweep_corpora():
+    assert sorted(CLAIM_COUNTS) == claim_names()
+    for claim, counts in CLAIM_COUNTS.items():
+        for spec, want in zip((AOL10, BZ8), counts):
+            rep = verify_over_corpus(claim, spec)
+            assert (rep.examined, rep.checked, len(rep.failures)) == want, \
+                (claim, spec)
+            # failures come in corpus order: by size, then canonical bytes
+            forms = [canonical_form(A) for A, _ in rep.failures]
+            assert forms == sorted(forms)
+
+
 def test_cone_claim_fails_at_seven_and_repair_holds():
     spec = EnumerationSpec(max_size=7, classes=("pbz-star",))
     rep = verify_over_corpus("si-aol-basis-cones", spec)

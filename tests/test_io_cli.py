@@ -161,6 +161,21 @@ def test_cli_check_class_gate(capsys):
     assert "class pbz-star: FAIL" in out
 
 
+def test_cli_check_labels_nested_witness(tmp_path, capsys):
+    # a' = a and a~ = a on the 3-chain: is_bz names the failing clause
+    # and its elements, and the elements inside come out as labels too
+    path = tmp_path / "fixed.pbz"
+    path.write_text("elements 0 a 1\ncovers 0 < a ; a < 1\n"
+                    "kleene 0:1 a:a 1:0\nbrouwer 0:1 a:a 1:0\nbounds 0 1\n")
+    code, out, _ = run(capsys, "check", str(path), "--class", "bz")
+    assert code == 1
+    assert "class bz: FAIL, witness ('bz:disjoint', ('a',))" in out
+    code, out, _ = run(capsys, "check", str(path), "--class", "bz",
+                       "--format", "structured")
+    assert code == 1
+    assert json.loads(out)["checks"][0]["witness"] == ["bz:disjoint", ["a"]]
+
+
 def test_cli_check_structured(capsys):
     code, out, _ = run(capsys, "check", "B4", "--format", "structured",
                        "--identity", "DIST")
