@@ -405,15 +405,17 @@ class FiniteAlgebra(_Carrier):
     ``kleene`` is the involution ', ``brouwer`` the map ~.  Both are
     tuples of image indices.  Instances are validated at construction
     and immutable afterwards: like the labels, the maps cannot be
-    reassigned, so the three caches an algebra carries cannot go stale.
+    reassigned, so the four caches an algebra carries cannot go stale.
     They are the canonical form (``canonical_form``), the class report
-    (``axioms.classify``) and the sorted congruences
-    (``congruences.all_congruences``), each filled on first use.  The
+    (``axioms.classify``), the sorted congruences
+    (``congruences.all_congruences``) and the identity verdicts by
+    statement (``terms.holds``), each filled on first use.  The
     maps stay plain slots, which the term evaluator reads in its inner
     loop; only assignment is refused.
     """
 
-    __slots__ = ("kleene", "brouwer", "_canon", "_classes", "_congruences")
+    __slots__ = ("kleene", "brouwer", "_canon", "_classes", "_congruences",
+                 "_verdicts")
 
     def __setattr__(self, name, value):
         if name in ("kleene", "brouwer"):
@@ -426,6 +428,7 @@ class FiniteAlgebra(_Carrier):
         self._canon = None
         self._classes = None
         self._congruences = None
+        self._verdicts = None
 
     def __reduce__(self):
         # pickling (worker processes) and copying cannot assign the maps

@@ -5,17 +5,20 @@ lattices, so every corpus is grown from pseudo-Kleene pairs (a lattice
 with its involution), built directly by inserting an atom together
 with its coatom image; a chain corpus starts from the chain and its
 reversal.  Each pair is decorated with the Brouwer complements read
-off its sharp sets, and classify and the spec's filters keep what
-belongs to the corpus.  Each level is emitted as canonical copies
-(every algebra renumbered along its canonical ordering) sorted by
-canonical bytes, so what a level holds, in which copy and in what
-order, depends only on its isomorphism classes and not on the
-generator or the jobs count.  Bare lattices are grown by atom
-insertion with canonical-form deduplication.  On top of that sit a
-smallest counterexample search and a registry of corpus-wide claims,
-each claim declaring its hypotheses.  The jobs count spreads only the
-decoration of the pairs over worker processes; identity and claim
-checks run in the main process, over each level in its canonical order.
+off its sharp sets.  The decorated level of a size is built once per
+structure and cap key, as canonical copies (every algebra renumbered
+along its canonical ordering) sorted by canonical bytes, and each
+spec's level is the sublist its class flags and identities keep, so
+the specs share algebra objects and what those keep.  What a level
+holds, in which copy and in what order, depends only on its
+isomorphism classes and not on the generator or the jobs count.  Bare
+lattices are grown by atom insertion with canonical-form
+deduplication.  On top of that sit a smallest counterexample search
+and a registry of corpus-wide claims, each claim declaring its
+hypotheses.  The jobs count spreads only the decoration of the pairs
+over worker processes; the class and identity filters, identity
+checks and claim checks run in the main process, over each level in
+its canonical order.
 """
 
 import atexit
@@ -376,21 +379,18 @@ def _admitted(A, spec):
 
 
 def _decorations(args):
-    """Canonical copies of the admitted BZ decorations of one
-    pseudo-Kleene pair.  Module-level so worker processes can import it."""
-    order, kleene, spec = args
+    """Canonical copies of the BZ decorations of one pseudo-Kleene pair,
+    none for a non-distributive pair under structure "distributive".
+    Module-level so worker processes can import it."""
+    order, kleene, structure = args
     # the pair with the trivial ~; DIST and the Brouwer search read
     # only its order
     pair = FiniteAlgebra._from_order(order, kleene, _trivial_brouwer(order))
-    if spec.structure == "distributive" and \
+    if structure == "distributive" and \
             not terms.holds(pair, terms.THEORY["DIST"])[0]:
         return []
-    out = []
-    for brouwer in bz_brouwer_maps(pair, kleene):
-        A = FiniteAlgebra._from_order(order, kleene, brouwer)
-        if _admitted(A, spec):
-            out.append(canonical_copy(A))
-    return out
+    return [canonical_copy(FiniteAlgebra._from_order(order, kleene, brouwer))
+            for brouwer in bz_brouwer_maps(pair, kleene)]
 
 
 # Worker pools by (process id, jobs).  Not a memo: the benchmark's cold
@@ -419,21 +419,33 @@ def _map_jobs(fn, items, jobs):
     return [fn(x) for x in items]
 
 
-def _candidates(n, spec, jobs):
-    """Canonical copies of every admitted algebra of size n, possibly
-    with repeats.  The antiortholattices are exactly the pairs with
+_LEVEL_MEMO = {}
+
+
+def _bz_level(n, structure, cap_key, jobs):
+    """Every BZ decoration of size n under a structure and a cap key, one
+    canonical copy per isomorphism class in the order of canonical
+    bytes, memoized: the level every spec with that structure and cap
+    key narrows.  The antiortholattices are exactly the pairs with
     S_K = {0, 1}: on such a pair the only Brouwer map is the trivial
     one, and with it the pair is a PBZ*-lattice."""
-    if spec.structure == "chain":
-        pairs = [(chain_lattice(n)._ord, tuple(range(n))[::-1])]
-    else:
-        pairs = _pk_pairs(n)
-    if spec.cap_key() == "antiortholattice":
-        pairs = [(order, kleene) for order, kleene in pairs
-                 if not _sharp_interior(order, kleene)]
-    levels = _map_jobs(_decorations, [(order, kleene, spec)
-                                      for order, kleene in pairs], jobs)
-    return [A for level in levels for A in level]
+    key = (n, structure, cap_key)
+    if key not in _LEVEL_MEMO:
+        if structure == "chain":
+            pairs = [(chain_lattice(n)._ord, tuple(range(n))[::-1])]
+        else:
+            pairs = _pk_pairs(n)
+        if cap_key == "antiortholattice":
+            pairs = [(order, kleene) for order, kleene in pairs
+                     if not _sharp_interior(order, kleene)]
+        copies = {}
+        for level in _map_jobs(_decorations, [(order, kleene, structure)
+                                              for order, kleene in pairs],
+                               jobs):
+            for A in level:
+                copies.setdefault(canonical_form(A), A)
+        _LEVEL_MEMO[key] = [copies[cf] for cf in sorted(copies)]
+    return _LEVEL_MEMO[key]
 
 
 def enumerate_pbz(n, spec, jobs=1):
@@ -444,17 +456,20 @@ def enumerate_pbz(n, spec, jobs=1):
     about lives inside BZ), and every BZ-lattice is a pseudo-Kleene pair
     with a Brouwer map.  So each pair of size n (the n-chain with its
     reversal for structure "chain") is decorated with each Brouwer map
-    bz_brouwer_maps reads off its sharp sets, and spec.classes, the
-    identities and the structure narrow the result.  The pairs are
-    spread over the jobs.
+    bz_brouwer_maps reads off its sharp sets, spread over the jobs.
+    That decorated level is built once per size, structure and cap key,
+    and every spec sharing them narrows the same algebras by its class
+    flags and identities, in this process.  Flags and verdicts do not
+    change under isomorphism, so a spec's level is what decorating for
+    it alone would give, and the class reports and identity verdicts
+    the algebras keep serve every spec.
     """
     spec.check_size(n)
     key = (n, spec.classes, spec.structure, spec.identities)
     if key not in _CORPUS_MEMO:
-        copies = {}
-        for A in _candidates(n, spec, jobs):
-            copies.setdefault(canonical_form(A), A)
-        _CORPUS_MEMO[key] = [copies[cf] for cf in sorted(copies)]
+        _CORPUS_MEMO[key] = [
+            A for A in _bz_level(n, spec.structure, spec.cap_key(), jobs)
+            if _admitted(A, spec)]
     yield from _CORPUS_MEMO[key]
 
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import FiniteAlgebra
+
 __all__ = [
     "Term", "Var", "Zero", "One", "Meet", "Join", "Kleene", "Brouwer",
     "Box", "Diamond", "Identity", "QuasiIdentity", "ParseError",
@@ -105,6 +107,10 @@ class Identity:
 class QuasiIdentity:
     premises: tuple
     conclusion: Identity
+
+    def __post_init__(self):
+        # a tuple, so that the statement hashes: holds keys verdicts by it
+        object.__setattr__(self, "premises", tuple(self.premises))
 
 
 class ParseError(ValueError):
@@ -399,6 +405,25 @@ def holds(A, statement):
     Assignments run in odometer order over sorted variable names, so the
     reported counterexample is the lexicographically first one.
     Assignments at which a premise of a quasi-identity fails are skipped.
+
+    A FiniteAlgebra, whose tables cannot change, keeps each verdict by
+    statement after the first scan, and later calls read it; every call
+    returns a fresh copy of the assignment, so a caller may change it.
+    A bare BoundedLattice is scanned on every call.
+    """
+    if not isinstance(A, FiniteAlgebra):
+        return _holds(A, statement)
+    if A._verdicts is None:
+        A._verdicts = {}
+    kept = A._verdicts.get(statement)
+    if kept is None:
+        kept = A._verdicts[statement] = _holds(A, statement)
+    ok, witness = kept
+    return ok, None if witness is None else dict(witness)
+
+
+def _holds(A, statement):
+    """The scan behind ``holds``, run once per algebra and statement.
 
     The terms are evaluated by numpy gathers from the operation tables,
     a block of assignments at a time.  The trailing variables get one

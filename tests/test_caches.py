@@ -1,9 +1,9 @@
-"""The class report and the congruence lattice an algebra keeps after
-their first computation."""
+"""The class report, the congruence lattice and the identity verdicts
+an algebra keeps after their first computation."""
 
 import pickle
 
-from pbzlat import axioms, catalog, congruences, enumeration
+from pbzlat import axioms, catalog, congruences, enumeration, terms
 from pbzlat.congruences import all_congruences
 from pbzlat.core import canonical_copy
 from pbzlat.enumeration import (EnumerationSpec, claim_names, enumerate_all,
@@ -23,6 +23,10 @@ def test_cached_results_equal_fresh_ones_on_sweep_corpora():
             cons = all_congruences(A)
             assert all_congruences(A) == cons
             assert cons == congruences._all_congruences(A), A
+            for statement in terms.THEORY.values():
+                verdict = terms.holds(A, statement)
+                assert terms.holds(A, statement) == verdict
+                assert verdict == terms._holds(A, statement), (A, statement)
 
 
 def test_all_congruences_returns_a_new_list():
@@ -34,6 +38,15 @@ def test_all_congruences_returns_a_new_list():
     second = all_congruences(A)
     assert second is not first
     assert second == want == congruences._all_congruences(A)
+    # the same for the witness of a kept verdict
+    om = terms.THEORY["OM"]
+    ok, witness = terms.holds(A, om)
+    assert not ok and witness == {"x": 1, "y": 4}
+    witness["x"] = 0
+    del witness["y"]
+    again = terms.holds(A, om)
+    assert again[1] is not witness
+    assert again == (False, {"x": 1, "y": 4}) == terms._holds(A, om)
 
 
 def test_copies_carry_their_own_results():
@@ -42,41 +55,58 @@ def test_copies_carry_their_own_results():
     A = catalog.get("O6-benzene")
     report, cons = axioms.classify(A), all_congruences(A)
     assert report.witnesses
+    verdicts = {name: terms.holds(A, statement)
+                for name, statement in terms.THEORY.items()}
+    assert not verdicts["J"][0]
     copy = canonical_copy(A)
     assert not copy.tables_equal(A)
     relabelled = A.relabel([f"x{a}" for a in range(A.n)])
     pickled = pickle.loads(pickle.dumps(A))
     for B in (copy, relabelled, pickled):
+        assert B._verdicts is None
         assert axioms.classify(B) == axioms._classify(B)
         assert all_congruences(B) == congruences._all_congruences(B)
+        for statement in terms.THEORY.values():
+            assert terms.holds(B, statement) == terms._holds(B, statement)
     assert axioms.classify(copy).witnesses != report.witnesses
     assert all_congruences(copy) != cons
+    assert terms.holds(copy, terms.THEORY["J"]) != verdicts["J"]
     for B in (relabelled, pickled):
         assert axioms.classify(B) == report
         assert all_congruences(B) == cons
+        assert {name: terms.holds(B, statement)
+                for name, statement in terms.THEORY.items()} == verdicts
 
 
 def test_claim_sweep_computes_each_result_once(monkeypatch):
+    # members are classified while the corpora are built, so counting
+    # starts before the build
+    monkeypatch.setattr(enumeration, "_LEVEL_MEMO", {})
     monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
-    corpora = [list(enumerate_all(spec)) for spec in SWEEP_SPECS]
-    classified, lattices = [], []
+    classified, lattices, scans = [], [], []
 
     def counted(fn, seen):
-        def wrapper(A):
-            seen.append(A)  # a live reference keeps every id distinct
-            return fn(A)
+        def wrapper(*args):
+            seen.append(args)  # live references keep every id distinct
+            return fn(*args)
         return wrapper
 
     monkeypatch.setattr(axioms, "_classify",
                         counted(axioms._classify, classified))
     monkeypatch.setattr(congruences, "_all_congruences",
                         counted(congruences._all_congruences, lattices))
+    monkeypatch.setattr(terms, "_holds", counted(terms._holds, scans))
+    corpora = [list(enumerate_all(spec)) for spec in SWEEP_SPECS]
     for spec in SWEEP_SPECS:
         for claim in claim_names():
             verify_over_corpus(claim, spec)
-    for seen in (classified, lattices):
-        assert len({id(A) for A in seen}) == len(seen)
+    # no algebra is classified or given its lattice twice, and no
+    # (algebra, statement) pair is scanned twice
+    assert scans
+    for seen in (classified, lattices, scans):
+        keys = [(id(A), *rest) for A, *rest in seen]
+        assert len(set(keys)) == len(keys)
     members = {id(A) for corpus in corpora for A in corpus}
-    # every member is classified, on the first claim of its sweep
-    assert members <= {id(A) for A in classified}
-    assert members & {id(A) for A in lattices}
+    # so every member is classified exactly once over build and sweep
+    assert members <= {id(A) for A, in classified}
+    assert members & {id(A) for A, in lattices}

@@ -306,6 +306,7 @@ def test_size_caps_enforced(monkeypatch):
         list(enumerate_pbz(9, spec))
     # an above-cap spec is refused before level 1
     monkeypatch.setattr(enumeration, "_LATTICE_MEMO", {})
+    monkeypatch.setattr(enumeration, "_LEVEL_MEMO", {})
     monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
     monkeypatch.setattr(enumeration, "_atom_extensions", _no_level)
     with pytest.raises(ValueError, match="general cap"):
@@ -354,24 +355,48 @@ def test_search_accepts_raw_text():
     assert res.identity == "x ^ x' = 0"
 
 
+def _forget_levels(monkeypatch):
+    monkeypatch.setattr(enumeration, "_LEVEL_MEMO", {})
+    monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
+
+
 def test_jobs_do_not_change_results(monkeypatch):
     # each jobs count builds its levels afresh instead of reading the
     # levels the other one memoized
     spec = EnumerationSpec(max_size=7, classes=("pbz-star",))
     solo = search_counterexample(terms.THEORY["J"], spec, jobs=1)
-    monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
+    _forget_levels(monkeypatch)
     multi = search_counterexample(terms.THEORY["J"], spec, jobs=3)
     assert solo.examined == multi.examined
     assert solo.assignment == multi.assignment
     assert canonical_form(solo.found) == canonical_form(multi.found)
     for spec in (EnumerationSpec(max_size=6),
-                 EnumerationSpec(max_size=8, structure="antiortholattice")):
+                 EnumerationSpec(max_size=8, structure="antiortholattice"),
+                 EnumerationSpec(max_size=8, classes=("pbz-star",),
+                                 identities=("SDM",))):
         a = [canonical_form(A) for A in enumerate_pbz(
             spec.max_size, spec, jobs=1)]
-        monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
+        _forget_levels(monkeypatch)
         b = [canonical_form(A) for A in enumerate_pbz(
             spec.max_size, spec, jobs=2)]
-        assert a == b
+        assert a and a == b
+
+
+def test_spec_levels_narrow_the_shared_level():
+    # a spec's level is the sublist of the decorated level for its
+    # structure and cap key that its filters keep: the same objects, in
+    # the same order, so reports and verdicts are computed once for all
+    for spec in (EnumerationSpec(max_size=8, classes=("bz-star",)),
+                 EnumerationSpec(max_size=8, classes=("pbz-star",)),
+                 EnumerationSpec(max_size=8, identities=("SDM",)),
+                 EnumerationSpec(max_size=8, classes=("antiortholattice",))):
+        for n in range(1, spec.max_size + 1):
+            level = list(enumerate_pbz(n, spec))
+            shared = enumeration._bz_level(n, spec.structure, spec.cap_key(),
+                                           jobs=1)
+            kept = [A for A in shared if enumeration._admitted(A, spec)]
+            assert len(kept) == len(level)
+            assert all(A is B for A, B in zip(kept, level)), (spec, n)
 
 
 def test_one_pool_per_jobs_count(monkeypatch):
@@ -384,7 +409,7 @@ def test_one_pool_per_jobs_count(monkeypatch):
         return made[-1]
 
     def pools_started(run):
-        monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
+        _forget_levels(monkeypatch)
         monkeypatch.setattr(enumeration, "_POOLS", {})
         before = len(made)
         run()

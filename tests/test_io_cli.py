@@ -280,6 +280,7 @@ def test_cli_enumerate_cap_error(capsys, tmp_path, monkeypatch):
     assert code == 2 and "general cap" in err
     # the cap is checked before any level is generated or written
     monkeypatch.setattr(enumeration, "_LATTICE_MEMO", {})
+    monkeypatch.setattr(enumeration, "_LEVEL_MEMO", {})
     monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
     monkeypatch.setattr(enumeration, "_atom_extensions", _no_level)
     out = tmp_path / "out"

@@ -123,6 +123,12 @@ def test_holds_takes_quasi_identities():
                 (name, key)
     assert holds(catalog.get("D5"), THEORY["POM"]) == (True, None)
     assert not holds(catalog.get("O6-benzene"), THEORY["POM"])[0]
+    # premises given as a list are kept as a tuple
+    listed = QuasiIdentity(list(THEORY["POM"].premises),
+                           THEORY["POM"].conclusion)
+    assert listed == THEORY["POM"]
+    assert holds(catalog.get("O6-benzene"), listed) == \
+        holds(catalog.get("O6-benzene"), THEORY["POM"])
 
 
 def test_term_engine_agrees_with_handcoded_axioms():
@@ -193,8 +199,10 @@ def _random_statements(monkeypatch, seeds):
 
 
 def _assert_matches_interpreter(A, stmt):
+    # the scan itself as well as the verdict an earlier test may have kept
     got = holds(A, stmt)
-    assert got == _oracles.holds(A, stmt), (A, pretty(stmt))
+    assert got == terms._holds(A, stmt) == _oracles.holds(A, stmt), \
+        (A, pretty(stmt))
     if not got[0]:
         assert list(got[1]) == term_vars(stmt)
         assert all(type(v) is int for v in got[1].values())
