@@ -239,9 +239,7 @@ def classify(A):
     whose maps cannot change; later calls return the same frozen
     report.
     """
-    if A._classes is None:
-        A._classes = _classify(A)
-    return A._classes
+    return A._keep("classes", lambda: _classify(A))
 
 
 def _classify(A):

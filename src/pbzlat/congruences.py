@@ -21,10 +21,11 @@ __all__ = [
 class Congruence:
     """An equivalence relation in normalized partition form.
 
-    ``block_of[a]`` is the block id of element a; ids are assigned by
-    first occurrence, so equal partitions compare equal.  Instances are
+    ``block_of[a]`` is the block id of element a.  The constructor
+    takes any hashable block labels and renumbers them by first
+    occurrence, so equal partitions compare equal.  Instances are
     immutable: they hash on ``block_of``, and the congruence lattices
-    cached on algebras hand the same instances to every caller.
+    kept on algebras hand the same instances to every caller.
     """
 
     __slots__ = ("n", "block_of")
@@ -229,9 +230,7 @@ def all_congruences(A):
     """
     if A.n > 12:
         raise ValueError("all_congruences is capped at 12 elements")
-    if A._congruences is None:
-        A._congruences = tuple(_all_congruences(A))
-    return list(A._congruences)
+    return list(A._keep("congruences", lambda: tuple(_all_congruences(A))))
 
 
 def _all_congruences(A):
@@ -264,23 +263,15 @@ def is_subdirectly_irreducible(A):
     return True, monolith
 
 
-def _composition_total(t1, t2, n):
-    """Does theta1 o theta2 relate every pair?"""
-    for a in range(n):
-        reach = set()
-        for c in range(n):
-            if t1.related(a, c):
-                reach.update(b for b in range(n) if t2.related(c, b))
-        if len(reach) != n:
-            return False
-    return True
-
-
 def is_directly_indecomposable(A):
     """No pair of complementary permuting factor congruences.
 
-    The one-element algebra is counted indecomposable (it cannot be a
-    product of two nontrivial factors).
+    A pair is told by counting blocks.  When theta ^ phi is the
+    identity, a theta-block and a phi-block share at most one element,
+    so every theta-block meets every phi-block, which is what
+    theta o phi = phi o theta = total says, iff
+    |A/theta| * |A/phi| = |A|.  The one-element algebra is counted
+    indecomposable (it cannot be a product of two nontrivial factors).
     """
     if A.n == 1:
         return True
@@ -290,8 +281,7 @@ def is_directly_indecomposable(A):
         for t2 in proper[i + 1:]:
             if not meet_congruences(t1, t2).is_identity():
                 continue
-            if _composition_total(t1, t2, A.n) and \
-                    _composition_total(t2, t1, A.n):
+            if t1.num_blocks() * t2.num_blocks() == A.n:
                 return False
     return True
 
@@ -319,8 +309,7 @@ def tilde_partition(A):
             tags.append(("pos",))
         else:
             tags.append(("inc", a))
-    ids = {}
-    return Congruence([ids.setdefault(t, len(ids)) for t in tags])
+    return Congruence(tags)
 
 
 @dataclass(frozen=True)
@@ -351,8 +340,7 @@ def agreement_below(A, p):
             A.meet(A.diamond(x), p),
             A.meet(A.diamond(kx), p),
         ))
-    ids = {}
-    return _report(A, Congruence([ids.setdefault(k, len(ids)) for k in keys]))
+    return _report(A, Congruence(keys))
 
 
 def tilde_meet_relation(A, p):
@@ -360,8 +348,7 @@ def tilde_meet_relation(A, p):
     base = tilde_partition(A)
     keys = [(base.block_of[x], A.meet(A.join(x, A.kleene[x]), p))
             for x in range(A.n)]
-    ids = {}
-    return _report(A, Congruence([ids.setdefault(k, len(ids)) for k in keys]))
+    return _report(A, Congruence(keys))
 
 
 def tilde_join_relation(A, p):
@@ -369,8 +356,7 @@ def tilde_join_relation(A, p):
     base = tilde_partition(A)
     keys = [(base.block_of[x], A.join(A.meet(x, A.kleene[x]), p))
             for x in range(A.n)]
-    ids = {}
-    return _report(A, Congruence([ids.setdefault(k, len(ids)) for k in keys]))
+    return _report(A, Congruence(keys))
 
 
 @dataclass(frozen=True)

@@ -320,8 +320,14 @@ def blocks(A):
 
     Works on PBZ* algebras; grows every block-shaped subuniverse from
     the bounds by closing one added generator at a time, then keeps the
-    inclusion-maximal ones.
+    inclusion-maximal ones.  The blocks, frozensets sorted by their
+    sorted elements, are computed on the first call and kept on the
+    algebra; each call returns a new list of them.
     """
+    return list(A._keep("blocks", lambda: tuple(_blocks(A))))
+
+
+def _blocks(A):
     report = axioms.classify(A)
     if not report.pbz_star:
         raise ValueError("blocks needs a PBZ* algebra")

@@ -288,15 +288,34 @@ class _Carrier:
     ``labels`` and ``name`` are read-only because the enumeration memos
     hand the same instances to every caller; ``relabel`` makes a renamed
     copy instead.
+
+    A carrier's tables cannot change, so a result derived from them
+    alone is computed once and kept on the carrier: ``_keep(key,
+    compute)`` returns the value kept under ``key``, calling
+    ``compute()`` and keeping its value the first time.  Every carrier
+    starts with nothing kept, so renamed copies, reducts and canonical
+    copies compute their own results.  The keys in use are ``"canon"``
+    (``canonical_form``), ``"classes"`` (``axioms.classify``),
+    ``"congruences"`` (``congruences.all_congruences``), ``"blocks"``
+    (``constructions.blocks``) and ``"verdicts"``, a dict of identity
+    verdicts by statement (``terms.holds``).  Kept values are immutable
+    or private to their keeper, which hands out copies of mutable ones.
     """
 
-    __slots__ = ("_ord", "_labels", "_name")
+    __slots__ = ("_ord", "_labels", "_name", "_kept")
 
     def _set(self, order, labels, name):
         self._ord = order
         self._labels = labels or _default_labels(order.n, order.zero,
                                                  order.one)
         self._name = name
+        self._kept = {}
+
+    def _keep(self, key, compute):
+        kept = self._kept
+        if key not in kept:
+            kept[key] = compute()
+        return kept[key]
 
     @property
     def labels(self):
@@ -405,17 +424,12 @@ class FiniteAlgebra(_Carrier):
     ``kleene`` is the involution ', ``brouwer`` the map ~.  Both are
     tuples of image indices.  Instances are validated at construction
     and immutable afterwards: like the labels, the maps cannot be
-    reassigned, so the four caches an algebra carries cannot go stale.
-    They are the canonical form (``canonical_form``), the class report
-    (``axioms.classify``), the sorted congruences
-    (``congruences.all_congruences``) and the identity verdicts by
-    statement (``terms.holds``), each filled on first use.  The
-    maps stay plain slots, which the term evaluator reads in its inner
-    loop; only assignment is refused.
+    reassigned, so the results an algebra keeps (see ``_Carrier``)
+    cannot go stale.  The maps stay plain slots, which the term
+    evaluator reads in its inner loop; only assignment is refused.
     """
 
-    __slots__ = ("kleene", "brouwer", "_canon", "_classes", "_congruences",
-                 "_verdicts")
+    __slots__ = ("kleene", "brouwer")
 
     def __setattr__(self, name, value):
         if name in ("kleene", "brouwer"):
@@ -425,18 +439,15 @@ class FiniteAlgebra(_Carrier):
     def _set_maps(self, kleene, brouwer):
         object.__setattr__(self, "kleene", kleene)
         object.__setattr__(self, "brouwer", brouwer)
-        self._canon = None
-        self._classes = None
-        self._congruences = None
-        self._verdicts = None
 
     def __reduce__(self):
         # pickling (worker processes) and copying cannot assign the maps
         # slot by slot, so they rebuild through the validated fast path;
-        # the cached canonical form travels along as slot state
+        # of the kept results only the canonical form travels along
+        canon = self._kept.get("canon")
         return (type(self)._from_order,
                 (self._ord, self.kleene, self.brouwer, self.labels, self.name),
-                (None, {"_canon": self._canon}))
+                (None, {"_kept": {} if canon is None else {"canon": canon}}))
 
     def __init__(self, leq, kleene, brouwer, labels=None, name=None):
         violations, order = _validate(leq, kleene, brouwer, labels=labels)
@@ -694,19 +705,19 @@ def _canon_bytes(n, up, unaries):
     return bytes([n, len(unaries)]) + bytes(enc)
 
 
+def _unaries(A):
+    return () if isinstance(A, BoundedLattice) else (A.kleene, A.brouwer)
+
+
 def canonical_form(algebra):
     """Canonical byte string: equal exactly for isomorphic algebras."""
-    if isinstance(algebra, BoundedLattice):
-        return _canon_bytes(algebra.n, algebra._ord.up, ())
-    if algebra._canon is None:
-        algebra._canon = _canon_bytes(
-            algebra.n, algebra._ord.up, (algebra.kleene, algebra.brouwer))
-    return algebra._canon
+    return algebra._keep("canon", lambda: _canon_bytes(
+        algebra.n, algebra._ord.up, _unaries(algebra)))
 
 
 def canonical_copy(algebra):
     """The isomorphic copy numbered along the canonical ordering, with
-    default labels and the canonical form already cached.
+    default labels and the canonical form already kept.
 
     Isomorphic algebras have equal copies, tables and labels included,
     and an algebra that is its own copy comes back unchanged: its
@@ -720,12 +731,8 @@ def canonical_copy(algebra):
     kleene, brouwer = (tuple(pos[f[a]] for a in ordering) for f in unaries)
     copy = FiniteAlgebra._from_order(algebra._ord.permuted(ordering),
                                      kleene, brouwer, None, algebra.name)
-    copy._canon = algebra._canon = bytes([n, 2]) + bytes(enc)
+    copy._kept["canon"] = algebra._kept["canon"] = bytes([n, 2]) + bytes(enc)
     return copy
-
-
-def _unaries(A):
-    return () if isinstance(A, BoundedLattice) else (A.kleene, A.brouwer)
 
 
 def _isomorphism(upA, unA, upB, unB):

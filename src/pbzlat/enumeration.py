@@ -605,13 +605,10 @@ def _chain_structure(A):
     return (True, None) if not probs else (False, tuple(probs))
 
 
-def _aol_and_indecomposable(A):
-    probs = []
-    if not axioms.classify(A).antiortholattice:
-        probs.append("s.i. member is not an antiortholattice")
-    if not congruences.is_directly_indecomposable(A):
-        probs.append("not directly indecomposable")
-    return (True, None) if not probs else (False, tuple(probs))
+def _antiortholattice(A):
+    if axioms.classify(A).antiortholattice:
+        return True, None
+    return False, ("s.i. member is not an antiortholattice",)
 
 
 def _cones_cover(A):
@@ -715,9 +712,14 @@ _CLAIMS = {
     "pbz-chains-are-kleene-chains": _Claim(
         "every PBZ* chain is the Kleene chain of its size and satisfies "
         "DIST and SDM", _chain_structure, classes=("pbz-star",)),
+    # Direct indecomposability needs no check of its own: a subdirectly
+    # irreducible algebra is directly indecomposable.  If A were B x C
+    # with B and C nontrivial, the kernels of the two projections would
+    # be nonzero congruences meeting in the identity, and A would have
+    # no monolith.
     "si-aol-basis-structure": _Claim(
         "s.i. PBZ* algebras satisfying AOL1-3 are antiortholattices and "
-        "directly indecomposable", _aol_and_indecomposable,
+        "directly indecomposable", _antiortholattice,
         classes=("pbz-star",), identities=_AOL_BASIS, si=True),
     # The literal covering claim.  Known to fail: the 7-element
     # antiortholattice obtained by padding the diamond M3 with a new

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteAlgebra
-
 __all__ = [
     "Term", "Var", "Zero", "One", "Meet", "Join", "Kleene", "Brouwer",
     "Box", "Diamond", "Identity", "QuasiIdentity", "ParseError",
@@ -95,12 +93,6 @@ class Identity:
     def __post_init__(self):
         if self.kind not in ("eq", "le"):
             raise ValueError(f"bad identity kind {self.kind!r}")
-
-    def as_equation(self):
-        """Equational form: s <= t becomes s ^ t = s."""
-        if self.kind == "eq":
-            return self
-        return Identity(Meet(self.lhs, self.rhs), self.lhs, "eq")
 
 
 @dataclass(frozen=True)
@@ -406,18 +398,15 @@ def holds(A, statement):
     reported counterexample is the lexicographically first one.
     Assignments at which a premise of a quasi-identity fails are skipped.
 
-    A FiniteAlgebra, whose tables cannot change, keeps each verdict by
-    statement after the first scan, and later calls read it; every call
-    returns a fresh copy of the assignment, so a caller may change it.
-    A bare BoundedLattice is scanned on every call.
+    An algebra or a bare lattice, whose tables cannot change, keeps
+    each verdict by statement after the first scan, and later calls
+    read it; every call returns a fresh copy of the assignment, so a
+    caller may change it.
     """
-    if not isinstance(A, FiniteAlgebra):
-        return _holds(A, statement)
-    if A._verdicts is None:
-        A._verdicts = {}
-    kept = A._verdicts.get(statement)
+    verdicts = A._keep("verdicts", dict)
+    kept = verdicts.get(statement)
     if kept is None:
-        kept = A._verdicts[statement] = _holds(A, statement)
+        kept = verdicts[statement] = _holds(A, statement)
     ok, witness = kept
     return ok, None if witness is None else dict(witness)
 

@@ -6,15 +6,16 @@ congruences by filtering every set partition, involutions by testing
 every involutive permutation.  Slow and simple.  The algorithms the
 library replaced live here too, as the references its faster versions
 must reproduce exactly: the unpruned canonical search, the recursive
-identity checker, the pairwise congruence lattice, the backtracking
-Brouwer search, the nested loops of check_basics, and the lattice-first
+identity checker, the pairwise congruence lattice, the relational
+products behind direct indecomposability, the backtracking Brouwer
+search, the nested loops of check_basics, and the lattice-first
 decoration of every lattice that the pseudo-Kleene generator replaced.
 """
 
 import itertools
 
 from pbzlat import axioms, core, enumeration, terms
-from pbzlat.congruences import Congruence
+from pbzlat.congruences import Congruence, all_congruences
 from pbzlat.terms import QuasiIdentity, evaluate, term_vars
 
 
@@ -494,3 +495,33 @@ def pairwise_congruences(A):
                 found.add(psi)
                 frontier.append(psi)
     return sorted(found, key=lambda t: (len(t.pairs()), t.block_of))
+
+
+def _composition_total(t1, t2, n):
+    """Does theta1 o theta2 relate every pair?"""
+    for a in range(n):
+        reach = set()
+        for c in range(n):
+            if t1.related(a, c):
+                reach.update(b for b in range(n) if t2.related(c, b))
+        if len(reach) != n:
+            return False
+    return True
+
+
+def is_directly_indecomposable(A):
+    """No two proper congruences meeting in the identity whose
+    relational products, taken both ways, relate every pair."""
+    if A.n == 1:
+        return True
+    proper = [t for t in all_congruences(A)
+              if not t.is_identity() and not t.is_total()]
+    for i, t1 in enumerate(proper):
+        for t2 in proper[i + 1:]:
+            if any(t1.related(a, b) and t2.related(a, b)
+                   for a in range(A.n) for b in range(a + 1, A.n)):
+                continue
+            if _composition_total(t1, t2, A.n) and \
+                    _composition_total(t2, t1, A.n):
+                return False
+    return True

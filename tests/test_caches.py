@@ -1,11 +1,14 @@
-"""The class report, the congruence lattice and the identity verdicts
-an algebra keeps after their first computation."""
+"""The canonical form, the class report, the congruence lattice, the
+blocks and the identity verdicts a carrier keeps after their first
+computation."""
 
 import pickle
 
-from pbzlat import axioms, catalog, congruences, enumeration, terms
+from pbzlat import (axioms, catalog, congruences, constructions, core,
+                    enumeration, terms)
 from pbzlat.congruences import all_congruences
-from pbzlat.core import canonical_copy
+from pbzlat.constructions import blocks
+from pbzlat.core import canonical_copy, canonical_form
 from pbzlat.enumeration import (EnumerationSpec, claim_names, enumerate_all,
                                 verify_over_corpus)
 
@@ -27,6 +30,10 @@ def test_cached_results_equal_fresh_ones_on_sweep_corpora():
                 verdict = terms.holds(A, statement)
                 assert terms.holds(A, statement) == verdict
                 assert verdict == terms._holds(A, statement), (A, statement)
+            if report.pbz_star:
+                blks = blocks(A)
+                assert blocks(A) == blks
+                assert blks == constructions._blocks(A), A
 
 
 def test_all_congruences_returns_a_new_list():
@@ -47,6 +54,13 @@ def test_all_congruences_returns_a_new_list():
     again = terms.holds(A, om)
     assert again[1] is not witness
     assert again == (False, {"x": 1, "y": 4}) == terms._holds(A, om)
+    # and for the blocks
+    first = blocks(A)
+    want = list(first)
+    first.pop()
+    second = blocks(A)
+    assert second is not first
+    assert second == want == constructions._blocks(A)
 
 
 def test_copies_carry_their_own_results():
@@ -63,7 +77,7 @@ def test_copies_carry_their_own_results():
     relabelled = A.relabel([f"x{a}" for a in range(A.n)])
     pickled = pickle.loads(pickle.dumps(A))
     for B in (copy, relabelled, pickled):
-        assert B._verdicts is None
+        assert set(B._kept) <= {"canon"}
         assert axioms.classify(B) == axioms._classify(B)
         assert all_congruences(B) == congruences._all_congruences(B)
         for statement in terms.THEORY.values():
@@ -83,7 +97,7 @@ def test_claim_sweep_computes_each_result_once(monkeypatch):
     # starts before the build
     monkeypatch.setattr(enumeration, "_LEVEL_MEMO", {})
     monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
-    classified, lattices, scans = [], [], []
+    classified, lattices, scans, blocked = [], [], [], []
 
     def counted(fn, seen):
         def wrapper(*args):
@@ -96,17 +110,42 @@ def test_claim_sweep_computes_each_result_once(monkeypatch):
     monkeypatch.setattr(congruences, "_all_congruences",
                         counted(congruences._all_congruences, lattices))
     monkeypatch.setattr(terms, "_holds", counted(terms._holds, scans))
+    monkeypatch.setattr(constructions, "_blocks",
+                        counted(constructions._blocks, blocked))
     corpora = [list(enumerate_all(spec)) for spec in SWEEP_SPECS]
     for spec in SWEEP_SPECS:
         for claim in claim_names():
             verify_over_corpus(claim, spec)
-    # no algebra is classified or given its lattice twice, and no
-    # (algebra, statement) pair is scanned twice
-    assert scans
-    for seen in (classified, lattices, scans):
+    # no algebra is classified or given its lattice or its blocks
+    # twice, and no (algebra, statement) pair is scanned twice
+    assert scans and blocked
+    for seen in (classified, lattices, scans, blocked):
         keys = [(id(A), *rest) for A, *rest in seen]
         assert len(set(keys)) == len(keys)
     members = {id(A) for corpus in corpora for A in corpus}
     # so every member is classified exactly once over build and sweep
     assert members <= {id(A) for A, in classified}
     assert members & {id(A) for A, in lattices}
+
+
+
+def test_bare_lattices_keep_their_results(monkeypatch):
+    # a memoized lattice, as every caller of enumerate_lattices gets it
+    dist = terms.THEORY["DIST"]
+    L = next(L for L in enumeration.enumerate_lattices(6)
+             if not terms._holds(L, dist)[0])
+    form = canonical_form(L)
+    assert canonical_form(L) is form
+    assert form == core._canon_bytes(L.n, L._ord.up, ())
+    want = terms._holds(L, dist)
+    assert not want[0]
+    scans = []
+    monkeypatch.setattr(terms, "_holds",
+                        lambda *args: scans.append(args) or want)
+    first = terms.holds(L, dist)
+    assert first == want
+    first[1].clear()
+    again = terms.holds(L, dist)
+    assert again[1] is not first[1] and again[1] is not want[1]
+    assert again == want
+    assert len(scans) <= 1

@@ -164,6 +164,30 @@ def test_direct_indecomposability():
         product(catalog.get("D2"), catalog.get("D3")))
 
 
+def test_direct_indecomposability_matches_relational_products():
+    """Block counts decide what the relational products decide."""
+    algebras = [A for spec in (AOL10, BZ8) for A in enumerate_all(spec)]
+    small = [catalog.get(name) for name in catalog.names()
+             if catalog.get(name).n <= 6]
+    algebras += [product(A, B) for A in small for B in small
+                 if A.n * B.n <= 12]
+    decomposable = 0
+    for A in algebras:
+        want = _oracles.is_directly_indecomposable(A)
+        assert is_directly_indecomposable(A) == want, A
+        decomposable += not want
+    assert decomposable >= 20
+
+
+def test_subdirectly_irreducible_members_are_directly_indecomposable():
+    # why si-aol-basis-structure checks no indecomposability of its own
+    si = [A for spec in (AOL10, BZ8) for A in enumerate_all(spec)
+          if is_subdirectly_irreducible(A)[0]]
+    assert len(si) >= 30
+    for A in si:
+        assert is_directly_indecomposable(A), A
+
+
 def test_tilde_partition_shapes():
     D5 = catalog.get("D5")
     assert tilde_partition(D5).is_identity()

@@ -198,8 +198,10 @@ def test_blocks():
                                           frozenset({0, 2, 4, 5})]
     assert blocks(catalog.get("B4+D3")) == [frozenset({0, 1, 2, 4}),
                                             frozenset({0, 3, 4})]
-    with pytest.raises(ValueError):
-        blocks(catalog.get("O6"))  # BZ* yet not PBZ*
+    O6 = catalog.get("O6")  # BZ* yet not PBZ*
+    for _ in range(2):  # a refused algebra keeps nothing, so raises again
+        with pytest.raises(ValueError, match="PBZ"):
+            blocks(O6)
 
 
 def test_blocks_of_boolean_algebra_is_itself():

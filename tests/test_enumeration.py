@@ -120,16 +120,17 @@ def test_levels_are_sorted_canonical_copies():
             assert forms == sorted(forms)
             for A in level:
                 # each algebra is its own canonical copy, and the form
-                # cached on it is the true one
+                # kept on it is the true one
                 assert core._canonical_search(
                     n, A._ord.up, (A.kleene, A.brouwer))[0] == \
                     tuple(range(n))
                 C = core.canonical_copy(A)
                 assert C.tables_equal(A) and C.labels == A.labels
-                assert A._canon == core._canon_bytes(
+                assert A._kept["canon"] == core._canon_bytes(
                     n, A._ord.up, (A.kleene, A.brouwer))
-                # worker processes hand the cached form back with the copy
-                assert pickle.loads(pickle.dumps(A))._canon == A._canon
+                # worker processes hand the kept form back with the copy
+                assert pickle.loads(pickle.dumps(A))._kept["canon"] == \
+                    A._kept["canon"]
 
 
 AOL_SPECS = (
