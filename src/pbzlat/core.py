@@ -705,10 +705,6 @@ def _canon_bytes(n, up, unaries):
     return bytes([n, len(unaries)]) + bytes(enc)
 
 
-def _unaries(A):
-    return () if isinstance(A, BoundedLattice) else (A.kleene, A.brouwer)
-
-
 def canonical_form(algebra):
     """Canonical byte string: equal exactly for isomorphic algebras."""
     return algebra._keep("canon", lambda: _canon_bytes(
@@ -733,6 +729,10 @@ def canonical_copy(algebra):
                                      kleene, brouwer, None, algebra.name)
     copy._kept["canon"] = algebra._kept["canon"] = bytes([n, 2]) + bytes(enc)
     return copy
+
+
+def _unaries(A):
+    return () if isinstance(A, BoundedLattice) else (A.kleene, A.brouwer)
 
 
 def _isomorphism(upA, unA, upB, unB):
