@@ -265,21 +265,17 @@ def cmd_enumerate(args):
     spec = _spec_from(args)
     counts = {}
     written = []
-    try:
-        spec.check_size(spec.max_size)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    for n in range(1, spec.max_size + 1):
+        level = list(enumeration.enumerate_pbz(n, spec, jobs=args.jobs))
+        counts[n] = len(level)
         if args.out:
-            os.makedirs(args.out, exist_ok=True)
-        for n in range(1, spec.max_size + 1):
-            level = list(enumeration.enumerate_pbz(n, spec, jobs=args.jobs))
-            counts[n] = len(level)
-            if args.out:
-                for i, A in enumerate(level):
-                    stem = f"n{n}-{i:03d}"
-                    path = os.path.join(args.out, stem + ".alg")
-                    fileformat.dump(A.relabel(A.labels, name=stem), path)
-                    written.append(path)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+            for i, A in enumerate(level):
+                stem = f"n{n}-{i:03d}"
+                path = os.path.join(args.out, stem + ".alg")
+                fileformat.dump(A.relabel(A.labels, name=stem), path)
+                written.append(path)
     if args.format == "structured":
         print(json.dumps({"spec": _spec_doc(spec), "counts": counts,
                           "files": written}, indent=2, sort_keys=True))
@@ -300,10 +296,7 @@ def _spec_doc(spec):
 def cmd_search(args):
     spec = _spec_from(args)
     stmt = _statement(args.identity)
-    try:
-        res = enumeration.search_counterexample(stmt, spec, jobs=args.jobs)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    res = enumeration.search_counterexample(stmt, spec, jobs=args.jobs)
     found = (res.found.relabel(res.found.labels, name=f"cex-n{res.found.n}")
              if res else None)
     if args.format == "structured":

@@ -197,23 +197,30 @@ def _check_order(up):
     return order, []
 
 
-def _format_violations(n, kleene, brouwer, labels):
-    """Shape problems of the two maps and the labels over n elements."""
+def _str_labels(labels):
+    """Labels as the strings a carrier keeps; None stays None (default
+    labels)."""
+    return None if labels is None else tuple(str(x) for x in labels)
+
+
+def _format_violations(n, labels, kleene=None, brouwer=None):
+    """Shape problems over n elements of the two maps, when given, and
+    of the labels, checked as the strings a carrier keeps."""
     violations = []
-    if len(kleene) != n or len(brouwer) != n:
-        violations.append(("format:map-length", (len(kleene), len(brouwer))))
-    else:
-        bad = next(
-            ((a,) for a in range(n)
-             if not (0 <= kleene[a] < n) or not (0 <= brouwer[a] < n)),
-            None,
-        )
-        if bad:
-            violations.append(("format:map-range", bad))
-    if labels is not None:
-        labels = list(labels)
-        if len(labels) != n or len(set(labels)) != n:
-            violations.append(("format:labels", (len(labels),)))
+    if kleene is not None:
+        if len(kleene) != n or len(brouwer) != n:
+            violations.append(("format:map-length",
+                               (len(kleene), len(brouwer))))
+        else:
+            bad = next(
+                ((a,) for a in range(n)
+                 if not (0 <= kleene[a] < n) or not (0 <= brouwer[a] < n)),
+                None,
+            )
+            if bad:
+                violations.append(("format:map-range", bad))
+    if labels is not None and (len(labels) != n or len(set(labels)) != n):
+        violations.append(("format:labels", (len(labels),)))
     return violations
 
 
@@ -242,7 +249,7 @@ def _validate(leq, kleene, brouwer, labels=None, zero=None, one=None):
         return violations, None
     kleene = list(kleene)
     brouwer = list(brouwer)
-    violations = _format_violations(len(up), kleene, brouwer, labels)
+    violations = _format_violations(len(up), labels, kleene, brouwer)
     if violations:
         return violations, None
     order, violations = _check_order(up)
@@ -262,7 +269,8 @@ def validate_tables(leq, kleene, brouwer, labels=None, zero=None, one=None):
     stopping at the first problem.  ``zero``/``one``, when given, are
     checked against the computed bounds.
     """
-    violations, _ = _validate(leq, kleene, brouwer, labels, zero, one)
+    violations, _ = _validate(leq, kleene, brouwer, _str_labels(labels),
+                              zero, one)
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -383,10 +391,10 @@ class BoundedLattice(_Carrier):
         order, violations = _check_order(up)
         if order is None:
             raise _invalid(violations)
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != order.n or len(set(labels)) != order.n:
-                raise _invalid([("format:labels", (len(labels),))])
+        labels = _str_labels(labels)
+        violations = _format_violations(order.n, labels)
+        if violations:
+            raise _invalid(violations)
         self._set(order, labels, name)
 
     @classmethod
@@ -450,11 +458,11 @@ class FiniteAlgebra(_Carrier):
                 (None, {"_kept": {} if canon is None else {"canon": canon}}))
 
     def __init__(self, leq, kleene, brouwer, labels=None, name=None):
+        labels = _str_labels(labels)
         violations, order = _validate(leq, kleene, brouwer, labels=labels)
         if violations:
             raise _invalid(violations)
-        self._set(order, None if labels is None
-                  else tuple(str(x) for x in labels), name)
+        self._set(order, labels, name)
         self._set_maps(tuple(int(x) for x in kleene),
                        tuple(int(x) for x in brouwer))
 
@@ -472,8 +480,8 @@ class FiniteAlgebra(_Carrier):
         already validated, so only the maps and labels are checked."""
         kleene = tuple(kleene)
         brouwer = tuple(brouwer)
-        labels = tuple(labels or lattice.labels)
-        violations = (_format_violations(lattice.n, kleene, brouwer, labels)
+        labels = lattice.labels if labels is None else _str_labels(labels)
+        violations = (_format_violations(lattice.n, labels, kleene, brouwer)
                       or _kleene_violations(lattice._ord, kleene))
         if violations:
             raise _invalid(violations)
@@ -499,9 +507,10 @@ class FiniteAlgebra(_Carrier):
 
     def relabel(self, labels, name=None):
         """Same algebra, new presentation labels."""
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != self.n or len(set(labels)) != self.n:
-            raise ValueError("need %d distinct labels" % self.n)
+        labels = _str_labels(labels)
+        violations = _format_violations(self.n, labels)
+        if violations:
+            raise _invalid(violations)
         return FiniteAlgebra._from_order(self._ord, self.kleene, self.brouwer,
                                          labels=labels, name=name or self.name)
 

@@ -6,19 +6,22 @@ with its involution), built directly by inserting an atom together
 with its coatom image; a chain corpus starts from the chain and its
 reversal.  Each pair is decorated with the Brouwer complements read
 off its sharp sets.  The decorated level of a size is built once per
-structure and cap key, as canonical copies (every algebra renumbered
-along its canonical ordering) sorted by canonical bytes, and each
-spec's level is the sublist its class flags and identities keep, so
-the specs share algebra objects and what those keep.  What a level
-holds, in which copy and in what order, depends only on its
-isomorphism classes and not on the generator or the jobs count.  Bare
-lattices are grown by atom insertion with canonical-form
-deduplication.  On top of that sit a smallest counterexample search
-and a registry of corpus-wide claims, each claim declaring its
-hypotheses.  The jobs count spreads only the decoration of the pairs
-over worker processes; the class and identity filters, identity
-checks and claim checks run in the main process, over each level in
-its canonical order.
+cap key, as canonical copies (every algebra renumbered along its
+canonical ordering) sorted by canonical bytes, and each spec's level
+is the sublist its class flags and identities keep, a distributive
+structure counting as the identity DIST.  So the specs share algebra
+objects and what those keep.  What a level holds, in which copy and
+in what order, depends only on its isomorphism classes and not on the
+generator or the jobs count.  Bare lattices are grown by atom
+insertion with canonical-form deduplication.  On top of that sit a
+smallest counterexample search and a registry of corpus-wide claims,
+each claim declaring its hypotheses.  The jobs count spreads only the
+decoration of the pairs over worker processes; the class and identity
+filters, identity checks and claim checks run in the main process,
+over each level in its canonical order.
+
+Size caps are checked when a spec is built, so ``CAPS`` must be
+raised before building a spec that goes beyond them.
 """
 
 import atexit
@@ -52,8 +55,12 @@ _STRUCTURES = (None, "chain", "distributive", "antiortholattice")
 @dataclass(frozen=True)
 class EnumerationSpec:
     """What to generate: size bound, required class flags, an optional
-    structural restriction that changes the strategy, and identities
-    from the built-in theory that must hold."""
+    structural restriction, and identities from the built-in theory
+    that must hold.  The structure "chain" or "antiortholattice" (or
+    the class flag "antiortholattice") picks the cap key, and with it
+    the decorated level the spec narrows; "distributive" narrows as the
+    identity DIST does.  A spec above its cap is refused when it is
+    built, so raise ``CAPS`` first to go further."""
 
     max_size: int
     classes: tuple = ()
@@ -71,6 +78,7 @@ class EnumerationSpec:
         unknown = [i for i in self.identities if i not in terms.THEORY]
         if unknown:
             raise ValueError(f"unknown theory identities: {unknown}")
+        self.check_size(self.max_size)
 
     def cap_key(self):
         if self.structure == "chain":
@@ -369,28 +377,22 @@ def _pk_pairs(n):
 _CORPUS_MEMO = {}
 
 
-def _admitted(A, spec):
-    """Whether a BZ-lattice passes the class and identity filters of a
-    spec, or the hypotheses of a claim."""
+def _admitted(A, classes, identities):
+    """Whether a BZ-lattice has every class flag and satisfies every
+    THEORY identity named: a spec's filters or a claim's hypotheses."""
     flags = axioms.classify(A).flags()
-    return (all(flags[c] for c in spec.classes)
-            and all(terms.holds(A, terms.THEORY[i])[0]
-                    for i in spec.identities))
+    return (all(flags[c] for c in classes)
+            and all(terms.holds(A, terms.THEORY[i])[0] for i in identities))
 
 
-def _decorations(args):
-    """Canonical copies of the BZ decorations of one pseudo-Kleene pair,
-    none for a non-distributive pair under structure "distributive".
-    Module-level so worker processes can import it."""
-    order, kleene, structure = args
-    # the pair with the trivial ~; DIST and the Brouwer search read
-    # only its order
-    pair = FiniteAlgebra._from_order(order, kleene, _trivial_brouwer(order))
-    if structure == "distributive" and \
-            not terms.holds(pair, terms.THEORY["DIST"])[0]:
-        return []
+def _decorations(pair):
+    """Canonical copies of the BZ decorations of one pseudo-Kleene pair
+    (order, kleene).  Module-level so worker processes can import it."""
+    order, kleene = pair
+    # the Brouwer search reads only the order of the pair with trivial ~
+    A = FiniteAlgebra._from_order(order, kleene, _trivial_brouwer(order))
     return [canonical_copy(FiniteAlgebra._from_order(order, kleene, brouwer))
-            for brouwer in bz_brouwer_maps(pair, kleene)]
+            for brouwer in bz_brouwer_maps(A, kleene)]
 
 
 # Worker pools by (process id, jobs).  Not a memo: the benchmark's cold
@@ -422,26 +424,26 @@ def _map_jobs(fn, items, jobs):
 _LEVEL_MEMO = {}
 
 
-def _bz_level(n, structure, cap_key, jobs):
-    """Every BZ decoration of size n under a structure and a cap key, one
-    canonical copy per isomorphism class in the order of canonical
-    bytes, memoized: the level every spec with that structure and cap
-    key narrows.  The antiortholattices are exactly the pairs with
-    S_K = {0, 1}: on such a pair the only Brouwer map is the trivial
-    one, and with it the pair is a PBZ*-lattice."""
-    key = (n, structure, cap_key)
+def _bz_level(n, cap_key, jobs):
+    """Every BZ decoration of size n under a cap key, one canonical copy
+    per isomorphism class in the order of canonical bytes, memoized: the
+    level every spec with that cap key narrows.  The cap key picks the
+    pairs decorated: the Kleene chain for "chain", every pseudo-Kleene
+    pair for "general", and for "antiortholattice" the pairs with
+    S_K = {0, 1}, which are exactly the antiortholattices: on such a
+    pair the only Brouwer map is the trivial one, and with it the pair
+    is a PBZ*-lattice."""
+    key = (n, cap_key)
     if key not in _LEVEL_MEMO:
-        if structure == "chain":
+        if cap_key == "chain":
             pairs = [(chain_lattice(n)._ord, tuple(range(n))[::-1])]
+        elif cap_key == "antiortholattice":
+            pairs = [(order, kleene) for order, kleene in _pk_pairs(n)
+                     if not _sharp_interior(order, kleene)]
         else:
             pairs = _pk_pairs(n)
-        if cap_key == "antiortholattice":
-            pairs = [(order, kleene) for order, kleene in pairs
-                     if not _sharp_interior(order, kleene)]
         copies = {}
-        for level in _map_jobs(_decorations, [(order, kleene, structure)
-                                              for order, kleene in pairs],
-                               jobs):
+        for level in _map_jobs(_decorations, pairs, jobs):
             for A in level:
                 copies.setdefault(canonical_form(A), A)
         _LEVEL_MEMO[key] = [copies[cf] for cf in sorted(copies)]
@@ -457,25 +459,29 @@ def enumerate_pbz(n, spec, jobs=1):
     with a Brouwer map.  So each pair of size n (the n-chain with its
     reversal for structure "chain") is decorated with each Brouwer map
     bz_brouwer_maps reads off its sharp sets, spread over the jobs.
-    That decorated level is built once per size, structure and cap key,
-    and every spec sharing them narrows the same algebras by its class
-    flags and identities, in this process.  Flags and verdicts do not
-    change under isomorphism, so a spec's level is what decorating for
-    it alone would give, and the class reports and identity verdicts
-    the algebras keep serve every spec.
+    That decorated level is built once per size and cap key, and every
+    spec sharing them narrows the same algebras by its class flags and
+    identities, in this process; structure "distributive" narrows by
+    DIST, as ``--require DIST`` does.  Flags and verdicts do not change
+    under isomorphism, so a spec's level is what decorating for it
+    alone would give, and the class reports and identity verdicts the
+    algebras keep serve every spec.  The spec's cap was checked when it
+    was built; n is checked against it here, for sizes above max_size.
     """
     spec.check_size(n)
     key = (n, spec.classes, spec.structure, spec.identities)
     if key not in _CORPUS_MEMO:
+        identities = spec.identities
+        if spec.structure == "distributive":
+            identities = (*identities, "DIST")
         _CORPUS_MEMO[key] = [
-            A for A in _bz_level(n, spec.structure, spec.cap_key(), jobs)
-            if _admitted(A, spec)]
+            A for A in _bz_level(n, spec.cap_key(), jobs)
+            if _admitted(A, spec.classes, identities)]
     yield from _CORPUS_MEMO[key]
 
 
 def enumerate_all(spec, jobs=1):
     """Every size from 1 to spec.max_size, ascending."""
-    spec.check_size(spec.max_size)
     for n in range(1, spec.max_size + 1):
         yield from enumerate_pbz(n, spec, jobs=jobs)
 
@@ -510,7 +516,6 @@ def search_counterexample(identity, spec, jobs=1):
     result says exhausted rather than claiming the identity holds
     everywhere.
     """
-    spec.check_size(spec.max_size)
     if isinstance(identity, str):
         identity = terms.parse_statement(identity)
     examined = 0
@@ -793,7 +798,7 @@ def verify_over_corpus(claim, spec):
     failures = []
     for A in enumerate_all(spec):
         examined += 1
-        if not _admitted(A, entry) or (
+        if not _admitted(A, entry.classes, entry.identities) or (
                 entry.si and not congruences.is_subdirectly_irreducible(A)[0]):
             continue
         res = entry.check(A)

@@ -316,30 +316,6 @@ def term_vars(obj):
     return sorted(out)
 
 
-def evaluate(A, t, assignment):
-    """Value of a term in A under a variable assignment (indices)."""
-    if isinstance(t, Var):
-        try:
-            return assignment[t.name]
-        except KeyError:
-            raise ValueError(f"unbound variable {t.name!r}") from None
-    if isinstance(t, Zero):
-        return A.zero
-    if isinstance(t, One):
-        return A.one
-    if isinstance(t, Meet):
-        return A.meet(evaluate(A, t.left, assignment),
-                      evaluate(A, t.right, assignment))
-    if isinstance(t, Join):
-        return A.join(evaluate(A, t.left, assignment),
-                      evaluate(A, t.right, assignment))
-    if isinstance(t, Kleene):
-        return A.kleene[evaluate(A, t.arg, assignment)]
-    if isinstance(t, Brouwer):
-        return A.brouwer[evaluate(A, t.arg, assignment)]
-    raise TypeError(f"not a term: {t!r}")
-
-
 # assignments evaluated at once: the leading variables are fixed per
 # block and each of the others gets a broadcast axis of its own
 _BLOCK = 1 << 16
@@ -380,6 +356,15 @@ def _gather(A, t, env, tabs):
     if isinstance(t, Brouwer):
         return _table(A, tabs, "brouwer")[_gather(A, t.arg, env, tabs)]
     raise TypeError(f"not a term: {t!r}")
+
+
+def evaluate(A, t, assignment):
+    """Value of a term in A under a variable assignment (indices), read
+    off the operation tables as ``holds`` reads them."""
+    unbound = [v for v in term_vars(t) if v not in assignment]
+    if unbound:
+        raise ValueError(f"unbound variable {unbound[0]!r}")
+    return int(_gather(A, t, assignment, {}))
 
 
 def _satisfied(A, ident, env, tabs):

@@ -6,17 +6,19 @@ congruences by filtering every set partition, involutions by testing
 every involutive permutation.  Slow and simple.  The algorithms the
 library replaced live here too, as the references its faster versions
 must reproduce exactly: the unpruned canonical search, the recursive
-identity checker, the pairwise congruence lattice, the relational
-products behind direct indecomposability, the backtracking Brouwer
-search, the nested loops of check_basics, and the lattice-first
-decoration of every lattice that the pseudo-Kleene generator replaced.
+term evaluator and identity checker, the pairwise congruence lattice,
+the relational products behind direct indecomposability, the
+backtracking Brouwer search, the nested loops of check_basics, and the
+lattice-first decoration of every lattice that the pseudo-Kleene
+generator replaced.
 """
 
 import itertools
 
 from pbzlat import axioms, core, enumeration, terms
 from pbzlat.congruences import Congruence, all_congruences
-from pbzlat.terms import QuasiIdentity, evaluate, term_vars
+from pbzlat.terms import (Brouwer, Join, Kleene, Meet, One, QuasiIdentity,
+                          Var, Zero, term_vars)
 
 
 def set_partitions(n):
@@ -374,6 +376,31 @@ def unpruned_canonical_search(n, up, unaries):
 
     search(frozenset(range(n)))
     return tuple(best_order), tuple(best)
+
+
+def evaluate(A, t, assignment):
+    """Value of a term in A under a variable assignment (indices), by
+    recursion over the term and the carrier's own operations."""
+    if isinstance(t, Var):
+        try:
+            return assignment[t.name]
+        except KeyError:
+            raise ValueError(f"unbound variable {t.name!r}") from None
+    if isinstance(t, Zero):
+        return A.zero
+    if isinstance(t, One):
+        return A.one
+    if isinstance(t, Meet):
+        return A.meet(evaluate(A, t.left, assignment),
+                      evaluate(A, t.right, assignment))
+    if isinstance(t, Join):
+        return A.join(evaluate(A, t.left, assignment),
+                      evaluate(A, t.right, assignment))
+    if isinstance(t, Kleene):
+        return A.kleene[evaluate(A, t.arg, assignment)]
+    if isinstance(t, Brouwer):
+        return A.brouwer[evaluate(A, t.arg, assignment)]
+    raise TypeError(f"not a term: {t!r}")
 
 
 def _identity_ok(A, ident, assignment):

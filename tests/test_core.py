@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbzlat import core, enumeration
+from pbzlat import core, enumeration, fileformat
 from pbzlat.core import (BoundedLattice, FiniteAlgebra, ValidationError,
                          boolean_lattice, canonical_form, chain_lattice,
                          is_isomorphic, is_order_isomorphic, validate_tables)
@@ -121,6 +121,34 @@ def test_relabel_and_tables_equal():
     assert A.tables_equal(B)
     with pytest.raises(ValueError):
         A.relabel(["x", "x", "y"])
+
+
+def test_labels_checked_as_kept_strings():
+    # 0 and "0" are the same label once kept as strings, and an empty
+    # list names no element, on every path
+    leq, kle, bro = d4_tables()
+    L = BoundedLattice(leq)
+    A = FiniteAlgebra(leq, kle, bro)
+    for bad in ([0, "0", "x", "y"], []):
+        for build in (lambda: BoundedLattice(leq, labels=bad),
+                      lambda: FiniteAlgebra(leq, kle, bro, labels=bad),
+                      lambda: FiniteAlgebra.from_lattice(L, kle, bro,
+                                                         labels=bad),
+                      lambda: A.relabel(bad)):
+            with pytest.raises(ValidationError) as info:
+                build()
+            assert info.value.report.rules() == ["format:labels"]
+        assert validate_tables(leq, kle, bro, labels=bad).rules() == \
+            ["format:labels"]
+    # labels that are not strings are kept as strings, and reload
+    for B in (FiniteAlgebra(leq, kle, bro, labels=[7, 8, 9, 10]),
+              FiniteAlgebra.from_lattice(L, kle, bro, labels=[7, 8, 9, 10]),
+              A.relabel([7, 8, 9, 10])):
+        assert B.labels == ("7", "8", "9", "10")
+        C = fileformat.loads(fileformat.dumps(B))
+        assert C.labels == B.labels and C.tables_equal(B)
+    assert BoundedLattice(leq, labels=[7, 8, 9, 10]).labels == \
+        ("7", "8", "9", "10")
 
 
 def test_lattice_reduct_drops_maps():

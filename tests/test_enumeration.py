@@ -302,18 +302,24 @@ def test_size_caps_enforced(monkeypatch):
             enumerate_lattices(n)
     with pytest.raises(ValueError, match="above cap"):
         enumerate_lattices(11)
-    spec = EnumerationSpec(max_size=9)
-    with pytest.raises(ValueError, match="general cap"):
-        list(enumerate_pbz(9, spec))
-    # an above-cap spec is refused before level 1
+    # an above-cap spec is refused when it is built, before level 1
     monkeypatch.setattr(enumeration, "_LATTICE_MEMO", {})
+    monkeypatch.setattr(enumeration, "_PK_MEMO", {})
     monkeypatch.setattr(enumeration, "_LEVEL_MEMO", {})
     monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
     monkeypatch.setattr(enumeration, "_atom_extensions", _no_level)
     with pytest.raises(ValueError, match="general cap"):
-        search_counterexample(terms.THEORY["J"], spec)
+        EnumerationSpec(max_size=9)
+    with pytest.raises(ValueError, match="antiortholattice cap"):
+        EnumerationSpec(max_size=11, classes=("antiortholattice",))
+    with pytest.raises(ValueError, match="chain cap"):
+        EnumerationSpec(max_size=13, structure="chain")
+    # a direct call for a size above the spec's cap still raises
     with pytest.raises(ValueError, match="general cap"):
-        next(enumerate_all(spec))
+        list(enumerate_pbz(9, EnumerationSpec(max_size=5)))
+    # raising CAPS first lets the spec be built
+    monkeypatch.setitem(CAPS, "general", 9)
+    assert EnumerationSpec(max_size=9).cap() == 9
 
 
 def test_search_finds_smallest_j_failure():
@@ -384,20 +390,37 @@ def test_jobs_do_not_change_results(monkeypatch):
 
 
 def test_spec_levels_narrow_the_shared_level():
-    # a spec's level is the sublist of the decorated level for its
-    # structure and cap key that its filters keep: the same objects, in
-    # the same order, so reports and verdicts are computed once for all
-    for spec in (EnumerationSpec(max_size=8, classes=("bz-star",)),
-                 EnumerationSpec(max_size=8, classes=("pbz-star",)),
-                 EnumerationSpec(max_size=8, identities=("SDM",)),
-                 EnumerationSpec(max_size=8, classes=("antiortholattice",))):
+    # a spec's level is the sublist of the decorated level for its cap
+    # key that its filters keep, structure "distributive" narrowing by
+    # DIST: the same objects, in the same order, so reports and
+    # verdicts are computed once for all
+    for spec, identities in (
+            (EnumerationSpec(max_size=8, classes=("bz-star",)), ()),
+            (EnumerationSpec(max_size=8, classes=("pbz-star",)), ()),
+            (EnumerationSpec(max_size=8, identities=("SDM",)), ("SDM",)),
+            (EnumerationSpec(max_size=8, classes=("antiortholattice",)), ()),
+            (EnumerationSpec(max_size=8, structure="distributive"),
+             ("DIST",)),
+            (EnumerationSpec(max_size=10, structure="antiortholattice"), ()),
+            (EnumerationSpec(max_size=12, structure="chain"), ()),
+            (EnumerationSpec(max_size=10, structure="distributive",
+                             classes=("antiortholattice",)), ("DIST",))):
         for n in range(1, spec.max_size + 1):
             level = list(enumerate_pbz(n, spec))
-            shared = enumeration._bz_level(n, spec.structure, spec.cap_key(),
-                                           jobs=1)
-            kept = [A for A in shared if enumeration._admitted(A, spec)]
+            shared = enumeration._bz_level(n, spec.cap_key(), jobs=1)
+            kept = [A for A in shared
+                    if enumeration._admitted(A, spec.classes, identities)]
             assert len(kept) == len(level)
             assert all(A is B for A, B in zip(kept, level)), (spec, n)
+    # the structural and the class-flag antiortholattice specs hand out
+    # the same algebras, with the same kept results
+    by_structure = EnumerationSpec(max_size=10, structure="antiortholattice")
+    by_class = EnumerationSpec(max_size=10, classes=("antiortholattice",))
+    for n in range(6, 11):
+        a = list(enumerate_pbz(n, by_structure))
+        b = list(enumerate_pbz(n, by_class))
+        assert a and len(a) == len(b)
+        assert all(A is B for A, B in zip(a, b)), n
 
 
 def test_one_pool_per_jobs_count(monkeypatch):

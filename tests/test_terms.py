@@ -1,5 +1,6 @@
 """Identity parsing, evaluation and the built-in theory table."""
 
+import itertools
 import pathlib
 import tracemalloc
 
@@ -77,6 +78,29 @@ def test_evaluate_spec_examples():
 def test_evaluate_unbound_variable():
     with pytest.raises(ValueError, match="unbound"):
         evaluate(catalog.get("D3"), parse_term("x v y"), {"x": 0})
+
+
+def _theory_terms():
+    for stmt in THEORY.values():
+        idents = ((*stmt.premises, stmt.conclusion)
+                  if isinstance(stmt, QuasiIdentity) else (stmt,))
+        for ident in idents:
+            yield ident.lhs
+            yield ident.rhs
+
+
+def test_evaluate_matches_recursive_oracle():
+    # the table gathers behind evaluate against the recursive evaluator,
+    # on every side of every THEORY statement and every assignment
+    for name in ("D3", "D4", "B4", "MO2", "T1(2x2)"):
+        A = catalog.get(name)
+        for t in _theory_terms():
+            names = term_vars(t)
+            for values in itertools.product(range(A.n), repeat=len(names)):
+                env = dict(zip(names, values))
+                got = evaluate(A, t, env)
+                assert type(got) is int
+                assert got == _oracles.evaluate(A, t, env), (name, t, env)
 
 
 def test_sk_on_chains():
