@@ -37,9 +37,9 @@ class ValidationReport:
 
     ``violations`` holds one ``(rule, witness)`` pair per violated rule,
     where the witness is the lexicographically least offending element
-    tuple.  Format problems (wrong shapes, out-of-range maps) use rules
-    prefixed ``format:`` and suppress the semantic checks that would be
-    meaningless on malformed data.
+    tuple.  Format problems come first, under rules prefixed ``format:``
+    (``format:covers``, a cover index outside 0..n-1, names the first
+    bad pair), and suppress the semantic checks meaningless on them.
     """
 
     ok: bool
@@ -197,13 +197,7 @@ def _check_order(up):
     return order, []
 
 
-def _str_labels(labels):
-    """Labels as the strings a carrier keeps; None stays None (default
-    labels)."""
-    return None if labels is None else tuple(str(x) for x in labels)
-
-
-def _format_violations(n, labels, kleene=None, brouwer=None):
+def _format_violations(n, labels, kleene, brouwer):
     """Shape problems over n elements of the two maps, when given, and
     of the labels, checked as the strings a carrier keeps."""
     violations = []
@@ -241,25 +235,34 @@ def _kleene_violations(order, kleene):
     return violations
 
 
-def _validate(leq, kleene, brouwer, labels=None, zero=None, one=None):
-    """Every violated rule of raw tables, and the order once it has
-    passed as a bounded lattice (else None)."""
-    up, violations = _parse_leq(leq)
+def _validate(up, violations, labels, kleene=None, brouwer=None,
+              zero=None, one=None, order=None):
+    """The one validator behind every public way to build a carrier.
+    ``up, violations`` come from ``_parse_leq`` or ``_closure_from_covers``
+    (``up`` None on a format problem), or are a validated ``order``'s
+    masks and ``[]``, and then ``_check_order`` is skipped.  Raises
+    ValidationError, else returns ``(order, labels, kleene, brouwer)``:
+    labels as kept strings or None, maps as int tuples or None."""
     if up is None:
-        return violations, None
-    kleene = list(kleene)
-    brouwer = list(brouwer)
+        raise _invalid(violations)
+    labels = None if labels is None else tuple(map(str, labels))
+    if kleene is not None:
+        kleene, brouwer = tuple(kleene), tuple(brouwer)
     violations = _format_violations(len(up), labels, kleene, brouwer)
+    if not violations and order is None:
+        order, violations = _check_order(up)
     if violations:
-        return violations, None
-    order, violations = _check_order(up)
-    if order is None:
-        return violations, None
+        raise _invalid(violations)
     if zero is not None and zero != order.zero:
         violations.append(("bounds:zero", (zero,)))
     if one is not None and one != order.one:
         violations.append(("bounds:one", (one,)))
-    return violations + _kleene_violations(order, kleene), order
+    if kleene is not None:
+        violations += _kleene_violations(order, kleene)
+        kleene, brouwer = tuple(map(int, kleene)), tuple(map(int, brouwer))
+    if violations:
+        raise _invalid(violations)
+    return order, labels, kleene, brouwer
 
 
 def validate_tables(leq, kleene, brouwer, labels=None, zero=None, one=None):
@@ -269,9 +272,11 @@ def validate_tables(leq, kleene, brouwer, labels=None, zero=None, one=None):
     stopping at the first problem.  ``zero``/``one``, when given, are
     checked against the computed bounds.
     """
-    violations, _ = _validate(leq, kleene, brouwer, _str_labels(labels),
-                              zero, one)
-    return ValidationReport(not violations, tuple(violations))
+    try:
+        _validate(*_parse_leq(leq), labels, kleene, brouwer, zero, one)
+    except ValidationError as err:
+        return err.report
+    return ValidationReport(True, ())
 
 
 def _default_labels(n, zero, one):
@@ -385,16 +390,7 @@ class BoundedLattice(_Carrier):
     __slots__ = ()
 
     def __init__(self, leq, labels=None, name=None):
-        up, violations = _parse_leq(leq)
-        if up is None:
-            raise _invalid(violations)
-        order, violations = _check_order(up)
-        if order is None:
-            raise _invalid(violations)
-        labels = _str_labels(labels)
-        violations = _format_violations(order.n, labels)
-        if violations:
-            raise _invalid(violations)
+        order, labels, _, _ = _validate(*_parse_leq(leq), labels)
         self._set(order, labels, name)
 
     @classmethod
@@ -406,8 +402,9 @@ class BoundedLattice(_Carrier):
     @classmethod
     def from_covers(cls, n, covers, labels=None, name=None):
         """Build from a list of cover pairs ``(a, b)`` meaning a < b."""
-        leq = _closure_from_covers(n, covers)
-        return cls(leq, labels=labels, name=name)
+        order, labels, _, _ = _validate(*_closure_from_covers(n, covers),
+                                        labels)
+        return cls._from_order(order, labels, name)
 
     def __repr__(self):
         tag = self.name or "lattice"
@@ -415,15 +412,20 @@ class BoundedLattice(_Carrier):
 
 
 def _closure_from_covers(n, covers):
-    """Reflexive-transitive closure of cover pairs, as an n x n table."""
+    """Reflexive-transitive closure of cover pairs: ``(up, violations)``."""
+    if n < 1:
+        return None, [("format:leq-shape", (0,))]
+    bad = next((c for c in covers if not all(0 <= x < n for x in c)), None)
+    if bad is not None:
+        return None, [("format:covers", tuple(bad))]
     up = [1 << a for a in range(n)]
     for a, b in covers:
-        up[a] |= 1 << range(n)[b]  # an index past n raises, as up[a] does
+        up[a] |= 1 << range(n)[b]  # an int, and only from an integer b
     for k in range(n):
         for a in range(n):
             if up[a] >> k & 1:
                 up[a] |= up[k]
-    return [[u >> b & 1 for b in range(n)] for u in up]
+    return up, []
 
 
 class FiniteAlgebra(_Carrier):
@@ -458,13 +460,10 @@ class FiniteAlgebra(_Carrier):
                 (None, {"_kept": {} if canon is None else {"canon": canon}}))
 
     def __init__(self, leq, kleene, brouwer, labels=None, name=None):
-        labels = _str_labels(labels)
-        violations, order = _validate(leq, kleene, brouwer, labels=labels)
-        if violations:
-            raise _invalid(violations)
+        order, labels, kleene, brouwer = _validate(*_parse_leq(leq), labels,
+                                                   kleene, brouwer)
         self._set(order, labels, name)
-        self._set_maps(tuple(int(x) for x in kleene),
-                       tuple(int(x) for x in brouwer))
+        self._set_maps(kleene, brouwer)
 
     @classmethod
     def _from_order(cls, order, kleene, brouwer, labels=None, name=None):
@@ -478,20 +477,16 @@ class FiniteAlgebra(_Carrier):
     def from_lattice(cls, lattice, kleene, brouwer, labels=None, name=None):
         """Decorate a BoundedLattice with ' and ~.  The lattice's order is
         already validated, so only the maps and labels are checked."""
-        kleene = tuple(kleene)
-        brouwer = tuple(brouwer)
-        labels = lattice.labels if labels is None else _str_labels(labels)
-        violations = (_format_violations(lattice.n, labels, kleene, brouwer)
-                      or _kleene_violations(lattice._ord, kleene))
-        if violations:
-            raise _invalid(violations)
-        return cls._from_order(lattice._ord, kleene, brouwer, labels=labels,
-                               name=name)
+        order, labels, kleene, brouwer = _validate(
+            lattice._ord.up, [], lattice.labels if labels is None else labels,
+            kleene, brouwer, order=lattice._ord)
+        return cls._from_order(order, kleene, brouwer, labels, name)
 
     @classmethod
     def from_covers(cls, n, covers, kleene, brouwer, labels=None, name=None):
-        leq = _closure_from_covers(n, covers)
-        return cls(leq, kleene, brouwer, labels=labels, name=name)
+        order, labels, kleene, brouwer = _validate(
+            *_closure_from_covers(n, covers), labels, kleene, brouwer)
+        return cls._from_order(order, kleene, brouwer, labels, name)
 
     def box(self, a):
         """box a = (a')~"""
@@ -507,10 +502,7 @@ class FiniteAlgebra(_Carrier):
 
     def relabel(self, labels, name=None):
         """Same algebra, new presentation labels."""
-        labels = _str_labels(labels)
-        violations = _format_violations(self.n, labels)
-        if violations:
-            raise _invalid(violations)
+        _, labels, _, _ = _validate(self._ord.up, [], labels, order=self._ord)
         return FiniteAlgebra._from_order(self._ord, self.kleene, self.brouwer,
                                          labels=labels, name=name or self.name)
 

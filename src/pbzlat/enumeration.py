@@ -92,7 +92,9 @@ class EnumerationSpec:
         return CAPS[self.cap_key()]
 
     def check_size(self, n):
-        """Raise ValueError when size n is above this spec's cap."""
+        """Raise ValueError when size n is outside 1..cap."""
+        if n < 1:
+            raise ValueError(f"size {n} below 1")
         if n > self.cap():
             raise ValueError(
                 f"size {n} above {self.cap_key()} cap {self.cap()}; "
@@ -295,6 +297,11 @@ def _trivial_brouwer(order):
 # pseudo-Kleene pairs
 
 
+def _chain_pair(n):
+    """The n-chain's order with its reversal, the Kleene chain's pair."""
+    return chain_lattice(n)._ord, tuple(range(n))[::-1]
+
+
 def _fixed_insertion(order, kleene):
     """Up-set masks and involution after adding x = x', an element that
     is both an atom and a coatom; always a lattice when n >= 2."""
@@ -352,7 +359,7 @@ def _pk_pairs(n):
     if n in _PK_MEMO:
         return _PK_MEMO[n]
     if n <= 2:
-        pairs = [(chain_lattice(n)._ord, tuple(range(n))[::-1])]
+        pairs = [_chain_pair(n)]
     else:
         pairs = []
         seen = set()
@@ -436,7 +443,7 @@ def _bz_level(n, cap_key, jobs):
     key = (n, cap_key)
     if key not in _LEVEL_MEMO:
         if cap_key == "chain":
-            pairs = [(chain_lattice(n)._ord, tuple(range(n))[::-1])]
+            pairs = [_chain_pair(n)]
         elif cap_key == "antiortholattice":
             pairs = [(order, kleene) for order, kleene in _pk_pairs(n)
                      if not _sharp_interior(order, kleene)]
@@ -589,10 +596,9 @@ def _small_kleene_chain(A):
 
 
 def _kleene_chain(n):
-    L = chain_lattice(n)
-    kleene = tuple(n - 1 - i for i in range(n))
-    return FiniteAlgebra._from_order(L._ord, kleene, _trivial_brouwer(L),
-                                     L.labels, f"D{n}")
+    order, kleene = _chain_pair(n)
+    return FiniteAlgebra._from_order(order, kleene, _trivial_brouwer(order),
+                                     name=f"D{n}")
 
 
 def _chain_structure(A):

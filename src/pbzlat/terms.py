@@ -331,6 +331,8 @@ def _table(A, tabs, op):
             tab = A.leq
         elif op in ("meet", "join"):
             tab = np.array(getattr(A._ord, op), dtype=np.intp)
+        elif not hasattr(A, op):
+            raise TypeError(f"a bare lattice has no {op} map")
         else:
             tab = np.array(getattr(A, op), dtype=np.intp)
         tabs[op] = tab

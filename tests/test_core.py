@@ -100,6 +100,27 @@ def test_from_covers_closure():
     A = FiniteAlgebra.from_covers(4, [(0, 1), (1, 2), (2, 3)],
                                   [3, 2, 1, 0], [3, 0, 0, 0])
     assert A.box(1) == 0 and A.diamond(1) == 3
+    # a cover index outside 0..n-1 is a format problem, the first bad
+    # pair its witness, and never wraps around
+    for bad in ((1, -1), (1, 4)):
+        covers = [(0, 1), bad, (2, -3)]
+        for build in (lambda: BoundedLattice.from_covers(4, covers),
+                      lambda: FiniteAlgebra.from_covers(
+                          4, covers, [3, 2, 1, 0], [3, 0, 0, 0])):
+            with pytest.raises(ValidationError) as info:
+                build()
+            assert info.value.report.violations == (("format:covers", bad),)
+
+
+def test_maps_stored_as_ints():
+    leq, kle, bro = d4_tables()
+    kle, bro = np.array(kle), np.array(bro)
+    covers = [(0, 1), (1, 2), (2, 3)]
+    for A in (FiniteAlgebra(leq, kle, bro),
+              FiniteAlgebra.from_lattice(BoundedLattice(leq), kle, bro),
+              FiniteAlgebra.from_covers(4, covers, kle, bro)):
+        assert A.kleene == (3, 2, 1, 0) and A.brouwer == (3, 0, 0, 0)
+        assert all(type(x) is int for x in A.kleene + A.brouwer)
 
 
 def test_chain_and_boolean_builders():
@@ -140,6 +161,21 @@ def test_labels_checked_as_kept_strings():
             assert info.value.report.rules() == ["format:labels"]
         assert validate_tables(leq, kle, bro, labels=bad).rules() == \
             ["format:labels"]
+    # format problems come first: bad labels on a table that is no
+    # lattice (0 and 2 have no meet) report the labels alone
+    table, covers = [[1, 1, 0], [0, 1, 0], [0, 1, 1]], [(0, 1), (2, 1)]
+    bad, kle3, bro3 = ["x", "x", "y"], [2, 1, 0], [2, 0, 0]
+    for build in (
+            lambda: BoundedLattice(table, labels=bad),
+            lambda: BoundedLattice.from_covers(3, covers, labels=bad),
+            lambda: FiniteAlgebra(table, kle3, bro3, labels=bad),
+            lambda: FiniteAlgebra.from_covers(3, covers, kle3, bro3,
+                                              labels=bad)):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert info.value.report.rules() == ["format:labels"]
+    assert validate_tables(table, kle3, bro3, labels=bad).rules() == \
+        ["format:labels"]
     # labels that are not strings are kept as strings, and reload
     for B in (FiniteAlgebra(leq, kle, bro, labels=[7, 8, 9, 10]),
               FiniteAlgebra.from_lattice(L, kle, bro, labels=[7, 8, 9, 10]),

@@ -302,6 +302,9 @@ def test_size_caps_enforced(monkeypatch):
             enumerate_lattices(n)
     with pytest.raises(ValueError, match="above cap"):
         enumerate_lattices(11)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"size {n} below 1"):
+            list(enumerate_pbz(n, EnumerationSpec(max_size=5)))
     # an above-cap spec is refused when it is built, before level 1
     monkeypatch.setattr(enumeration, "_LATTICE_MEMO", {})
     monkeypatch.setattr(enumeration, "_PK_MEMO", {})

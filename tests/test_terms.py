@@ -264,6 +264,15 @@ def test_holds_reads_only_the_tables_it_uses():
     L = catalog.get("B4").lattice_reduct()
     assert holds(L, THEORY["DIST"]) == (True, None)
     assert holds(L, parse_statement("x v y <= x => y <= x")) == (True, None)
+    # a statement that needs ' or ~ is refused by name, and no verdict
+    # is kept for it
+    for text, op in (("x' <= x", "kleene"), ("x <= y => x~ = y", "brouwer")):
+        stmt = parse_statement(text)
+        with pytest.raises(TypeError, match=f"no {op} map"):
+            holds(L, stmt)
+        assert stmt not in L._kept["verdicts"]
+    with pytest.raises(TypeError, match="no brouwer map"):
+        evaluate(L, parse_term("x~ ^ y"), {"x": 0, "y": 1})
 
 
 def test_holds_blocks_bound_memory():
