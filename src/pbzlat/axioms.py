@@ -5,7 +5,7 @@ and reports the first (lexicographically least) witness on failure, so
 results are reproducible and witnesses are minimal.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import terms
 
@@ -213,19 +213,23 @@ class AlgebraClassReport:
     witnesses: tuple
 
     def flags(self):
-        return {
-            "bounded-involution": self.bounded_involution,
-            "pseudo-kleene": self.pseudo_kleene,
-            "ortholattice": self.ortholattice,
-            "orthomodular": self.orthomodular,
-            "paraorthomodular": self.paraorthomodular,
-            "bz": self.bz,
-            "bz-star": self.bz_star,
-            "diamond-orthomodular": self.diamond_orthomodular,
-            "pbz-star": self.pbz_star,
-            "kleene-sharp-trivial": self.kleene_sharp_trivial,
-            "antiortholattice": self.antiortholattice,
-        }
+        return {name: getattr(self, name.replace("-", "_"))
+                for name in CLASS_FLAGS}
+
+
+# The class-flag names, in report order: the fields above but the
+# witnesses, spelt with hyphens.
+CLASS_FLAGS = tuple(f.name.replace("_", "-")
+                    for f in fields(AlgebraClassReport)
+                    if f.name != "witnesses")
+
+
+def satisfies(A, name):
+    """Whether A has the class flag ``name`` or satisfies the THEORY
+    identity ``name``; both are kept on the algebra once decided."""
+    if name in CLASS_FLAGS:
+        return getattr(classify(A), name.replace("-", "_"))
+    return terms.holds(A, terms.THEORY[name])[0]
 
 
 def classify(A):

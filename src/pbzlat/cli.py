@@ -352,7 +352,7 @@ def _add_spec_flags(p):
                    help="largest size to generate")
     p.add_argument("--class", dest="classes", action="append", default=[],
                    metavar="FLAG", help="required class flag, repeatable: "
-                   + " ".join(sorted(enumeration._CLASS_FLAGS)))
+                   + " ".join(sorted(axioms.CLASS_FLAGS)))
     p.add_argument("--structure",
                    choices=("chain", "distributive", "antiortholattice"),
                    default=None, help="structural restriction")
@@ -373,9 +373,9 @@ def build_parser():
     p = sub.add_parser("check", help="validate and classify an algebra")
     p.add_argument("algebra", help="file path, '-' for stdin, catalog name")
     p.add_argument("--class", dest="classes", action="append", default=[],
-                   choices=sorted(enumeration._CLASS_FLAGS), metavar="FLAG",
+                   choices=sorted(axioms.CLASS_FLAGS), metavar="FLAG",
                    help="class flag that must hold: "
-                   + " ".join(sorted(enumeration._CLASS_FLAGS)))
+                   + " ".join(sorted(axioms.CLASS_FLAGS)))
     p.add_argument("--identity", dest="identities", action="append",
                    default=[], metavar="IDENT",
                    help="theory name or identity text that must hold")

@@ -6,7 +6,7 @@ the distributive strong-De-Morgan antiortholattice variety.
 
 from dataclasses import dataclass
 
-from . import axioms, terms
+from . import axioms
 
 __all__ = [
     "Congruence", "is_congruence", "congruence_generated",
@@ -378,14 +378,8 @@ class TildeFamilyReport:
 
 
 def tilde_family_report(A):
-    failed = []
-    report = axioms.classify(A)
-    if not report.antiortholattice:
-        failed.append("antiortholattice")
-    for name in ("DIST", "SDM"):
-        ok, _ = terms.holds(A, terms.THEORY[name])
-        if not ok:
-            failed.append(name)
+    failed = [name for name in ("antiortholattice", "DIST", "SDM")
+              if not axioms.satisfies(A, name)]
     si, _ = is_subdirectly_irreducible(A)
     if not si:
         failed.append("subdirectly-irreducible")

@@ -12,6 +12,7 @@ array built from them when it is read.  Labels are presentation only
 and never carry semantics.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,9 @@ class ValidationReport:
     ``violations`` holds one ``(rule, witness)`` pair per violated rule,
     where the witness is the lexicographically least offending element
     tuple.  Format problems come first, under rules prefixed ``format:``
-    (``format:covers``, a cover index outside 0..n-1, names the first
-    bad pair), and suppress the semantic checks meaningless on them.
+    (``format:covers``, a cover index that is no integer in 0..n-1,
+    names the first bad pair; ``format:map-range`` does the same for
+    map entries), and suppress the semantic checks meaningless on them.
     """
 
     ok: bool
@@ -197,6 +199,15 @@ def _check_order(up):
     return order, []
 
 
+def _is_index(x, n):
+    """Whether x is an integer in 0..n-1.  Numpy integers count; floats,
+    strings and anything else ``operator.index`` rejects do not."""
+    try:
+        return 0 <= operator.index(x) < n
+    except TypeError:
+        return False
+
+
 def _format_violations(n, labels, kleene, brouwer):
     """Shape problems over n elements of the two maps, when given, and
     of the labels, checked as the strings a carrier keeps."""
@@ -208,7 +219,8 @@ def _format_violations(n, labels, kleene, brouwer):
         else:
             bad = next(
                 ((a,) for a in range(n)
-                 if not (0 <= kleene[a] < n) or not (0 <= brouwer[a] < n)),
+                 if not _is_index(kleene[a], n)
+                 or not _is_index(brouwer[a], n)),
                 None,
             )
             if bad:
@@ -258,8 +270,9 @@ def _validate(up, violations, labels, kleene=None, brouwer=None,
     if one is not None and one != order.one:
         violations.append(("bounds:one", (one,)))
     if kleene is not None:
+        kleene = tuple(map(operator.index, kleene))
+        brouwer = tuple(map(operator.index, brouwer))
         violations += _kleene_violations(order, kleene)
-        kleene, brouwer = tuple(map(int, kleene)), tuple(map(int, brouwer))
     if violations:
         raise _invalid(violations)
     return order, labels, kleene, brouwer
@@ -415,12 +428,13 @@ def _closure_from_covers(n, covers):
     """Reflexive-transitive closure of cover pairs: ``(up, violations)``."""
     if n < 1:
         return None, [("format:leq-shape", (0,))]
-    bad = next((c for c in covers if not all(0 <= x < n for x in c)), None)
+    bad = next((c for c in covers if not all(_is_index(x, n) for x in c)),
+               None)
     if bad is not None:
         return None, [("format:covers", tuple(bad))]
     up = [1 << a for a in range(n)]
     for a, b in covers:
-        up[a] |= 1 << range(n)[b]  # an int, and only from an integer b
+        up[a] |= 1 << operator.index(b)  # a Python int from numpy ones too
     for k in range(n):
         for a in range(n):
             if up[a] >> k & 1:

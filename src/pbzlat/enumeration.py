@@ -14,11 +14,13 @@ objects and what those keep.  What a level holds, in which copy and
 in what order, depends only on its isomorphism classes and not on the
 generator or the jobs count.  Bare lattices are grown by atom
 insertion with canonical-form deduplication.  On top of that sit a
-smallest counterexample search and a registry of corpus-wide claims,
-each claim declaring its hypotheses.  The jobs count spreads only the
-decoration of the pairs over worker processes; the class and identity
-filters, identity checks and claim checks run in the main process,
-over each level in its canonical order.
+smallest counterexample search and a registry of corpus-wide claims.
+Each claim declares its hypotheses and conclusions as class flags and
+THEORY identities, read by name through ``axioms.satisfies``; a check
+function is left only for what no flag or identity states.  The jobs
+count spreads only the decoration of the pairs over worker processes;
+the class and identity filters, identity checks and claim checks run
+in the main process, over each level in its canonical order.
 
 Size caps are checked when a spec is built, so ``CAPS`` must be
 raised before building a spec that goes beyond them.
@@ -28,7 +30,7 @@ import atexit
 import os
 from dataclasses import dataclass
 
-from . import axioms, congruences, terms
+from . import axioms, congruences, constructions, terms
 from .core import (BoundedLattice, FiniteAlgebra, _bits, _canon_bytes,
                    _check_order, _set_index, canonical_copy, canonical_form,
                    chain_lattice, is_isomorphic)
@@ -44,11 +46,6 @@ __all__ = [
 # raise them if a search must go further and you can wait.
 CAPS = {"general": 8, "antiortholattice": 10, "chain": 12}
 
-_CLASS_FLAGS = frozenset((
-    "bounded-involution", "pseudo-kleene", "ortholattice", "orthomodular",
-    "paraorthomodular", "bz", "bz-star", "diamond-orthomodular", "pbz-star",
-    "kleene-sharp-trivial", "antiortholattice",
-))
 _STRUCTURES = (None, "chain", "distributive", "antiortholattice")
 
 
@@ -70,7 +67,7 @@ class EnumerationSpec:
     def __post_init__(self):
         if self.max_size < 1:
             raise ValueError("max_size must be positive")
-        unknown = [c for c in self.classes if c not in _CLASS_FLAGS]
+        unknown = [c for c in self.classes if c not in axioms.CLASS_FLAGS]
         if unknown:
             raise ValueError(f"unknown class flags: {unknown}")
         if self.structure not in _STRUCTURES:
@@ -387,9 +384,7 @@ _CORPUS_MEMO = {}
 def _admitted(A, classes, identities):
     """Whether a BZ-lattice has every class flag and satisfies every
     THEORY identity named: a spec's filters or a claim's hypotheses."""
-    flags = axioms.classify(A).flags()
-    return (all(flags[c] for c in classes)
-            and all(terms.holds(A, terms.THEORY[i])[0] for i in identities))
+    return all(axioms.satisfies(A, x) for x in (*classes, *identities))
 
 
 def _decorations(pair):
@@ -562,37 +557,40 @@ class CorpusReport:
 @dataclass(frozen=True)
 class _Claim:
     """A registered claim: its text, its hypotheses (class flags, THEORY
-    identities and subdirect irreducibility), and the check of its
-    conclusion, which returns (ok, detail), or None for an algebra
-    outside a hypothesis the declaration cannot state."""
+    identities and subdirect irreducibility) and its conclusions (class
+    flags and THEORY identities), each read by ``axioms.satisfies``.
+    The optional check covers the rest of the conclusion: it returns a
+    tuple saying what fails, empty when nothing does, or None for an
+    algebra outside a hypothesis the declaration cannot state."""
 
     text: str
-    check: object
+    check: object = None
     classes: tuple = ()
     identities: tuple = ()
     si: bool = False
+    conclusions: tuple = ()
 
 
 def _sharp_sets_collapse(A):
     s = axioms.sharp_sets(A)
     if s.s_diamond == s.s_b == s.s_k:
-        return True, None
-    return False, (sorted(s.s_k), sorted(s.s_diamond), sorted(s.s_b))
+        return ()
+    return (sorted(s.s_k), sorted(s.s_diamond), sorted(s.s_b))
 
 
 def _paraorthomodular_equivalence(A):
     report = axioms.classify(A)
     if report.paraorthomodular == report.diamond_orthomodular:
-        return True, None
-    return False, (report.paraorthomodular, report.diamond_orthomodular)
+        return ()
+    return (report.paraorthomodular, report.diamond_orthomodular)
 
 
 def _small_kleene_chain(A):
     if A.n > 5:
-        return False, f"unexpected size {A.n}"
+        return (f"unexpected size {A.n}",)
     if is_isomorphic(A, _kleene_chain(A.n)):
-        return True, None
-    return False, "not a Kleene chain"
+        return ()
+    return ("not a Kleene chain",)
 
 
 def _kleene_chain(n):
@@ -601,82 +599,40 @@ def _kleene_chain(n):
                                      name=f"D{n}")
 
 
-def _chain_structure(A):
+def _chain_is_kleene_chain(A):
     if any(not A.le(a, b) and not A.le(b, a)
            for a in range(A.n) for b in range(a + 1, A.n)):
         return None
-    probs = []
-    if not axioms.classify(A).antiortholattice:
-        probs.append("not an antiortholattice")
-    for name in ("DIST", "SDM"):
-        if not terms.holds(A, terms.THEORY[name])[0]:
-            probs.append(f"fails {name}")
-    if not is_isomorphic(A, _kleene_chain(A.n)):
-        probs.append("not the Kleene chain of its size")
-    return (True, None) if not probs else (False, tuple(probs))
-
-
-def _antiortholattice(A):
-    if axioms.classify(A).antiortholattice:
-        return True, None
-    return False, ("s.i. member is not an antiortholattice",)
+    if is_isomorphic(A, _kleene_chain(A.n)):
+        return ()
+    return ("not the Kleene chain of its size",)
 
 
 def _cones_cover(A):
-    from .constructions import cones
-    c = cones(A)
+    c = constructions.cones(A)
     if c.negative | c.positive == frozenset(range(A.n)):
-        return True, None
-    return False, "cones do not cover the universe"
-
-
-def _dist_and_sdm(A):
-    probs = []
-    for name in ("DIST", "SDM"):
-        if not terms.holds(A, terms.THEORY[name])[0]:
-            probs.append(f"fails {name}")
-    return (True, None) if not probs else (False, tuple(probs))
+        return ()
+    return ("cones do not cover the universe",)
 
 
 def _no_disjoint_nonzero_pair(A):
     for a in range(A.n):
         for b in range(A.n):
             if A.meet(a, b) == A.zero and A.zero not in (a, b):
-                return (a, b)
-    return None
-
-
-def _disjointness_and_sdm(A):
-    probs = []
-    pair = _no_disjoint_nonzero_pair(A)
-    if pair is not None:
-        probs.append(f"disjoint nonzero pair {pair}")
-    if not terms.holds(A, terms.THEORY["SDM"])[0]:
-        probs.append("fails SDM")
-    return (True, None) if not probs else (False, tuple(probs))
-
-
-def _meet_distributivity_chain(A):
-    probs = []
-    for name in ("DCHAIN1", "DCHAIN2", "DCHAIN3", "DCHAIN4", "DIST"):
-        ok, w = terms.holds(A, terms.THEORY[name])
-        if not ok:
-            probs.append((name, w))
-    return (True, None) if not probs else (False, tuple(probs))
+                return (f"disjoint nonzero pair {(a, b)}",)
+    return ()
 
 
 def _horizontal_sum_agreement(A):
-    from .constructions import is_horizontal_sum_of_blocks
-    rep = is_horizontal_sum_of_blocks(A)
+    rep = constructions.is_horizontal_sum_of_blocks(A)
     if rep.agree:
-        return True, None
-    return False, (rep.by_conditions, rep.by_blocks, rep.conditions)
+        return ()
+    return (rep.by_conditions, rep.by_blocks, rep.conditions)
 
 
 def _agreement_relations(A):
     probs = []
-    from .constructions import cones
-    pos = cones(A).positive
+    pos = constructions.cones(A).positive
     crel = {}
     for p in range(A.n):
         r = congruences.agreement_below(A, p)
@@ -700,7 +656,7 @@ def _agreement_relations(A):
             and fam.meet_relations_ok and fam.join_relations_ok
             and fam.one_of_each_trivial):
         probs.append(("tilde-family", fam.witness))
-    return (True, None) if not probs else (False, tuple(probs))
+    return tuple(probs)
 
 
 _AOL_BASIS = ("AOL1", "AOL2", "AOL3")
@@ -722,7 +678,8 @@ _CLAIMS = {
     # skips the other PBZ*-lattices itself
     "pbz-chains-are-kleene-chains": _Claim(
         "every PBZ* chain is the Kleene chain of its size and satisfies "
-        "DIST and SDM", _chain_structure, classes=("pbz-star",)),
+        "DIST and SDM", _chain_is_kleene_chain, classes=("pbz-star",),
+        conclusions=("antiortholattice", "DIST", "SDM")),
     # Direct indecomposability needs no check of its own: a subdirectly
     # irreducible algebra is directly indecomposable.  If A were B x C
     # with B and C nontrivial, the kernels of the two projections would
@@ -730,8 +687,8 @@ _CLAIMS = {
     # no monolith.
     "si-aol-basis-structure": _Claim(
         "s.i. PBZ* algebras satisfying AOL1-3 are antiortholattices and "
-        "directly indecomposable", _antiortholattice,
-        classes=("pbz-star",), identities=_AOL_BASIS, si=True),
+        "directly indecomposable", classes=("pbz-star",),
+        identities=_AOL_BASIS, si=True, conclusions=("antiortholattice",)),
     # The literal covering claim.  Known to fail: the 7-element
     # antiortholattice obtained by padding the diamond M3 with a new
     # bottom and top is subdirectly irreducible (its congruences form a
@@ -761,16 +718,18 @@ _CLAIMS = {
     # identity plus SK, yet its atoms meet to 0.  See aol-sk-collapse
     # for the version with the honest antiortholattice hypothesis.
     "sk-implies-distributive-sdm": _Claim(
-        "PBZ* + AOL1-3 + SK forces DIST and SDM", _dist_and_sdm,
-        classes=("pbz-star",), identities=_AOL_BASIS + ("SK",)),
+        "PBZ* + AOL1-3 + SK forces DIST and SDM", classes=("pbz-star",),
+        identities=_AOL_BASIS + ("SK",), conclusions=("DIST", "SDM")),
     "aol-sk-collapse": _Claim(
         "an antiortholattice satisfying SK has no disjoint nonzero pair "
-        "and satisfies SDM", _disjointness_and_sdm,
-        classes=("antiortholattice",), identities=("SK",)),
+        "and satisfies SDM", _no_disjoint_nonzero_pair,
+        classes=("antiortholattice",), identities=("SK",),
+        conclusions=("SDM",)),
     "sdm-meet-distributivity": _Claim(
         "PBZ* + AOL1-3 + SK + SDM forces the stepwise meet-distributivity "
-        "chain and full DIST", _meet_distributivity_chain,
-        classes=("pbz-star",), identities=_AOL_BASIS + ("SK", "SDM")),
+        "chain and full DIST", classes=("pbz-star",),
+        identities=_AOL_BASIS + ("SK", "SDM"),
+        conclusions=("DCHAIN1", "DCHAIN2", "DCHAIN3", "DCHAIN4", "DIST")),
     "horizontal-sum-conditions": _Claim(
         "the four pairwise conditions hold iff the algebra is the "
         "horizontal sum of its blocks", _horizontal_sum_agreement,
@@ -793,8 +752,10 @@ def verify_over_corpus(claim, spec):
 
     Algebras outside the claim's hypotheses are skipped (counted as
     examined, not checked); a report with zero checked algebras says
-    vacuous rather than ok.  Failures come in corpus order: by size,
-    then by canonical bytes.
+    vacuous rather than ok.  A failure's detail is the tuple of the
+    check's problems followed by ``fails NAME`` for each conclusion not
+    met.  Failures come in corpus order: by size, then by canonical
+    bytes.
     """
     if claim not in _CLAIMS:
         raise KeyError(f"unknown claim {claim!r}; see claim_names()")
@@ -807,11 +768,12 @@ def verify_over_corpus(claim, spec):
         if not _admitted(A, entry.classes, entry.identities) or (
                 entry.si and not congruences.is_subdirectly_irreducible(A)[0]):
             continue
-        res = entry.check(A)
-        if res is None:
+        problems = () if entry.check is None else entry.check(A)
+        if problems is None:
             continue
         checked += 1
-        ok, detail = res
-        if not ok:
-            failures.append((A, detail))
+        problems += tuple(f"fails {name}" for name in entry.conclusions
+                          if not axioms.satisfies(A, name))
+        if problems:
+            failures.append((A, problems))
     return CorpusReport(claim, spec, examined, checked, tuple(failures))

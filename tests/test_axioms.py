@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles
-from pbzlat import axioms, catalog, enumeration
+from pbzlat import axioms, catalog, cli, enumeration, terms
 from pbzlat.core import FiniteAlgebra, chain_lattice
 
 
@@ -70,6 +70,42 @@ def test_benzene_is_bz_star_but_not_pbz():
     assert not flags["paraorthomodular"]
     assert not flags["diamond-orthomodular"]
     assert not flags["pbz-star"]
+
+
+def test_one_list_of_class_flags(capsys):
+    # the report's flags, in the order check prints them
+    assert len(axioms.CLASS_FLAGS) == 11
+    A = catalog.get("O6-benzene")
+    assert tuple(axioms.classify(A).flags()) == axioms.CLASS_FLAGS
+    assert cli.main(["check", "O6-benzene"]) == 0
+    printed = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("flags:"))
+    assert tuple(f[1:] for f in printed.split()[1:]) == axioms.CLASS_FLAGS
+    # exactly the names check --class and a spec accept
+    for name in axioms.CLASS_FLAGS:
+        assert cli.main(["check", "D4", "--class", name]) in (0, 1)
+        enumeration.EnumerationSpec(max_size=3, classes=(name,))
+    for name in ("bz_star", "PBZ-STAR", "DIST", "magic"):
+        with pytest.raises(SystemExit):
+            cli.main(["check", "D4", "--class", name])
+        with pytest.raises(ValueError, match="unknown class flags"):
+            enumeration.EnumerationSpec(max_size=3, classes=(name,))
+        assert cli.main(["enumerate", "--max", "3", "--class", name]) == 2
+    capsys.readouterr()
+
+
+def test_satisfies_reads_flags_and_theory_by_name():
+    assert len(terms.THEORY) == 20
+    for spec in (enumeration.EnumerationSpec(max_size=10,
+                                             structure="antiortholattice"),
+                 enumeration.EnumerationSpec(max_size=8)):
+        for A in enumeration.enumerate_all(spec):
+            flags = axioms.classify(A).flags()
+            for name in axioms.CLASS_FLAGS:
+                assert axioms.satisfies(A, name) == flags[name], name
+            for name, statement in terms.THEORY.items():
+                assert axioms.satisfies(A, name) == \
+                    terms.holds(A, statement)[0], name
 
 
 def test_sharp_sets_on_chain_and_boolean():

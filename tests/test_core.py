@@ -100,9 +100,10 @@ def test_from_covers_closure():
     A = FiniteAlgebra.from_covers(4, [(0, 1), (1, 2), (2, 3)],
                                   [3, 2, 1, 0], [3, 0, 0, 0])
     assert A.box(1) == 0 and A.diamond(1) == 3
-    # a cover index outside 0..n-1 is a format problem, the first bad
-    # pair its witness, and never wraps around
-    for bad in ((1, -1), (1, 4)):
+    # a cover index outside 0..n-1 or not an integer is a format
+    # problem, the first bad pair its witness: it never wraps around and
+    # never escapes as a bare TypeError
+    for bad in ((1, -1), (1, 4), (1, 2.0), (1.0, 2), ("1", 2)):
         covers = [(0, 1), bad, (2, -3)]
         for build in (lambda: BoundedLattice.from_covers(4, covers),
                       lambda: FiniteAlgebra.from_covers(
@@ -110,6 +111,26 @@ def test_from_covers_closure():
             with pytest.raises(ValidationError) as info:
                 build()
             assert info.value.report.violations == (("format:covers", bad),)
+    # numpy integers are integers
+    covers = [(np.int64(0), np.int64(1)), (np.int32(1), 2)]
+    assert BoundedLattice.from_covers(3, covers).covers() == [(0, 1), (1, 2)]
+
+
+def test_map_entries_must_be_integers():
+    # a float or a string is no index: it is neither truncated nor let
+    # through to a bare TypeError, but reported as a format problem
+    leq, kle, bro = d4_tables()
+    L = BoundedLattice(leq)
+    chain = [(0, 1), (1, 2), (2, 3)]
+    want = (("format:map-range", (0,)),)
+    for k, b in ((kle, [3.5, 0, 0, 0]), ([3.0, 2, 1, 0], bro), ("3210", bro)):
+        assert validate_tables(leq, k, b).violations == want
+        for build in (lambda: FiniteAlgebra(leq, k, b),
+                      lambda: FiniteAlgebra.from_lattice(L, k, b),
+                      lambda: FiniteAlgebra.from_covers(4, chain, k, b)):
+            with pytest.raises(ValidationError) as info:
+                build()
+            assert info.value.report.violations == want
 
 
 def test_maps_stored_as_ints():

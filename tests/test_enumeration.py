@@ -1,8 +1,10 @@
 """Corpus generation, counterexample search, registered claims."""
 
+import dataclasses
 import hashlib
 import multiprocessing
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -510,6 +512,22 @@ def test_claim_counts_frozen_on_sweep_corpora():
             # failures come in corpus order: by size, then canonical bytes
             forms = [canonical_form(A) for A, _ in rep.failures]
             assert forms == sorted(forms)
+            assert all(type(detail) is tuple for _, detail in rep.failures)
+
+
+def test_conclusions_are_read_by_name(monkeypatch):
+    # without its SK hypothesis the claim's conclusions DIST and SDM
+    # fail, and each failure names every conclusion it misses
+    claim = "sk-implies-distributive-sdm"
+    monkeypatch.setitem(enumeration._CLAIMS, claim, dataclasses.replace(
+        enumeration._CLAIMS[claim], identities=("AOL1", "AOL2", "AOL3")))
+    dist, sdm = ("fails DIST",), ("fails SDM",)
+    for spec, counts, details in (
+            (AOL10, (58, 58, 39), {dist: 27, sdm: 6, dist + sdm: 6}),
+            (BZ8, (97, 21, 6), {dist: 4, sdm: 2})):
+        rep = verify_over_corpus(claim, spec)
+        assert (rep.examined, rep.checked, len(rep.failures)) == counts
+        assert Counter(detail for _, detail in rep.failures) == details
 
 
 def test_cone_claim_fails_at_seven_and_repair_holds():
