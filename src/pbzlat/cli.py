@@ -244,7 +244,11 @@ def cmd_construct(args):
             "in twist1(...) or twist2(...) to get an algebra")
     if args.name:
         A = A.relabel(A.labels, name=args.name)
-    _emit(fileformat.dumps(A), args.out)
+    try:
+        text = fileformat.dumps(A)
+    except ValueError as e:  # a label the file format cannot hold
+        raise CliError(str(e)) from None
+    _emit(text, args.out)
     return 0
 
 

@@ -24,35 +24,30 @@ def _twist_tables(L, keep_zero):
 
     The dual copy comes first (f(x) for x in index order, optionally
     skipping the bottom), then the original lattice.  Every copied
-    element sits below every original one.
+    element sits below every original one.  Returns up-set masks, both
+    maps and labels.
     """
     m = L.n
     skipped = () if keep_zero else (L.zero,)
     f_elems = [x for x in range(m) if x not in skipped]
-    f_index = {x: i for i, x in enumerate(f_elems)}
     k = len(f_elems)
     n = k + m
-    leq = [[False] * n for _ in range(n)]
-    for i, x in enumerate(f_elems):
-        for j, y in enumerate(f_elems):
-            leq[i][j] = L.le(y, x)
-        for b in range(m):
-            leq[i][k + b] = True
-    for a in range(m):
-        for b in range(m):
-            leq[k + a][k + b] = L.le(a, b)
+    # f(x) <= f(y) iff y <= x, and f(x) lies below every original
+    originals = ((1 << m) - 1) << k
+    masks = [sum(1 << i for i, y in enumerate(f_elems) if L.le(y, x))
+             | originals for x in f_elems] + [u << k for u in L._ord.up]
     kleene = [0] * n
     for i, x in enumerate(f_elems):
         kleene[i] = k + x
         kleene[k + x] = i
     for x in skipped:
         kleene[k + x] = k + x
-    new_zero = f_index[L.one]
+    new_zero = f_elems.index(L.one)
     new_one = k + L.one
     brouwer = [new_zero] * n
     brouwer[new_zero] = new_one
     labels = [f"f({L.labels[x]})" for x in f_elems] + list(L.labels)
-    return leq, kleene, brouwer, labels, f_index, k
+    return masks, kleene, brouwer, labels
 
 
 def twist1(L, name=None):
@@ -63,18 +58,16 @@ def twist1(L, name=None):
     """
     if L.n < 2:
         raise ValueError("twist1 needs a lattice with at least two elements")
-    leq, kleene, brouwer, labels, _, _ = _twist_tables(L, keep_zero=False)
-    return FiniteAlgebra(leq, kleene, brouwer, labels=labels,
-                         name=name or f"T1({L.name or 'L'})")
+    return FiniteAlgebra._from_masks(*_twist_tables(L, keep_zero=False),
+                                     name=name or f"T1({L.name or 'L'})")
 
 
 def twist2(L, name=None):
     """Dual copy of all of L stacked under L; no fixpoint.  Size 2|L|."""
     if L.n < 1:
         raise ValueError("twist2 needs a nonempty lattice")
-    leq, kleene, brouwer, labels, _, _ = _twist_tables(L, keep_zero=True)
-    return FiniteAlgebra(leq, kleene, brouwer, labels=labels,
-                         name=name or f"T2({L.name or 'L'})")
+    return FiniteAlgebra._from_masks(*_twist_tables(L, keep_zero=True),
+                                     name=name or f"T2({L.name or 'L'})")
 
 
 @dataclass(frozen=True)
@@ -124,9 +117,9 @@ def twist_represent(A):
 
     p_elems = sorted(cn.positive)
     pos_in_p = {a: i for i, a in enumerate(p_elems)}
-    p_leq = [[A.le(a, b) for b in p_elems] for a in p_elems]
-    core = BoundedLattice(p_leq, labels=[A.labels[a] for a in p_elems],
-                          name="P(%s)" % (A.name or "A"))
+    core = BoundedLattice._from_masks(
+        _induced_up(A, p_elems), labels=[A.labels[a] for a in p_elems],
+        name="P(%s)" % (A.name or "A"))
     fixpoints = [a for a in range(A.n) if A.kleene[a] == a]
     idx = 1 if fixpoints else 2
     rebuilt = twist1(core) if idx == 1 else twist2(core)
@@ -161,19 +154,11 @@ def twist_represent(A):
 
 def ordinal_sum(M, L, name=None):
     """Stack L on top of M; no identification, size |M| + |L|."""
-    nm, nl = M.n, L.n
-    n = nm + nl
-    leq = [[False] * n for _ in range(n)]
-    for a in range(nm):
-        for b in range(nm):
-            leq[a][b] = M.le(a, b)
-        for b in range(nl):
-            leq[a][nm + b] = True
-    for a in range(nl):
-        for b in range(nl):
-            leq[nm + a][nm + b] = L.le(a, b)
+    nm = M.n
+    upper = ((1 << L.n) - 1) << nm
+    up = [u | upper for u in M._ord.up] + [u << nm for u in L._ord.up]
     labels = [f"l:{x}" for x in M.labels] + [f"u:{x}" for x in L.labels]
-    return BoundedLattice(leq, labels=labels, name=name)
+    return BoundedLattice._from_masks(up, labels=labels, name=name)
 
 
 def horizontal_sum(summands, name=None):
@@ -199,19 +184,15 @@ def horizontal_sum(summands, name=None):
 
     n = 2 + sum(S.n - 2 for S in summands)
     one = n - 1
-    glob = []  # per summand: local index -> global index
     used_labels = {"0", "1"}
     labels = ["0"] + [None] * (n - 2) + ["1"]
+    up, kleene, brouwer = [0] * n, [0] * n, [0] * n
     nxt = 1
     for i, S in enumerate(summands):
-        table = {}
+        t = {S.zero: 0, S.one: one}  # local index -> global index
         for a in range(S.n):
-            if a == S.zero:
-                table[a] = 0
-            elif a == S.one:
-                table[a] = one
-            else:
-                table[a] = nxt
+            if a not in t:
+                t[a] = nxt
                 base = S.labels[a]
                 lab, k = base, i
                 while lab in used_labels:
@@ -220,27 +201,14 @@ def horizontal_sum(summands, name=None):
                 used_labels.add(lab)
                 labels[nxt] = lab
                 nxt += 1
-        glob.append(table)
-
-    leq = [[False] * n for _ in range(n)]
-    for a in range(n):
-        leq[a][a] = True
-        leq[0][a] = True
-        leq[a][one] = True
-    kleene = [0] * n
-    brouwer = [0] * n
-    kleene[0], kleene[one] = one, 0
-    brouwer[0], brouwer[one] = one, 0
-    for i, S in enumerate(summands):
-        t = glob[i]
+        # every element lies in a summand, so their up-sets give the order;
+        # the maps fix the shared bounds, so each summand's agree on them
         for a in range(S.n):
-            for b in range(S.n):
-                if S.le(a, b):
-                    leq[t[a]][t[b]] = True
-            if t[a] not in (0, one):
-                kleene[t[a]] = t[S.kleene[a]]
-                brouwer[t[a]] = t[S.brouwer[a]]
-    return FiniteAlgebra(leq, kleene, brouwer, labels=labels, name=name)
+            up[t[a]] |= sum(1 << t[b] for b in range(S.n) if S.le(a, b))
+            kleene[t[a]] = t[S.kleene[a]]
+            brouwer[t[a]] = t[S.brouwer[a]]
+    return FiniteAlgebra._from_masks(up, kleene, brouwer, labels=labels,
+                                     name=name)
 
 
 def gamma(A, a, b):
@@ -275,14 +243,20 @@ def subuniverse_generated(A, seed):
     return frozenset(S)
 
 
+def _induced_up(A, elems):
+    """Up-set masks of the order A induces on the list ``elems``."""
+    return [sum(1 << j for j, b in enumerate(elems) if A.le(a, b))
+            for a in elems]
+
+
 def _induced(A, elems, name=None):
     elems = sorted(elems)
-    leq = [[A.le(a, b) for b in elems] for a in elems]
     pos = {a: i for i, a in enumerate(elems)}
     kleene = [pos[A.kleene[a]] for a in elems]
     brouwer = [pos[A.brouwer[a]] for a in elems]
-    return FiniteAlgebra(leq, kleene, brouwer,
-                         labels=[A.labels[a] for a in elems], name=name)
+    return FiniteAlgebra._from_masks(_induced_up(A, elems), kleene, brouwer,
+                                     labels=[A.labels[a] for a in elems],
+                                     name=name)
 
 
 def subalgebra_generated(A, seed, name=None):
@@ -430,17 +404,15 @@ def product(A, B, name=None):
     """Direct product, componentwise everything."""
     na, nb = A.n, B.n
     n = na * nb
-    leq = [[False] * n for _ in range(n)]
-    for a1 in range(na):
-        for b1 in range(nb):
-            i = a1 * nb + b1
-            for a2 in range(na):
-                for b2 in range(nb):
-                    leq[i][a2 * nb + b2] = A.le(a1, a2) and B.le(b1, b2)
+    # (a, b) sits at a * nb + b; its up-set is B's up-set of b shifted
+    # to every block a2 >= a
+    up = [sum(u << a2 * nb for a2 in range(na) if A.le(a, a2))
+          for a in range(na) for u in B._ord.up]
     kleene = [A.kleene[i // nb] * nb + B.kleene[i % nb] for i in range(n)]
     brouwer = [A.brouwer[i // nb] * nb + B.brouwer[i % nb] for i in range(n)]
     labels = [f"({A.labels[i // nb]},{B.labels[i % nb]})" for i in range(n)]
-    return FiniteAlgebra(leq, kleene, brouwer, labels=labels, name=name)
+    return FiniteAlgebra._from_masks(up, kleene, brouwer, labels=labels,
+                                     name=name)
 
 
 def quotient(A, theta, name=None):
@@ -450,15 +422,13 @@ def quotient(A, theta, name=None):
         raise ValueError(f"not a congruence, witness {w}")
     blocks_ = theta.blocks()
     rep = [min(B) for B in blocks_]
-    cls = {}
-    for i, B in enumerate(blocks_):
-        for a in B:
-            cls[a] = i
+    cls = theta.block_of  # numbered by least element, as blocks_ are
     k = len(blocks_)
-    leq = [[cls[A.meet(rep[i], rep[j])] == i for j in range(k)]
-           for i in range(k)]
+    up = [sum(1 << j for j in range(k) if cls[A.meet(rep[i], rep[j])] == i)
+          for i in range(k)]
     kleene = [cls[A.kleene[rep[i]]] for i in range(k)]
     brouwer = [cls[A.brouwer[rep[i]]] for i in range(k)]
     labels = ["{" + ",".join(A.labels[a] for a in sorted(B)) + "}"
               for B in blocks_]
-    return FiniteAlgebra(leq, kleene, brouwer, labels=labels, name=name)
+    return FiniteAlgebra._from_masks(up, kleene, brouwer, labels=labels,
+                                     name=name)

@@ -8,8 +8,10 @@ Elements are plain integer indices 0..n-1.  The order is stored once,
 as up- and down-set bitmasks (bit b of ``up[a]`` is set iff a <= b)
 with the meet and join tables computed when it is validated; ``le`` is
 a bit test, covers come from the masks, and ``leq`` is a read-only
-array built from them when it is read.  Labels are presentation only
-and never carry semantics.
+array built from them when it is read.  Dense boolean tables and cover
+lists are public inputs; up-set masks are what the library builds
+from, and its own builders hand them straight to the validator.
+Labels are presentation only and never carry semantics.
 """
 
 import operator
@@ -39,9 +41,11 @@ class ValidationReport:
     ``violations`` holds one ``(rule, witness)`` pair per violated rule,
     where the witness is the lexicographically least offending element
     tuple.  Format problems come first, under rules prefixed ``format:``
-    (``format:covers``, a cover index that is no integer in 0..n-1,
-    names the first bad pair; ``format:map-range`` does the same for
-    map entries), and suppress the semantic checks meaningless on them.
+    (``format:covers``, the first cover that is no pair of integers in
+    0..n-1, as a tuple, ``(c,)`` for a bare ``c``; ``format:map-length``,
+    both maps' lengths, None for a map missing or no sequence;
+    ``format:map-range``, the first element whose image is no integer in
+    0..n-1), and suppress the semantic checks meaningless on them.
     """
 
     ok: bool
@@ -117,16 +121,16 @@ def _invalid(violations):
 
 
 def _parse_leq(leq):
-    """Up-set bitmasks of a square boolean table: ``(up, violations)``,
-    with ``up`` None when the table is not a nonempty square."""
+    """Up-set bitmasks of a square boolean table; raises
+    ``format:leq-shape`` when it is not a nonempty square."""
     try:
         arr = np.asarray(leq, dtype=bool)
     except (TypeError, ValueError):
-        return None, [("format:leq-shape", ())]
+        raise _invalid([("format:leq-shape", ())]) from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        return None, [("format:leq-shape", arr.shape)]
+        raise _invalid([("format:leq-shape", arr.shape)])
     return [sum(1 << b for b, x in enumerate(row) if x)
-            for row in arr.tolist()], []
+            for row in arr.tolist()]
 
 
 def _check_order(up):
@@ -208,21 +212,26 @@ def _is_index(x, n):
         return False
 
 
-def _format_violations(n, labels, kleene, brouwer):
-    """Shape problems over n elements of the two maps, when given, and
-    of the labels, checked as the strings a carrier keeps."""
+def _as_tuple(x, default=None):
+    """x as a tuple, or ``default`` when it is no sequence."""
+    try:
+        return tuple(x)
+    except TypeError:
+        return default
+
+
+def _format_violations(n, labels, maps):
+    """Shape problems over n elements of the two maps, when an algebra
+    is asked for, and of the labels, checked as the strings a carrier
+    keeps."""
     violations = []
-    if kleene is not None:
-        if len(kleene) != n or len(brouwer) != n:
-            violations.append(("format:map-length",
-                               (len(kleene), len(brouwer))))
+    if maps is not None:
+        if any(f is None or len(f) != n for f in maps):
+            violations.append(("format:map-length", tuple(
+                None if f is None else len(f) for f in maps)))
         else:
-            bad = next(
-                ((a,) for a in range(n)
-                 if not _is_index(kleene[a], n)
-                 or not _is_index(brouwer[a], n)),
-                None,
-            )
+            bad = next(((a,) for a in range(n)
+                        if not all(_is_index(f[a], n) for f in maps)), None)
             if bad:
                 violations.append(("format:map-range", bad))
     if labels is not None and (len(labels) != n or len(set(labels)) != n):
@@ -247,20 +256,19 @@ def _kleene_violations(order, kleene):
     return violations
 
 
-def _validate(up, violations, labels, kleene=None, brouwer=None,
-              zero=None, one=None, order=None):
-    """The one validator behind every public way to build a carrier.
-    ``up, violations`` come from ``_parse_leq`` or ``_closure_from_covers``
-    (``up`` None on a format problem), or are a validated ``order``'s
-    masks and ``[]``, and then ``_check_order`` is skipped.  Raises
-    ValidationError, else returns ``(order, labels, kleene, brouwer)``:
-    labels as kept strings or None, maps as int tuples or None."""
-    if up is None:
-        raise _invalid(violations)
+def _validate(up, labels, maps=None, zero=None, one=None, order=None):
+    """The one validator behind every way to build a carrier.  Dense
+    tables and cover lists are public inputs, which ``_parse_leq`` and
+    ``_closure_from_covers`` turn into the up-set masks ``up`` that the
+    library's own builders hand in directly.  ``maps`` is the pair
+    ``(kleene, brouwer)`` for an algebra, None for a bare lattice.
+    ``_check_order`` checks ``up`` unless its validated ``order`` is
+    passed.  Raises ValidationError, else returns ``(order, labels,
+    maps)``: labels as kept strings or None, maps as int tuples."""
     labels = None if labels is None else tuple(map(str, labels))
-    if kleene is not None:
-        kleene, brouwer = tuple(kleene), tuple(brouwer)
-    violations = _format_violations(len(up), labels, kleene, brouwer)
+    if maps is not None:
+        maps = tuple(map(_as_tuple, maps))
+    violations = _format_violations(len(up), labels, maps)
     if not violations and order is None:
         order, violations = _check_order(up)
     if violations:
@@ -269,13 +277,12 @@ def _validate(up, violations, labels, kleene=None, brouwer=None,
         violations.append(("bounds:zero", (zero,)))
     if one is not None and one != order.one:
         violations.append(("bounds:one", (one,)))
-    if kleene is not None:
-        kleene = tuple(map(operator.index, kleene))
-        brouwer = tuple(map(operator.index, brouwer))
-        violations += _kleene_violations(order, kleene)
+    if maps is not None:
+        maps = tuple(tuple(map(operator.index, f)) for f in maps)
+        violations += _kleene_violations(order, maps[0])
     if violations:
         raise _invalid(violations)
-    return order, labels, kleene, brouwer
+    return order, labels, maps
 
 
 def validate_tables(leq, kleene, brouwer, labels=None, zero=None, one=None):
@@ -286,7 +293,7 @@ def validate_tables(leq, kleene, brouwer, labels=None, zero=None, one=None):
     checked against the computed bounds.
     """
     try:
-        _validate(*_parse_leq(leq), labels, kleene, brouwer, zero, one)
+        _validate(_parse_leq(leq), labels, (kleene, brouwer), zero, one)
     except ValidationError as err:
         return err.report
     return ValidationReport(True, ())
@@ -403,7 +410,7 @@ class BoundedLattice(_Carrier):
     __slots__ = ()
 
     def __init__(self, leq, labels=None, name=None):
-        order, labels, _, _ = _validate(*_parse_leq(leq), labels)
+        order, labels, _ = _validate(_parse_leq(leq), labels)
         self._set(order, labels, name)
 
     @classmethod
@@ -413,11 +420,14 @@ class BoundedLattice(_Carrier):
         return obj
 
     @classmethod
+    def _from_masks(cls, up, labels=None, name=None):
+        order, labels, _ = _validate(up, labels)
+        return cls._from_order(order, labels, name)
+
+    @classmethod
     def from_covers(cls, n, covers, labels=None, name=None):
         """Build from a list of cover pairs ``(a, b)`` meaning a < b."""
-        order, labels, _, _ = _validate(*_closure_from_covers(n, covers),
-                                        labels)
-        return cls._from_order(order, labels, name)
+        return cls._from_masks(_closure_from_covers(n, covers), labels, name)
 
     def __repr__(self):
         tag = self.name or "lattice"
@@ -425,13 +435,15 @@ class BoundedLattice(_Carrier):
 
 
 def _closure_from_covers(n, covers):
-    """Reflexive-transitive closure of cover pairs: ``(up, violations)``."""
+    """Up-set bitmasks of the reflexive-transitive closure of cover
+    pairs; raises ``format:leq-shape`` or ``format:covers``."""
     if n < 1:
-        return None, [("format:leq-shape", (0,))]
-    bad = next((c for c in covers if not all(_is_index(x, n) for x in c)),
-               None)
+        raise _invalid([("format:leq-shape", (0,))])
+    covers = [_as_tuple(c, (c,)) for c in covers]
+    bad = next((c for c in covers
+                if len(c) != 2 or not all(_is_index(x, n) for x in c)), None)
     if bad is not None:
-        return None, [("format:covers", tuple(bad))]
+        raise _invalid([("format:covers", bad)])
     up = [1 << a for a in range(n)]
     for a, b in covers:
         up[a] |= 1 << operator.index(b)  # a Python int from numpy ones too
@@ -439,7 +451,7 @@ def _closure_from_covers(n, covers):
         for a in range(n):
             if up[a] >> k & 1:
                 up[a] |= up[k]
-    return up, []
+    return up
 
 
 class FiniteAlgebra(_Carrier):
@@ -474,10 +486,10 @@ class FiniteAlgebra(_Carrier):
                 (None, {"_kept": {} if canon is None else {"canon": canon}}))
 
     def __init__(self, leq, kleene, brouwer, labels=None, name=None):
-        order, labels, kleene, brouwer = _validate(*_parse_leq(leq), labels,
-                                                   kleene, brouwer)
+        order, labels, maps = _validate(_parse_leq(leq), labels,
+                                        (kleene, brouwer))
         self._set(order, labels, name)
-        self._set_maps(kleene, brouwer)
+        self._set_maps(*maps)
 
     @classmethod
     def _from_order(cls, order, kleene, brouwer, labels=None, name=None):
@@ -488,19 +500,23 @@ class FiniteAlgebra(_Carrier):
         return obj
 
     @classmethod
+    def _from_masks(cls, up, kleene, brouwer, labels=None, name=None):
+        order, labels, maps = _validate(up, labels, (kleene, brouwer))
+        return cls._from_order(order, *maps, labels, name)
+
+    @classmethod
     def from_lattice(cls, lattice, kleene, brouwer, labels=None, name=None):
         """Decorate a BoundedLattice with ' and ~.  The lattice's order is
         already validated, so only the maps and labels are checked."""
-        order, labels, kleene, brouwer = _validate(
-            lattice._ord.up, [], lattice.labels if labels is None else labels,
-            kleene, brouwer, order=lattice._ord)
-        return cls._from_order(order, kleene, brouwer, labels, name)
+        order, labels, maps = _validate(
+            lattice._ord.up, lattice.labels if labels is None else labels,
+            (kleene, brouwer), order=lattice._ord)
+        return cls._from_order(order, *maps, labels, name)
 
     @classmethod
     def from_covers(cls, n, covers, kleene, brouwer, labels=None, name=None):
-        order, labels, kleene, brouwer = _validate(
-            *_closure_from_covers(n, covers), labels, kleene, brouwer)
-        return cls._from_order(order, kleene, brouwer, labels, name)
+        return cls._from_masks(_closure_from_covers(n, covers), kleene,
+                               brouwer, labels, name)
 
     def box(self, a):
         """box a = (a')~"""
@@ -516,7 +532,7 @@ class FiniteAlgebra(_Carrier):
 
     def relabel(self, labels, name=None):
         """Same algebra, new presentation labels."""
-        _, labels, _, _ = _validate(self._ord.up, [], labels, order=self._ord)
+        _, labels, _ = _validate(self._ord.up, labels, order=self._ord)
         return FiniteAlgebra._from_order(self._ord, self.kleene, self.brouwer,
                                          labels=labels, name=name or self.name)
 
@@ -791,8 +807,8 @@ def chain_lattice(n, name=None):
     """The n-element chain 0 < 1 < ... < n-1."""
     if n < 1:
         raise ValueError("chain needs at least one element")
-    leq = [[a <= b for b in range(n)] for a in range(n)]
-    return BoundedLattice(leq, name=name or f"chain{n}")
+    up = [(1 << n) - (1 << a) for a in range(n)]
+    return BoundedLattice._from_masks(up, name=name or f"chain{n}")
 
 
 def boolean_lattice(size, name=None):
@@ -800,5 +816,5 @@ def boolean_lattice(size, name=None):
     k = size.bit_length() - 1
     if size < 1 or 1 << k != size:
         raise ValueError("boolean lattice size must be a power of two")
-    leq = [[(a & b) == a for b in range(size)] for a in range(size)]
-    return BoundedLattice(leq, name=name or f"bool{size}")
+    up = [sum(1 << b for b in range(size) if a & ~b == 0) for a in range(size)]
+    return BoundedLattice._from_masks(up, name=name or f"bool{size}")

@@ -159,6 +159,9 @@ def _lattices(n):
                 if key not in seen:
                     seen.add(key)
                     kept.append(up)
+    # the one dense table outside core: the benchmark's tracer times order
+    # validation by wrapping this module's BoundedLattice in a plain
+    # function, which has no _from_masks to call
     lattices = [BoundedLattice([[u >> b & 1 for b in range(n)] for u in up])
                 for up in kept]
     _LATTICE_MEMO[n] = lattices

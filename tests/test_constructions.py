@@ -1,5 +1,8 @@
 """Twists, sums, products, subalgebras, quotients."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from pbzlat import axioms, catalog
@@ -272,3 +275,77 @@ def test_quotient_rejects_non_congruence():
     bad = Congruence.from_blocks(5, [(0, 1), (2,), (3,), (4,)])
     with pytest.raises(ValueError, match="congruence"):
         quotient(D5, bad)
+
+
+def _builder_outputs():
+    """Every builder's output on a fixed list of inputs, by group: the
+    file text of each algebra, and covers, labels and name of each bare
+    lattice, so element numbering and labels are pinned, not only the
+    isomorphism type."""
+    from pbzlat import fileformat
+    from pbzlat.congruences import all_congruences
+
+    def show(X):
+        if isinstance(X, BoundedLattice):
+            return repr((X.covers(), X.labels, X.name))
+        return fileformat.dumps(X)
+
+    bare = ([chain_lattice(n) for n in range(1, 7)]
+            + [boolean_lattice(n) for n in (1, 2, 4, 8)])
+    algebras = [catalog.get(name) for name in catalog.names()]
+    out = {
+        "stock": [show(L) for L in bare],
+        "twists": [show(t(L)) for L in bare for t in (twist1, twist2)
+                   if L.n > 1 or t is twist2],
+        "ordinal": [show(ordinal_sum(M, L)) for M in bare for L in bare],
+        "product": [show(product(A, B)) for A in algebras for B in algebras
+                    if A.n * B.n <= 40],
+        # all_congruences is capped at 12 elements, which leaves out B16
+        "quotient": [show(quotient(A, theta)) for A in algebras
+                     if A.n <= 12 for theta in all_congruences(A)],
+        "subalgebra": [show(subalgebra_generated(A, [a])) for A in algebras
+                       for a in range(A.n)],
+    }
+    hsum_names = ("B4", "D3", "D4", "D5", "B8", "MO2")
+    out["horizontal"] = [
+        show(horizontal_sum([catalog.get(x) for x in combo]))
+        for r in (1, 2, 3) for combo in itertools.combinations(hsum_names, r)
+        if sum(x.startswith("D") for x in combo) <= 1]
+    out["represent"] = []
+    for A in algebras:
+        if axioms.classify(A).antiortholattice and A.n > 1:
+            rep = twist_represent(A)
+            out["represent"].append(repr((rep.ok, rep.index, rep.iso,
+                                          rep.witness)))
+            if rep.ok:
+                out["represent"] += [show(rep.core), show(rep.rebuilt)]
+    return out
+
+
+# (count, sha256 of the outputs joined by newlines) per group, frozen
+# before the builders moved from boolean tables to up-set masks
+PINNED_BUILDER_OUTPUTS = {
+    "stock": (10, "01845abddecf685c97ba0e2b84ec5a66"
+                  "34bc0d86e7c2b76a4801ce3c4208e659"),
+    "twists": (18, "10fc08c0bfa3ead1e48620aa111386ff"
+                   "24dcbe6bab21a47ce6ab7149e2b8b11d"),
+    "ordinal": (100, "0bffc73c7a7470d957a4f6a216d8be1d"
+                     "e7177082027c6d5e08008a40ee828038"),
+    "product": (190, "e4c68a89b95d6e7e9ba0d8d362ae1cd9"
+                     "8f7d188f4e99556d7843df0406933ac5"),
+    "quotient": (69, "cca14f573db8bebb7efcb943bfbc27d8"
+                     "df6fded3b716826b7f0c848223072de5"),
+    "subalgebra": (126, "b39e0782be1a80cb236d5b2b876324ea"
+                        "51e5df8de10e8bf2d811937d4801255b"),
+    "horizontal": (28, "aaa84cff15283820d815dda5841ed619"
+                       "76fad6152d64974d60cdbb041390d034"),
+    "represent": (30, "7b6d03e00123c93d3c93740d52adbb9c"
+                      "fd904c541df8ef2b51c326f2d4f93b0b"),
+}
+
+
+def test_builder_outputs_pinned():
+    digests = {group: (len(texts), hashlib.sha256(
+                   "\n".join(texts).encode()).hexdigest())
+               for group, texts in _builder_outputs().items()}
+    assert digests == PINNED_BUILDER_OUTPUTS

@@ -100,10 +100,12 @@ def test_from_covers_closure():
     A = FiniteAlgebra.from_covers(4, [(0, 1), (1, 2), (2, 3)],
                                   [3, 2, 1, 0], [3, 0, 0, 0])
     assert A.box(1) == 0 and A.diamond(1) == 3
-    # a cover index outside 0..n-1 or not an integer is a format
-    # problem, the first bad pair its witness: it never wraps around and
-    # never escapes as a bare TypeError
-    for bad in ((1, -1), (1, 4), (1, 2.0), (1.0, 2), ("1", 2)):
+    # a cover index outside 0..n-1 or not an integer, or a cover that is
+    # no pair, is a format problem, the first bad cover its witness: it
+    # never wraps around and never escapes as a bare TypeError or
+    # ValueError
+    for bad in ((1, -1), (1, 4), (1, 2.0), (1.0, 2), ("1", 2), (0, 1, 2),
+                (0,)):
         covers = [(0, 1), bad, (2, -3)]
         for build in (lambda: BoundedLattice.from_covers(4, covers),
                       lambda: FiniteAlgebra.from_covers(
@@ -111,6 +113,9 @@ def test_from_covers_closure():
             with pytest.raises(ValidationError) as info:
                 build()
             assert info.value.report.violations == (("format:covers", bad),)
+    with pytest.raises(ValidationError) as info:
+        BoundedLattice.from_covers(3, [5, (1, 2)])
+    assert info.value.report.violations == (("format:covers", (5,)),)
     # numpy integers are integers
     covers = [(np.int64(0), np.int64(1)), (np.int32(1), 2)]
     assert BoundedLattice.from_covers(3, covers).covers() == [(0, 1), (1, 2)]
@@ -124,6 +129,24 @@ def test_map_entries_must_be_integers():
     chain = [(0, 1), (1, 2), (2, 3)]
     want = (("format:map-range", (0,)),)
     for k, b in ((kle, [3.5, 0, 0, 0]), ([3.0, 2, 1, 0], bro), ("3210", bro)):
+        assert validate_tables(leq, k, b).violations == want
+        for build in (lambda: FiniteAlgebra(leq, k, b),
+                      lambda: FiniteAlgebra.from_lattice(L, k, b),
+                      lambda: FiniteAlgebra.from_covers(4, chain, k, b)):
+            with pytest.raises(ValidationError) as info:
+                build()
+            assert info.value.report.violations == want
+
+
+def test_maps_must_be_sequences():
+    # an algebra needs both maps: a missing one is not read as "bare
+    # lattice", and a map that is no sequence is no TypeError
+    leq, kle, bro = d4_tables()
+    L = BoundedLattice(leq)
+    chain = [(0, 1), (1, 2), (2, 3)]
+    for k, b, lengths in ((None, bro, (None, 4)), (kle, None, (4, None)),
+                          (5, bro, (None, 4)), (kle, 5, (4, None))):
+        want = (("format:map-length", lengths),)
         assert validate_tables(leq, k, b).violations == want
         for build in (lambda: FiniteAlgebra(leq, k, b),
                       lambda: FiniteAlgebra.from_lattice(L, k, b),

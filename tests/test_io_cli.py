@@ -247,6 +247,9 @@ def test_cli_construct_errors(capsys):
     assert code == 2 and "expected ',' or ')'" in err
     code, _, err = run(capsys, "construct", "hsum(D3,D3)")
     assert code == 2 and "at most one" in err
+    # the ordinal sum's l:/u: labels cannot be written to a file
+    code, _, err = run(capsys, "construct", "twist1(osum(chain2,chain2))")
+    assert code == 2 and err.startswith("error: label 'f(l:1)' cannot")
 
 
 def test_cli_enumerate(tmp_path, capsys):
