@@ -394,7 +394,7 @@ def build_parser():
 
     p = sub.add_parser("construct", help="build an algebra from a recipe")
     p.add_argument("recipe", help="e.g. \"twist1(chain3)\", "
-                   "\"hsum(B4,D3)\", \"prod(D3,D3)\", \"osum(chain2,B4)\"")
+                   "\"hsum(B4,D3)\", \"prod(D3,D3)\"")
     p.add_argument("-o", "--out", default=None, help="output file "
                    "(default stdout)")
     p.add_argument("--name", default=None, help="name to store in the file")

@@ -613,13 +613,21 @@ def _orbit(e, gens):
 
 
 def _canonical_search(n, up, unaries):
+    """``(ordering, encoding)`` of the canonical search: see
+    ``_canonical_search_group``."""
+    return _canonical_search_group(n, up, unaries)[:2]
+
+
+def _canonical_search_group(n, up, unaries):
     """Minimal prefix-incremental encoding over color-sorted orderings.
 
-    Returns ``(ordering, encoding)`` where the encoding is a flat tuple
-    of small ints that fully determines the structure.  Equal encodings
-    mean isomorphic structures and vice versa.  The ordering is the
-    first one, in depth-first order over ascending candidates, whose
-    encoding is the minimum.
+    Returns ``(ordering, encoding, generators)`` where the encoding is a
+    flat tuple of small ints that fully determines the structure.  Equal
+    encodings mean isomorphic structures and vice versa.  The ordering
+    is the first one, in depth-first order over ascending candidates,
+    whose encoding is the minimum.  The generators are the automorphisms
+    recorded at tied leaves, as image lists; they generate the whole
+    automorphism group (below).
 
     Colors never change during the search, so the orderings searched
     place the color classes one after another, each in every order.
@@ -641,6 +649,16 @@ def _canonical_search(n, up, unaries):
       automorphisms that fix P pointwise: some such automorphism carries
       the orderings through the sibling onto those through e, and none
       of those is smaller than the best once the sibling is done.
+
+    The recorded automorphisms generate the whole group.  The minimal
+    leaves are the images of the canonical ordering under the group,
+    one per automorphism, so it is enough that each minimal leaf L is
+    its image under a product of recorded ones; by induction over the
+    depth-first order.  The bound never cuts a prefix of L.  If L is
+    visited, it is the canonical ordering (the first minimal leaf
+    visited) or a tie with it, recorded.  If the orbit rule skips L at
+    candidate e, a recorded h fixing P carries the earlier sibling to
+    e, and h^-1(L) is a minimal leaf before L.
     """
     down = [0] * n
     for a in range(n):
@@ -728,7 +746,7 @@ def _canonical_search(n, up, unaries):
         return improved
 
     search(0, False)
-    return tuple(best_order), tuple(best)
+    return tuple(best_order), tuple(best), autos
 
 
 def _canon_bytes(n, up, unaries):

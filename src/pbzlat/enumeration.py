@@ -4,12 +4,15 @@ Every class the workbench decorates lies inside the pseudo-Kleene
 lattices, so every corpus is grown from pseudo-Kleene pairs (a lattice
 with its involution), built directly by inserting an atom together
 with its coatom image; a chain corpus starts from the chain and its
-reversal.  Each pair is decorated with the Brouwer complements read
-off its sharp sets.  The decorated level of a size is built once per
-cap key, as canonical copies (every algebra renumbered along its
-canonical ordering) sorted by canonical bytes, and each spec's level
-is the sublist its class flags and identities keep, a distributive
-structure counting as the identity DIST.  So the specs share algebra
+reversal.  The pairs are grown by canonical augmentation: each
+isomorphism class comes out once, with no set of the classes seen
+and no canonical form computed only to find a duplicate.  Each pair
+is decorated with the Brouwer complements read off its sharp sets.
+The decorated level of a size is built once per cap key, as
+canonical copies (every algebra renumbered along its canonical
+ordering) sorted by canonical bytes, and each spec's level is the
+sublist its class flags and identities keep, a distributive structure
+counting as the identity DIST.  So the specs share algebra
 objects and what those keep.  What a level holds, in which copy and
 in what order, depends only on its isomorphism classes and not on the
 generator or the jobs count.  Bare lattices are grown by atom
@@ -32,7 +35,8 @@ from dataclasses import dataclass
 
 from . import axioms, congruences, constructions, terms
 from .core import (BoundedLattice, FiniteAlgebra, _bits, _canon_bytes,
-                   _check_order, _set_index, canonical_copy, canonical_form,
+                   _canonical_search_group, _check_order, _orbit,
+                   _refine_colors, _set_index, canonical_copy, canonical_form,
                    chain_lattice, is_isomorphic)
 
 __all__ = [
@@ -334,13 +338,63 @@ def _pair_insertions(order, kleene):
             yield up, kleene + (xc, x)
 
 
+def _orbit_representatives(insertions, gens, x):
+    """The first of each orbit of pair insertions under the parent's
+    automorphisms, given as generators.  An insertion is fixed by the
+    up-set of its atom x, on which an automorphism acts through the
+    parent's elements; following the generators from each kept one
+    marks its orbit without closing the group."""
+    parent = (1 << x) - 1
+    covered = set()
+    for up, kleene in insertions:
+        if up[x] in covered:
+            continue
+        yield up, kleene
+        covered.add(up[x])
+        stack = [up[x]]
+        while stack:
+            mask = stack.pop()
+            for g in gens:
+                img = mask & ~parent | sum(1 << g[b]
+                                           for b in _bits(mask & parent))
+                if img not in covered:
+                    covered.add(img)
+                    stack.append(img)
+
+
 def _pk_candidates(n):
-    """Every insertion into the pairs of size n-1 and n-2, for n >= 3."""
+    """The insertion into each pair of size n-1, and one insertion per
+    orbit of its automorphism group into each pair of size n-2, for
+    n >= 3.  The inserted atom is the image of the last element."""
     for order, kleene in _pk_pairs(n - 1):
         yield _fixed_insertion(order, kleene)
     if n >= 4:
         for order, kleene in _pk_pairs(n - 2):
-            yield from _pair_insertions(order, kleene)
+            gens = _canonical_search_group(n - 2, order.up, (kleene,))[2]
+            yield from _orbit_representatives(
+                _pair_insertions(order, kleene), gens, n - 2)
+
+
+def _in_canonical_orbit(order, kleene):
+    """Whether the inserted atom x = kleene[-1] of a pseudo-Kleene pair
+    lies in its canonical orbit: the orbit, under the pair's
+    automorphisms, of the first atom of largest color in its canonical
+    ordering.  Colors are invariants, so an atom of a smaller color is
+    not in it and the only atom of the largest color is the whole of
+    it; only a tie needs the canonical search."""
+    n, up, down = order.n, order.up, order.down
+    x = kleene[-1]
+    col = _refine_colors(n, up, down, (kleene,))
+    atoms = [a for a in range(n) if down[a] == 1 << a | 1 << order.zero]
+    top = max(col[a] for a in atoms)
+    if col[x] != top:
+        return False
+    tied = [a for a in atoms if col[a] == top]
+    if len(tied) == 1:
+        return True
+    ordering, _, gens = _canonical_search_group(n, up, (kleene,))
+    first = next(a for a in ordering if a in tied)
+    return bool(_orbit(first, gens) >> x & 1)
 
 
 _PK_MEMO = {}
@@ -353,8 +407,27 @@ def _pk_pairs(n):
     PK is hereditary: removing an atom x of a PK pair together with the
     coatom x' (only x when x' = x) leaves a PK pair, since meets can
     only fall and joins only rise.  So every pair of size n >= 3 is an
-    insertion into a pair of size n-1 or n-2, and keeping the inserted
-    lattices that are PK, deduplicated on canonical bytes, is complete.
+    insertion of an atom, with its image, into a pair of size n-1
+    (x = x') or n-2.  The pairs are grown by canonical augmentation
+    (McKay, J. Algorithms 26, 1998): every candidate is checked as a
+    lattice and as PK, and a checked child is kept only when its
+    inserted atom lies in its canonical orbit (``_in_canonical_orbit``),
+    with no set of the classes seen.  The orbit is an invariant: an
+    isomorphism carries one pair's canonical orbit onto the other's.
+
+    - Complete.  Remove from a pair C an atom m of its canonical orbit,
+      with m'.  What is left is a PK pair, isomorphic to a parent P in
+      the list, and the insertion into P that gives C back lies in an
+      orbit of P's automorphisms whose first member is inserted.  That
+      child is isomorphic to C by a map taking its atom into m's orbit,
+      so it is kept.
+    - Unique.  Two kept children that are isomorphic have their inserted
+      atoms in their canonical orbits, so some isomorphism takes the
+      one atom to the other, and, preserving ', the one image to the
+      other.  The parents are then isomorphic, hence the same pair of
+      the list, and the isomorphism restricts to an automorphism of it
+      carrying one insertion onto the other: the same orbit, only one
+      of whose members is inserted.
     """
     if n in _PK_MEMO:
         return _PK_MEMO[n]
@@ -362,16 +435,13 @@ def _pk_pairs(n):
         pairs = [_chain_pair(n)]
     else:
         pairs = []
-        seen = set()
         for up, kleene in _pk_candidates(n):
             order, _ = _check_order(up)
             if order is None or not axioms.is_pseudo_kleene(
                     FiniteAlgebra._from_order(order, kleene,
                                               _trivial_brouwer(order)))[0]:
                 continue
-            key = _canon_bytes(n, up, (kleene,))
-            if key not in seen:
-                seen.add(key)
+            if _in_canonical_orbit(order, kleene):
                 pairs.append((order, kleene))
     _PK_MEMO[n] = pairs
     return pairs

@@ -29,45 +29,78 @@ __all__ = [
 ]
 
 
-class Term:
+class _Node:
+    """Structural equality, with the hash kept on the node.
+
+    ``holds`` keys kept verdicts by statement, so a statement is hashed
+    on every lookup; a node computes its hash once, from its type and
+    its fields' (kept) hashes, so a lookup costs O(1) and not a walk
+    over the tree.  Equality compares the fields, as a dataclass's
+    does.  A pickle rebuilds the node from its fields, so the hash is
+    always that of the process the node lives in.
+    """
+
+    __slots__ = ()
+
+    def _fields(self):
+        # __match_args__: the dataclass's field names, in order
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        kept = self.__dict__.get("_hash")
+        if kept is None:
+            kept = hash((type(self), *self._fields()))
+            object.__setattr__(self, "_hash", kept)
+        return kept
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Term(_Node):
     """Base class; all nodes are frozen dataclasses."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class One(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Meet(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Join(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kleene(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Brouwer(Term):
     arg: Term
 
@@ -82,8 +115,8 @@ def Diamond(t):
     return Brouwer(Brouwer(t))
 
 
-@dataclass(frozen=True)
-class Identity:
+@dataclass(frozen=True, eq=False)
+class Identity(_Node):
     """An equation or inequality between two terms."""
 
     lhs: Term
@@ -95,8 +128,8 @@ class Identity:
             raise ValueError(f"bad identity kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class QuasiIdentity:
+@dataclass(frozen=True, eq=False)
+class QuasiIdentity(_Node):
     premises: tuple
     conclusion: Identity
 

@@ -8,9 +8,10 @@ library replaced live here too, as the references its faster versions
 must reproduce exactly: the unpruned canonical search, the recursive
 term evaluator and identity checker, the pairwise congruence lattice,
 the relational products behind direct indecomposability, the
-backtracking Brouwer search, the nested loops of check_basics, and the
+backtracking Brouwer search, the nested loops of check_basics, the
 lattice-first decoration of every lattice that the pseudo-Kleene
-generator replaced.
+generator replaced, and that generator's first form, which kept a set
+of the canonical bytes seen.
 """
 
 import itertools
@@ -292,6 +293,84 @@ def lattice_first_pk_pairs(n):
             for L in enumeration.enumerate_lattices(n)
             for A in _trivially_decorated(L)
             if axioms.is_pseudo_kleene(A)[0]}
+
+
+_SEEN_SET_MEMO = {}
+
+
+def seen_set_pk_pairs(n):
+    """Pseudo-Kleene pairs (order, kleene) of size n, one per isomorphism
+    class, grown from this function's own smaller pairs: every insertion
+    into the pairs of size n-1 and n-2 that is a PK lattice is kept
+    unless its canonical bytes were seen before.  The generator that
+    canonical augmentation replaced."""
+    if n in _SEEN_SET_MEMO:
+        return _SEEN_SET_MEMO[n]
+    if n <= 2:
+        pairs = [enumeration._chain_pair(n)]
+    else:
+        candidates = [enumeration._fixed_insertion(order, kleene)
+                      for order, kleene in seen_set_pk_pairs(n - 1)]
+        if n >= 4:
+            candidates += [ins for order, kleene in seen_set_pk_pairs(n - 2)
+                           for ins in enumeration._pair_insertions(order,
+                                                                   kleene)]
+        pairs = []
+        seen = set()
+        for up, kleene in candidates:
+            order, _ = core._check_order(up)
+            if order is None or not axioms.is_pseudo_kleene(
+                    core.FiniteAlgebra._from_order(
+                        order, kleene,
+                        enumeration._trivial_brouwer(order)))[0]:
+                continue
+            key = core._canon_bytes(n, up, (kleene,))
+            if key not in seen:
+                seen.add(key)
+                pairs.append((order, kleene))
+    _SEEN_SET_MEMO[n] = pairs
+    return pairs
+
+
+def brute_automorphisms(n, up, unaries):
+    """Every permutation g with a <= b iff g(a) <= g(b) and g(f(a)) =
+    f(g(a)) for each unary f, by backtracking over the images of 0, 1,
+    ... with every relation between assigned elements checked."""
+    out = []
+    g = [None] * n
+
+    def consistent(a, b):
+        for c in range(a):
+            d = g[c]
+            if up[a] >> c & 1 != up[b] >> d & 1 or \
+                    up[c] >> a & 1 != up[d] >> b & 1:
+                return False
+        for f in unaries:
+            for c in range(a + 1):
+                if f[c] <= a and g[f[c]] != f[g[c]]:
+                    return False
+        return True
+
+    def rec(a):
+        if a == n:
+            out.append(tuple(g))
+            return
+        for b in range(n):
+            if b in g[:a]:
+                continue
+            g[a] = b
+            if consistent(a, b):
+                rec(a + 1)
+        g[a] = None
+
+    rec(0)
+    return out
+
+
+def brute_orbits(n, up, unaries):
+    """Each element's orbit under every automorphism, as a bitmask."""
+    autos = brute_automorphisms(n, up, unaries)
+    return [sum(1 << b for b in {g[a] for g in autos}) for a in range(n)]
 
 
 def _refine_colors(n, up, down, unaries):

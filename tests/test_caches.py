@@ -149,3 +149,23 @@ def test_bare_lattices_keep_their_results(monkeypatch):
     assert again[1] is not first[1] and again[1] is not want[1]
     assert again == want
     assert len(scans) <= 1
+
+
+def test_statements_built_apart_read_the_kept_verdict(monkeypatch):
+    A = catalog.get("D5")
+    kept = {name: terms.holds(A, s) for name, s in terms.THEORY.items()}
+    scans = []
+    monkeypatch.setattr(terms, "_holds",
+                        lambda *args: scans.append(args) or (True, None))
+    for name, statement in terms.THEORY.items():
+        parsed = terms.parse_statement(terms._THEORY_SOURCE[name])
+        pickled = pickle.loads(pickle.dumps(statement))
+        for twin in (parsed, pickled):
+            assert twin is not statement and twin == statement
+            assert hash(twin) == hash(statement)
+            assert terms.holds(A, twin) == kept[name]
+    assert scans == []
+    # a node keeps its hash: hashing it again reads none of its fields
+    monkeypatch.setattr(terms._Node, "_fields", None)
+    for statement in terms.THEORY.values():
+        assert hash(statement) == hash(statement)

@@ -184,6 +184,54 @@ def test_pk_pairs_against_involutions():
     assert got == [1, 1, 1, 2, 2, 6, 7, 24, 31, 120]
 
 
+def _pk_keys(n, pairs):
+    return [core._canon_bytes(n, order.up, (kleene,))
+            for order, kleene in pairs]
+
+
+def test_pk_pairs_against_seen_set_generator():
+    for n in range(1, 12):
+        keys = _pk_keys(n, enumeration._pk_pairs(n))
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == set(_pk_keys(n, _oracles.seen_set_pk_pairs(n)))
+
+
+def test_search_generators_give_every_orbit():
+    # the canonical search's recorded automorphisms generate the whole
+    # group: their orbits are those of every automorphism
+    structures = [(order, (kleene,)) for n in range(1, 11)
+                  for order, kleene in enumeration._pk_pairs(n)]
+    structures += [(L._ord, ()) for n in range(1, 9)
+                   for L in enumerate_lattices(n)]
+    for order, unaries in structures:
+        n, up = order.n, order.up
+        gens = core._canonical_search_group(n, up, unaries)[2]
+        assert [core._orbit(a, gens) for a in range(n)] == \
+            _oracles.brute_orbits(n, up, unaries)
+
+
+def test_pk_generator_work_pinned(monkeypatch):
+    # a change in the candidates or the pruning shows up as a changed count
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    search = counted("search", core._canonical_search_group)
+    monkeypatch.setattr(core, "_canonical_search_group", search)
+    monkeypatch.setattr(enumeration, "_canonical_search_group", search)
+    monkeypatch.setattr(enumeration, "_check_order",
+                        counted("check", enumeration._check_order))
+    monkeypatch.setattr(enumeration, "_PK_MEMO", {})
+    assert len(enumeration._pk_pairs(10)) == 120
+    # 43 searches for the automorphisms of the pair parents of sizes
+    # 2-8, 45 to break ties between atoms of the largest color
+    assert calls == {"check": 615, "search": 88}
+
+
 def test_involutions_against_brute_force():
     for n in range(1, 9):
         for L in enumerate_lattices(n):

@@ -250,6 +250,16 @@ def test_cli_construct_errors(capsys):
     # the ordinal sum's l:/u: labels cannot be written to a file
     code, _, err = run(capsys, "construct", "twist1(osum(chain2,chain2))")
     assert code == 2 and err.startswith("error: label 'f(l:1)' cannot")
+    # so no recipe with osum makes a file, and the help shows none
+    code, _, err = run(capsys, "construct", "osum(chain2,B4)")
+    assert code == 2 and "the recipe yields a bare lattice" in err
+    code, _, err = run(capsys, "construct", "twist1(osum(chain2,B4))")
+    assert code == 2 and err.startswith("error: label 'f(l:1)' cannot")
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert "twist1(chain3)" in out and "osum" not in out
 
 
 def test_cli_enumerate(tmp_path, capsys):
