@@ -226,7 +226,7 @@ CLASS_FLAGS = tuple(f.name.replace("_", "-")
 
 def satisfies(A, name):
     """Whether A has the class flag ``name`` or satisfies the THEORY
-    identity ``name``; both are kept on the algebra once decided."""
+    statement ``name``; both are kept on the algebra once decided."""
     if name in CLASS_FLAGS:
         return getattr(classify(A), name.replace("-", "_"))
     return terms.holds(A, terms.THEORY[name])[0]

@@ -39,7 +39,7 @@ def _load_algebra(token):
 
 
 def _statement(text):
-    """THEORY name or literal identity/quasi-identity text."""
+    """THEORY name or literal identity or clause text."""
     if text in terms.THEORY:
         return terms.THEORY[text]
     return terms.parse_statement(text)
@@ -361,8 +361,10 @@ def _add_spec_flags(p):
                    choices=("chain", "distributive", "antiortholattice"),
                    default=None, help="structural restriction")
     p.add_argument("--require", action="append", default=[], metavar="NAME",
-                   help="theory identity the corpus must satisfy, "
-                   "repeatable: " + " ".join(sorted(terms.THEORY)))
+                   help="theory identity or clause the corpus must satisfy "
+                   "(a clause passes to subalgebras, not always to "
+                   "images or products), repeatable: "
+                   + " ".join(sorted(terms.THEORY)))
     p.add_argument("--jobs", type=_jobs, default=1,
                    help="worker processes (results do not depend on this)")
 

@@ -3,7 +3,8 @@
 Grammar (join binds loosest, then meet; the postfix unaries ' and ~
 bind tightest; [] and <> are prefix sugar for '~ and ~~):
 
-    statement := identity | identity ("&" identity)* "=>" identity
+    statement := clause | identity ("&" identity)* "=>" clause
+    clause    := identity ("|" identity)*
     identity  := term ("=" | "<=") term
     term      := factor ("v" factor)*
     factor    := unary ("^" unary)*
@@ -13,7 +14,10 @@ bind tightest; [] and <> are prefix sugar for '~ and ~~):
 
 ``v`` is reserved for join and cannot be a variable name.  The prefix
 modalities desugar at parse time, so the AST only ever contains the six
-primitive constructors.
+primitive constructors.  A statement with premises or disjuncts is a
+``QuasiIdentity``, a universal clause.  Clauses are preserved under
+subalgebras but not under homomorphic images or products (a clause with
+one disjunct is a quasi-identity, preserved under products too).
 """
 
 import itertools
@@ -24,7 +28,7 @@ import numpy as np
 __all__ = [
     "Term", "Var", "Zero", "One", "Meet", "Join", "Kleene", "Brouwer",
     "Box", "Diamond", "Identity", "QuasiIdentity", "ParseError",
-    "parse_term", "parse_identity", "parse_statement", "pretty",
+    "parse_term", "parse_statement", "pretty",
     "term_vars", "evaluate", "holds", "holds_quasi", "THEORY",
 ]
 
@@ -130,12 +134,17 @@ class Identity(_Node):
 
 @dataclass(frozen=True, eq=False)
 class QuasiIdentity(_Node):
+    """Premises, possibly none, and a disjunction of identities."""
+
     premises: tuple
-    conclusion: Identity
+    conclusion: tuple
 
     def __post_init__(self):
-        # a tuple, so that the statement hashes: holds keys verdicts by it
+        # tuples, so that the statement hashes: holds keys verdicts by it
         object.__setattr__(self, "premises", tuple(self.premises))
+        object.__setattr__(self, "conclusion", tuple(self.conclusion))
+        if not self.conclusion:
+            raise ValueError("a clause needs at least one disjunct")
 
 
 class ParseError(ValueError):
@@ -146,7 +155,8 @@ class ParseError(ValueError):
 
 _TWO_CHAR = {"[]": "BOX", "<>": "DIAMOND", "<=": "LE", "=>": "IMPLIES"}
 _ONE_CHAR = {"(": "LPAR", ")": "RPAR", "^": "MEET", "'": "KLEENE",
-             "~": "BROUWER", "=": "EQ", "&": "AND", "0": "ZERO", "1": "ONE"}
+             "~": "BROUWER", "=": "EQ", "&": "AND", "|": "OR", "0": "ZERO",
+             "1": "ONE"}
 
 
 def _tokenize(text):
@@ -252,17 +262,22 @@ class _Parser:
             return Identity(lhs, self.term(), "le")
         raise ParseError(f"expected '=' or '<=', found {text!r}", pos)
 
-    def statement(self):
-        first = self.identity()
-        if self.peek() not in ("AND", "IMPLIES"):
-            return first
-        premises = [first]
-        while self.peek() == "AND":
+    def clause(self):
+        disjuncts = [self.identity()]
+        while self.peek() == "OR":
             self.next()
-            premises.append(self.identity())
-        self.expect("IMPLIES")
-        conclusion = self.identity()
-        return QuasiIdentity(tuple(premises), conclusion)
+            disjuncts.append(self.identity())
+        return disjuncts
+
+    def statement(self):
+        first = self.clause()
+        if len(first) == 1 and self.peek() in ("AND", "IMPLIES"):
+            while self.peek() == "AND":
+                self.next()
+                first.append(self.identity())
+            self.expect("IMPLIES")
+            return QuasiIdentity(first, self.clause())
+        return first[0] if len(first) == 1 else QuasiIdentity((), first)
 
 
 def _finish(parser, node):
@@ -277,13 +292,8 @@ def parse_term(text):
     return _finish(p, p.term())
 
 
-def parse_identity(text):
-    p = _Parser(text)
-    return _finish(p, p.identity())
-
-
 def parse_statement(text):
-    """Parse an identity or a quasi-identity, whichever the text is."""
+    """Parse an identity or a clause, whichever the text is."""
     p = _Parser(text)
     return _finish(p, p.statement())
 
@@ -310,20 +320,23 @@ def _pp(t, level):
 
 
 def pretty(obj):
-    """Render a term, identity or quasi-identity; reparses to an equal AST."""
+    """Render a term, identity or clause; what parse_statement returns
+    reparses to an equal AST."""
     if isinstance(obj, Term):
         return _pp(obj, 0)
     if isinstance(obj, Identity):
         op = "=" if obj.kind == "eq" else "<="
         return f"{_pp(obj.lhs, 0)} {op} {_pp(obj.rhs, 0)}"
     if isinstance(obj, QuasiIdentity):
-        pre = " & ".join(pretty(p) for p in obj.premises)
-        return f"{pre} => {pretty(obj.conclusion)}"
+        out = " | ".join(pretty(c) for c in obj.conclusion)
+        if obj.premises:
+            out = " & ".join(pretty(p) for p in obj.premises) + " => " + out
+        return out
     raise TypeError(f"cannot pretty-print {obj!r}")
 
 
 def term_vars(obj):
-    """Sorted variable names occurring in a term/identity/quasi-identity."""
+    """Sorted variable names occurring in a term, identity or clause."""
     out = set()
 
     def walk(t):
@@ -341,9 +354,8 @@ def term_vars(obj):
         walk(obj.lhs)
         walk(obj.rhs)
     elif isinstance(obj, QuasiIdentity):
-        for p in obj.premises:
-            out.update(term_vars(p))
-        out.update(term_vars(obj.conclusion))
+        for ident in (*obj.premises, *obj.conclusion):
+            out.update(term_vars(ident))
     else:
         raise TypeError(f"no variables in {obj!r}")
     return sorted(out)
@@ -411,12 +423,13 @@ def _satisfied(A, ident, env, tabs):
 
 
 def holds(A, statement):
-    """Exhaustively check an identity or a quasi-identity; (True, None)
-    or (False, assignment).
+    """Exhaustively check an identity or a clause; (True, None) or
+    (False, assignment).
 
     Assignments run in odometer order over sorted variable names, so the
-    reported counterexample is the lexicographically first one.
-    Assignments at which a premise of a quasi-identity fails are skipped.
+    reported counterexample is the lexicographically first one.  A
+    clause fails at an assignment where every premise holds and no
+    disjunct of its conclusion does.
 
     An algebra or a bare lattice, whose tables cannot change, keeps
     each verdict by statement after the first scan, and later calls
@@ -439,17 +452,17 @@ def _holds(A, statement):
     broadcast axis each, as many as keep a block within ``_BLOCK``
     assignments; the leading ones are fixed per block and run through
     their values in odometer order.  A block's failures form a boolean
-    array (for a quasi-identity: every premise holds and the conclusion
-    does not) whose C order is the odometer order of the trailing
+    array (every premise holds and no disjunct of the
+    conclusion does) whose C order is the odometer order of the trailing
     variables, so its first True, in the first block that has one, is
     the first failing assignment of the whole scan.  The scan stops
     there; blocks bound the memory a statement with many variables
     takes.
     """
     if isinstance(statement, QuasiIdentity):
-        premises, ident = statement.premises, statement.conclusion
+        premises, conclusion = statement.premises, statement.conclusion
     else:
-        premises, ident = (), statement
+        premises, conclusion = (), (statement,)
     names = term_vars(statement)
     n = A.n
     inner = 0
@@ -464,7 +477,9 @@ def _holds(A, statement):
     tabs = {}
     for values in itertools.product(range(n), repeat=len(lead)):
         env.update(zip(lead, values))
-        bad = np.logical_not(_satisfied(A, ident, env, tabs))
+        bad = np.logical_not(_satisfied(A, conclusion[0], env, tabs))
+        for c in conclusion[1:]:
+            bad = bad & np.logical_not(_satisfied(A, c, env, tabs))
         for p in premises:
             bad = bad & _satisfied(A, p, env, tabs)
         if bad.any():
@@ -479,7 +494,7 @@ def holds_quasi(A, quasi):
     return holds(A, quasi)
 
 
-# Named identities and quasi-identities used throughout the package.
+# Named identities and clauses used throughout the package.
 # The third entry of the distributivity chain (DCHAIN3) is implemented
 # as the two-sided equation x v (y ^ z) = x v ((x v y) ^ z).
 _THEORY_SOURCE = {
@@ -503,6 +518,12 @@ _THEORY_SOURCE = {
     "DCHAIN2": "x v (y ^ z) = x v ((<>y v []x) ^ (x v y) ^ z)",
     "DCHAIN3": "x v (y ^ z) = x v ((x v y) ^ z)",
     "DCHAIN4": "x ^ (y v z) = x ^ (y v (x ^ z))",
+    # universal clauses: S_K = {0, 1}, covering cones, no two nonzero
+    # elements meeting in 0, and a chain order
+    "ANTIORTHO": "x ^ x' = 0 => x = 0 | x = 1",
+    "CONES": "x <= x' | x' <= x",
+    "NODISJ": "x ^ y = 0 => x = 0 | y = 0",
+    "CHAIN": "x <= y | y <= x",
 }
 
 THEORY = {name: parse_statement(src) for name, src in _THEORY_SOURCE.items()}

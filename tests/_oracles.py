@@ -491,18 +491,19 @@ def _identity_ok(A, ident, assignment):
 def holds(A, statement):
     """The recursive interpreter: (True, None) or (False, the first
     failing assignment in odometer order over sorted variable names),
-    skipping assignments at which a premise fails."""
+    skipping assignments at which a premise fails; a clause fails where
+    no disjunct of its conclusion holds."""
     if isinstance(statement, QuasiIdentity):
-        premises, ident = statement.premises, statement.conclusion
+        premises, conclusion = statement.premises, statement.conclusion
     else:
-        premises, ident = (), statement
+        premises, conclusion = (), (statement,)
     names = term_vars(statement)
     for values in itertools.product(range(A.n), repeat=len(names)):
         assignment = dict(zip(names, values))
         if premises and not all(_identity_ok(A, p, assignment)
                                 for p in premises):
             continue
-        if not _identity_ok(A, ident, assignment):
+        if not any(_identity_ok(A, c, assignment) for c in conclusion):
             return False, assignment
     return True, None
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles
-from pbzlat import axioms, catalog, cli, enumeration, terms
+from pbzlat import axioms, catalog, cli, constructions, enumeration, terms
 from pbzlat.core import FiniteAlgebra, chain_lattice
 
 
@@ -95,7 +95,7 @@ def test_one_list_of_class_flags(capsys):
 
 
 def test_satisfies_reads_flags_and_theory_by_name():
-    assert len(terms.THEORY) == 20
+    assert len(terms.THEORY) == 24
     for spec in (enumeration.EnumerationSpec(max_size=10,
                                              structure="antiortholattice"),
                  enumeration.EnumerationSpec(max_size=8)):
@@ -106,6 +106,37 @@ def test_satisfies_reads_flags_and_theory_by_name():
             for name, statement in terms.THEORY.items():
                 assert axioms.satisfies(A, name) == \
                     terms.holds(A, statement)[0], name
+
+
+def test_clauses_agree_with_the_readings_they_state():
+    # the antiortholattice flags against the clause S_K = {0, 1}, and the
+    # other three clauses against the sets and loops they state, on the
+    # catalog and both sweep corpora
+    algebras = [catalog.get(name) for name in catalog.names()]
+    for spec in (enumeration.EnumerationSpec(max_size=10,
+                                             structure="antiortholattice"),
+                 enumeration.EnumerationSpec(max_size=8)):
+        algebras += enumeration.enumerate_all(spec)
+    seen = {name: set() for name in ("ANTIORTHO", "CONES", "NODISJ",
+                                     "CHAIN")}
+    for A in algebras:
+        verdict = {name: terms.holds(A, terms.THEORY[name])[0]
+                   for name in seen}
+        for name, ok in verdict.items():
+            seen[name].add(ok)
+        report = axioms.classify(A)
+        assert report.kleene_sharp_trivial == verdict["ANTIORTHO"], A
+        assert report.antiortholattice == \
+            (report.pbz_star and verdict["ANTIORTHO"]), A
+        cones = constructions.cones(A)
+        assert (cones.negative | cones.positive == set(range(A.n))) == \
+            verdict["CONES"], A
+        pairs = [(a, b) for a in range(A.n) for b in range(A.n)]
+        assert all(A.meet(a, b) != A.zero or A.zero in (a, b)
+                   for a, b in pairs) == verdict["NODISJ"], A
+        assert all(A.le(a, b) or A.le(b, a) for a, b in pairs) == \
+            verdict["CHAIN"], A
+    assert all(s == {True, False} for s in seen.values())
 
 
 def test_sharp_sets_on_chain_and_boolean():

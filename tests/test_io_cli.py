@@ -2,9 +2,11 @@
 
 import io
 import json
+import re
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbzlat import catalog, enumeration, fileformat
 from pbzlat.cli import main, parse_recipe
@@ -114,6 +116,36 @@ def test_long_sections_wrap_and_reload():
     assert all(len(line) <= 72 for line in text.splitlines())
     assert sum(line.startswith("covers") for line in text.splitlines()) > 1
     assert fileformat.loads(text).tables_equal(A)
+
+
+# Edits to a catalog file: delete, insert or replace a word or a run of
+# whitespace, the inserted words taken from the format's own vocabulary.
+_VOCABULARY = ("\n", " ", "", "algebra", "elements", "covers", "kleene",
+               "brouwer", "bounds", "#", "<", ";", ":", "0", "1", "a", "b",
+               "zz", "0:1", "a:b", "1 < 0", "0 < 0", "-1", "99", "\u00e9")
+_EDITS = st.lists(st.tuples(st.sampled_from(("delete", "insert", "replace")),
+                            st.integers(0, 1 << 10),
+                            st.sampled_from(_VOCABULARY)),
+                  min_size=1, max_size=4)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(catalog.names()), _EDITS)
+def test_mutated_files_raise_only_format_errors(name, edits):
+    pieces = re.split(r"(\s+)", fileformat.dumps(catalog.get(name)))
+    for op, i, word in edits:
+        i %= len(pieces)
+        if op == "delete":
+            del pieces[i]
+        elif op == "insert":
+            pieces.insert(i, word)
+        else:
+            pieces[i] = word
+    try:
+        A = fileformat.loads("".join(pieces))
+    except (fileformat.ParseError, ValidationError):
+        return
+    assert fileformat.loads(fileformat.dumps(A)).tables_equal(A)
 
 
 def test_export_dot_shape_and_stability():
@@ -316,6 +348,15 @@ def test_cli_search_found(tmp_path, capsys):
     assert code == 0 and f"written to {dest}" in out
     assert fileformat.load(str(dest)).n == 7
 
+    # a clause: the four-element Boolean algebra, whose atoms are
+    # swapped by ' and each incomparable to its image
+    code, out, _ = run(capsys, "search", "CONES", "--max", "8",
+                       "--class", "pbz-star")
+    assert code == 0
+    assert "counterexample at n=4 (examined 5): fails at x=a" in out
+    found = fileformat.loads(out.split("\n\n", 1)[1])
+    assert is_isomorphic(found, catalog.get("B4"))
+
 
 def test_cli_search_structured(capsys):
     code, out, _ = run(capsys, "search", "SDM", "--max", "7",
@@ -349,6 +390,13 @@ def test_cli_bad_inputs(tmp_path, capsys):
     assert code == 2 and "neither a file nor a catalog name" in err
     code, _, err = run(capsys, "eval", "D4", "x ^^ y = x")
     assert code == 2
+    # malformed disjunctions: a missing disjunct, disjuncts that are
+    # terms, and a disjunction among the premises
+    for text in ("x = y |", "x | y", "| x = y", "x = y | y = x => x = 1",
+                 "x = y & y = 1 | x = 1 => x = 0"):
+        code, out, err = run(capsys, "eval", "D4", text)
+        assert code == 2 and out == "", text
+        assert err.startswith("error: ") and "Traceback" not in err, text
     bad = tmp_path / "bad.alg"
     bad.write_text("elements a b\nwat\n", encoding="utf-8")
     code, _, err = run(capsys, "check", str(bad))

@@ -1,18 +1,21 @@
 """Identity parsing, evaluation and the built-in theory table."""
 
+import contextlib
+import io
 import itertools
 import pathlib
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pbzlat import axioms, catalog, terms
+from pbzlat import axioms, catalog, cli, terms
 from pbzlat.core import canonical_form
 from pbzlat.enumeration import EnumerationSpec, enumerate_all, enumerate_pbz
 from pbzlat.terms import (Brouwer, Identity, Join, Kleene, Meet,
                          QuasiIdentity, Var, evaluate, holds, holds_quasi,
-                         parse_identity, parse_statement, parse_term, pretty,
-                         term_vars, THEORY)
+                         parse_statement, parse_term, pretty, term_vars,
+                         THEORY)
 
 import _oracles
 
@@ -26,13 +29,30 @@ def idx(A, label):
 def test_parse_shapes():
     t = parse_term("x ^ x'")
     assert t == Meet(Var("x"), Kleene(Var("x")))
-    i = parse_identity("(x ^ y)~ = x~ v y~")
+    i = parse_statement("(x ^ y)~ = x~ v y~")
     assert i == Identity(Brouwer(Meet(Var("x"), Var("y"))),
                          Join(Brouwer(Var("x")), Brouwer(Var("y"))), "eq")
     assert i == THEORY["SDM"]
     s = parse_statement("x <= y & x' ^ y = 0 => x = y")
     assert isinstance(s, QuasiIdentity) and len(s.premises) == 2
     assert s == THEORY["POM"]
+    # a quasi-identity's conclusion is a tuple of one identity, and a
+    # bare clause has no premises
+    assert s.conclusion == (parse_statement("x = y"),)
+    x, y = Var("x"), Var("y")
+    chain = parse_statement("x <= y | y <= x")
+    assert chain == QuasiIdentity((), (Identity(x, y, "le"),
+                                       Identity(y, x, "le")))
+    assert chain == THEORY["CHAIN"]
+    # & binds the premises, | the disjuncts of the conclusion
+    nodisj = parse_statement("x ^ y = 0 => x = 0 | y = 0")
+    assert nodisj.premises == (Identity(Meet(x, y), terms.Zero(), "eq"),)
+    assert nodisj.conclusion == (Identity(x, terms.Zero(), "eq"),
+                                 Identity(y, terms.Zero(), "eq"))
+    assert pretty(chain) == "x <= y | y <= x"
+    assert pretty(nodisj) == "x ^ y = 0 => x = 0 | y = 0"
+    with pytest.raises(ValueError, match="disjunct"):
+        QuasiIdentity(THEORY["POM"].premises, ())
 
 
 def test_parse_precedence_and_unaries():
@@ -48,15 +68,71 @@ def test_parse_precedence_and_unaries():
 
 
 def test_parse_errors_carry_position():
-    for text in ("x ^", "x = ", "(x v y", "x @ y", "x = y = z"):
-        with pytest.raises(terms.ParseError):
+    for text in ("x ^", "x = ", "(x v y", "x @ y", "x = y = z",
+                 "x = y |", "x | y", "| x = y", "x = y | y = x => x = 1",
+                 "x = y & y = 1 | x = 1 => x = 0", "x = y & y = x",
+                 "x = y => x = 1 |", "x = y => x = 1 | 0"):
+        with pytest.raises(terms.ParseError) as exc:
             parse_statement(text)
+        assert 0 <= exc.value.pos <= len(text), text
 
 
 def test_pretty_reparses_to_equal_ast():
     for name, stmt in THEORY.items():
         again = parse_statement(pretty(stmt))
         assert again == stmt, name
+
+
+# Statement texts: strings of tokens from the statement alphabet, most
+# of them malformed, and texts built by the grammar, which all parse.
+_TOKENS = ("x", "y", "z", "0", "1", "v", "^", "'", "~", "[]", "<>", "(",
+           ")", "=", "<=", "&", "|", "=>")
+_TOKEN_TEXTS = st.lists(st.sampled_from(_TOKENS), max_size=16).map(" ".join)
+_TERMS = st.recursive(
+    st.sampled_from(("x", "y", "z", "0", "1")),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from(("v", "^")), sub).map(
+            lambda p: "({} {} {})".format(*p)),
+        st.tuples(sub, st.sampled_from(("'", "~"))).map("".join),
+        st.tuples(st.sampled_from(("[]", "<>")), sub).map("".join)),
+    max_leaves=5)
+_IDENTITIES = st.tuples(_TERMS, st.sampled_from(("=", "<=")), _TERMS).map(
+    " ".join)
+_WELL_FORMED = st.one_of(
+    _IDENTITIES,
+    st.lists(_IDENTITIES, min_size=2, max_size=3).map(" | ".join),
+    st.tuples(st.lists(_IDENTITIES, min_size=1, max_size=2).map(" & ".join),
+              st.lists(_IDENTITIES, min_size=1, max_size=3).map(" | ".join))
+    .map(" => ".join))
+_TEXTS = st.one_of(_TOKEN_TEXTS.map(lambda text: (text, False)),
+                   _WELL_FORMED.map(lambda text: (text, True)))
+_PROPERTY = settings(max_examples=250, deadline=None, derandomize=True,
+                     database=None)
+
+
+@_PROPERTY
+@given(_TEXTS)
+def test_statement_text_parses_or_raises_parse_error(case):
+    text, well_formed = case
+    try:
+        stmt = parse_statement(text)
+    except terms.ParseError as e:
+        assert not well_formed and 0 <= e.pos <= len(text)
+        return
+    assert parse_statement(pretty(stmt)) == stmt
+    # premises or disjuncts make a clause, and nothing else does
+    assert isinstance(stmt, QuasiIdentity) == ("|" in text or "=>" in text)
+
+
+@_PROPERTY
+@given(_TEXTS)
+def test_cli_eval_exits_by_contract(case):
+    text, _ = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["eval", "D4", text])
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")
 
 
 def test_term_vars_sorted():
@@ -82,7 +158,7 @@ def test_evaluate_unbound_variable():
 
 def _theory_terms():
     for stmt in THEORY.values():
-        idents = ((*stmt.premises, stmt.conclusion)
+        idents = ((*stmt.premises, *stmt.conclusion)
                   if isinstance(stmt, QuasiIdentity) else (stmt,))
         for ident in idents:
             yield ident.lhs
@@ -122,9 +198,9 @@ def test_j_identity_examples():
 
 def test_inequality_encoding():
     D4 = catalog.get("D4")
-    ok, _ = holds(D4, parse_identity("x ^ y <= x"))
+    ok, _ = holds(D4, parse_statement("x ^ y <= x"))
     assert ok
-    ok, w = holds(D4, parse_identity("x <= x ^ y"))
+    ok, w = holds(D4, parse_statement("x <= x ^ y"))
     assert not ok and w == {"x": 1, "y": 0}
 
 
@@ -139,7 +215,8 @@ def test_quasi_identity_examples():
 def test_holds_takes_quasi_identities():
     quasi = [k for k, stmt in THEORY.items()
              if isinstance(stmt, QuasiIdentity)]
-    assert quasi == ["BZ3", "OM", "POM"]
+    assert quasi == ["BZ3", "OM", "POM", "ANTIORTHO", "CONES", "NODISJ",
+                     "CHAIN"]
     for name in ("D5", "O6-benzene"):
         A = catalog.get(name)
         for key in quasi:
@@ -215,11 +292,17 @@ def _corpus():
 
 
 def _random_statements(monkeypatch, seeds):
-    # the benchmark's seeded generator of random identities
+    # the benchmark's seeded generator of random identities, and clauses
+    # made of them: disjunctions with and without premises
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from statements import random_identities
-    return [parse_statement(text)
-            for seed in seeds for text in random_identities(seed)]
+    texts = []
+    for seed in seeds:
+        idents = random_identities(seed)
+        a, b, c, d, e, f, g, h = idents[:8]
+        texts += [*idents, f"{a} | {b}", f"{c} | {d} | {e}",
+                  f"{f} => {g} | {h}", f"{a} & {c} => {b} | {d}"]
+    return [parse_statement(text) for text in texts]
 
 
 def _assert_matches_interpreter(A, stmt):
@@ -235,11 +318,17 @@ def _assert_matches_interpreter(A, stmt):
 def test_holds_matches_interpreter_on_corpora(monkeypatch):
     statements = list(THEORY.values()) + \
         _random_statements(monkeypatch, (1, 2, 3))
+    clauses = [s for s in statements
+               if isinstance(s, QuasiIdentity) and len(s.conclusion) > 1]
+    assert len(clauses) == 4 + 3 * 4  # the THEORY clauses and 4 per seed
     corpus = _corpus()
     assert len(corpus) == 138  # antiortholattices to 8 are in the BZ corpus
+    verdicts = set()
     for A in corpus:
         for stmt in statements:
             _assert_matches_interpreter(A, stmt)
+        verdicts.update(holds(A, c)[0] for c in clauses)
+    assert verdicts == {True, False}
 
 
 def test_holds_edge_cases():
@@ -248,6 +337,8 @@ def test_holds_edge_cases():
         "x ^ 0 = 0", "x v 0 = 0", "0 <= x'",      # one side only
         "x ^ x~ = 1 & x' = x => x = y",           # premises never hold
         "x <= y & y <= x => x = y", "x <= y => y' <= x'",
+        "1 = 0 | 0 <= 1", "0 = 1 | 1 <= 0",     # clauses, no variables
+        "x = 0 | x = 1", "x ^ x~ = 1 => x = y | y' = x",
     )]
     for A in _corpus():
         for stmt in edge:
@@ -258,6 +349,9 @@ def test_holds_edge_cases():
     assert holds(D3, parse_statement("x ^ 0 = 0")) == (True, None)
     assert holds(D3, parse_statement("x ^ x~ = 1 & x' = x => x = y")) == \
         (True, None)
+    assert holds(D3, parse_statement("1 = 0 | 0 <= 1")) == (True, None)
+    assert holds(D3, parse_statement("0 = 1 | 1 <= 0")) == (False, {})
+    assert holds(D3, parse_statement("x = 0 | x = 1")) == (False, {"x": 1})
 
 
 def test_holds_reads_only_the_tables_it_uses():
