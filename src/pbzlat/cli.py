@@ -9,6 +9,7 @@ or written.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -369,7 +370,15 @@ def _add_spec_flags(p):
                    help="worker processes (results do not depend on this)")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and reused after.
+
+    Parsing never changes the parser: repeatable options copy their
+    ``[]`` default before appending, and no command changes the lists
+    it is handed.  ``build_parser.cache_clear()`` makes the next call
+    build a new one, as a fresh process would.
+    """
     top = argparse.ArgumentParser(
         prog="pbzlat",
         description="Finite-model workbench for bounded involution "
@@ -428,6 +437,11 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; returns its exit status.
+
+    The parser is built once per process (see ``build_parser``), so
+    repeated calls pay only for parsing and the command itself.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -134,7 +134,11 @@ class Identity(_Node):
 
 @dataclass(frozen=True, eq=False)
 class QuasiIdentity(_Node):
-    """Premises, possibly none, and a disjunction of identities."""
+    """Premises, possibly none, and a disjunction of identities.
+
+    With no premises there are at least two disjuncts: one alone is the
+    bare ``Identity``, and each statement has one AST.
+    """
 
     premises: tuple
     conclusion: tuple
@@ -145,6 +149,9 @@ class QuasiIdentity(_Node):
         object.__setattr__(self, "conclusion", tuple(self.conclusion))
         if not self.conclusion:
             raise ValueError("a clause needs at least one disjunct")
+        if not self.premises and len(self.conclusion) == 1:
+            raise ValueError("a clause with no premises needs at least "
+                             "two disjuncts; use the Identity itself")
 
 
 class ParseError(ValueError):
@@ -157,6 +164,9 @@ _TWO_CHAR = {"[]": "BOX", "<>": "DIAMOND", "<=": "LE", "=>": "IMPLIES"}
 _ONE_CHAR = {"(": "LPAR", ")": "RPAR", "^": "MEET", "'": "KLEENE",
              "~": "BROUWER", "=": "EQ", "&": "AND", "|": "OR", "0": "ZERO",
              "1": "ONE"}
+# the text a token kind stands for, to name it in parse errors
+_SYMBOL = {kind: text for table in (_TWO_CHAR, _ONE_CHAR)
+           for text, kind in table.items()}
 
 
 def _tokenize(text):
@@ -194,6 +204,10 @@ def _tokenize(text):
     return toks
 
 
+def _found(kind, text):
+    return "end of input" if kind == "END" else repr(text)
+
+
 class _Parser:
     def __init__(self, text):
         self.toks = _tokenize(text)
@@ -210,7 +224,9 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
+            raise ParseError(
+                f"expected {_SYMBOL[kind]!r}, found {_found(*tok[:2])}",
+                tok[2])
         return tok
 
     def term(self):
@@ -251,7 +267,7 @@ class _Parser:
             t = self.term()
             self.expect("RPAR")
             return t
-        raise ParseError(f"expected a term, found {text!r}", pos)
+        raise ParseError(f"expected a term, found {_found(kind, text)}", pos)
 
     def identity(self):
         lhs = self.term()
@@ -260,7 +276,8 @@ class _Parser:
             return Identity(lhs, self.term(), "eq")
         if kind == "LE":
             return Identity(lhs, self.term(), "le")
-        raise ParseError(f"expected '=' or '<=', found {text!r}", pos)
+        raise ParseError(
+            f"expected '=' or '<=', found {_found(kind, text)}", pos)
 
     def clause(self):
         disjuncts = [self.identity()]

@@ -1,14 +1,18 @@
 """Algebra files, DOT export, and the command-line front end."""
 
+import contextlib
 import io
 import json
+import os
+import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbzlat import catalog, enumeration, fileformat
+from pbzlat import axioms, catalog, cli, enumeration, fileformat, terms
 from pbzlat.cli import main, parse_recipe
 from pbzlat.core import FiniteAlgebra, ValidationError, is_isomorphic
 from pbzlat.enumeration import EnumerationSpec, enumerate_all
@@ -390,6 +394,13 @@ def test_cli_bad_inputs(tmp_path, capsys):
     assert code == 2 and "neither a file nor a catalog name" in err
     code, _, err = run(capsys, "eval", "D4", "x ^^ y = x")
     assert code == 2
+    # a missing token is named by what the user would type
+    code, _, err = run(capsys, "eval", "D4", "x = y & y = x")
+    assert (code, err) == (2, "error: expected '=>', found end of input "
+                              "(at position 13)\n")
+    code, _, err = run(capsys, "eval", "D4", "(x v y = x")
+    assert (code, err) == (2, "error: expected ')', found '=' "
+                              "(at position 7)\n")
     # malformed disjunctions: a missing disjunct, disjuncts that are
     # terms, and a disjunction among the premises
     for text in ("x = y |", "x | y", "| x = y", "x = y | y = x => x = 1",
@@ -457,3 +468,139 @@ def test_cli_enumerate_bytes_independent_of_jobs(tmp_path, capsys):
         assert code == 0
         trees.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert trees[0] == trees[1] and len(trees[0]) == 21
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _parsed(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as e:
+        return ("exit", e.code)
+
+
+def test_cli_reused_parser_matches_a_fresh_one(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # repeatable options given, then the same command without them, and
+    # a usage error followed by a good call
+    sequence = (
+        ["check", "D4", "--class", "bz", "--class", "pbz-star",
+         "--identity", "SDM", "--identity", "x = x", "--format",
+         "structured"],
+        ["check", "D4"],
+        ["eval", "D4", "SDM", "--format", "structured"],
+        ["eval", "D4", "SDM"],
+        ["construct", "twist1(chain3)", "-o", "t.alg", "--name", "T"],
+        ["construct", "twist1(chain3)"],
+        ["enumerate", "--max", "5", "--class", "pbz-star", "--require",
+         "SDM", "--require", "J", "--structure", "chain", "--jobs", "2",
+         "-o", "corpus"],
+        ["enumerate", "--max", "5"],
+        ["search", "J", "--max", "6", "--class", "pbz-star", "--class",
+         "bz", "--require", "SDM", "--format", "structured", "-o", "x"],
+        ["search", "J", "--max", "6"],
+        ["export-dot", "B4", "-o", "b4.dot"],
+        ["export-dot", "B4"],
+        ["check", "D4", "--class", "magic"],
+        ["check", "D4", "--class", "bz"],
+        ["search", "J", "--class", "bz"],
+        ["search", "J", "--max", "6"],
+        ["enumerate", "--max", "3", "--jobs", "0"],
+        ["enumerate", "--max", "3"],
+    )
+    seen = []
+    for argv in sequence:
+        seen.append(_parsed(cli.build_parser(), argv))
+        assert seen[-1] == _parsed(cli.build_parser.__wrapped__(), argv), argv
+    assert seen.count(("exit", 2)) == 3
+
+
+def test_cli_output_after_a_call_matches_a_fresh_process(capsys):
+    argv = ["search", "J", "--max", "6", "--format", "structured"]
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    fresh = subprocess.run([sys.executable, "-m", "pbzlat", *argv],
+                           capture_output=True, text=True, env=env)
+    assert main(argv[:4] + ["--class", "pbz-star"] + argv[4:]) in (0, 1)
+    for _ in range(2):
+        capsys.readouterr()
+        code = main(argv)
+        assert (code, capsys.readouterr().out) == \
+            (fresh.returncode, fresh.stdout)
+    # the commands left nothing behind in the parser's defaults
+    assert _parsed(cli.build_parser(), argv) == \
+        _parsed(cli.build_parser.__wrapped__(), argv)
+
+
+# Arguments for check, construct and search: real names and junk.
+_JUNK = st.sampled_from(("", "magic", "-", "x", "Q17", "b4 ", "--max",
+                         "\u00e9", "x = y", "x ^^ y"))
+_CLASSES = st.one_of(st.sampled_from(axioms.CLASS_FLAGS), _JUNK)
+_NAMES = st.one_of(st.sampled_from(sorted(terms.THEORY)), _JUNK,
+                   st.sampled_from(("x = x", "x <= y | y <= x",
+                                    "x ^ y = 0 => x = 0 | y = 0")))
+_ALGEBRAS = st.one_of(st.sampled_from(catalog.names()), _JUNK)
+_RECIPE_ATOMS = st.sampled_from(
+    [name for name in catalog.names() if catalog.get(name).n <= 6]
+    + ["chain0", "chain1", "chain3", "bool0", "bool2", "bool3", "foo",
+       "twist1", "prod"])
+_RECIPES = st.one_of(
+    st.recursive(
+        _RECIPE_ATOMS,
+        lambda sub: st.tuples(
+            st.sampled_from(("twist1", "twist2", "osum", "prod", "hsum")),
+            st.lists(sub, min_size=1, max_size=3)).map(
+                lambda p: f"{p[0]}({','.join(p[1])})"),
+        max_leaves=3),
+    st.lists(st.sampled_from(("twist1", "prod", "hsum", "(", ")", ",",
+                              "D3", "B4", "chain2", "7")),
+             max_size=8).map("".join))
+
+
+def _repeated(flag, values):
+    return st.lists(values, max_size=2).map(
+        lambda vs: [a for v in vs for a in (flag, v)])
+
+
+def _options(*choices):
+    return st.lists(st.one_of(*choices), max_size=3).map(
+        lambda parts: [a for part in parts for a in part])
+
+
+_ARGVS = st.one_of(
+    st.tuples(st.just(["check"]), _ALGEBRAS.map(lambda a: [a]),
+              _options(_repeated("--class", _CLASSES),
+                       _repeated("--identity", _NAMES),
+                       st.just(["--format", "structured"]))),
+    st.tuples(st.just(["construct"]), _RECIPES.map(lambda r: [r]),
+              _options(st.tuples(st.just("--name"), _JUNK).map(list))),
+    st.tuples(st.just(["search"]), _NAMES.map(lambda i: [i]),
+              st.integers(1, 4).map(lambda m: ["--max", str(m)]),
+              _options(_repeated("--class", _CLASSES),
+                       _repeated("--require", _NAMES),
+                       st.sampled_from(("chain", "distributive",
+                                        "antiortholattice", "lattice")).map(
+                           lambda s: ["--structure", s]),
+                       st.just(["--format", "structured"]))),
+).map(lambda parts: [a for part in parts for a in part])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_ARGVS)
+def test_cli_arguments_exit_by_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO("")  # the algebra "-"
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as e:
+        assert e.code == 2, argv
+        return
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2), argv
+    assert (code == 2) == err.getvalue().startswith("error: "), argv

@@ -53,6 +53,11 @@ def test_parse_shapes():
     assert pretty(nodisj) == "x ^ y = 0 => x = 0 | y = 0"
     with pytest.raises(ValueError, match="disjunct"):
         QuasiIdentity(THEORY["POM"].premises, ())
+    # one disjunct and no premises is the bare identity, which has its
+    # own AST; the parser returns that one
+    with pytest.raises(ValueError, match="two disjuncts"):
+        QuasiIdentity((), (THEORY["SDM"],))
+    assert isinstance(parse_statement("x <= y"), Identity)
 
 
 def test_parse_precedence_and_unaries():
