@@ -28,14 +28,17 @@ __all__ = [
 
 
 def is_pseudo_kleene(A):
-    """a ^ a' <= b v b' for all a, b.  Returns (bool, witness)."""
-    n = A.n
-    lows = [A.meet(a, A.kleene[a]) for a in range(n)]
-    highs = [A.join(b, A.kleene[b]) for b in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if not A.le(lows[a], highs[b]):
-                return False, (a, b)
+    """a ^ a' <= b v b' for all a, b.  Returns (bool, witness), the
+    witness the least failing (a, b).  Each a ^ a' is tested against the
+    set of all b v b' at once, through its up-set mask."""
+    order, kleene = A._ord, A.kleene
+    highs = [order.join[b][kleene[b]] for b in range(A.n)]
+    high_set = sum(1 << h for h in set(highs))
+    for a in range(A.n):
+        missed = high_set & ~order.up[order.meet[a][kleene[a]]]
+        if missed:
+            return False, (a, next(b for b, h in enumerate(highs)
+                                   if missed >> h & 1))
     return True, None
 
 

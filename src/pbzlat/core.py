@@ -140,9 +140,10 @@ def _check_order(up):
     only when every check passes.
     """
     n = len(up)
+    bits = [[b for b in range(n) if m >> b & 1] for m in up]
     down = [0] * n
-    for a in range(n):
-        for b in _bits(up[a]):
+    for a, above in enumerate(bits):
+        for b in above:
             down[b] |= 1 << a
     violations = []
     refl = next(((a,) for a in range(n) if not up[a] >> a & 1), None)
@@ -155,7 +156,7 @@ def _check_order(up):
             anti = (a, next(_bits(both)))
         if trans is None:
             # a <= b <= c with a </= c, least b first, then least c
-            for b in _bits(up[a]):
+            for b in bits[a]:
                 missing = up[b] & ~up[a]
                 if missing:
                     trans = (a, b, next(_bits(missing)))
@@ -568,9 +569,10 @@ def _refine_colors(n, up, down, unaries):
     A round's signature is the element's color, the sorted colors of its
     strict lower and upper bounds, of its images and of its preimages.
     On a single color these are runs of zeros, which compare as their
-    lengths do, so the first round ranks by those lengths.  Refinement
-    stops when a round splits no class (such a round, its signatures
-    led by the colors, would rank them as they are) or when every
+    lengths do, so the first round ranks by those lengths.  A later
+    round's signature leads with the element's color, so it only splits
+    classes and keeps their order.  Refinement stops when a round splits
+    no class (such a round would rank them as they are) or when every
     element has a color of its own.
     """
     below = [tuple(_bits(down[a] & ~(1 << a))) for a in range(n)]

@@ -375,21 +375,53 @@ def _pk_candidates(n):
                 _pair_insertions(order, kleene), gens, n - 2)
 
 
-def _in_canonical_orbit(order, kleene):
+def _top_degree_atoms(up, x):
+    """The atoms with the most strict upper bounds, as a mask, when the
+    inserted atom x is one of them, and 0 when another atom has more.
+
+    That is the top class among the atoms after the first round of
+    ``_refine_colors``, which ranks an element by its numbers of strict
+    lower bounds, strict upper bounds and preimages: an atom has one
+    strict lower bound, 0, and one preimage under the involution.  Only
+    the up-set masks are read, so a candidate can be tested before it is
+    checked: its zero is the element below all, and its atoms are the
+    other elements above no element but 0 and themselves."""
+    full = (1 << len(up)) - 1
+    zero = above = 0
+    for a, m in enumerate(up):
+        if m == full:
+            zero = 1 << a
+        else:
+            above |= m & ~(1 << a)
+    degree = up[x].bit_count()
+    top = 0
+    for a in _bits(full & ~above & ~zero):
+        d = up[a].bit_count()
+        if d > degree:
+            return 0
+        if d == degree:
+            top |= 1 << a
+    return top
+
+
+def _in_canonical_orbit(order, kleene, tied):
     """Whether the inserted atom x = kleene[-1] of a pseudo-Kleene pair
     lies in its canonical orbit: the orbit, under the pair's
     automorphisms, of the first atom of largest color in its canonical
-    ordering.  Colors are invariants, so an atom of a smaller color is
-    not in it and the only atom of the largest color is the whole of
-    it; only a tie needs the canonical search."""
-    n, up, down = order.n, order.up, order.down
+    ordering.  ``tied`` is the first round's top class among the atoms,
+    which holds x (``_top_degree_atoms``); the atoms of largest color lie
+    in it.  Colors are invariants, so an atom of a smaller color is not
+    in the orbit and the only atom of the largest color is the whole of
+    it; only a tie after refinement needs the canonical search."""
+    n, up = order.n, order.up
     x = kleene[-1]
-    col = _refine_colors(n, up, down, (kleene,))
-    atoms = [a for a in range(n) if down[a] == 1 << a | 1 << order.zero]
-    top = max(col[a] for a in atoms)
+    if tied == 1 << x:
+        return True
+    col = _refine_colors(n, up, order.down, (kleene,))
+    top = max(col[a] for a in _bits(tied))
     if col[x] != top:
         return False
-    tied = [a for a in atoms if col[a] == top]
+    tied = [a for a in _bits(tied) if col[a] == top]
     if len(tied) == 1:
         return True
     ordering, _, gens = _canonical_search_group(n, up, (kleene,))
@@ -409,11 +441,21 @@ def _pk_pairs(n):
     only fall and joins only rise.  So every pair of size n >= 3 is an
     insertion of an atom, with its image, into a pair of size n-1
     (x = x') or n-2.  The pairs are grown by canonical augmentation
-    (McKay, J. Algorithms 26, 1998): every candidate is checked as a
-    lattice and as PK, and a checked child is kept only when its
-    inserted atom lies in its canonical orbit (``_in_canonical_orbit``),
-    with no set of the classes seen.  The orbit is an invariant: an
-    isomorphism carries one pair's canonical orbit onto the other's.
+    (McKay, J. Algorithms 26, 1998): a child is kept only when it is a
+    lattice, is PK and has its inserted atom in its canonical orbit
+    (``_in_canonical_orbit``), with no set of the classes seen.  The
+    orbit is an invariant: an isomorphism carries one pair's canonical
+    orbit onto the other's.
+
+    The cheapest test runs first, on the candidate's masks.  Refinement
+    only splits color classes and keeps their order, since every
+    round's signature leads with the element's last color; so the atoms
+    of largest final color are among the atoms with the most strict
+    upper bounds, the first round's top class among the atoms.  A
+    candidate whose atom is not among those (``_top_degree_atoms``) is
+    not kept whatever its checks would say, so it is dropped before
+    them; an atom alone among them has the largest color alone, and its
+    child is kept with no refinement.
 
     - Complete.  Remove from a pair C an atom m of its canonical orbit,
       with m'.  What is left is a PK pair, isomorphic to a parent P in
@@ -436,12 +478,15 @@ def _pk_pairs(n):
     else:
         pairs = []
         for up, kleene in _pk_candidates(n):
+            tied = _top_degree_atoms(up, kleene[-1])
+            if not tied:
+                continue
             order, _ = _check_order(up)
             if order is None or not axioms.is_pseudo_kleene(
                     FiniteAlgebra._from_order(order, kleene,
                                               _trivial_brouwer(order)))[0]:
                 continue
-            if _in_canonical_orbit(order, kleene):
+            if _in_canonical_orbit(order, kleene, tied):
                 pairs.append((order, kleene))
     _PK_MEMO[n] = pairs
     return pairs

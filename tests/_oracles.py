@@ -8,10 +8,11 @@ library replaced live here too, as the references its faster versions
 must reproduce exactly: the unpruned canonical search, the recursive
 term evaluator and identity checker, the pairwise congruence lattice,
 the relational products behind direct indecomposability, the
-backtracking Brouwer search, the nested loops of check_basics, the
-lattice-first decoration of every lattice that the pseudo-Kleene
-generator replaced, and that generator's first form, which kept a set
-of the canonical bytes seen.
+backtracking Brouwer search, the nested loops of check_basics, of the
+order checks and of the pseudo-Kleene test, the lattice-first
+decoration of every lattice that the pseudo-Kleene generator replaced,
+that generator's first form, which kept a set of the canonical bytes
+seen, and its orbit test without the atom-degree pre-test.
 """
 
 import itertools
@@ -114,6 +115,75 @@ def _lattice_ok(leq):
             if not any(all(leq[c][d] for d in upper) for c in upper):
                 return False
     return True
+
+
+def check_order(up):
+    """The order and lattice checks of core._check_order by nested loops
+    over the relation a <= b iff bit b of up[a]: ``(tables, violations)``
+    with the same rules and lexicographically least witnesses, the
+    tables ``(down, meet, join, zero, one)`` when nothing is violated."""
+    n = len(up)
+    le = [[bool(up[a] >> b & 1) for b in range(n)] for a in range(n)]
+
+    def first(gen):
+        return next(gen, None)
+
+    violations = []
+    for rule, witness in (
+            ("order:reflexive",
+             first((a,) for a in range(n) if not le[a][a])),
+            ("order:antisymmetric",
+             first((a, b) for a in range(n) for b in range(n)
+                   if a != b and le[a][b] and le[b][a])),
+            ("order:transitive",
+             first((a, b, c) for a in range(n) for b in range(n)
+                   for c in range(n)
+                   if le[a][b] and le[b][c] and not le[a][c]))):
+        if witness:
+            violations.append((rule, witness))
+    if violations:
+        return None, violations
+
+    def extreme(elements, below):
+        # the element of the set that every other one is below
+        return next((c for c in elements
+                     if all(below(d, c) for d in elements)), -1)
+
+    meet = [[extreme([c for c in range(n) if le[c][a] and le[c][b]],
+                     lambda d, c: le[d][c]) for b in range(n)]
+            for a in range(n)]
+    join = [[extreme([c for c in range(n) if le[a][c] and le[b][c]],
+                     lambda d, c: le[c][d]) for b in range(n)]
+            for a in range(n)]
+    for rule, table in (("lattice:meet", meet), ("lattice:join", join)):
+        witness = first((a, b) for a in range(n) for b in range(a, n)
+                        if table[a][b] < 0)
+        if witness:
+            violations.append((rule, witness))
+    if violations:
+        return None, violations
+    zero = extreme(range(n), lambda d, c: le[c][d])
+    one = extreme(range(n), lambda d, c: le[d][c])
+    if zero < 0:
+        violations.append(("bounds:zero", ()))
+    if one < 0:
+        violations.append(("bounds:one", ()))
+    if violations:
+        return None, violations
+    down = tuple(sum(1 << c for c in range(n) if le[c][a])
+                 for a in range(n))
+    return (down, tuple(map(tuple, meet)), tuple(map(tuple, join)), zero,
+            one), []
+
+
+def is_pseudo_kleene(A):
+    """a ^ a' <= b v b' for all a, b by nested loops, the first failing
+    (a, b) the witness."""
+    for a in range(A.n):
+        for b in range(A.n):
+            if not A.le(A.meet(a, A.kleene[a]), A.join(b, A.kleene[b])):
+                return False, (a, b)
+    return True, None
 
 
 def involutions(n):
@@ -371,6 +441,21 @@ def brute_orbits(n, up, unaries):
     """Each element's orbit under every automorphism, as a bitmask."""
     autos = brute_automorphisms(n, up, unaries)
     return [sum(1 << b for b in {g[a] for g in autos}) for a in range(n)]
+
+
+def in_canonical_orbit(order, kleene):
+    """Whether the inserted atom x = kleene[-1] of a pseudo-Kleene pair
+    lies in the orbit of the first atom of largest color in its
+    canonical ordering: every atom's color refined, the ordering of the
+    unpruned search and the orbit of every automorphism found by
+    backtracking."""
+    n, up, down = order.n, order.up, order.down
+    col = _refine_colors(n, up, down, (kleene,))
+    atoms = [a for a in range(n) if down[a] == 1 << a | 1 << order.zero]
+    top = max(col[a] for a in atoms)
+    ordering, _ = unpruned_canonical_search(n, up, (kleene,))
+    first = next(a for a in ordering if a in atoms and col[a] == top)
+    return bool(brute_orbits(n, up, (kleene,))[first] >> kleene[-1] & 1)
 
 
 def _refine_colors(n, up, down, unaries):

@@ -22,6 +22,23 @@ def test_pseudo_kleene_witness():
     assert not A.le(A.meet(a, A.kleene[a]), A.join(b, A.kleene[b]))
 
 
+def test_pseudo_kleene_against_nested_loops():
+    # both sweep corpora, all pseudo-Kleene, and every order-reversing
+    # involution of every lattice to n=8, many of them not
+    algebras = [A for spec in (
+        enumeration.EnumerationSpec(max_size=10,
+                                    structure="antiortholattice"),
+        enumeration.EnumerationSpec(max_size=8))
+        for A in enumeration.enumerate_all(spec)]
+    algebras += [A for n in range(1, 9)
+                 for L in enumeration.enumerate_lattices(n)
+                 for A in _oracles._trivially_decorated(L)]
+    verdicts = [axioms.is_pseudo_kleene(A) for A in algebras]
+    assert verdicts == [_oracles.is_pseudo_kleene(A) for A in algebras]
+    # the witness path is taken too: 150 involutions are not PK
+    assert sum(not ok for ok, _ in verdicts) == 150
+
+
 def test_ortholattice_vs_pseudo_kleene():
     D4 = catalog.get("D4")
     assert axioms.is_pseudo_kleene(D4)[0]

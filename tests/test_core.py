@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbzlat import core, enumeration, fileformat
+from pbzlat import catalog, core, enumeration, fileformat
 from pbzlat.core import (BoundedLattice, FiniteAlgebra, ValidationError,
                          boolean_lattice, canonical_form, chain_lattice,
                          is_isomorphic, is_order_isomorphic, validate_tables)
@@ -51,6 +52,63 @@ def test_order_witnesses_are_lex_least():
     ident = list(range(5))
     assert validate_tables(leq, ident, ident).violations == (
         ("order:antisymmetric", (2, 3)), ("order:transitive", (0, 1, 4)))
+
+
+def _random_poset(rng, n):
+    """Up-set masks of the transitive closure of a random relation that
+    only goes up in index order."""
+    up = [1 << a | sum(1 << b for b in range(a + 1, n) if rng.random() < 0.4)
+          for a in range(n)]
+    for a in reversed(range(n)):
+        for b in range(a + 1, n):
+            if up[a] >> b & 1:
+                up[a] |= up[b]
+    return up
+
+
+def test_check_order_against_nested_loops():
+    # random masks, their reflexive closures, random posets and PK
+    # lattices, each also with one or two bits flipped
+    rng = random.Random(19)
+    cases = []
+    lattices = [order.up for n in range(1, 8)
+                for order, _ in enumeration._pk_pairs(n)]
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        masks = [rng.getrandbits(n) for _ in range(n)]
+        for up in (masks, [m | 1 << a for a, m in enumerate(masks)],
+                   _random_poset(rng, n), rng.choice(lattices)):
+            n = len(up)
+            for flips in range(3):
+                bad = list(up)
+                for _ in range(flips):
+                    bad[rng.randrange(n)] ^= 1 << rng.randrange(n)
+                cases.append(bad)
+    rules = Counter()
+    for up in cases:
+        order, violations = core._check_order(up)
+        tables, expected = _oracles.check_order(up)
+        assert violations == expected, up
+        assert (order is None) == (tables is None), up
+        if order is not None:
+            assert order.up == tuple(up)
+            assert (order.down, order.meet, order.join, order.zero,
+                    order.one) == tables, up
+        rules.update(rule for rule, _ in violations or [("ok", ())])
+    # every verdict the checks can reach is reached
+    assert set(rules) == {"ok", "order:reflexive", "order:antisymmetric",
+                          "order:transitive", "lattice:meet",
+                          "lattice:join"}
+
+
+def test_refine_colors_against_oracle():
+    structures = [(order, (kleene,)) for n in range(1, 11)
+                  for order, kleene in enumeration._pk_pairs(n)]
+    structures += [(A._ord, (A.kleene, A.brouwer))
+                   for A in map(catalog.get, catalog.names())]
+    for order, unaries in structures:
+        args = order.n, order.up, order.down, unaries
+        assert core._refine_colors(*args) == _oracles._refine_colors(*args)
 
 
 def test_antitone_witness_is_lex_least():

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from pbzlat import catalog, core, enumeration, terms
+from pbzlat import axioms, catalog, core, enumeration, terms
 from pbzlat.core import (
     FiniteAlgebra, boolean_lattice, chain_lattice, canonical_form,
     is_isomorphic,
@@ -220,16 +220,54 @@ def test_pk_generator_work_pinned(monkeypatch):
             return fn(*args)
         return wrapper
 
+    def generated(fn):
+        def wrapper(n):
+            for candidate in fn(n):
+                calls["candidate"] += 1
+                yield candidate
+        return wrapper
+
     search = counted("search", core._canonical_search_group)
     monkeypatch.setattr(core, "_canonical_search_group", search)
     monkeypatch.setattr(enumeration, "_canonical_search_group", search)
     monkeypatch.setattr(enumeration, "_check_order",
                         counted("check", enumeration._check_order))
+    monkeypatch.setattr(enumeration, "_pk_candidates",
+                        generated(enumeration._pk_candidates))
     monkeypatch.setattr(enumeration, "_PK_MEMO", {})
     assert len(enumeration._pk_pairs(10)) == 120
-    # 43 searches for the automorphisms of the pair parents of sizes
-    # 2-8, 45 to break ties between atoms of the largest color
-    assert calls == {"check": 615, "search": 88}
+    # the atom-degree pre-test leaves 300 of the 615 candidates to check;
+    # 43 searches for the automorphisms of the pair parents of sizes 2-8,
+    # 45 to break ties between atoms of the largest color
+    assert calls == {"candidate": 615, "check": 300, "search": 88}
+
+
+def test_pk_pretest_agrees_with_the_canonical_orbit():
+    # on every candidate that is a PK lattice, an inserted atom with fewer
+    # upper bounds than another atom is never kept, and one with more than
+    # every other atom always is, by the test with no pre-test
+    kinds = Counter()
+    for n in range(3, 11):
+        for up, kleene in enumeration._pk_candidates(n):
+            order, _ = core._check_order(up)
+            if order is None or not axioms.is_pseudo_kleene(
+                    FiniteAlgebra._from_order(
+                        order, kleene,
+                        enumeration._trivial_brouwer(order)))[0]:
+                continue
+            x = kleene[-1]
+            top = enumeration._top_degree_atoms(up, x)
+            kept = _oracles.in_canonical_orbit(order, kleene)
+            if top:
+                assert enumeration._in_canonical_orbit(order, kleene,
+                                                       top) == kept
+            kind = ("rejected" if not top else
+                    "alone" if top == 1 << x else "tied")
+            assert kind != ("rejected" if kept else "alone")
+            kinds[kind, kept] += 1
+    # 193 kept, the pairs of sizes 3-10; only 57 ties need refinement
+    assert kinds == {("alone", True): 148, ("rejected", False): 157,
+                     ("tied", True): 45, ("tied", False): 12}
 
 
 def test_involutions_against_brute_force():

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -588,9 +589,9 @@ _ARGVS = st.one_of(
 ).map(lambda parts: [a for part in parts for a in part])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_ARGVS)
-def test_cli_arguments_exit_by_contract(argv):
+def _exits_by_contract(argv):
+    """Run one command: it returns 0, 1 or 2, writing ``error: `` to
+    stderr exactly when 2, or argparse exits with 2."""
     out, err = io.StringIO(), io.StringIO()
     stdin, sys.stdin = sys.stdin, io.StringIO("")  # the algebra "-"
     try:
@@ -604,3 +605,44 @@ def test_cli_arguments_exit_by_contract(argv):
         sys.stdin = stdin
     assert code in (0, 1, 2), argv
     assert (code == 2) == err.getvalue().startswith("error: "), argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_ARGVS)
+def test_cli_arguments_exit_by_contract(argv):
+    _exits_by_contract(argv)
+
+
+# Arguments for enumerate and export-dot.  Paths name places in a fresh
+# temporary directory: nothing yet, an empty file, a directory, a path
+# below a missing directory, and for export-dot a valid algebra file.
+_PATHS = st.sampled_from(("new", "empty", "dir", "missing/new")).map(
+    lambda p: "@tmp/" + p)
+_ENUMERATE_ARGVS = st.tuples(
+    st.just(["enumerate"]),
+    st.one_of(st.integers(-1, 4).map(str), st.sampled_from(("13", "99")),
+              _JUNK).map(lambda m: ["--max", m]),
+    _options(_repeated("--class", _CLASSES),
+             _repeated("--require", _NAMES),
+             st.sampled_from(("chain", "distributive", "antiortholattice",
+                              "lattice")).map(lambda s: ["--structure", s]),
+             st.sampled_from(("1", "0", "x", "")).map(
+                 lambda j: ["--jobs", j]),
+             _PATHS.map(lambda p: ["-o", p]),
+             st.just(["--format", "structured"])))
+_EXPORT_DOT_ARGVS = st.tuples(
+    st.just(["export-dot"]),
+    st.one_of(_ALGEBRAS, _PATHS, st.just("@tmp/alg")).map(lambda a: [a]),
+    _options(_PATHS.map(lambda p: ["-o", p])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_ENUMERATE_ARGVS, _EXPORT_DOT_ARGVS).map(
+    lambda parts: [a for part in parts for a in part]))
+def test_enumerate_and_export_dot_arguments_exit_by_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        (root / "empty").write_text("")
+        (root / "dir").mkdir()
+        fileformat.dump(catalog.get("D4"), root / "alg")
+        _exits_by_contract([a.replace("@tmp", tmp, 1) for a in argv])
