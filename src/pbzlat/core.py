@@ -17,7 +17,8 @@ Labels are presentation only and never carry semantics.
 import operator
 from dataclasses import dataclass
 
-import numpy as np
+# numpy is imported only where a dense order table is parsed or built,
+# so that importing the package does not load it
 
 __all__ = [
     "ValidationReport",
@@ -123,6 +124,7 @@ def _invalid(violations):
 def _parse_leq(leq):
     """Up-set bitmasks of a square boolean table; raises
     ``format:leq-shape`` when it is not a nonempty square."""
+    import numpy as np
     try:
         arr = np.asarray(leq, dtype=bool)
     except (TypeError, ValueError):
@@ -367,6 +369,7 @@ class _Carrier:
     def leq(self):
         """The order as a read-only boolean array, built from the
         bitmasks on each read."""
+        import numpy as np
         n = self._ord.n
         arr = np.array([[u >> b & 1 for b in range(n)] for u in self._ord.up],
                        dtype=bool)
@@ -620,7 +623,7 @@ def _canonical_search(n, up, unaries):
     return _canonical_search_group(n, up, unaries)[:2]
 
 
-def _canonical_search_group(n, up, unaries):
+def _canonical_search_group(n, up, unaries, col=None):
     """Minimal prefix-incremental encoding over color-sorted orderings.
 
     Returns ``(ordering, encoding, generators)`` where the encoding is a
@@ -629,7 +632,8 @@ def _canonical_search_group(n, up, unaries):
     is the first one, in depth-first order over ascending candidates,
     whose encoding is the minimum.  The generators are the automorphisms
     recorded at tied leaves, as image lists; they generate the whole
-    automorphism group (below).
+    automorphism group (below).  ``col`` is the structure's
+    ``_refine_colors``, for a caller that has refined it already.
 
     Colors never change during the search, so the orderings searched
     place the color classes one after another, each in every order.
@@ -666,7 +670,8 @@ def _canonical_search_group(n, up, unaries):
     for a in range(n):
         for b in _bits(up[a]):
             down[b] |= 1 << a
-    col = _refine_colors(n, up, down, unaries)
+    if col is None:
+        col = _refine_colors(n, up, down, unaries)
     by_color = sorted(range(n), key=lambda a: (col[a], a))
     members = {}
     for a in by_color:

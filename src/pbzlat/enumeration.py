@@ -338,13 +338,28 @@ def _pair_insertions(order, kleene):
             yield up, kleene + (xc, x)
 
 
+def _byte_images(g, x):
+    """Images of subsets of 0..x-1 under the permutation g, one table
+    per byte of the mask: entry v of table k is the mask of the images
+    of the elements 8k + b for the bits b set in v."""
+    tables = []
+    for start in range(0, x, 8):
+        table = [0]
+        for b in range(start, min(start + 8, x)):
+            table += [v | 1 << g[b] for v in table]
+        tables.append(table)
+    return tables
+
+
 def _orbit_representatives(insertions, gens, x):
     """The first of each orbit of pair insertions under the parent's
     automorphisms, given as generators.  An insertion is fixed by the
     up-set of its atom x, on which an automorphism acts through the
     parent's elements; following the generators from each kept one
-    marks its orbit without closing the group."""
+    marks its orbit without closing the group.  Each generator maps a
+    mask a byte at a time, through tables built once per parent."""
     parent = (1 << x) - 1
+    images = [_byte_images(g, x) for g in gens]
     covered = set()
     for up, kleene in insertions:
         if up[x] in covered:
@@ -354,9 +369,11 @@ def _orbit_representatives(insertions, gens, x):
         stack = [up[x]]
         while stack:
             mask = stack.pop()
-            for g in gens:
-                img = mask & ~parent | sum(1 << g[b]
-                                           for b in _bits(mask & parent))
+            for tables in images:
+                img, low = mask & ~parent, mask & parent
+                for table in tables:
+                    img |= table[low & 255]
+                    low >>= 8
                 if img not in covered:
                     covered.add(img)
                     stack.append(img)
@@ -424,7 +441,7 @@ def _in_canonical_orbit(order, kleene, tied):
     tied = [a for a in _bits(tied) if col[a] == top]
     if len(tied) == 1:
         return True
-    ordering, _, gens = _canonical_search_group(n, up, (kleene,))
+    ordering, _, gens = _canonical_search_group(n, up, (kleene,), col)
     first = next(a for a in ordering if a in tied)
     return bool(_orbit(first, gens) >> x & 1)
 

@@ -23,7 +23,9 @@ one disjunct is a quasi-identity, preserved under products too).
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
+# numpy is imported only where a statement is scanned, so that
+# importing the package, and commands that scan no statement, do not
+# load it
 
 __all__ = [
     "Term", "Var", "Zero", "One", "Meet", "Join", "Kleene", "Brouwer",
@@ -387,6 +389,7 @@ def _table(A, tabs, op):
     """numpy copy of one operation table of A, made on first use, so a
     statement reads only the tables its terms need (a bare
     BoundedLattice has no ' or ~)."""
+    import numpy as np
     tab = tabs.get(op)
     if tab is None:
         if op == "le":
@@ -432,6 +435,7 @@ def evaluate(A, t, assignment):
 
 
 def _satisfied(A, ident, env, tabs):
+    import numpy as np
     lv = _gather(A, ident.lhs, env, tabs)
     rv = _gather(A, ident.rhs, env, tabs)
     if ident.kind == "eq":
@@ -476,6 +480,7 @@ def _holds(A, statement):
     there; blocks bound the memory a statement with many variables
     takes.
     """
+    import numpy as np
     if isinstance(statement, QuasiIdentity):
         premises, conclusion = statement.premises, statement.conclusion
     else:

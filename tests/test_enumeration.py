@@ -230,6 +230,9 @@ def test_pk_generator_work_pinned(monkeypatch):
     search = counted("search", core._canonical_search_group)
     monkeypatch.setattr(core, "_canonical_search_group", search)
     monkeypatch.setattr(enumeration, "_canonical_search_group", search)
+    refine = counted("refine", core._refine_colors)
+    monkeypatch.setattr(core, "_refine_colors", refine)
+    monkeypatch.setattr(enumeration, "_refine_colors", refine)
     monkeypatch.setattr(enumeration, "_check_order",
                         counted("check", enumeration._check_order))
     monkeypatch.setattr(enumeration, "_pk_candidates",
@@ -238,8 +241,20 @@ def test_pk_generator_work_pinned(monkeypatch):
     assert len(enumeration._pk_pairs(10)) == 120
     # the atom-degree pre-test leaves 300 of the 615 candidates to check;
     # 43 searches for the automorphisms of the pair parents of sizes 2-8,
-    # 45 to break ties between atoms of the largest color
-    assert calls == {"candidate": 615, "check": 300, "search": 88}
+    # 45 to break ties between atoms of the largest color; those 45 are
+    # handed the colors of the 57 refinements of tied atoms, so 100
+    assert calls == {"candidate": 615, "check": 300, "search": 88,
+                     "refine": 100}
+
+
+def test_pk_pairs_frozen_in_order():
+    # the generator's pairs and their order, sizes 1-12
+    h = hashlib.sha256()
+    for n in range(1, 13):
+        for order, kleene in enumeration._pk_pairs(n):
+            h.update(repr((order.up, kleene)).encode())
+    assert h.hexdigest() == \
+        "24c3a00b4b1ec5c05bad0dfc6a931f02bd5d85da5950f2008376629ff5444bba"
 
 
 def test_pk_pretest_agrees_with_the_canonical_orbit():

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from pbzlat import axioms, catalog, cli, enumeration, fileformat, terms
 from pbzlat.cli import main, parse_recipe
-from pbzlat.core import FiniteAlgebra, ValidationError, is_isomorphic
+from pbzlat.core import (BoundedLattice, FiniteAlgebra, ValidationError,
+                         is_isomorphic)
 from pbzlat.enumeration import EnumerationSpec, enumerate_all
 
 
@@ -151,6 +152,41 @@ def test_mutated_files_raise_only_format_errors(name, edits):
     except (fileformat.ParseError, ValidationError):
         return
     assert fileformat.loads(fileformat.dumps(A)).tables_equal(A)
+
+
+# Random pseudo-Kleene pairs of sizes 1-8, each with a Brouwer map that
+# makes it a BZ-lattice or with any map at all, its elements in a random
+# order, with random labels and a random name.
+_LABELS = st.text("abxyz019_'~+-()", min_size=1, max_size=3)
+_ALGEBRA_NAMES = st.text("ABTxy0129_()-^", min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_random_pk_algebras_round_trip(data):
+    n = data.draw(st.integers(1, 8))
+    order, kleene = data.draw(st.sampled_from(enumeration._pk_pairs(n)))
+    maps = enumeration.bz_brouwer_maps(BoundedLattice._from_order(order),
+                                       kleene)
+    brouwer = data.draw(st.one_of(
+        st.sampled_from(maps),
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    ordering = data.draw(st.permutations(range(n)))
+    pos = [0] * n
+    for i, a in enumerate(ordering):
+        pos[a] = i
+    A = FiniteAlgebra._from_masks(
+        order.permuted(ordering).up,
+        [pos[kleene[a]] for a in ordering],
+        [pos[brouwer[a]] for a in ordering],
+        labels=data.draw(st.lists(_LABELS, min_size=n, max_size=n,
+                                  unique=True)),
+        name=data.draw(_ALGEBRA_NAMES))
+    text = fileformat.dumps(A)
+    B = fileformat.loads(text)
+    assert B.tables_equal(A)
+    assert (B.labels, B.name) == (A.labels, A.name)
+    assert fileformat.dumps(B) == text
 
 
 def test_export_dot_shape_and_stability():
@@ -534,6 +570,70 @@ def test_cli_output_after_a_call_matches_a_fresh_process(capsys):
     # the commands left nothing behind in the parser's defaults
     assert _parsed(cli.build_parser(), argv) == \
         _parsed(cli.build_parser.__wrapped__(), argv)
+
+
+# Run in a fresh process: the commands that scan no statement and read
+# no .leq, then one probe that does, each reporting whether numpy has
+# been imported by then.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import pbzlat, pbzlat.cli
+from pbzlat import catalog, terms
+argvs, probe = json.loads(sys.argv[1]), sys.argv[2]
+report = {"import": "numpy" in sys.modules}
+for argv in argvs:
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        code = pbzlat.cli.main(argv)
+    report[argv[0]] = [code, text.getvalue(), "numpy" in sys.modules]
+A = catalog.get("T1(2x2)")
+if probe == "search":
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        value = [pbzlat.cli.main(["search", "SDM", "--max", "6"]),
+                 text.getvalue()]
+elif probe == "holds":
+    value = list(terms.holds(A, terms.THEORY["SDM"]))
+else:
+    leq = A.leq
+    value = [type(leq).__module__, leq.flags.writeable, leq.tolist()]
+report[probe] = [value, "numpy" in sys.modules]
+print(json.dumps(report))
+"""
+
+
+@pytest.mark.parametrize("probe", ["search", "holds", "leq"])
+def test_numpy_is_imported_on_first_use(probe, tmp_path, capsys):
+    out, path = tmp_path / "out", tmp_path / "t1.pbz"
+    argvs = [["enumerate", "--structure", "antiortholattice", "--max", "8",
+              "-o", str(out)],
+             ["construct", "twist1(chain3)", "-o", str(path)],
+             ["check", str(path)], ["export-dot", str(path)]]
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    fresh = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs), probe],
+        capture_output=True, text=True, env=env, check=True)
+    report = json.loads(fresh.stdout)
+    assert report["import"] is False
+    for argv in argvs:
+        assert report[argv[0]][2] is False, argv[0]
+    value, loaded = report[probe]
+    assert loaded is True
+    # the fresh process printed and wrote what this one does
+    written = {p.name: p.read_bytes() for p in [path, *out.iterdir()]}
+    for argv in argvs:
+        assert list(run(capsys, *argv)[:2]) == report[argv[0]][:2]
+    assert {p.name: p.read_bytes() for p in [path, *out.iterdir()]} == \
+        written
+    A = catalog.get("T1(2x2)")
+    if probe == "search":
+        assert value == list(run(capsys, "search", "SDM", "--max", "6")[:2])
+    elif probe == "holds":
+        assert value == list(terms.holds(A, terms.THEORY["SDM"]))
+    else:
+        assert value == ["numpy", False, A.leq.tolist()]
 
 
 # Arguments for check, construct and search: real names and junk.
