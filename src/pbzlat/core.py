@@ -333,9 +333,11 @@ class _Carrier:
     copies compute their own results.  The keys in use are ``"canon"``
     (``canonical_form``), ``"classes"`` (``axioms.classify``),
     ``"congruences"`` (``congruences.all_congruences``), ``"blocks"``
-    (``constructions.blocks``) and ``"verdicts"``, a dict of identity
-    verdicts by statement (``terms.holds``).  Kept values are immutable
-    or private to their keeper, which hands out copies of mutable ones.
+    (``constructions.blocks``), ``"verdicts"``, a dict of identity
+    verdicts by statement (``terms.holds_each``), and ``"tables"``, a
+    dict of numpy operation tables by name, each built on first use
+    (``terms._table``).  Kept values are immutable or private to their
+    keeper, which hands out copies of mutable ones.
     """
 
     __slots__ = ("_ord", "_labels", "_name", "_kept")

@@ -649,7 +649,8 @@ def search_counterexample(identity, spec, jobs=1):
     order of canonical bytes, and the first failing algebra is returned,
     so reruns return the identical algebra whatever the jobs count.  The
     jobs only spread the decoration of each level; the identity is
-    checked in this process.  When nothing fails up to spec.max_size the
+    checked in this process, over a whole level at once
+    (``terms.holds_each``).  When nothing fails up to spec.max_size the
     result says exhausted rather than claiming the identity holds
     everywhere.
     """
@@ -659,8 +660,7 @@ def search_counterexample(identity, spec, jobs=1):
     for n in range(1, spec.max_size + 1):
         level = list(enumerate_pbz(n, spec, jobs=jobs))
         examined += len(level)
-        for A in level:
-            ok, witness = terms.holds(A, identity)
+        for A, (ok, witness) in zip(level, terms.holds_each(level, identity)):
             if not ok:
                 return SearchResult(terms.pretty(identity), spec, A, witness,
                                     examined, False)

@@ -31,7 +31,8 @@ __all__ = [
     "Term", "Var", "Zero", "One", "Meet", "Join", "Kleene", "Brouwer",
     "Box", "Diamond", "Identity", "QuasiIdentity", "ParseError",
     "parse_term", "parse_statement", "pretty",
-    "term_vars", "evaluate", "holds", "holds_quasi", "THEORY",
+    "term_vars", "evaluate", "holds", "holds_each", "holds_quasi",
+    "THEORY",
 ]
 
 
@@ -380,18 +381,25 @@ def term_vars(obj):
     return sorted(out)
 
 
-# assignments evaluated at once: the leading variables are fixed per
-# block and each of the others gets a broadcast axis of its own
-_BLOCK = 1 << 16
+# assignments evaluated at once, over all algebras of a block: its
+# arrays stay within 32 KB (2**16 would save a tenth of a level's scan
+# time and triple its peak memory)
+_BLOCK = 1 << 12
+
+# one representative per equal statement: verdict lookups hit by identity
+_STATEMENT_MEMO = {}
+
+_OPS = {Meet: "meet", Join: "join", Kleene: "kleene", Brouwer: "brouwer"}
 
 
-def _table(A, tabs, op):
-    """numpy copy of one operation table of A, made on first use, so a
-    statement reads only the tables its terms need (a bare
-    BoundedLattice has no ' or ~)."""
-    import numpy as np
+def _table(A, op):
+    """numpy copy of one operation table of A, made on first use and
+    kept on A, so a statement reads only the tables its terms need (a
+    bare BoundedLattice has no ' or ~)."""
+    tabs = A._keep("tables", dict)
     tab = tabs.get(op)
     if tab is None:
+        import numpy as np
         if op == "le":
             tab = A.leq
         elif op in ("meet", "join"):
@@ -404,24 +412,20 @@ def _table(A, tabs, op):
     return tab
 
 
-def _gather(A, t, env, tabs):
-    """Values of a term over the assignments in env, by table lookups."""
+def _gather(t, env, tabs, at):
+    """Values of a term over the assignments in env, by lookups in the
+    tables tabs(op), whose leading axes the index tuple at picks (one
+    algebra's own tables take ()).  env maps Zero and One, as well as
+    the variable names, to values."""
     if isinstance(t, Var):
         return env[t.name]
-    if isinstance(t, Zero):
-        return A.zero
-    if isinstance(t, One):
-        return A.one
-    if isinstance(t, Meet):
-        return _table(A, tabs, "meet")[_gather(A, t.left, env, tabs),
-                                       _gather(A, t.right, env, tabs)]
-    if isinstance(t, Join):
-        return _table(A, tabs, "join")[_gather(A, t.left, env, tabs),
-                                       _gather(A, t.right, env, tabs)]
-    if isinstance(t, Kleene):
-        return _table(A, tabs, "kleene")[_gather(A, t.arg, env, tabs)]
-    if isinstance(t, Brouwer):
-        return _table(A, tabs, "brouwer")[_gather(A, t.arg, env, tabs)]
+    if isinstance(t, (Meet, Join)):
+        return tabs(_OPS[type(t)])[(*at, _gather(t.left, env, tabs, at),
+                                    _gather(t.right, env, tabs, at))]
+    if isinstance(t, (Kleene, Brouwer)):
+        return tabs(_OPS[type(t)])[(*at, _gather(t.arg, env, tabs, at))]
+    if isinstance(t, (Zero, One)):
+        return env[type(t)]
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -431,16 +435,14 @@ def evaluate(A, t, assignment):
     unbound = [v for v in term_vars(t) if v not in assignment]
     if unbound:
         raise ValueError(f"unbound variable {unbound[0]!r}")
-    return int(_gather(A, t, assignment, {}))
+    env = {**assignment, Zero: A.zero, One: A.one}
+    return int(_gather(t, env, lambda op: _table(A, op), ()))
 
 
-def _satisfied(A, ident, env, tabs):
-    import numpy as np
-    lv = _gather(A, ident.lhs, env, tabs)
-    rv = _gather(A, ident.rhs, env, tabs)
-    if ident.kind == "eq":
-        return np.equal(lv, rv)
-    return _table(A, tabs, "le")[lv, rv]
+def _satisfied(ident, env, tabs, at):
+    lv = _gather(ident.lhs, env, tabs, at)
+    rv = _gather(ident.rhs, env, tabs, at)
+    return lv == rv if ident.kind == "eq" else tabs("le")[(*at, lv, rv)]
 
 
 def holds(A, statement):
@@ -450,35 +452,55 @@ def holds(A, statement):
     Assignments run in odometer order over sorted variable names, so the
     reported counterexample is the lexicographically first one.  A
     clause fails at an assignment where every premise holds and no
-    disjunct of its conclusion does.
-
-    An algebra or a bare lattice, whose tables cannot change, keeps
-    each verdict by statement after the first scan, and later calls
-    read it; every call returns a fresh copy of the assignment, so a
-    caller may change it.
+    disjunct of its conclusion does.  This is ``holds_each`` for one
+    algebra, with the read of a kept verdict done in place.
     """
-    verdicts = A._keep("verdicts", dict)
-    kept = verdicts.get(statement)
+    kept = A._keep("verdicts", dict).get(
+        _STATEMENT_MEMO.get(statement, statement))
     if kept is None:
-        kept = verdicts[statement] = _holds(A, statement)
+        return holds_each((A,), statement)[0]
     ok, witness = kept
     return ok, None if witness is None else dict(witness)
 
 
-def _holds(A, statement):
-    """The scan behind ``holds``, run once per algebra and statement.
+def holds_each(algebras, statement):
+    """``holds`` for each of some algebras of one size, in order.
 
-    The terms are evaluated by numpy gathers from the operation tables,
-    a block of assignments at a time.  The trailing variables get one
-    broadcast axis each, as many as keep a block within ``_BLOCK``
-    assignments; the leading ones are fixed per block and run through
-    their values in odometer order.  A block's failures form a boolean
-    array (every premise holds and no disjunct of the
-    conclusion does) whose C order is the odometer order of the trailing
-    variables, so its first True, in the first block that has one, is
-    the first failing assignment of the whole scan.  The scan stops
-    there; blocks bound the memory a statement with many variables
-    takes.
+    An algebra or a bare lattice, whose tables cannot change, keeps
+    each verdict by statement, and later calls read it; the algebras
+    with none kept are scanned together.  The assignments returned are
+    fresh copies, so a caller may change them.
+    """
+    if not isinstance(statement, (Identity, QuasiIdentity)):
+        raise TypeError(f"not an identity or a clause: {statement!r}")
+    algebras = list(algebras)  # read twice below
+    if len({A.n for A in algebras}) > 1:
+        raise ValueError("holds_each takes algebras of one size")
+    statement = _STATEMENT_MEMO.setdefault(statement, statement)
+    verdicts = [A._keep("verdicts", dict) for A in algebras]
+    todo = [i for i, kept in enumerate(verdicts) if statement not in kept]
+    if todo:
+        found = _scan([algebras[i] for i in todo], statement)
+        for i, verdict in zip(todo, found):
+            verdicts[i][statement] = verdict
+    return [(ok, None if witness is None else dict(witness))
+            for ok, witness in (kept[statement] for kept in verdicts)]
+
+
+def _scan(algebras, statement):
+    """The scan behind ``holds_each``, once per algebra and statement.
+
+    The terms are evaluated by numpy gathers from the operation tables
+    of a block of algebras of one size n, stacked on a leading axis.
+    The trailing k variables get one broadcast axis each, for the
+    largest k with n ** k within ``_BLOCK``; a block holds as many
+    algebras as keep it within ``_BLOCK`` assignments, and fixes the
+    leading variables, which run through their values in odometer
+    order.  A block's failures (every premise holds and no disjunct of
+    the conclusion does) have one row per algebra in the odometer order
+    of the trailing variables, so the argmax of a row, in the first
+    block where the row has a True, is that algebra's first failing
+    assignment.  A block of algebras is done once each has failed.
     """
     import numpy as np
     if isinstance(statement, QuasiIdentity):
@@ -486,29 +508,49 @@ def _holds(A, statement):
     else:
         premises, conclusion = (), (statement,)
     names = term_vars(statement)
-    n = A.n
+    n = algebras[0].n
     inner = 0
     while inner < len(names) and n ** (inner + 1) <= _BLOCK:
         inner += 1
     lead = names[:len(names) - inner]
     shape = (n,) * inner
     env = {}
-    for axis, name in enumerate(names[len(lead):]):
-        env[name] = np.arange(n, dtype=np.intp).reshape(
-            [n if j == axis else 1 for j in range(inner)])
-    tabs = {}
-    for values in itertools.product(range(n), repeat=len(lead)):
-        env.update(zip(lead, values))
-        bad = np.logical_not(_satisfied(A, conclusion[0], env, tabs))
-        for c in conclusion[1:]:
-            bad = bad & np.logical_not(_satisfied(A, c, env, tabs))
-        for p in premises:
-            bad = bad & _satisfied(A, p, env, tabs)
-        if bad.any():
-            first = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)),
-                                     shape)
-            return False, dict(zip(names, [*values, *map(int, first)]))
-    return True, None
+    for axis, name in enumerate(names[len(lead):], 1):
+        env[name] = np.arange(n).reshape(
+            [n if j == axis else 1 for j in range(inner + 1)])
+    step = _BLOCK // n ** inner
+    first = [None] * len(algebras)
+    for start in range(0, len(algebras), step):
+        block = algebras[start:start + step]
+        m = len(block)
+        at = (np.arange(m).reshape((m,) + (1,) * inner),)
+        env[Zero] = np.array([A.zero for A in block]).reshape(at[0].shape)
+        env[One] = np.array([A.one for A in block]).reshape(at[0].shape)
+        stacked = {}
+
+        def tabs(op):
+            if op not in stacked:
+                own = [_table(A, op) for A in block]
+                stacked[op] = np.concatenate(own).reshape(m, *own[0].shape)
+            return stacked[op]
+
+        for values in itertools.product(range(n), repeat=len(lead)):
+            env.update(zip(lead, values))
+            bad = np.logical_not(_satisfied(conclusion[0], env, tabs, at))
+            for c in conclusion[1:]:
+                bad = bad & np.logical_not(_satisfied(c, env, tabs, at))
+            for p in premises:
+                bad = bad & _satisfied(p, env, tabs, at)
+            rows = np.broadcast_to(bad, (m, *shape)).reshape(m, -1)
+            cells = [axis.tolist() for axis in np.unravel_index(
+                rows.argmax(axis=1), shape)] if shape else []
+            for i in np.flatnonzero(rows.any(axis=1)).tolist():
+                if first[start + i] is None:
+                    first[start + i] = dict(zip(
+                        names, [*values, *(c[i] for c in cells)]))
+            if None not in first[start:start + m]:
+                break
+    return [(True, None) if w is None else (False, w) for w in first]
 
 
 def holds_quasi(A, quasi):

@@ -17,6 +17,11 @@ SWEEP_SPECS = (EnumerationSpec(max_size=10, structure="antiortholattice"),
                EnumerationSpec(max_size=8))
 
 
+def scanned(A, statement):
+    """A fresh scan of one algebra, whatever it keeps."""
+    return terms._scan([A], statement)[0]
+
+
 def test_cached_results_equal_fresh_ones_on_sweep_corpora():
     for spec in SWEEP_SPECS:
         for A in enumerate_all(spec):
@@ -29,7 +34,7 @@ def test_cached_results_equal_fresh_ones_on_sweep_corpora():
             for statement in terms.THEORY.values():
                 verdict = terms.holds(A, statement)
                 assert terms.holds(A, statement) == verdict
-                assert verdict == terms._holds(A, statement), (A, statement)
+                assert verdict == scanned(A, statement), (A, statement)
             if report.pbz_star:
                 blks = blocks(A)
                 assert blocks(A) == blks
@@ -53,7 +58,7 @@ def test_all_congruences_returns_a_new_list():
     del witness["y"]
     again = terms.holds(A, om)
     assert again[1] is not witness
-    assert again == (False, {"x": 1, "y": 4}) == terms._holds(A, om)
+    assert again == (False, {"x": 1, "y": 4}) == scanned(A, om)
     # and for the blocks
     first = blocks(A)
     want = list(first)
@@ -81,7 +86,7 @@ def test_copies_carry_their_own_results():
         assert axioms.classify(B) == axioms._classify(B)
         assert all_congruences(B) == congruences._all_congruences(B)
         for statement in terms.THEORY.values():
-            assert terms.holds(B, statement) == terms._holds(B, statement)
+            assert terms.holds(B, statement) == scanned(B, statement)
     assert axioms.classify(copy).witnesses != report.witnesses
     assert all_congruences(copy) != cons
     assert terms.holds(copy, terms.THEORY["J"]) != verdicts["J"]
@@ -109,7 +114,13 @@ def test_claim_sweep_computes_each_result_once(monkeypatch):
                         counted(axioms._classify, classified))
     monkeypatch.setattr(congruences, "_all_congruences",
                         counted(congruences._all_congruences, lattices))
-    monkeypatch.setattr(terms, "_holds", counted(terms._holds, scans))
+    scan = terms._scan
+
+    def scanned_each(algebras, statement):
+        scans.extend((A, statement) for A in algebras)
+        return scan(algebras, statement)
+
+    monkeypatch.setattr(terms, "_scan", scanned_each)
     monkeypatch.setattr(constructions, "_blocks",
                         counted(constructions._blocks, blocked))
     corpora = [list(enumerate_all(spec)) for spec in SWEEP_SPECS]
@@ -133,15 +144,15 @@ def test_bare_lattices_keep_their_results(monkeypatch):
     # a memoized lattice, as every caller of enumerate_lattices gets it
     dist = terms.THEORY["DIST"]
     L = next(L for L in enumeration.enumerate_lattices(6)
-             if not terms._holds(L, dist)[0])
+             if not scanned(L, dist)[0])
     form = canonical_form(L)
     assert canonical_form(L) is form
     assert form == core._canon_bytes(L.n, L._ord.up, ())
-    want = terms._holds(L, dist)
+    want = scanned(L, dist)
     assert not want[0]
     scans = []
-    monkeypatch.setattr(terms, "_holds",
-                        lambda *args: scans.append(args) or want)
+    monkeypatch.setattr(terms, "_scan",
+                        lambda *args: scans.append(args) or [want])
     first = terms.holds(L, dist)
     assert first == want
     first[1].clear()
@@ -155,8 +166,8 @@ def test_statements_built_apart_read_the_kept_verdict(monkeypatch):
     A = catalog.get("D5")
     kept = {name: terms.holds(A, s) for name, s in terms.THEORY.items()}
     scans = []
-    monkeypatch.setattr(terms, "_holds",
-                        lambda *args: scans.append(args) or (True, None))
+    monkeypatch.setattr(terms, "_scan",
+                        lambda *args: scans.append(args) or [(True, None)])
     for name, statement in terms.THEORY.items():
         parsed = terms.parse_statement(terms._THEORY_SOURCE[name])
         pickled = pickle.loads(pickle.dumps(statement))

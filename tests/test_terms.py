@@ -4,14 +4,18 @@ import contextlib
 import io
 import itertools
 import pathlib
+import pickle
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbzlat import axioms, catalog, cli, terms
-from pbzlat.core import canonical_form
-from pbzlat.enumeration import EnumerationSpec, enumerate_all, enumerate_pbz
+from pbzlat.core import FiniteAlgebra, canonical_form
+from pbzlat import enumeration
+from pbzlat.enumeration import (EnumerationSpec, enumerate_all, enumerate_pbz,
+                                search_counterexample)
 from pbzlat.terms import (Brouwer, Identity, Join, Kleene, Meet,
                          QuasiIdentity, Var, evaluate, holds, holds_quasi,
                          parse_statement, parse_term, pretty, term_vars,
@@ -310,10 +314,23 @@ def _random_statements(monkeypatch, seeds):
     return [parse_statement(text) for text in texts]
 
 
+_ORACLE = {}
+
+
+def _oracle(A, stmt):
+    """``_oracles.holds``, run once per corpus member and statement in
+    this module.  Members are canonical copies, so their canonical
+    bytes fix their tables and key the verdict for fresh copies too."""
+    key = (canonical_form(A), stmt)
+    if key not in _ORACLE:
+        _ORACLE[key] = _oracles.holds(A, stmt)
+    return _ORACLE[key]
+
+
 def _assert_matches_interpreter(A, stmt):
     # the scan itself as well as the verdict an earlier test may have kept
     got = holds(A, stmt)
-    assert got == terms._holds(A, stmt) == _oracles.holds(A, stmt), \
+    assert got == terms._scan([A], stmt)[0] == _oracle(A, stmt), \
         (A, pretty(stmt))
     if not got[0]:
         assert list(got[1]) == term_vars(stmt)
@@ -336,8 +353,8 @@ def test_holds_matches_interpreter_on_corpora(monkeypatch):
     assert verdicts == {True, False}
 
 
-def test_holds_edge_cases():
-    edge = [parse_statement(text) for text in (
+def _edge_statements():
+    return [parse_statement(text) for text in (
         "0 <= 1", "1 = 0", "1 <= 0 => 0 = 1",   # no variables
         "x ^ 0 = 0", "x v 0 = 0", "0 <= x'",      # one side only
         "x ^ x~ = 1 & x' = x => x = y",           # premises never hold
@@ -345,6 +362,10 @@ def test_holds_edge_cases():
         "1 = 0 | 0 <= 1", "0 = 1 | 1 <= 0",     # clauses, no variables
         "x = 0 | x = 1", "x ^ x~ = 1 => x = y | y' = x",
     )]
+
+
+def test_holds_edge_cases():
+    edge = _edge_statements()
     for A in _corpus():
         for stmt in edge:
             _assert_matches_interpreter(A, stmt)
@@ -357,6 +378,110 @@ def test_holds_edge_cases():
     assert holds(D3, parse_statement("1 = 0 | 0 <= 1")) == (True, None)
     assert holds(D3, parse_statement("0 = 1 | 1 <= 0")) == (False, {})
     assert holds(D3, parse_statement("x = 0 | x = 1")) == (False, {"x": 1})
+
+
+def _levels_match_oracle(statements):
+    levels = {}
+    for A in _corpus():
+        levels.setdefault(A.n, []).append(A)
+    for n, level in levels.items():
+        # fresh copies keep no verdict, so every one of them is scanned
+        fresh = pickle.loads(pickle.dumps(level))
+        for stmt in statements:
+            want = [_oracle(A, stmt) for A in level]
+            assert terms.holds_each(fresh, stmt) == want, (n, pretty(stmt))
+            # a second call reads back the verdicts the copies keep
+            assert terms.holds_each(fresh, stmt) == want
+    return levels
+
+
+def test_holds_each_matches_oracle_level_by_level(monkeypatch):
+    statements = [*THEORY.values(),
+                  *_random_statements(monkeypatch, (1, 2, 3)),
+                  *_edge_statements()]
+    _levels_match_oracle(statements)
+    # Small blocks: from n=6 on, three variables take more than 200
+    # assignments, so a block fixes the leading variable and holds at
+    # most 200 // n**2 algebras, fewer than each level has.
+    monkeypatch.setattr(terms, "_BLOCK", 200)
+    levels = _levels_match_oracle(statements)
+    assert all(len(levels[n]) > 200 // n ** 2 for n in (6, 7, 8, 10))
+
+
+def _shuffled(A, rng):
+    # A with its elements renamed at random, bounds included
+    perm = list(range(A.n))
+    rng.shuffle(perm)
+    inv = sorted(range(A.n), key=perm.__getitem__)
+    leq = [[bool(A.leq[inv[a], inv[b]]) for b in range(A.n)]
+           for a in range(A.n)]
+    return FiniteAlgebra(leq, [perm[A.kleene[i]] for i in inv],
+                         [perm[A.brouwer[i]] for i in inv])
+
+
+def test_holds_each_on_shuffled_levels(monkeypatch):
+    # canonical copies put 0 first and 1 last; shuffled copies put the
+    # bounds anywhere, so each algebra of a stack must read its own
+    rng = random.Random(5)
+    for n in (6, 7):
+        level = [_shuffled(A, rng) for A in enumerate_pbz(n, CORPORA[1])]
+        assert len({(A.zero, A.one) for A in level}) > 2
+        want = {name: [_oracles.holds(A, s) for A in level]
+                for name, s in THEORY.items()}
+        for block in (terms._BLOCK, 200):
+            monkeypatch.setattr(terms, "_BLOCK", block)
+            fresh = pickle.loads(pickle.dumps(level))
+            for name, s in THEORY.items():
+                assert terms.holds_each(fresh, s) == want[name], (n, name)
+
+
+def test_holds_each_arguments():
+    assert terms.holds_each([], THEORY["SK"]) == []
+    chains = (catalog.get(name) for name in ("D4", "B4"))
+    assert terms.holds_each(chains, THEORY["CHAIN"]) == \
+        [(True, None), (False, {"x": 1, "y": 2})]
+    with pytest.raises(ValueError, match="one size"):
+        terms.holds_each([catalog.get("D3"), catalog.get("D4")], THEORY["SK"])
+    B4 = catalog.get("B4")
+    L = B4.lattice_reduct()
+    stmt = parse_statement("x' <= x")
+    for stack in ([L], [B4, L]):
+        with pytest.raises(TypeError, match="no kleene map"):
+            terms.holds_each(stack, stmt)
+        assert stmt not in L._kept.get("verdicts", {})
+    with pytest.raises(TypeError, match="not an identity"):
+        terms.holds_each([B4], parse_term("x ^ y"))
+
+
+def _reference_search(stmt, spec):
+    # search_counterexample as a loop over algebras and the oracle
+    examined = 0
+    for n in range(1, spec.max_size + 1):
+        level = list(enumerate_pbz(n, spec))
+        examined += len(level)
+        for A in level:
+            ok, witness = _oracle(A, stmt)
+            if not ok:
+                return canonical_form(A), witness, examined, False
+    return None, None, examined, True
+
+
+def test_search_matches_per_algebra_oracle_loop(monkeypatch):
+    # fresh levels, so the search scans them itself
+    monkeypatch.setattr(enumeration, "_LEVEL_MEMO", {})
+    monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
+    statements = [*THEORY.values(),
+                  *_random_statements(monkeypatch, (1, 2, 3))]
+    outcomes = set()
+    for spec in CORPORA[1:]:
+        for stmt in statements:
+            res = search_counterexample(stmt, spec)
+            got = (res.found and canonical_form(res.found), res.assignment,
+                   res.examined, res.exhausted)
+            assert got == _reference_search(stmt, spec), \
+                (spec.classes, pretty(stmt))
+            outcomes.add(res.exhausted)
+    assert outcomes == {True, False}
 
 
 def test_holds_reads_only_the_tables_it_uses():
@@ -376,10 +501,12 @@ def test_holds_reads_only_the_tables_it_uses():
 
 def test_holds_blocks_bound_memory():
     """Seven variables over ten elements are 10**7 assignments; a block
-    holds at most 2**16 of them, so no array of the whole scan is
-    built, and the scan still stops at the first failing block."""
+    holds at most ``terms._BLOCK`` (2**12) of them, so no array of the
+    whole scan is built, and the scan still stops at the first failing
+    block."""
     A = next(enumerate_pbz(10, CORPORA[0]))
     law = parse_statement("a ^ (b v c v d v e v f v g) <= a")
+    import numpy  # noqa: F401  (loaded before tracing, so not counted)
     tracemalloc.start()
     try:
         assert holds(A, law) == (True, None)
@@ -387,7 +514,8 @@ def test_holds_blocks_bound_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20  # one int64 array of 10**7 entries is 80 MB
-    # first failure at the 110001st assignment, in the twelfth block
+    # first failure at the 110001st assignment, in block 111 of 1000
+    # assignments each
     late = parse_statement("b ^ c <= a v d v e v f v g")
     ok, w = holds(A, late)
     assert not ok and list(w.values()) == [0, 1, 1, 0, 0, 0, 0]
