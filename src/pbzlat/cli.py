@@ -273,7 +273,7 @@ def cmd_enumerate(args):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     for n in range(1, spec.max_size + 1):
-        level = list(enumeration.enumerate_pbz(n, spec, jobs=args.jobs))
+        level = list(enumeration.enumerate_pbz(n, spec))
         counts[n] = len(level)
         if args.out:
             for i, A in enumerate(level):
@@ -301,7 +301,7 @@ def _spec_doc(spec):
 def cmd_search(args):
     spec = _spec_from(args)
     stmt = _statement(args.identity)
-    res = enumeration.search_counterexample(stmt, spec, jobs=args.jobs)
+    res = enumeration.search_counterexample(stmt, spec)
     found = (res.found.relabel(res.found.labels, name=f"cex-n{res.found.n}")
              if res else None)
     if args.format == "structured":
@@ -367,7 +367,8 @@ def _add_spec_flags(p):
                    "images or products), repeatable: "
                    + " ".join(sorted(terms.THEORY)))
     p.add_argument("--jobs", type=_jobs, default=1,
-                   help="worker processes (results do not depend on this)")
+                   help="accepted and ignored: everything runs in one "
+                   "process")
 
 
 @functools.cache

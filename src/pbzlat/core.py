@@ -483,9 +483,9 @@ class FiniteAlgebra(_Carrier):
         object.__setattr__(self, "brouwer", brouwer)
 
     def __reduce__(self):
-        # pickling (worker processes) and copying cannot assign the maps
-        # slot by slot, so they rebuild through the validated fast path;
-        # of the kept results only the canonical form travels along
+        # pickling and copying cannot assign the maps slot by slot, so
+        # they rebuild through the validated fast path; of the kept
+        # results only the canonical form travels along
         canon = self._kept.get("canon")
         return (type(self)._from_order,
                 (self._ord, self.kleene, self.brouwer, self.labels, self.name),

@@ -15,22 +15,19 @@ sublist its class flags and identities keep, a distributive structure
 counting as the identity DIST.  So the specs share algebra
 objects and what those keep.  What a level holds, in which copy and
 in what order, depends only on its isomorphism classes and not on the
-generator or the jobs count.  Bare lattices are grown by atom
-insertion with canonical-form deduplication.  On top of that sit a
-smallest counterexample search and a registry of corpus-wide claims.
-Each claim declares its hypotheses and conclusions as class flags and
+generator.  Bare lattices are grown by atom insertion with
+canonical-form deduplication.  On top of that sit a smallest
+counterexample search and a registry of corpus-wide claims.  Each
+claim declares its hypotheses and conclusions as class flags and
 THEORY statements, read by name through ``axioms.satisfies``; a check
-function is left only for what no flag or statement states.  The jobs
-count spreads only the decoration of the pairs over worker processes;
-the class and identity filters, identity checks and claim checks run
-in the main process, over each level in its canonical order.
+function is left only for what no flag or statement states.
+Decoration, filters, identity checks and claim checks all run in the
+calling process, over each level in its canonical order.
 
 Size caps are checked when a spec is built, so ``CAPS`` must be
 raised before building a spec that goes beyond them.
 """
 
-import atexit
-import os
 from dataclasses import dataclass
 
 from . import axioms, congruences, constructions, terms
@@ -516,52 +513,31 @@ def _pk_pairs(n):
 _CORPUS_MEMO = {}
 
 
-def _admitted(A, classes, identities):
-    """Whether a BZ-lattice has every class flag and satisfies every
-    THEORY identity named: a spec's filters or a claim's hypotheses."""
-    return all(axioms.satisfies(A, x) for x in (*classes, *identities))
+def _admit(level, classes, identities):
+    """The algebras of one level that have every class flag and satisfy
+    every THEORY identity named, in order: a spec's filters or a claim's
+    hypotheses.  Flags are read per algebra; each identity is checked
+    over the survivors at once (``terms.holds_each``)."""
+    kept = [A for A in level
+            if all(axioms.satisfies(A, c) for c in classes)]
+    for name in identities:
+        kept = [A for A, (ok, _) in
+                zip(kept, terms.holds_each(kept, terms.THEORY[name])) if ok]
+    return kept
 
 
-def _decorations(pair):
-    """Canonical copies of the BZ decorations of one pseudo-Kleene pair
-    (order, kleene).  Module-level so worker processes can import it."""
-    order, kleene = pair
+def _decorations(order, kleene):
+    """Canonical copies of the BZ decorations of one pseudo-Kleene pair."""
     # the Brouwer search reads only the order of the pair with trivial ~
     A = FiniteAlgebra._from_order(order, kleene, _trivial_brouwer(order))
     return [canonical_copy(FiniteAlgebra._from_order(order, kleene, brouwer))
             for brouwer in bz_brouwer_maps(A, kleene)]
 
 
-# Worker pools by (process id, jobs).  Not a memo: the benchmark's cold
-# start empties dicts named that way, which would orphan live pools.
-_POOLS = {}
-
-
-def _pool(jobs):
-    """The process's pool of jobs workers, started on first use and
-    terminated at exit, so an enumeration or search starts one pool
-    however many levels it maps.  Keyed by process id too: a forked
-    child must not use its parent's workers."""
-    key = (os.getpid(), jobs)
-    if key not in _POOLS:
-        import multiprocessing
-        _POOLS[key] = pool = multiprocessing.Pool(jobs)
-        atexit.register(pool.terminate)
-    return _POOLS[key]
-
-
-def _map_jobs(fn, items, jobs):
-    """Order-preserving map, fanned out over processes when jobs > 1.
-    Results do not depend on jobs; it only changes wall-clock time."""
-    if jobs > 1 and len(items) > 1:
-        return _pool(jobs).map(fn, items)
-    return [fn(x) for x in items]
-
-
 _LEVEL_MEMO = {}
 
 
-def _bz_level(n, cap_key, jobs):
+def _bz_level(n, cap_key):
     """Every BZ decoration of size n under a cap key, one canonical copy
     per isomorphism class in the order of canonical bytes, memoized: the
     level every spec with that cap key narrows.  The cap key picks the
@@ -580,14 +556,14 @@ def _bz_level(n, cap_key, jobs):
         else:
             pairs = _pk_pairs(n)
         copies = {}
-        for level in _map_jobs(_decorations, pairs, jobs):
-            for A in level:
+        for order, kleene in pairs:
+            for A in _decorations(order, kleene):
                 copies.setdefault(canonical_form(A), A)
         _LEVEL_MEMO[key] = [copies[cf] for cf in sorted(copies)]
     return _LEVEL_MEMO[key]
 
 
-def enumerate_pbz(n, spec, jobs=1):
+def enumerate_pbz(n, spec):
     """All algebras of size n matching the spec, up to isomorphism, each
     as its canonical copy, in the order of their canonical bytes.
 
@@ -595,11 +571,11 @@ def enumerate_pbz(n, spec, jobs=1):
     about lives inside BZ), and every BZ-lattice is a pseudo-Kleene pair
     with a Brouwer map.  So each pair of size n (the n-chain with its
     reversal for structure "chain") is decorated with each Brouwer map
-    bz_brouwer_maps reads off its sharp sets, spread over the jobs.
-    That decorated level is built once per size and cap key, and every
-    spec sharing them narrows the same algebras by its class flags and
-    identities, in this process; structure "distributive" narrows by
-    DIST, as ``--require DIST`` does.  Flags and verdicts do not change
+    bz_brouwer_maps reads off its sharp sets.  That decorated level is
+    built once per size and cap key, and every spec sharing them
+    narrows the same algebras by its class flags and identities
+    (``_admit``); structure "distributive" narrows by DIST, as
+    ``--require DIST`` does.  Flags and verdicts do not change
     under isomorphism, so a spec's level is what decorating for it
     alone would give, and the class reports and identity verdicts the
     algebras keep serve every spec.  The spec's cap was checked when it
@@ -611,16 +587,15 @@ def enumerate_pbz(n, spec, jobs=1):
         identities = spec.identities
         if spec.structure == "distributive":
             identities = (*identities, "DIST")
-        _CORPUS_MEMO[key] = [
-            A for A in _bz_level(n, spec.cap_key(), jobs)
-            if _admitted(A, spec.classes, identities)]
+        _CORPUS_MEMO[key] = _admit(_bz_level(n, spec.cap_key()),
+                                   spec.classes, identities)
     yield from _CORPUS_MEMO[key]
 
 
-def enumerate_all(spec, jobs=1):
+def enumerate_all(spec):
     """Every size from 1 to spec.max_size, ascending."""
     for n in range(1, spec.max_size + 1):
-        yield from enumerate_pbz(n, spec, jobs=jobs)
+        yield from enumerate_pbz(n, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -642,23 +617,21 @@ class SearchResult:
         return self.found is not None
 
 
-def search_counterexample(identity, spec, jobs=1):
+def search_counterexample(identity, spec):
     """Smallest algebra in the spec's class failing the identity.
 
     Size is the primary order; within a size the corpus comes in the
     order of canonical bytes, and the first failing algebra is returned,
-    so reruns return the identical algebra whatever the jobs count.  The
-    jobs only spread the decoration of each level; the identity is
-    checked in this process, over a whole level at once
-    (``terms.holds_each``).  When nothing fails up to spec.max_size the
-    result says exhausted rather than claiming the identity holds
-    everywhere.
+    so reruns return the identical algebra.  The identity is checked
+    over a whole level at once (``terms.holds_each``).  When nothing
+    fails up to spec.max_size the result says exhausted rather than
+    claiming the identity holds everywhere.
     """
     if isinstance(identity, str):
         identity = terms.parse_statement(identity)
     examined = 0
     for n in range(1, spec.max_size + 1):
-        level = list(enumerate_pbz(n, spec, jobs=jobs))
+        level = list(enumerate_pbz(n, spec))
         examined += len(level)
         for A, (ok, witness) in zip(level, terms.holds_each(level, identity)):
             if not ok:
@@ -875,15 +848,16 @@ def verify_over_corpus(claim, spec):
     examined = 0
     checked = 0
     failures = []
-    for A in enumerate_all(spec):
-        examined += 1
-        if not _admitted(A, entry.classes, entry.identities) or (
-                entry.si and not congruences.is_subdirectly_irreducible(A)[0]):
-            continue
-        checked += 1
-        problems = () if entry.check is None else entry.check(A)
-        problems += tuple(f"fails {name}" for name in entry.conclusions
-                          if not axioms.satisfies(A, name))
-        if problems:
-            failures.append((A, problems))
+    for n in range(1, spec.max_size + 1):
+        level = list(enumerate_pbz(n, spec))
+        examined += len(level)
+        for A in _admit(level, entry.classes, entry.identities):
+            if entry.si and not congruences.is_subdirectly_irreducible(A)[0]:
+                continue
+            checked += 1
+            problems = () if entry.check is None else entry.check(A)
+            problems += tuple(f"fails {name}" for name in entry.conclusions
+                              if not axioms.satisfies(A, name))
+            if problems:
+                failures.append((A, problems))
     return CorpusReport(claim, spec, examined, checked, tuple(failures))

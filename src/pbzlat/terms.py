@@ -477,14 +477,15 @@ def holds_each(algebras, statement):
     if len({A.n for A in algebras}) > 1:
         raise ValueError("holds_each takes algebras of one size")
     statement = _STATEMENT_MEMO.setdefault(statement, statement)
-    verdicts = [A._keep("verdicts", dict) for A in algebras]
-    todo = [i for i, kept in enumerate(verdicts) if statement not in kept]
+    kept = [A._keep("verdicts", dict) for A in algebras]
+    verdicts = [k.get(statement) for k in kept]
+    todo = [i for i, verdict in enumerate(verdicts) if verdict is None]
     if todo:
         found = _scan([algebras[i] for i in todo], statement)
         for i, verdict in zip(todo, found):
-            verdicts[i][statement] = verdict
+            kept[i][statement] = verdicts[i] = verdict
     return [(ok, None if witness is None else dict(witness))
-            for ok, witness in (kept[statement] for kept in verdicts)]
+            for ok, witness in verdicts]
 
 
 def _scan(algebras, statement):

@@ -5,8 +5,8 @@ import itertools
 
 import pytest
 
-from pbzlat import axioms, catalog
-from pbzlat.congruences import Congruence
+from pbzlat import axioms, catalog, terms
+from pbzlat.congruences import Congruence, all_congruences
 from pbzlat.constructions import (
     blocks, commutes, cones, gamma, horizontal_sum,
     is_horizontal_sum_of_blocks, ordinal_sum, product, quotient,
@@ -17,6 +17,7 @@ from pbzlat.core import (
     BoundedLattice, FiniteAlgebra, boolean_lattice, chain_lattice,
     is_isomorphic, is_order_isomorphic,
 )
+from pbzlat.enumeration import EnumerationSpec, enumerate_all
 
 
 def n5_plus_top():
@@ -349,3 +350,40 @@ def test_builder_outputs_pinned():
                    "\n".join(texts).encode()).hexdigest())
                for group, texts in _builder_outputs().items()}
     assert digests == PINNED_BUILDER_OUTPUTS
+
+
+def test_identities_pass_to_images_subalgebras_and_products():
+    # H, S and P over the BZ-lattices up to n=6: an identity that holds
+    # on an algebra holds on its quotients and subalgebras, and holds on
+    # a product of two nontrivial factors (up to 12 elements) exactly
+    # when it holds on both; PBZ* is a variety, so it passes to
+    # quotients too
+    corpus = list(enumerate_all(EnumerationSpec(max_size=6)))
+    identities = [(name, stmt) for name, stmt in terms.THEORY.items()
+                  if isinstance(stmt, terms.Identity)]
+
+    def verdicts(A):
+        return {name: terms.holds(A, stmt)[0] for name, stmt in identities}
+
+    quotients = subalgebras = products = 0
+    for i, A in enumerate(corpus):
+        held = {name for name, ok in verdicts(A).items() if ok}
+        pbz_star = axioms.satisfies(A, "pbz-star")
+        for theta in all_congruences(A):
+            Q = quotient(A, theta)
+            got = verdicts(Q)
+            assert all(got[name] for name in held), (i, theta)
+            assert axioms.satisfies(Q, "pbz-star") or not pbz_star, i
+            quotients += 1
+        for a in range(A.n):
+            got = verdicts(subalgebra_generated(A, [a]))
+            assert all(got[name] for name in held), (i, a)
+            subalgebras += 1
+    for (i, A), (j, B) in itertools.product(enumerate(corpus), repeat=2):
+        if A.n == 1 or B.n == 1 or A.n * B.n > 12:
+            continue
+        va, vb = verdicts(A), verdicts(B)
+        assert verdicts(product(A, B)) == {
+            name: va[name] and vb[name] for name in va}, (i, j)
+        products += 1
+    assert (len(corpus), quotients, subalgebras, products) == (21, 60, 105, 46)

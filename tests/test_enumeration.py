@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import multiprocessing
 import pickle
 from collections import Counter
 
@@ -468,33 +467,6 @@ def test_search_accepts_raw_text():
     assert res.identity == "x ^ x' = 0"
 
 
-def _forget_levels(monkeypatch):
-    monkeypatch.setattr(enumeration, "_LEVEL_MEMO", {})
-    monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
-
-
-def test_jobs_do_not_change_results(monkeypatch):
-    # each jobs count builds its levels afresh instead of reading the
-    # levels the other one memoized
-    spec = EnumerationSpec(max_size=7, classes=("pbz-star",))
-    solo = search_counterexample(terms.THEORY["J"], spec, jobs=1)
-    _forget_levels(monkeypatch)
-    multi = search_counterexample(terms.THEORY["J"], spec, jobs=3)
-    assert solo.examined == multi.examined
-    assert solo.assignment == multi.assignment
-    assert canonical_form(solo.found) == canonical_form(multi.found)
-    for spec in (EnumerationSpec(max_size=6),
-                 EnumerationSpec(max_size=8, structure="antiortholattice"),
-                 EnumerationSpec(max_size=8, classes=("pbz-star",),
-                                 identities=("SDM",))):
-        a = [canonical_form(A) for A in enumerate_pbz(
-            spec.max_size, spec, jobs=1)]
-        _forget_levels(monkeypatch)
-        b = [canonical_form(A) for A in enumerate_pbz(
-            spec.max_size, spec, jobs=2)]
-        assert a and a == b
-
-
 def test_spec_levels_narrow_the_shared_level():
     # a spec's level is the sublist of the decorated level for its cap
     # key that its filters keep, structure "distributive" narrowing by
@@ -513,9 +485,8 @@ def test_spec_levels_narrow_the_shared_level():
                              classes=("antiortholattice",)), ("DIST",))):
         for n in range(1, spec.max_size + 1):
             level = list(enumerate_pbz(n, spec))
-            shared = enumeration._bz_level(n, spec.cap_key(), jobs=1)
-            kept = [A for A in shared
-                    if enumeration._admitted(A, spec.classes, identities)]
+            shared = enumeration._bz_level(n, spec.cap_key())
+            kept = enumeration._admit(shared, spec.classes, identities)
             assert len(kept) == len(level)
             assert all(A is B for A, B in zip(kept, level)), (spec, n)
     # the structural and the class-flag antiortholattice specs hand out
@@ -529,32 +500,26 @@ def test_spec_levels_narrow_the_shared_level():
         assert all(A is B for A, B in zip(a, b)), n
 
 
-def test_one_pool_per_jobs_count(monkeypatch):
-    # the CLI maps every level through the jobs' pool, so a search or an
-    # enumeration starts one pool, not one per level and step
-    real, made = multiprocessing.Pool, []
+def test_identity_filters_scan_a_level_at_once(monkeypatch):
+    # a spec's identities are checked over each level in one scan, not
+    # one algebra at a time: structure "distributive" narrows the 97
+    # BZ-lattices up to n=8 by DIST in one scan per size
+    monkeypatch.setattr(enumeration, "_LEVEL_MEMO", {})
+    monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
+    bz = list(enumerate_all(EnumerationSpec(max_size=8)))
+    assert len(bz) == 97
+    scan, scanned = terms._scan, []
 
-    def counting_pool(*args, **kwargs):
-        made.append(real(*args, **kwargs))
-        return made[-1]
+    def counting(algebras, statement):
+        scanned.append(len(algebras))
+        return scan(algebras, statement)
 
-    def pools_started(run):
-        _forget_levels(monkeypatch)
-        monkeypatch.setattr(enumeration, "_POOLS", {})
-        before = len(made)
-        run()
-        return len(made) - before
-
-    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
-    try:
-        assert pools_started(lambda: search_counterexample(
-            terms.THEORY["J"],
-            EnumerationSpec(max_size=8, classes=("pbz-star",)), jobs=2)) == 1
-        assert pools_started(lambda: list(enumerate_all(
-            EnumerationSpec(max_size=8), jobs=2))) == 1
-    finally:
-        for pool in made:
-            pool.terminate()
+    monkeypatch.setattr(terms, "_scan", counting)
+    dist = list(enumerate_all(EnumerationSpec(max_size=8,
+                                              structure="distributive")))
+    assert len(scanned) <= 8 and sum(scanned) == 97
+    kept = [A for A in bz if terms.holds(A, terms.THEORY["DIST"])[0]]
+    assert len(dist) == len(kept) and all(A is B for A, B in zip(dist, kept))
 
 
 def test_claim_registry():

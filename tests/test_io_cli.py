@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import multiprocessing
+import multiprocessing.pool
 import os
 import pathlib
 import re
@@ -477,9 +479,9 @@ def test_cli_enumerate_makes_directory_first(tmp_path, capsys, monkeypatch):
     seen = []
     generate = enumeration.enumerate_pbz
 
-    def watched(n, spec, jobs=1):
+    def watched(n, spec):
         seen.append(out.is_dir())
-        return generate(n, spec, jobs=jobs)
+        return generate(n, spec)
 
     monkeypatch.setattr(enumeration, "enumerate_pbz", watched)
     code, _, _ = run(capsys, "enumerate", "--max", "3", "-o", str(out))
@@ -496,15 +498,32 @@ def test_cli_refuses_nonpositive_jobs(capsys):
             assert "positive integer" in capsys.readouterr().err
 
 
-def test_cli_enumerate_bytes_independent_of_jobs(tmp_path, capsys):
-    trees = []
+def test_cli_enumerate_bytes_independent_of_jobs(tmp_path, capsys,
+                                                 monkeypatch):
+    # --jobs is accepted and ignored: no process pool is started or
+    # used, and the levels are built afresh for each jobs count
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was used")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(multiprocessing.pool.Pool, "map", refuse)
+    trees, searches = [], []
     for jobs in ("1", "2"):
+        monkeypatch.setattr(enumeration, "_LEVEL_MEMO", {})
+        monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
         out = tmp_path / f"jobs{jobs}"
         code, _, _ = run(capsys, "enumerate", "--max", "6", "-o", str(out),
                          "--jobs", jobs)
         assert code == 0
         trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        code, out, _ = run(capsys, "search", "J", "--max", "8", "--class",
+                           "pbz-star", "--format", "structured",
+                           "--jobs", jobs)
+        assert code == 0
+        searches.append(out)
     assert trees[0] == trees[1] and len(trees[0]) == 21
+    assert searches[0] == searches[1]
+    assert json.loads(searches[0])["found"] is not None
 
 
 # ---------------------------------------------------------------------------
