@@ -4,9 +4,12 @@ relation families used to analyze subdirectly irreducible members of
 the distributive strong-De-Morgan antiortholattice variety.
 """
 
+import functools
+import operator
 from dataclasses import dataclass
 
 from . import axioms
+from .core import _bits
 
 __all__ = [
     "Congruence", "is_congruence", "congruence_generated",
@@ -24,8 +27,7 @@ class Congruence:
     ``block_of[a]`` is the block id of element a.  The constructor
     takes any hashable block labels and renumbers them by first
     occurrence, so equal partitions compare equal.  Instances are
-    immutable: they hash on ``block_of``, and the congruence lattices
-    kept on algebras hand the same instances to every caller.
+    immutable and hash on ``block_of``, so callers may share them.
     """
 
     __slots__ = ("n", "block_of")
@@ -139,49 +141,78 @@ def is_congruence(A, theta):
     return True, None
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+class _CoverReach:
+    """The cover pairs of an algebra and, for each cover i, ``reach[i]``:
+    the bitmask of the covers that con(cover) collapses.
 
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
+    A lattice congruence, having convex blocks, relates a and b iff it
+    collapses each cover on a maximal chain from a ^ b to a v b.  So
+    cover p = (a, b) forces the covers on one such chain for each
+    translate (x, y), x != y, of p: (a ^ c, b ^ c), (a v c, b v c),
+    (a', b') and (a~, b~).  A set R of covers closed under these edges
+    generates a congruence: lattice translates of a path of R-covers are
+    paths of comparable pairs with chains in R, so the equivalence is a
+    lattice congruence, hence convex, and holds the ' and ~ images too.
+    It collapses no cover (x, y) outside R: meeting with y, then joining
+    with x, maps a path of R-covers from x to y into {x, y}, so (x, y) is
+    a join-translate of a cover in R.  So the congruences are the unions
+    of reach sets, and meet and join are intersection and union.
+    """
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
+    __slots__ = ("covers", "reach", "_ord")
+
+    def __init__(self, A):
+        order = self._ord = A._ord
+        self.covers = covers = sorted(
+            A.covers(), key=lambda p: order.down[p[1]].bit_count())
+        meet, join = order.meet, order.join
+        kleene, brouwer = A.kleene, A.brouwer
+        chain, reach = functools.cache(self.chain), []
+        for i, (a, b) in enumerate(covers):
+            forced = 1 << i
+            for x, y in {(kleene[a], kleene[b]), (brouwer[a], brouwer[b]),
+                         *zip(meet[a], meet[b]), *zip(join[a], join[b])}:
+                if x != y:
+                    forced |= chain(meet[x][y], join[x][y])
+            reach.append(forced)
+        for k in range(len(reach)):  # transitive closure, pivot k
+            reach = [r | reach[k] if r >> k & 1 else r for r in reach]
+        self.reach = tuple(reach)
+
+    def chain(self, lo, hi):
+        """Bitmask of the covers on one maximal chain from lo up to hi."""
+        up, mask = self._ord.up, 0
+        while lo != hi:
+            i, lo = next((i, b) for i, (a, b) in enumerate(self.covers)
+                         if a == lo and up[b] >> hi & 1)
+            mask |= 1 << i
+        return mask
+
+    def partition(self, mask):
+        """The congruence collapsing a closed set of covers.  Each element
+        but the least of its block tops a collapsed cover, which, taken
+        by rising tops, hands it the least element."""
+        least = list(range(self._ord.n))
+        for i, (a, b) in enumerate(self.covers):
+            if mask >> i & 1:
+                least[b] = least[a]
+        return Congruence(least)
+
+
+def _reach(A):
+    return A._keep("reach", lambda: _CoverReach(A))
 
 
 def congruence_generated(A, pairs):
-    """Least congruence containing the given pairs.
-
-    A worklist closure: every pair that union-find actually merges is
-    pushed once and translated once, under both unary maps and meet and
-    join against every constant, and the translated pairs are merged in
-    turn.  The merged pairs span each block by paths, so a translation
-    of any related pair is joined by the translated path; the partition
-    left when the worklist runs dry is therefore closed under the basic
-    translations, which makes it a congruence, and it holds only merges
-    forced by the pairs.
-    """
-    uf = _UnionFind(A.n)
-    kleene, brouwer = A.kleene, A.brouwer
+    """Least congruence containing the given pairs: the union of the
+    reach sets of the covers on their chains."""
+    cr = _reach(A)
     meet, join = A._ord.meet, A._ord.join
-    work = [(a, b) for a, b in pairs if uf.union(a, b)]
-    while work:
-        a, b = work.pop()
-        for x, y in ((kleene[a], kleene[b]), (brouwer[a], brouwer[b]),
-                     *zip(meet[a], meet[b]), *zip(join[a], join[b])):
-            if uf.union(x, y):
-                work.append((x, y))
-    return Congruence([uf.find(x) for x in range(A.n)])
+    mask = 0
+    for a, b in pairs:
+        for i in _bits(cr.chain(meet[a][b], join[a][b])):
+            mask |= cr.reach[i]
+    return cr.partition(mask)
 
 
 def principal_congruence(A, a, b):
@@ -197,93 +228,56 @@ def meet_congruences(t1, t2):
     return Congruence(list(zip(t1.block_of, t2.block_of)))
 
 
-def _join_partitions(t1, t2):
-    """Join of two equivalence relations: the transitive closure of
-    their union."""
-    uf = _UnionFind(t1.n)
-    for block_of in (t1.block_of, t2.block_of):
-        first = {}
-        for a, k in enumerate(block_of):
-            uf.union(first.setdefault(k, a), a)
-    return Congruence([uf.find(x) for x in range(t1.n)])
-
-
 def all_congruences(A):
-    """Every congruence of A, sorted coarsest-last.
-
-    The generators are the principal congruences of the cover pairs.
-    They suffice: a congruence of a lattice-based algebra relates a and
-    b iff it relates a ^ b and a v b, and its blocks are convex, so
-    con(a, b) = con(a ^ b, a v b) is the join of the cover congruences
-    along any maximal chain from a ^ b to a v b.  Every congruence is
-    the join of the principal ones it contains, hence a join of cover
-    congruences.  The generators are closed under joins, taken as joins
-    of equivalence relations: Con A is a sublattice of the lattice of
-    equivalence relations (Burris and Sankappanavar, A Course in
-    Universal Algebra, ch. II), so no translation pass is needed.
-    Guarded to n <= 12; the closure is exponential in the worst case
-    and this package only needs desk scale.
-
-    The sorted congruences are computed on the first call and kept on
-    the algebra as a tuple; each call returns a new list of them.
-    Congruences are immutable, so callers share them safely.
+    """Every congruence of A, sorted coarsest-last: one per union of
+    reach sets, the empty union giving the identity.  Guarded to
+    n <= 12; there can be exponentially many, and this package only
+    needs desk scale.  Each call returns a new list.
     """
     if A.n > 12:
         raise ValueError("all_congruences is capped at 12 elements")
-    return list(A._keep("congruences", lambda: tuple(_all_congruences(A))))
-
-
-def _all_congruences(A):
-    principals = list({principal_congruence(A, a, b)
-                       for a, b in A.covers()})
-    found = {Congruence.identity(A.n)} | set(principals)
-    frontier = list(principals)
-    while frontier:
-        theta = frontier.pop()
-        for phi in principals:
-            psi = _join_partitions(theta, phi)
-            if psi not in found:
-                found.add(psi)
-                frontier.append(psi)
-    return sorted(found, key=lambda t: (len(t.pairs()), t.block_of))
+    cr = _reach(A)
+    found = {0}
+    for r in set(cr.reach):
+        found |= {closed | r for closed in found}
+    return sorted(map(cr.partition, found),
+                  key=lambda t: (len(t.pairs()), t.block_of))
 
 
 def is_subdirectly_irreducible(A):
     """(flag, monolith).  The monolith is the least congruence above
-    the identity; trivial algebras come back (False, None)."""
-    cons = all_congruences(A)
-    nonzero = [t for t in cons if not t.is_identity()]
-    if not nonzero:
-        return False, None
-    monolith = nonzero[0]
-    for t in nonzero[1:]:
-        monolith = meet_congruences(monolith, t)
-    if monolith.is_identity():
-        return False, None
-    return True, monolith
+    the identity; trivial algebras come back (False, None).  Each such
+    congruence contains some con(p), so the monolith collapses the
+    covers every reach set shares."""
+    cr = _reach(A)
+    shared = functools.reduce(operator.and_, cr.reach or (0,))
+    return (True, cr.partition(shared)) if shared else (False, None)
 
 
 def is_directly_indecomposable(A):
-    """No pair of complementary permuting factor congruences.
+    """No pair of complementary permuting factor congruences; A must be
+    a BZ-lattice.  A is indecomposable iff its reach sets link every
+    cover to every other, since complementary congruences collapse
+    complementary closed sets of covers and, in a BZ-lattice, permute.
 
-    A pair is told by counting blocks.  When theta ^ phi is the
-    identity, a theta-block and a phi-block share at most one element,
-    so every theta-block meets every phi-block, which is what
-    theta o phi = phi o theta = total says, iff
-    |A/theta| * |A/phi| = |A|.  The one-element algebra is counted
-    indecomposable (it cannot be a product of two nontrivial factors).
-    """
-    if A.n == 1:
-        return True
-    cons = all_congruences(A)
-    proper = [t for t in cons if not t.is_identity() and not t.is_total()]
-    for i, t1 in enumerate(proper):
-        for t2 in proper[i + 1:]:
-            if not meet_congruences(t1, t2).is_identity():
-                continue
-            if t1.num_blocks() * t2.num_blocks() == A.n:
-                return False
-    return True
+    Let [0, u] and [0, v] be the 0-blocks of complementary theta and
+    phi; ' maps them onto the 1-blocks [u', 1] and [v', 1].
+    1 = 0~ theta u~ <= u' gives u~ = u'; likewise v~ = v', so v ^ v' = 0.
+    u ^ v' theta u (via 0) and phi u (via 1), so u <= v'.  If u < v',
+    phi collapses a cover (u, z) with z <= v', so z ^ u' phi u ^ u' = 0
+    and z ^ u' <= v ^ v' = 0, yet z theta z ^ u' = 0.  So u = v', and
+    (a ^ u') v (b ^ u) is theta-related to a and phi-related to b.
+    Without a Brouwer ~ this fails: the 4-chain with ~ the identity has
+    two unlinked classes of covers and is indecomposable.  The
+    one-element algebra has no two nontrivial factors."""
+    if not axioms.is_bz(A)[0]:
+        raise ValueError("direct indecomposability needs a BZ-lattice")
+    reach = _reach(A).reach
+    linked = reach[0] if reach else 0
+    for _ in reach:
+        linked = functools.reduce(operator.or_,
+                                  [r for r in reach if r & linked], linked)
+    return linked == (1 << len(reach)) - 1
 
 
 def tilde_partition(A):

@@ -332,7 +332,7 @@ class _Carrier:
     starts with nothing kept, so renamed copies, reducts and canonical
     copies compute their own results.  The keys in use are ``"canon"``
     (``canonical_form``), ``"classes"`` (``axioms.classify``),
-    ``"congruences"`` (``congruences.all_congruences``), ``"blocks"``
+    ``"reach"`` (``congruences._CoverReach``), ``"blocks"``
     (``constructions.blocks``), ``"verdicts"``, a dict of identity
     verdicts by statement (``terms.holds_each``), and ``"tables"``, a
     dict of numpy operation tables by name, each built on first use

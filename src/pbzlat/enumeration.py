@@ -256,13 +256,20 @@ def bz_brouwer_maps(L, kleene):
     just shown s'~ = s, so S is closed under '.  Hence every such ~ is
     the map a~ = the join of the elements of S below a', for one
     '-closed S with {0, 1} <= S <= S_K that holds every such join.
-    Those sets are the unions of {0, 1} with '-orbits of S_K; each gives
-    at most one map, kept when it passes is_bz.
+    Those sets are the unions of {0, 1} with '-orbits of S_K.  When the
+    pair is pseudo-Kleene, each S holding its joins gives a BZ-lattice.
+    For s = a~ in S: s <= a', so a <= s' and a ^ a~ <= s' ^ s = 0 (BZ1,
+    and BZ2 with BZ4); a <= b gives b' <= a', so b~ <= a~ (BZ3); s' is
+    in S, so a~~ = s~ = s' (BZ4).  S is the image of its map (s'~ = s),
+    so distinct sets give distinct maps.
     """
     order = L._ord
+    if not axioms.is_pseudo_kleene(FiniteAlgebra._from_order(
+            order, kleene, _trivial_brouwer(order)))[0]:
+        return []
     n, zero, one, join = order.n, order.zero, order.one, order.join
     orbits = [a for a in _sharp_interior(order, kleene) if a < kleene[a]]
-    maps = set()
+    maps = []
     for chosen in range(1 << len(orbits)):
         S = 1 << zero | 1 << one
         for i, a in enumerate(orbits):
@@ -274,10 +281,8 @@ def bz_brouwer_maps(L, kleene):
             for s in _bits(S & order.down[kleene[a]]):
                 t = join[t][s]
             tilde.append(t)
-        tilde = tuple(tilde)
-        if all(S >> t & 1 for t in tilde) and axioms.is_bz(
-                FiniteAlgebra._from_order(order, kleene, tilde))[0]:
-            maps.add(tilde)
+        if all(S >> t & 1 for t in tilde):
+            maps.append(tuple(tilde))
     ext = sorted(range(n), key=lambda a: (-order.down[a].bit_count(), a))
     return sorted(maps, key=lambda tilde: [tilde[a] for a in ext])
 

@@ -1,6 +1,6 @@
-"""The canonical form, the class report, the congruence lattice, the
-blocks and the identity verdicts a carrier keeps after their first
-computation."""
+"""The canonical form, the class report, the cover reach sets behind
+every congruence question, the blocks and the identity verdicts a
+carrier keeps after their first computation."""
 
 import pickle
 
@@ -11,6 +11,8 @@ from pbzlat.constructions import blocks
 from pbzlat.core import canonical_copy, canonical_form
 from pbzlat.enumeration import (EnumerationSpec, claim_names, enumerate_all,
                                 verify_over_corpus)
+
+import _oracles
 
 # the two corpora of the benchmark's claim sweep
 SWEEP_SPECS = (EnumerationSpec(max_size=10, structure="antiortholattice"),
@@ -28,9 +30,9 @@ def test_cached_results_equal_fresh_ones_on_sweep_corpora():
             report = axioms.classify(A)
             assert axioms.classify(A) is report
             assert report == axioms._classify(A), A
-            cons = all_congruences(A)
-            assert all_congruences(A) == cons
-            assert cons == congruences._all_congruences(A), A
+            kept = congruences._reach(A)
+            assert congruences._reach(A) is kept
+            assert kept.reach == congruences._CoverReach(A).reach, A
             for statement in terms.THEORY.values():
                 verdict = terms.holds(A, statement)
                 assert terms.holds(A, statement) == verdict
@@ -49,7 +51,7 @@ def test_all_congruences_returns_a_new_list():
     first.pop()
     second = all_congruences(A)
     assert second is not first
-    assert second == want == congruences._all_congruences(A)
+    assert second == want == _oracles.pairwise_congruences(A)
     # the same for the witness of a kept verdict
     om = terms.THEORY["OM"]
     ok, witness = terms.holds(A, om)
@@ -84,7 +86,7 @@ def test_copies_carry_their_own_results():
     for B in (copy, relabelled, pickled):
         assert set(B._kept) <= {"canon"}
         assert axioms.classify(B) == axioms._classify(B)
-        assert all_congruences(B) == congruences._all_congruences(B)
+        assert all_congruences(B) == _oracles.pairwise_congruences(B)
         for statement in terms.THEORY.values():
             assert terms.holds(B, statement) == scanned(B, statement)
     assert axioms.classify(copy).witnesses != report.witnesses
@@ -102,7 +104,7 @@ def test_claim_sweep_computes_each_result_once(monkeypatch):
     # starts before the build
     monkeypatch.setattr(enumeration, "_LEVEL_MEMO", {})
     monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
-    classified, lattices, scans, blocked = [], [], [], []
+    classified, reached, scans, blocked = [], [], [], []
 
     def counted(fn, seen):
         def wrapper(*args):
@@ -112,8 +114,8 @@ def test_claim_sweep_computes_each_result_once(monkeypatch):
 
     monkeypatch.setattr(axioms, "_classify",
                         counted(axioms._classify, classified))
-    monkeypatch.setattr(congruences, "_all_congruences",
-                        counted(congruences._all_congruences, lattices))
+    monkeypatch.setattr(congruences, "_CoverReach",
+                        counted(congruences._CoverReach, reached))
     scan = terms._scan
 
     def scanned_each(algebras, statement):
@@ -127,16 +129,16 @@ def test_claim_sweep_computes_each_result_once(monkeypatch):
     for spec in SWEEP_SPECS:
         for claim in claim_names():
             verify_over_corpus(claim, spec)
-    # no algebra is classified or given its lattice or its blocks
+    # no algebra is classified or given its reach sets or its blocks
     # twice, and no (algebra, statement) pair is scanned twice
     assert scans and blocked
-    for seen in (classified, lattices, scans, blocked):
+    for seen in (classified, reached, scans, blocked):
         keys = [(id(A), *rest) for A, *rest in seen]
         assert len(set(keys)) == len(keys)
     members = {id(A) for corpus in corpora for A in corpus}
     # so every member is classified exactly once over build and sweep
     assert members <= {id(A) for A, in classified}
-    assert members & {id(A) for A, in lattices}
+    assert members & {id(A) for A, in reached}
 
 
 

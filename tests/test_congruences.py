@@ -1,5 +1,6 @@
 """Congruence lattices, subdirect irreducibility, coset relations."""
 
+import functools
 import pickle
 
 import pytest
@@ -13,6 +14,7 @@ from pbzlat.congruences import (
     tilde_partition,
 )
 from pbzlat.constructions import horizontal_sum, product
+from pbzlat.core import FiniteAlgebra
 from pbzlat.enumeration import EnumerationSpec, enumerate_all
 
 import _oracles
@@ -107,6 +109,20 @@ def test_all_congruences_match_pairwise_oracle():
             assert all_congruences(A) == _oracles.pairwise_congruences(A), A
 
 
+def test_subdirect_irreducibility_matches_pairwise_oracle():
+    """The covers every reach set shares give the meet of the nonzero
+    congruences the all-pairs generators list."""
+    for spec in (AOL10, BZ8):
+        for A in enumerate_all(spec):
+            nonzero = [t for t in _oracles.pairwise_congruences(A)
+                       if not t.is_identity()]
+            mono = nonzero and functools.reduce(meet_congruences, nonzero)
+            if not mono or mono.is_identity():
+                assert is_subdirectly_irreducible(A) == (False, None), A
+            else:
+                assert is_subdirectly_irreducible(A) == (True, mono), A
+
+
 def test_all_congruences_against_bruteforce_on_corpora():
     for spec in (AOL10, BZ8):
         for A in enumerate_all(spec):
@@ -177,6 +193,16 @@ def test_direct_indecomposability_matches_relational_products():
         assert is_directly_indecomposable(A) == want, A
         decomposable += not want
     assert decomposable >= 20
+
+
+def test_direct_indecomposability_needs_a_brouwer_complement():
+    # the 4-chain with ~ the identity has two unlinked classes of covers,
+    # yet no factor congruences
+    D4 = catalog.get("D4")
+    A = FiniteAlgebra(D4.leq, D4.kleene, range(4))
+    assert _oracles.is_directly_indecomposable(A)
+    with pytest.raises(ValueError, match="BZ-lattice"):
+        is_directly_indecomposable(A)
 
 
 def test_subdirectly_irreducible_members_are_directly_indecomposable():
