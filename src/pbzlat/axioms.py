@@ -216,8 +216,8 @@ class AlgebraClassReport:
     witnesses: tuple
 
     def flags(self):
-        return {name: getattr(self, name.replace("-", "_"))
-                for name in CLASS_FLAGS}
+        return {name: getattr(self, field)
+                for name, field in _FLAG_FIELDS.items()}
 
 
 # The class-flag names, in report order: the fields above but the
@@ -225,13 +225,14 @@ class AlgebraClassReport:
 CLASS_FLAGS = tuple(f.name.replace("_", "-")
                     for f in fields(AlgebraClassReport)
                     if f.name != "witnesses")
+_FLAG_FIELDS = {name: name.replace("-", "_") for name in CLASS_FLAGS}
 
 
 def satisfies(A, name):
     """Whether A has the class flag ``name`` or satisfies the THEORY
     statement ``name``; both are kept on the algebra once decided."""
-    if name in CLASS_FLAGS:
-        return getattr(classify(A), name.replace("-", "_"))
+    if name in _FLAG_FIELDS:
+        return getattr(classify(A), _FLAG_FIELDS[name])
     return terms.holds(A, terms.THEORY[name])[0]
 
 

@@ -321,7 +321,7 @@ class _Carrier:
     """The order accessors and the presentation that bare lattices and
     decorated algebras share.
 
-    ``labels`` and ``name`` are read-only because the enumeration memos
+    ``labels`` and ``name`` are read-only because the enumeration caches
     hand the same instances to every caller; ``relabel`` makes a renamed
     copy instead.
 

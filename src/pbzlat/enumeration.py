@@ -24,10 +24,17 @@ function is left only for what no flag or statement states.
 Decoration, filters, identity checks and claim checks all run in the
 calling process, over each level in its canonical order.
 
+Results are kept per carrier, through ``_Carrier._keep`` (class
+reports, verdicts, canonical forms, blocks, reach sets), and per
+process, in the functools caches on ``_lattices``, ``_pk_pairs``,
+``_bz_level`` and ``cli.build_parser``; nothing is kept per spec.
+Statements are interned in ``terms._STATEMENT_MEMO``.
+
 Size caps are checked when a spec is built, so ``CAPS`` must be
 raised before building a spec that goes beyond them.
 """
 
+import functools
 from dataclasses import dataclass
 
 from . import axioms, congruences, constructions, terms
@@ -140,15 +147,11 @@ def _atom_extensions(order):
     return out
 
 
-_LATTICE_MEMO = {}
-
-
+@functools.cache
 def _lattices(n):
-    """All lattices of size n, one per isomorphism class, memoized.
+    """All lattices of size n, one per isomorphism class.
     Extensions are deduplicated on the canonical bytes of their masks,
     so only the kept ones are built and validated."""
-    if n in _LATTICE_MEMO:
-        return _LATTICE_MEMO[n]
     if n == 1:
         kept = [[1]]
     else:
@@ -163,10 +166,8 @@ def _lattices(n):
     # the one dense table outside core: the benchmark's tracer times order
     # validation by wrapping this module's BoundedLattice in a plain
     # function, which has no _from_masks to call
-    lattices = [BoundedLattice([[u >> b & 1 for b in range(n)] for u in up])
-                for up in kept]
-    _LATTICE_MEMO[n] = lattices
-    return lattices
+    return [BoundedLattice([[u >> b & 1 for b in range(n)] for u in up])
+            for up in kept]
 
 
 def enumerate_lattices(n, cap=None):
@@ -448,12 +449,10 @@ def _in_canonical_orbit(order, kleene, tied):
     return bool(_orbit(first, gens) >> x & 1)
 
 
-_PK_MEMO = {}
-
-
+@functools.cache
 def _pk_pairs(n):
     """Pseudo-Kleene pairs (order, kleene) of size n, one per isomorphism
-    class, memoized.
+    class.
 
     PK is hereditary: removing an atom x of a PK pair together with the
     coatom x' (only x when x' = x) leaves a PK pair, since meets can
@@ -490,24 +489,20 @@ def _pk_pairs(n):
       carrying one insertion onto the other: the same orbit, only one
       of whose members is inserted.
     """
-    if n in _PK_MEMO:
-        return _PK_MEMO[n]
     if n <= 2:
-        pairs = [_chain_pair(n)]
-    else:
-        pairs = []
-        for up, kleene in _pk_candidates(n):
-            tied = _top_degree_atoms(up, kleene[-1])
-            if not tied:
-                continue
-            order, _ = _check_order(up)
-            if order is None or not axioms.is_pseudo_kleene(
-                    FiniteAlgebra._from_order(order, kleene,
-                                              _trivial_brouwer(order)))[0]:
-                continue
-            if _in_canonical_orbit(order, kleene, tied):
-                pairs.append((order, kleene))
-    _PK_MEMO[n] = pairs
+        return [_chain_pair(n)]
+    pairs = []
+    for up, kleene in _pk_candidates(n):
+        tied = _top_degree_atoms(up, kleene[-1])
+        if not tied:
+            continue
+        order, _ = _check_order(up)
+        if order is None or not axioms.is_pseudo_kleene(
+                FiniteAlgebra._from_order(order, kleene,
+                                          _trivial_brouwer(order)))[0]:
+            continue
+        if _in_canonical_orbit(order, kleene, tied):
+            pairs.append((order, kleene))
     return pairs
 
 
@@ -515,16 +510,15 @@ def _pk_pairs(n):
 # corpora
 
 
-_CORPUS_MEMO = {}
-
-
 def _admit(level, classes, identities):
     """The algebras of one level that have every class flag and satisfy
     every THEORY identity named, in order: a spec's filters or a claim's
-    hypotheses.  Flags are read per algebra; each identity is checked
-    over the survivors at once (``terms.holds_each``)."""
-    kept = [A for A in level
-            if all(axioms.satisfies(A, c) for c in classes)]
+    hypotheses.  Each filter narrows the survivors of the one before:
+    a class flag is read per algebra, an identity is checked over them
+    all at once (``terms.holds_each``)."""
+    kept = level
+    for name in classes:
+        kept = [A for A in kept if axioms.satisfies(A, name)]
     for name in identities:
         kept = [A for A, (ok, _) in
                 zip(kept, terms.holds_each(kept, terms.THEORY[name])) if ok]
@@ -539,33 +533,28 @@ def _decorations(order, kleene):
             for brouwer in bz_brouwer_maps(A, kleene)]
 
 
-_LEVEL_MEMO = {}
-
-
+@functools.cache
 def _bz_level(n, cap_key):
     """Every BZ decoration of size n under a cap key, one canonical copy
-    per isomorphism class in the order of canonical bytes, memoized: the
-    level every spec with that cap key narrows.  The cap key picks the
+    per isomorphism class in the order of canonical bytes: the level
+    every spec with that cap key narrows.  The cap key picks the
     pairs decorated: the Kleene chain for "chain", every pseudo-Kleene
     pair for "general", and for "antiortholattice" the pairs with
     S_K = {0, 1}, which are exactly the antiortholattices: on such a
     pair the only Brouwer map is the trivial one, and with it the pair
     is a PBZ*-lattice."""
-    key = (n, cap_key)
-    if key not in _LEVEL_MEMO:
-        if cap_key == "chain":
-            pairs = [_chain_pair(n)]
-        elif cap_key == "antiortholattice":
-            pairs = [(order, kleene) for order, kleene in _pk_pairs(n)
-                     if not _sharp_interior(order, kleene)]
-        else:
-            pairs = _pk_pairs(n)
-        copies = {}
-        for order, kleene in pairs:
-            for A in _decorations(order, kleene):
-                copies.setdefault(canonical_form(A), A)
-        _LEVEL_MEMO[key] = [copies[cf] for cf in sorted(copies)]
-    return _LEVEL_MEMO[key]
+    if cap_key == "chain":
+        pairs = [_chain_pair(n)]
+    elif cap_key == "antiortholattice":
+        pairs = [(order, kleene) for order, kleene in _pk_pairs(n)
+                 if not _sharp_interior(order, kleene)]
+    else:
+        pairs = _pk_pairs(n)
+    copies = {}
+    for order, kleene in pairs:
+        for A in _decorations(order, kleene):
+            copies.setdefault(canonical_form(A), A)
+    return [copies[cf] for cf in sorted(copies)]
 
 
 def enumerate_pbz(n, spec):
@@ -587,14 +576,10 @@ def enumerate_pbz(n, spec):
     was built; n is checked against it here, for sizes above max_size.
     """
     spec.check_size(n)
-    key = (n, spec.classes, spec.structure, spec.identities)
-    if key not in _CORPUS_MEMO:
-        identities = spec.identities
-        if spec.structure == "distributive":
-            identities = (*identities, "DIST")
-        _CORPUS_MEMO[key] = _admit(_bz_level(n, spec.cap_key()),
-                                   spec.classes, identities)
-    yield from _CORPUS_MEMO[key]
+    identities = spec.identities
+    if spec.structure == "distributive":
+        identities = (*identities, "DIST")
+    yield from _admit(_bz_level(n, spec.cap_key()), spec.classes, identities)
 
 
 def enumerate_all(spec):

@@ -20,7 +20,6 @@ from .core import FiniteAlgebra
 __all__ = ["ParseError", "loads", "dumps", "load", "dump", "export_dot"]
 
 _LINE_WIDTH = 72
-_BAD_LABEL_CHARS = set("#;:<") | set(" \t\n")
 
 
 class ParseError(ValueError):
@@ -137,13 +136,18 @@ def _wrap(keyword, items, sep):
 
 
 def dumps(A):
-    """Render a FiniteAlgebra in the file format (parseable back exactly)."""
+    """Render a FiniteAlgebra in the file format (parseable back exactly).
+    Raises ValueError on an empty label, a label with whitespace or any of
+    ``#;:<``, or a name with ``#``, a line break or outer whitespace."""
     lab = A.labels
     for s in lab:
-        if set(s) & _BAD_LABEL_CHARS:
+        if not s or any(c.isspace() or c in "#;:<" for c in s):
             raise ValueError(f"label {s!r} cannot appear in an algebra file; "
                              "relabel first")
-    lines = [f"algebra {A.name or 'L'}"]
+    name = A.name or "L"
+    if "#" in name or name.splitlines() != [name] or name != name.strip():
+        raise ValueError(f"name {name!r} cannot appear in an algebra file")
+    lines = [f"algebra {name}"]
     lines.extend(_wrap("elements", list(lab), " "))
     lines.extend(_wrap("covers",
                        [f"{lab[a]} < {lab[b]}" for a, b in sorted(A.covers())],

@@ -23,6 +23,8 @@ one disjunct is a quasi-identity, preserved under products too).
 import itertools
 from dataclasses import dataclass
 
+from .core import _is_index
+
 # numpy is imported only where a statement is scanned, so that
 # importing the package, and commands that scan no statement, do not
 # load it
@@ -431,10 +433,14 @@ def _gather(t, env, tabs, at):
 
 def evaluate(A, t, assignment):
     """Value of a term in A under a variable assignment (indices), read
-    off the operation tables as ``holds`` reads them."""
-    unbound = [v for v in term_vars(t) if v not in assignment]
-    if unbound:
-        raise ValueError(f"unbound variable {unbound[0]!r}")
+    off the operation tables as ``holds`` reads them.  Each variable of
+    the term must be assigned an element index; numpy integers count."""
+    for v in term_vars(t):
+        if v not in assignment:
+            raise ValueError(f"unbound variable {v!r}")
+        if not _is_index(assignment[v], A.n):
+            raise ValueError(f"variable {v!r} is assigned "
+                             f"{assignment[v]!r}, not an element index")
     env = {**assignment, Zero: A.zero, One: A.one}
     return int(_gather(t, env, lambda op: _table(A, op), ()))
 

@@ -15,6 +15,7 @@ that generator's first form, which kept a set of the canonical bytes
 seen, and its orbit test without the atom-degree pre-test.
 """
 
+import functools
 import itertools
 
 from pbzlat import axioms, core, enumeration, terms
@@ -306,9 +307,7 @@ def _trivially_decorated(L):
         yield core.FiniteAlgebra.from_lattice(L, kleene, _trivial_brouwer(L))
 
 
-_DECORATED_MEMO = {}
-
-
+@functools.cache
 def _decorated(n, cap_key):
     """(algebra, class flags) of every BZ-lattice the lattice-first route
     finds at size n, computed once per size and strategy: each lattice
@@ -316,24 +315,19 @@ def _decorated(n, cap_key):
     and each Brouwer map the backtracker finds.  For "antiortholattice"
     the only map tried is the trivial ~, the one an antiortholattice
     carries, which keeps sizes 9 and 10 affordable."""
-    key = (n, cap_key)
-    if key not in _DECORATED_MEMO:
-        lattices = ([core.chain_lattice(n)] if cap_key == "chain"
-                    else enumeration.enumerate_lattices(n))
-        found = []
-        for L in lattices:
-            for kleene in enumeration.order_reversing_involutions(L):
-                maps = ([_trivial_brouwer(L)]
-                        if cap_key == "antiortholattice"
-                        else backtrack_brouwer_maps(L, kleene))
-                for brouwer in maps:
-                    A = core.FiniteAlgebra._from_order(L._ord, kleene,
-                                                       brouwer)
-                    flags = axioms.classify(A).flags()
-                    if flags["bz"]:
-                        found.append((A, flags))
-        _DECORATED_MEMO[key] = found
-    return _DECORATED_MEMO[key]
+    lattices = ([core.chain_lattice(n)] if cap_key == "chain"
+                else enumeration.enumerate_lattices(n))
+    found = []
+    for L in lattices:
+        for kleene in enumeration.order_reversing_involutions(L):
+            maps = ([_trivial_brouwer(L)] if cap_key == "antiortholattice"
+                    else backtrack_brouwer_maps(L, kleene))
+            for brouwer in maps:
+                A = core.FiniteAlgebra._from_order(L._ord, kleene, brouwer)
+                flags = axioms.classify(A).flags()
+                if flags["bz"]:
+                    found.append((A, flags))
+    return found
 
 
 def lattice_first_corpus(n, spec):
@@ -365,40 +359,32 @@ def lattice_first_pk_pairs(n):
             if axioms.is_pseudo_kleene(A)[0]}
 
 
-_SEEN_SET_MEMO = {}
-
-
+@functools.cache
 def seen_set_pk_pairs(n):
     """Pseudo-Kleene pairs (order, kleene) of size n, one per isomorphism
     class, grown from this function's own smaller pairs: every insertion
     into the pairs of size n-1 and n-2 that is a PK lattice is kept
     unless its canonical bytes were seen before.  The generator that
     canonical augmentation replaced."""
-    if n in _SEEN_SET_MEMO:
-        return _SEEN_SET_MEMO[n]
     if n <= 2:
-        pairs = [enumeration._chain_pair(n)]
-    else:
-        candidates = [enumeration._fixed_insertion(order, kleene)
-                      for order, kleene in seen_set_pk_pairs(n - 1)]
-        if n >= 4:
-            candidates += [ins for order, kleene in seen_set_pk_pairs(n - 2)
-                           for ins in enumeration._pair_insertions(order,
-                                                                   kleene)]
-        pairs = []
-        seen = set()
-        for up, kleene in candidates:
-            order, _ = core._check_order(up)
-            if order is None or not axioms.is_pseudo_kleene(
-                    core.FiniteAlgebra._from_order(
-                        order, kleene,
-                        enumeration._trivial_brouwer(order)))[0]:
-                continue
-            key = core._canon_bytes(n, up, (kleene,))
-            if key not in seen:
-                seen.add(key)
-                pairs.append((order, kleene))
-    _SEEN_SET_MEMO[n] = pairs
+        return [enumeration._chain_pair(n)]
+    candidates = [enumeration._fixed_insertion(order, kleene)
+                  for order, kleene in seen_set_pk_pairs(n - 1)]
+    if n >= 4:
+        candidates += [ins for order, kleene in seen_set_pk_pairs(n - 2)
+                       for ins in enumeration._pair_insertions(order, kleene)]
+    pairs = []
+    seen = set()
+    for up, kleene in candidates:
+        order, _ = core._check_order(up)
+        if order is None or not axioms.is_pseudo_kleene(
+                core.FiniteAlgebra._from_order(
+                    order, kleene, enumeration._trivial_brouwer(order)))[0]:
+            continue
+        key = core._canon_bytes(n, up, (kleene,))
+        if key not in seen:
+            seen.add(key)
+            pairs.append((order, kleene))
     return pairs
 
 

@@ -1,11 +1,14 @@
 """The canonical form, the class report, the cover reach sets behind
 every congruence question, the blocks and the identity verdicts a
-carrier keeps after their first computation."""
+carrier keeps after their first computation, and the stage results a
+process keeps, which a benchmark round empties."""
 
+import functools
 import pickle
+from collections import Counter
 
-from pbzlat import (axioms, catalog, congruences, constructions, core,
-                    enumeration, terms)
+from pbzlat import (axioms, catalog, cli, congruences, constructions, core,
+                    enumeration, fileformat, terms)
 from pbzlat.congruences import all_congruences
 from pbzlat.constructions import blocks
 from pbzlat.core import canonical_copy, canonical_form
@@ -102,8 +105,8 @@ def test_copies_carry_their_own_results():
 def test_claim_sweep_computes_each_result_once(monkeypatch):
     # members are classified while the corpora are built, so counting
     # starts before the build
-    monkeypatch.setattr(enumeration, "_LEVEL_MEMO", {})
-    monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
+    monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
+        enumeration._bz_level.__wrapped__))
     classified, reached, scans, blocked = [], [], [], []
 
     def counted(fn, seen):
@@ -182,3 +185,62 @@ def test_statements_built_apart_read_the_kept_verdict(monkeypatch):
     monkeypatch.setattr(terms._Node, "_fields", None)
     for statement in terms.THEORY.values():
         assert hash(statement) == hash(statement)
+
+
+# What a benchmark round empties before it starts, so that it begins in
+# the state of a fresh process: every functools cache, and every dict
+# whose name holds MEMO or CACHE, in these modules of the package.
+_ROUND_MODULES = (core, axioms, terms, congruences, constructions,
+                  enumeration, fileformat, cli)
+
+
+def _round_state():
+    for mod in _ROUND_MODULES:
+        for attr, value in vars(mod).items():
+            if hasattr(value, "cache_clear") or (
+                    ("MEMO" in attr or "CACHE" in attr)
+                    and isinstance(value, dict)):
+                yield mod, attr, value
+
+
+def _cold_start():
+    for _, _, value in _round_state():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+        else:
+            value.clear()
+
+
+def test_benchmark_rounds_start_cold(tmp_path, capsys, monkeypatch):
+    # a stage result kept where the rule does not empty it would make
+    # the second run do less work than the first; fresh copies stand in
+    # for the warm caches, which come back after the test
+    for mod, attr, value in list(_round_state()):
+        monkeypatch.setattr(mod, attr, functools.cache(value.__wrapped__)
+                            if hasattr(value, "cache_clear") else {})
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(enumeration, "_check_order",
+                        counted("check", enumeration._check_order))
+    monkeypatch.setattr(enumeration, "_pk_candidates",
+                        counted("candidates", enumeration._pk_candidates))
+    runs = []
+    for run in ("first", "second"):
+        _cold_start()
+        calls.clear()
+        out = tmp_path / run
+        assert cli.main(["enumerate", "--structure", "antiortholattice",
+                         "--max", "10", "-o", str(out)]) == 0
+        runs.append((dict(calls),
+                     {p.name: p.read_bytes() for p in out.iterdir()}))
+    capsys.readouterr()
+    (first_calls, first_files), (second_calls, second_files) = runs
+    assert first_calls["check"] and first_calls["candidates"]
+    assert first_calls == second_calls
+    assert first_files and first_files == second_files

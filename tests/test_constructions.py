@@ -17,7 +17,8 @@ from pbzlat.core import (
     BoundedLattice, FiniteAlgebra, boolean_lattice, chain_lattice,
     is_isomorphic, is_order_isomorphic,
 )
-from pbzlat.enumeration import EnumerationSpec, enumerate_all
+from pbzlat.enumeration import (EnumerationSpec, enumerate_all,
+                                enumerate_lattices)
 
 
 def n5_plus_top():
@@ -172,6 +173,61 @@ def test_horizontal_sum_of_two_squares_is_mo2():
     assert is_isomorphic(H, catalog.get("MO2"))
     # clashing interior labels get a suffix
     assert sorted(H.labels) == ["0", "1", "a", "a.1", "b", "b.1"]
+
+
+def _summand_places(summands, i, n):
+    """Where horizontal_sum puts the elements of summand i in a sum of n
+    elements: the bounds at 0 and n - 1, the interiors of the summands
+    one after another, each in its own index order."""
+    S = summands[i]
+    interior = [a for a in range(S.n) if a not in (S.zero, S.one)]
+    start = 1 + sum(R.n - 2 for R in summands[:i])
+    return {S.zero: 0, S.one: n - 1,
+            **{a: start + k for k, a in enumerate(interior)}}
+
+
+def test_twists_and_sums_of_every_lattice_to_n7():
+    # every builder result passes the validator; beyond that, each twist
+    # of a lattice up to n=7 is a PBZ* antiortholattice twist_represent
+    # rebuilds, each ordinal sum stacks its summands, and each horizontal
+    # sum with B4 restricts to both summands, whose interiors it keeps
+    # apart
+    lattices = [L for n in range(1, 8) for L in enumerate_lattices(n)]
+    twists = [twist(L) for L in lattices for twist in (twist1, twist2)
+              if L.n >= 2 or twist is twist2]
+    assert (len(lattices), len(twists)) == (78, 155)
+    for T in twists:
+        assert axioms.satisfies(T, "pbz-star")
+        assert axioms.satisfies(T, "antiortholattice")
+        rep = twist_represent(T)
+        assert rep.ok and is_isomorphic(rep.rebuilt, T)
+    for M in (L for L in lattices if L.n <= 3):
+        for L in lattices:
+            S = ordinal_sum(M, L)
+            m = M.n
+            assert S.n == m + L.n
+            for a, b in itertools.product(range(S.n), repeat=2):
+                if a < m and b < m:
+                    assert S.le(a, b) == M.le(a, b)
+                elif a >= m and b >= m:
+                    assert S.le(a, b) == L.le(a - m, b - m)
+                else:
+                    assert S.le(a, b) == (a < m)
+    B4 = catalog.get("B4")
+    for T in twists:
+        summands = [T, B4]
+        H = horizontal_sum(summands)
+        assert H.n == 2 + (T.n - 2) + 2
+        places = [_summand_places(summands, i, H.n) for i in range(2)]
+        for S, t in zip(summands, places):
+            for a, b in itertools.product(range(S.n), repeat=2):
+                assert H.le(t[a], t[b]) == S.le(a, b)
+            assert all(H.kleene[t[a]] == t[S.kleene[a]] and
+                       H.brouwer[t[a]] == t[S.brouwer[a]]
+                       for a in range(S.n))
+        inner = [set(t.values()) - {0, H.n - 1} for t in places]
+        assert all(not H.le(a, b) and not H.le(b, a)
+                   for a in inner[0] for b in inner[1])
 
 
 def test_horizontal_sum_errors():

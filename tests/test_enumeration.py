@@ -1,6 +1,7 @@
 """Corpus generation, counterexample search, registered claims."""
 
 import dataclasses
+import functools
 import hashlib
 import pickle
 from collections import Counter
@@ -236,7 +237,8 @@ def test_pk_generator_work_pinned(monkeypatch):
                         counted("check", enumeration._check_order))
     monkeypatch.setattr(enumeration, "_pk_candidates",
                         generated(enumeration._pk_candidates))
-    monkeypatch.setattr(enumeration, "_PK_MEMO", {})
+    monkeypatch.setattr(enumeration, "_pk_pairs", functools.cache(
+        enumeration._pk_pairs.__wrapped__))
     assert len(enumeration._pk_pairs(10)) == 120
     # the atom-degree pre-test leaves 300 of the 615 candidates to check;
     # 43 searches for the automorphisms of the pair parents of sizes 2-8,
@@ -408,10 +410,9 @@ def test_size_caps_enforced(monkeypatch):
         with pytest.raises(ValueError, match=f"size {n} below 1"):
             list(enumerate_pbz(n, EnumerationSpec(max_size=5)))
     # an above-cap spec is refused when it is built, before level 1
-    monkeypatch.setattr(enumeration, "_LATTICE_MEMO", {})
-    monkeypatch.setattr(enumeration, "_PK_MEMO", {})
-    monkeypatch.setattr(enumeration, "_LEVEL_MEMO", {})
-    monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
+    for stage in ("_lattices", "_pk_pairs", "_bz_level"):
+        monkeypatch.setattr(enumeration, stage, functools.cache(
+            getattr(enumeration, stage).__wrapped__))
     monkeypatch.setattr(enumeration, "_atom_extensions", _no_level)
     with pytest.raises(ValueError, match="general cap"):
         EnumerationSpec(max_size=9)
@@ -504,8 +505,8 @@ def test_identity_filters_scan_a_level_at_once(monkeypatch):
     # a spec's identities are checked over each level in one scan, not
     # one algebra at a time: structure "distributive" narrows the 97
     # BZ-lattices up to n=8 by DIST in one scan per size
-    monkeypatch.setattr(enumeration, "_LEVEL_MEMO", {})
-    monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
+    monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
+        enumeration._bz_level.__wrapped__))
     bz = list(enumerate_all(EnumerationSpec(max_size=8)))
     assert len(bz) == 97
     scan, scanned = terms._scan, []

@@ -1,6 +1,7 @@
 """Algebra files, DOT export, and the command-line front end."""
 
 import contextlib
+import functools
 import io
 import json
 import multiprocessing
@@ -116,6 +117,40 @@ def test_dumps_rejects_unwritable_labels():
     bad = A.relabel(("0", "x:y", "1"))
     with pytest.raises(ValueError, match="relabel first"):
         fileformat.dumps(bad)
+    # whitespace the loader splits on, though no ASCII space
+    for label in ("", "a\rb", "\x0b", "a\xa0", "\u2028"):
+        with pytest.raises(ValueError, match="relabel first"):
+            fileformat.dumps(A.relabel(("0", label, "1")))
+    # a name the algebra line would cut short or break
+    for name in ("my # algebra", "a\nb", "a\x85b", " a", "a\t"):
+        with pytest.raises(ValueError, match="name"):
+            fileformat.dumps(A.relabel(A.labels, name=name))
+
+
+# Text with no control or separator character, or text that mixes what
+# the file format splits on or reserves with any other character.
+_FILE_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Z")),
+            min_size=1, max_size=4),
+    st.text(st.one_of(
+        st.sampled_from("ab01 \t\r\n\x0b\x0c\x1c\x85\xa0\u2028#;:<"),
+        st.characters(blacklist_categories=("Cs",))), max_size=4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(("D3", "B4", "MO2")), st.data())
+def test_dumps_refuses_or_round_trips(name, data):
+    A = catalog.get(name)
+    A = A.relabel(data.draw(st.lists(_FILE_TEXT, min_size=A.n,
+                                     max_size=A.n, unique=True)),
+                  name=data.draw(_FILE_TEXT.filter(bool)))
+    try:
+        text = fileformat.dumps(A)
+    except ValueError:
+        return
+    B = fileformat.loads(text)
+    assert (B.labels, B.name) == (A.labels, A.name)
+    assert B.tables_equal(A)
 
 
 def test_long_sections_wrap_and_reload():
@@ -322,6 +357,9 @@ def test_cli_construct_errors(capsys):
     assert code == 2 and "expected ',' or ')'" in err
     code, _, err = run(capsys, "construct", "hsum(D3,D3)")
     assert code == 2 and "at most one" in err
+    # a name the algebra line cannot hold is refused, not cut short
+    code, out, err = run(capsys, "construct", "D4", "--name", "my # algebra")
+    assert code == 2 and out == "" and "cannot appear" in err
     # the ordinal sum's l:/u: labels cannot be written to a file
     code, _, err = run(capsys, "construct", "twist1(osum(chain2,chain2))")
     assert code == 2 and err.startswith("error: label 'f(l:1)' cannot")
@@ -367,9 +405,9 @@ def test_cli_enumerate_cap_error(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "enumerate", "--max", "9")
     assert code == 2 and "general cap" in err
     # the cap is checked before any level is generated or written
-    monkeypatch.setattr(enumeration, "_LATTICE_MEMO", {})
-    monkeypatch.setattr(enumeration, "_LEVEL_MEMO", {})
-    monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
+    for stage in ("_lattices", "_bz_level"):
+        monkeypatch.setattr(enumeration, stage, functools.cache(
+            getattr(enumeration, stage).__wrapped__))
     monkeypatch.setattr(enumeration, "_atom_extensions", _no_level)
     out = tmp_path / "out"
     code, _, err = run(capsys, "enumerate", "--max", "9", "-o", str(out))
@@ -509,8 +547,8 @@ def test_cli_enumerate_bytes_independent_of_jobs(tmp_path, capsys,
     monkeypatch.setattr(multiprocessing.pool.Pool, "map", refuse)
     trees, searches = [], []
     for jobs in ("1", "2"):
-        monkeypatch.setattr(enumeration, "_LEVEL_MEMO", {})
-        monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
+        monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
+            enumeration._bz_level.__wrapped__))
         out = tmp_path / f"jobs{jobs}"
         code, _, _ = run(capsys, "enumerate", "--max", "6", "-o", str(out),
                          "--jobs", jobs)

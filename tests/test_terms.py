@@ -1,6 +1,7 @@
 """Identity parsing, evaluation and the built-in theory table."""
 
 import contextlib
+import functools
 import io
 import itertools
 import pathlib
@@ -8,6 +9,7 @@ import pickle
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -163,6 +165,17 @@ def test_evaluate_spec_examples():
 def test_evaluate_unbound_variable():
     with pytest.raises(ValueError, match="unbound"):
         evaluate(catalog.get("D3"), parse_term("x v y"), {"x": 0})
+
+
+def test_evaluate_refuses_values_that_are_not_element_indices():
+    # numpy would read -1 as the last element and answer 0
+    D4 = catalog.get("D4")
+    for bad in (-1, D4.n, 2.0):
+        with pytest.raises(ValueError, match="variable 'x'"):
+            evaluate(D4, parse_term("x'"), {"x": bad})
+    a = idx(D4, "a")
+    assert evaluate(D4, parse_term("x'"), {"x": np.int64(a)}) == \
+        D4.kleene[a]
 
 
 def _theory_terms():
@@ -468,8 +481,8 @@ def _reference_search(stmt, spec):
 
 def test_search_matches_per_algebra_oracle_loop(monkeypatch):
     # fresh levels, so the search scans them itself
-    monkeypatch.setattr(enumeration, "_LEVEL_MEMO", {})
-    monkeypatch.setattr(enumeration, "_CORPUS_MEMO", {})
+    monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
+        enumeration._bz_level.__wrapped__))
     statements = [*THEORY.values(),
                   *_random_statements(monkeypatch, (1, 2, 3))]
     outcomes = set()
