@@ -8,7 +8,7 @@ and the block decomposition used to recognize horizontal sums.
 from dataclasses import dataclass
 
 from . import axioms, congruences
-from .core import BoundedLattice, FiniteAlgebra, ValidationError
+from .core import BoundedLattice, FiniteAlgebra, _bits
 
 __all__ = [
     "twist1", "twist2", "Cones", "cones", "TwistRepresentation",
@@ -213,10 +213,9 @@ def horizontal_sum(summands, name=None):
 
 def gamma(A, a, b):
     """(a v b) ^ (a v b~) ^ (a~ v b) ^ (a~ v b~)"""
-    ta, tb = A.brouwer[a], A.brouwer[b]
-    out = A.meet(A.join(a, b), A.join(a, tb))
-    out = A.meet(out, A.join(ta, b))
-    return A.meet(out, A.join(ta, tb))
+    meet, join, tilde = A._ord.meet, A._ord.join, A.brouwer
+    ja, jta, tb = join[a], join[tilde[a]], tilde[b]
+    return meet[meet[meet[ja[b]][ja[tb]]][jta[b]]][jta[tb]]
 
 
 def commutes(A, a, b):
@@ -224,23 +223,39 @@ def commutes(A, a, b):
     return gamma(A, a, b) == A.zero
 
 
+def _close(A, S, gens):
+    """The subuniverse generated by the closed set S and the elements
+    ``gens``, as a bitmask.  S's own meets, joins and images lie in S
+    already, so only what the added elements bring is closed: each new
+    element is met and joined with everything present when its turn
+    comes, which covers every pair with a new member."""
+    meet, join = A._ord.meet, A._ord.join
+    kleene, brouwer = A.kleene, A.brouwer
+    T, members, frontier = S, list(_bits(S)), []
+    for x in gens:
+        if not T >> x & 1:
+            T |= 1 << x
+            members.append(x)
+            frontier.append(x)
+    while frontier:
+        x = frontier.pop()
+        mx, jx = meet[x], join[x]
+        new = 1 << kleene[x] | 1 << brouwer[x]
+        for y in members:
+            new |= 1 << mx[y] | 1 << jx[y]
+        new &= ~T
+        if new:
+            T |= new
+            added = list(_bits(new))
+            members += added
+            frontier += added
+    return T
+
+
 def subuniverse_generated(A, seed):
     """Smallest subset containing the seed and the bounds, closed under
     meet, join, ' and ~.  Returned as a frozenset of indices."""
-    S = set(seed) | {A.zero, A.one}
-    frontier = list(S)
-    while frontier:
-        x = frontier.pop()
-        for y in (A.kleene[x], A.brouwer[x]):
-            if y not in S:
-                S.add(y)
-                frontier.append(y)
-        for y in list(S):
-            for z in (A.meet(x, y), A.join(x, y)):
-                if z not in S:
-                    S.add(z)
-                    frontier.append(z)
-    return frozenset(S)
+    return frozenset(_bits(_close(A, 0, (*seed, A.zero, A.one))))
 
 
 def _induced_up(A, elems):
@@ -264,39 +279,17 @@ def subalgebra_generated(A, seed, name=None):
     return _induced(A, subuniverse_generated(A, seed), name=name)
 
 
-def _is_chain_set(A, S):
-    S = sorted(S)
-    for i, a in enumerate(S):
-        for b in S[i + 1:]:
-            if not A.le(a, b) and not A.le(b, a):
-                return False
-    return True
-
-
-def _is_boolean_set(A, S):
-    # all elements sharp, the sublattice distributive, ~ matching '
-    for a in S:
-        if A.meet(a, A.kleene[a]) != A.zero:
-            return False
-        if A.brouwer[a] != A.kleene[a]:
-            return False
-    for a in S:
-        for b in S:
-            for c in S:
-                if A.meet(a, A.join(b, c)) != \
-                        A.join(A.meet(a, b), A.meet(a, c)):
-                    return False
-    return True
-
-
 def blocks(A):
     """Maximal subalgebras that are Boolean or antiortholattice chains.
 
-    Works on PBZ* algebras; grows every block-shaped subuniverse from
-    the bounds by closing one added generator at a time, then keeps the
-    inclusion-maximal ones.  The blocks, frozensets sorted by their
-    sorted elements, are computed on the first call and kept on the
-    algebra; each call returns a new list of them.
+    Works on PBZ* algebras.  Every block-shaped subuniverse is grown
+    from the bounds one generator at a time, as a bitmask: a child is
+    its closed parent plus a generator, and only what the generator
+    brings is closed.  A subset of a chain is a chain and a subset of a
+    Boolean set is Boolean, so every such subuniverse is reached; the
+    inclusion-maximal ones are the blocks.  The blocks, frozensets
+    sorted by their sorted elements, are computed on the first call
+    and kept on the algebra; each call returns a new list of them.
     """
     return list(A._keep("blocks", lambda: tuple(_blocks(A))))
 
@@ -305,26 +298,46 @@ def _blocks(A):
     report = axioms.classify(A)
     if not report.pbz_star:
         raise ValueError("blocks needs a PBZ* algebra")
+    o, kleene, brouwer = A._ord, A.kleene, A.brouwer
+    meet, join = o.meet, o.join
+    full = (1 << o.n) - 1
+    comparable = [u | d for u, d in zip(o.up, o.down)]
+    # the elements a Boolean block may hold: sharp, with ~ matching '
+    boolean = sum(1 << a for a in range(o.n)
+                  if meet[a][kleene[a]] == o.zero and brouwer[a] == kleene[a])
+
+    def is_chain(S):
+        return all(S & ~comparable[a] == 0 for a in _bits(S))
 
     def shaped(S):
-        return _is_chain_set(A, S) or _is_boolean_set(A, S)
+        if is_chain(S):
+            return True
+        elems = list(_bits(S))
+        return not S & ~boolean and all(
+            meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+            for a in elems for b in elems for c in elems)
 
-    base = subuniverse_generated(A, ())
+    base = _close(A, 0, (o.zero, o.one))
     if not shaped(base):
         return []
     seen = {base}
     queue = [base]
     while queue:
         S = queue.pop()
-        for x in range(A.n):
-            if x in S:
+        chain = is_chain(S)
+        for x in _bits(full & ~S):
+            # the child holds S and x, so it is a chain only when they
+            # form one and Boolean only when they all may lie in a
+            # Boolean block
+            if not (chain and not S & ~comparable[x]
+                    or not (S | 1 << x) & ~boolean):
                 continue
-            T = subuniverse_generated(A, S | {x})
+            T = _close(A, S, (x,))
             if T not in seen and shaped(T):
                 seen.add(T)
                 queue.append(T)
-    maximal = [S for S in seen
-               if not any(S < T for T in seen)]
+    maximal = [frozenset(_bits(S)) for S in seen
+               if not any(S & T == S != T for T in seen)]
     return sorted(maximal, key=sorted)
 
 
@@ -353,45 +366,45 @@ class HorizontalSumReport:
 
 
 def is_horizontal_sum_of_blocks(A):
-    interior = [a for a in range(A.n) if a != A.zero and a != A.one]
+    o, tilde = A._ord, A.brouwer
+    n, zero, one, up, meet, join = o.n, o.zero, o.one, o.up, o.meet, o.join
+    interior = [a for a in range(n) if a != zero and a != one]
+    dense = [a for a in interior if tilde[a] == zero]
+    sharp = [a for a in interior if tilde[tilde[a]] == a]
     conds = {}
 
-    w = next(((a, b) for a in range(A.n) for b in range(A.n)
-              if not commutes(A, a, b) and A.join(a, b) != A.one), None)
+    # gamma and v are symmetric, so the least failing pair has a <= b
+    w = next(((a, b) for a in range(n) for b in range(a, n)
+              if join[a][b] != one and gamma(A, a, b) != zero), None)
     conds["non-commuting-join"] = (w is None, w)
 
-    w = next(((a, b) for a in interior for b in interior
-              if A.brouwer[a] == A.zero and A.diamond(b) == b
-              and A.join(a, b) != A.one), None)
+    w = next(((a, b) for a in dense for b in sharp if join[a][b] != one),
+             None)
     conds["dense-vs-sharp-join"] = (w is None, w)
 
-    w = next(((a, b) for a in interior for b in interior
-              if A.brouwer[a] == A.zero and A.brouwer[b] == A.zero
-              and not A.le(a, b) and not A.le(b, a)), None)
+    w = next(((a, b) for a in dense for b in dense
+              if not (up[a] >> b | up[b] >> a) & 1), None)
     conds["dense-comparable"] = (w is None, w)
 
     w = next(((a,) for a in interior
-              if A.brouwer[a] != A.zero and A.diamond(a) != a), None)
+              if tilde[a] != zero and tilde[tilde[a]] != a), None)
     conds["dense-or-sharp"] = (w is None, w)
 
     blks = blocks(A)
-    covered = set().union(*blks) if blks else set()
-    ok = covered == set(range(A.n))
-    bounds = {A.zero, A.one}
-    if ok:
-        for i, B1 in enumerate(blks):
-            for B2 in blks[i + 1:]:
-                if (B1 & B2) - bounds:
-                    ok = False
-    if ok:
-        membership = [frozenset(i for i, B in enumerate(blks) if a in B)
-                      for a in range(A.n)]
-        for a in interior:
-            for b in interior:
-                if membership[a] & membership[b]:
-                    continue
-                if A.meet(a, b) != A.zero or A.join(a, b) != A.one:
-                    ok = False
+    masks = [sum(1 << a for a in B) for B in blks]
+    mates = [0] * n  # the elements sharing a block with each
+    for m in masks:
+        for a in _bits(m):
+            mates[a] |= m
+    full = (1 << n) - 1
+    interior_mask = full & ~(1 << zero | 1 << one)
+    # the blocks cover A and share only the bounds, and elements of no
+    # common block meet at 0 and join at 1
+    ok = all(mates) and not any(
+        m1 & m2 & interior_mask
+        for i, m1 in enumerate(masks) for m2 in masks[i + 1:]) and all(
+        meet[a][b] == zero and join[a][b] == one
+        for a in interior for b in _bits(full & ~mates[a]))
     return HorizontalSumReport(
         conditions=tuple(sorted(conds.items())),
         by_conditions=all(v for v, _ in conds.values()),

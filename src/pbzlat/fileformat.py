@@ -136,8 +136,10 @@ def _wrap(keyword, items, sep):
 
 
 def dumps(A):
-    """Render a FiniteAlgebra in the file format (parseable back exactly).
-    Raises ValueError on an empty label, a label with whitespace or any of
+    """Render a FiniteAlgebra in the file format.  ``loads`` gives back
+    the tables, labels and name, except that an algebra with no name is
+    written as ``algebra L`` and so reads back named ``L``.  Raises
+    ValueError on an empty label, a label with whitespace or any of
     ``#;:<``, or a name with ``#``, a line break or outer whitespace."""
     lab = A.labels
     for s in lab:

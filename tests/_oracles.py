@@ -12,7 +12,9 @@ backtracking Brouwer search, the nested loops of check_basics, of the
 order checks and of the pseudo-Kleene test, the lattice-first
 decoration of every lattice that the pseudo-Kleene generator replaced,
 that generator's first form, which kept a set of the canonical bytes
-seen, and its orbit test without the atom-degree pre-test.
+seen, its orbit test without the atom-degree pre-test, and the
+horizontal-sum conditions by method calls with the blocks closed anew
+from the bounds for every generator.
 """
 
 import functools
@@ -20,6 +22,7 @@ import itertools
 
 from pbzlat import axioms, core, enumeration, terms
 from pbzlat.congruences import Congruence, all_congruences
+from pbzlat.constructions import HorizontalSumReport
 from pbzlat.terms import (Brouwer, Join, Kleene, Meet, One, QuasiIdentity,
                           Var, Zero, term_vars)
 
@@ -703,3 +706,134 @@ def is_directly_indecomposable(A):
                     _composition_total(t2, t1, A.n):
                 return False
     return True
+
+
+def gamma(A, a, b):
+    """(a v b) ^ (a v b~) ^ (a~ v b) ^ (a~ v b~), by method calls."""
+    ta, tb = A.brouwer[a], A.brouwer[b]
+    out = A.meet(A.join(a, b), A.join(a, tb))
+    out = A.meet(out, A.join(ta, b))
+    return A.meet(out, A.join(ta, tb))
+
+
+def subuniverse_generated(A, seed):
+    """Closure of the seed and the bounds under meet, join, ' and ~,
+    restarted from all of them, as a frozenset."""
+    S = set(seed) | {A.zero, A.one}
+    frontier = list(S)
+    while frontier:
+        x = frontier.pop()
+        for y in (A.kleene[x], A.brouwer[x]):
+            if y not in S:
+                S.add(y)
+                frontier.append(y)
+        for y in list(S):
+            for z in (A.meet(x, y), A.join(x, y)):
+                if z not in S:
+                    S.add(z)
+                    frontier.append(z)
+    return frozenset(S)
+
+
+def _is_chain_set(A, S):
+    S = sorted(S)
+    for i, a in enumerate(S):
+        for b in S[i + 1:]:
+            if not A.le(a, b) and not A.le(b, a):
+                return False
+    return True
+
+
+def _is_boolean_set(A, S):
+    # all elements sharp, the sublattice distributive, ~ matching '
+    for a in S:
+        if A.meet(a, A.kleene[a]) != A.zero:
+            return False
+        if A.brouwer[a] != A.kleene[a]:
+            return False
+    for a in S:
+        for b in S:
+            for c in S:
+                if A.meet(a, A.join(b, c)) != \
+                        A.join(A.meet(a, b), A.meet(a, c)):
+                    return False
+    return True
+
+
+def blocks(A):
+    """Every Boolean or chain-shaped subuniverse, each grown by closing
+    one more generator together with all of its parent from the bounds;
+    the inclusion-maximal ones, sorted by their sorted elements."""
+    if not axioms.classify(A).pbz_star:
+        raise ValueError("blocks needs a PBZ* algebra")
+
+    def shaped(S):
+        return _is_chain_set(A, S) or _is_boolean_set(A, S)
+
+    base = subuniverse_generated(A, ())
+    if not shaped(base):
+        return []
+    seen = {base}
+    queue = [base]
+    while queue:
+        S = queue.pop()
+        for x in range(A.n):
+            if x in S:
+                continue
+            T = subuniverse_generated(A, S | {x})
+            if T not in seen and shaped(T):
+                seen.add(T)
+                queue.append(T)
+    maximal = [S for S in seen
+               if not any(S < T for T in seen)]
+    return sorted(maximal, key=sorted)
+
+
+def is_horizontal_sum_of_blocks(A):
+    """The horizontal-sum report by method calls over every pair, with
+    the blocks above."""
+    interior = [a for a in range(A.n) if a != A.zero and a != A.one]
+    conds = {}
+
+    w = next(((a, b) for a in range(A.n) for b in range(A.n)
+              if gamma(A, a, b) != A.zero and A.join(a, b) != A.one), None)
+    conds["non-commuting-join"] = (w is None, w)
+
+    w = next(((a, b) for a in interior for b in interior
+              if A.brouwer[a] == A.zero and A.diamond(b) == b
+              and A.join(a, b) != A.one), None)
+    conds["dense-vs-sharp-join"] = (w is None, w)
+
+    w = next(((a, b) for a in interior for b in interior
+              if A.brouwer[a] == A.zero and A.brouwer[b] == A.zero
+              and not A.le(a, b) and not A.le(b, a)), None)
+    conds["dense-comparable"] = (w is None, w)
+
+    w = next(((a,) for a in interior
+              if A.brouwer[a] != A.zero and A.diamond(a) != a), None)
+    conds["dense-or-sharp"] = (w is None, w)
+
+    blks = blocks(A)
+    covered = set().union(*blks) if blks else set()
+    ok = covered == set(range(A.n))
+    bounds = {A.zero, A.one}
+    if ok:
+        for i, B1 in enumerate(blks):
+            for B2 in blks[i + 1:]:
+                if (B1 & B2) - bounds:
+                    ok = False
+    if ok:
+        membership = [frozenset(i for i, B in enumerate(blks) if a in B)
+                      for a in range(A.n)]
+        for a in interior:
+            for b in interior:
+                if membership[a] & membership[b]:
+                    continue
+                if A.meet(a, b) != A.zero or A.join(a, b) != A.one:
+                    ok = False
+    return HorizontalSumReport(
+        conditions=tuple(sorted(conds.items())),
+        by_conditions=all(v for v, _ in conds.values()),
+        by_blocks=ok,
+        blocks=tuple(blks),
+    )

@@ -144,6 +144,28 @@ def test_claim_sweep_computes_each_result_once(monkeypatch):
     assert members & {id(A) for A, in reached}
 
 
+def test_warm_chain_claims_run_no_canonical_search(monkeypatch):
+    # both chain claims compare kept canonical forms, the corpus
+    # member's and the cached Kleene chain's, so after one pass they
+    # search nothing
+    claims = ("pbz-chains-are-kleene-chains", "si-distributive-sdm-chains")
+    first = [verify_over_corpus(claim, spec)
+             for spec in SWEEP_SPECS for claim in claims]
+    searches = []
+    search = core._canonical_search_group
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_canonical_search_group", counted)
+    monkeypatch.setattr(enumeration, "_canonical_search_group", counted)
+    again = [verify_over_corpus(claim, spec)
+             for spec in SWEEP_SPECS for claim in claims]
+    assert all(r.checked and r.ok for r in first)
+    assert again == first
+    assert searches == []
+
 
 def test_bare_lattices_keep_their_results(monkeypatch):
     # a memoized lattice, as every caller of enumerate_lattices gets it

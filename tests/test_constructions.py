@@ -20,6 +20,8 @@ from pbzlat.core import (
 from pbzlat.enumeration import (EnumerationSpec, enumerate_all,
                                 enumerate_lattices)
 
+import _oracles
+
 
 def n5_plus_top():
     # pentagon 0 < a < c < 1, 0 < b < 1, with a fresh top stacked on
@@ -278,6 +280,29 @@ def test_horizontal_sum_recognition():
     assert not rep.holds and not rep.by_conditions and rep.agree
     failed = [k for k, (ok, _) in rep.conditions if not ok]
     assert "dense-comparable" in failed
+
+
+def test_horizontal_sum_reports_match_the_oracle():
+    # the table scans and the blocks grown from their closed parents
+    # against method calls and blocks closed anew from the bounds
+    algebras = [A for spec in (
+        EnumerationSpec(max_size=10, structure="antiortholattice"),
+        EnumerationSpec(max_size=8)) for A in enumerate_all(spec)]
+    algebras += [catalog.get(name) for name in catalog.names()]
+    pbz = refused = 0
+    for A in algebras:
+        for x in range(A.n):
+            assert subuniverse_generated(A, [x]) == \
+                _oracles.subuniverse_generated(A, [x]), (A, x)
+        if axioms.classify(A).pbz_star:
+            assert repr(is_horizontal_sum_of_blocks(A)) == \
+                repr(_oracles.is_horizontal_sum_of_blocks(A)), A
+            pbz += 1
+        else:
+            with pytest.raises(ValueError, match="PBZ"):
+                blocks(A)
+            refused += 1
+    assert pbz and refused
 
 
 def test_gamma_and_commutes():
