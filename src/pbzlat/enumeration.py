@@ -6,8 +6,16 @@ with its involution), built directly by inserting an atom together
 with its coatom image; a chain corpus starts from the chain and its
 reversal.  The pairs are grown by canonical augmentation: each
 isomorphism class comes out once, with no set of the classes seen
-and no canonical form computed only to find a duplicate.  Each pair
-is decorated with the Brouwer complements read off its sharp sets.
+and no canonical form computed only to find a duplicate.  The
+antiortholattice pairs, whose only Kleene-sharp elements are 0 and 1,
+are grown on their own route (``_aol_pairs``).  An insertion of x
+and x' gives one exactly when x < x' and every sharp element of the
+parent lies above x, and an insertion of x = x' exactly when the
+parent is one.  So the pairs of size n come from the narrowed pair
+insertions into all pairs of size n-2 and the fixed insertions into
+the antiortholattice pairs of size n-1, and the pseudo-Kleene pairs
+of sizes n-1 and n are never built for them.  Each pair is decorated
+with the Brouwer complements read off its sharp sets.
 The decorated level of a size is built once per cap key, as
 canonical copies (every algebra renumbered along its canonical
 ordering) sorted by canonical bytes, and each spec's level is the
@@ -27,8 +35,9 @@ calling process, over each level in its canonical order.
 Results are kept per carrier, through ``_Carrier._keep`` (class
 reports, verdicts, canonical forms, blocks, reach sets), and per
 process, in the functools caches on ``_lattices``, ``_pk_pairs``,
-``_bz_level``, ``_kleene_chain`` and ``cli.build_parser``; nothing is
-kept per spec.  Statements are interned in ``terms._STATEMENT_MEMO``.
+``_aol_pairs``, ``_bz_level``, ``_kleene_chain`` and
+``cli.build_parser``; nothing is kept per spec.  Statements are
+interned in ``terms._STATEMENT_MEMO``.
 
 Size caps are checked when a spec is built, so ``CAPS`` must be
 raised before building a spec that goes beyond them.
@@ -55,9 +64,10 @@ __all__ = [
     "verify_over_corpus", "claim_names",
 ]
 
-# Size ceilings per generation strategy.  Configuration, not constants:
-# raise them if a search must go further and you can wait.
-CAPS = {"general": 8, "antiortholattice": 10, "chain": 12}
+# Size ceilings per generation strategy, "lattice" for the bare lattices
+# of enumerate_lattices.  Configuration, not constants: raise them if a
+# search must go further and you can wait.
+CAPS = {"general": 8, "antiortholattice": 10, "chain": 12, "lattice": 10}
 
 _STRUCTURES = (None, "chain", "distributive", "antiortholattice")
 
@@ -115,14 +125,15 @@ class EnumerationSpec:
 # bounded lattices
 
 
-def _atom_extensions(order):
+def _atom_extensions(order, must=0):
     """All ways to insert a new atom into a validated lattice order.
 
     The new element sits just above 0 and strictly below an up-closed
-    set U.  The result is a lattice iff for every old a outside U the
-    common upper bounds U & up(a) have a least element, that is, are
-    the up-set of some element; meets never break because the only
-    things under the atom are itself and 0.
+    set U that holds the up-closed set ``must`` (empty by default).
+    The result is a lattice iff for every old a outside U the common
+    upper bounds U & up(a) have a least element, that is, are the
+    up-set of some element; meets never break because the only things
+    under the atom are itself and 0.
     Returns each extension's up-set masks, the new atom last.  The list
     order decides which isomorphic copy is kept, so U runs over its
     membership vectors on the nonzero elements in lexicographic order.
@@ -143,7 +154,8 @@ def _atom_extensions(order):
                 out.append(ext)
             return
         a = interior[i]
-        if not down[a] & U:  # nothing put in lies below a
+        # nothing put in lies below a, and a need not be put in
+        if not down[a] & U and not must >> a & 1:
             grow(i + 1, U, left_out | 1 << a)
         if not up[a] & left_out:  # nothing left out lies above a
             grow(i + 1, U | 1 << a, left_out)
@@ -177,8 +189,9 @@ def _lattices(n):
 
 def enumerate_lattices(n, cap=None):
     """An iterator over all bounded lattices of size n up to isomorphism.
-    The size is checked on the call, before any lattice is built."""
-    cap = CAPS["antiortholattice"] if cap is None else cap
+    The size is checked on the call, before any lattice is built,
+    against ``cap``, by default ``CAPS["lattice"]``."""
+    cap = CAPS["lattice"] if cap is None else cap
     if n < 1:
         raise ValueError(f"size {n} below 1")
     if n > cap:
@@ -324,7 +337,7 @@ def _fixed_insertion(order, kleene):
     return up, kleene + (x,)
 
 
-def _pair_insertions(order, kleene):
+def _pair_insertions(order, kleene, aol=False):
     """Up-set masks and involutions after adding an atom x and a coatom
     x', the image of x.
 
@@ -332,14 +345,20 @@ def _pair_insertions(order, kleene):
     Without x' that must already be a lattice (removing a coatom keeps
     one), so U runs over the atom extensions of the order.  x' sits
     below 1 and strictly above U' = {u' : u in U}.  x < x' is forced
-    when U and U' meet, and is tried both ways when they do not."""
+    when U and U' meet, and is tried both ways when they do not.  With
+    ``aol`` only the insertions whose child is an antiortholattice
+    (``_aol_pairs``): U holds every sharp element, and x < x'."""
     x, xc, one = order.n, order.n + 1, order.one
-    for ext in _atom_extensions(order):
+    must = 0
+    if aol:
+        for a in _sharp_interior(order, kleene):
+            must |= order.up[a]
+    for ext in _atom_extensions(order, must):
         U = ext[x] & ~(1 << x)
         Uc = sum(1 << kleene[u] for u in _bits(U))
         base = [m | 1 << xc if Uc >> a & 1 else m for a, m in enumerate(ext)]
         base.append(1 << xc | 1 << one)
-        for below in ((True,) if U & Uc else (False, True)):
+        for below in ((True,) if aol or U & Uc else (False, True)):
             up = list(base)
             if below:
                 up[x] |= 1 << xc
@@ -387,17 +406,23 @@ def _orbit_representatives(insertions, gens, x):
                     stack.append(img)
 
 
-def _pk_candidates(n):
+def _pk_candidates(n, aol=False):
     """The insertion into each pair of size n-1, and one insertion per
     orbit of its automorphism group into each pair of size n-2, for
-    n >= 3.  The inserted atom is the image of the last element."""
-    for order, kleene in _pk_pairs(n - 1):
+    n >= 3.  The inserted atom is the image of the last element.  With
+    ``aol`` only those whose child is an antiortholattice: the
+    insertions into the antiortholattice pairs of size n-1, and the
+    pair insertions ``_pair_insertions`` keeps for them.  Whether a
+    child is one does not change under the parent's automorphisms, so
+    the narrowing keeps or drops whole orbits, and each orbit kept is
+    tried with the insertion tried without it."""
+    for order, kleene in (_aol_pairs if aol else _pk_pairs)(n - 1):
         yield _fixed_insertion(order, kleene)
     if n >= 4:
         for order, kleene in _pk_pairs(n - 2):
             gens = _canonical_search_group(n - 2, order.up, (kleene,))[2]
             yield from _orbit_representatives(
-                _pair_insertions(order, kleene), gens, n - 2)
+                _pair_insertions(order, kleene, aol), gens, n - 2)
 
 
 def _top_degree_atoms(up, x):
@@ -496,8 +521,44 @@ def _pk_pairs(n):
     """
     if n <= 2:
         return [_chain_pair(n)]
+    return _augmented(_pk_candidates(n))
+
+
+@functools.cache
+def _aol_pairs(n):
+    """The pseudo-Kleene pairs of size n whose only Kleene-sharp elements
+    are 0 and 1, one per isomorphism class: ``_pk_pairs(n)`` narrowed to
+    them, the same pairs in the same order, grown without the pairs of
+    sizes n-1 and n.
+
+    Which insertions give such a child is read off the parent P.  For a
+    pair insertion, with x below U and x' a coatom, let a be an element
+    of P other than 0 and 1.  In the child the lower bounds of a and a'
+    are those in P, and x when both lie in U; x is an atom, so a ^ a'
+    stays the meet in P unless that is 0 and a, a' lie in U, when it is
+    x.  And x ^ x' is x when x < x' and 0 otherwise.  So the child's
+    only sharp elements are 0 and 1 iff x < x' and U holds every sharp
+    element of P other than 0 and 1 (a set closed under ').  A fixed
+    insertion x = x' lies below no element of P but 1 and has x ^ x' =
+    x, so its child has them iff P has.  The children are then the
+    fixed insertions into the pairs of size n-1 this function returns
+    and the pair insertions so narrowed into every pair of size n-2
+    (``_pk_candidates`` with ``aol``).  Being such a pair is an
+    isomorphism invariant, so canonical augmentation keeps exactly the
+    children ``_pk_pairs(n)`` keeps among them (see its docstring for
+    completeness and uniqueness), and in the same order.
+    """
+    if n <= 2:
+        return [_chain_pair(n)]
+    return _augmented(_pk_candidates(n, True))
+
+
+def _augmented(candidates):
+    """The candidates canonical augmentation keeps, as (order, kleene):
+    the atom-degree pre-test, then the lattice and PK checks, then the
+    canonical orbit (``_pk_pairs``)."""
     pairs = []
-    for up, kleene in _pk_candidates(n):
+    for up, kleene in candidates:
         tied = _top_degree_atoms(up, kleene[-1])
         if not tied:
             continue
@@ -547,12 +608,15 @@ def _bz_level(n, cap_key):
     pair for "general", and for "antiortholattice" the pairs with
     S_K = {0, 1}, which are exactly the antiortholattices: on such a
     pair the only Brouwer map is the trivial one, and with it the pair
-    is a PBZ*-lattice."""
+    is a PBZ*-lattice.  Those come from ``_aol_pairs``, which grows
+    them from the insertions that give one (an atom x below x' and
+    below every sharp element of the parent, or x = x' added to an
+    antiortholattice), so the PK pairs of sizes n and n-1 are not
+    built for them."""
     if cap_key == "chain":
         pairs = [_chain_pair(n)]
     elif cap_key == "antiortholattice":
-        pairs = [(order, kleene) for order, kleene in _pk_pairs(n)
-                 if not _sharp_interior(order, kleene)]
+        pairs = _aol_pairs(n)
     else:
         pairs = _pk_pairs(n)
     copies = {}

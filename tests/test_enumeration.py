@@ -286,6 +286,104 @@ def test_pk_pretest_agrees_with_the_canonical_orbit():
                      ("tied", True): 45, ("tied", False): 12}
 
 
+def test_aol_pairs_are_the_narrowed_pk_pairs():
+    for n in range(1, 12):
+        got = enumeration._aol_pairs(n)
+        want = [(order, kleene) for order, kleene in enumeration._pk_pairs(n)
+                if not enumeration._sharp_interior(order, kleene)]
+        keys = _pk_keys(n, got)
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == set(_pk_keys(n, want))
+        # the same pairs in the same order, as the docstring says
+        assert [(order.up, kleene) for order, kleene in got] == \
+            [(order.up, kleene) for order, kleene in want]
+
+
+def _meets_aol_requirement(up, kleene):
+    """Whether an insertion meets the requirement of ``_aol_pairs``'s
+    lemma, read off its parent: a fixed insertion's parent has no sharp
+    element but 0 and 1; a pair insertion has x < x' and U holds every
+    sharp element of its parent."""
+    n, x = len(up), kleene[-1]
+    size = x if x == n - 1 else n - 2
+    mask = (1 << size) - 1
+    parent, _ = core._check_order([m & mask for m in up[:size]])
+    sharp = enumeration._sharp_interior(parent, kleene[:size])
+    if x == n - 1:
+        return not sharp
+    U = up[x] & mask
+    return bool(up[x] >> (n - 1) & 1) and all(U >> a & 1 for a in sharp)
+
+
+def test_aol_insertion_lemma():
+    # an insertion meets the requirement iff its child has no sharp
+    # element but 0 and 1, on every candidate that is a PK lattice; and
+    # the antiortholattice candidates are exactly those meeting it
+    kinds = Counter()
+    for n in range(3, 11):
+        candidates = list(enumeration._pk_candidates(n))
+        assert list(enumeration._pk_candidates(n, True)) == \
+            [c for c in candidates if _meets_aol_requirement(*c)]
+        for up, kleene in candidates:
+            order, _ = core._check_order(up)
+            if order is None or not axioms.is_pseudo_kleene(
+                    FiniteAlgebra._from_order(
+                        order, kleene,
+                        enumeration._trivial_brouwer(order)))[0]:
+                continue
+            meets = _meets_aol_requirement(up, kleene)
+            assert meets == (not enumeration._sharp_interior(order, kleene))
+            kinds[meets] += 1
+    assert kinds == {True: 61, False: 301}
+
+
+def test_aol_generator_work_pinned(monkeypatch):
+    # a cold build of the antiortholattice pairs to n=10 grows them from
+    # the PK pairs to n=8 and no further; a change in the candidates or
+    # the pruning shows up as a changed count
+    calls = Counter()
+    pk_sizes = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def generated(fn):
+        def wrapper(n, aol=False):
+            for candidate in fn(n, aol):
+                calls["aol candidate" if aol else "pk candidate"] += 1
+                yield candidate
+        return wrapper
+
+    def recorded(fn):
+        def wrapper(n):
+            pk_sizes.append(n)
+            return fn(n)
+        return wrapper
+
+    search = counted("search", core._canonical_search_group)
+    monkeypatch.setattr(core, "_canonical_search_group", search)
+    monkeypatch.setattr(enumeration, "_canonical_search_group", search)
+    monkeypatch.setattr(enumeration, "_check_order",
+                        counted("check", enumeration._check_order))
+    monkeypatch.setattr(enumeration, "_pk_candidates",
+                        generated(enumeration._pk_candidates))
+    monkeypatch.setattr(enumeration, "_pk_pairs", functools.cache(
+        recorded(enumeration._pk_pairs.__wrapped__)))
+    monkeypatch.setattr(enumeration, "_aol_pairs", functools.cache(
+        enumeration._aol_pairs.__wrapped__))
+    assert [len(enumeration._aol_pairs(n)) for n in range(1, 11)] == \
+        [1, 1, 1, 1, 1, 2, 3, 7, 11, 30]
+    assert sorted(pk_sizes) == list(range(2, 9))
+    # 105 candidates grow the PK pairs of sizes 3-8 and 150 the
+    # antiortholattice pairs of sizes 3-10, where the PK pairs to n=10
+    # take 615; 141 are left to check after the atom-degree pre-test
+    assert calls == {"pk candidate": 105, "aol candidate": 150,
+                     "check": 141, "search": 78}
+
+
 def test_involutions_against_brute_force():
     for n in range(1, 9):
         for L in enumerate_lattices(n):
@@ -426,6 +524,18 @@ def test_size_caps_enforced(monkeypatch):
     # raising CAPS first lets the spec be built
     monkeypatch.setitem(CAPS, "general", 9)
     assert EnumerationSpec(max_size=9).cap() == 9
+
+
+def test_lattice_cap_is_its_own(monkeypatch):
+    # bare lattices have their own cap, so raising the antiortholattice
+    # cap does not let enumerate_lattices start on a larger level
+    monkeypatch.setattr(enumeration, "_atom_extensions", _no_level)
+    monkeypatch.setitem(CAPS, "antiortholattice", 14)
+    with pytest.raises(ValueError, match="above cap 10"):
+        enumerate_lattices(11)
+    monkeypatch.setitem(CAPS, "lattice", 11)
+    with pytest.raises(AssertionError, match="generated"):
+        enumerate_lattices(11)
 
 
 def test_search_finds_smallest_j_failure():
