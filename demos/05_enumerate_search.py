@@ -47,7 +47,8 @@ def main():
 
     print("one claim is stored in its literal reading on purpose and")
     print("fails at size 7.  Its distributive version holds up to size 9")
-    print("and fails on one 10-element antiortholattice; to size 7:")
+    print("and fails on one 10-element antiortholattice (and, to size 13,")
+    print("on one 13-element antiortholattice more); to size 7:")
     spec = EnumerationSpec(max_size=7, classes=("pbz-star",))
     for claim in ("si-aol-basis-cones", "si-aol-basis-cones-distributive"):
         rep = verify_over_corpus(claim, spec)

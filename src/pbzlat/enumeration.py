@@ -6,16 +6,22 @@ with its involution), built directly by inserting an atom together
 with its coatom image; a chain corpus starts from the chain and its
 reversal.  The pairs are grown by canonical augmentation: each
 isomorphism class comes out once, with no set of the classes seen
-and no canonical form computed only to find a duplicate.  The
-antiortholattice pairs, whose only Kleene-sharp elements are 0 and 1,
-are grown on their own route (``_aol_pairs``).  An insertion of x
-and x' gives one exactly when x < x' and every sharp element of the
-parent lies above x, and an insertion of x = x' exactly when the
-parent is one.  So the pairs of size n come from the narrowed pair
-insertions into all pairs of size n-2 and the fixed insertions into
-the antiortholattice pairs of size n-1, and the pseudo-Kleene pairs
-of sizes n-1 and n are never built for them.  Each pair is decorated
-with the Brouwer complements read off its sharp sets.
+and no canonical form computed only to find a duplicate.  A parent
+takes one insertion per orbit of its automorphisms, and colors decide
+unless they tie: its insertions are told apart by the colors of the
+elements above the new atom and whether the atom lies below its
+image, which every automorphism preserves, so the parent's group is
+searched only when two of them agree.  The antiortholattice pairs,
+whose only Kleene-sharp elements are 0 and 1, are grown on their own
+route (``_aol_pairs``).  An insertion of x and x' gives one exactly
+when x < x' and every sharp element of the parent lies above x, and
+an insertion of x = x' exactly when the parent is one.  So the pairs
+of size n come from the narrowed pair insertions into all pairs of
+size n-2 and the fixed insertions into the antiortholattice pairs of
+size n-1, and the pseudo-Kleene pairs of sizes n-1 and n are never
+built for them.  Each pair is decorated with the Brouwer complements
+read off its sharp sets; an antiortholattice pair has only the
+trivial one, and takes it with no search.
 The decorated level of a size is built once per cap key, as
 canonical copies (every algebra renumbered along its canonical
 ordering) sorted by canonical bytes, and each spec's level is the
@@ -35,9 +41,9 @@ calling process, over each level in its canonical order.
 Results are kept per carrier, through ``_Carrier._keep`` (class
 reports, verdicts, canonical forms, blocks, reach sets), and per
 process, in the functools caches on ``_lattices``, ``_pk_pairs``,
-``_aol_pairs``, ``_bz_level``, ``_kleene_chain`` and
-``cli.build_parser``; nothing is kept per spec.  Statements are
-interned in ``terms._STATEMENT_MEMO``.
+``_aol_pairs``, ``_parent_colors``, ``_parent_group``, ``_bz_level``,
+``_kleene_chain`` and ``cli.build_parser``; nothing is kept per
+spec.  Statements are interned in ``terms._STATEMENT_MEMO``.
 
 Size caps are checked when a spec is built, so ``CAPS`` must be
 raised before building a spec that goes beyond them.
@@ -406,6 +412,21 @@ def _orbit_representatives(insertions, gens, x):
                     stack.append(img)
 
 
+@functools.cache
+def _parent_colors(order, kleene):
+    """The ``_refine_colors`` of a parent pair, kept per pair for both
+    routes of ``_pk_candidates``."""
+    return _refine_colors(order.n, order.up, order.down, (kleene,))
+
+
+@functools.cache
+def _parent_group(order, kleene):
+    """Generators of a parent pair's automorphism group, searched once
+    per pair for both routes of ``_pk_candidates``."""
+    return _canonical_search_group(order.n, order.up, (kleene,),
+                                   _parent_colors(order, kleene))[2]
+
+
 def _pk_candidates(n, aol=False):
     """The insertion into each pair of size n-1, and one insertion per
     orbit of its automorphism group into each pair of size n-2, for
@@ -415,14 +436,31 @@ def _pk_candidates(n, aol=False):
     pair insertions ``_pair_insertions`` keeps for them.  Whether a
     child is one does not change under the parent's automorphisms, so
     the narrowing keeps or drops whole orbits, and each orbit kept is
-    tried with the insertion tried without it."""
+    tried with the insertion tried without it.
+
+    A pair insertion's signature is the sorted colors of the parent
+    elements above x, and whether x < x'.  The parent's automorphisms
+    preserve its colors, so they carry an insertion only to one with
+    the same signature.  When no two insertions into a parent share a
+    signature, every orbit is a single insertion, and all are tried in
+    order, as ``_orbit_representatives`` would try them; only a tie
+    needs the parent's automorphism group (``_parent_group``)."""
     for order, kleene in (_aol_pairs if aol else _pk_pairs)(n - 1):
         yield _fixed_insertion(order, kleene)
     if n >= 4:
-        for order, kleene in _pk_pairs(n - 2):
-            gens = _canonical_search_group(n - 2, order.up, (kleene,))[2]
-            yield from _orbit_representatives(
-                _pair_insertions(order, kleene, aol), gens, n - 2)
+        x = n - 2
+        parent = (1 << x) - 1
+        for order, kleene in _pk_pairs(x):
+            insertions = list(_pair_insertions(order, kleene, aol))
+            col = _parent_colors(order, kleene)
+            signatures = {
+                (tuple(sorted(col[a] for a in _bits(up[x] & parent))),
+                 up[x] >> x + 1 & 1) for up, _ in insertions}
+            if len(signatures) == len(insertions):
+                yield from insertions
+            else:
+                yield from _orbit_representatives(
+                    insertions, _parent_group(order, kleene), x)
 
 
 def _top_degree_atoms(up, x):
@@ -504,6 +542,13 @@ def _pk_pairs(n):
     not kept whatever its checks would say, so it is dropped before
     them; an atom alone among them has the largest color alone, and its
     child is kept with no refinement.
+
+    The parents follow the same rule: colors decide unless they tie.
+    Each orbit of a parent's pair insertions is tried once, and the
+    parent's automorphisms preserve its colors, so an insertion whose
+    color signature no other insertion shares is an orbit by itself
+    (``_pk_candidates``).  The parent's group is searched only on a
+    tie, once per parent for this route and ``_aol_pairs``'s.
 
     - Complete.  Remove from a pair C an atom m of its canonical orbit,
       with m'.  What is left is a PK pair, isomorphic to a parent P in
@@ -612,7 +657,10 @@ def _bz_level(n, cap_key):
     them from the insertions that give one (an atom x below x' and
     below every sharp element of the parent, or x = x' added to an
     antiortholattice), so the PK pairs of sizes n and n-1 are not
-    built for them."""
+    built for them.  Each is decorated with the trivial map directly:
+    the modal-sharp set of any Brouwer map lies in S_K = {0, 1}
+    (``bz_brouwer_maps``), so that map is the only one and the search
+    would find nothing else."""
     if cap_key == "chain":
         pairs = [_chain_pair(n)]
     elif cap_key == "antiortholattice":
@@ -621,7 +669,12 @@ def _bz_level(n, cap_key):
         pairs = _pk_pairs(n)
     copies = {}
     for order, kleene in pairs:
-        for A in _decorations(order, kleene):
+        if cap_key == "antiortholattice":
+            decorated = [canonical_copy(FiniteAlgebra._from_order(
+                order, kleene, _trivial_brouwer(order)))]
+        else:
+            decorated = _decorations(order, kleene)
+        for A in decorated:
             copies.setdefault(canonical_form(A), A)
     return [copies[cf] for cf in sorted(copies)]
 
@@ -782,17 +835,14 @@ def _horizontal_sum_agreement(A):
 def _agreement_relations(A):
     probs = []
     pos = constructions.cones(A).positive
-    crel = {}
-    for p in range(A.n):
-        r = congruences.agreement_below(A, p)
-        crel[p] = r.partition
+    reports = [congruences.agreement_below(A, p) for p in range(A.n)]
+    crel = [r.partition for r in reports]
+    for p, r in enumerate(reports):
         if not r.is_congruence:
             probs.append(("not-congruence", p, r.witness))
-        if (r.partition.is_identity()) != (p in pos):
+        if crel[p].is_identity() != (p in pos):
             probs.append(("trivial-iff-positive", p))
-        both = congruences.meet_congruences(r.partition,
-                                            congruences.agreement_below(
-                                                A, A.kleene[p]).partition)
+        both = congruences.meet_congruences(crel[p], crel[A.kleene[p]])
         if not both.is_identity():
             probs.append(("p-meet-kleene-p", p))
     for p in range(A.n):
@@ -854,6 +904,11 @@ _CLAIMS = {
     # covers are 0<g 0<h a<1 b<1 c<b d<a d<b e<d f<c f<d g<f h<e h<f
     # and whose ' swaps a<->g, b<->h, c<->e and d<->f: it is distributive
     # and subdirectly irreducible, yet c and c' = e are incomparable.
+    # Over the antiortholattices up to size 13 it checks 10 algebras and
+    # fails on one more, of size 13, whose covers are 0<a 0<b a<e b<c
+    # b<e c<d c<g d<i e<f e<g f<h g<h g<i h<k i<j i<k j<1 k<1 and whose
+    # ' swaps a<->j, b<->k, c<->h, d<->f, e<->i and fixes g: d and
+    # d' = f are incomparable.
     "si-aol-basis-cones-distributive": _Claim(
         "s.i. distributive PBZ* algebras satisfying AOL1-3 have every "
         "element comparable to its involute (holds up to size 9; "

@@ -391,6 +391,22 @@ def seen_set_pk_pairs(n):
     return pairs
 
 
+def group_searched_candidates(n, aol=False):
+    """The candidates ``enumeration._pk_candidates(n, aol)`` should give,
+    with the automorphism group of every pair parent searched: its fixed
+    insertions, then the first pair insertion of each orbit of the full
+    group.  The generator that the color signatures shortcut."""
+    parents = enumeration._aol_pairs if aol else enumeration._pk_pairs
+    candidates = [enumeration._fixed_insertion(order, kleene)
+                  for order, kleene in parents(n - 1)]
+    if n >= 4:
+        for order, kleene in enumeration._pk_pairs(n - 2):
+            gens = core._canonical_search_group(n - 2, order.up, (kleene,))[2]
+            candidates += enumeration._orbit_representatives(
+                enumeration._pair_insertions(order, kleene, aol), gens, n - 2)
+    return candidates
+
+
 def brute_automorphisms(n, up, unaries):
     """Every permutation g with a <= b iff g(a) <= g(b) and g(f(a)) =
     f(g(a)) for each unary f, by backtracking over the images of 0, 1,

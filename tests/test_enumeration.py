@@ -241,10 +241,12 @@ def test_pk_generator_work_pinned(monkeypatch):
         enumeration._pk_pairs.__wrapped__))
     assert len(enumeration._pk_pairs(10)) == 120
     # the atom-degree pre-test leaves 300 of the 615 candidates to check;
-    # 43 searches for the automorphisms of the pair parents of sizes 2-8,
-    # 45 to break ties between atoms of the largest color; those 45 are
-    # handed the colors of the 57 refinements of tied atoms, so 100
-    assert calls == {"candidate": 615, "check": 300, "search": 88,
+    # the 43 pair parents of sizes 2-8 are refined once each, and the 28
+    # whose insertions tie on their signatures are searched for their
+    # automorphisms with those colors; 45 searches break ties between
+    # atoms of the largest color, handed the colors of the 57
+    # refinements of tied atoms, so 73 searches and 100 refinements
+    assert calls == {"candidate": 615, "check": 300, "search": 73,
                      "refine": 100}
 
 
@@ -379,9 +381,45 @@ def test_aol_generator_work_pinned(monkeypatch):
     assert sorted(pk_sizes) == list(range(2, 9))
     # 105 candidates grow the PK pairs of sizes 3-8 and 150 the
     # antiortholattice pairs of sizes 3-10, where the PK pairs to n=10
-    # take 615; 141 are left to check after the atom-degree pre-test
+    # take 615; 141 are left to check after the atom-degree pre-test;
+    # 23 searches break ties between atoms, and 14 parents, whose
+    # insertions tie on their signatures, are searched once for both
+    # routes, where searching every parent on each route took 55
     assert calls == {"pk candidate": 105, "aol candidate": 150,
-                     "check": 141, "search": 78}
+                     "check": 141, "search": 37}
+
+
+def test_parent_signatures_keep_one_insertion_per_orbit():
+    # every pair parent to size 10, on both routes: the insertions tried,
+    # with the parent's automorphisms searched only on a signature tie,
+    # are those one per orbit of the full group keeps, in the same order
+    for n in range(3, 13):
+        for aol in (False, True):
+            assert list(enumeration._pk_candidates(n, aol)) == \
+                _oracles.group_searched_candidates(n, aol), (n, aol)
+
+
+def test_antiortholattice_levels_take_the_trivial_map():
+    # on every antiortholattice pair the Brouwer search finds the trivial
+    # map alone, so the level decorated with it directly is the level
+    # the search decorates: the same algebras, labels and kept forms
+    for n in range(1, 12):
+        for order, kleene in enumeration._aol_pairs(n):
+            L = FiniteAlgebra._from_order(
+                order, kleene, enumeration._trivial_brouwer(order))
+            assert bz_brouwer_maps(L, kleene) == \
+                [enumeration._trivial_brouwer(order)]
+    for n in range(1, 11):
+        searched = {}
+        for order, kleene in enumeration._aol_pairs(n):
+            for A in enumeration._decorations(order, kleene):
+                searched.setdefault(canonical_form(A), A)
+        level = enumeration._bz_level(n, "antiortholattice")
+        assert [canonical_form(A) for A in level] == sorted(searched)
+        for A in level:
+            B = searched[A._kept["canon"]]
+            assert A.tables_equal(B) and A.labels == B.labels
+            assert A._kept["canon"] == B._kept["canon"]
 
 
 def test_involutions_against_brute_force():
@@ -741,6 +779,34 @@ def test_distributive_cone_claim_fails_at_ten():
     brouwer = [9] + [0] * 9
     assert is_isomorphic(bad, FiniteAlgebra.from_covers(
         10, covers, kleene, brouwer, labels=labels))
+
+
+def test_distributive_cone_claim_fails_again_at_thirteen(monkeypatch):
+    # over the antiortholattices to 13 the claim checks 10 algebras and
+    # fails at sizes 10 and 13 only
+    monkeypatch.setitem(CAPS, "antiortholattice", 13)
+    rep = verify_over_corpus("si-aol-basis-cones-distributive",
+                             EnumerationSpec(max_size=13,
+                                             structure="antiortholattice"))
+    assert (rep.examined, rep.checked) == (569, 10)
+    assert [(A.n, detail) for A, detail in rep.failures] == \
+        [(10, ("fails CONES",)), (13, ("fails CONES",))]
+    bad, _ = rep.failures[1]
+    # the algebra the claim's comment describes: d and d' = f are
+    # incomparable
+    labels = "0 a b c d e f g h i j k 1".split()
+    ix = labels.index
+    covers = [(ix(x), ix(y)) for x, y in (
+        "0a 0b ae bc be cd cg di ef eg fh gh gi hk ij ik j1 k1".split())]
+    swaps = {"0": "1", "a": "j", "b": "k", "c": "h", "d": "f", "e": "i",
+             "g": "g"}
+    swaps.update({v: k for k, v in swaps.items()})
+    kleene = [ix(swaps[x]) for x in labels]
+    brouwer = [12] + [0] * 12
+    pinned = FiniteAlgebra.from_covers(13, covers, kleene, brouwer,
+                                       labels=labels)
+    assert not pinned.le(ix("d"), ix("f")) and not pinned.le(ix("f"), ix("d"))
+    assert is_isomorphic(bad, pinned)
 
 
 def test_vacuous_corpus_report():
