@@ -29,12 +29,17 @@ __all__ = [
 
 def is_pseudo_kleene(A):
     """a ^ a' <= b v b' for all a, b.  Returns (bool, witness), the
-    witness the least failing (a, b).  Each a ^ a' is tested against the
-    set of all b v b' at once, through its up-set mask."""
-    order, kleene = A._ord, A.kleene
-    highs = [order.join[b][kleene[b]] for b in range(A.n)]
+    witness the least failing (a, b)."""
+    return _pseudo_kleene(A._ord, A.kleene)
+
+
+def _pseudo_kleene(order, kleene):
+    """``is_pseudo_kleene`` of the pair of an order and an involution,
+    with no algebra built.  Each a ^ a' is tested against the set of all
+    b v b' at once, through its up-set mask."""
+    highs = [order.join[b][kleene[b]] for b in range(order.n)]
     high_set = sum(1 << h for h in set(highs))
-    for a in range(A.n):
+    for a in range(order.n):
         missed = high_set & ~order.up[order.meet[a][kleene[a]]]
         if missed:
             return False, (a, next(b for b, h in enumerate(highs)
@@ -123,15 +128,22 @@ def is_diamond_orthomodular(A):
     return True, None
 
 
+def _sharp_interior(order, kleene):
+    """The Kleene-sharp elements (a ^ a' = 0) other than 0 and 1."""
+    return [a for a in range(order.n) if a not in (order.zero, order.one)
+            and order.meet[a][kleene[a]] == order.zero]
+
+
 def kleene_sharp(A):
-    """S_K: elements with a ^ a' = 0.  Defined on any validated algebra."""
-    return frozenset(a for a in range(A.n)
-                     if A.meet(a, A.kleene[a]) == A.zero)
+    """S_K: elements with a ^ a' = 0.  Defined on any validated algebra:
+    0 and 1 always lie in it, since ' reverses the order and so swaps
+    them, and the rest is ``_sharp_interior``."""
+    return frozenset((A.zero, A.one, *_sharp_interior(A._ord, A.kleene)))
 
 
 def is_antiortholattice(A):
     """S_K = {0, 1}: no Kleene-sharp elements besides the bounds."""
-    return kleene_sharp(A) == {A.zero, A.one}
+    return not _sharp_interior(A._ord, A.kleene)
 
 
 @dataclass(frozen=True)

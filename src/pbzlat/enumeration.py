@@ -20,8 +20,7 @@ of size n come from the narrowed pair insertions into all pairs of
 size n-2 and the fixed insertions into the antiortholattice pairs of
 size n-1, and the pseudo-Kleene pairs of sizes n-1 and n are never
 built for them.  Each pair is decorated with the Brouwer complements
-read off its sharp sets; an antiortholattice pair has only the
-trivial one, and takes it with no search.
+read off its sharp sets (``_decorations``).
 The decorated level of a size is built once per cap key, as
 canonical copies (every algebra renumbered along its canonical
 ordering) sorted by canonical bytes, and each spec's level is the
@@ -41,9 +40,9 @@ calling process, over each level in its canonical order.
 Results are kept per carrier, through ``_Carrier._keep`` (class
 reports, verdicts, canonical forms, blocks, reach sets), and per
 process, in the functools caches on ``_lattices``, ``_pk_pairs``,
-``_aol_pairs``, ``_parent_colors``, ``_parent_group``, ``_bz_level``,
-``_kleene_chain`` and ``cli.build_parser``; nothing is kept per
-spec.  Statements are interned in ``terms._STATEMENT_MEMO``.
+``_aol_pairs``, ``_parent_colors``, ``_parent_group``, ``_bz_level``
+and ``cli.build_parser``; nothing is kept per spec.  Statements are
+interned in ``terms._STATEMENT_MEMO``.
 
 Size caps are checked when a spec is built, so ``CAPS`` must be
 raised before building a spec that goes beyond them.
@@ -53,6 +52,7 @@ import functools
 from dataclasses import dataclass
 
 from . import axioms, congruences, constructions, terms
+from .axioms import _sharp_interior
 from .core import (BoundedLattice, FiniteAlgebra, _bits, _canon_bytes,
                    _canonical_search_group, _check_order, _orbit,
                    _refine_colors, _set_index, canonical_copy, canonical_form,
@@ -286,11 +286,12 @@ def bz_brouwer_maps(L, kleene):
     For s = a~ in S: s <= a', so a <= s' and a ^ a~ <= s' ^ s = 0 (BZ1,
     and BZ2 with BZ4); a <= b gives b' <= a', so b~ <= a~ (BZ3); s' is
     in S, so a~~ = s~ = s' (BZ4).  S is the image of its map (s'~ = s),
-    so distinct sets give distinct maps.
+    so distinct sets give distinct maps.  A pair whose only
+    Kleene-sharp elements are 0 and 1 has S = {0, 1} alone, and with it
+    the trivial map, a~ = 0 for every a but 0.
     """
     order = L._ord
-    if not axioms.is_pseudo_kleene(FiniteAlgebra._from_order(
-            order, kleene, _trivial_brouwer(order)))[0]:
+    if not axioms._pseudo_kleene(order, kleene)[0]:
         return []
     n, zero, one, join = order.n, order.zero, order.one, order.join
     orbits = [a for a in _sharp_interior(order, kleene) if a < kleene[a]]
@@ -310,12 +311,6 @@ def bz_brouwer_maps(L, kleene):
             maps.append(tuple(tilde))
     ext = sorted(range(n), key=lambda a: (-order.down[a].bit_count(), a))
     return sorted(maps, key=lambda tilde: [tilde[a] for a in ext])
-
-
-def _sharp_interior(order, kleene):
-    """The Kleene-sharp elements (a ^ a' = 0) other than 0 and 1."""
-    return [a for a in range(order.n) if a not in (order.zero, order.one)
-            and order.meet[a][kleene[a]] == order.zero]
 
 
 def _trivial_brouwer(order):
@@ -608,9 +603,7 @@ def _augmented(candidates):
         if not tied:
             continue
         order, _ = _check_order(up)
-        if order is None or not axioms.is_pseudo_kleene(
-                FiniteAlgebra._from_order(order, kleene,
-                                          _trivial_brouwer(order)))[0]:
+        if order is None or not axioms._pseudo_kleene(order, kleene)[0]:
             continue
         if _in_canonical_orbit(order, kleene, tied):
             pairs.append((order, kleene))
@@ -637,11 +630,19 @@ def _admit(level, classes, identities):
 
 
 def _decorations(order, kleene):
-    """Canonical copies of the BZ decorations of one pseudo-Kleene pair."""
-    # the Brouwer search reads only the order of the pair with trivial ~
-    A = FiniteAlgebra._from_order(order, kleene, _trivial_brouwer(order))
+    """Canonical copies of the BZ decorations of one pseudo-Kleene pair.
+    A pair with no Kleene-sharp element but 0 and 1 (an antiortholattice
+    pair, the Kleene chains among them) carries the trivial Brouwer map
+    alone (``bz_brouwer_maps``) and takes it with no search; any other
+    pair takes every map the search reads off its sharp sets."""
+    if _sharp_interior(order, kleene):
+        # the Brouwer search reads only the order of the pair with trivial ~
+        maps = bz_brouwer_maps(FiniteAlgebra._from_order(
+            order, kleene, _trivial_brouwer(order)), kleene)
+    else:
+        maps = [_trivial_brouwer(order)]
     return [canonical_copy(FiniteAlgebra._from_order(order, kleene, brouwer))
-            for brouwer in bz_brouwer_maps(A, kleene)]
+            for brouwer in maps]
 
 
 @functools.cache
@@ -651,16 +652,8 @@ def _bz_level(n, cap_key):
     every spec with that cap key narrows.  The cap key picks the
     pairs decorated: the Kleene chain for "chain", every pseudo-Kleene
     pair for "general", and for "antiortholattice" the pairs with
-    S_K = {0, 1}, which are exactly the antiortholattices: on such a
-    pair the only Brouwer map is the trivial one, and with it the pair
-    is a PBZ*-lattice.  Those come from ``_aol_pairs``, which grows
-    them from the insertions that give one (an atom x below x' and
-    below every sharp element of the parent, or x = x' added to an
-    antiortholattice), so the PK pairs of sizes n and n-1 are not
-    built for them.  Each is decorated with the trivial map directly:
-    the modal-sharp set of any Brouwer map lies in S_K = {0, 1}
-    (``bz_brouwer_maps``), so that map is the only one and the search
-    would find nothing else."""
+    S_K = {0, 1} (``_aol_pairs``), which with their one Brouwer map
+    are exactly the antiortholattices."""
     if cap_key == "chain":
         pairs = [_chain_pair(n)]
     elif cap_key == "antiortholattice":
@@ -669,12 +662,7 @@ def _bz_level(n, cap_key):
         pairs = _pk_pairs(n)
     copies = {}
     for order, kleene in pairs:
-        if cap_key == "antiortholattice":
-            decorated = [canonical_copy(FiniteAlgebra._from_order(
-                order, kleene, _trivial_brouwer(order)))]
-        else:
-            decorated = _decorations(order, kleene)
-        for A in decorated:
+        for A in _decorations(order, kleene):
             copies.setdefault(canonical_form(A), A)
     return [copies[cf] for cf in sorted(copies)]
 
@@ -810,17 +798,10 @@ def _small_kleene_chain(A):
     return _chain_is_kleene_chain(A)
 
 
-@functools.cache
-def _kleene_chain(n):
-    order, kleene = _chain_pair(n)
-    return FiniteAlgebra._from_order(order, kleene, _trivial_brouwer(order),
-                                     name=f"D{n}")
-
-
 def _chain_is_kleene_chain(A):
     # canonical forms are equal exactly for isomorphic algebras, and both
     # sides keep theirs, so a warm check runs no canonical search
-    if canonical_form(A) == canonical_form(_kleene_chain(A.n)):
+    if canonical_form(A) == canonical_form(_bz_level(A.n, "chain")[0]):
         return ()
     return ("not the Kleene chain of its size",)
 

@@ -9,7 +9,9 @@ must reproduce exactly: the unpruned canonical search, the recursive
 term evaluator and identity checker, the pairwise congruence lattice,
 the relational products behind direct indecomposability, the
 backtracking Brouwer search, the nested loops of check_basics, of the
-order checks and of the pseudo-Kleene test, the lattice-first
+order checks, of the pseudo-Kleene test and of the Kleene-sharp set,
+the Brouwer search on every pair, which the decoration of pairs with
+no sharp element but 0 and 1 skips, the lattice-first
 decoration of every lattice that the pseudo-Kleene generator replaced,
 that generator's first form, which kept a set of the canonical bytes
 seen, its orbit test without the atom-degree pre-test, and the
@@ -190,6 +192,15 @@ def is_pseudo_kleene(A):
     return True, None
 
 
+def kleene_sharp(A):
+    """{a : a ^ a' = 0} by nested loops: no c but 0 lies below both a
+    and a'."""
+    return frozenset(a for a in range(A.n)
+                     if all(c == A.zero or not (A.le(c, a)
+                                                and A.le(c, A.kleene[a]))
+                            for c in range(A.n)))
+
+
 def involutions(n):
     """Every involutive permutation of range(n), in lexicographic order:
     the least unpaired element is paired with itself or a later one."""
@@ -297,6 +308,28 @@ def backtrack_brouwer_maps(L, kleene):
             L._ord, kleene, _trivial_brouwer(L)))[0]:
         rec(0)
     return out
+
+
+def searched_level(n, cap_key):
+    """What ``enumeration._bz_level(n, cap_key)`` should hold, with every
+    pair decorated by ``enumeration.bz_brouwer_maps``, those with no
+    sharp element but 0 and 1 included: one canonical copy per class,
+    in the order of canonical bytes."""
+    if cap_key == "chain":
+        pairs = [enumeration._chain_pair(n)]
+    elif cap_key == "antiortholattice":
+        pairs = enumeration._aol_pairs(n)
+    else:
+        pairs = enumeration._pk_pairs(n)
+    copies = {}
+    for order, kleene in pairs:
+        L = core.FiniteAlgebra._from_order(
+            order, kleene, enumeration._trivial_brouwer(order))
+        for brouwer in enumeration.bz_brouwer_maps(L, kleene):
+            A = core.canonical_copy(
+                core.FiniteAlgebra._from_order(order, kleene, brouwer))
+            copies.setdefault(core.canonical_form(A), A)
+    return [copies[cf] for cf in sorted(copies)]
 
 
 def _trivial_brouwer(L):

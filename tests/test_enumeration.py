@@ -401,8 +401,8 @@ def test_parent_signatures_keep_one_insertion_per_orbit():
 
 def test_antiortholattice_levels_take_the_trivial_map():
     # on every antiortholattice pair the Brouwer search finds the trivial
-    # map alone, so the level decorated with it directly is the level
-    # the search decorates: the same algebras, labels and kept forms
+    # map alone, and so does the backtracking oracle on every PK pair
+    # with no sharp element but 0 and 1
     for n in range(1, 12):
         for order, kleene in enumeration._aol_pairs(n):
             L = FiniteAlgebra._from_order(
@@ -410,16 +410,34 @@ def test_antiortholattice_levels_take_the_trivial_map():
             assert bz_brouwer_maps(L, kleene) == \
                 [enumeration._trivial_brouwer(order)]
     for n in range(1, 11):
-        searched = {}
-        for order, kleene in enumeration._aol_pairs(n):
-            for A in enumeration._decorations(order, kleene):
-                searched.setdefault(canonical_form(A), A)
-        level = enumeration._bz_level(n, "antiortholattice")
-        assert [canonical_form(A) for A in level] == sorted(searched)
-        for A in level:
-            B = searched[A._kept["canon"]]
-            assert A.tables_equal(B) and A.labels == B.labels
-            assert A._kept["canon"] == B._kept["canon"]
+        for order, kleene in enumeration._pk_pairs(n):
+            if not enumeration._sharp_interior(order, kleene):
+                L = FiniteAlgebra._from_order(
+                    order, kleene, enumeration._trivial_brouwer(order))
+                assert _oracles.backtrack_brouwer_maps(L, kleene) == \
+                    [enumeration._trivial_brouwer(order)]
+    # so the levels, which give those pairs that map with no search, are
+    # the levels the search decorates on every pair: the same algebras,
+    # labels and kept forms, in the same order
+    for cap_key, top in (("antiortholattice", 10), ("general", 8),
+                         ("chain", 12)):
+        for n in range(1, top + 1):
+            level = enumeration._bz_level(n, cap_key)
+            searched = _oracles.searched_level(n, cap_key)
+            assert len(level) == len(searched), (cap_key, n)
+            for A, B in zip(level, searched):
+                assert A.tables_equal(B) and A.labels == B.labels
+                assert A._kept["canon"] == B._kept["canon"]
+    # the sharp interior is tested without 0 and 1, which are always
+    # sharp: S_K against nested loops on both sweep corpora and on every
+    # order-reversing involution of every lattice to n=8, PK or not
+    algebras = [A for spec in (
+        EnumerationSpec(max_size=10, structure="antiortholattice"),
+        EnumerationSpec(max_size=8)) for A in enumerate_all(spec)]
+    algebras += [A for n in range(1, 9) for L in enumerate_lattices(n)
+                 for A in _oracles._trivially_decorated(L)]
+    for A in algebras:
+        assert axioms.kleene_sharp(A) == _oracles.kleene_sharp(A)
 
 
 def test_involutions_against_brute_force():
