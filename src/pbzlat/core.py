@@ -65,12 +65,36 @@ class ValidationError(ValueError):
         super().__init__(f"invalid algebra tables: {lines}")
 
 
+def _byte_bits(k):
+    """Entry v is the tuple of the set bits of v, as indices of byte k of
+    a mask: the entries from 2**i on are those below with bit i added,
+    the highest, so each tuple comes out ascending."""
+    table = [()]
+    for b in range(8 * k, 8 * k + 8):
+        table += [bits + (b,) for bits in table]
+    return tuple(table)
+
+
+# four bytes are tabled, and later bytes are read through the first table
+_BYTE_BITS = tuple(map(_byte_bits, range(4)))
+
+
 def _bits(mask):
-    """Indices of set bits, ascending."""
+    """Indices of the set bits of a mask of any width, ascending, as a
+    tuple read a byte at a time from ``_BYTE_BITS``."""
+    tables = _BYTE_BITS
+    if mask < 65536:
+        return tables[0][mask & 255] + tables[1][mask >> 8]
+    out = ()
+    for table in tables:
+        out += table[mask & 255]
+        mask >>= 8
+    k = len(tables)
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        out += tuple(8 * k + b for b in tables[0][mask & 255])
+        mask >>= 8
+        k += 1
+    return out
 
 
 def _set_index(masks):
@@ -99,22 +123,38 @@ class _Order:
 
     def permuted(self, ordering):
         """The same order with element ``ordering[i]`` renamed i."""
-        pos = [0] * self.n
-        for i, a in enumerate(ordering):
-            pos[a] = i
+        pos = _inverse(ordering)
+        pick, rank = _picker(ordering), pos.__getitem__
+        unit = [1 << i for i in pos].__getitem__
 
         def rename(mask):
-            return sum(1 << pos[b] for b in _bits(mask))
+            return sum(map(unit, _bits(mask)))
 
         return _Order(
             self.n,
-            tuple(rename(self.up[a]) for a in ordering),
-            tuple(rename(self.down[a]) for a in ordering),
-            tuple(tuple(pos[self.meet[a][b]] for b in ordering)
-                  for a in ordering),
-            tuple(tuple(pos[self.join[a][b]] for b in ordering)
-                  for a in ordering),
+            tuple(map(rename, pick(self.up))),
+            tuple(map(rename, pick(self.down))),
+            tuple(tuple(map(rank, pick(row))) for row in pick(self.meet)),
+            tuple(tuple(map(rank, pick(row))) for row in pick(self.join)),
             pos[self.zero], pos[self.one])
+
+
+def _inverse(ordering):
+    """pos with pos[ordering[i]] = i."""
+    pos = [0] * len(ordering)
+    for i, a in enumerate(ordering):
+        pos[a] = i
+    return pos
+
+
+def _picker(ordering):
+    """The map taking a sequence s to the tuple of s[a] for a in
+    ``ordering``: an ``operator.itemgetter``, which returns a bare item
+    for one index."""
+    if len(ordering) == 1:
+        a, = ordering
+        return lambda s: (s[a],)
+    return operator.itemgetter(*ordering)
 
 
 def _invalid(violations):
@@ -142,7 +182,7 @@ def _check_order(up):
     only when every check passes.
     """
     n = len(up)
-    bits = [[b for b in range(n) if m >> b & 1] for m in up]
+    bits = [_bits(m) for m in up]
     down = [0] * n
     for a, above in enumerate(bits):
         for b in above:
@@ -155,13 +195,13 @@ def _check_order(up):
     for a in range(n):
         both = up[a] & down[a] & ~(1 << a)
         if both and anti is None:
-            anti = (a, next(_bits(both)))
+            anti = (a, _bits(both)[0])
         if trans is None:
             # a <= b <= c with a </= c, least b first, then least c
             for b in bits[a]:
                 missing = up[b] & ~up[a]
                 if missing:
-                    trans = (a, b, next(_bits(missing)))
+                    trans = (a, b, _bits(missing)[0])
                     break
     if anti:
         violations.append(("order:antisymmetric", anti))
@@ -580,8 +620,8 @@ def _refine_colors(n, up, down, unaries):
     no class (such a round would rank them as they are) or when every
     element has a color of its own.
     """
-    below = [tuple(_bits(down[a] & ~(1 << a))) for a in range(n)]
-    above = [tuple(_bits(up[a] & ~(1 << a))) for a in range(n)]
+    below = [_bits(down[a] & ~(1 << a)) for a in range(n)]
+    above = [_bits(up[a] & ~(1 << a)) for a in range(n)]
     imgs = [tuple(f[a] for f in unaries) for a in range(n)]
     pres = [tuple([] for _ in unaries) for _ in range(n)]
     for k, f in enumerate(unaries):
@@ -617,6 +657,43 @@ def _orbit(e, gens):
                 orbit |= 1 << y
                 stack.append(y)
     return orbit
+
+
+def _incrementer(up, down, unaries, col, placed, pos):
+    """The canonical encoding's increment ``increment(e, d)``: the
+    segment element e adds when placed at depth d after the elements
+    ``placed``, whose depths ``pos`` holds (n for an element not placed
+    yet).  The search and ``_encoding`` read both lists as they fill
+    them, so the byte format is defined here alone."""
+    SENT = len(up)
+
+    def increment(e, d):
+        ue, de = up[e], down[e]
+        inc = [col[e]]
+        inc += [de >> j & 1 for j in placed]
+        inc += [ue >> j & 1 for j in placed]
+        for f in unaries:
+            img = f[e]
+            # a self-image gets the slot being filled; SENT means the
+            # image comes later (recorded then via the preimage bits)
+            inc.append(d if img == e else pos[img])
+            inc += [1 if f[j] == e else 0 for j in placed]
+        return inc
+
+    return increment
+
+
+def _encoding(up, down, unaries, col, ordering):
+    """The encoding the canonical search gives ``ordering``, built
+    along it with the search's own increments and colors ``col``."""
+    n = len(up)
+    placed, pos, enc = [], [n] * n, []
+    increment = _incrementer(up, down, unaries, col, placed, pos)
+    for d, e in enumerate(ordering):
+        enc += increment(e, d)
+        placed.append(e)
+        pos[e] = d
+    return enc
 
 
 def _canonical_search(n, up, unaries):
@@ -689,19 +766,7 @@ def _canonical_search_group(n, up, unaries, col=None):
     best = None
     best_order = None
     autos = []
-
-    def increment(e, d):
-        ue, de = up[e], down[e]
-        inc = [col[e]]
-        inc += [de >> j & 1 for j in placed]
-        inc += [ue >> j & 1 for j in placed]
-        for f in unaries:
-            img = f[e]
-            # a self-image gets the slot being filled; SENT means the
-            # image comes later (recorded then via the preimage bits)
-            inc.append(d if img == e else pos[img])
-            inc += [1 if f[j] == e else 0 for j in placed]
-        return inc
+    increment = _incrementer(up, down, unaries, col, placed, pos)
 
     def search(d, tight):
         """Search below the prefix ``placed`` of length d; ``tight`` says
@@ -776,16 +841,38 @@ def canonical_copy(algebra):
     Isomorphic algebras have equal copies, tables and labels included,
     and an algebra that is its own copy comes back unchanged: its
     ordering is the identity, the first one the canonical search tries.
+    Every algebra can be copied this way, by a canonical search over
+    both maps; ``_copy_along`` skips the search when the ordering is
+    already known, as it is for an antiortholattice pair.
     """
-    n, unaries = algebra.n, (algebra.kleene, algebra.brouwer)
-    ordering, enc = _canonical_search(n, algebra._ord.up, unaries)
-    pos = [0] * n
-    for i, a in enumerate(ordering):
-        pos[a] = i
-    kleene, brouwer = (tuple(pos[f[a]] for a in ordering) for f in unaries)
+    ordering, enc = _canonical_search(algebra.n, algebra._ord.up,
+                                      (algebra.kleene, algebra.brouwer))
+    return _renumbered(algebra, ordering, enc)
+
+
+def _copy_along(algebra, ordering, col):
+    """``canonical_copy(algebra)`` with no search, for an algebra whose
+    canonical ordering and ``_refine_colors`` with both maps are known:
+    the encoding is built along the ordering (``_encoding``).  The
+    caller vouches for both; ``enumeration._decorations`` hands in those
+    of the Kleene-only search of an antiortholattice pair."""
+    order = algebra._ord
+    return _renumbered(algebra, ordering, _encoding(
+        order.up, order.down, (algebra.kleene, algebra.brouwer), col,
+        ordering))
+
+
+def _renumbered(algebra, ordering, enc):
+    """The algebra renumbered along its canonical ordering, with default
+    labels, and its canonical form, from the encoding ``enc``, kept on
+    both."""
+    pick, rank = _picker(ordering), _inverse(ordering).__getitem__
+    kleene, brouwer = (tuple(map(rank, pick(f)))
+                       for f in (algebra.kleene, algebra.brouwer))
     copy = FiniteAlgebra._from_order(algebra._ord.permuted(ordering),
                                      kleene, brouwer, None, algebra.name)
-    copy._kept["canon"] = algebra._kept["canon"] = bytes([n, 2]) + bytes(enc)
+    copy._kept["canon"] = algebra._kept["canon"] = \
+        bytes([algebra.n, 2]) + bytes(enc)
     return copy
 
 

@@ -40,7 +40,7 @@ calling process, over each level in its canonical order.
 Results are kept per carrier, through ``_Carrier._keep`` (class
 reports, verdicts, canonical forms, blocks, reach sets), and per
 process, in the functools caches on ``_lattices``, ``_pk_pairs``,
-``_aol_pairs``, ``_parent_colors``, ``_parent_group``, ``_bz_level``
+``_aol_pairs``, ``_pair_colors``, ``_pair_search``, ``_bz_level``
 and ``cli.build_parser``; nothing is kept per spec.  Statements are
 interned in ``terms._STATEMENT_MEMO``.
 
@@ -54,9 +54,9 @@ from dataclasses import dataclass
 from . import axioms, congruences, constructions, terms
 from .axioms import _sharp_interior
 from .core import (BoundedLattice, FiniteAlgebra, _bits, _canon_bytes,
-                   _canonical_search_group, _check_order, _orbit,
-                   _refine_colors, _set_index, canonical_copy, canonical_form,
-                   chain_lattice)
+                   _canonical_search_group, _check_order, _copy_along,
+                   _orbit, _refine_colors, _set_index, canonical_copy,
+                   canonical_form, chain_lattice)
 # The benchmark's tracer (perfbench/spans.py) looks up
 # enumeration.canonical_form and enumeration.is_isomorphic by name when
 # it installs, so both stay importable from here, though no code in this
@@ -408,18 +408,27 @@ def _orbit_representatives(insertions, gens, x):
 
 
 @functools.cache
-def _parent_colors(order, kleene):
-    """The ``_refine_colors`` of a parent pair, kept per pair for both
-    routes of ``_pk_candidates``."""
-    return _refine_colors(order.n, order.up, order.down, (kleene,))
+def _pair_colors(order, kleene):
+    """The ``_refine_colors`` of a pseudo-Kleene pair, as bytes, refined
+    once per pair: for the orbit test of the candidate it was
+    (``_in_canonical_orbit``), the signatures of its insertions as a
+    parent (``_pk_candidates``, both routes), its canonical search and
+    its antiortholattice copy (``_decorations``)."""
+    return bytes(_refine_colors(order.n, order.up, order.down, (kleene,)))
 
 
 @functools.cache
-def _parent_group(order, kleene):
-    """Generators of a parent pair's automorphism group, searched once
-    per pair for both routes of ``_pk_candidates``."""
-    return _canonical_search_group(order.n, order.up, (kleene,),
-                                   _parent_colors(order, kleene))[2]
+def _pair_search(order, kleene):
+    """The Kleene-only canonical search of a pseudo-Kleene pair, run once
+    per pair with its kept colors: its canonical ordering, as bytes, and
+    the generators of its automorphism group, each a bytes of images.
+    The orbit tie-break of the candidate it was, its group as a parent
+    and its antiortholattice copy all read it.  The encoding is not
+    kept: only a copy needs it, and a copy builds it along the
+    ordering."""
+    ordering, _, gens = _canonical_search_group(
+        order.n, order.up, (kleene,), _pair_colors(order, kleene))
+    return bytes(ordering), tuple(map(bytes, gens))
 
 
 def _pk_candidates(n, aol=False):
@@ -439,7 +448,9 @@ def _pk_candidates(n, aol=False):
     the same signature.  When no two insertions into a parent share a
     signature, every orbit is a single insertion, and all are tried in
     order, as ``_orbit_representatives`` would try them; only a tie
-    needs the parent's automorphism group (``_parent_group``)."""
+    needs the parent's automorphism group.  A parent's colors and group
+    are those its own orbit test may have found when it was a
+    candidate, kept per pair (``_pair_colors``, ``_pair_search``)."""
     for order, kleene in (_aol_pairs if aol else _pk_pairs)(n - 1):
         yield _fixed_insertion(order, kleene)
     if n >= 4:
@@ -447,7 +458,7 @@ def _pk_candidates(n, aol=False):
         parent = (1 << x) - 1
         for order, kleene in _pk_pairs(x):
             insertions = list(_pair_insertions(order, kleene, aol))
-            col = _parent_colors(order, kleene)
+            col = _pair_colors(order, kleene)
             signatures = {
                 (tuple(sorted(col[a] for a in _bits(up[x] & parent))),
                  up[x] >> x + 1 & 1) for up, _ in insertions}
@@ -455,7 +466,7 @@ def _pk_candidates(n, aol=False):
                 yield from insertions
             else:
                 yield from _orbit_representatives(
-                    insertions, _parent_group(order, kleene), x)
+                    insertions, _pair_search(order, kleene)[1], x)
 
 
 def _top_degree_atoms(up, x):
@@ -495,19 +506,21 @@ def _in_canonical_orbit(order, kleene, tied):
     which holds x (``_top_degree_atoms``); the atoms of largest color lie
     in it.  Colors are invariants, so an atom of a smaller color is not
     in the orbit and the only atom of the largest color is the whole of
-    it; only a tie after refinement needs the canonical search."""
-    n, up = order.n, order.up
+    it; only a tie after refinement needs the canonical search.  The
+    colors and the search are kept per pair (``_pair_colors``,
+    ``_pair_search``), so a kept pair is refined and searched once
+    whatever else reads them."""
     x = kleene[-1]
     if tied == 1 << x:
         return True
-    col = _refine_colors(n, up, order.down, (kleene,))
+    col = _pair_colors(order, kleene)
     top = max(col[a] for a in _bits(tied))
     if col[x] != top:
         return False
     tied = [a for a in _bits(tied) if col[a] == top]
     if len(tied) == 1:
         return True
-    ordering, _, gens = _canonical_search_group(n, up, (kleene,), col)
+    ordering, gens = _pair_search(order, kleene)
     first = next(a for a in ordering if a in tied)
     return bool(_orbit(first, gens) >> x & 1)
 
@@ -543,7 +556,11 @@ def _pk_pairs(n):
     parent's automorphisms preserve its colors, so an insertion whose
     color signature no other insertion shares is an orbit by itself
     (``_pk_candidates``).  The parent's group is searched only on a
-    tie, once per parent for this route and ``_aol_pairs``'s.
+    tie.  Each pair is refined at most once and searched, with ' alone,
+    at most once, whatever reads the result: its own orbit test as a
+    candidate, its insertions as a parent on this route and
+    ``_aol_pairs``'s, and its antiortholattice copy (``_pair_colors``,
+    ``_pair_search``).
 
     - Complete.  Remove from a pair C an atom m of its canonical orbit,
       with m'.  What is left is a PK pair, isomorphic to a parent P in
@@ -631,18 +648,37 @@ def _admit(level, classes, identities):
 
 def _decorations(order, kleene):
     """Canonical copies of the BZ decorations of one pseudo-Kleene pair.
+    Any pair with a Kleene-sharp element other than 0 and 1 takes every
+    map the Brouwer search reads off its sharp sets, and each decoration
+    is copied by its own canonical search (``canonical_copy``).
+
     A pair with no Kleene-sharp element but 0 and 1 (an antiortholattice
     pair, the Kleene chains among them) carries the trivial Brouwer map
-    alone (``bz_brouwer_maps``) and takes it with no search; any other
-    pair takes every map the search reads off its sharp sets."""
+    alone (``bz_brouwer_maps``): 0~ = 1 and a~ = 0 otherwise.  It takes
+    that map with no Brouwer search, and its copy with no canonical
+    search of its own: the pair's Kleene-only search (``_pair_search``)
+    already gives the canonical ordering with ~.  Every automorphism of
+    the pair fixes 0 and 1, so it commutes with the trivial ~, and the
+    groups with and without ~ are the same.  Refinement ranks first by
+    the number of strict lower bounds, of which 0 has none and 1 has
+    n-1, so it colors 0 first and 1 last, each alone, with or without
+    ~; and ~ splits no class of the other elements, each of which has
+    image 0 and no preimage.  So the colors are the same
+    (``_pair_colors``), 0 and 1 are placed first and last, and at any
+    other depth every candidate's increment ends in the same ~ segment
+    (image at depth 0, no preimage placed).  Every comparison of the
+    search, hence every ordering it visits, its result and the
+    automorphisms it records, are those of the Kleene-only search.  The
+    copy's encoding is built along that ordering (``_copy_along``)."""
     if _sharp_interior(order, kleene):
         # the Brouwer search reads only the order of the pair with trivial ~
         maps = bz_brouwer_maps(FiniteAlgebra._from_order(
             order, kleene, _trivial_brouwer(order)), kleene)
-    else:
-        maps = [_trivial_brouwer(order)]
-    return [canonical_copy(FiniteAlgebra._from_order(order, kleene, brouwer))
-            for brouwer in maps]
+        return [canonical_copy(FiniteAlgebra._from_order(order, kleene, b))
+                for b in maps]
+    return [_copy_along(
+        FiniteAlgebra._from_order(order, kleene, _trivial_brouwer(order)),
+        _pair_search(order, kleene)[0], _pair_colors(order, kleene))]
 
 
 @functools.cache

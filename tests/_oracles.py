@@ -332,6 +332,21 @@ def searched_level(n, cap_key):
     return [copies[cf] for cf in sorted(copies)]
 
 
+def searched_aol_copy(order, kleene):
+    """The canonical copy of an antiortholattice pair with its trivial ~,
+    by the canonical search over both maps (``core.canonical_copy``)."""
+    return core.canonical_copy(core.FiniteAlgebra._from_order(
+        order, kleene, enumeration._trivial_brouwer(order)))
+
+
+def copy_contents(A):
+    """All a canonical copy holds: the order's masks, tables and bounds,
+    both maps, the labels, the name and the kept canonical form."""
+    o = A._ord
+    return (o.n, o.up, o.down, o.meet, o.join, o.zero, o.one, A.kleene,
+            A.brouwer, A.labels, A.name, A._kept["canon"])
+
+
 def _trivial_brouwer(L):
     """0~ = 1 and a~ = 0 otherwise."""
     return tuple(L.one if a == L.zero else L.zero for a in range(L.n))

@@ -101,6 +101,21 @@ def test_check_order_against_nested_loops():
                           "lattice:join"}
 
 
+def test_bits_against_bit_scan():
+    # every mask below 2**12, the empty one among them, and random masks
+    # up to 300 bits, past the four bytes the tables hold
+    def scan(mask):
+        return tuple(b for b in range(mask.bit_length()) if mask >> b & 1)
+
+    rng = random.Random(23)
+    masks = list(range(1 << 12))
+    masks += [rng.getrandbits(rng.randint(1, 300)) for _ in range(2000)]
+    masks += [1 << 299, (1 << 300) - 1, 1 << 32 | 1, 1 << 16 | 1 << 15]
+    for mask in masks:
+        assert core._bits(mask) == scan(mask), mask
+    assert core._bits(0) == ()
+
+
 def test_refine_colors_against_oracle():
     structures = [(order, (kleene,)) for n in range(1, 11)
                   for order, kleene in enumeration._pk_pairs(n)]

@@ -241,13 +241,15 @@ def test_pk_generator_work_pinned(monkeypatch):
         enumeration._pk_pairs.__wrapped__))
     assert len(enumeration._pk_pairs(10)) == 120
     # the atom-degree pre-test leaves 300 of the 615 candidates to check;
-    # the 43 pair parents of sizes 2-8 are refined once each, and the 28
-    # whose insertions tie on their signatures are searched for their
-    # automorphisms with those colors; 45 searches break ties between
-    # atoms of the largest color, handed the colors of the 57
-    # refinements of tied atoms, so 73 searches and 100 refinements
-    assert calls == {"candidate": 615, "check": 300, "search": 73,
-                     "refine": 100}
+    # 57 candidates with tied atoms are refined, and 45 of them searched
+    # to break a tie between atoms of the largest color; the 43 pair
+    # parents of sizes 2-8 are refined, and the 28 whose insertions tie
+    # on their signatures searched for their automorphisms.  Colors and
+    # searches are kept per pair, so the 14 parents refined and the 13
+    # parents searched as candidates before are not refined or searched
+    # again: 86 refinements and 60 searches
+    assert calls == {"candidate": 615, "check": 300, "search": 60,
+                     "refine": 86}
 
 
 def test_pk_pairs_frozen_in_order():
@@ -384,9 +386,63 @@ def test_aol_generator_work_pinned(monkeypatch):
     # take 615; 141 are left to check after the atom-degree pre-test;
     # 23 searches break ties between atoms, and 14 parents, whose
     # insertions tie on their signatures, are searched once for both
-    # routes, where searching every parent on each route took 55
+    # routes, where searching every parent on each route took 55; 6 of
+    # those parents were searched as candidates, and their kept search
+    # serves, so 31 searches
     assert calls == {"pk candidate": 105, "aol candidate": 150,
-                     "check": 141, "search": 37}
+                     "check": 141, "search": 31}
+
+
+def test_aol_level_work_pinned(monkeypatch):
+    # a cold decorated build of the antiortholattice levels to n=10, from
+    # fresh pair, level and per-pair caches
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    search = counted("search", core._canonical_search_group)
+    monkeypatch.setattr(core, "_canonical_search_group", search)
+    monkeypatch.setattr(enumeration, "_canonical_search_group", search)
+    refine = counted("refine", core._refine_colors)
+    monkeypatch.setattr(core, "_refine_colors", refine)
+    monkeypatch.setattr(enumeration, "_refine_colors", refine)
+    for name in ("_pk_pairs", "_aol_pairs", "_pair_colors", "_pair_search",
+                 "_bz_level"):
+        monkeypatch.setattr(enumeration, name, functools.cache(
+            getattr(enumeration, name).__wrapped__))
+    assert [len(enumeration._bz_level(n, "antiortholattice"))
+            for n in range(1, 11)] == [1, 1, 1, 1, 1, 2, 3, 7, 11, 30]
+    # generation searches 31 pairs (test_aol_generator_work_pinned) and
+    # refines 54, the 25 candidates with tied atoms and the 43 parents,
+    # 14 of them both; each of the 58 antiortholattice pairs is copied
+    # along its Kleene-only search, which 7 of them had as candidates,
+    # so 51 more of each.  A search with both maps per copy, after 68
+    # refinements and 37 searches in generation, made 95 searches and
+    # 126 refinements
+    assert calls == {"search": 82, "refine": 105}
+
+
+def test_antiortholattice_copies_take_the_kleene_only_search():
+    # the trivial ~ changes neither the colors nor anything the canonical
+    # search does on an antiortholattice pair (see _decorations), so the
+    # copy built along the pair's Kleene-only search is the one the
+    # search with both maps gives
+    for n in range(1, 13):
+        for order, kleene in enumeration._aol_pairs(n):
+            unaries = (kleene, enumeration._trivial_brouwer(order))
+            col = core._refine_colors(n, order.up, order.down, unaries)
+            ordering, _, gens = core._canonical_search_group(
+                n, order.up, unaries)
+            assert enumeration._pair_colors(order, kleene) == bytes(col)
+            assert enumeration._pair_search(order, kleene) == \
+                (bytes(ordering), tuple(map(bytes, gens)))
+            [C] = enumeration._decorations(order, kleene)
+            assert _oracles.copy_contents(C) == _oracles.copy_contents(
+                _oracles.searched_aol_copy(order, kleene))
 
 
 def test_parent_signatures_keep_one_insertion_per_orbit():
