@@ -14,7 +14,9 @@ from, and its own builders hand them straight to the validator.
 Labels are presentation only and never carry semantics.
 """
 
+import functools
 import operator
+from array import array
 from dataclasses import dataclass
 
 # numpy is imported only where a dense order table is parsed or built,
@@ -106,9 +108,24 @@ def _set_index(masks):
     return {m: a for a, m in enumerate(masks)}
 
 
+def _row_type(n):
+    """The type of one row of an operation table over n elements, the
+    narrowest unsigned one that holds 0..n-1: ``bytes`` up to 256
+    elements, else an ``array`` of 16-bit entries (a lattice with more
+    than 65536 elements would need billions of table entries).  Either
+    is built from an iterable of ints, reads an int at an index and
+    exposes its items as a buffer, which ``terms`` views with numpy."""
+    return bytes if n <= 256 else functools.partial(array, "H")
+
+
 class _Order:
     """Validated bounded-lattice order: up- and down-sets as bitmasks
-    (bit b of ``up[a]`` is set iff a <= b) plus meet and join tables."""
+    (bit b of ``up[a]`` is set iff a <= b) plus meet and join tables.
+
+    Each table is a tuple of n rows of the type ``_row_type(n)`` gives,
+    so ``meet[a][b]`` reads an int; a 16-element row takes 49 bytes as
+    ``bytes`` and 168 as a tuple of ints, and an order is kept for every
+    pair and algebra the enumeration caches hold."""
 
     __slots__ = ("n", "up", "down", "meet", "join", "zero", "one")
 
@@ -126,6 +143,7 @@ class _Order:
         pos = _inverse(ordering)
         pick, rank = _picker(ordering), pos.__getitem__
         unit = [1 << i for i in pos].__getitem__
+        row = _row_type(self.n)
 
         def rename(mask):
             return sum(map(unit, _bits(mask)))
@@ -134,8 +152,8 @@ class _Order:
             self.n,
             tuple(map(rename, pick(self.up))),
             tuple(map(rename, pick(self.down))),
-            tuple(tuple(map(rank, pick(row))) for row in pick(self.meet)),
-            tuple(tuple(map(rank, pick(row))) for row in pick(self.join)),
+            tuple(row(map(rank, pick(r))) for r in pick(self.meet)),
+            tuple(row(map(rank, pick(r))) for r in pick(self.join)),
             pos[self.zero], pos[self.one])
 
 
@@ -240,9 +258,9 @@ def _check_order(up):
         violations.append(("bounds:one", ()))
     if violations:
         return None, violations
-    order = _Order(n, tuple(up), tuple(down),
-                   tuple(tuple(r) for r in meet),
-                   tuple(tuple(r) for r in join), zero, one)
+    row = _row_type(n)
+    order = _Order(n, tuple(up), tuple(down), tuple(map(row, meet)),
+                   tuple(map(row, join)), zero, one)
     return order, []
 
 
@@ -376,8 +394,10 @@ class _Carrier:
     (``constructions.blocks``), ``"verdicts"``, a dict of identity
     verdicts by statement (``terms.holds_each``), and ``"tables"``, a
     dict of numpy operation tables by name, each built on first use
-    (``terms._table``).  Kept values are immutable or private to their
-    keeper, which hands out copies of mutable ones.
+    (``terms._table``) as a read-only array over the order's rows or a
+    map packed the same way, in the unsigned dtype of ``_row_type``.
+    Kept values are immutable or private to their keeper, which hands
+    out copies of mutable ones.
     """
 
     __slots__ = ("_ord", "_labels", "_name", "_kept")

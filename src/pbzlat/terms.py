@@ -23,7 +23,7 @@ one disjunct is a quasi-identity, preserved under products too).
 import itertools
 from dataclasses import dataclass
 
-from .core import _is_index
+from .core import _is_index, _row_type
 
 # numpy is imported only where a statement is scanned, so that
 # importing the package, and commands that scan no statement, do not
@@ -395,9 +395,13 @@ _OPS = {Meet: "meet", Join: "join", Kleene: "kleene", Brouwer: "brouwer"}
 
 
 def _table(A, op):
-    """numpy copy of one operation table of A, made on first use and
+    """numpy array of one operation table of A, made on first use and
     kept on A, so a statement reads only the tables its terms need (a
-    bare BoundedLattice has no ' or ~)."""
+    bare BoundedLattice has no ' or ~).  ``meet`` and ``join`` are read
+    over the order's rows joined, and a map over a row packed the same
+    way (``core._row_type``), so each entry takes the narrowest
+    unsigned dtype: uint8 up to 256 elements.  The arrays are
+    read-only."""
     tabs = A._keep("tables", dict)
     tab = tabs.get(op)
     if tab is None:
@@ -405,11 +409,16 @@ def _table(A, op):
         if op == "le":
             tab = A.leq
         elif op in ("meet", "join"):
-            tab = np.array(getattr(A._ord, op), dtype=np.intp)
+            # one array straight over the joined rows: a reshaped
+            # np.frombuffer would keep a second array header per table
+            rows = getattr(A._ord, op)
+            tab = np.ndarray((A.n, A.n), memoryview(rows[0]).format,
+                             b"".join(rows))
         elif not hasattr(A, op):
             raise TypeError(f"a bare lattice has no {op} map")
         else:
-            tab = np.array(getattr(A, op), dtype=np.intp)
+            row = _row_type(A.n)(getattr(A, op))
+            tab = np.frombuffer(row, memoryview(row).format)
         tabs[op] = tab
     return tab
 
@@ -536,9 +545,13 @@ def _scan(algebras, statement):
         stacked = {}
 
         def tabs(op):
+            # an operation's values index the next gather, so its kept
+            # narrow tables are widened to intp once for the block
             if op not in stacked:
                 own = [_table(A, op) for A in block]
-                stacked[op] = np.concatenate(own).reshape(m, *own[0].shape)
+                wide = None if op == "le" else np.intp
+                stacked[op] = np.concatenate(own, dtype=wide).reshape(
+                    m, *own[0].shape)
             return stacked[op]
 
         for values in itertools.product(range(n), repeat=len(lead)):

@@ -2,10 +2,12 @@
 
 import hashlib
 import itertools
+import random
 
+import numpy as np
 import pytest
 
-from pbzlat import axioms, catalog, terms
+from pbzlat import axioms, catalog, fileformat, terms
 from pbzlat.congruences import Congruence, all_congruences
 from pbzlat.constructions import (
     blocks, commutes, cones, gamma, horizontal_sum,
@@ -14,8 +16,8 @@ from pbzlat.constructions import (
     twist_represent,
 )
 from pbzlat.core import (
-    BoundedLattice, FiniteAlgebra, boolean_lattice, chain_lattice,
-    is_isomorphic, is_order_isomorphic,
+    BoundedLattice, FiniteAlgebra, boolean_lattice, canonical_copy,
+    chain_lattice, is_isomorphic, is_order_isomorphic, validate_tables,
 )
 from pbzlat.enumeration import (EnumerationSpec, enumerate_all,
                                 enumerate_lattices)
@@ -325,6 +327,69 @@ def test_product():
     assert Q.n == 9 and rep.pbz_star and not rep.antiortholattice
     assert len(axioms.sharp_sets(Q).s_k) == 4
     assert Q.labels[0] == "(0,0)"
+
+
+def _kleene_chain(n):
+    return FiniteAlgebra.from_lattice(
+        chain_lattice(n), [n - 1 - a for a in range(n)],
+        [n - 1] + [0] * (n - 1))
+
+
+def test_product_above_256_elements():
+    # two 17-element Kleene chains give 289 elements, more than a byte
+    # numbers: the product validates, its tables are the nested loops',
+    # and the terms engine reads them as the recursive evaluator does
+    C = _kleene_chain(17)
+    P = product(C, C)
+    assert P.n == 289
+    assert validate_tables(P.leq, P.kleene, P.brouwer).ok
+    o = P._ord
+    assert _oracles.check_order(o.up) == ((
+        o.down, tuple(map(tuple, o.meet)), tuple(map(tuple, o.join)),
+        o.zero, o.one), [])
+    # each kept numpy table takes the narrowest unsigned dtype
+    for X, dtype in ((C, np.uint8), (P, np.uint16)):
+        for op in ("meet", "join", "kleene", "brouwer"):
+            assert terms._table(X, op).dtype == dtype, (X.n, op)
+    # the recursive interpreter scans one or two variables over P; a
+    # product satisfies an identity iff its factors do, so three-variable
+    # DIST is scanned over the chain
+    for name in ("SDM", "BZ1", "BZ2", "BZ3", "BZ4", "STAR", "PK", "CHAIN",
+                 "NODISJ", "ANTIORTHO", "CONES", "OM"):
+        stmt = terms.THEORY[name]
+        assert terms.holds(P, stmt) == _oracles.holds(P, stmt), name
+    dist = terms.THEORY["DIST"]
+    assert terms.holds(P, dist) == _oracles.holds(C, dist) == (True, None)
+    rng = random.Random(289)
+    for name in ("DIST", "SDM", "J", "AOL1", "DCHAIN2"):
+        stmt = terms.THEORY[name]
+        names = terms.term_vars(stmt)
+        for _ in range(40):
+            assignment = {v: rng.randrange(P.n) for v in names}
+            for t in (stmt.lhs, stmt.rhs):
+                assert terms.evaluate(P, t, assignment) == \
+                    _oracles.evaluate(P, t, assignment), (name, assignment)
+
+
+def test_builders_against_nested_loops():
+    # every quotient of the BZ corpus to n=8 by each of its congruences,
+    # every product of two nontrivial members with at most 12 elements,
+    # and the canonical copy of each, validate on the way in; their
+    # order tables are the nested loops', in byte rows
+    corpus = list(enumerate_all(EnumerationSpec(max_size=8)))
+    built = [quotient(A, theta) for A in corpus
+             for theta in all_congruences(A)]
+    built += [product(A, B) for A, B in itertools.product(corpus, repeat=2)
+              if A.n > 1 and B.n > 1 and A.n * B.n <= 12]
+    assert len(built) == 365
+    for X in built + [canonical_copy(X) for X in built]:
+        o = X._ord
+        (down, meet, join, zero, one), violations = \
+            _oracles.check_order(o.up)
+        assert not violations
+        assert (o.down, o.meet, o.join, o.zero, o.one) == (
+            down, tuple(map(bytes, meet)), tuple(map(bytes, join)),
+            zero, one), fileformat.dumps(X)
 
 
 def test_subalgebra_generated():
