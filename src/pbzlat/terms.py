@@ -406,9 +406,7 @@ def _table(A, op):
     tab = tabs.get(op)
     if tab is None:
         import numpy as np
-        if op == "le":
-            tab = A.leq
-        elif op in ("meet", "join"):
+        if op in ("meet", "join"):
             # one array straight over the joined rows: a reshaped
             # np.frombuffer would keep a second array header per table
             rows = getattr(A._ord, op)
@@ -457,7 +455,9 @@ def evaluate(A, t, assignment):
 def _satisfied(ident, env, tabs, at):
     lv = _gather(ident.lhs, env, tabs, at)
     rv = _gather(ident.rhs, env, tabs, at)
-    return lv == rv if ident.kind == "eq" else tabs("le")[(*at, lv, rv)]
+    if ident.kind == "le":  # a <= b iff a ^ b = a
+        rv = tabs("meet")[(*at, lv, rv)]
+    return lv == rv
 
 
 def holds(A, statement):
@@ -549,8 +549,7 @@ def _scan(algebras, statement):
             # narrow tables are widened to intp once for the block
             if op not in stacked:
                 own = [_table(A, op) for A in block]
-                wide = None if op == "le" else np.intp
-                stacked[op] = np.concatenate(own, dtype=wide).reshape(
+                stacked[op] = np.concatenate(own, dtype=np.intp).reshape(
                     m, *own[0].shape)
             return stacked[op]
 
@@ -603,11 +602,18 @@ _THEORY_SOURCE = {
     "DCHAIN3": "x v (y ^ z) = x v ((x v y) ^ z)",
     "DCHAIN4": "x ^ (y v z) = x ^ (y v (x ^ z))",
     # universal clauses: S_K = {0, 1}, covering cones, no two nonzero
-    # elements meeting in 0, and a chain order
+    # elements meeting in 0, a chain order, and every nonzero element
+    # dense (~ the trivial Brouwer map, as 0~ = 1 on a BZ-lattice)
     "ANTIORTHO": "x ^ x' = 0 => x = 0 | x = 1",
     "CONES": "x <= x' | x' <= x",
     "NODISJ": "x ^ y = 0 => x = 0 | y = 0",
     "CHAIN": "x <= y | y <= x",
+    "DENSE": "x = 0 | x~ = 0",
+    # the Kleene, modal and Brouwer sharp sets, each inside the next
+    # round a cycle: the three together say S_K = S_<> = S_B
+    "SHARP_KD": "x ^ x' = 0 => <>x = x",
+    "SHARP_DB": "<>x = x => x v x~ = 1",
+    "SHARP_BK": "x v x~ = 1 => x ^ x' = 0",
 }
 
 THEORY = {name: parse_statement(src) for name, src in _THEORY_SOURCE.items()}

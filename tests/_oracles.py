@@ -16,7 +16,10 @@ decoration of every lattice that the pseudo-Kleene generator replaced,
 that generator's first form, which kept a set of the canonical bytes
 seen, its orbit test without the atom-degree pre-test, and the
 horizontal-sum conditions by method calls with the blocks closed anew
-from the bounds for every generator.
+from the bounds for every generator.  The claim checks that THEORY
+clauses replaced stay here too: the three sharp sets compared as sets,
+and a chain compared with the Kleene chain of the chain level by
+canonical form.
 """
 
 import functools
@@ -901,3 +904,51 @@ def is_horizontal_sum_of_blocks(A):
         by_blocks=ok,
         blocks=tuple(blks),
     )
+
+
+def sharp_sets_collapse(A):
+    """The sharp-sets claim's old check, with the three sets found by
+    method calls, so that it reads maps off the BZ class too: the
+    problems, empty when S_K, S_<> and S_B are one set."""
+    s_k = [a for a in range(A.n) if A.meet(a, A.kleene[a]) == A.zero]
+    s_diamond = [a for a in range(A.n) if A.diamond(a) == a]
+    s_b = [a for a in range(A.n) if A.join(a, A.brouwer[a]) == A.one]
+    if s_k == s_diamond == s_b:
+        return ()
+    return (s_k, s_diamond, s_b)
+
+
+def chain_is_kleene_chain(A):
+    """The chain claims' old check: A has the canonical form of the
+    Kleene chain that the chain level of its size holds."""
+    if core.canonical_form(A) == core.canonical_form(
+            enumeration._bz_level(A.n, "chain")[0]):
+        return ()
+    return ("not the Kleene chain of its size",)
+
+
+def small_kleene_chain(A):
+    if A.n > 5:
+        return (f"unexpected size {A.n}",)
+    return chain_is_kleene_chain(A)
+
+
+# the old check of each claim whose conclusion is now declared, and
+# the THEORY clauses that state what it checked
+CLAIM_CHECKS = {
+    "sharp-sets-collapse": (sharp_sets_collapse,
+                            ("SHARP_KD", "SHARP_DB", "SHARP_BK")),
+    "pbz-chains-are-kleene-chains": (chain_is_kleene_chain,
+                                     ("CHAIN", "DENSE")),
+    "si-distributive-sdm-chains": (small_kleene_chain, ("CHAIN", "DENSE")),
+}
+
+
+def claim_verdicts(claim, A):
+    """Whether A passes a claim's old check, and whether it passes the
+    check the claim keeps and the clauses that replaced the old one."""
+    old, clauses = CLAIM_CHECKS[claim]
+    check = enumeration._CLAIMS[claim].check
+    return (old(A) == (),
+            not (check and check(A))
+            and all(axioms.satisfies(A, name) for name in clauses))

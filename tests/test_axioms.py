@@ -112,7 +112,7 @@ def test_one_list_of_class_flags(capsys):
 
 
 def test_satisfies_reads_flags_and_theory_by_name():
-    assert len(terms.THEORY) == 24
+    assert len(terms.THEORY) == 28
     for spec in (enumeration.EnumerationSpec(max_size=10,
                                              structure="antiortholattice"),
                  enumeration.EnumerationSpec(max_size=8)):
@@ -126,16 +126,18 @@ def test_satisfies_reads_flags_and_theory_by_name():
 
 
 def test_clauses_agree_with_the_readings_they_state():
-    # the antiortholattice flags against the clause S_K = {0, 1}, and the
-    # other three clauses against the sets and loops they state, on the
-    # catalog and both sweep corpora
+    # the antiortholattice flags against the clause S_K = {0, 1}, the
+    # sharp-set inclusions against axioms.sharp_sets, and the other
+    # clauses against the sets, loops and maps they state, on the
+    # catalog and both sweep corpora, all of them BZ-lattices
     algebras = [catalog.get(name) for name in catalog.names()]
     for spec in (enumeration.EnumerationSpec(max_size=10,
                                              structure="antiortholattice"),
                  enumeration.EnumerationSpec(max_size=8)):
         algebras += enumeration.enumerate_all(spec)
     seen = {name: set() for name in ("ANTIORTHO", "CONES", "NODISJ",
-                                     "CHAIN")}
+                                     "CHAIN", "DENSE", "SHARP_KD",
+                                     "SHARP_DB", "SHARP_BK")}
     for A in algebras:
         verdict = {name: terms.holds(A, terms.THEORY[name])[0]
                    for name in seen}
@@ -153,6 +155,15 @@ def test_clauses_agree_with_the_readings_they_state():
                    for a, b in pairs) == verdict["NODISJ"], A
         assert all(A.le(a, b) or A.le(b, a) for a, b in pairs) == \
             verdict["CHAIN"], A
+        assert all(a == A.zero or A.brouwer[a] == A.zero
+                   for a in range(A.n)) == verdict["DENSE"], A
+        sharp = axioms.sharp_sets(A)
+        assert (sharp.s_k <= sharp.s_diamond) == verdict["SHARP_KD"], A
+        assert (sharp.s_diamond <= sharp.s_b) == verdict["SHARP_DB"], A
+        assert (sharp.s_b <= sharp.s_k) == verdict["SHARP_BK"], A
+    # every BZ-lattice has S_<> inside S_B inside S_K; the mutants off
+    # BZ in test_enumeration fail these two clauses
+    assert seen.pop("SHARP_DB") == seen.pop("SHARP_BK") == {True}
     assert all(s == {True, False} for s in seen.values())
 
 

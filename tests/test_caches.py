@@ -145,9 +145,9 @@ def test_claim_sweep_computes_each_result_once(monkeypatch):
 
 
 def test_warm_chain_claims_run_no_canonical_search(monkeypatch):
-    # both chain claims compare kept canonical forms, the corpus
-    # member's and the cached Kleene chain's, so after one pass they
-    # search nothing
+    # both chain claims read clauses (CHAIN, DENSE) and class flags,
+    # which the corpus members keep, so after one pass they search
+    # nothing
     claims = ("pbz-chains-are-kleene-chains", "si-distributive-sdm-chains")
     first = [verify_over_corpus(claim, spec)
              for spec in SWEEP_SPECS for claim in claims]

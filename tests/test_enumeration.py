@@ -819,6 +819,48 @@ def test_conclusions_are_read_by_name(monkeypatch):
         assert Counter(detail for _, detail in rep.failures) == details
 
 
+def test_declarations_agree_with_the_old_checks():
+    # algebra by algebra over both sweep corpora, inside each claim's
+    # hypotheses and out of them, where every verdict occurs
+    seen = {claim: set() for claim in _oracles.CLAIM_CHECKS}
+    for claim in seen:
+        entry = enumeration._CLAIMS[claim]
+        clauses = _oracles.CLAIM_CHECKS[claim][1]
+        assert set(clauses) <= {*entry.identities, *entry.conclusions}
+        for A in [*enumerate_all(AOL10), *enumerate_all(BZ8)]:
+            old, new = _oracles.claim_verdicts(claim, A)
+            assert old == new, (claim, A)
+            seen[claim].add(new)
+    assert all(s == {True, False} for s in seen.values())
+
+
+def test_mutants_fail_the_declarations_and_the_old_checks():
+    # one mutant per clause; off BZ for SHARP_DB and SHARP_BK, which
+    # every BZ-lattice satisfies.  The 3-chain 0 < m < 1 has m' = m.
+    def chain(n, brouwer):
+        return FiniteAlgebra.from_covers(
+            n, [(a, a + 1) for a in range(n - 1)],
+            list(range(n))[::-1], brouwer)
+
+    mutants = {
+        # a 4-chain with an interior a~ = a
+        "DENSE": (chain(4, [3, 1, 0, 0]), "pbz-chains-are-kleene-chains"),
+        # B4 with the trivial ~: its atoms are Kleene-sharp, not modal
+        "SHARP_KD": (FiniteAlgebra.from_covers(
+            4, [(0, 1), (0, 2), (1, 3), (2, 3)], [3, 2, 1, 0],
+            [3, 0, 0, 0]), "sharp-sets-collapse"),
+        # m~ = m: modal-sharp, but m v m~ = m
+        "SHARP_DB": (chain(3, [2, 1, 0]), "sharp-sets-collapse"),
+        # m~ = 1: m v m~ = 1, but m ^ m' = m
+        "SHARP_BK": (chain(3, [2, 2, 0]), "sharp-sets-collapse"),
+    }
+    for name, (A, claim) in mutants.items():
+        assert not terms.holds(A, terms.THEORY[name])[0], name
+        assert _oracles.CLAIM_CHECKS[claim][0](A) != (), name
+    # the first is a chain the smaller chain check rejects as well
+    assert _oracles.small_kleene_chain(mutants["DENSE"][0]) != ()
+
+
 def test_cone_claim_fails_at_seven_and_repair_holds():
     spec = EnumerationSpec(max_size=7, classes=("pbz-star",))
     rep = verify_over_corpus("si-aol-basis-cones", spec)

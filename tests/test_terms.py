@@ -238,7 +238,7 @@ def test_holds_takes_quasi_identities():
     quasi = [k for k, stmt in THEORY.items()
              if isinstance(stmt, QuasiIdentity)]
     assert quasi == ["BZ3", "OM", "POM", "ANTIORTHO", "CONES", "NODISJ",
-                     "CHAIN"]
+                     "CHAIN", "DENSE", "SHARP_KD", "SHARP_DB", "SHARP_BK"]
     for name in ("D5", "O6-benzene"):
         A = catalog.get(name)
         for key in quasi:
@@ -355,7 +355,7 @@ def test_holds_matches_interpreter_on_corpora(monkeypatch):
         _random_statements(monkeypatch, (1, 2, 3))
     clauses = [s for s in statements
                if isinstance(s, QuasiIdentity) and len(s.conclusion) > 1]
-    assert len(clauses) == 4 + 3 * 4  # the THEORY clauses and 4 per seed
+    assert len(clauses) == 5 + 3 * 4  # the THEORY clauses and 4 per seed
     corpus = _corpus()
     assert len(corpus) == 138  # antiortholattices to 8 are in the BZ corpus
     verdicts = set()
