@@ -8,6 +8,7 @@ results are reproducible and witnesses are minimal.
 from dataclasses import dataclass, fields
 
 from . import terms
+from .core import _bits
 
 __all__ = [
     "is_pseudo_kleene",
@@ -37,10 +38,11 @@ def _pseudo_kleene(order, kleene):
     """``is_pseudo_kleene`` of the pair of an order and an involution,
     with no algebra built.  Each a ^ a' is tested against the set of all
     b v b' at once, through its up-set mask."""
-    highs = [order.join[b][kleene[b]] for b in range(order.n)]
+    n, meet, join, up = order.n, order.meet, order.join, order.up
+    highs = [join[b * n + kleene[b]] for b in range(n)]
     high_set = sum(1 << h for h in set(highs))
-    for a in range(order.n):
-        missed = high_set & ~order.up[order.meet[a][kleene[a]]]
+    for a in range(n):
+        missed = high_set & ~up[meet[a * n + kleene[a]]]
         if missed:
             return False, (a, next(b for b, h in enumerate(highs)
                                    if missed >> h & 1))
@@ -49,8 +51,9 @@ def _pseudo_kleene(order, kleene):
 
 def is_ortholattice(A):
     """Every element is Kleene-sharp: a ^ a' = 0."""
-    for a in range(A.n):
-        if A.meet(a, A.kleene[a]) != A.zero:
+    n, meet, kleene = A.n, A._ord.meet, A.kleene
+    for a in range(n):
+        if meet[a * n + kleene[a]] != A.zero:
             return False, (a,)
     return True, None
 
@@ -61,19 +64,26 @@ def is_orthomodular(A):
     Taking b = 1 forces a v a' = 1 hence a ^ a' = 0, so this already
     implies the ortholattice condition; no separate check needed.
     """
-    for a in range(A.n):
-        for b in range(A.n):
-            if A.le(a, b) and A.join(A.meet(b, A.kleene[a]), a) != b:
+    o, kleene = A._ord, A.kleene
+    n, meet, join = o.n, o.meet, o.join
+    for a in range(n):
+        an, kn = a * n, kleene[a] * n
+        mk, ja = meet[kn:kn + n], join[an:an + n]
+        for b in _bits(o.up[a]):
+            if ja[mk[b]] != b:
                 return False, (a, b)
     return True, None
 
 
 def is_paraorthomodular(A):
     """a <= b and a' ^ b = 0 imply a = b."""
-    for a in range(A.n):
-        for b in range(A.n):
-            if (a != b and A.le(a, b)
-                    and A.meet(A.kleene[a], b) == A.zero):
+    o, kleene = A._ord, A.kleene
+    n, meet = o.n, o.meet
+    for a in range(n):
+        kn = kleene[a] * n
+        mk = meet[kn:kn + n]
+        for b in _bits(o.up[a] & ~(1 << a)):
+            if mk[b] == o.zero:
                 return False, (a, b)
     return True, None
 
@@ -118,20 +128,23 @@ def is_bz_star(A):
 
 def is_diamond_orthomodular(A):
     """(a~ v (<>a ^ <>b)) ^ <>a <= <>b for all a, b.  Assumes A is BZ."""
-    for a in range(A.n):
-        da = A.diamond(a)
-        for b in range(A.n):
-            db = A.diamond(b)
-            lhs = A.meet(A.join(A.brouwer[a], A.meet(da, db)), da)
-            if not A.le(lhs, db):
+    o, brouwer = A._ord, A.brouwer
+    n, up, meet, join = o.n, o.up, o.meet, o.join
+    diamonds = [brouwer[brouwer[a]] for a in range(n)]
+    for a, da in enumerate(diamonds):
+        dn, tn = da * n, brouwer[a] * n
+        md, jt = meet[dn:dn + n], join[tn:tn + n]
+        for b, db in enumerate(diamonds):
+            if not up[md[jt[md[db]]]] >> db & 1:
                 return False, (a, b)
     return True, None
 
 
 def _sharp_interior(order, kleene):
     """The Kleene-sharp elements (a ^ a' = 0) other than 0 and 1."""
-    return [a for a in range(order.n) if a not in (order.zero, order.one)
-            and order.meet[a][kleene[a]] == order.zero]
+    n, meet, zero = order.n, order.meet, order.zero
+    return [a for a in range(n) if a not in (zero, order.one)
+            and meet[a * n + kleene[a]] == zero]
 
 
 def kleene_sharp(A):

@@ -123,20 +123,25 @@ def is_congruence(A, theta):
     The witness is ((a, b), op) for the first related pair some basic
     operation tears apart.
     """
-    if theta.n != A.n:
+    n, meet, join = A.n, A._ord.meet, A._ord.join
+    if theta.n != n:
         return False, ("size", None)
-    for a in range(A.n):
-        for b in range(a + 1, A.n):
+    for a in range(n):
+        an = a * n
+        for b in range(a + 1, n):
             if not theta.related(a, b):
                 continue
             if not theta.related(A.kleene[a], A.kleene[b]):
                 return False, ((a, b), "kleene")
             if not theta.related(A.brouwer[a], A.brouwer[b]):
                 return False, ((a, b), "brouwer")
-            for c in range(A.n):
-                if not theta.related(A.meet(a, c), A.meet(b, c)):
+            bn = b * n
+            ma, mb = meet[an:an + n], meet[bn:bn + n]
+            ja, jb = join[an:an + n], join[bn:bn + n]
+            for c in range(n):
+                if not theta.related(ma[c], mb[c]):
                     return False, ((a, b), f"meet:{c}")
-                if not theta.related(A.join(a, c), A.join(b, c)):
+                if not theta.related(ja[c], jb[c]):
                     return False, ((a, b), f"join:{c}")
     return True, None
 
@@ -165,15 +170,17 @@ class _CoverReach:
         order = self._ord = A._ord
         self.covers = covers = sorted(
             A.covers(), key=lambda p: order.down[p[1]].bit_count())
-        meet, join = order.meet, order.join
+        n, meet, join = order.n, order.meet, order.join
         kleene, brouwer = A.kleene, A.brouwer
         chain, reach = functools.cache(self.chain), []
         for i, (a, b) in enumerate(covers):
             forced = 1 << i
+            an, bn = a * n, b * n
             for x, y in {(kleene[a], kleene[b]), (brouwer[a], brouwer[b]),
-                         *zip(meet[a], meet[b]), *zip(join[a], join[b])}:
+                         *zip(meet[an:an + n], meet[bn:bn + n]),
+                         *zip(join[an:an + n], join[bn:bn + n])}:
                 if x != y:
-                    forced |= chain(meet[x][y], join[x][y])
+                    forced |= chain(meet[x * n + y], join[x * n + y])
             reach.append(forced)
         for k in range(len(reach)):  # transitive closure, pivot k
             reach = [r | reach[k] if r >> k & 1 else r for r in reach]
@@ -207,10 +214,9 @@ def congruence_generated(A, pairs):
     """Least congruence containing the given pairs: the union of the
     reach sets of the covers on their chains."""
     cr = _reach(A)
-    meet, join = A._ord.meet, A._ord.join
     mask = 0
     for a, b in pairs:
-        for i in _bits(cr.chain(meet[a][b], join[a][b])):
+        for i in _bits(cr.chain(A.meet(a, b), A.join(a, b))):
             mask |= cr.reach[i]
     return cr.partition(mask)
 
@@ -323,16 +329,18 @@ def _report(A, partition):
 def agreement_below(A, p):
     """Relate x and y when x, x', x~, box x, <>x and <>(x') all agree
     with the y versions after meeting with p."""
+    n, pn = A.n, p * A.n
+    mp = A._ord.meet[pn:pn + n]  # meets with p, by the other element
     keys = []
-    for x in range(A.n):
+    for x in range(n):
         kx = A.kleene[x]
         keys.append((
-            A.meet(x, p),
-            A.meet(kx, p),
-            A.meet(A.brouwer[x], p),
-            A.meet(A.box(x), p),
-            A.meet(A.diamond(x), p),
-            A.meet(A.diamond(kx), p),
+            mp[x],
+            mp[kx],
+            mp[A.brouwer[x]],
+            mp[A.box(x)],
+            mp[A.diamond(x)],
+            mp[A.diamond(kx)],
         ))
     return _report(A, Congruence(keys))
 

@@ -213,9 +213,11 @@ def horizontal_sum(summands, name=None):
 
 def gamma(A, a, b):
     """(a v b) ^ (a v b~) ^ (a~ v b) ^ (a~ v b~)"""
-    meet, join, tilde = A._ord.meet, A._ord.join, A.brouwer
-    ja, jta, tb = join[a], join[tilde[a]], tilde[b]
-    return meet[meet[meet[ja[b]][ja[tb]]][jta[b]]][jta[tb]]
+    o, tilde = A._ord, A.brouwer
+    n, meet, join = o.n, o.meet, o.join
+    an, tan, tb = a * n, tilde[a] * n, tilde[b]
+    return meet[meet[meet[join[an + b] * n + join[an + tb]] * n
+                     + join[tan + b]] * n + join[tan + tb]]
 
 
 def commutes(A, a, b):
@@ -229,7 +231,7 @@ def _close(A, S, gens):
     already, so only what the added elements bring is closed: each new
     element is met and joined with everything present when its turn
     comes, which covers every pair with a new member."""
-    meet, join = A._ord.meet, A._ord.join
+    n, meet, join = A.n, A._ord.meet, A._ord.join
     kleene, brouwer = A.kleene, A.brouwer
     T, members, frontier = S, list(_bits(S)), []
     for x in gens:
@@ -239,7 +241,8 @@ def _close(A, S, gens):
             frontier.append(x)
     while frontier:
         x = frontier.pop()
-        mx, jx = meet[x], join[x]
+        xn = x * n
+        mx, jx = meet[xn:xn + n], join[xn:xn + n]
         new = 1 << kleene[x] | 1 << brouwer[x]
         for y in members:
             new |= 1 << mx[y] | 1 << jx[y]
@@ -287,11 +290,16 @@ def blocks(A):
     its closed parent plus a generator, and only what the generator
     brings is closed.  A subset of a chain is a chain and a subset of a
     Boolean set is Boolean, so every such subuniverse is reached; the
-    inclusion-maximal ones are the blocks.  The blocks, frozensets
-    sorted by their sorted elements, are computed on the first call
-    and kept on the algebra; each call returns a new list of them.
+    inclusion-maximal ones are the blocks.  Their masks, sorted by their
+    sorted elements, are computed on the first call and kept on the
+    algebra; each call returns a new list of the blocks as frozensets.
     """
-    return list(A._keep("blocks", lambda: tuple(_blocks(A))))
+    return list(map(frozenset, map(_bits, _block_masks(A))))
+
+
+def _block_masks(A):
+    """The blocks of A as bitmasks, kept on A (``blocks``)."""
+    return A._keep("blocks", lambda: tuple(_blocks(A)))
 
 
 def _blocks(A):
@@ -299,12 +307,13 @@ def _blocks(A):
     if not report.pbz_star:
         raise ValueError("blocks needs a PBZ* algebra")
     o, kleene, brouwer = A._ord, A.kleene, A.brouwer
-    meet, join = o.meet, o.join
-    full = (1 << o.n) - 1
+    n, meet, join = o.n, o.meet, o.join
+    full = (1 << n) - 1
     comparable = [u | d for u, d in zip(o.up, o.down)]
     # the elements a Boolean block may hold: sharp, with ~ matching '
-    boolean = sum(1 << a for a in range(o.n)
-                  if meet[a][kleene[a]] == o.zero and brouwer[a] == kleene[a])
+    boolean = sum(1 << a for a in range(n)
+                  if meet[a * n + kleene[a]] == o.zero
+                  and brouwer[a] == kleene[a])
 
     def is_chain(S):
         return all(S & ~comparable[a] == 0 for a in _bits(S))
@@ -314,8 +323,8 @@ def _blocks(A):
             return True
         elems = list(_bits(S))
         return not S & ~boolean and all(
-            meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
-            for a in elems for b in elems for c in elems)
+            meet[an + join[b * n + c]] == join[meet[an + b] * n + meet[an + c]]
+            for an in [a * n for a in elems] for b in elems for c in elems)
 
     base = _close(A, 0, (o.zero, o.one))
     if not shaped(base):
@@ -336,9 +345,8 @@ def _blocks(A):
             if T not in seen and shaped(T):
                 seen.add(T)
                 queue.append(T)
-    maximal = [frozenset(_bits(S)) for S in seen
-               if not any(S & T == S != T for T in seen)]
-    return sorted(maximal, key=sorted)
+    maximal = [S for S in seen if not any(S & T == S != T for T in seen)]
+    return sorted(maximal, key=_bits)
 
 
 @dataclass(frozen=True)
@@ -365,6 +373,22 @@ class HorizontalSumReport:
         return self.by_blocks
 
 
+def _noncommuting_joins(A):
+    """The pairs a <= b, in index order, with a v b != 1 and gamma(a, b)
+    != 0; gamma is read inline, off the join rows of a and a~."""
+    o, tilde = A._ord, A.brouwer
+    n, zero, one, meet, join = o.n, o.zero, o.one, o.meet, o.join
+    for a in range(n):
+        an, tan = a * n, tilde[a] * n
+        ja, jta = join[an:an + n], join[tan:tan + n]
+        for b in range(a, n):
+            if ja[b] != one:
+                tb = tilde[b]
+                if meet[meet[meet[ja[b] * n + ja[tb]] * n + jta[b]] * n
+                        + jta[tb]] != zero:
+                    yield a, b
+
+
 def is_horizontal_sum_of_blocks(A):
     o, tilde = A._ord, A.brouwer
     n, zero, one, up, meet, join = o.n, o.zero, o.one, o.up, o.meet, o.join
@@ -374,11 +398,10 @@ def is_horizontal_sum_of_blocks(A):
     conds = {}
 
     # gamma and v are symmetric, so the least failing pair has a <= b
-    w = next(((a, b) for a in range(n) for b in range(a, n)
-              if join[a][b] != one and gamma(A, a, b) != zero), None)
+    w = next(_noncommuting_joins(A), None)
     conds["non-commuting-join"] = (w is None, w)
 
-    w = next(((a, b) for a in dense for b in sharp if join[a][b] != one),
+    w = next(((a, b) for a in dense for b in sharp if join[a * n + b] != one),
              None)
     conds["dense-vs-sharp-join"] = (w is None, w)
 
@@ -390,8 +413,7 @@ def is_horizontal_sum_of_blocks(A):
               if tilde[a] != zero and tilde[tilde[a]] != a), None)
     conds["dense-or-sharp"] = (w is None, w)
 
-    blks = blocks(A)
-    masks = [sum(1 << a for a in B) for B in blks]
+    masks = _block_masks(A)
     mates = [0] * n  # the elements sharing a block with each
     for m in masks:
         for a in _bits(m):
@@ -403,13 +425,13 @@ def is_horizontal_sum_of_blocks(A):
     ok = all(mates) and not any(
         m1 & m2 & interior_mask
         for i, m1 in enumerate(masks) for m2 in masks[i + 1:]) and all(
-        meet[a][b] == zero and join[a][b] == one
-        for a in interior for b in _bits(full & ~mates[a]))
+        meet[an + b] == zero and join[an + b] == one
+        for a in interior for an in (a * n,) for b in _bits(full & ~mates[a]))
     return HorizontalSumReport(
         conditions=tuple(sorted(conds.items())),
         by_conditions=all(v for v, _ in conds.values()),
         by_blocks=ok,
-        blocks=tuple(blks),
+        blocks=tuple(map(frozenset, map(_bits, masks))),
     )
 
 

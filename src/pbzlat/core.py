@@ -109,23 +109,42 @@ def _set_index(masks):
 
 
 def _row_type(n):
-    """The type of one row of an operation table over n elements, the
-    narrowest unsigned one that holds 0..n-1: ``bytes`` up to 256
-    elements, else an ``array`` of 16-bit entries (a lattice with more
-    than 65536 elements would need billions of table entries).  Either
-    is built from an iterable of ints, reads an int at an index and
-    exposes its items as a buffer, which ``terms`` views with numpy."""
+    """The type of an operation table over n elements, one flat buffer
+    of n*n entries in the narrowest unsigned type that holds 0..n-1:
+    ``bytes`` up to 256 elements, else an ``array`` of 16-bit entries
+    (a lattice with more than 65536 elements would need billions of
+    table entries).  Either is built from an iterable of ints, reads an
+    int at an index and exposes its items as a buffer, which ``terms``
+    views with numpy.  A map over the elements is packed the same way,
+    with n entries."""
     return bytes if n <= 256 else functools.partial(array, "H")
+
+
+# the array typecodes for masks, narrowest first, by the bits they hold
+_MASK_CODES = tuple((8 * array(code).itemsize, code) for code in "BHIQ")
+
+
+def _mask_type(n):
+    """The type of the up- or down-set masks of an order over n
+    elements: an ``array`` of the narrowest unsigned typecode with n
+    bits, up to 64 elements, else a tuple of ints.  Each reads an int at
+    an index."""
+    code = next((code for bits, code in _MASK_CODES if n <= bits), None)
+    return tuple if code is None else functools.partial(array, code)
 
 
 class _Order:
     """Validated bounded-lattice order: up- and down-sets as bitmasks
     (bit b of ``up[a]`` is set iff a <= b) plus meet and join tables.
 
-    Each table is a tuple of n rows of the type ``_row_type(n)`` gives,
-    so ``meet[a][b]`` reads an int; a 16-element row takes 49 bytes as
-    ``bytes`` and 168 as a tuple of ints, and an order is kept for every
-    pair and algebra the enumeration caches hold."""
+    Each table is one flat buffer of n*n entries of the type
+    ``_row_type(n)`` gives, read as ``meet[a * n + b]``, and the masks
+    are of the type ``_mask_type(n)`` gives.  An order is kept for every
+    pair and algebra the enumeration caches hold, so it is stored with
+    as few objects as it can be: a 16-element order's two tables take
+    578 bytes as two ``bytes``, where two tuples of 16 ``bytes`` rows
+    took 1904, and its two mask arrays 224 bytes, where two tuples of
+    ints took about 1230."""
 
     __slots__ = ("n", "up", "down", "meet", "join", "zero", "one")
 
@@ -140,20 +159,22 @@ class _Order:
 
     def permuted(self, ordering):
         """The same order with element ``ordering[i]`` renamed i."""
+        n = self.n
         pos = _inverse(ordering)
         pick, rank = _picker(ordering), pos.__getitem__
+        flat = _picker([a * n + b for a in ordering for b in ordering])
         unit = [1 << i for i in pos].__getitem__
-        row = _row_type(self.n)
+        masks, table = _mask_type(n), _row_type(n)
 
         def rename(mask):
             return sum(map(unit, _bits(mask)))
 
         return _Order(
-            self.n,
-            tuple(map(rename, pick(self.up))),
-            tuple(map(rename, pick(self.down))),
-            tuple(row(map(rank, pick(r))) for r in pick(self.meet)),
-            tuple(row(map(rank, pick(r))) for r in pick(self.join)),
+            n,
+            masks(map(rename, pick(self.up))),
+            masks(map(rename, pick(self.down))),
+            table(map(rank, flat(self.meet))),
+            table(map(rank, flat(self.join))),
             pos[self.zero], pos[self.one])
 
 
@@ -230,8 +251,8 @@ def _check_order(up):
 
     by_up = _set_index(up)
     by_down = _set_index(down)
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
+    meet = [0] * (n * n)
+    join = [0] * (n * n)
     no_meet = no_join = None
     for a in range(n):
         for b in range(a, n):
@@ -241,8 +262,8 @@ def _check_order(up):
             l = by_up.get(up[a] & up[b], -1)
             if l < 0 and no_join is None:
                 no_join = (a, b)
-            meet[a][b] = meet[b][a] = g
-            join[a][b] = join[b][a] = l
+            meet[a * n + b] = meet[b * n + a] = g
+            join[a * n + b] = join[b * n + a] = l
     if no_meet:
         violations.append(("lattice:meet", no_meet))
     if no_join:
@@ -258,9 +279,9 @@ def _check_order(up):
         violations.append(("bounds:one", ()))
     if violations:
         return None, violations
-    row = _row_type(n)
-    order = _Order(n, tuple(up), tuple(down), tuple(map(row, meet)),
-                   tuple(map(row, join)), zero, one)
+    masks, table = _mask_type(n), _row_type(n)
+    order = _Order(n, masks(up), masks(down), table(meet), table(join),
+                   zero, one)
     return order, []
 
 
@@ -394,8 +415,9 @@ class _Carrier:
     (``constructions.blocks``), ``"verdicts"``, a dict of identity
     verdicts by statement (``terms.holds_each``), and ``"tables"``, a
     dict of numpy operation tables by name, each built on first use
-    (``terms._table``) as a read-only array over the order's rows or a
-    map packed the same way, in the unsigned dtype of ``_row_type``.
+    (``terms._table``) as a read-only view of the order's flat table or
+    of a map packed the same way, in the unsigned dtype of
+    ``_row_type``.
     Kept values are immutable or private to their keeper, which hands
     out copies of mutable ones.
     """
@@ -450,10 +472,12 @@ class _Carrier:
         return self._ord.up[a] >> b & 1 == 1
 
     def meet(self, a, b):
-        return self._ord.meet[a][b]
+        order = self._ord
+        return order.meet[a * order.n + b]
 
     def join(self, a, b):
-        return self._ord.join[a][b]
+        order = self._ord
+        return order.join[a * order.n + b]
 
     def covers(self):
         """Hasse cover pairs (a, b) with a covered by b, lex sorted."""

@@ -306,7 +306,7 @@ def bz_brouwer_maps(L, kleene):
         for a in range(n):
             t = zero
             for s in _bits(S & order.down[kleene[a]]):
-                t = join[t][s]
+                t = join[t * n + s]
             tilde.append(t)
         if all(S >> t & 1 for t in tilde):
             maps.append(tuple(tilde))

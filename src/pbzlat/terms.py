@@ -397,21 +397,20 @@ _OPS = {Meet: "meet", Join: "join", Kleene: "kleene", Brouwer: "brouwer"}
 def _table(A, op):
     """numpy array of one operation table of A, made on first use and
     kept on A, so a statement reads only the tables its terms need (a
-    bare BoundedLattice has no ' or ~).  ``meet`` and ``join`` are read
-    over the order's rows joined, and a map over a row packed the same
-    way (``core._row_type``), so each entry takes the narrowest
-    unsigned dtype: uint8 up to 256 elements.  The arrays are
-    read-only."""
+    bare BoundedLattice has no ' or ~).  ``meet`` and ``join`` are an
+    n x n view of the order's flat table, with no copy, and a map a view
+    of its images packed the same way (``core._row_type``), so each
+    entry takes the narrowest unsigned dtype: uint8 up to 256 elements.
+    The arrays are read-only."""
     tabs = A._keep("tables", dict)
     tab = tabs.get(op)
     if tab is None:
         import numpy as np
         if op in ("meet", "join"):
-            # one array straight over the joined rows: a reshaped
+            # one array straight over the buffer: a reshaped
             # np.frombuffer would keep a second array header per table
-            rows = getattr(A._ord, op)
-            tab = np.ndarray((A.n, A.n), memoryview(rows[0]).format,
-                             b"".join(rows))
+            flat = getattr(A._ord, op)
+            tab = np.ndarray((A.n, A.n), memoryview(flat).format, flat)
         elif not hasattr(A, op):
             raise TypeError(f"a bare lattice has no {op} map")
         else:

@@ -344,9 +344,10 @@ def test_product_above_256_elements():
     assert P.n == 289
     assert validate_tables(P.leq, P.kleene, P.brouwer).ok
     o = P._ord
-    assert _oracles.check_order(o.up) == ((
-        o.down, tuple(map(tuple, o.meet)), tuple(map(tuple, o.join)),
-        o.zero, o.one), [])
+    (down, meet, join, zero, one), violations = _oracles.check_order(o.up)
+    assert not violations
+    assert (o.down, tuple(o.meet), tuple(o.join), o.zero, o.one) == (
+        down, sum(meet, ()), sum(join, ()), zero, one)
     # each kept numpy table takes the narrowest unsigned dtype
     for X, dtype in ((C, np.uint8), (P, np.uint16)):
         for op in ("meet", "join", "kleene", "brouwer"):
@@ -375,7 +376,7 @@ def test_builders_against_nested_loops():
     # every quotient of the BZ corpus to n=8 by each of its congruences,
     # every product of two nontrivial members with at most 12 elements,
     # and the canonical copy of each, validate on the way in; their
-    # order tables are the nested loops', in byte rows
+    # masks and flat order tables hold the nested loops' values
     corpus = list(enumerate_all(EnumerationSpec(max_size=8)))
     built = [quotient(A, theta) for A in corpus
              for theta in all_congruences(A)]
@@ -387,9 +388,9 @@ def test_builders_against_nested_loops():
         (down, meet, join, zero, one), violations = \
             _oracles.check_order(o.up)
         assert not violations
-        assert (o.down, o.meet, o.join, o.zero, o.one) == (
-            down, tuple(map(bytes, meet)), tuple(map(bytes, join)),
-            zero, one), fileformat.dumps(X)
+        assert (tuple(o.down), tuple(o.meet), tuple(o.join), o.zero,
+                o.one) == (down, sum(meet, ()), sum(join, ()), zero,
+                           one), fileformat.dumps(X)
 
 
 def test_subalgebra_generated():

@@ -2,13 +2,15 @@
 
 import itertools
 import random
+from array import array
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbzlat import catalog, core, enumeration, fileformat
+from pbzlat import (catalog, constructions, core, enumeration, fileformat,
+                    terms)
 from pbzlat.core import (BoundedLattice, FiniteAlgebra, ValidationError,
                          boolean_lattice, canonical_form, chain_lattice,
                          is_isomorphic, is_order_isomorphic, validate_tables)
@@ -91,16 +93,65 @@ def test_check_order_against_nested_loops():
         assert violations == expected, up
         assert (order is None) == (tables is None), up
         if order is not None:
-            assert order.up == tuple(up)
-            # the rows are bytes; their contents are the oracle's ints
-            assert (order.down, tuple(map(tuple, order.meet)),
-                    tuple(map(tuple, order.join)), order.zero,
-                    order.one) == tables, up
+            assert tuple(order.up) == tuple(up)
+            # masks and tables are compact buffers; their contents are
+            # the oracle's ints, its tables flattened row by row
+            down, meet, join, zero, one = tables
+            assert (tuple(order.down), tuple(order.meet), tuple(order.join),
+                    order.zero, order.one) == (
+                down, sum(meet, ()), sum(join, ()), zero, one), up
         rules.update(rule for rule, _ in violations or [("ok", ())])
     # every verdict the checks can reach is reached
     assert set(rules) == {"ok", "order:reflexive", "order:antisymmetric",
                           "order:transitive", "lattice:meet",
                           "lattice:join"}
+
+
+def test_compact_order_storage():
+    # each table is one flat buffer in the narrowest entry type, the
+    # masks an array of the narrowest typecode up to 64 elements, the
+    # terms engine views the tables without a copy, and renumbering
+    # keeps all of it: the permuted order is the nested loops' order of
+    # the permuted masks
+    C17 = FiniteAlgebra.from_lattice(chain_lattice(17), range(16, -1, -1),
+                                     [16] + [0] * 16)
+    carriers = [chain_lattice(n) for n in (1, 8, 9, 16, 17, 64, 65)]
+    carriers.append(constructions.product(C17, C17))
+    mask_codes = {1: "B", 8: "B", 9: "H", 16: "H", 17: "I", 64: "Q"}
+    rng = random.Random(32)
+    for X in carriers:
+        o, n = X._ord, X.n
+        for table in (o.meet, o.join):
+            assert len(table) == n * n
+            if n <= 256:
+                assert type(table) is bytes
+            else:
+                assert (type(table), table.typecode) == (array, "H")
+        for masks in (o.up, o.down):
+            if n in mask_codes:
+                assert (type(masks), masks.typecode) == (array,
+                                                         mask_codes[n])
+            else:
+                assert type(masks) is tuple
+        for op in ("meet", "join"):
+            assert np.shares_memory(terms._table(X, op),
+                                    memoryview(getattr(o, op)))
+        for _ in range(1 if n > 256 else 3):
+            ordering = list(range(n))
+            rng.shuffle(ordering)
+            pos = core._inverse(ordering)
+            up = [sum(1 << pos[b] for b in core._bits(o.up[a]))
+                  for a in ordering]
+            P = o.permuted(ordering)
+            (down, meet, join, zero, one), violations = \
+                _oracles.check_order(up)
+            assert not violations
+            assert (tuple(P.up), tuple(P.down), tuple(P.meet),
+                    tuple(P.join), P.zero, P.one) == (
+                tuple(up), down, sum(meet, ()), sum(join, ()), zero,
+                one), n
+            assert [type(x) for x in (P.up, P.down, P.meet, P.join)] == \
+                [type(x) for x in (o.up, o.down, o.meet, o.join)]
 
 
 def test_bits_against_bit_scan():

@@ -257,7 +257,7 @@ def test_pk_pairs_frozen_in_order():
     h = hashlib.sha256()
     for n in range(1, 13):
         for order, kleene in enumeration._pk_pairs(n):
-            h.update(repr((order.up, kleene)).encode())
+            h.update(repr((tuple(order.up), kleene)).encode())
     assert h.hexdigest() == \
         "24c3a00b4b1ec5c05bad0dfc6a931f02bd5d85da5950f2008376629ff5444bba"
 
