@@ -9,7 +9,7 @@ import operator
 from dataclasses import dataclass
 
 from . import axioms
-from .core import _bits
+from .core import _bits, _row_type
 
 __all__ = [
     "Congruence", "is_congruence", "congruence_generated",
@@ -147,8 +147,10 @@ def is_congruence(A, theta):
 
 
 class _CoverReach:
-    """The cover pairs of an algebra and, for each cover i, ``reach[i]``:
-    the bitmask of the covers that con(cover) collapses.
+    """The cover pairs of an algebra, by rising tops, and for each
+    cover i, ``reach[i]``: the bitmask of the covers that con(cover)
+    collapses.  Cover i is (``lower[i]``, ``upper[i]``), both kept as
+    ``_row_type`` buffers.
 
     A lattice congruence, having convex blocks, relates a and b iff it
     collapses each cover on a maximal chain from a ^ b to a v b.  So
@@ -164,13 +166,15 @@ class _CoverReach:
     of reach sets, and meet and join are intersection and union.
     """
 
-    __slots__ = ("covers", "reach", "_ord")
+    __slots__ = ("lower", "upper", "reach", "_ord")
 
     def __init__(self, A):
         order = self._ord = A._ord
-        self.covers = covers = sorted(
-            A.covers(), key=lambda p: order.down[p[1]].bit_count())
         n, meet, join = order.n, order.meet, order.join
+        covers = sorted(A.covers(),
+                        key=lambda p: order.down[p[1]].bit_count())
+        self.lower = _row_type(n)(a for a, _ in covers)
+        self.upper = _row_type(n)(b for _, b in covers)
         kleene, brouwer = A.kleene, A.brouwer
         chain, reach = functools.cache(self.chain), []
         for i, (a, b) in enumerate(covers):
@@ -190,7 +194,8 @@ class _CoverReach:
         """Bitmask of the covers on one maximal chain from lo up to hi."""
         up, mask = self._ord.up, 0
         while lo != hi:
-            i, lo = next((i, b) for i, (a, b) in enumerate(self.covers)
+            i, lo = next((i, b) for i, (a, b) in
+                         enumerate(zip(self.lower, self.upper))
                          if a == lo and up[b] >> hi & 1)
             mask |= 1 << i
         return mask
@@ -200,7 +205,7 @@ class _CoverReach:
         but the least of its block tops a collapsed cover, which, taken
         by rising tops, hands it the least element."""
         least = list(range(self._ord.n))
-        for i, (a, b) in enumerate(self.covers):
+        for i, (a, b) in enumerate(zip(self.lower, self.upper)):
             if mask >> i & 1:
                 least[b] = least[a]
         return Congruence(least)

@@ -413,11 +413,12 @@ class _Carrier:
     (``canonical_form``), ``"classes"`` (``axioms.classify``),
     ``"reach"`` (``congruences._CoverReach``), ``"blocks"``
     (``constructions.blocks``), ``"verdicts"``, a dict of identity
-    verdicts by statement (``terms.holds_each``), and ``"tables"``, a
+    verdicts by statement (``terms.holds_each``), ``"tables"``, a
     dict of numpy operation tables by name, each built on first use
     (``terms._table``) as a read-only view of the order's flat table or
     of a map packed the same way, in the unsigned dtype of
-    ``_row_type``.
+    ``_row_type``, and ``("check", fn)``, the tuple of problems a claim
+    check ``fn`` returned (``enumeration.verify_over_corpus``).
     Kept values are immutable or private to their keeper, which hands
     out copies of mutable ones.
     """

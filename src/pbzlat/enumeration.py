@@ -39,10 +39,10 @@ Decoration, filters, identity checks and claim checks all run in the
 calling process, over each level in its canonical order.
 
 Results are kept per carrier, through ``_Carrier._keep`` (class
-reports, verdicts, canonical forms, blocks, reach sets), and per
-process, in the functools caches on ``_lattices``, ``_pk_pairs``,
-``_aol_pairs``, ``_pair_colors``, ``_pair_search``, ``_bz_level``
-and ``cli.build_parser``; nothing is kept per spec.  Statements are
+reports, verdicts, canonical forms, blocks, reach sets, claim-check
+outcomes), and per process, in the functools caches on ``_lattices``,
+``_pk_pairs``, ``_aol_pairs``, ``_pair_colors``, ``_pair_search``,
+``_bz_level`` and ``cli.build_parser``; nothing is kept per spec.  Statements are
 interned in ``terms._STATEMENT_MEMO``.
 
 Size caps are checked when a spec is built, so ``CAPS`` must be
@@ -805,7 +805,9 @@ class _Claim:
     statements and subdirect irreducibility) and its conclusions (class
     flags and THEORY statements), each read by ``axioms.satisfies``.
     The optional check covers what no flag or clause states: it returns
-    a tuple saying what fails, empty when nothing does."""
+    a tuple saying what fails, empty when nothing does.  Its outcome is
+    kept on the algebra, so a check must be a pure function of the
+    algebra and return an immutable tuple."""
 
     text: str
     check: object = None
@@ -965,7 +967,9 @@ def verify_over_corpus(claim, spec):
     vacuous rather than ok.  A failure's detail is the tuple of the
     check's problems followed by ``fails NAME`` for each conclusion not
     met.  Failures come in corpus order: by size, then by canonical
-    bytes.
+    bytes.  Each algebra keeps its check's outcome under the check
+    function (``("check", fn)``), so a later call over the same level
+    reads it, and a claim whose check is replaced runs the new one.
     """
     if claim not in _CLAIMS:
         raise KeyError(f"unknown claim {claim!r}; see claim_names()")
@@ -980,7 +984,8 @@ def verify_over_corpus(claim, spec):
             if entry.si and not congruences.is_subdirectly_irreducible(A)[0]:
                 continue
             checked += 1
-            problems = () if entry.check is None else entry.check(A)
+            problems = () if entry.check is None else A._keep(
+                ("check", entry.check), lambda: entry.check(A))
             problems += tuple(f"fails {name}" for name in entry.conclusions
                               if not axioms.satisfies(A, name))
             if problems:

@@ -25,7 +25,7 @@ canonical form.
 import functools
 import itertools
 
-from pbzlat import axioms, core, enumeration, terms
+from pbzlat import axioms, constructions, core, enumeration, terms
 from pbzlat.congruences import Congruence, all_congruences
 from pbzlat.constructions import HorizontalSumReport
 from pbzlat.terms import (Brouwer, Join, Kleene, Meet, One, QuasiIdentity,
@@ -183,6 +183,35 @@ def check_order(up):
                  for a in range(n))
     return (down, tuple(map(tuple, meet)), tuple(map(tuple, join)), zero,
             one), []
+
+
+@functools.cache
+def kleene_chain_square():
+    """``(C, P, check_order(P's masks))`` for C the 17-element Kleene
+    chain and P = C x C, whose 289 elements are more than a byte
+    numbers.  The nested loops take seconds on P, so they run once per
+    process."""
+    C = core.FiniteAlgebra.from_lattice(
+        core.chain_lattice(17), range(16, -1, -1), [16] + [0] * 16)
+    P = constructions.product(C, C)
+    return C, P, check_order(P._ord.up)
+
+
+def renamed_order(tables, ordering):
+    """The ``check_order`` tables of an order renumbered along
+    ``ordering`` (new element i is old element ``ordering[i]``).  The
+    checks do not depend on labels, so these are the tables
+    ``check_order`` gives for the renumbered masks."""
+    down, meet, join, zero, one = tables
+    pos = core._inverse(ordering)
+
+    def rename_table(table):
+        return tuple(tuple(pos[table[a][b]] for b in ordering)
+                     for a in ordering)
+
+    return (tuple(sum(1 << pos[c] for c in core._bits(down[a]))
+                  for a in ordering),
+            rename_table(meet), rename_table(join), pos[zero], pos[one])
 
 
 def is_pseudo_kleene(A):

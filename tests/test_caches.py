@@ -3,9 +3,12 @@ every congruence question, the blocks and the identity verdicts a
 carrier keeps after their first computation, and the stage results a
 process keeps, which a benchmark round empties."""
 
+import dataclasses
 import functools
 import pickle
 from collections import Counter
+
+import pytest
 
 from pbzlat import (axioms, catalog, cli, congruences, constructions, core,
                     enumeration, fileformat, terms)
@@ -147,6 +150,67 @@ def test_claim_sweep_computes_each_result_once(monkeypatch):
     # so every member is classified exactly once over build and sweep
     assert members <= {id(A) for A, in classified}
     assert members & {id(A) for A, in reached}
+
+
+def test_claim_checks_run_once_per_algebra(monkeypatch):
+    # each algebra keeps what a claim check returned, under the check
+    # function, so a second sweep calls no check and reports the same
+    monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
+        enumeration._bz_level.__wrapped__))
+    calls = []
+
+    def counted(check):
+        def wrapper(A):
+            calls.append((A, wrapper, check))
+            return check(A)
+        return wrapper
+
+    for claim, entry in enumeration._CLAIMS.items():
+        if entry.check is not None:
+            monkeypatch.setitem(enumeration._CLAIMS, claim,
+                                dataclasses.replace(
+                                    entry, check=counted(entry.check)))
+
+    def sweep():
+        return [verify_over_corpus(claim, spec)
+                for spec in SWEEP_SPECS for claim in claim_names()]
+
+    first = sweep()
+    ran = list(calls)
+    second = sweep()
+    assert ran and calls == ran
+    keys = [(id(A), wrapper) for A, wrapper, _ in ran]
+    assert len(set(keys)) == len(keys)
+    assert any(r.failures for r in first)
+    for a, b in zip(first, second, strict=True):
+        assert (a.claim, a.spec, a.examined, a.checked) == \
+            (b.claim, b.spec, b.examined, b.checked)
+        assert [(id(A), d) for A, d in a.failures] == \
+            [(id(A), d) for A, d in b.failures]
+    for A, wrapper, check in ran:
+        kept = A._keep(("check", wrapper), lambda: pytest.fail("not kept"))
+        assert kept == check(A), A
+
+    # a replaced check is a new key: the next sweep runs it and reports
+    # what it returns
+    claim = "horizontal-sum-conditions"
+    swapped = []
+    monkeypatch.setitem(enumeration._CLAIMS, claim, dataclasses.replace(
+        enumeration._CLAIMS[claim],
+        check=lambda A: swapped.append(A) or ("swapped",)))
+    old = first[claim_names().index(claim)]
+    new = verify_over_corpus(claim, SWEEP_SPECS[0])
+    assert new.checked == old.checked == len(swapped) > 0
+    assert [A for A, _ in new.failures] == swapped
+    assert all(detail == ("swapped",) for _, detail in new.failures)
+    assert calls == ran
+
+    # copies of a checked member keep no outcome
+    A, wrapper, _ = ran[0]
+    assert ("check", wrapper) in A._kept
+    for B in (canonical_copy(A), A.relabel([f"x{a}" for a in range(A.n)]),
+              pickle.loads(pickle.dumps(A))):
+        assert set(B._kept) <= {"canon"}
 
 
 def test_warm_chain_claims_run_no_canonical_search(monkeypatch):

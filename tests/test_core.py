@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbzlat import (catalog, constructions, core, enumeration, fileformat,
-                    terms)
+from pbzlat import catalog, core, enumeration, fileformat, terms
 from pbzlat.core import (BoundedLattice, FiniteAlgebra, ValidationError,
                          boolean_lattice, canonical_form, chain_lattice,
                          is_isomorphic, is_order_isomorphic, validate_tables)
@@ -113,10 +112,12 @@ def test_compact_order_storage():
     # terms engine views the tables without a copy, and renumbering
     # keeps all of it: the permuted order is the nested loops' order of
     # the permuted masks
-    C17 = FiniteAlgebra.from_lattice(chain_lattice(17), range(16, -1, -1),
-                                     [16] + [0] * 16)
+    # the nested loops take seconds on the 289-element product, so its
+    # permuted orders are compared with its oracle tables renamed along
+    # the same ordering, which the oracle's rules give for them
+    _, square, (square_tables, _) = _oracles.kleene_chain_square()
     carriers = [chain_lattice(n) for n in (1, 8, 9, 16, 17, 64, 65)]
-    carriers.append(constructions.product(C17, C17))
+    carriers.append(square)
     mask_codes = {1: "B", 8: "B", 9: "H", 16: "H", 17: "I", 64: "Q"}
     rng = random.Random(32)
     for X in carriers:
@@ -143,8 +144,9 @@ def test_compact_order_storage():
             up = [sum(1 << pos[b] for b in core._bits(o.up[a]))
                   for a in ordering]
             P = o.permuted(ordering)
-            (down, meet, join, zero, one), violations = \
-                _oracles.check_order(up)
+            (down, meet, join, zero, one), violations = (
+                (_oracles.renamed_order(square_tables, ordering), [])
+                if X is square else _oracles.check_order(up))
             assert not violations
             assert (tuple(P.up), tuple(P.down), tuple(P.meet),
                     tuple(P.join), P.zero, P.one) == (
