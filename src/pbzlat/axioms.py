@@ -5,10 +5,8 @@ and reports the first (lexicographically least) witness on failure, so
 results are reproducible and witnesses are minimal.
 """
 
-from dataclasses import dataclass, fields
-
 from . import terms
-from .core import _bits
+from .core import _bits, _Record, _set_field
 
 __all__ = [
     "is_pseudo_kleene",
@@ -100,28 +98,33 @@ def is_bz(A):
     ok, w = is_pseudo_kleene(A)
     if not ok:
         return False, ("pk", w)
-    for a in range(A.n):
-        if A.meet(a, A.brouwer[a]) != A.zero:
+    o, kleene, tilde = A._ord, A.kleene, A.brouwer
+    n, up, down, meet = o.n, o.up, o.down, o.meet
+    for a in range(n):
+        if meet[a * n + tilde[a]] != o.zero:
             return False, ("bz:disjoint", (a,))
-    for a in range(A.n):
-        if not A.le(a, A.diamond(a)):
+    for a in range(n):
+        if not up[a] >> tilde[tilde[a]] & 1:
             return False, ("bz:expanding", (a,))
-    for a in range(A.n):
-        for b in range(A.n):
-            if A.le(a, b) and not A.le(A.brouwer[b], A.brouwer[a]):
+    for a in range(n):
+        # the b above a, ascending, each with b~ <= a~
+        below = down[tilde[a]]
+        for b in _bits(up[a]):
+            if not below >> tilde[b] & 1:
                 return False, ("bz:antitone", (a, b))
-    for a in range(A.n):
-        if A.kleene[A.brouwer[a]] != A.diamond(a):
+    for a in range(n):
+        if kleene[tilde[a]] != tilde[tilde[a]]:
             return False, ("bz:link", (a,))
     return True, None
 
 
 def is_bz_star(A):
     """(a ^ a')~ <= a~ v a'~ for all a.  Assumes A is BZ."""
-    for a in range(A.n):
-        lhs = A.brouwer[A.meet(a, A.kleene[a])]
-        rhs = A.join(A.brouwer[a], A.brouwer[A.kleene[a]])
-        if not A.le(lhs, rhs):
+    o, kleene, tilde = A._ord, A.kleene, A.brouwer
+    n, up, meet, join = o.n, o.up, o.meet, o.join
+    for a in range(n):
+        lhs = tilde[meet[a * n + kleene[a]]]
+        if not up[lhs] >> join[tilde[a] * n + tilde[kleene[a]]] & 1:
             return False, (a,)
     return True, None
 
@@ -159,13 +162,10 @@ def is_antiortholattice(A):
     return not _sharp_interior(A._ord, A.kleene)
 
 
-@dataclass(frozen=True)
-class SharpSets:
+class SharpSets(_Record):
     """The three sharp-element sets of a BZ-lattice."""
 
-    s_k: frozenset
-    s_diamond: frozenset
-    s_b: frozenset
+    __slots__ = __match_args__ = ("s_k", "s_diamond", "s_b")
 
 
 def sharp_sets(A):
@@ -218,27 +218,37 @@ def check_basics(A):
     return bad
 
 
-@dataclass(frozen=True)
-class AlgebraClassReport:
+class AlgebraClassReport(_Record):
     """One flag per axiom class, with witnesses for the failures.
 
     ``antiortholattice`` is the class flag (PBZ* with trivial S_K);
     ``kleene_sharp_trivial`` is the bare order-theoretic reading
-    (S_K = {0, 1} regardless of the other axioms).
+    (S_K = {0, 1} regardless of the other axioms).  Every flag is a
+    bool and ``witnesses`` a tuple of (flag, witness) pairs.
     """
 
-    bounded_involution: bool
-    pseudo_kleene: bool
-    ortholattice: bool
-    orthomodular: bool
-    paraorthomodular: bool
-    bz: bool
-    bz_star: bool
-    diamond_orthomodular: bool
-    pbz_star: bool
-    kleene_sharp_trivial: bool
-    antiortholattice: bool
-    witnesses: tuple
+    __slots__ = __match_args__ = (
+        "bounded_involution", "pseudo_kleene", "ortholattice",
+        "orthomodular", "paraorthomodular", "bz", "bz_star",
+        "diamond_orthomodular", "pbz_star", "kleene_sharp_trivial",
+        "antiortholattice", "witnesses")
+
+    def __init__(self, bounded_involution, pseudo_kleene, ortholattice,
+                 orthomodular, paraorthomodular, bz, bz_star,
+                 diamond_orthomodular, pbz_star, kleene_sharp_trivial,
+                 antiortholattice, witnesses):
+        _set_field(self, "bounded_involution", bounded_involution)
+        _set_field(self, "pseudo_kleene", pseudo_kleene)
+        _set_field(self, "ortholattice", ortholattice)
+        _set_field(self, "orthomodular", orthomodular)
+        _set_field(self, "paraorthomodular", paraorthomodular)
+        _set_field(self, "bz", bz)
+        _set_field(self, "bz_star", bz_star)
+        _set_field(self, "diamond_orthomodular", diamond_orthomodular)
+        _set_field(self, "pbz_star", pbz_star)
+        _set_field(self, "kleene_sharp_trivial", kleene_sharp_trivial)
+        _set_field(self, "antiortholattice", antiortholattice)
+        _set_field(self, "witnesses", witnesses)
 
     def flags(self):
         return {name: getattr(self, field)
@@ -247,9 +257,9 @@ class AlgebraClassReport:
 
 # The class-flag names, in report order: the fields above but the
 # witnesses, spelt with hyphens.
-CLASS_FLAGS = tuple(f.name.replace("_", "-")
-                    for f in fields(AlgebraClassReport)
-                    if f.name != "witnesses")
+CLASS_FLAGS = tuple(name.replace("_", "-")
+                    for name in AlgebraClassReport.__match_args__
+                    if name != "witnesses")
 _FLAG_FIELDS = {name: name.replace("-", "_") for name in CLASS_FLAGS}
 
 

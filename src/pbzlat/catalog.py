@@ -5,18 +5,15 @@ not depend on the builders in `constructions`; tests go the other way and
 check the builders against these tables.
 """
 
-from dataclasses import dataclass
-
-from .core import FiniteAlgebra
+from .core import FiniteAlgebra, _Record
 
 __all__ = ["CatalogEntry", "names", "entry", "get"]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    algebra: FiniteAlgebra
-    note: str
+class CatalogEntry(_Record):
+    """A display name, its freshly built FiniteAlgebra and a note."""
+
+    __slots__ = __match_args__ = ("name", "algebra", "note")
 
 
 def _norm(name):

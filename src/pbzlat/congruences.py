@@ -6,10 +6,9 @@ the distributive strong-De-Morgan antiortholattice variety.
 
 import functools
 import operator
-from dataclasses import dataclass
 
 from . import axioms
-from .core import _bits, _row_type
+from .core import _bits, _Record, _row_type
 
 __all__ = [
     "Congruence", "is_congruence", "congruence_generated",
@@ -317,13 +316,11 @@ def tilde_partition(A):
     return Congruence(tags)
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    """An equivalence relation plus whether it is compatible."""
+class RelationReport(_Record):
+    """An equivalence relation (a Congruence) plus whether it is
+    compatible, with a witness tuple when it is not."""
 
-    partition: Congruence
-    is_congruence: bool
-    witness: tuple
+    __slots__ = __match_args__ = ("partition", "is_congruence", "witness")
 
 
 def _report(A, partition):
@@ -352,22 +349,23 @@ def agreement_below(A, p):
 
 def tilde_meet_relation(A, p):
     """Same tilde coset and (x v x') ^ p agreeing."""
-    base = tilde_partition(A)
-    keys = [(base.block_of[x], A.meet(A.join(x, A.kleene[x]), p))
-            for x in range(A.n)]
+    block_of, kleene = tilde_partition(A).block_of, A.kleene
+    n, pn = A.n, p * A.n
+    mp, join = A._ord.meet[pn:pn + n], A._ord.join  # meets with p
+    keys = [(block_of[x], mp[join[x * n + kleene[x]]]) for x in range(n)]
     return _report(A, Congruence(keys))
 
 
 def tilde_join_relation(A, p):
     """Same tilde coset and (x ^ x') v p agreeing."""
-    base = tilde_partition(A)
-    keys = [(base.block_of[x], A.join(A.meet(x, A.kleene[x]), p))
-            for x in range(A.n)]
+    block_of, kleene = tilde_partition(A).block_of, A.kleene
+    n, pn = A.n, p * A.n
+    jp, meet = A._ord.join[pn:pn + n], A._ord.meet  # joins with p
+    keys = [(block_of[x], jp[meet[x * n + kleene[x]]]) for x in range(n)]
     return _report(A, Congruence(keys))
 
 
-@dataclass(frozen=True)
-class TildeFamilyReport:
+class TildeFamilyReport(_Record):
     """Checks of the tilde-coset congruence family on one algebra.
 
     Preconditions (subdirectly irreducible distributive strong-De-
@@ -375,13 +373,10 @@ class TildeFamilyReport:
     reported instead of silently skipping the algebra.
     """
 
-    precondition_ok: bool
-    failed_preconditions: tuple
-    tilde_is_congruence: bool
-    meet_relations_ok: bool
-    join_relations_ok: bool
-    one_of_each_trivial: bool
-    witness: tuple
+    __slots__ = __match_args__ = (
+        "precondition_ok", "failed_preconditions", "tilde_is_congruence",
+        "meet_relations_ok", "join_relations_ok", "one_of_each_trivial",
+        "witness")
 
 
 def tilde_family_report(A):

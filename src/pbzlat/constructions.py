@@ -5,10 +5,8 @@ subalgebras and quotients, plus the positive/negative cone bookkeeping
 and the block decomposition used to recognize horizontal sums.
 """
 
-from dataclasses import dataclass
-
 from . import axioms, congruences
-from .core import BoundedLattice, FiniteAlgebra, _bits
+from .core import BoundedLattice, FiniteAlgebra, _bits, _Record
 
 __all__ = [
     "twist1", "twist2", "Cones", "cones", "TwistRepresentation",
@@ -70,14 +68,12 @@ def twist2(L, name=None):
                                      name=name or f"T2({L.name or 'L'})")
 
 
-@dataclass(frozen=True)
-class Cones:
-    """Elements below / above their Kleene image, with strict variants."""
+class Cones(_Record):
+    """Elements below / above their Kleene image, with strict variants,
+    each a frozenset."""
 
-    negative: frozenset
-    positive: frozenset
-    strictly_negative: frozenset
-    strictly_positive: frozenset
+    __slots__ = __match_args__ = ("negative", "positive",
+                                  "strictly_negative", "strictly_positive")
 
 
 def cones(A):
@@ -88,20 +84,20 @@ def cones(A):
                  frozenset(a for a in pos if A.kleene[a] != a))
 
 
-@dataclass(frozen=True)
-class TwistRepresentation:
+class TwistRepresentation(_Record):
     """Result of rebuilding an antiortholattice as a twist double.
 
     ``ok`` is False when the cones do not cover the universe, in which
     case ``witness`` is the least element incomparable to its involute.
+    Otherwise ``index`` is the twist (1 or 2), ``core`` the positive
+    cone as a BoundedLattice, ``rebuilt`` the twist of it and ``iso``
+    the isomorphism onto it, a tuple.
     """
 
-    ok: bool
-    index: int = 0
-    core: BoundedLattice = None
-    rebuilt: FiniteAlgebra = None
-    iso: tuple = None
-    witness: int = None
+    __slots__ = __match_args__ = ("ok", "index", "core", "rebuilt", "iso",
+                                  "witness")
+    _defaults = {"index": 0, "core": None, "rebuilt": None, "iso": None,
+                 "witness": None}
 
 
 def twist_represent(A):
@@ -349,8 +345,7 @@ def _blocks(A):
     return sorted(maximal, key=_bits)
 
 
-@dataclass(frozen=True)
-class HorizontalSumReport:
+class HorizontalSumReport(_Record):
     """Two independent answers to "is this a horizontal sum of blocks".
 
     ``conditions`` maps the four element-wise criteria to (ok, witness);
@@ -359,10 +354,8 @@ class HorizontalSumReport:
     algebras; ``agree`` records whether they did here.
     """
 
-    conditions: tuple
-    by_conditions: bool
-    by_blocks: bool
-    blocks: tuple
+    __slots__ = __match_args__ = ("conditions", "by_conditions",
+                                  "by_blocks", "blocks")
 
     @property
     def agree(self):
@@ -458,9 +451,9 @@ def quotient(A, theta, name=None):
     blocks_ = theta.blocks()
     rep = [min(B) for B in blocks_]
     cls = theta.block_of  # numbered by least element, as blocks_ are
-    k = len(blocks_)
-    up = [sum(1 << j for j in range(k) if cls[A.meet(rep[i], rep[j])] == i)
-          for i in range(k)]
+    k, n, meet = len(blocks_), A.n, A._ord.meet
+    up = [sum(1 << j for j in range(k) if cls[meet[r * n + rep[j]]] == i)
+          for i, r in enumerate(rep)]
     kleene = [cls[A.kleene[rep[i]]] for i in range(k)]
     brouwer = [cls[A.brouwer[rep[i]]] for i in range(k)]
     labels = ["{" + ",".join(A.labels[a] for a in sorted(B)) + "}"

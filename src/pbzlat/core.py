@@ -2,7 +2,9 @@
 
 Carrier objects plus the order machinery everything else builds on:
 validation of raw tables, meets and joins, the modal operators derived
-from the two unary maps, isomorphism testing and canonical forms.
+from the two unary maps, isomorphism testing and canonical forms; and
+``_Record``, the base of the package's frozen records (reports, specs,
+term nodes).
 
 Elements are plain integer indices 0..n-1.  The order is stored once,
 as up- and down-set bitmasks (bit b of ``up[a]`` is set iff a <= b)
@@ -17,7 +19,6 @@ Labels are presentation only and never carry semantics.
 import functools
 import operator
 from array import array
-from dataclasses import dataclass
 
 # numpy is imported only where a dense order table is parsed or built,
 # so that importing the package does not load it
@@ -37,8 +38,106 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+_set_field = object.__setattr__
+
+
+def _field_values(names):
+    """The function that reads a record's fields named ``names``, as a
+    tuple in that order."""
+    if len(names) > 1:
+        return operator.attrgetter(*names)
+    if names:
+        get = operator.attrgetter(*names)
+        return lambda record: (get(record),)
+    return lambda record: ()
+
+
+def _rebuilt(cls, values):
+    """The record of type cls with the given field values, built with no
+    call to its ``__init__``, as unpickling builds it."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        _set_field(record, name, value)
+    return record
+
+
+class _Record:
+    """Base of the package's frozen records.
+
+    A record class names its fields in ``__match_args__``, which is
+    also its ``__slots__``, and the defaults of trailing fields in
+    ``_defaults``.  It is built by position, by keyword or from those
+    defaults; it compares equal to a record of the same type with equal
+    fields and hashes by its fields; its repr is ``Name(field=value,
+    ...)``; assigning or deleting an attribute raises AttributeError;
+    and a pickle or copy rebuilds it from its fields without calling
+    ``__init__``.  A class whose records are built on a hot path, or
+    that checks its fields, writes its own ``__init__``, which sets each
+    field with ``_set_field``.  Nothing here generates code, so defining
+    a record class costs no more than defining any class.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()
+    _defaults = {}
+    _values = staticmethod(_field_values(()))
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = staticmethod(_field_values(cls.__match_args__))
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} "
+                            f"arguments but {len(args)} were given")
+        for name, value in zip(names, args):
+            if name in kwargs:
+                raise TypeError(f"{type(self).__name__}() got multiple "
+                                f"values for argument {name!r}")
+            _set_field(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__}() missing "
+                                f"argument {name!r}")
+            _set_field(self, name, value)
+        if kwargs:
+            raise TypeError(f"{type(self).__name__}() got an unexpected "
+                            f"keyword argument {next(iter(kwargs))!r}")
+
+    def _fields(self):
+        """The field values, in ``__match_args__`` order."""
+        return self._values(self)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in
+                           zip(self.__match_args__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), self._values(self))
+
+
+class ValidationReport(_Record):
     """Outcome of validating raw tables.
 
     ``violations`` holds one ``(rule, witness)`` pair per violated rule,
@@ -51,8 +150,7 @@ class ValidationReport:
     0..n-1), and suppress the semantic checks meaningless on them.
     """
 
-    ok: bool
-    violations: tuple
+    __slots__ = __match_args__ = ("ok", "violations")
 
     def rules(self):
         return [rule for rule, _ in self.violations]

@@ -50,14 +50,13 @@ raised before building a spec that goes beyond them.
 """
 
 import functools
-from dataclasses import dataclass
 
 from . import axioms, congruences, constructions, terms
 from .axioms import _sharp_interior
 from .core import (BoundedLattice, FiniteAlgebra, _bits, _canon_bytes,
                    _canonical_search_group, _check_order, _copy_along,
-                   _orbit, _refine_colors, _set_index, canonical_copy,
-                   canonical_form, chain_lattice)
+                   _orbit, _Record, _refine_colors, _set_field, _set_index,
+                   canonical_copy, canonical_form, chain_lattice)
 # The benchmark's tracer (perfbench/spans.py) looks up
 # enumeration.canonical_form and enumeration.is_isomorphic by name when
 # it installs, so both stay importable from here, though no code in this
@@ -79,8 +78,7 @@ CAPS = {"general": 8, "antiortholattice": 10, "chain": 12, "lattice": 10}
 _STRUCTURES = (None, "chain", "distributive", "antiortholattice")
 
 
-@dataclass(frozen=True)
-class EnumerationSpec:
+class EnumerationSpec(_Record):
     """What to generate: size bound, required class flags, an optional
     structural restriction, and identities from the built-in theory
     that must hold.  The structure "chain" or "antiortholattice" (or
@@ -89,23 +87,25 @@ class EnumerationSpec:
     identity DIST does.  A spec above its cap is refused when it is
     built, so raise ``CAPS`` first to go further."""
 
-    max_size: int
-    classes: tuple = ()
-    structure: str = None
-    identities: tuple = ()
+    __slots__ = __match_args__ = ("max_size", "classes", "structure",
+                                  "identities")
 
-    def __post_init__(self):
-        if self.max_size < 1:
+    def __init__(self, max_size, classes=(), structure=None, identities=()):
+        _set_field(self, "max_size", max_size)
+        _set_field(self, "classes", classes)
+        _set_field(self, "structure", structure)
+        _set_field(self, "identities", identities)
+        if max_size < 1:
             raise ValueError("max_size must be positive")
-        unknown = [c for c in self.classes if c not in axioms.CLASS_FLAGS]
+        unknown = [c for c in classes if c not in axioms.CLASS_FLAGS]
         if unknown:
             raise ValueError(f"unknown class flags: {unknown}")
-        if self.structure not in _STRUCTURES:
-            raise ValueError(f"unknown structure: {self.structure!r}")
-        unknown = [i for i in self.identities if i not in terms.THEORY]
+        if structure not in _STRUCTURES:
+            raise ValueError(f"unknown structure: {structure!r}")
+        unknown = [i for i in identities if i not in terms.THEORY]
         if unknown:
             raise ValueError(f"unknown theory identities: {unknown}")
-        self.check_size(self.max_size)
+        self.check_size(max_size)
 
     def cap_key(self):
         if self.structure == "chain":
@@ -739,16 +739,23 @@ def enumerate_all(spec):
 # search
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    """Outcome of a smallest-counterexample search."""
+class SearchResult(_Record):
+    """Outcome of a smallest-counterexample search: the statement's
+    text, the spec, the failing algebra and its witness assignment (a
+    dict) or None for both, how many algebras were examined, and
+    whether the spec's sizes were exhausted."""
 
-    identity: str
-    spec: EnumerationSpec
-    found: object
-    assignment: dict
-    examined: int
-    exhausted: bool
+    __slots__ = __match_args__ = ("identity", "spec", "found", "assignment",
+                                  "examined", "exhausted")
+
+    def __init__(self, identity, spec, found, assignment, examined,
+                 exhausted):
+        _set_field(self, "identity", identity)
+        _set_field(self, "spec", spec)
+        _set_field(self, "found", found)
+        _set_field(self, "assignment", assignment)
+        _set_field(self, "examined", examined)
+        _set_field(self, "exhausted", exhausted)
 
     def __bool__(self):
         return self.found is not None
@@ -766,6 +773,8 @@ def search_counterexample(identity, spec):
     """
     if isinstance(identity, str):
         identity = terms.parse_statement(identity)
+    # each level's lookup then finds the statement itself in the memo
+    identity = terms._interned(identity)
     examined = 0
     for n in range(1, spec.max_size + 1):
         level = list(enumerate_pbz(n, spec))
@@ -782,13 +791,13 @@ def search_counterexample(identity, spec):
 # corpus claims
 
 
-@dataclass(frozen=True)
-class CorpusReport:
-    claim: str
-    spec: EnumerationSpec
-    examined: int
-    checked: int
-    failures: tuple
+class CorpusReport(_Record):
+    """A claim's name, the spec of the corpus it was checked over, how
+    many algebras were examined and how many met its hypotheses, and
+    the failures: (algebra, details) pairs."""
+
+    __slots__ = __match_args__ = ("claim", "spec", "examined", "checked",
+                                  "failures")
 
     @property
     def ok(self):
@@ -799,8 +808,7 @@ class CorpusReport:
         return self.checked == 0
 
 
-@dataclass(frozen=True)
-class _Claim:
+class _Claim(_Record):
     """A registered claim: its text, its hypotheses (class flags, THEORY
     statements and subdirect irreducibility) and its conclusions (class
     flags and THEORY statements), each read by ``axioms.satisfies``.
@@ -809,12 +817,10 @@ class _Claim:
     kept on the algebra, so a check must be a pure function of the
     algebra and return an immutable tuple."""
 
-    text: str
-    check: object = None
-    classes: tuple = ()
-    identities: tuple = ()
-    si: bool = False
-    conclusions: tuple = ()
+    __slots__ = __match_args__ = ("text", "check", "classes", "identities",
+                                  "si", "conclusions")
+    _defaults = {"check": None, "classes": (), "identities": (),
+                 "si": False, "conclusions": ()}
 
 
 def _paraorthomodular_equivalence(A):
@@ -850,10 +856,11 @@ def _agreement_relations(A):
         both = congruences.meet_congruences(crel[p], crel[A.kleene[p]])
         if not both.is_identity():
             probs.append(("p-meet-kleene-p", p))
-    for p in range(A.n):
-        for q in range(A.n):
+    n, join = A.n, A._ord.join
+    for p in range(n):
+        for q in range(n):
             lhs = congruences.meet_congruences(crel[p], crel[q])
-            if lhs != crel[A.join(p, q)]:
+            if lhs != crel[join[p * n + q]]:
                 probs.append(("meet-vs-join", p, q))
     fam = congruences.tilde_family_report(A)
     if not (fam.precondition_ok and fam.tilde_is_congruence

@@ -21,9 +21,8 @@ one disjunct is a quasi-identity, preserved under products too).
 """
 
 import itertools
-from dataclasses import dataclass
 
-from .core import _is_index, _row_type
+from .core import _is_index, _Record, _row_type, _set_field
 
 # numpy is imported only where a statement is scanned, so that
 # importing the package, and commands that scan no statement, do not
@@ -38,80 +37,77 @@ __all__ = [
 ]
 
 
-class _Node:
-    """Structural equality, with the hash kept on the node.
+class _Node(_Record):
+    """A frozen record with its hash kept on the node.
 
     ``holds`` keys kept verdicts by statement, so a statement is hashed
     on every lookup; a node computes its hash once, from its type and
     its fields' (kept) hashes, so a lookup costs O(1) and not a walk
-    over the tree.  Equality compares the fields, as a dataclass's
-    does.  A pickle rebuilds the node from its fields, so the hash is
-    always that of the process the node lives in.
+    over the tree.  A pickle rebuilds the node from its fields, so the
+    hash is always that of the process the node lives in.  Nodes are
+    built on the parser's hot path, so each class writes its own
+    ``__init__``.
     """
 
-    __slots__ = ()
-
-    def _fields(self):
-        # __match_args__: the dataclass's field names, in order
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
+    __slots__ = ("_hash",)
 
     def __hash__(self):
-        kept = self.__dict__.get("_hash")
+        kept = getattr(self, "_hash", None)
         if kept is None:
             kept = hash((type(self), *self._fields()))
-            object.__setattr__(self, "_hash", kept)
+            _set_field(self, "_hash", kept)
         return kept
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
 
 class Term(_Node):
-    """Base class; all nodes are frozen dataclasses."""
+    """Base class; all nodes are frozen records."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Var(Term):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name):
+        _set_field(self, "name", name)
 
 
-@dataclass(frozen=True, eq=False)
 class Zero(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class One(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Meet(Term):
-    left: Term
-    right: Term
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set_field(self, "left", left)
+        _set_field(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False)
 class Join(Term):
-    left: Term
-    right: Term
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set_field(self, "left", left)
+        _set_field(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False)
 class Kleene(Term):
-    arg: Term
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg):
+        _set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True, eq=False)
 class Brouwer(Term):
-    arg: Term
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg):
+        _set_field(self, "arg", arg)
 
 
 def Box(t):
@@ -124,20 +120,19 @@ def Diamond(t):
     return Brouwer(Brouwer(t))
 
 
-@dataclass(frozen=True, eq=False)
 class Identity(_Node):
     """An equation or inequality between two terms."""
 
-    lhs: Term
-    rhs: Term
-    kind: str  # "eq" or "le"
+    __slots__ = __match_args__ = ("lhs", "rhs", "kind")
 
-    def __post_init__(self):
-        if self.kind not in ("eq", "le"):
-            raise ValueError(f"bad identity kind {self.kind!r}")
+    def __init__(self, lhs, rhs, kind):
+        if kind not in ("eq", "le"):
+            raise ValueError(f"bad identity kind {kind!r}")
+        _set_field(self, "lhs", lhs)
+        _set_field(self, "rhs", rhs)
+        _set_field(self, "kind", kind)
 
 
-@dataclass(frozen=True, eq=False)
 class QuasiIdentity(_Node):
     """Premises, possibly none, and a disjunction of identities.
 
@@ -145,18 +140,18 @@ class QuasiIdentity(_Node):
     bare ``Identity``, and each statement has one AST.
     """
 
-    premises: tuple
-    conclusion: tuple
+    __slots__ = __match_args__ = ("premises", "conclusion")
 
-    def __post_init__(self):
+    def __init__(self, premises, conclusion):
         # tuples, so that the statement hashes: holds keys verdicts by it
-        object.__setattr__(self, "premises", tuple(self.premises))
-        object.__setattr__(self, "conclusion", tuple(self.conclusion))
-        if not self.conclusion:
+        premises, conclusion = tuple(premises), tuple(conclusion)
+        if not conclusion:
             raise ValueError("a clause needs at least one disjunct")
-        if not self.premises and len(self.conclusion) == 1:
+        if not premises and len(conclusion) == 1:
             raise ValueError("a clause with no premises needs at least "
                              "two disjuncts; use the Identity itself")
+        _set_field(self, "premises", premises)
+        _set_field(self, "conclusion", conclusion)
 
 
 class ParseError(ValueError):
@@ -477,6 +472,16 @@ def holds(A, statement):
     return ok, None if witness is None else dict(witness)
 
 
+def _interned(statement):
+    """The representative of the statement in ``_STATEMENT_MEMO``, which
+    becomes the statement itself if it has none.  Passing the
+    representative on spares later lookups a comparison field by
+    field."""
+    if not isinstance(statement, (Identity, QuasiIdentity)):
+        raise TypeError(f"not an identity or a clause: {statement!r}")
+    return _STATEMENT_MEMO.setdefault(statement, statement)
+
+
 def holds_each(algebras, statement):
     """``holds`` for each of some algebras of one size, in order.
 
@@ -485,12 +490,10 @@ def holds_each(algebras, statement):
     with none kept are scanned together.  The assignments returned are
     fresh copies, so a caller may change them.
     """
-    if not isinstance(statement, (Identity, QuasiIdentity)):
-        raise TypeError(f"not an identity or a clause: {statement!r}")
+    statement = _interned(statement)
     algebras = list(algebras)  # read twice below
     if len({A.n for A in algebras}) > 1:
         raise ValueError("holds_each takes algebras of one size")
-    statement = _STATEMENT_MEMO.setdefault(statement, statement)
     kept = [A._keep("verdicts", dict) for A in algebras]
     verdicts = [k.get(statement) for k in kept]
     todo = [i for i, verdict in enumerate(verdicts) if verdict is None]

@@ -9,7 +9,8 @@ must reproduce exactly: the unpruned canonical search, the recursive
 term evaluator and identity checker, the pairwise congruence lattice,
 the relational products behind direct indecomposability, the
 backtracking Brouwer search, the nested loops of check_basics, of the
-order checks, of the pseudo-Kleene test and of the Kleene-sharp set,
+order checks, of the pseudo-Kleene test, of the BZ and BZ* tests and
+of the Kleene-sharp set,
 the Brouwer search on every pair, which the decoration of pairs with
 no sharp element but 0 and 1 skips, the lattice-first
 decoration of every lattice that the pseudo-Kleene generator replaced,
@@ -19,7 +20,8 @@ horizontal-sum conditions by method calls with the blocks closed anew
 from the bounds for every generator.  The claim checks that THEORY
 clauses replaced stay here too: the three sharp sets compared as sets,
 and a chain compared with the Kleene chain of the chain level by
-canonical form.
+canonical form.  ``replaced`` copies a frozen record with some fields
+changed, for tests that swap a registered claim.
 """
 
 import functools
@@ -30,6 +32,13 @@ from pbzlat.congruences import Congruence, all_congruences
 from pbzlat.constructions import HorizontalSumReport
 from pbzlat.terms import (Brouwer, Join, Kleene, Meet, One, QuasiIdentity,
                           Var, Zero, term_vars)
+
+
+def replaced(record, **changes):
+    """A copy of a frozen record with the given fields changed, built
+    through its constructor."""
+    return type(record)(*(changes.get(name, getattr(record, name))
+                          for name in record.__match_args__))
 
 
 def set_partitions(n):
@@ -221,6 +230,39 @@ def is_pseudo_kleene(A):
         for b in range(A.n):
             if not A.le(A.meet(a, A.kleene[a]), A.join(b, A.kleene[b])):
                 return False, (a, b)
+    return True, None
+
+
+def is_bz(A):
+    """``axioms.is_bz`` by method calls and nested loops: the clause
+    names and least witnesses it reports."""
+    ok, w = is_pseudo_kleene(A)
+    if not ok:
+        return False, ("pk", w)
+    for a in range(A.n):
+        if A.meet(a, A.brouwer[a]) != A.zero:
+            return False, ("bz:disjoint", (a,))
+    for a in range(A.n):
+        if not A.le(a, A.diamond(a)):
+            return False, ("bz:expanding", (a,))
+    for a in range(A.n):
+        for b in range(A.n):
+            if A.le(a, b) and not A.le(A.brouwer[b], A.brouwer[a]):
+                return False, ("bz:antitone", (a, b))
+    for a in range(A.n):
+        if A.kleene[A.brouwer[a]] != A.diamond(a):
+            return False, ("bz:link", (a,))
+    return True, None
+
+
+def is_bz_star(A):
+    """``axioms.is_bz_star`` by method calls: (a ^ a')~ <= a~ v a'~,
+    the least failing a the witness."""
+    for a in range(A.n):
+        lhs = A.brouwer[A.meet(a, A.kleene[a])]
+        rhs = A.join(A.brouwer[a], A.brouwer[A.kleene[a]])
+        if not A.le(lhs, rhs):
+            return False, (a,)
     return True, None
 
 

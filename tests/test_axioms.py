@@ -1,5 +1,7 @@
 """Class predicates: pseudo-Kleene through PBZ* and the sharp sets."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,6 +39,35 @@ def test_pseudo_kleene_against_nested_loops():
     assert verdicts == [_oracles.is_pseudo_kleene(A) for A in algebras]
     # the witness path is taken too: 150 involutions are not PK
     assert sum(not ok for ok, _ in verdicts) == 150
+
+
+def test_bz_and_bz_star_against_nested_loops():
+    # both sweep corpora, all BZ, and mutants of the BZ corpus, most of
+    # them not BZ: up to n=5 with every map as ~, beyond it with one
+    # image of ~ changed; the same verdicts, clause names and least
+    # witnesses as the nested loops
+    corpora = [list(enumeration.enumerate_all(spec)) for spec in (
+        enumeration.EnumerationSpec(max_size=10,
+                                    structure="antiortholattice"),
+        enumeration.EnumerationSpec(max_size=8))]
+    maps = [(A, tilde) for A in corpora[1] if A.n <= 5
+            for tilde in itertools.product(range(A.n), repeat=A.n)]
+    maps += [(A, A.brouwer[:a] + (v,) + A.brouwer[a + 1:])
+             for A in corpora[1] if A.n > 5
+             for a in range(A.n) for v in range(A.n) if v != A.brouwer[a]]
+    mutants = [FiniteAlgebra._from_order(A._ord, A.kleene, tilde)
+               for A, tilde in maps]
+    algebras = corpora[0] + corpora[1] + mutants
+    bz = [axioms.is_bz(A) for A in algebras]
+    assert bz == [_oracles.is_bz(A) for A in algebras]
+    star = [axioms.is_bz_star(A) for A in algebras]
+    assert star == [_oracles.is_bz_star(A) for A in algebras]
+    assert all(ok for ok, _ in bz[:len(algebras) - len(mutants)])
+    # every clause fails somewhere, and so does BZ* on a BZ mutant
+    failed = {w[0] for ok, w in bz if not ok}
+    assert failed == {"bz:disjoint", "bz:expanding", "bz:antitone",
+                      "bz:link"}
+    assert any(b[0] and not s[0] for b, s in zip(bz, star))
 
 
 def test_ortholattice_vs_pseudo_kleene():

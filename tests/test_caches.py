@@ -3,7 +3,6 @@ every congruence question, the blocks and the identity verdicts a
 carrier keeps after their first computation, and the stage results a
 process keeps, which a benchmark round empties."""
 
-import dataclasses
 import functools
 import pickle
 from collections import Counter
@@ -16,7 +15,7 @@ from pbzlat.congruences import all_congruences
 from pbzlat.constructions import blocks
 from pbzlat.core import canonical_copy, canonical_form
 from pbzlat.enumeration import (EnumerationSpec, claim_names, enumerate_all,
-                                verify_over_corpus)
+                                search_counterexample, verify_over_corpus)
 
 import _oracles
 
@@ -167,9 +166,9 @@ def test_claim_checks_run_once_per_algebra(monkeypatch):
 
     for claim, entry in enumeration._CLAIMS.items():
         if entry.check is not None:
-            monkeypatch.setitem(enumeration._CLAIMS, claim,
-                                dataclasses.replace(
-                                    entry, check=counted(entry.check)))
+            monkeypatch.setitem(
+                enumeration._CLAIMS, claim,
+                _oracles.replaced(entry, check=counted(entry.check)))
 
     def sweep():
         return [verify_over_corpus(claim, spec)
@@ -195,7 +194,7 @@ def test_claim_checks_run_once_per_algebra(monkeypatch):
     # what it returns
     claim = "horizontal-sum-conditions"
     swapped = []
-    monkeypatch.setitem(enumeration._CLAIMS, claim, dataclasses.replace(
+    monkeypatch.setitem(enumeration._CLAIMS, claim, _oracles.replaced(
         enumeration._CLAIMS[claim],
         check=lambda A: swapped.append(A) or ("swapped",)))
     old = first[claim_names().index(claim)]
@@ -276,6 +275,28 @@ def test_statements_built_apart_read_the_kept_verdict(monkeypatch):
     monkeypatch.setattr(terms._Node, "_fields", None)
     for statement in terms.THEORY.values():
         assert hash(statement) == hash(statement)
+
+
+def test_a_search_compares_its_statement_with_the_kept_one_once(
+        monkeypatch):
+    # a statement parsed anew is interned once per search, so the lookup
+    # of each of the six levels finds it by identity; BZ1 holds on every
+    # BZ-lattice, so the search runs through all six
+    spec = EnumerationSpec(max_size=6)
+    kept = terms._interned(terms.THEORY["BZ1"])
+    twin = terms.parse_statement(terms._THEORY_SOURCE["BZ1"])
+    compared = []
+    eq = terms._Node.__eq__
+
+    def counted(self, other):
+        if self is twin or other is twin:
+            compared.append((self, other))
+        return eq(self, other)
+
+    monkeypatch.setattr(terms._Node, "__eq__", counted)
+    result = search_counterexample(twin, spec)
+    assert compared == [(kept, twin)]
+    assert result.exhausted and result == search_counterexample(kept, spec)
 
 
 # What a benchmark round empties before it starts, so that it begins in

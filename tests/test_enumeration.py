@@ -1,6 +1,5 @@
 """Corpus generation, counterexample search, registered claims."""
 
-import dataclasses
 import functools
 import hashlib
 import pickle
@@ -808,7 +807,7 @@ def test_conclusions_are_read_by_name(monkeypatch):
     # without its SK hypothesis the claim's conclusions DIST and SDM
     # fail, and each failure names every conclusion it misses
     claim = "sk-implies-distributive-sdm"
-    monkeypatch.setitem(enumeration._CLAIMS, claim, dataclasses.replace(
+    monkeypatch.setitem(enumeration._CLAIMS, claim, _oracles.replaced(
         enumeration._CLAIMS[claim], identities=("AOL1", "AOL2", "AOL3")))
     dist, sdm = ("fails DIST",), ("fails SDM",)
     for spec, counts, details in (

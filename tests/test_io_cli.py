@@ -633,15 +633,17 @@ def test_cli_output_after_a_call_matches_a_fresh_process(capsys):
         _parsed(cli.build_parser.__wrapped__(), argv)
 
 
-# Run in a fresh process: the commands that scan no statement and read
-# no .leq, then one probe that does, each reporting whether numpy has
-# been imported by then.
+# Run in a fresh process: the import, reporting which of dataclasses,
+# inspect and numpy it loaded, then the commands that scan no statement
+# and read no .leq, then one probe that does, each reporting whether
+# numpy has been imported by then.
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 import pbzlat, pbzlat.cli
 from pbzlat import catalog, terms
 argvs, probe = json.loads(sys.argv[1]), sys.argv[2]
-report = {"import": "numpy" in sys.modules}
+report = {"import": [name for name in ("dataclasses", "inspect", "numpy")
+                     if name in sys.modules]}
 for argv in argvs:
     text = io.StringIO()
     with contextlib.redirect_stdout(text):
@@ -677,7 +679,7 @@ def test_numpy_is_imported_on_first_use(probe, tmp_path, capsys):
         [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs), probe],
         capture_output=True, text=True, env=env, check=True)
     report = json.loads(fresh.stdout)
-    assert report["import"] is False
+    assert report["import"] == []
     for argv in argvs:
         assert report[argv[0]][2] is False, argv[0]
     value, loaded = report[probe]
