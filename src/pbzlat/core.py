@@ -845,17 +845,20 @@ def _canonical_search(n, up, unaries):
     return _canonical_search_group(n, up, unaries)[:2]
 
 
-def _canonical_search_group(n, up, unaries, col=None):
+def _canonical_search_group(n, up, unaries, col=None, seed=()):
     """Minimal prefix-incremental encoding over color-sorted orderings.
 
     Returns ``(ordering, encoding, generators)`` where the encoding is a
     flat tuple of small ints that fully determines the structure.  Equal
     encodings mean isomorphic structures and vice versa.  The ordering
     is the first one, in depth-first order over ascending candidates,
-    whose encoding is the minimum.  The generators are the automorphisms
-    recorded at tied leaves, as image lists; they generate the whole
-    automorphism group (below).  ``col`` is the structure's
-    ``_refine_colors``, for a caller that has refined it already.
+    whose encoding is the minimum.  The generators are the seeds and
+    the automorphisms recorded at tied leaves, as sequences of images;
+    they generate the whole automorphism group (below).  ``col`` is the
+    structure's ``_refine_colors``, for a caller that has refined it
+    already.  ``seed`` holds automorphisms of the structure the caller
+    already knows: for a decoration, the generators of its pair's group
+    that fix its sharp set (``enumeration._decorations``).
 
     Colors never change during the search, so the orderings searched
     place the color classes one after another, each in every order.
@@ -878,15 +881,23 @@ def _canonical_search_group(n, up, unaries, col=None):
       the orderings through the sibling onto those through e, and none
       of those is smaller than the best once the sibling is done.
 
-    The recorded automorphisms generate the whole group.  The minimal
-    leaves are the images of the canonical ordering under the group,
-    one per automorphism, so it is enough that each minimal leaf L is
-    its image under a product of recorded ones; by induction over the
-    depth-first order.  The bound never cuts a prefix of L.  If L is
-    visited, it is the canonical ordering (the first minimal leaf
-    visited) or a tie with it, recorded.  If the orbit rule skips L at
-    candidate e, a recorded h fixing P carries the earlier sibling to
-    e, and h^-1(L) is a minimal leaf before L.
+    Seeds count as recorded from the start.  Both arguments, this one
+    and the one below, use only that the orbit rule's generators are
+    automorphisms fixing the prefix, not that the search found them.
+    So seeds change neither the ordering nor the encoding, which stay
+    those of the unseeded search, and with the automorphisms recorded
+    they still generate the whole group; the search only walks fewer
+    branches and records fewer ties.
+
+    The seeds and the recorded automorphisms generate the whole group.
+    The minimal leaves are the images of the canonical ordering under
+    the group, one per automorphism, so it is enough that each minimal
+    leaf L is its image under a product of generators; by induction
+    over the depth-first order.  The bound never cuts a prefix of L.
+    If L is visited, it is the canonical ordering (the first minimal
+    leaf visited) or a tie with it, recorded.  If the orbit rule skips
+    L at candidate e, a product h of generators fixing P carries the
+    earlier sibling to e, and h^-1(L) is a minimal leaf before L.
     """
     down = [0] * n
     for a in range(n):
@@ -908,7 +919,7 @@ def _canonical_search_group(n, up, unaries, col=None):
     enc = []
     best = None
     best_order = None
-    autos = []
+    autos = list(seed)
     increment = _incrementer(up, down, unaries, col, placed, pos)
 
     def search(d, tight):
@@ -929,7 +940,7 @@ def _canonical_search_group(n, up, unaries, col=None):
         start = len(enc)
         improved = False
         tried = 0     # bitmask of the siblings already considered
-        gens = []     # recorded automorphisms that fix the prefix
+        gens = []     # seeds and recorded automorphisms fixing the prefix
         scanned = 0   # how many of autos have been sorted into gens
         for e in cells[d]:
             if pos[e] != SENT:
@@ -986,7 +997,9 @@ def canonical_copy(algebra):
     ordering is the identity, the first one the canonical search tries.
     Every algebra can be copied this way, by a canonical search over
     both maps; ``_copy_along`` skips the search when the ordering is
-    already known, as it is for an antiortholattice pair.
+    already known, as it is for an antiortholattice pair, and
+    ``enumeration._decorations`` seeds it with automorphisms it knows
+    and numbers the copy along its result (``_renumbered``).
     """
     ordering, enc = _canonical_search(algebra.n, algebra._ord.up,
                                       (algebra.kleene, algebra.brouwer))

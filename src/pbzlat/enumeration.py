@@ -20,7 +20,9 @@ of size n come from the narrowed pair insertions into all pairs of
 size n-2 and the fixed insertions into the antiortholattice pairs of
 size n-1, and the pseudo-Kleene pairs of sizes n-1 and n are never
 built for them.  Each pair is decorated with the Brouwer complements
-read off its sharp sets (``_decorations``).
+read off its sharp sets, one per orbit of its automorphisms on them,
+each copied by a canonical search that starts from the automorphisms
+the pair and the decoration share (``_decorations``).
 The decorated level of a size is built once per cap key, as
 canonical copies (every algebra renumbered along its canonical
 ordering) sorted by canonical bytes, and each spec's level is the
@@ -55,8 +57,8 @@ from . import axioms, congruences, constructions, terms
 from .axioms import _sharp_interior
 from .core import (BoundedLattice, FiniteAlgebra, _bits, _canon_bytes,
                    _canonical_search_group, _check_order, _copy_along,
-                   _orbit, _Record, _refine_colors, _set_field, _set_index,
-                   canonical_copy, canonical_form, chain_lattice)
+                   _orbit, _Record, _refine_colors, _renumbered, _set_field,
+                   _set_index, canonical_form, chain_lattice)
 # The benchmark's tracer (perfbench/spans.py) looks up
 # enumeration.canonical_form and enumeration.is_isomorphic by name when
 # it installs, so both stay importable from here, though no code in this
@@ -413,8 +415,9 @@ def _pair_colors(order, kleene):
     """The ``_refine_colors`` of a pseudo-Kleene pair, as bytes, refined
     once per pair: for the orbit test of the candidate it was
     (``_in_canonical_orbit``), the signatures of its insertions as a
-    parent (``_pk_candidates``, both routes), its canonical search and
-    its antiortholattice copy (``_decorations``)."""
+    parent (``_pk_candidates``, both routes), its canonical search, its
+    antiortholattice copy and whether its decorations need its group
+    (``_decorations``)."""
     return bytes(_refine_colors(order.n, order.up, order.down, (kleene,)))
 
 
@@ -424,9 +427,9 @@ def _pair_search(order, kleene):
     per pair with its kept colors: its canonical ordering, as bytes, and
     the generators of its automorphism group, each a bytes of images.
     The orbit tie-break of the candidate it was, its group as a parent
-    and its antiortholattice copy all read it.  The encoding is not
-    kept: only a copy needs it, and a copy builds it along the
-    ordering."""
+    and as the seed of its decorations, and its antiortholattice copy
+    all read it.  The encoding is not kept: only a copy needs it, and a
+    copy builds it along the ordering."""
     ordering, _, gens = _canonical_search_group(
         order.n, order.up, (kleene,), _pair_colors(order, kleene))
     return bytes(ordering), tuple(map(bytes, gens))
@@ -647,11 +650,35 @@ def _admit(level, classes, identities):
     return kept
 
 
+def _set_image(g, mask):
+    """The image of the set ``mask`` under the permutation g, as a mask."""
+    return sum(1 << g[a] for a in _bits(mask))
+
+
 def _decorations(order, kleene):
-    """Canonical copies of the BZ decorations of one pseudo-Kleene pair.
-    Any pair with a Kleene-sharp element other than 0 and 1 takes every
-    map the Brouwer search reads off its sharp sets, and each decoration
-    is copied by its own canonical search (``canonical_copy``).
+    """Canonical copies of the BZ decorations of one pseudo-Kleene pair,
+    one per isomorphism class.
+
+    A pair with a Kleene-sharp element other than 0 and 1 takes the
+    maps the Brouwer search reads off its sharp sets, one per '-closed
+    set S, which is the image of its map (``bz_brouwer_maps``).  One
+    rule picks and starts the searches: one map per orbit of S under
+    the pair's automorphisms, searched from the pair's generators that
+    fix S.  An automorphism g of the pair carries S to g(S), and
+    (L, ', ~) onto (L, ', g~g^-1), the decoration of g(S); so conjugate
+    maps give isomorphic algebras, hence equal canonical copies, and
+    the first map of each orbit, in the Brouwer search's order, stands
+    for it.  The pair's group is read off its Kleene-only search
+    (``_pair_search``), its orbits on the sets followed generator by
+    generator; a pair whose colors (``_pair_colors``) give every
+    element its own has the trivial group and no search.  A generator
+    that fixes S commutes with ~, so it is an automorphism of the
+    decoration, and the decoration's canonical search starts from those
+    (``core._canonical_search_group``'s ``seed``): the same ordering
+    and encoding as a search from scratch, with fewer branches walked.
+    The copy is numbered along that ordering (``core._renumbered``).
+    The old route, ``canonical_copy`` of every map and one copy kept
+    per canonical form, is ``tests/_oracles.searched_level``.
 
     A pair with no Kleene-sharp element but 0 and 1 (an antiortholattice
     pair, the Kleene chains among them) carries the trivial Brouwer map
@@ -671,15 +698,34 @@ def _decorations(order, kleene):
     search, hence every ordering it visits, its result and the
     automorphisms it records, are those of the Kleene-only search.  The
     copy's encoding is built along that ordering (``_copy_along``)."""
-    if _sharp_interior(order, kleene):
-        # the Brouwer search reads only the order of the pair with trivial ~
-        maps = bz_brouwer_maps(FiniteAlgebra._from_order(
-            order, kleene, _trivial_brouwer(order)), kleene)
-        return [canonical_copy(FiniteAlgebra._from_order(order, kleene, b))
-                for b in maps]
-    return [_copy_along(
-        FiniteAlgebra._from_order(order, kleene, _trivial_brouwer(order)),
-        _pair_search(order, kleene)[0], _pair_colors(order, kleene))]
+    if not _sharp_interior(order, kleene):
+        return [_copy_along(
+            FiniteAlgebra._from_order(order, kleene, _trivial_brouwer(order)),
+            _pair_search(order, kleene)[0], _pair_colors(order, kleene))]
+    # the Brouwer search reads only the order of the pair with trivial ~
+    maps = bz_brouwer_maps(FiniteAlgebra._from_order(
+        order, kleene, _trivial_brouwer(order)), kleene)
+    n = order.n
+    gens = (() if max(_pair_colors(order, kleene)) == n - 1
+            else _pair_search(order, kleene)[1])
+    copies, seen = [], set()
+    for tilde in maps:
+        S = sum(1 << s for s in set(tilde))
+        if S in seen:
+            continue
+        orbit = [S]
+        for T in orbit:
+            for g in gens:
+                image = _set_image(g, T)
+                if image not in orbit:
+                    orbit.append(image)
+        seen.update(orbit)
+        seed = [g for g in gens if _set_image(g, S) == S]
+        ordering, enc, _ = _canonical_search_group(
+            n, order.up, (kleene, tilde), None, seed)
+        copies.append(_renumbered(
+            FiniteAlgebra._from_order(order, kleene, tilde), ordering, enc))
+    return copies
 
 
 @functools.cache
@@ -690,18 +736,18 @@ def _bz_level(n, cap_key):
     pairs decorated: the Kleene chain for "chain", every pseudo-Kleene
     pair for "general", and for "antiortholattice" the pairs with
     S_K = {0, 1} (``_aol_pairs``), which with their one Brouwer map
-    are exactly the antiortholattices."""
+    are exactly the antiortholattices.  The copies need no
+    deduplication: the pairs are one per class, an isomorphism of two
+    decorations is one of their pairs, and ``_decorations`` gives one
+    copy per class of a pair."""
     if cap_key == "chain":
         pairs = [_chain_pair(n)]
     elif cap_key == "antiortholattice":
         pairs = _aol_pairs(n)
     else:
         pairs = _pk_pairs(n)
-    copies = {}
-    for order, kleene in pairs:
-        for A in _decorations(order, kleene):
-            copies.setdefault(canonical_form(A), A)
-    return [copies[cf] for cf in sorted(copies)]
+    return sorted((A for order, kleene in pairs
+                   for A in _decorations(order, kleene)), key=canonical_form)
 
 
 def enumerate_pbz(n, spec):

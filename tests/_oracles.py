@@ -12,7 +12,9 @@ backtracking Brouwer search, the nested loops of check_basics, of the
 order checks, of the pseudo-Kleene test, of the BZ and BZ* tests and
 of the Kleene-sharp set,
 the Brouwer search on every pair, which the decoration of pairs with
-no sharp element but 0 and 1 skips, the lattice-first
+no sharp element but 0 and 1 skips, a canonical search from scratch
+for every decoration, where the library searches one per class from
+its pair's automorphisms, the lattice-first
 decoration of every lattice that the pseudo-Kleene generator replaced,
 that generator's first form, which kept a set of the canonical bytes
 seen, its orbit test without the atom-degree pre-test, and the
@@ -385,10 +387,12 @@ def backtrack_brouwer_maps(L, kleene):
 
 
 def searched_level(n, cap_key):
-    """What ``enumeration._bz_level(n, cap_key)`` should hold, with every
-    pair decorated by ``enumeration.bz_brouwer_maps``, those with no
-    sharp element but 0 and 1 included: one canonical copy per class,
-    in the order of canonical bytes."""
+    """What ``enumeration._bz_level(n, cap_key)`` should hold, by the old
+    route: every pair decorated by ``enumeration.bz_brouwer_maps``, those
+    with no sharp element but 0 and 1 included, every decoration copied
+    by its own canonical search from scratch (``core.canonical_copy``),
+    and one copy kept per canonical form, in the order of canonical
+    bytes."""
     if cap_key == "chain":
         pairs = [enumeration._chain_pair(n)]
     elif cap_key == "antiortholattice":
@@ -404,6 +408,24 @@ def searched_level(n, cap_key):
                 core.FiniteAlgebra._from_order(order, kleene, brouwer))
             copies.setdefault(core.canonical_form(A), A)
     return [copies[cf] for cf in sorted(copies)]
+
+
+def seeded_decorations(n):
+    """Every BZ decoration of every pseudo-Kleene pair of size n with a
+    sharp element other than 0 and 1, as ``(order, unaries, seed)``:
+    both maps, and the generators of the pair's automorphism group, from
+    a Kleene-only search of its own, that fix the image of ~ as a set,
+    the seeds of the decoration's canonical search."""
+    for order, kleene in enumeration._pk_pairs(n):
+        if not enumeration._sharp_interior(order, kleene):
+            continue
+        gens = core._canonical_search_group(n, order.up, (kleene,))[2]
+        L = core.FiniteAlgebra._from_order(
+            order, kleene, enumeration._trivial_brouwer(order))
+        for tilde in enumeration.bz_brouwer_maps(L, kleene):
+            S = set(tilde)
+            yield order, (kleene, tilde), [
+                g for g in gens if {g[s] for s in S} == S]
 
 
 def searched_aol_copy(order, kleene):

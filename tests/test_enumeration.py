@@ -209,6 +209,25 @@ def test_search_generators_give_every_orbit():
             _oracles.brute_orbits(n, up, unaries)
 
 
+def test_seeded_search_equals_unseeded():
+    # a decoration's search seeded with its pair's automorphisms that fix
+    # its sharp set finds the ordering and encoding of the search from
+    # scratch, and its seeds and recorded automorphisms still generate
+    # the whole group: on every decoration of every PK pair to n=10
+    seeded = Counter()
+    for n in range(1, 11):
+        for order, unaries, seed in _oracles.seeded_decorations(n):
+            ordering, enc, gens = core._canonical_search_group(
+                n, order.up, unaries, None, seed)
+            assert (ordering, enc) == \
+                core._canonical_search_group(n, order.up, unaries)[:2]
+            assert [core._orbit(a, gens) for a in range(n)] == \
+                _oracles.brute_orbits(n, order.up, unaries)
+            seeded[bool(seed)] += 1
+    # 395 of the 670 decorations start from a nontrivial seed
+    assert seeded == {True: 395, False: 275}
+
+
 def test_pk_generator_work_pinned(monkeypatch):
     # a change in the candidates or the pruning shows up as a changed count
     calls = Counter()
@@ -423,6 +442,51 @@ def test_aol_level_work_pinned(monkeypatch):
     # refinements and 37 searches in generation, made 95 searches and
     # 126 refinements
     assert calls == {"search": 82, "refine": 105}
+
+
+def test_general_level_decoration_work_pinned(monkeypatch):
+    # a cold decorated build of the general levels to n=8, from fresh
+    # pair, level and per-pair caches
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            if name == "search" and len(args[2]) == 2:
+                calls["decoration search"] += 1
+            return fn(*args)
+        return wrapper
+
+    def mapped(L, kleene):
+        maps = bz_brouwer_maps(L, kleene)
+        calls["brouwer"] += 1
+        calls["map"] += len(maps)
+        return maps
+
+    search = counted("search", core._canonical_search_group)
+    monkeypatch.setattr(core, "_canonical_search_group", search)
+    monkeypatch.setattr(enumeration, "_canonical_search_group", search)
+    refine = counted("refine", core._refine_colors)
+    monkeypatch.setattr(core, "_refine_colors", refine)
+    monkeypatch.setattr(enumeration, "_refine_colors", refine)
+    monkeypatch.setattr(enumeration, "bz_brouwer_maps", mapped)
+    for name in ("_pk_pairs", "_aol_pairs", "_pair_colors", "_pair_search",
+                 "_bz_level"):
+        monkeypatch.setattr(enumeration, name, functools.cache(
+            getattr(enumeration, name).__wrapped__))
+    assert [len(enumeration._bz_level(n, "general"))
+            for n in range(1, 9)] == [1, 1, 1, 3, 3, 12, 13, 63]
+    # the 27 pairs with a sharp interior take 99 Brouwer maps, 19 of
+    # them conjugate under their pair's automorphisms to one before, so
+    # 80 decorations are searched, one per class.  Each of the 27 pairs
+    # is refined once, 13 of them here and the rest as candidates or
+    # parents; 7 give every element a color of its own, so their group
+    # is trivial, and the other 20 read theirs off a search with '
+    # alone, 8 of them run here.  Generation and the copies of the pairs
+    # with no sharp interior take 32 searches and 35 refinements.  A
+    # search from scratch per map made 131 searches and 134 refinements
+    assert calls == {"brouwer": 27, "map": 99, "decoration search": 80,
+                     "search": 120, "refine": 128}
 
 
 def test_antiortholattice_copies_take_the_kleene_only_search():
