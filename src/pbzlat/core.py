@@ -511,12 +511,11 @@ class _Carrier:
     (``canonical_form``), ``"classes"`` (``axioms.classify``),
     ``"reach"`` (``congruences._CoverReach``), ``"blocks"``
     (``constructions.blocks``), ``"verdicts"``, a dict of identity
-    verdicts by statement (``terms.holds_each``), ``"tables"``, a
-    dict of numpy operation tables by name, each built on first use
-    (``terms._table``) as a read-only view of the order's flat table or
-    of a map packed the same way, in the unsigned dtype of
-    ``_row_type``, and ``("check", fn)``, the tuple of problems a claim
-    check ``fn`` returned (``enumeration.verify_over_corpus``).
+    verdicts by statement (``terms._verdicts``), each ``(ok,
+    witness)`` with the witness a tuple in the order of the
+    statement's sorted variable names, and ``("check", fn)``, the tuple
+    of problems a claim check ``fn`` returned
+    (``enumeration.verify_over_corpus``).
     Kept values are immutable or private to their keeper, which hands
     out copies of mutable ones.
     """
@@ -759,7 +758,9 @@ def _refine_colors(n, up, down, unaries):
     On a single color these are runs of zeros, which compare as their
     lengths do, so the first round ranks by those lengths.  A later
     round's signature leads with the element's color, so it only splits
-    classes and keeps their order.  Refinement stops when a round splits
+    classes and keeps their order; an element alone in its class gets
+    its color alone as its signature, since the rest of a signature
+    could only split the class.  Refinement stops when a round splits
     no class (such a round would rank them as they are) or when every
     element has a color of its own.
     """
@@ -774,7 +775,11 @@ def _refine_colors(n, up, down, unaries):
                             *(len(p) for p in pres[a])) for a in range(n)])
     while 1 < classes < n:
         get = col.__getitem__
+        sizes = [0] * classes
+        for c in col:
+            sizes[c] += 1
         new, new_classes = _ranks([
+            (col[a],) if sizes[col[a]] == 1 else
             (col[a],
              tuple(sorted(map(get, below[a]))),
              tuple(sorted(map(get, above[a]))),

@@ -640,13 +640,14 @@ def _admit(level, classes, identities):
     every THEORY identity named, in order: a spec's filters or a claim's
     hypotheses.  Each filter narrows the survivors of the one before:
     a class flag is read per algebra, an identity is checked over them
-    all at once (``terms.holds_each``)."""
+    all at once (``terms._verdicts``, the verdicts ``holds_each`` reads,
+    with no witness dicts built)."""
     kept = level
     for name in classes:
         kept = [A for A in kept if axioms.satisfies(A, name)]
     for name in identities:
         kept = [A for A, (ok, _) in
-                zip(kept, terms.holds_each(kept, terms.THEORY[name])) if ok]
+                zip(kept, terms._verdicts(kept, terms.THEORY[name])) if ok]
     return kept
 
 
@@ -813,7 +814,8 @@ def search_counterexample(identity, spec):
     Size is the primary order; within a size the corpus comes in the
     order of canonical bytes, and the first failing algebra is returned,
     so reruns return the identical algebra.  The identity is checked
-    over a whole level at once (``terms.holds_each``).  When nothing
+    over a whole level at once (``terms._verdicts``, as ``holds_each``
+    does), and only the witness returned is made a dict.  When nothing
     fails up to spec.max_size the result says exhausted rather than
     claiming the identity holds everywhere.
     """
@@ -825,9 +827,10 @@ def search_counterexample(identity, spec):
     for n in range(1, spec.max_size + 1):
         level = list(enumerate_pbz(n, spec))
         examined += len(level)
-        for A, (ok, witness) in zip(level, terms.holds_each(level, identity)):
-            if not ok:
-                return SearchResult(terms.pretty(identity), spec, A, witness,
+        for A, verdict in zip(level, terms._verdicts(level, identity)):
+            if not verdict[0]:
+                return SearchResult(terms.pretty(identity), spec, A,
+                                    terms._witness(identity, verdict)[1],
                                     examined, False)
     return SearchResult(terms.pretty(identity), spec, None, None,
                         examined, True)

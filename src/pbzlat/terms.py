@@ -20,7 +20,9 @@ subalgebras but not under homomorphic images or products (a clause with
 one disjunct is a quasi-identity, preserved under products too).
 """
 
+import functools
 import itertools
+import operator
 
 from .core import _is_index, _Record, _row_type, _set_field
 
@@ -379,57 +381,165 @@ def term_vars(obj):
 
 
 # assignments evaluated at once, over all algebras of a block: its
-# arrays stay within 32 KB (2**16 would save a tenth of a level's scan
-# time and triple its peak memory)
+# index arrays stay within 32 KB (2**16 would save a tenth of a level's
+# scan time and triple its peak memory).  A fibred variable counts as
+# many values as the block's algebras have fibres of ~ at most.
 _BLOCK = 1 << 12
 
 # one representative per equal statement: verdict lookups hit by identity
 _STATEMENT_MEMO = {}
 
-_OPS = {Meet: "meet", Join: "join", Kleene: "kleene", Brouwer: "brouwer"}
+# the one verdict object of every algebra a statement holds in
+_HELD = (True, None)
+
+_OPS = {Meet: "meet", Join: "join", Kleene: "kleene", Brouwer: "brouwer",
+        Zero: "zero", One: "one"}
 
 
-def _table(A, op):
-    """numpy array of one operation table of A, made on first use and
-    kept on A, so a statement reads only the tables its terms need (a
-    bare BoundedLattice has no ' or ~).  ``meet`` and ``join`` are an
-    n x n view of the order's flat table, with no copy, and a map a view
-    of its images packed the same way (``core._row_type``), so each
-    entry takes the narrowest unsigned dtype: uint8 up to 256 elements.
-    The arrays are read-only."""
-    tabs = A._keep("tables", dict)
-    tab = tabs.get(op)
-    if tab is None:
-        import numpy as np
-        if op in ("meet", "join"):
-            # one array straight over the buffer: a reshaped
-            # np.frombuffer would keep a second array header per table
-            flat = getattr(A._ord, op)
-            tab = np.ndarray((A.n, A.n), memoryview(flat).format, flat)
-        elif not hasattr(A, op):
-            raise TypeError(f"a bare lattice has no {op} map")
-        else:
-            row = _row_type(A.n)(getattr(A, op))
-            tab = np.frombuffer(row, memoryview(row).format)
-        tabs[op] = tab
-    return tab
+class _Plan:
+    """A statement compiled into straight-line steps over numbered slots.
+
+    Slot v < len(names) holds variable names[v], and each later slot
+    one distinct subterm, so a subterm shared by the statement's terms
+    is one step, and so are ``x ^ y`` and ``y ^ x``.  A step is ``(slot,
+    op, argument slots)``, its arguments in lower slots; ``x <= y`` is
+    read as ``x ^ y = x``, a meet step.  ``premises`` and
+    ``conclusion`` pair the slots of each identity's two sides,
+    ``tables`` names the operation tables the steps read and ``maps``
+    the maps an algebra needs, and ``layouts`` keeps the scan layouts
+    (``layout``).
+
+    A variable is fibred (``fibred[v]``) when every occurrence of it is
+    directly under ~: its slot then holds its image under ~, which is
+    the slot of ``x~``, and a scan runs it over the least element of
+    each fibre of ~ alone.  Putting in the least element of a value's
+    fibre changes no term and lowers no coordinate of an assignment,
+    so the first failing assignment in odometer order is one of these.
+    """
+
+    __slots__ = ("names", "fibred", "steps", "premises", "conclusion",
+                 "tables", "maps", "layouts")
+
+    def __init__(self, premises, conclusion):
+        bare, under = set(), set()
+
+        def walk(t, parent):
+            if isinstance(t, Var):
+                (under if parent is Brouwer else bare).add(t.name)
+            elif isinstance(t, (Meet, Join)):
+                walk(t.left, Meet)
+                walk(t.right, Meet)
+            elif isinstance(t, (Kleene, Brouwer)):
+                walk(t.arg, type(t))
+
+        for ident in (*premises, *conclusion):
+            walk(ident.lhs, None)
+            walk(ident.rhs, None)
+        self.names = names = sorted(bare | under)
+        self.fibred = tuple(name not in bare for name in names)
+        var = {name: v for v, name in enumerate(names)}
+        keyed, steps = {}, []
+
+        def step(key):
+            # a step by its op and argument slots, made on first use
+            s = keyed.get(key)
+            if s is None:
+                s = keyed[key] = len(names) + len(steps)
+                steps.append((s, key[0], key[1:]))
+            return s
+
+        def slot(t):
+            if isinstance(t, Var):
+                return var[t.name]
+            if isinstance(t, (Meet, Join)):
+                # meet and join are commutative, so x ^ y is y ^ x
+                return step((_OPS[type(t)],
+                             *sorted((slot(t.left), slot(t.right)))))
+            if isinstance(t, Brouwer) and isinstance(t.arg, Var) and \
+                    t.arg.name not in bare:
+                return var[t.arg.name]
+            if isinstance(t, (Kleene, Brouwer)):
+                return step((_OPS[type(t)], slot(t.arg)))
+            if isinstance(t, (Zero, One)):
+                return step((_OPS[type(t)],))
+            raise TypeError(f"not a term: {t!r}")
+
+        def sides(ident):
+            left, right = slot(ident.lhs), slot(ident.rhs)
+            if ident.kind == "le":
+                right = step(("meet", *sorted((left, right))))
+            return left, right
+
+        self.premises = tuple(map(sides, premises))
+        self.conclusion = tuple(map(sides, conclusion))
+        self.steps = tuple(steps)
+        self.tables = {op for _, op, _ in steps} - {"zero", "one"}
+        self.maps = sorted(self.tables - {"meet", "join"}
+                           | ({"brouwer"} if any(self.fibred) else set()))
+        self.layouts = {}
+
+    def check_maps(self, algebras):
+        kinds = {type(A) for A in algebras}
+        for op in self.maps:
+            if not all(hasattr(kind, op) for kind in kinds):
+                raise TypeError(f"a bare lattice has no {op} map")
+
+    def layout(self, n, most):
+        """How a scan over size n lays out the variables, a fibred one
+        over at most ``most`` values: ``(lead, fixed, looped, axes,
+        spread, per)``.  The trailing variables, as many as keep one
+        algebra within ``_BLOCK`` assignments, get one broadcast axis
+        each, and the ``lead`` others are fixed per pass; ``looped``
+        are the steps that read a leading variable, run once per pass,
+        and ``fixed`` the others, run once per block.  ``axes[k]`` holds
+        the values 0..n-1 of the k-th trailing variable on its axis, or
+        None for a fibred one, whose values differ by algebra.  A block
+        whose algebras have at most w fibres holds ``per // w ** spread``
+        of them, ``spread`` the number of fibred trailing variables."""
+        key = n, most, _BLOCK
+        if key not in self.layouts:
+            fibred = self.fibred
+            inner, cells = 0, 1
+            while inner < len(fibred) and \
+                    cells * (most if fibred[-1 - inner] else n) <= _BLOCK:
+                inner += 1
+                cells *= most if fibred[-inner] else n
+            lead = len(fibred) - inner
+            varying, fixed, looped = set(range(lead)), [], []
+            for step in self.steps:
+                if varying.intersection(step[2]):
+                    varying.add(step[0])
+                    looped.append(step)
+                else:
+                    fixed.append(step)
+            axes = [None if fibred[lead + k] else _axis(n, k, inner)
+                    for k in range(inner)]
+            spread = sum(fibred[lead:])
+            self.layouts[key] = (lead, fixed, looped, axes, spread,
+                                 _BLOCK // n ** (inner - spread))
+        return self.layouts[key]
 
 
-def _gather(t, env, tabs, at):
-    """Values of a term over the assignments in env, by lookups in the
-    tables tabs(op), whose leading axes the index tuple at picks (one
-    algebra's own tables take ()).  env maps Zero and One, as well as
-    the variable names, to values."""
-    if isinstance(t, Var):
-        return env[t.name]
-    if isinstance(t, (Meet, Join)):
-        return tabs(_OPS[type(t)])[(*at, _gather(t.left, env, tabs, at),
-                                    _gather(t.right, env, tabs, at))]
-    if isinstance(t, (Kleene, Brouwer)):
-        return tabs(_OPS[type(t)])[(*at, _gather(t.arg, env, tabs, at))]
-    if isinstance(t, (Zero, One)):
-        return env[type(t)]
-    raise TypeError(f"not a term: {t!r}")
+@functools.cache
+def _axis(n, k, inner):
+    """The values 0..n-1 on axis k + 1 of a block's inner + 1 axes."""
+    import numpy as np
+    return np.arange(n).reshape([n if j == k else 1
+                                 for j in range(-1, inner)])
+
+
+@functools.cache
+def _plan(statement):
+    """The plan of an interned statement, compiled on its first scan."""
+    if isinstance(statement, QuasiIdentity):
+        return _Plan(statement.premises, statement.conclusion)
+    return _Plan((), (statement,))
+
+
+def _run(steps, vals, read):
+    """Fill the steps' slots of vals, each by the reader of its op."""
+    for s, op, args in steps:
+        vals[s] = read[op](*[vals[a] for a in args])
 
 
 def evaluate(A, t, assignment):
@@ -442,16 +552,30 @@ def evaluate(A, t, assignment):
         if not _is_index(assignment[v], A.n):
             raise ValueError(f"variable {v!r} is assigned "
                              f"{assignment[v]!r}, not an element index")
-    env = {**assignment, Zero: A.zero, One: A.one}
-    return int(_gather(t, env, lambda op: _table(A, op), ()))
+    # the term as both sides of an identity: its slot is either side's
+    plan = _Plan((), (Identity(t, t, "eq"),))
+    plan.check_maps((A,))
+    n, order = A.n, A._ord
+    read = {"meet": lambda a, b: order.meet[a * n + b],
+            "join": lambda a, b: order.join[a * n + b],
+            "zero": lambda: A.zero, "one": lambda: A.one}
+    for op in plan.maps:
+        read[op] = getattr(A, op).__getitem__
+    vals = [None] * (len(plan.names) + len(plan.steps))
+    for v, (name, fibred) in enumerate(zip(plan.names, plan.fibred)):
+        a = int(assignment[name])
+        vals[v] = A.brouwer[a] if fibred else a
+    _run(plan.steps, vals, read)
+    return vals[plan.conclusion[0][0]]
 
 
-def _satisfied(ident, env, tabs, at):
-    lv = _gather(ident.lhs, env, tabs, at)
-    rv = _gather(ident.rhs, env, tabs, at)
-    if ident.kind == "le":  # a <= b iff a ^ b = a
-        rv = tabs("meet")[(*at, lv, rv)]
-    return lv == rv
+def _witness(statement, verdict):
+    """A kept verdict as ``holds`` returns it: the witness tuple as a
+    fresh dict by variable name."""
+    ok, witness = verdict
+    if witness is None:
+        return verdict
+    return ok, dict(zip(_plan(statement).names, witness))
 
 
 def holds(A, statement):
@@ -464,12 +588,11 @@ def holds(A, statement):
     disjunct of its conclusion does.  This is ``holds_each`` for one
     algebra, with the read of a kept verdict done in place.
     """
-    kept = A._keep("verdicts", dict).get(
-        _STATEMENT_MEMO.get(statement, statement))
+    statement = _STATEMENT_MEMO.get(statement, statement)
+    kept = A._keep("verdicts", dict).get(statement)
     if kept is None:
         return holds_each((A,), statement)[0]
-    ok, witness = kept
-    return ok, None if witness is None else dict(witness)
+    return _witness(statement, kept)
 
 
 def _interned(statement):
@@ -491,6 +614,15 @@ def holds_each(algebras, statement):
     fresh copies, so a caller may change them.
     """
     statement = _interned(statement)
+    return [_witness(statement, verdict)
+            for verdict in _verdicts(algebras, statement)]
+
+
+def _verdicts(algebras, statement):
+    """The verdict each algebra keeps for a statement, scanning those
+    that keep none: ``(ok, witness)``, the witness a tuple of values in
+    the order of the statement's sorted variable names, or None."""
+    statement = _interned(statement)
     algebras = list(algebras)  # read twice below
     if len({A.n for A in algebras}) > 1:
         raise ValueError("holds_each takes algebras of one size")
@@ -501,77 +633,136 @@ def holds_each(algebras, statement):
         found = _scan([algebras[i] for i in todo], statement)
         for i, verdict in zip(todo, found):
             kept[i][statement] = verdicts[i] = verdict
-    return [(ok, None if witness is None else dict(witness))
-            for ok, witness in verdicts]
+    return verdicts
+
+
+def _fibres(brouwer):
+    """The least element of each fibre of ~, ascending, and the image
+    of each."""
+    least = {}
+    for a, b in enumerate(brouwer):
+        least.setdefault(b, a)
+    return list(least.values()), list(least)
+
+
+def _stacked(block, op):
+    """One operation's tables of a block of algebras of one size n,
+    side by side in one flat array: algebra i's meet of a and b at
+    i*n*n + a*n + b, its image of a at i*n + a.  Meet and join are read
+    straight from the orders' flat buffers, and the maps packed the
+    same way (``core._row_type``): one byte an entry, two above 256
+    elements."""
+    import numpy as np
+    if op in ("meet", "join"):
+        flat = b"".join(map(operator.attrgetter("_ord." + op), block))
+    else:
+        flat = _row_type(block[0].n)(itertools.chain.from_iterable(
+            map(operator.attrgetter(op), block)))
+    # the entry type of every table of the block, as its meet has it
+    return np.frombuffer(flat, memoryview(block[0]._ord.meet).format)
 
 
 def _scan(algebras, statement):
-    """The scan behind ``holds_each``, once per algebra and statement.
+    """The scan behind ``holds_each``, once per algebra and statement:
+    ``(ok, witness)`` per algebra, as ``_verdicts`` keeps it.
 
-    The terms are evaluated by numpy gathers from the operation tables
-    of a block of algebras of one size n, stacked on a leading axis.
-    The trailing k variables get one broadcast axis each, for the
-    largest k with n ** k within ``_BLOCK``; a block holds as many
-    algebras as keep it within ``_BLOCK`` assignments, and fixes the
-    leading variables, which run through their values in odometer
-    order.  A block's failures (every premise holds and no disjunct of
-    the conclusion does) have one row per algebra in the odometer order
-    of the trailing variables, so the argmax of a row, in the first
-    block where the row has a True, is that algebra's first failing
-    assignment.  A block of algebras is done once each has failed.
+    The statement's plan (``_plan``) is run by numpy gathers from the
+    operation tables of a block of algebras of one size n, stacked side
+    by side (``_stacked``); an index is computed in intp, so the narrow
+    tables are read as they are stored.  The trailing variables get one
+    broadcast axis each (``_Plan.layout``), of n values or, for a
+    fibred variable, of the least elements of the fibres of ~, padded
+    per block by repeating the last one.  The algebras are taken in the
+    order of their numbers of fibres, so a block pads little, and a
+    block holds as many as keep it within ``_BLOCK`` assignments.  Its
+    leading variables run through their values in odometer order.  A
+    block's failures (every premise holds and no disjunct of the
+    conclusion does) have one row per algebra in the odometer order of
+    the trailing variables, so the argmax of a row, in the first pass
+    where the row has a True, is that algebra's first failing
+    assignment: a padded value repeats one that comes before it.  A
+    block of algebras is done once each has failed.
     """
     import numpy as np
-    if isinstance(statement, QuasiIdentity):
-        premises, conclusion = statement.premises, statement.conclusion
-    else:
-        premises, conclusion = (), (statement,)
-    names = term_vars(statement)
-    n = algebras[0].n
-    inner = 0
-    while inner < len(names) and n ** (inner + 1) <= _BLOCK:
-        inner += 1
-    lead = names[:len(names) - inner]
-    shape = (n,) * inner
-    env = {}
-    for axis, name in enumerate(names[len(lead):], 1):
-        env[name] = np.arange(n).reshape(
-            [n if j == axis else 1 for j in range(inner + 1)])
-    step = _BLOCK // n ** inner
+    plan = _plan(statement)
+    plan.check_maps(algebras)
+    fibred, n = plan.fibred, algebras[0].n
+    nn = np.intp(n)
+    fibres = [_fibres(A.brouwer) for A in algebras] if any(fibred) else ()
+    order = sorted(range(len(algebras)), key=lambda i: len(fibres[i][0])) \
+        if fibres else range(len(algebras))
+    widths = [len(fibres[i][0]) for i in order] if fibres \
+        else [n] * len(algebras)
+    lead, fixed, looped, axes, spread, per = plan.layout(n, widths[-1])
     first = [None] * len(algebras)
-    for start in range(0, len(algebras), step):
-        block = algebras[start:start + step]
-        m = len(block)
-        at = (np.arange(m).reshape((m,) + (1,) * inner),)
-        env[Zero] = np.array([A.zero for A in block]).reshape(at[0].shape)
-        env[One] = np.array([A.one for A in block]).reshape(at[0].shape)
-        stacked = {}
-
-        def tabs(op):
-            # an operation's values index the next gather, so its kept
-            # narrow tables are widened to intp once for the block
-            if op not in stacked:
-                own = [_table(A, op) for A in block]
-                stacked[op] = np.concatenate(own, dtype=np.intp).reshape(
-                    m, *own[0].shape)
-            return stacked[op]
-
-        for values in itertools.product(range(n), repeat=len(lead)):
-            env.update(zip(lead, values))
-            bad = np.logical_not(_satisfied(conclusion[0], env, tabs, at))
-            for c in conclusion[1:]:
-                bad = bad & np.logical_not(_satisfied(c, env, tabs, at))
-            for p in premises:
-                bad = bad & _satisfied(p, env, tabs, at)
-            rows = np.broadcast_to(bad, (m, *shape)).reshape(m, -1)
-            cells = [axis.tolist() for axis in np.unravel_index(
-                rows.argmax(axis=1), shape)] if shape else []
-            for i in np.flatnonzero(rows.any(axis=1)).tolist():
-                if first[start + i] is None:
-                    first[start + i] = dict(zip(
-                        names, [*values, *(c[i] for c in cells)]))
-            if None not in first[start:start + m]:
+    # the readers of the block's tables and bounds, bound below per block
+    read = {
+        "zero": lambda: np.array([A.zero for A in block]).reshape(at.shape),
+        "one": lambda: np.array([A.one for A in block]).reshape(at.shape),
+        "meet": lambda a, b: tabs["meet"].take(rows + a * nn + b),
+        "join": lambda a, b: tabs["join"].take(rows + a * nn + b),
+        "kleene": lambda a: tabs["kleene"].take(base + a),
+        "brouwer": lambda a: tabs["brouwer"].take(base + a)}
+    start = 0
+    while start < len(order):
+        # as many algebras as keep the block within _BLOCK assignments,
+        # its widest one last
+        end = min(len(order), start + per // widths[start] ** spread)
+        while end - start > per // widths[end - 1] ** spread:
+            end = start + per // widths[end - 1] ** spread
+        picked = order[start:end]
+        block = [algebras[i] for i in picked]
+        m, width = len(block), widths[end - 1]
+        start = end
+        shape = tuple(width if f else n for f in fibred[lead:])
+        full = (m, *shape)
+        at = np.arange(m).reshape((m,) + (1,) * len(shape))
+        rows, base = at * (n * n), at * n
+        tabs = {op: _stacked(block, op) for op in plan.tables}
+        vals = [None] * (len(fibred) + len(plan.steps))
+        if fibres:
+            own = [fibres[i] for i in picked]
+            reps = [r + r[-1:] * (width - len(r)) for r, _ in own]
+            images = np.array([i + i[-1:] * (width - len(i))
+                               for _, i in own])
+            columns = [images[:, p].reshape(at.shape) for p in range(width)
+                       ] if any(fibred[:lead]) else None
+        for k, axis in enumerate(axes):
+            vals[lead + k] = axis if axis is not None else images.reshape(
+                [m if j == -1 else width if j == k else 1
+                 for j in range(-1, len(axes))])
+        _run(fixed, vals, read)
+        unsettled = m
+        for values in itertools.product(
+                *[range(width if f else n) for f in fibred[:lead]]):
+            for v, p in enumerate(values):
+                vals[v] = columns[p] if fibred[v] else p
+            _run(looped, vals, read)
+            bad = None
+            for left, right in plan.conclusion:
+                miss = vals[left] != vals[right]
+                bad = miss if bad is None else bad & miss
+            for left, right in plan.premises:
+                bad = bad & (vals[left] == vals[right])
+            if getattr(bad, "shape", None) != full:
+                bad = np.broadcast_to(bad, full)
+            hits = bad.reshape(m, -1)
+            failed = hits.any(axis=1).nonzero()[0].tolist()
+            if not failed:
+                continue
+            cells = list(zip(*[axis.tolist() for axis in np.unravel_index(
+                hits.argmax(axis=1), shape)])) if shape else [()] * m
+            for i in failed:
+                if first[picked[i]] is None:
+                    cell = values + cells[i]
+                    if fibres:
+                        cell = tuple(reps[i][p] if f else p
+                                     for p, f in zip(cell, fibred))
+                    first[picked[i]] = cell
+                    unsettled -= 1
+            if not unsettled:
                 break
-    return [(True, None) if w is None else (False, w) for w in first]
+    return [_HELD if w is None else (False, w) for w in first]
 
 
 def holds_quasi(A, quasi):

@@ -30,8 +30,11 @@ def as_sets(masks):
 
 
 def scanned(A, statement):
-    """A fresh scan of one algebra, whatever it keeps."""
-    return terms._scan([A], statement)[0]
+    """A fresh scan of one algebra, whatever it keeps, with its witness
+    tuple read by sorted variable name, as ``holds`` returns it."""
+    ok, witness = terms._scan([A], statement)[0]
+    return ok, None if witness is None else dict(
+        zip(terms.term_vars(statement), witness))
 
 
 def test_cached_results_equal_fresh_ones_on_sweep_corpora():
@@ -243,11 +246,11 @@ def test_bare_lattices_keep_their_results(monkeypatch):
     form = canonical_form(L)
     assert canonical_form(L) is form
     assert form == core._canon_bytes(L.n, L._ord.up, ())
-    want = scanned(L, dist)
+    want, raw = scanned(L, dist), terms._scan([L], dist)[0]
     assert not want[0]
     scans = []
     monkeypatch.setattr(terms, "_scan",
-                        lambda *args: scans.append(args) or [want])
+                        lambda *args: scans.append(args) or [raw])
     first = terms.holds(L, dist)
     assert first == want
     first[1].clear()

@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from pbzlat import axioms, catalog, fileformat, terms
@@ -348,15 +347,20 @@ def test_product_above_256_elements():
     assert not violations
     assert (o.down, tuple(o.meet), tuple(o.join), o.zero, o.one) == (
         down, sum(meet, ()), sum(join, ()), zero, one)
-    # each kept numpy table takes the narrowest unsigned dtype
-    for X, dtype in ((C, np.uint8), (P, np.uint16)):
-        for op in ("meet", "join", "kleene", "brouwer"):
-            assert terms._table(X, op).dtype == dtype, (X.n, op)
+    # a scan stacks the tables as they are stored, 16-bit above 256
+    # elements, and the maps as they are
+    for X in (C, P):
+        for op in ("meet", "join"):
+            assert terms._stacked([X, X], op).tolist() == \
+                list(getattr(X._ord, op)) * 2, (X.n, op)
+        for op in ("kleene", "brouwer"):
+            assert terms._stacked([X, X], op).tolist() == \
+                list(getattr(X, op)) * 2, (X.n, op)
     # the recursive interpreter scans one or two variables over P; a
     # product satisfies an identity iff its factors do, so three-variable
     # DIST is scanned over the chain
     for name in ("SDM", "BZ1", "BZ2", "BZ3", "BZ4", "STAR", "PK", "CHAIN",
-                 "NODISJ", "ANTIORTHO", "CONES", "OM"):
+                 "NODISJ", "ANTIORTHO", "CONES", "OM", "AOL2", "DIAMOND_OM"):
         stmt = terms.THEORY[name]
         assert terms.holds(P, stmt) == _oracles.holds(P, stmt), name
     dist = terms.THEORY["DIST"]

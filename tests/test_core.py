@@ -1,5 +1,6 @@
 """Carrier objects, validation and canonical forms."""
 
+import functools
 import itertools
 import random
 from array import array
@@ -109,7 +110,7 @@ def test_check_order_against_nested_loops():
 def test_compact_order_storage():
     # each table is one flat buffer in the narrowest entry type, the
     # masks an array of the narrowest typecode up to 64 elements, the
-    # terms engine views the tables without a copy, and renumbering
+    # terms engine stacks the tables as they are stored, and renumbering
     # keeps all of it: the permuted order is the nested loops' order of
     # the permuted masks
     # the nested loops take seconds on the 289-element product, so its
@@ -135,8 +136,8 @@ def test_compact_order_storage():
             else:
                 assert type(masks) is tuple
         for op in ("meet", "join"):
-            assert np.shares_memory(terms._table(X, op),
-                                    memoryview(getattr(o, op)))
+            assert terms._stacked([X, X], op).tolist() == \
+                list(getattr(o, op)) * 2
         for _ in range(1 if n > 256 else 3):
             ordering = list(range(n))
             rng.shuffle(ordering)
@@ -171,7 +172,7 @@ def test_bits_against_bit_scan():
     assert core._bits(0) == ()
 
 
-def test_refine_colors_against_oracle():
+def test_refine_colors_against_oracle(monkeypatch):
     structures = [(order, (kleene,)) for n in range(1, 11)
                   for order, kleene in enumeration._pk_pairs(n)]
     structures += [(A._ord, (A.kleene, A.brouwer))
@@ -179,6 +180,32 @@ def test_refine_colors_against_oracle():
     for order, unaries in structures:
         args = order.n, order.up, order.down, unaries
         assert core._refine_colors(*args) == _oracles._refine_colors(*args)
+    # every refinement a cold build of the antiortholattices to n=10 and
+    # the BZ-lattices to n=8 makes, from fresh pair, level and per-pair
+    # caches
+    made = []
+    refine = core._refine_colors
+
+    def recorded(*args):
+        made.append((args, refine(*args)))
+        return made[-1][1]
+
+    monkeypatch.setattr(core, "_refine_colors", recorded)
+    monkeypatch.setattr(enumeration, "_refine_colors", recorded)
+    for name in ("_pk_pairs", "_aol_pairs", "_pair_colors", "_pair_search",
+                 "_bz_level"):
+        monkeypatch.setattr(enumeration, name, functools.cache(
+            getattr(enumeration, name).__wrapped__))
+    for n in range(1, 11):
+        enumeration._bz_level(n, "antiortholattice")
+    assert len(made) == 105  # test_aol_level_work_pinned
+    for n in range(1, 9):
+        enumeration._bz_level(n, "general")
+    # the BZ levels refine the pairs and copies the antiortholattice
+    # levels did not
+    assert len(made) == 186
+    for args, colors in made:
+        assert colors == _oracles._refine_colors(*args), args[0]
 
 
 def test_antitone_witness_is_lex_least():

@@ -188,7 +188,7 @@ def _theory_terms():
 
 
 def test_evaluate_matches_recursive_oracle():
-    # the table gathers behind evaluate against the recursive evaluator,
+    # the compiled steps behind evaluate against the recursive evaluator,
     # on every side of every THEORY statement and every assignment
     for name in ("D3", "D4", "B4", "MO2", "T1(2x2)"):
         A = catalog.get(name)
@@ -340,10 +340,17 @@ def _oracle(A, stmt):
     return _ORACLE[key]
 
 
+def _scanned(A, stmt):
+    # a fresh scan, its witness tuple read by sorted variable name
+    ok, witness = terms._scan([A], stmt)[0]
+    return ok, None if witness is None else dict(
+        zip(term_vars(stmt), witness))
+
+
 def _assert_matches_interpreter(A, stmt):
     # the scan itself as well as the verdict an earlier test may have kept
     got = holds(A, stmt)
-    assert got == terms._scan([A], stmt)[0] == _oracle(A, stmt), \
+    assert got == _scanned(A, stmt) == _oracle(A, stmt), \
         (A, pretty(stmt))
     if not got[0]:
         assert list(got[1]) == term_vars(stmt)
@@ -446,6 +453,138 @@ def test_holds_each_on_shuffled_levels(monkeypatch):
             fresh = pickle.loads(pickle.dumps(level))
             for name, s in THEORY.items():
                 assert terms.holds_each(fresh, s) == want[name], (n, name)
+
+
+# statements with fibred variables (every occurrence directly under ~),
+# by name, and their fibred variables
+_FIBRED = {"AOL1": ["x"], "AOL2": ["y"], "AOL3": ["y"],
+           "DIAMOND_OM": ["x", "y"], "BZ4": ["x"]}
+
+# clauses that put a fibred variable where the prototype of the
+# compiled scan first went wrong: the leading, outer-loop variable of a
+# four-variable clause, and a premise
+_FIBRED_CLAUSES = [parse_statement(text) for text in (
+    "a~ ^ b <= c v d' | <>a = d | b ^ c <= d~",
+    "a~ <= b & b <= <>a => a~ = b | b = 1",
+)]
+
+
+def _fibred_names(stmt):
+    plan = terms._plan(terms._interned(stmt))
+    return [v for v, f in zip(plan.names, plan.fibred) if f]
+
+
+def test_plan_fibred_variables_and_shared_steps():
+    for name, stmt in THEORY.items():
+        assert _fibred_names(stmt) == _FIBRED.get(name, []), name
+    assert [_fibred_names(s) for s in _FIBRED_CLAUSES] == [["a"], ["a"]]
+    # a subterm shared by the sides is one step, x ^ y and y ^ x are
+    # one, <= is a meet, and a fibred variable's slot is its image: 124
+    # table reads over THEORY where reading each subterm anew takes 152
+    reads = sum(op not in ("zero", "one")
+                for s in THEORY.values()
+                for _, op, _ in terms._plan(terms._interned(s)).steps)
+    assert reads == 124
+    plan = terms._plan(terms._interned(THEORY["CHAIN"]))
+    assert [op for _, op, _ in plan.steps] == ["meet"]
+    # every step reads lower slots only, so the plan runs in order
+    for stmt in [*THEORY.values(), *_FIBRED_CLAUSES]:
+        plan = terms._plan(terms._interned(stmt))
+        for s, _, args in plan.steps:
+            assert all(a < s for a in args)
+
+
+def _fibre_counts(level):
+    return {len(terms._fibres(A.brouwer)[0]) for A in level}
+
+
+def test_compiled_scan_on_sweep_corpora(monkeypatch):
+    # the fibred statements over both sweep corpora, level by level on
+    # fresh copies, then with blocks of 64 assignments, so that BZ
+    # blocks hold algebras with different numbers of fibres and the
+    # four-variable clause runs its fibred variable in the outer loop
+    statements = [THEORY[name] for name in _FIBRED] + _FIBRED_CLAUSES
+    levels = {}
+    for spec in (CORPORA[0], CORPORA[1]):
+        for A in enumerate_all(spec):
+            levels.setdefault((spec.structure, A.n), []).append(A)
+    assert max(len(_fibre_counts(level)) for level in levels.values()) > 2
+    want = {key: {s: [_oracles.holds(A, s) for A in level]
+                  for s in statements} for key, level in levels.items()}
+    outcomes, mixed = set(), set()
+    stacked = terms._stacked
+
+    def recorded(block, op):
+        if op == "brouwer":
+            mixed.add(len(_fibre_counts(block)) > 1)
+        return stacked(block, op)
+
+    monkeypatch.setattr(terms, "_stacked", recorded)
+    for block in (terms._BLOCK, 64):
+        monkeypatch.setattr(terms, "_BLOCK", block)
+        for key, level in levels.items():
+            fresh = pickle.loads(pickle.dumps(level))
+            for s in statements:
+                got = terms.holds_each(fresh, s)
+                assert got == want[key][s], (key, pretty(s))
+                outcomes.update(ok for ok, _ in got)
+    assert outcomes == mixed == {True, False}
+    plan = terms._plan(terms._interned(_FIBRED_CLAUSES[0]))
+    assert plan.layout(8, 8)[0] == 2  # a and b lead at 64
+    monkeypatch.setattr(terms, "_BLOCK", 1 << 12)
+    assert plan.layout(8, 8)[0] == 0  # all four inner at 4096
+    assert plan.layout(9, 9)[0] == 1  # a leads from n=9
+
+
+def test_compiled_scan_on_shuffled_fibres(monkeypatch):
+    # renamed at random, a fibre's least element is not where a
+    # canonical copy puts it, so the scan must put in each algebra's own
+    rng = random.Random(36)
+    statements = [THEORY[name] for name in _FIBRED] + _FIBRED_CLAUSES
+    for n in (6, 7, 8):
+        level = [_shuffled(A, rng) for A in enumerate_pbz(n, CORPORA[1])]
+        canonical = list(enumerate_pbz(n, CORPORA[1]))
+        assert {tuple(terms._fibres(A.brouwer)[0]) for A in level} - \
+            {tuple(terms._fibres(A.brouwer)[0]) for A in canonical}
+        want = {s: [_oracles.holds(A, s) for A in level]
+                for s in statements}
+        for block in (terms._BLOCK, 64):
+            monkeypatch.setattr(terms, "_BLOCK", block)
+            fresh = pickle.loads(pickle.dumps(level))
+            for s in statements:
+                assert terms.holds_each(fresh, s) == want[s], (n, pretty(s))
+
+
+def test_fibred_statement_on_a_bare_lattice():
+    # a fibred variable reads ~ even where no step does
+    L = catalog.get("B4").lattice_reduct()
+    for text in ("x~ = 0", "x~ <= y"):
+        stmt = parse_statement(text)
+        assert _fibred_names(stmt) == ["x"]
+        with pytest.raises(TypeError, match="no brouwer map"):
+            holds(L, stmt)
+        assert stmt not in L._kept.get("verdicts", {})
+    D4 = catalog.get("D4")
+    for x in range(D4.n):
+        for t in (parse_term("x~"), parse_term("<>x ^ x~'")):
+            assert evaluate(D4, t, {"x": np.int64(x)}) == \
+                _oracles.evaluate(D4, t, {"x": x})
+
+
+def test_kept_verdicts_hold_witness_tuples():
+    # a verdict keeps its witness as a tuple in the order of the sorted
+    # variable names, and every read returns a fresh dict
+    A = pickle.loads(pickle.dumps(catalog.get("O6-benzene")))
+    stmt = terms._interned(THEORY["J"])
+    got = holds(A, stmt)
+    assert not got[0]
+    kept = A._kept["verdicts"][stmt]
+    assert kept == (False, tuple(got[1][v] for v in term_vars(stmt)))
+    assert holds(A, stmt) == got and holds(A, stmt)[1] is not got[1]
+    assert terms.holds_each([A], stmt) == [got]
+    assert holds(A, terms._interned(THEORY["BZ1"])) == (True, None)
+    assert A._kept["verdicts"][terms._interned(THEORY["BZ1"])] is \
+        terms._HELD
 
 
 def test_holds_each_arguments():
