@@ -386,6 +386,10 @@ def term_vars(obj):
 # many values as the block's algebras have fibres of ~ at most.
 _BLOCK = 1 << 12
 
+# a scan of at most this many assignments in all runs on Python ints
+# (``_scan_small``): on so few, numpy's calls cost more than the work
+_SMALL = 32
+
 # one representative per equal statement: verdict lookups hit by identity
 _STATEMENT_MEMO = {}
 
@@ -555,18 +559,45 @@ def evaluate(A, t, assignment):
     # the term as both sides of an identity: its slot is either side's
     plan = _Plan((), (Identity(t, t, "eq"),))
     plan.check_maps((A,))
+    vals = [None] * (len(plan.names) + len(plan.steps))
+    for v, (name, fibred) in enumerate(zip(plan.names, plan.fibred)):
+        a = int(assignment[name])
+        vals[v] = A.brouwer[a] if fibred else a
+    _run(plan.steps, vals, _reads(A, plan))
+    return vals[plan.conclusion[0][0]]
+
+
+def _reads(A, plan):
+    """The readers of the plan's ops on one algebra, on Python ints read
+    straight from its order's flat tables and its maps."""
     n, order = A.n, A._ord
     read = {"meet": lambda a, b: order.meet[a * n + b],
             "join": lambda a, b: order.join[a * n + b],
             "zero": lambda: A.zero, "one": lambda: A.one}
     for op in plan.maps:
         read[op] = getattr(A, op).__getitem__
-    vals = [None] * (len(plan.names) + len(plan.steps))
-    for v, (name, fibred) in enumerate(zip(plan.names, plan.fibred)):
-        a = int(assignment[name])
-        vals[v] = A.brouwer[a] if fibred else a
-    _run(plan.steps, vals, read)
-    return vals[plan.conclusion[0][0]]
+    return read
+
+
+def _scan_small(A, plan):
+    """``_scan`` of one algebra on Python ints, assignment by assignment
+    in odometer order, the fibred variables over the least elements of
+    the fibres of ~."""
+    fibred, read = plan.fibred, _reads(A, plan)
+    reps, images = _fibres(A.brouwer) if any(fibred) else ((), ())
+    vals = [None] * (len(fibred) + len(plan.steps))
+    for cell in itertools.product(
+            *[range(len(reps) if f else A.n) for f in fibred]):
+        for v, p in enumerate(cell):
+            vals[v] = images[p] if fibred[v] else p
+        _run(plan.steps, vals, read)
+        if all(vals[left] != vals[right]
+               for left, right in plan.conclusion) and \
+                all(vals[left] == vals[right]
+                    for left, right in plan.premises):
+            return False, tuple(reps[p] if f else p
+                                for p, f in zip(cell, fibred))
+    return _HELD
 
 
 def _witness(statement, verdict):
@@ -666,7 +697,9 @@ def _scan(algebras, statement):
     """The scan behind ``holds_each``, once per algebra and statement:
     ``(ok, witness)`` per algebra, as ``_verdicts`` keeps it.
 
-    The statement's plan (``_plan``) is run by numpy gathers from the
+    A scan of at most ``_SMALL`` assignments in all runs the plan on
+    Python ints, one algebra at a time (``_scan_small``).  Otherwise the
+    statement's plan (``_plan``) is run by numpy gathers from the
     operation tables of a block of algebras of one size n, stacked side
     by side (``_stacked``); an index is computed in intp, so the narrow
     tables are read as they are stored.  The trailing variables get one
@@ -687,6 +720,8 @@ def _scan(algebras, statement):
     plan = _plan(statement)
     plan.check_maps(algebras)
     fibred, n = plan.fibred, algebras[0].n
+    if len(algebras) * n ** len(fibred) <= _SMALL:
+        return [_scan_small(A, plan) for A in algebras]
     nn = np.intp(n)
     fibres = [_fibres(A.brouwer) for A in algebras] if any(fibred) else ()
     order = sorted(range(len(algebras)), key=lambda i: len(fibres[i][0])) \

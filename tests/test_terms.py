@@ -520,7 +520,9 @@ def test_compiled_scan_on_sweep_corpora(monkeypatch):
         return stacked(block, op)
 
     monkeypatch.setattr(terms, "_stacked", recorded)
-    for block in (terms._BLOCK, 64):
+    # the default, numpy alone with small blocks, and Python ints alone
+    for small, block in ((terms._SMALL, terms._BLOCK), (0, 64), (1e9, 64)):
+        monkeypatch.setattr(terms, "_SMALL", small)
         monkeypatch.setattr(terms, "_BLOCK", block)
         for key, level in levels.items():
             fresh = pickle.loads(pickle.dumps(level))
@@ -548,7 +550,9 @@ def test_compiled_scan_on_shuffled_fibres(monkeypatch):
             {tuple(terms._fibres(A.brouwer)[0]) for A in canonical}
         want = {s: [_oracles.holds(A, s) for A in level]
                 for s in statements}
-        for block in (terms._BLOCK, 64):
+        for small, block in ((terms._SMALL, terms._BLOCK), (0, 64),
+                             (1e9, 64)):
+            monkeypatch.setattr(terms, "_SMALL", small)
             monkeypatch.setattr(terms, "_BLOCK", block)
             fresh = pickle.loads(pickle.dumps(level))
             for s in statements:
