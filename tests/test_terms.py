@@ -460,9 +460,9 @@ def test_holds_each_on_shuffled_levels(monkeypatch):
 _FIBRED = {"AOL1": ["x"], "AOL2": ["y"], "AOL3": ["y"],
            "DIAMOND_OM": ["x", "y"], "BZ4": ["x"]}
 
-# clauses that put a fibred variable where the prototype of the
-# compiled scan first went wrong: the leading, outer-loop variable of a
-# four-variable clause, and a premise
+# clauses that put a fibred variable where a scan is easiest to get
+# wrong: the leading, outer-loop variable of a four-variable clause,
+# and a premise
 _FIBRED_CLAUSES = [parse_statement(text) for text in (
     "a~ ^ b <= c v d' | <>a = d | b ^ c <= d~",
     "a~ <= b & b <= <>a => a~ = b | b = 1",
