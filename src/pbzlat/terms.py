@@ -401,17 +401,17 @@ _OPS = {Meet: "meet", Join: "join", Kleene: "kleene", Brouwer: "brouwer",
 
 
 class _Plan:
-    """A statement compiled into straight-line steps over numbered slots.
+    """Terms compiled into straight-line steps over numbered slots.
 
     Slot v < len(names) holds variable names[v], and each later slot
-    one distinct subterm, so a subterm shared by the statement's terms
-    is one step, and so are ``x ^ y`` and ``y ^ x``.  A step is ``(slot,
-    op, argument slots)``, its arguments in lower slots; ``x <= y`` is
-    read as ``x ^ y = x``, a meet step.  ``premises`` and
-    ``conclusion`` pair the slots of each identity's two sides,
-    ``tables`` names the operation tables the steps read and ``maps``
-    the maps an algebra needs, and ``layouts`` keeps the scan layouts
-    (``layout``).
+    one distinct subterm, so a subterm shared by the terms is one step,
+    and so are ``x ^ y`` and ``y ^ x``.  A step is ``(slot, op, argument
+    slots)``, its arguments in lower slots, and ``slots`` holds the slot
+    of each term.  The terms of a statement are the two sides of each
+    identity, its ``premises`` leading, and ``premises`` and
+    ``conclusion`` pair their slots; ``x <= y`` has the sides ``x`` and
+    ``x ^ y`` (``_sides``).  ``tables`` names the operation tables the
+    steps read and ``maps`` the maps an algebra needs.
 
     A variable is fibred (``fibred[v]``) when every occurrence of it is
     directly under ~: its slot then holds its image under ~, which is
@@ -421,25 +421,25 @@ class _Plan:
     so the first failing assignment in odometer order is one of these.
     """
 
-    __slots__ = ("names", "fibred", "steps", "premises", "conclusion",
-                 "tables", "maps", "layouts")
+    __slots__ = ("names", "fibred", "steps", "slots", "premises",
+                 "conclusion", "tables", "maps")
 
-    def __init__(self, premises, conclusion):
-        bare, under = set(), set()
+    def __init__(self, terms, premises=0):
+        bare = set()  # the variables with an occurrence not under ~
 
-        def walk(t, parent):
+        def walk(t):
             if isinstance(t, Var):
-                (under if parent is Brouwer else bare).add(t.name)
+                bare.add(t.name)
             elif isinstance(t, (Meet, Join)):
-                walk(t.left, Meet)
-                walk(t.right, Meet)
-            elif isinstance(t, (Kleene, Brouwer)):
-                walk(t.arg, type(t))
+                walk(t.left)
+                walk(t.right)
+            elif isinstance(t, Kleene) or \
+                    isinstance(t, Brouwer) and not isinstance(t.arg, Var):
+                walk(t.arg)
 
-        for ident in (*premises, *conclusion):
-            walk(ident.lhs, None)
-            walk(ident.rhs, None)
-        self.names = names = sorted(bare | under)
+        for t in terms:
+            walk(t)
+        self.names = names = sorted(set().union(*map(term_vars, terms)))
         self.fibred = tuple(name not in bare for name in names)
         var = {name: v for v, name in enumerate(names)}
         keyed, steps = {}, []
@@ -468,19 +468,13 @@ class _Plan:
                 return step((_OPS[type(t)],))
             raise TypeError(f"not a term: {t!r}")
 
-        def sides(ident):
-            left, right = slot(ident.lhs), slot(ident.rhs)
-            if ident.kind == "le":
-                right = step(("meet", *sorted((left, right))))
-            return left, right
-
-        self.premises = tuple(map(sides, premises))
-        self.conclusion = tuple(map(sides, conclusion))
+        self.slots = tuple(map(slot, terms))
+        pairs = tuple(zip(self.slots[::2], self.slots[1::2]))
+        self.premises, self.conclusion = pairs[:premises], pairs[premises:]
         self.steps = tuple(steps)
         self.tables = {op for _, op, _ in steps} - {"zero", "one"}
         self.maps = sorted(self.tables - {"meet", "join"}
                            | ({"brouwer"} if any(self.fibred) else set()))
-        self.layouts = {}
 
     def check_maps(self, algebras):
         kinds = {type(A) for A in algebras}
@@ -500,28 +494,25 @@ class _Plan:
         None for a fibred one, whose values differ by algebra.  A block
         whose algebras have at most w fibres holds ``per // w ** spread``
         of them, ``spread`` the number of fibred trailing variables."""
-        key = n, most, _BLOCK
-        if key not in self.layouts:
-            fibred = self.fibred
-            inner, cells = 0, 1
-            while inner < len(fibred) and \
-                    cells * (most if fibred[-1 - inner] else n) <= _BLOCK:
-                inner += 1
-                cells *= most if fibred[-inner] else n
-            lead = len(fibred) - inner
-            varying, fixed, looped = set(range(lead)), [], []
-            for step in self.steps:
-                if varying.intersection(step[2]):
-                    varying.add(step[0])
-                    looped.append(step)
-                else:
-                    fixed.append(step)
-            axes = [None if fibred[lead + k] else _axis(n, k, inner)
-                    for k in range(inner)]
-            spread = sum(fibred[lead:])
-            self.layouts[key] = (lead, fixed, looped, axes, spread,
-                                 _BLOCK // n ** (inner - spread))
-        return self.layouts[key]
+        fibred = self.fibred
+        inner, cells = 0, 1
+        while inner < len(fibred) and \
+                cells * (most if fibred[-1 - inner] else n) <= _BLOCK:
+            inner += 1
+            cells *= most if fibred[-inner] else n
+        lead = len(fibred) - inner
+        varying, fixed, looped = set(range(lead)), [], []
+        for step in self.steps:
+            if varying.intersection(step[2]):
+                varying.add(step[0])
+                looped.append(step)
+            else:
+                fixed.append(step)
+        axes = [None if fibred[lead + k] else _axis(n, k, inner)
+                for k in range(inner)]
+        spread = sum(fibred[lead:])
+        return (lead, fixed, looped, axes, spread,
+                _BLOCK // n ** (inner - spread))
 
 
 @functools.cache
@@ -532,12 +523,21 @@ def _axis(n, k, inner):
                                  for j in range(-1, inner)])
 
 
+def _sides(ident):
+    """The two terms an identity equates: ``x <= y`` is ``x = x ^ y``."""
+    if ident.kind == "le":
+        return ident.lhs, Meet(ident.lhs, ident.rhs)
+    return ident.lhs, ident.rhs
+
+
 @functools.cache
 def _plan(statement):
     """The plan of an interned statement, compiled on its first scan."""
-    if isinstance(statement, QuasiIdentity):
-        return _Plan(statement.premises, statement.conclusion)
-    return _Plan((), (statement,))
+    premises, conclusion = ((statement.premises, statement.conclusion)
+                            if isinstance(statement, QuasiIdentity)
+                            else ((), (statement,)))
+    return _Plan([t for ident in (*premises, *conclusion)
+                  for t in _sides(ident)], len(premises))
 
 
 def _run(steps, vals, read):
@@ -556,15 +556,14 @@ def evaluate(A, t, assignment):
         if not _is_index(assignment[v], A.n):
             raise ValueError(f"variable {v!r} is assigned "
                              f"{assignment[v]!r}, not an element index")
-    # the term as both sides of an identity: its slot is either side's
-    plan = _Plan((), (Identity(t, t, "eq"),))
+    plan = _Plan((t,))
     plan.check_maps((A,))
     vals = [None] * (len(plan.names) + len(plan.steps))
     for v, (name, fibred) in enumerate(zip(plan.names, plan.fibred)):
         a = int(assignment[name])
         vals[v] = A.brouwer[a] if fibred else a
     _run(plan.steps, vals, _reads(A, plan))
-    return vals[plan.conclusion[0][0]]
+    return vals[plan.slots[0]]
 
 
 def _reads(A, plan):
@@ -701,8 +700,9 @@ def _scan(algebras, statement):
     Python ints, one algebra at a time (``_scan_small``).  Otherwise the
     statement's plan (``_plan``) is run by numpy gathers from the
     operation tables of a block of algebras of one size n, stacked side
-    by side (``_stacked``); an index is computed in intp, so the narrow
-    tables are read as they are stored.  The trailing variables get one
+    by side (``_stacked``); an index is computed in intp, whatever the
+    entry type of the tables that give its terms, so the narrow tables
+    are read as they are stored.  The trailing variables get one
     broadcast axis each (``_Plan.layout``), of n values or, for a
     fibred variable, of the least elements of the fibres of ~, padded
     per block by repeating the last one.  The algebras are taken in the
@@ -722,7 +722,6 @@ def _scan(algebras, statement):
     fibred, n = plan.fibred, algebras[0].n
     if len(algebras) * n ** len(fibred) <= _SMALL:
         return [_scan_small(A, plan) for A in algebras]
-    nn = np.intp(n)
     fibres = [_fibres(A.brouwer) for A in algebras] if any(fibred) else ()
     order = sorted(range(len(algebras)), key=lambda i: len(fibres[i][0])) \
         if fibres else range(len(algebras))
@@ -734,8 +733,10 @@ def _scan(algebras, statement):
     read = {
         "zero": lambda: np.array([A.zero for A in block]).reshape(at.shape),
         "one": lambda: np.array([A.one for A in block]).reshape(at.shape),
-        "meet": lambda a, b: tabs["meet"].take(rows + a * nn + b),
-        "join": lambda a, b: tabs["join"].take(rows + a * nn + b),
+        "meet": lambda a, b: tabs["meet"].take(
+            rows + np.multiply(a, n, dtype=np.intp) + b),
+        "join": lambda a, b: tabs["join"].take(
+            rows + np.multiply(a, n, dtype=np.intp) + b),
         "kleene": lambda a: tabs["kleene"].take(base + a),
         "brouwer": lambda a: tabs["brouwer"].take(base + a)}
     start = 0

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from pbzlat import axioms, catalog, fileformat, terms
@@ -350,12 +351,12 @@ def test_product_above_256_elements():
     # a scan stacks the tables as they are stored, 16-bit above 256
     # elements, and the maps as they are
     for X in (C, P):
-        for op in ("meet", "join"):
-            assert terms._stacked([X, X], op).tolist() == \
-                list(getattr(X._ord, op)) * 2, (X.n, op)
-        for op in ("kleene", "brouwer"):
-            assert terms._stacked([X, X], op).tolist() == \
-                list(getattr(X, op)) * 2, (X.n, op)
+        narrow = np.uint8 if X.n <= 256 else np.uint16
+        for op in ("meet", "join", "kleene", "brouwer"):
+            stacked = terms._stacked([X, X], op)
+            table = getattr(X._ord if op in ("meet", "join") else X, op)
+            assert stacked.dtype == narrow, (X.n, op)
+            assert stacked.tolist() == list(table) * 2, (X.n, op)
     # the recursive interpreter scans one or two variables over P; a
     # product satisfies an identity iff its factors do, so three-variable
     # DIST is scanned over the chain
