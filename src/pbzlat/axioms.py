@@ -1,22 +1,18 @@
-"""Class membership checks and sharp-element bookkeeping.
+"""Class flags and sharp-element bookkeeping.
 
-Every predicate scans assignments exhaustively in ascending index order
-and reports the first (lexicographically least) witness on failure, so
-results are reproducible and witnesses are minimal.
+Every class flag is read off THEORY statements (``_FLAG_STATEMENTS``)
+by the one evaluator, ``terms._verdicts``, over a whole level of
+algebras at once.  A scan runs through the assignments in odometer
+order and reports the first (lexicographically least) failing one, so
+witnesses are reproducible and minimal.  The generator tests bare
+pairs of an order and an involution before any algebra exists
+(``_pseudo_kleene``, ``_sharp_interior``).
 """
 
 from . import terms
-from .core import _bits, _Record, _set_field
+from .core import _Record, _set_field
 
 __all__ = [
-    "is_pseudo_kleene",
-    "is_ortholattice",
-    "is_orthomodular",
-    "is_paraorthomodular",
-    "is_bz",
-    "is_bz_star",
-    "is_diamond_orthomodular",
-    "is_antiortholattice",
     "kleene_sharp",
     "sharp_sets",
     "SharpSets",
@@ -26,121 +22,16 @@ __all__ = [
 ]
 
 
-def is_pseudo_kleene(A):
-    """a ^ a' <= b v b' for all a, b.  Returns (bool, witness), the
-    witness the least failing (a, b)."""
-    return _pseudo_kleene(A._ord, A.kleene)
-
-
 def _pseudo_kleene(order, kleene):
-    """``is_pseudo_kleene`` of the pair of an order and an involution,
-    with no algebra built.  Each a ^ a' is tested against the set of all
-    b v b' at once, through its up-set mask."""
+    """Whether a ^ a' <= b v b' for all a, b, on the pair of an order
+    and an involution, with no algebra built: the THEORY statement PK.
+    Each a ^ a' is tested against the set of all b v b' at once,
+    through its up-set mask."""
     n, meet, join, up = order.n, order.meet, order.join, order.up
-    highs = [join[b * n + kleene[b]] for b in range(n)]
-    high_set = sum(1 << h for h in set(highs))
-    for a in range(n):
-        missed = high_set & ~up[meet[a * n + kleene[a]]]
-        if missed:
-            return False, (a, next(b for b, h in enumerate(highs)
-                                   if missed >> h & 1))
-    return True, None
-
-
-def is_ortholattice(A):
-    """Every element is Kleene-sharp: a ^ a' = 0."""
-    n, meet, kleene = A.n, A._ord.meet, A.kleene
-    for a in range(n):
-        if meet[a * n + kleene[a]] != A.zero:
-            return False, (a,)
-    return True, None
-
-
-def is_orthomodular(A):
-    """a <= b implies b = (b ^ a') v a.
-
-    Taking b = 1 forces a v a' = 1 hence a ^ a' = 0, so this already
-    implies the ortholattice condition; no separate check needed.
-    """
-    o, kleene = A._ord, A.kleene
-    n, meet, join = o.n, o.meet, o.join
-    for a in range(n):
-        an, kn = a * n, kleene[a] * n
-        mk, ja = meet[kn:kn + n], join[an:an + n]
-        for b in _bits(o.up[a]):
-            if ja[mk[b]] != b:
-                return False, (a, b)
-    return True, None
-
-
-def is_paraorthomodular(A):
-    """a <= b and a' ^ b = 0 imply a = b."""
-    o, kleene = A._ord, A.kleene
-    n, meet = o.n, o.meet
-    for a in range(n):
-        kn = kleene[a] * n
-        mk = meet[kn:kn + n]
-        for b in _bits(o.up[a] & ~(1 << a)):
-            if mk[b] == o.zero:
-                return False, (a, b)
-    return True, None
-
-
-_BZ_CLAUSES = ("pk", "bz:disjoint", "bz:expanding", "bz:antitone", "bz:link")
-
-
-def is_bz(A):
-    """Pseudo-Kleene plus the four Brouwer axioms.
-
-    Clauses, in check order: a ^ a~ = 0; a <= a~~; a <= b implies
-    b~ <= a~; a~' = a~~.  Witness is (clause name, elements).
-    """
-    ok, w = is_pseudo_kleene(A)
-    if not ok:
-        return False, ("pk", w)
-    o, kleene, tilde = A._ord, A.kleene, A.brouwer
-    n, up, down, meet = o.n, o.up, o.down, o.meet
-    for a in range(n):
-        if meet[a * n + tilde[a]] != o.zero:
-            return False, ("bz:disjoint", (a,))
-    for a in range(n):
-        if not up[a] >> tilde[tilde[a]] & 1:
-            return False, ("bz:expanding", (a,))
-    for a in range(n):
-        # the b above a, ascending, each with b~ <= a~
-        below = down[tilde[a]]
-        for b in _bits(up[a]):
-            if not below >> tilde[b] & 1:
-                return False, ("bz:antitone", (a, b))
-    for a in range(n):
-        if kleene[tilde[a]] != tilde[tilde[a]]:
-            return False, ("bz:link", (a,))
-    return True, None
-
-
-def is_bz_star(A):
-    """(a ^ a')~ <= a~ v a'~ for all a.  Assumes A is BZ."""
-    o, kleene, tilde = A._ord, A.kleene, A.brouwer
-    n, up, meet, join = o.n, o.up, o.meet, o.join
-    for a in range(n):
-        lhs = tilde[meet[a * n + kleene[a]]]
-        if not up[lhs] >> join[tilde[a] * n + tilde[kleene[a]]] & 1:
-            return False, (a,)
-    return True, None
-
-
-def is_diamond_orthomodular(A):
-    """(a~ v (<>a ^ <>b)) ^ <>a <= <>b for all a, b.  Assumes A is BZ."""
-    o, brouwer = A._ord, A.brouwer
-    n, up, meet, join = o.n, o.up, o.meet, o.join
-    diamonds = [brouwer[brouwer[a]] for a in range(n)]
-    for a, da in enumerate(diamonds):
-        dn, tn = da * n, brouwer[a] * n
-        md, jt = meet[dn:dn + n], join[tn:tn + n]
-        for b, db in enumerate(diamonds):
-            if not up[md[jt[md[db]]]] >> db & 1:
-                return False, (a, b)
-    return True, None
+    high_set = sum(1 << h for h in {join[b * n + kleene[b]]
+                                    for b in range(n)})
+    return not any(high_set & ~up[meet[a * n + kleene[a]]]
+                   for a in range(n))
 
 
 def _sharp_interior(order, kleene):
@@ -155,11 +46,6 @@ def kleene_sharp(A):
     0 and 1 always lie in it, since ' reverses the order and so swaps
     them, and the rest is ``_sharp_interior``."""
     return frozenset((A.zero, A.one, *_sharp_interior(A._ord, A.kleene)))
-
-
-def is_antiortholattice(A):
-    """S_K = {0, 1}: no Kleene-sharp elements besides the bounds."""
-    return not _sharp_interior(A._ord, A.kleene)
 
 
 class SharpSets(_Record):
@@ -271,49 +157,78 @@ def satisfies(A, name):
     return terms.holds(A, terms.THEORY[name])[0]
 
 
-def classify(A):
-    """Evaluate every class flag on a validated algebra.
+# The THEORY statements each class flag reads, in order, each with the
+# label of its witness.  A flag holds where all of its statements hold,
+# and its witness is that of the first one to fail, tagged with the
+# label when there is one.  BZ* and diamond-orthomodularity are read on
+# BZ algebras alone, which keeps PBZ* inside BZ* inside BZ on every
+# report, whatever the raw scans would say; S_K = {0, 1}, the bare
+# order-theoretic reading, keeps no witness.
+_FLAG_STATEMENTS = {
+    "pseudo-kleene": (("PK", None),),
+    "ortholattice": (("OL", None),),
+    "orthomodular": (("OM", None),),
+    "paraorthomodular": (("POM", None),),
+    "bz": (("PK", "pk"), ("BZ1", "bz:disjoint"), ("BZ2", "bz:expanding"),
+           ("BZ3", "bz:antitone"), ("BZ4", "bz:link")),
+    "bz-star": (("STAR", None),),
+    "diamond-orthomodular": (("DIAMOND_OM", None),),
+    "kleene-sharp-trivial": (("ANTIORTHO", None),),
+}
+_ON_BZ = ("bz-star", "diamond-orthomodular")
+_NO_WITNESS = ("kleene-sharp-trivial",)
 
-    BZ*-dependent flags are gated on BZ membership; that keeps the
-    by-definition containments (PBZ* inside BZ* inside BZ) true on the
-    report regardless of what the raw inequality scans would say.
+
+def classify(A):
+    """Evaluate every class flag on a validated algebra: the report of
+    a level of one algebra (``_classify_each``).
 
     The report is computed on the first call and kept on the algebra,
     whose maps cannot change; later calls return the same frozen
     report.
     """
-    return A._keep("classes", lambda: _classify(A))
+    return _classify_each((A,))[0]
 
 
-def _classify(A):
-    witnesses = {}
+def _classify_each(algebras):
+    """The class report of each of some algebras of one size, in order.
+    An algebra keeps its report, in a list of one, and later calls read
+    it; the algebras with none kept are classified together."""
+    kept = [A._keep("classes", list) for A in algebras]
+    if not all(kept):
+        todo = [i for i, report in enumerate(kept) if not report]
+        for i, report in zip(todo, _classify([algebras[i] for i in todo])):
+            kept[i].append(report)
+    return [report for report, in kept]
 
-    def note(name, pair):
-        ok, w = pair
-        if not ok:
-            witnesses[name] = w
-        return ok
 
-    pk = note("pseudo-kleene", is_pseudo_kleene(A))
-    ortho = note("ortholattice", is_ortholattice(A))
-    om = note("orthomodular", is_orthomodular(A))
-    pom = note("paraorthomodular", is_paraorthomodular(A))
-    bz = note("bz", is_bz(A))
-    bz_star = bz and note("bz-star", is_bz_star(A))
-    dom = bz and note("diamond-orthomodular", is_diamond_orthomodular(A))
-    pbz = bz and bz_star and dom
-    trivial = is_antiortholattice(A)
-    return AlgebraClassReport(
-        bounded_involution=True,
-        pseudo_kleene=pk,
-        ortholattice=ortho,
-        orthomodular=om,
-        paraorthomodular=pom,
-        bz=bz,
-        bz_star=bz_star,
-        diamond_orthomodular=dom,
-        pbz_star=pbz,
-        kleene_sharp_trivial=trivial,
-        antiortholattice=pbz and trivial,
-        witnesses=tuple(sorted(witnesses.items())),
-    )
+def _classify(algebras):
+    """The class reports of some algebras of one size, in order: each
+    flag's statements scanned in turn (``terms._verdicts``), each over
+    the algebras that have failed none of the flag's statements yet."""
+    passed, witnesses = {}, [{} for _ in algebras]
+    for flag, statements in _FLAG_STATEMENTS.items():
+        alive = range(len(algebras)) if flag not in _ON_BZ else \
+            sorted(passed["bz"])
+        for name, label in statements:
+            verdicts = terms._verdicts([algebras[i] for i in alive],
+                                       terms.THEORY[name])
+            still = []
+            for i, (ok, witness) in zip(alive, verdicts):
+                if ok:
+                    still.append(i)
+                elif flag not in _NO_WITNESS:
+                    witnesses[i][flag] = witness if label is None \
+                        else (label, witness)
+            alive = still
+        passed[flag] = set(alive)
+    reports = []
+    for i, found in enumerate(witnesses):
+        flags = {_FLAG_FIELDS[flag]: i in on for flag, on in passed.items()}
+        pbz = flags["bz"] and flags["bz_star"] and \
+            flags["diamond_orthomodular"]
+        reports.append(AlgebraClassReport(
+            bounded_involution=True, pbz_star=pbz,
+            antiortholattice=pbz and flags["kleene_sharp_trivial"],
+            witnesses=tuple(sorted(found.items())), **flags))
+    return reports

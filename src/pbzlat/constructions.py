@@ -173,7 +173,7 @@ def horizontal_sum(summands, name=None):
         if S.kleene[S.zero] != S.one or S.brouwer[S.zero] != S.one \
                 or S.brouwer[S.one] != S.zero:
             raise ValueError("summand maps do not fix the shared bounds")
-    bad = sum(1 for S in summands if not axioms.is_orthomodular(S)[0])
+    bad = sum(1 for S in summands if not axioms.classify(S).orthomodular)
     if bad > 1:
         raise ValueError(
             "at most one horizontal summand may fail orthomodularity")

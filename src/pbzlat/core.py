@@ -508,8 +508,9 @@ class _Carrier:
     ``compute()`` and keeping its value the first time.  Every carrier
     starts with nothing kept, so renamed copies, reducts and canonical
     copies compute their own results.  The keys in use are ``"canon"``
-    (``canonical_form``), ``"classes"`` (``axioms.classify``),
-    ``"reach"`` (``congruences._CoverReach``), ``"blocks"``
+    (``canonical_form``), ``"classes"``, a list holding the class
+    report once made (``axioms._classify_each``), ``"reach"``
+    (``congruences._CoverReach``), ``"blocks"``
     (``constructions.blocks``), ``"verdicts"``, a dict of identity
     verdicts by statement (``terms._verdicts``), each ``(ok,
     witness)`` with the witness a tuple in the order of the

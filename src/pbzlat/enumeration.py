@@ -34,7 +34,8 @@ generator.  Bare lattices are grown by atom insertion with
 canonical-form deduplication.  On top of that sit a smallest
 counterexample search and a registry of corpus-wide claims.  Each
 claim declares its hypotheses and conclusions as class flags and
-THEORY statements, universal clauses among them, read by name through
+THEORY statements, universal clauses among them, read by name: the
+hypotheses over a whole level (``_admit``), the conclusions through
 ``axioms.satisfies``; a check function is left only for what no flag
 or clause states (an equivalence, a size bound, a report).
 Decoration, filters, identity checks and claim checks all run in the
@@ -52,6 +53,8 @@ raised before building a spec that goes beyond them.
 """
 
 import functools
+import itertools
+import operator
 
 from . import axioms, congruences, constructions, terms
 from .axioms import _sharp_interior
@@ -275,8 +278,8 @@ def bz_brouwer_maps(L, kleene):
     the order of L is read, so L may also be an algebra.
 
     In a BZ-lattice, a~ is the largest element of the modal-sharp set
-    S = {s : s~ = s'} below a'.  With BZ1-BZ4 the clauses of
-    axioms.is_bz (disjoint, expanding, antitone, link): a <= a~~ = a~'
+    S = {s : s~ = s'} below a'.  With BZ1-BZ4 the THEORY statements
+    the bz flag reads (disjoint, expanding, antitone, link): a <= a~~ = a~'
     gives a~ <= a', and a~' = a~~ puts a~ in S; if s is in S and
     s <= a', then a <= s' = s~, so s <= s~~ <= a~.  Further, 1 ^ 1~ = 0
     gives 1~ = 0 and then 0~ = 1~~ = 1, so 0 and 1 are in S; s ^ s' =
@@ -294,7 +297,7 @@ def bz_brouwer_maps(L, kleene):
     the trivial map, a~ = 0 for every a but 0.
     """
     order = L._ord
-    if not axioms._pseudo_kleene(order, kleene)[0]:
+    if not axioms._pseudo_kleene(order, kleene):
         return []
     n, zero, one, join = order.n, order.zero, order.one, order.join
     orbits = [a for a in _sharp_interior(order, kleene) if a < kleene[a]]
@@ -624,7 +627,7 @@ def _augmented(candidates):
         if not tied:
             continue
         order, _ = _check_order(up)
-        if order is None or not axioms._pseudo_kleene(order, kleene)[0]:
+        if order is None or not axioms._pseudo_kleene(order, kleene):
             continue
         if _in_canonical_orbit(order, kleene, tied):
             pairs.append((order, kleene))
@@ -638,13 +641,19 @@ def _augmented(candidates):
 def _admit(level, classes, identities):
     """The algebras of one level that have every class flag and satisfy
     every THEORY identity named, in order: a spec's filters or a claim's
-    hypotheses.  Each filter narrows the survivors of the one before:
-    a class flag is read per algebra, an identity is checked over them
-    all at once (``terms._verdicts``, the verdicts ``holds_each`` reads,
-    with no witness dicts built)."""
+    hypotheses.  With classes named the level is classified at once
+    (``axioms._classify_each``), and each report read once per class;
+    each identity then narrows the survivors, checked over them all at
+    once (``terms._verdicts``, the verdicts ``holds_each`` reads, with
+    no witness dicts built)."""
     kept = level
-    for name in classes:
-        kept = [A for A in kept if axioms.satisfies(A, name)]
+    if classes:
+        reports = axioms._classify_each(level)
+        for name in classes:
+            held = list(map(operator.attrgetter(axioms._FLAG_FIELDS[name]),
+                            reports))
+            kept = list(itertools.compress(kept, held))
+            reports = list(itertools.compress(reports, held))
     for name in identities:
         kept = [A for A, (ok, _) in
                 zip(kept, terms._verdicts(kept, terms.THEORY[name])) if ok]
@@ -859,8 +868,9 @@ class CorpusReport(_Record):
 
 class _Claim(_Record):
     """A registered claim: its text, its hypotheses (class flags, THEORY
-    statements and subdirect irreducibility) and its conclusions (class
-    flags and THEORY statements), each read by ``axioms.satisfies``.
+    statements and subdirect irreducibility), read over a level by
+    ``_admit``, and its conclusions (class flags and THEORY statements),
+    each read by ``axioms.satisfies``.
     The optional check covers what no flag or clause states: it returns
     a tuple saying what fails, empty when nothing does.  Its outcome is
     kept on the algebra, so a check must be a pure function of the

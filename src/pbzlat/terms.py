@@ -651,11 +651,14 @@ def holds_each(algebras, statement):
 def _verdicts(algebras, statement):
     """The verdict each algebra keeps for a statement, scanning those
     that keep none: ``(ok, witness)``, the witness a tuple of values in
-    the order of the statement's sorted variable names, or None."""
-    statement = _interned(statement)
+    the order of the statement's sorted variable names, or None.  The
+    statement is interned at the public door (``_interned``), or is a
+    THEORY statement."""
     algebras = list(algebras)  # read twice below
-    if len({A.n for A in algebras}) > 1:
-        raise ValueError("holds_each takes algebras of one size")
+    if algebras:
+        n = algebras[0]._ord.n
+        if not all(A._ord.n == n for A in algebras):
+            raise ValueError("holds_each takes algebras of one size")
     kept = [A._keep("verdicts", dict) for A in algebras]
     verdicts = [k.get(statement) for k in kept]
     todo = [i for i, verdict in enumerate(verdicts) if verdict is None]
@@ -716,12 +719,12 @@ def _scan(algebras, statement):
     assignment: a padded value repeats one that comes before it.  A
     block of algebras is done once each has failed.
     """
-    import numpy as np
     plan = _plan(statement)
     plan.check_maps(algebras)
     fibred, n = plan.fibred, algebras[0].n
     if len(algebras) * n ** len(fibred) <= _SMALL:
         return [_scan_small(A, plan) for A in algebras]
+    import numpy as np
     fibres = [_fibres(A.brouwer) for A in algebras] if any(fibred) else ()
     order = sorted(range(len(algebras)), key=lambda i: len(fibres[i][0])) \
         if fibres else range(len(algebras))
@@ -824,6 +827,7 @@ _THEORY_SOURCE = {
     "BZ2": "x <= x~~",
     "BZ3": "x <= y => y~ <= x~",
     "BZ4": "x~' = x~~",
+    "OL": "x ^ x' = 0",
     "OM": "x <= y => y = (y ^ x') v x",
     "POM": "x <= y & x' ^ y = 0 => x = y",
     "DCHAIN1": "x v []y = (x v y) ^ (<>x v []y)",

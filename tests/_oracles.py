@@ -9,8 +9,8 @@ must reproduce exactly: the unpruned canonical search, the recursive
 term evaluator and identity checker, the pairwise congruence lattice,
 the relational products behind direct indecomposability, the
 backtracking Brouwer search, the nested loops of check_basics, of the
-order checks, of the pseudo-Kleene test, of the BZ and BZ* tests and
-of the Kleene-sharp set,
+order checks, of every class flag's test and the class report they
+make, and of the Kleene-sharp set,
 the Brouwer search on every pair, which the decoration of pairs with
 no sharp element but 0 and 1 skips, a canonical search from scratch
 for every decoration, where the library searches one per class from
@@ -235,9 +235,40 @@ def is_pseudo_kleene(A):
     return True, None
 
 
+def is_ortholattice(A):
+    """a ^ a' = 0 for all a, the least failing a the witness."""
+    for a in range(A.n):
+        if A.meet(a, A.kleene[a]) != A.zero:
+            return False, (a,)
+    return True, None
+
+
+def is_orthomodular(A):
+    """a <= b implies b = (b ^ a') v a, by nested loops, the least
+    failing (a, b) the witness."""
+    for a in range(A.n):
+        for b in range(A.n):
+            if A.le(a, b) and A.join(A.meet(b, A.kleene[a]), a) != b:
+                return False, (a, b)
+    return True, None
+
+
+def is_paraorthomodular(A):
+    """a <= b and a' ^ b = 0 imply a = b, by nested loops, the least
+    failing (a, b) the witness."""
+    for a in range(A.n):
+        for b in range(A.n):
+            if a != b and A.le(a, b) and \
+                    A.meet(A.kleene[a], b) == A.zero:
+                return False, (a, b)
+    return True, None
+
+
 def is_bz(A):
-    """``axioms.is_bz`` by method calls and nested loops: the clause
-    names and least witnesses it reports."""
+    """Pseudo-Kleene plus the four Brouwer axioms, by method calls and
+    nested loops: a ^ a~ = 0, a <= a~~, a <= b implies b~ <= a~, and
+    a~' = a~~, checked in that order.  The witness is the clause name
+    and its least failing elements."""
     ok, w = is_pseudo_kleene(A)
     if not ok:
         return False, ("pk", w)
@@ -258,14 +289,55 @@ def is_bz(A):
 
 
 def is_bz_star(A):
-    """``axioms.is_bz_star`` by method calls: (a ^ a')~ <= a~ v a'~,
-    the least failing a the witness."""
+    """(a ^ a')~ <= a~ v a'~ by method calls, the least failing a the
+    witness."""
     for a in range(A.n):
         lhs = A.brouwer[A.meet(a, A.kleene[a])]
         rhs = A.join(A.brouwer[a], A.brouwer[A.kleene[a]])
         if not A.le(lhs, rhs):
             return False, (a,)
     return True, None
+
+
+def is_diamond_orthomodular(A):
+    """(a~ v (<>a ^ <>b)) ^ <>a <= <>b by nested loops, the least
+    failing (a, b) the witness."""
+    for a in range(A.n):
+        for b in range(A.n):
+            da, db = A.diamond(a), A.diamond(b)
+            if not A.le(A.meet(A.join(A.brouwer[a], A.meet(da, db)), da),
+                        db):
+                return False, (a, b)
+    return True, None
+
+
+def classify(A):
+    """The class report ``axioms.classify`` must give, from the nested
+    loops above: BZ* and diamond-orthomodularity read on BZ algebras
+    only, and S_K = {0, 1} read with no witness."""
+    witnesses = {}
+
+    def note(name, pair):
+        ok, w = pair
+        if not ok:
+            witnesses[name] = w
+        return ok
+
+    pk = note("pseudo-kleene", is_pseudo_kleene(A))
+    ortho = note("ortholattice", is_ortholattice(A))
+    om = note("orthomodular", is_orthomodular(A))
+    pom = note("paraorthomodular", is_paraorthomodular(A))
+    bz = note("bz", is_bz(A))
+    bz_star = bz and note("bz-star", is_bz_star(A))
+    dom = bz and note("diamond-orthomodular", is_diamond_orthomodular(A))
+    pbz = bz and bz_star and dom
+    trivial = kleene_sharp(A) == {A.zero, A.one}
+    return axioms.AlgebraClassReport(
+        bounded_involution=True, pseudo_kleene=pk, ortholattice=ortho,
+        orthomodular=om, paraorthomodular=pom, bz=bz, bz_star=bz_star,
+        diamond_orthomodular=dom, pbz_star=pbz,
+        kleene_sharp_trivial=trivial, antiortholattice=pbz and trivial,
+        witnesses=tuple(sorted(witnesses.items())))
 
 
 def kleene_sharp(A):
@@ -368,7 +440,7 @@ def backtrack_brouwer_maps(L, kleene):
     def rec(i):
         if i == len(todo):
             cand = tuple(tilde)
-            ok, _ = axioms.is_bz(core.FiniteAlgebra._from_order(
+            ok, _ = is_bz(core.FiniteAlgebra._from_order(
                 L._ord, kleene, cand, L.labels, None))
             if ok:
                 out.append(cand)
@@ -380,8 +452,7 @@ def backtrack_brouwer_maps(L, kleene):
                 rec(i + 1)
         tilde[a] = None
 
-    if axioms.is_pseudo_kleene(core.FiniteAlgebra._from_order(
-            L._ord, kleene, _trivial_brouwer(L)))[0]:
+    if axioms._pseudo_kleene(L._ord, kleene):
         rec(0)
     return out
 
@@ -503,7 +574,7 @@ def lattice_first_pk_pairs(n):
     return {core._canon_bytes(n, A._ord.up, (A.kleene,))
             for L in enumeration.enumerate_lattices(n)
             for A in _trivially_decorated(L)
-            if axioms.is_pseudo_kleene(A)[0]}
+            if axioms._pseudo_kleene(A._ord, A.kleene)}
 
 
 @functools.cache
@@ -524,9 +595,7 @@ def seen_set_pk_pairs(n):
     seen = set()
     for up, kleene in candidates:
         order, _ = core._check_order(up)
-        if order is None or not axioms.is_pseudo_kleene(
-                core.FiniteAlgebra._from_order(
-                    order, kleene, enumeration._trivial_brouwer(order)))[0]:
+        if order is None or not axioms._pseudo_kleene(order, kleene):
             continue
         key = core._canon_bytes(n, up, (kleene,))
         if key not in seen:

@@ -1,6 +1,8 @@
 """Class predicates: pseudo-Kleene through PBZ* and the sharp sets."""
 
 import itertools
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,12 +16,25 @@ def decorate(n, covers, kleene, brouwer):
     return FiniteAlgebra.from_covers(n, covers, kleene, brouwer)
 
 
+def by_levels(algebras):
+    """The class report of each algebra, in order, each size's algebras
+    classified at once."""
+    levels = {}
+    for A in algebras:
+        levels.setdefault(A.n, []).append(A)
+    reports = {}
+    for level in levels.values():
+        reports.update(zip(map(id, level), axioms._classify_each(level)))
+    return [reports[id(A)] for A in algebras]
+
+
 def test_pseudo_kleene_witness():
     # B4 with ' fixing both atoms is an involution but not pseudo-Kleene
     A = decorate(4, [(0, 1), (0, 2), (1, 3), (2, 3)],
                  [3, 1, 2, 0], [3, 0, 0, 0])
-    ok, witness = axioms.is_pseudo_kleene(A)
-    assert not ok and witness is not None
+    report = axioms.classify(A)
+    witness = dict(report.witnesses).get("pseudo-kleene")
+    assert not report.pseudo_kleene and witness is not None
     a, b = witness[:2]
     assert not A.le(A.meet(a, A.kleene[a]), A.join(b, A.kleene[b]))
 
@@ -35,8 +50,12 @@ def test_pseudo_kleene_against_nested_loops():
     algebras += [A for n in range(1, 9)
                  for L in enumeration.enumerate_lattices(n)
                  for A in _oracles._trivially_decorated(L)]
-    verdicts = [axioms.is_pseudo_kleene(A) for A in algebras]
+    reports = [axioms.classify(A) for A in algebras]
+    verdicts = [(r.pseudo_kleene, dict(r.witnesses).get("pseudo-kleene"))
+                for r in reports]
     assert verdicts == [_oracles.is_pseudo_kleene(A) for A in algebras]
+    assert [axioms._pseudo_kleene(A._ord, A.kleene) for A in algebras] == \
+        [ok for ok, _ in verdicts]
     # the witness path is taken too: 150 involutions are not PK
     assert sum(not ok for ok, _ in verdicts) == 150
 
@@ -58,45 +77,90 @@ def test_bz_and_bz_star_against_nested_loops():
     mutants = [FiniteAlgebra._from_order(A._ord, A.kleene, tilde)
                for A, tilde in maps]
     algebras = corpora[0] + corpora[1] + mutants
-    bz = [axioms.is_bz(A) for A in algebras]
+    reports = by_levels(algebras)
+    assert reports == [_oracles.classify(A) for A in algebras]
+    bz = [(r.bz, dict(r.witnesses).get("bz")) for r in reports]
     assert bz == [_oracles.is_bz(A) for A in algebras]
-    star = [axioms.is_bz_star(A) for A in algebras]
-    assert star == [_oracles.is_bz_star(A) for A in algebras]
+    # BZ* as a statement, read on every algebra, BZ or not
+    star = [terms.holds(A, terms.THEORY["STAR"]) for A in algebras]
+    assert [(ok, w and (w["x"],)) for ok, w in star] == \
+        [_oracles.is_bz_star(A) for A in algebras]
     assert all(ok for ok, _ in bz[:len(algebras) - len(mutants)])
     # every clause fails somewhere, and so does BZ* on a BZ mutant
     failed = {w[0] for ok, w in bz if not ok}
     assert failed == {"bz:disjoint", "bz:expanding", "bz:antitone",
                       "bz:link"}
-    assert any(b[0] and not s[0] for b, s in zip(bz, star))
+    assert any(r.bz and not r.bz_star for r in reports)
+
+
+def test_class_reports_equal_the_oracles():
+    # every report, witnesses included, equals the nested loops' over
+    # both sweep corpora and 10000 mutants with random ~ maps (the map
+    # of a corpus algebra with some images redrawn, or all of them),
+    # classified a level at a time and one algebra at a time
+    corpora = [list(enumeration.enumerate_all(spec)) for spec in (
+        enumeration.EnumerationSpec(max_size=10,
+                                    structure="antiortholattice"),
+        enumeration.EnumerationSpec(max_size=8))]
+    rng = random.Random(3701)
+    maps = []
+    for _ in range(10000):
+        A = rng.choice(corpora[rng.randrange(2)])
+        tilde = list(A.brouwer)
+        for a in rng.sample(range(A.n), rng.randint(1, A.n)):
+            tilde[a] = rng.randrange(A.n)
+        maps.append((A, tilde))
+    want = [_oracles.classify(A) for corpus in corpora for A in corpus]
+    want += [_oracles.classify(FiniteAlgebra._from_order(
+        A._ord, A.kleene, tilde)) for A, tilde in maps]
+    # copies keep no results, so each route classifies its own
+    levelwise, apart = ([*(pickle.loads(pickle.dumps(A))
+                           for corpus in corpora for A in corpus),
+                         *(FiniteAlgebra._from_order(A._ord, A.kleene, tilde)
+                           for A, tilde in maps)] for _ in range(2))
+    assert by_levels(levelwise) == want
+    assert [axioms.classify(A) for A in apart] == want
+    # every flag fails somewhere but the two the mutants cannot fail
+    # (they keep the corpus's pseudo-Kleene pairs; the involutions that
+    # are not are in test_pseudo_kleene_against_nested_loops), each with
+    # its witnesses, and each BZ clause fails first somewhere
+    for name in axioms.CLASS_FLAGS[2:]:
+        assert any(not r.flags()[name] for r in want), name
+    named = {name for r in want for name, _ in r.witnesses}
+    assert named == {"ortholattice", "orthomodular", "paraorthomodular",
+                     "bz", "bz-star", "diamond-orthomodular"}
+    assert {w[0] for r in want for name, w in r.witnesses
+            if name == "bz"} == {"bz:disjoint", "bz:expanding",
+                                 "bz:antitone", "bz:link"}
 
 
 def test_ortholattice_vs_pseudo_kleene():
     D4 = catalog.get("D4")
-    assert axioms.is_pseudo_kleene(D4)[0]
-    ok, _ = axioms.is_ortholattice(D4)
-    assert not ok  # a ^ a' = a in the chain
-    assert axioms.is_ortholattice(catalog.get("B8"))[0]
+    assert axioms.classify(D4).pseudo_kleene
+    assert not axioms.classify(D4).ortholattice  # a ^ a' = a in the chain
+    assert axioms.classify(catalog.get("B8")).ortholattice
 
 
 def test_orthomodular_examples():
-    assert axioms.is_orthomodular(catalog.get("MO2"))[0]
-    ok, witness = axioms.is_orthomodular(catalog.get("O6-benzene"))
-    assert not ok
-    a, b = witness[:2]
+    assert axioms.classify(catalog.get("MO2")).orthomodular
+    report = axioms.classify(catalog.get("O6-benzene"))
+    assert not report.orthomodular
+    a, b = dict(report.witnesses)["orthomodular"][:2]
     A = catalog.get("O6-benzene")
     assert A.le(a, b) and b != A.join(A.meet(b, A.kleene[a]), a)
 
 
 def test_paraorthomodular_examples():
-    assert axioms.is_paraorthomodular(catalog.get("D5"))[0]
-    assert not axioms.is_paraorthomodular(catalog.get("O6-benzene"))[0]
+    assert axioms.classify(catalog.get("D5")).paraorthomodular
+    assert not axioms.classify(catalog.get("O6-benzene")).paraorthomodular
 
 
 def test_non_bz_brouwer_detected():
     # on the chain, ~ = ' breaks a ^ a~ = 0
     A = decorate(4, [(0, 1), (1, 2), (2, 3)], [3, 2, 1, 0], [3, 2, 1, 0])
-    ok, witness = axioms.is_bz(A)
-    assert witness == ("bz:disjoint", (1,))
+    report = axioms.classify(A)
+    assert not report.bz
+    assert dict(report.witnesses)["bz"] == ("bz:disjoint", (1,))
     with pytest.raises(ValueError) as err:
         axioms.sharp_sets(A)
     assert str(err.value) == \
@@ -108,7 +172,7 @@ def test_trivial_brouwer_is_always_bz_on_pseudo_kleene():
         A = catalog.get(name)
         triv = [A.one if x == A.zero else A.zero for x in range(A.n)]
         B = FiniteAlgebra(A.leq.tolist(), list(A.kleene), triv)
-        assert axioms.is_bz(B)[0]
+        assert axioms.classify(B).bz
 
 
 def test_benzene_is_bz_star_but_not_pbz():
@@ -143,7 +207,7 @@ def test_one_list_of_class_flags(capsys):
 
 
 def test_satisfies_reads_flags_and_theory_by_name():
-    assert len(terms.THEORY) == 28
+    assert len(terms.THEORY) == 29
     for spec in (enumeration.EnumerationSpec(max_size=10,
                                              structure="antiortholattice"),
                  enumeration.EnumerationSpec(max_size=8)):
@@ -248,7 +312,7 @@ def test_antiortholattices_carry_the_trivial_brouwer():
 def test_check_basics_clean_on_catalog():
     for name in catalog.names():
         A = catalog.get(name)
-        if axioms.is_bz(A)[0]:
+        if axioms.classify(A).bz:
             assert axioms.check_basics(A) == [], name
 
 

@@ -288,10 +288,7 @@ def test_pk_pretest_agrees_with_the_canonical_orbit():
     for n in range(3, 11):
         for up, kleene in enumeration._pk_candidates(n):
             order, _ = core._check_order(up)
-            if order is None or not axioms.is_pseudo_kleene(
-                    FiniteAlgebra._from_order(
-                        order, kleene,
-                        enumeration._trivial_brouwer(order)))[0]:
+            if order is None or not axioms._pseudo_kleene(order, kleene):
                 continue
             x = kleene[-1]
             top = enumeration._top_degree_atoms(up, x)
@@ -348,10 +345,7 @@ def test_aol_insertion_lemma():
             [c for c in candidates if _meets_aol_requirement(*c)]
         for up, kleene in candidates:
             order, _ = core._check_order(up)
-            if order is None or not axioms.is_pseudo_kleene(
-                    FiniteAlgebra._from_order(
-                        order, kleene,
-                        enumeration._trivial_brouwer(order)))[0]:
+            if order is None or not axioms._pseudo_kleene(order, kleene):
                 continue
             meets = _meets_aol_requirement(up, kleene)
             assert meets == (not enumeration._sharp_interior(order, kleene))

@@ -699,6 +699,21 @@ def test_numpy_is_imported_on_first_use(probe, tmp_path, capsys):
         assert value == ["numpy", False, A.leq.tolist()]
 
 
+def test_a_small_scan_leaves_numpy_unloaded():
+    # PK on D3 scans 9 assignments, which run on Python ints, so a fresh
+    # process that decides it has not imported numpy
+    code = ("import sys\n"
+            "from pbzlat import catalog, terms\n"
+            "print(terms.holds(catalog.get('D3'), terms.THEORY['PK']))\n"
+            "print('numpy' in sys.modules)\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env, check=True)
+    assert fresh.stdout.splitlines() == ["(True, None)", "False"]
+
+
 # Arguments for check, construct and search: real names and junk.
 _JUNK = st.sampled_from(("", "magic", "-", "x", "Q17", "b4 ", "--max",
                          "\u00e9", "x = y", "x ^^ y"))
