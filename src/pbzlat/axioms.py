@@ -2,21 +2,24 @@
 
 Every class flag is read off THEORY statements (``_FLAG_STATEMENTS``)
 by the one evaluator, ``terms._verdicts``, over a whole level of
-algebras at once.  A scan runs through the assignments in odometer
-order and reports the first (lexicographically least) failing one, so
-witnesses are reproducible and minimal.  The generator tests bare
-pairs of an order and an involution before any algebra exists
-(``_pseudo_kleene``, ``_sharp_interior``).
+algebras at once, and ``_held`` reads a flag or a THEORY statement by
+name over a level, as spec filters and claims name them.  A scan runs
+through the assignments in odometer order and reports the first
+(lexicographically least) failing one, so witnesses are reproducible
+and minimal.  The generator tests bare pairs of an order and an
+involution before any algebra exists (``_pseudo_kleene``,
+``_sharp_interior``).
 """
 
+import operator
+
 from . import terms
-from .core import _Record, _set_field
+from .core import _keep_each, _Record, _set_field
 
 __all__ = [
     "kleene_sharp",
     "sharp_sets",
     "SharpSets",
-    "check_basics",
     "classify",
     "AlgebraClassReport",
 ]
@@ -75,35 +78,6 @@ def sharp_sets(A):
     return SharpSets(kleene_sharp(A), s_diamond, s_b)
 
 
-_BASIC_CLAUSES = tuple(
-    (clause, terms.parse_statement(text)) for clause, text in (
-        ("triple-brouwer", "a~~~ = a~"),
-        ("brouwer-below-kleene", "a~ <= a'"),
-        ("join-demorgan", "(a v b)~ = a~ ^ b~"),
-        ("meet-halfdemorgan", "a~ v b~ <= (a ^ b)~"),
-        ("box-kleene-link", "([](a'))' = <>a"),
-        ("box-meet", "[](a ^ b) = []a ^ []b"),
-        ("diamond-join", "<>(a v b) = <>a v <>b"),
-        ("diamond-meet", "<>(a ^ b) <= <>a ^ <>b"),
-        ("negative-kills", "a' <= a => a~ = 0"),
-    ))
-
-
-def check_basics(A):
-    """Brouwer/modal arithmetic facts that hold in every BZ-lattice.
-
-    Returns a list of (clause, witness) for whatever fails, the witness
-    being the first failing assignment's values in variable order;
-    empty means all nine clauses hold.  Assumes A is BZ.
-    """
-    bad = []
-    for clause, statement in _BASIC_CLAUSES:
-        ok, w = terms.holds(A, statement)
-        if not ok:
-            bad.append((clause, tuple(w[v] for v in sorted(w))))
-    return bad
-
-
 class AlgebraClassReport(_Record):
     """One flag per axiom class, with witnesses for the failures.
 
@@ -147,14 +121,28 @@ CLASS_FLAGS = tuple(name.replace("_", "-")
                     for name in AlgebraClassReport.__match_args__
                     if name != "witnesses")
 _FLAG_FIELDS = {name: name.replace("-", "_") for name in CLASS_FLAGS}
+_FLAG_READERS = {name: operator.attrgetter(field)
+                 for name, field in _FLAG_FIELDS.items()}
 
 
 def satisfies(A, name):
     """Whether A has the class flag ``name`` or satisfies the THEORY
-    statement ``name``; both are kept on the algebra once decided."""
-    if name in _FLAG_FIELDS:
-        return getattr(classify(A), _FLAG_FIELDS[name])
-    return terms.holds(A, terms.THEORY[name])[0]
+    statement ``name``; both are kept on the algebra once decided.
+    This is ``_held`` for one algebra."""
+    return _held((A,), name)[0]
+
+
+def _held(algebras, name):
+    """Whether each of some algebras of one size, in order, has the
+    class flag ``name`` or satisfies the THEORY statement ``name``: the
+    one reader of names behind spec filters, claim hypotheses and claim
+    conclusions.  A flag is read off the kept class reports, the
+    algebras with none classified together; a statement off the kept
+    verdicts (``terms._verdicts``)."""
+    read = _FLAG_READERS.get(name)
+    if read is not None:
+        return list(map(read, _keep_each(algebras, "classes", _classify)))
+    return [ok for ok, _ in terms._verdicts(algebras, terms.THEORY[name])]
 
 
 # The THEORY statements each class flag reads, in order, each with the
@@ -181,25 +169,13 @@ _NO_WITNESS = ("kleene-sharp-trivial",)
 
 def classify(A):
     """Evaluate every class flag on a validated algebra: the report of
-    a level of one algebra (``_classify_each``).
+    a level of one algebra (``_classify``).
 
     The report is computed on the first call and kept on the algebra,
     whose maps cannot change; later calls return the same frozen
     report.
     """
-    return _classify_each((A,))[0]
-
-
-def _classify_each(algebras):
-    """The class report of each of some algebras of one size, in order.
-    An algebra keeps its report, in a list of one, and later calls read
-    it; the algebras with none kept are classified together."""
-    kept = [A._keep("classes", list) for A in algebras]
-    if not all(kept):
-        todo = [i for i, report in enumerate(kept) if not report]
-        for i, report in zip(todo, _classify([algebras[i] for i in todo])):
-            kept[i].append(report)
-    return [report for report, in kept]
+    return _keep_each((A,), "classes", _classify)[0]
 
 
 def _classify(algebras):

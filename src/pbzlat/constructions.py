@@ -2,10 +2,13 @@
 
 Twist doubles, ordinal and horizontal sums, direct products, generated
 subalgebras and quotients, plus the positive/negative cone bookkeeping
-and the block decomposition used to recognize horizontal sums.
+and the block decomposition used to recognize horizontal sums.  The
+four element-wise conditions for a horizontal sum of blocks are the
+THEORY clauses ``HS_*``, read by the one evaluator over a whole level
+at once (``_horizontal_sum_reports``).
 """
 
-from . import axioms, congruences
+from . import axioms, congruences, terms
 from .core import BoundedLattice, FiniteAlgebra, _bits, _Record
 
 __all__ = [
@@ -366,66 +369,57 @@ class HorizontalSumReport(_Record):
         return self.by_blocks
 
 
-def _noncommuting_joins(A):
-    """The pairs a <= b, in index order, with a v b != 1 and gamma(a, b)
-    != 0; gamma is read inline, off the join rows of a and a~."""
-    o, tilde = A._ord, A.brouwer
-    n, zero, one, meet, join = o.n, o.zero, o.one, o.meet, o.join
-    for a in range(n):
-        an, tan = a * n, tilde[a] * n
-        ja, jta = join[an:an + n], join[tan:tan + n]
-        for b in range(a, n):
-            if ja[b] != one:
-                tb = tilde[b]
-                if meet[meet[meet[ja[b] * n + ja[tb]] * n + jta[b]] * n
-                        + jta[tb]] != zero:
-                    yield a, b
+# each horizontal-sum condition, in name order, and the THEORY clause
+# that states it
+_HS_CONDITIONS = (("dense-comparable", "HS_DENSE_CHAIN"),
+                  ("dense-or-sharp", "HS_DENSE_OR_SHARP"),
+                  ("dense-vs-sharp-join", "HS_DENSE_SHARP"),
+                  ("non-commuting-join", "HS_COMMUTE"))
 
 
 def is_horizontal_sum_of_blocks(A):
-    o, tilde = A._ord, A.brouwer
-    n, zero, one, up, meet, join = o.n, o.zero, o.one, o.up, o.meet, o.join
-    interior = [a for a in range(n) if a != zero and a != one]
-    dense = [a for a in interior if tilde[a] == zero]
-    sharp = [a for a in interior if tilde[tilde[a]] == a]
-    conds = {}
+    """The horizontal-sum report of a PBZ* algebra: the report of a
+    level of one algebra (``_horizontal_sum_reports``)."""
+    return _horizontal_sum_reports((A,))[0]
 
-    # gamma and v are symmetric, so the least failing pair has a <= b
-    w = next(_noncommuting_joins(A), None)
-    conds["non-commuting-join"] = (w is None, w)
 
-    w = next(((a, b) for a in dense for b in sharp if join[a * n + b] != one),
-             None)
-    conds["dense-vs-sharp-join"] = (w is None, w)
+def _horizontal_sum_reports(level):
+    """The horizontal-sum report of each of some PBZ* algebras of one
+    size, in order.  The four conditions are THEORY clauses
+    (``_HS_CONDITIONS``), each read over the whole level with the
+    verdicts it keeps (``terms._verdicts``); the blocks are kept one
+    algebra at a time."""
+    names = [name for name, _ in _HS_CONDITIONS]
+    verdicts = [terms._verdicts(level, terms.THEORY[statement])
+                for _, statement in _HS_CONDITIONS]
+    reports = []
+    for A, conds in zip(level, zip(*verdicts)):
+        masks = _block_masks(A)
+        reports.append(HorizontalSumReport(
+            conditions=tuple(zip(names, conds)),
+            by_conditions=all(ok for ok, _ in conds),
+            by_blocks=_sum_of_blocks(A, masks),
+            blocks=tuple(map(frozenset, map(_bits, masks)))))
+    return reports
 
-    w = next(((a, b) for a in dense for b in dense
-              if not (up[a] >> b | up[b] >> a) & 1), None)
-    conds["dense-comparable"] = (w is None, w)
 
-    w = next(((a,) for a in interior
-              if tilde[a] != zero and tilde[tilde[a]] != a), None)
-    conds["dense-or-sharp"] = (w is None, w)
-
-    masks = _block_masks(A)
+def _sum_of_blocks(A, masks):
+    """Whether the blocks cover A and share only the bounds, and
+    elements of no common block meet at 0 and join at 1."""
+    o = A._ord
+    n, zero, one, meet, join = o.n, o.zero, o.one, o.meet, o.join
     mates = [0] * n  # the elements sharing a block with each
     for m in masks:
         for a in _bits(m):
             mates[a] |= m
     full = (1 << n) - 1
-    interior_mask = full & ~(1 << zero | 1 << one)
-    # the blocks cover A and share only the bounds, and elements of no
-    # common block meet at 0 and join at 1
-    ok = all(mates) and not any(
-        m1 & m2 & interior_mask
+    interior = full & ~(1 << zero | 1 << one)
+    return all(mates) and not any(
+        m1 & m2 & interior
         for i, m1 in enumerate(masks) for m2 in masks[i + 1:]) and all(
         meet[an + b] == zero and join[an + b] == one
-        for a in interior for an in (a * n,) for b in _bits(full & ~mates[a]))
-    return HorizontalSumReport(
-        conditions=tuple(sorted(conds.items())),
-        by_conditions=all(v for v, _ in conds.values()),
-        by_blocks=ok,
-        blocks=tuple(map(frozenset, map(_bits, masks))),
-    )
+        for a in _bits(interior) for an in (a * n,)
+        for b in _bits(full & ~mates[a]))
 
 
 def product(A, B, name=None):

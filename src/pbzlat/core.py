@@ -505,17 +505,18 @@ class _Carrier:
     A carrier's tables cannot change, so a result derived from them
     alone is computed once and kept on the carrier: ``_keep(key,
     compute)`` returns the value kept under ``key``, calling
-    ``compute()`` and keeping its value the first time.  Every carrier
-    starts with nothing kept, so renamed copies, reducts and canonical
-    copies compute their own results.  The keys in use are ``"canon"``
-    (``canonical_form``), ``"classes"``, a list holding the class
-    report once made (``axioms._classify_each``), ``"reach"``
-    (``congruences._CoverReach``), ``"blocks"``
-    (``constructions.blocks``), ``"verdicts"``, a dict of identity
-    verdicts by statement (``terms._verdicts``), each ``(ok,
-    witness)`` with the witness a tuple in the order of the
-    statement's sorted variable names, and ``("check", fn)``, the tuple
-    of problems a claim check ``fn`` returned
+    ``compute()`` and keeping its value the first time, and
+    ``_keep_each`` does the same for a level of carriers at once.
+    Every carrier starts with nothing kept, so renamed copies, reducts
+    and canonical copies compute their own results.  The keys in use
+    are ``"canon"`` (``canonical_form``), ``"reach"``
+    (``congruences._CoverReach``) and ``"blocks"``
+    (``constructions.blocks``), kept one carrier at a time; and, kept a
+    level at a time, ``"classes"``, the class report
+    (``axioms.classify``), each statement itself, its verdict ``(ok,
+    witness)`` with the witness a tuple in the order of the statement's
+    sorted variable names (``terms._verdicts``), and ``("check", fn)``,
+    the tuple of problems a claim check ``fn`` returned
     (``enumeration.verify_over_corpus``).
     Kept values are immutable or private to their keeper, which hands
     out copies of mutable ones.
@@ -587,6 +588,19 @@ class _Carrier:
                 if up[a] & down[b] & ~(1 << a) & ~(1 << b) == 0:
                     out.append((a, b))
         return out
+
+
+def _keep_each(carriers, key, compute):
+    """The value each of a sequence of carriers keeps under ``key``, in
+    order.  The carriers that keep none get theirs from one call
+    ``compute(missing)``, which returns a value per missing carrier, in
+    order, and keep them.  A value kept this way is never None."""
+    values = [A._kept.get(key) for A in carriers]
+    missing = [i for i, value in enumerate(values) if value is None]
+    if missing:
+        for i, value in zip(missing, compute([carriers[i] for i in missing])):
+            carriers[i]._kept[key] = values[i] = value
+    return values
 
 
 class BoundedLattice(_Carrier):

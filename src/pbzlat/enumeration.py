@@ -34,18 +34,20 @@ generator.  Bare lattices are grown by atom insertion with
 canonical-form deduplication.  On top of that sit a smallest
 counterexample search and a registry of corpus-wide claims.  Each
 claim declares its hypotheses and conclusions as class flags and
-THEORY statements, universal clauses among them, read by name: the
-hypotheses over a whole level (``_admit``), the conclusions through
-``axioms.satisfies``; a check function is left only for what no flag
-or clause states (an equivalence, a size bound, a report).
+THEORY statements, universal clauses among them, read by name a level
+at a time through one reader (``axioms._held``): the hypotheses by
+``_admit``, the conclusions over the level's members; a check function
+is left only for what no flag or clause states (an equivalence, a
+size bound, a report), and it too takes the level's members.
 Decoration, filters, identity checks and claim checks all run in the
 calling process, over each level in its canonical order.
 
-Results are kept per carrier, through ``_Carrier._keep`` (class
-reports, verdicts, canonical forms, blocks, reach sets, claim-check
-outcomes), and per process, in the functools caches on ``_lattices``,
-``_pk_pairs``, ``_aol_pairs``, ``_pair_colors``, ``_pair_search``,
-``_bz_level`` and ``cli.build_parser``; nothing is kept per spec.  Statements are
+Results are kept per carrier, through ``_Carrier._keep`` (canonical
+forms, blocks, reach sets) and ``core._keep_each`` (class reports,
+verdicts, claim-check outcomes), and per process, in the functools
+caches on ``_lattices``, ``_pk_pairs``, ``_aol_pairs``,
+``_pair_colors``, ``_pair_search``, ``_bz_level`` and
+``cli.build_parser``; nothing is kept per spec.  Statements are
 interned in ``terms._STATEMENT_MEMO``.
 
 Size caps are checked when a spec is built, so ``CAPS`` must be
@@ -54,14 +56,13 @@ raised before building a spec that goes beyond them.
 
 import functools
 import itertools
-import operator
 
 from . import axioms, congruences, constructions, terms
 from .axioms import _sharp_interior
 from .core import (BoundedLattice, FiniteAlgebra, _bits, _canon_bytes,
                    _canonical_search_group, _check_order, _copy_along,
-                   _orbit, _Record, _refine_colors, _renumbered, _set_field,
-                   _set_index, canonical_form, chain_lattice)
+                   _keep_each, _orbit, _Record, _refine_colors, _renumbered,
+                   _set_field, _set_index, canonical_form, chain_lattice)
 # The benchmark's tracer (perfbench/spans.py) looks up
 # enumeration.canonical_form and enumeration.is_isomorphic by name when
 # it installs, so both stay importable from here, though no code in this
@@ -638,25 +639,15 @@ def _augmented(candidates):
 # corpora
 
 
-def _admit(level, classes, identities):
+def _admit(level, names):
     """The algebras of one level that have every class flag and satisfy
-    every THEORY identity named, in order: a spec's filters or a claim's
-    hypotheses.  With classes named the level is classified at once
-    (``axioms._classify_each``), and each report read once per class;
-    each identity then narrows the survivors, checked over them all at
-    once (``terms._verdicts``, the verdicts ``holds_each`` reads, with
-    no witness dicts built)."""
+    every THEORY statement named, narrowed by each name in turn: a
+    spec's filters or a claim's hypotheses.  Each name is read over the
+    algebras left (``axioms._held``), so the first flag classifies the
+    level at once and later names read what the algebras keep."""
     kept = level
-    if classes:
-        reports = axioms._classify_each(level)
-        for name in classes:
-            held = list(map(operator.attrgetter(axioms._FLAG_FIELDS[name]),
-                            reports))
-            kept = list(itertools.compress(kept, held))
-            reports = list(itertools.compress(reports, held))
-    for name in identities:
-        kept = [A for A, (ok, _) in
-                zip(kept, terms._verdicts(kept, terms.THEORY[name])) if ok]
+    for name in names:
+        kept = list(itertools.compress(kept, axioms._held(kept, name)))
     return kept
 
 
@@ -782,7 +773,8 @@ def enumerate_pbz(n, spec):
     identities = spec.identities
     if spec.structure == "distributive":
         identities = (*identities, "DIST")
-    yield from _admit(_bz_level(n, spec.cap_key()), spec.classes, identities)
+    yield from _admit(_bz_level(n, spec.cap_key()),
+                      (*spec.classes, *identities))
 
 
 def enumerate_all(spec):
@@ -870,11 +862,13 @@ class _Claim(_Record):
     """A registered claim: its text, its hypotheses (class flags, THEORY
     statements and subdirect irreducibility), read over a level by
     ``_admit``, and its conclusions (class flags and THEORY statements),
-    each read by ``axioms.satisfies``.
-    The optional check covers what no flag or clause states: it returns
-    a tuple saying what fails, empty when nothing does.  Its outcome is
-    kept on the algebra, so a check must be a pure function of the
-    algebra and return an immutable tuple."""
+    each read over the level's members by ``axioms._held``.
+    The optional check covers what no flag or clause states: it takes
+    members of one level and returns a tuple per member saying what
+    fails, empty when nothing does.  Each outcome is kept on its
+    algebra, so a check must give each member what it would give the
+    member alone, a pure function of the algebra, as an immutable
+    tuple."""
 
     __slots__ = __match_args__ = ("text", "check", "classes", "identities",
                                   "si", "conclusions")
@@ -882,27 +876,29 @@ class _Claim(_Record):
                  "si": False, "conclusions": ()}
 
 
-def _paraorthomodular_equivalence(A):
+def _paraorthomodular_equivalence(level):
     # an equivalence of two universal sentences is no universal clause
-    report = axioms.classify(A)
-    if report.paraorthomodular == report.diamond_orthomodular:
-        return ()
-    return (report.paraorthomodular, report.diamond_orthomodular)
+    return [() if pom == dom else (pom, dom) for pom, dom in zip(
+        axioms._held(level, "paraorthomodular"),
+        axioms._held(level, "diamond-orthomodular"))]
 
 
-def _at_most_five_elements(A):
+def _at_most_five_elements(level):
     # a size bound is no clause of the term language
-    return (f"unexpected size {A.n}",) if A.n > 5 else ()
+    return [(f"unexpected size {A.n}",) if A.n > 5 else () for A in level]
 
 
-def _horizontal_sum_agreement(A):
-    rep = constructions.is_horizontal_sum_of_blocks(A)
-    if rep.agree:
-        return ()
-    return (rep.by_conditions, rep.by_blocks, rep.conditions)
+def _horizontal_sum_agreement(level):
+    return [() if rep.agree else
+            (rep.by_conditions, rep.by_blocks, rep.conditions)
+            for rep in constructions._horizontal_sum_reports(level)]
 
 
-def _agreement_relations(A):
+def _agreement_relations(level):
+    return list(map(_agreement_problems, level))
+
+
+def _agreement_problems(A):
     probs = []
     pos = constructions.cones(A).positive
     reports = [congruences.agreement_below(A, p) for p in range(A.n)]
@@ -1033,27 +1029,36 @@ def verify_over_corpus(claim, spec):
     vacuous rather than ok.  A failure's detail is the tuple of the
     check's problems followed by ``fails NAME`` for each conclusion not
     met.  Failures come in corpus order: by size, then by canonical
-    bytes.  Each algebra keeps its check's outcome under the check
-    function (``("check", fn)``), so a later call over the same level
-    reads it, and a claim whose check is replaced runs the new one.
+    bytes.  Each level is read at once: the hypotheses through
+    ``_admit``, the check over the level's members, each keeping its
+    outcome under the check function (``("check", fn)``), so a later
+    call over the same level reads it and a claim whose check is
+    replaced runs the new one, and each conclusion through
+    ``axioms._held``.
     """
     if claim not in _CLAIMS:
         raise KeyError(f"unknown claim {claim!r}; see claim_names()")
     entry = _CLAIMS[claim]
+    hypotheses = (*entry.classes, *entry.identities)
     examined = 0
     checked = 0
     failures = []
     for n in range(1, spec.max_size + 1):
         level = list(enumerate_pbz(n, spec))
         examined += len(level)
-        for A in _admit(level, entry.classes, entry.identities):
-            if entry.si and not congruences.is_subdirectly_irreducible(A)[0]:
-                continue
-            checked += 1
-            problems = () if entry.check is None else A._keep(
-                ("check", entry.check), lambda: entry.check(A))
-            problems += tuple(f"fails {name}" for name in entry.conclusions
-                              if not axioms.satisfies(A, name))
-            if problems:
-                failures.append((A, problems))
+        members = _admit(level, hypotheses)
+        if entry.si:
+            members = [A for A in members
+                       if congruences.is_subdirectly_irreducible(A)[0]]
+        if not members:
+            continue
+        checked += len(members)
+        problems = [()] * len(members) if entry.check is None else \
+            _keep_each(members, ("check", entry.check), entry.check)
+        held = [axioms._held(members, name) for name in entry.conclusions]
+        for A, found, *ok in zip(members, problems, *held):
+            found += tuple(f"fails {name}" for name, met in
+                           zip(entry.conclusions, ok) if not met)
+            if found:
+                failures.append((A, found))
     return CorpusReport(claim, spec, examined, checked, tuple(failures))

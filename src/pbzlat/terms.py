@@ -24,7 +24,7 @@ import functools
 import itertools
 import operator
 
-from .core import _is_index, _Record, _row_type, _set_field
+from .core import _is_index, _keep_each, _Record, _row_type, _set_field
 
 # numpy is imported only where a statement is scanned, so that
 # importing the package, and commands that scan no statement, do not
@@ -616,13 +616,9 @@ def holds(A, statement):
     reported counterexample is the lexicographically first one.  A
     clause fails at an assignment where every premise holds and no
     disjunct of its conclusion does.  This is ``holds_each`` for one
-    algebra, with the read of a kept verdict done in place.
+    algebra.
     """
-    statement = _STATEMENT_MEMO.get(statement, statement)
-    kept = A._keep("verdicts", dict).get(statement)
-    if kept is None:
-        return holds_each((A,), statement)[0]
-    return _witness(statement, kept)
+    return holds_each((A,), statement)[0]
 
 
 def _interned(statement):
@@ -649,24 +645,20 @@ def holds_each(algebras, statement):
 
 
 def _verdicts(algebras, statement):
-    """The verdict each algebra keeps for a statement, scanning those
-    that keep none: ``(ok, witness)``, the witness a tuple of values in
-    the order of the statement's sorted variable names, or None.  The
-    statement is interned at the public door (``_interned``), or is a
-    THEORY statement."""
+    """The verdict each algebra keeps for a statement, under the
+    statement itself, scanning those that keep none: ``(ok,
+    witness)``, the witness a tuple of values in the order of the
+    statement's sorted variable names, or None.  The statement is
+    interned at the public door (``_interned``), or is a THEORY
+    statement."""
     algebras = list(algebras)  # read twice below
     if algebras:
         n = algebras[0]._ord.n
-        if not all(A._ord.n == n for A in algebras):
-            raise ValueError("holds_each takes algebras of one size")
-    kept = [A._keep("verdicts", dict) for A in algebras]
-    verdicts = [k.get(statement) for k in kept]
-    todo = [i for i, verdict in enumerate(verdicts) if verdict is None]
-    if todo:
-        found = _scan([algebras[i] for i in todo], statement)
-        for i, verdict in zip(todo, found):
-            kept[i][statement] = verdicts[i] = verdict
-    return verdicts
+        for A in algebras:
+            if A._ord.n != n:
+                raise ValueError("holds_each takes algebras of one size")
+    return _keep_each(algebras, statement,
+                      lambda todo: _scan(todo, statement))
 
 
 def _fibres(brouwer):
@@ -847,6 +839,14 @@ _THEORY_SOURCE = {
     "SHARP_KD": "x ^ x' = 0 => <>x = x",
     "SHARP_DB": "<>x = x => x v x~ = 1",
     "SHARP_BK": "x v x~ = 1 => x ^ x' = 0",
+    # the four conditions for a PBZ*-lattice to be the horizontal sum of
+    # its blocks: joins not 1 commute (gamma(x, y) = 0), a dense element
+    # joins a sharp one to 1, dense elements form a chain, and every
+    # element is dense or sharp (0 and 1 are both on a BZ-lattice)
+    "HS_COMMUTE": "x v y = 1 | (x v y) ^ (x v y~) ^ (x~ v y) ^ (x~ v y~) = 0",
+    "HS_DENSE_SHARP": "x~ = 0 & <>y = y => x v y = 1 | y = 0",
+    "HS_DENSE_CHAIN": "x~ = 0 & y~ = 0 => x <= y | y <= x",
+    "HS_DENSE_OR_SHARP": "x~ = 0 | <>x = x",
 }
 
 THEORY = {name: parse_statement(src) for name, src in _THEORY_SOURCE.items()}

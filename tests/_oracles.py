@@ -8,7 +8,8 @@ library replaced live here too, as the references its faster versions
 must reproduce exactly: the unpruned canonical search, the recursive
 term evaluator and identity checker, the pairwise congruence lattice,
 the relational products behind direct indecomposability, the
-backtracking Brouwer search, the nested loops of check_basics, of the
+backtracking Brouwer search, the nested loops of nine basic BZ facts
+(``BASIC_CLAUSES``, which the library no longer carries), of the
 order checks, of every class flag's test and the class report they
 make, and of the Kleene-sharp set,
 the Brouwer search on every pair, which the decoration of pairs with
@@ -18,8 +19,9 @@ its pair's automorphisms, the lattice-first
 decoration of every lattice that the pseudo-Kleene generator replaced,
 that generator's first form, which kept a set of the canonical bytes
 seen, its orbit test without the atom-degree pre-test, and the
-horizontal-sum conditions by method calls with the blocks closed anew
-from the bounds for every generator.  The claim checks that THEORY
+horizontal-sum conditions, which the library reads as the clauses
+``HS_*``, by method calls, with the blocks closed anew from the bounds
+for every generator.  The claim checks that THEORY
 clauses replaced stay here too: the three sharp sets compared as sets,
 and a chain compared with the Kleene chain of the chain level by
 canonical form.  ``replaced`` copies a frozen record with some fields
@@ -811,9 +813,37 @@ def holds(A, statement):
     return True, None
 
 
+# Brouwer and modal arithmetic facts that hold in every BZ-lattice,
+# each a statement of the term language
+BASIC_CLAUSES = tuple(
+    (clause, terms.parse_statement(text)) for clause, text in (
+        ("triple-brouwer", "a~~~ = a~"),
+        ("brouwer-below-kleene", "a~ <= a'"),
+        ("join-demorgan", "(a v b)~ = a~ ^ b~"),
+        ("meet-halfdemorgan", "a~ v b~ <= (a ^ b)~"),
+        ("box-kleene-link", "([](a'))' = <>a"),
+        ("box-meet", "[](a ^ b) = []a ^ []b"),
+        ("diamond-join", "<>(a v b) = <>a v <>b"),
+        ("diamond-meet", "<>(a ^ b) <= <>a ^ <>b"),
+        ("negative-kills", "a' <= a => a~ = 0"),
+    ))
+
+
+def basic_failures(A):
+    """The clauses of BASIC_CLAUSES that fail on A, through
+    ``terms.holds``: (clause, witness) for each, the witness the first
+    failing assignment's values in variable order."""
+    bad = []
+    for clause, statement in BASIC_CLAUSES:
+        ok, w = terms.holds(A, statement)
+        if not ok:
+            bad.append((clause, tuple(w[v] for v in sorted(w))))
+    return bad
+
+
 def check_basics(A):
-    """The nested loops axioms.check_basics replaced: the first failing
-    elements of each of its nine clauses, in its clause order."""
+    """The nested loops of the nine BASIC_CLAUSES: the first failing
+    elements of each, in their order."""
     n, bro, kle = A.n, A.brouwer, A.kleene
     bad = []
 
@@ -1018,9 +1048,11 @@ def blocks(A):
     return sorted(maximal, key=sorted)
 
 
-def is_horizontal_sum_of_blocks(A):
-    """The horizontal-sum report by method calls over every pair, with
-    the blocks above."""
+def horizontal_sum_conditions(A):
+    """The four horizontal-sum conditions by method calls over every
+    pair, in name order: (name, (ok, witness)) for each, the witness the
+    first failing elements in odometer order.  Defined on any algebra,
+    PBZ* or not."""
     interior = [a for a in range(A.n) if a != A.zero and a != A.one]
     conds = {}
 
@@ -1041,7 +1073,14 @@ def is_horizontal_sum_of_blocks(A):
     w = next(((a,) for a in interior
               if A.brouwer[a] != A.zero and A.diamond(a) != a), None)
     conds["dense-or-sharp"] = (w is None, w)
+    return tuple(sorted(conds.items()))
 
+
+def is_horizontal_sum_of_blocks(A):
+    """The horizontal-sum report by method calls over every pair, with
+    the conditions and the blocks above."""
+    interior = [a for a in range(A.n) if a != A.zero and a != A.one]
+    conditions = horizontal_sum_conditions(A)
     blks = blocks(A)
     covered = set().union(*blks) if blks else set()
     ok = covered == set(range(A.n))
@@ -1061,8 +1100,8 @@ def is_horizontal_sum_of_blocks(A):
                 if A.meet(a, b) != A.zero or A.join(a, b) != A.one:
                     ok = False
     return HorizontalSumReport(
-        conditions=tuple(sorted(conds.items())),
-        by_conditions=all(v for v, _ in conds.values()),
+        conditions=conditions,
+        by_conditions=all(ok for _, (ok, _) in conditions),
         by_blocks=ok,
         blocks=tuple(blks),
     )
@@ -1112,5 +1151,5 @@ def claim_verdicts(claim, A):
     old, clauses = CLAIM_CHECKS[claim]
     check = enumeration._CLAIMS[claim].check
     return (old(A) == (),
-            not (check and check(A))
+            not (check and check([A])[0])
             and all(axioms.satisfies(A, name) for name in clauses))

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles
-from pbzlat import axioms, catalog, cli, constructions, enumeration, terms
+from pbzlat import (axioms, catalog, cli, constructions, core, enumeration,
+                    terms)
 from pbzlat.core import FiniteAlgebra, chain_lattice
 
 
@@ -24,7 +25,8 @@ def by_levels(algebras):
         levels.setdefault(A.n, []).append(A)
     reports = {}
     for level in levels.values():
-        reports.update(zip(map(id, level), axioms._classify_each(level)))
+        reports.update(zip(map(id, level), core._keep_each(
+            level, "classes", axioms._classify)))
     return [reports[id(A)] for A in algebras]
 
 
@@ -207,7 +209,7 @@ def test_one_list_of_class_flags(capsys):
 
 
 def test_satisfies_reads_flags_and_theory_by_name():
-    assert len(terms.THEORY) == 29
+    assert len(terms.THEORY) == 33
     for spec in (enumeration.EnumerationSpec(max_size=10,
                                              structure="antiortholattice"),
                  enumeration.EnumerationSpec(max_size=8)):
@@ -313,7 +315,7 @@ def test_check_basics_clean_on_catalog():
     for name in catalog.names():
         A = catalog.get(name)
         if axioms.classify(A).bz:
-            assert axioms.check_basics(A) == [], name
+            assert _oracles.basic_failures(A) == [], name
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -326,7 +328,7 @@ def test_check_basics_agrees_with_nested_loops(data):
     brouwer = data.draw(st.lists(st.integers(0, n - 1), min_size=n,
                                  max_size=n))
     A = FiniteAlgebra._from_order(order, kleene, brouwer)
-    assert axioms.check_basics(A) == _oracles.check_basics(A)
+    assert _oracles.basic_failures(A) == _oracles.check_basics(A)
 
 
 def test_paraorthomodular_iff_diamond_om_on_catalog_bz_star():

@@ -159,17 +159,42 @@ def test_claim_sweep_computes_each_result_once(monkeypatch):
     assert members & {id(A) for A, in reached}
 
 
+def test_claims_read_each_statement_a_level_at_a_time(monkeypatch):
+    # a cold sweep of every claim over both sweep corpora: within one
+    # claim's pass over a corpus, each statement is scanned at most once
+    # per size, since hypotheses, checks and conclusions are each read
+    # over a whole level
+    monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
+        enumeration._bz_level.__wrapped__))
+    scans, current = [], []
+    scan = terms._scan
+
+    def spied(algebras, statement):
+        scans.append((*current, statement, algebras[0].n))
+        return scan(algebras, statement)
+
+    monkeypatch.setattr(terms, "_scan", spied)
+    for spec in SWEEP_SPECS:
+        for claim in claim_names():
+            current[:] = claim, spec
+            verify_over_corpus(claim, spec)
+    assert len(set(scans)) == len(scans)
+    assert len(scans) == 550
+
+
 def test_claim_checks_run_once_per_algebra(monkeypatch):
-    # each algebra keeps what a claim check returned, under the check
-    # function, so a second sweep calls no check and reports the same
+    # each algebra keeps what a claim check returned for it, under the
+    # check function, so a second sweep calls no check and reports the
+    # same; a check takes the members of a level, and each member is
+    # checked exactly once
     monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
         enumeration._bz_level.__wrapped__))
     calls = []
 
     def counted(check):
-        def wrapper(A):
-            calls.append((A, wrapper, check))
-            return check(A)
+        def wrapper(level):
+            calls.extend((A, wrapper, check) for A in level)
+            return check(level)
         return wrapper
 
     for claim, entry in enumeration._CLAIMS.items():
@@ -196,7 +221,7 @@ def test_claim_checks_run_once_per_algebra(monkeypatch):
             [(id(A), d) for A, d in b.failures]
     for A, wrapper, check in ran:
         kept = A._keep(("check", wrapper), lambda: pytest.fail("not kept"))
-        assert kept == check(A), A
+        assert kept == check([A])[0], A
 
     # a replaced check is a new key: the next sweep runs it and reports
     # what it returns
@@ -204,7 +229,8 @@ def test_claim_checks_run_once_per_algebra(monkeypatch):
     swapped = []
     monkeypatch.setitem(enumeration._CLAIMS, claim, _oracles.replaced(
         enumeration._CLAIMS[claim],
-        check=lambda A: swapped.append(A) or ("swapped",)))
+        check=lambda level: swapped.extend(level) or
+        [("swapped",)] * len(level)))
     old = first[claim_names().index(claim)]
     new = verify_over_corpus(claim, SWEEP_SPECS[0])
     assert new.checked == old.checked == len(swapped) > 0
