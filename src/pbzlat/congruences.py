@@ -259,9 +259,20 @@ def is_subdirectly_irreducible(A):
     the identity; trivial algebras come back (False, None).  Each such
     congruence contains some con(p), so the monolith collapses the
     covers every reach set shares."""
-    cr = _reach(A)
-    shared = functools.reduce(operator.and_, cr.reach or (0,))
-    return (True, cr.partition(shared)) if shared else (False, None)
+    shared = _shared_covers(A)
+    return (True, _reach(A).partition(shared)) if shared else (False, None)
+
+
+def _shared_covers(A):
+    """The covers every reach set of A shares, as a mask over its
+    covers: those the monolith collapses, none when A is not s.i."""
+    return functools.reduce(operator.and_, _reach(A).reach or (0,))
+
+
+def _is_si(A):
+    """The flag of ``is_subdirectly_irreducible`` with no monolith
+    built: the SI gate of the claims and of ``tilde_family_report``."""
+    return _shared_covers(A) != 0
 
 
 def is_directly_indecomposable(A):
@@ -382,8 +393,7 @@ class TildeFamilyReport(_Record):
 def tilde_family_report(A):
     failed = [name for name in ("antiortholattice", "DIST", "SDM")
               if not axioms.satisfies(A, name)]
-    si, _ = is_subdirectly_irreducible(A)
-    if not si:
+    if not _is_si(A):
         failed.append("subdirectly-irreducible")
     if failed:
         return TildeFamilyReport(False, tuple(failed), False, False, False,

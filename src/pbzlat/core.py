@@ -17,6 +17,7 @@ Labels are presentation only and never carry semantics.
 """
 
 import functools
+import itertools
 import operator
 from array import array
 
@@ -175,13 +176,16 @@ def _byte_bits(k):
     return tuple(table)
 
 
-# four bytes are tabled, and later bytes are read through the first table
+# four bytes are tabled, and later bits are read off the binary digits
 _BYTE_BITS = tuple(map(_byte_bits, range(4)))
 
 
 def _bits(mask):
     """Indices of the set bits of a mask of any width, ascending, as a
-    tuple read a byte at a time from ``_BYTE_BITS``."""
+    tuple: the first four bytes read a byte at a time from
+    ``_BYTE_BITS``, the bits above them, as many as a level has members
+    (``_Level``), off their binary digits, in time linear in the
+    width."""
     tables = _BYTE_BITS
     if mask < 65536:
         return tables[0][mask & 255] + tables[1][mask >> 8]
@@ -189,11 +193,9 @@ def _bits(mask):
     for table in tables:
         out += table[mask & 255]
         mask >>= 8
-    k = len(tables)
-    while mask:
-        out += tuple(8 * k + b for b in tables[0][mask & 255])
-        mask >>= 8
-        k += 1
+    if mask:
+        out += tuple(itertools.compress(
+            itertools.count(32), map("1".__eq__, reversed(f"{mask:b}"))))
     return out
 
 
@@ -517,7 +519,11 @@ class _Carrier:
     witness)`` with the witness a tuple in the order of the statement's
     sorted variable names (``terms._verdicts``), and ``("check", fn)``,
     the tuple of problems a claim check ``fn`` returned
-    (``enumeration.verify_over_corpus``).
+    (``enumeration.verify_over_corpus``).  These stay on the carrier,
+    witnesses and problems with them, for the readers of one algebra;
+    a decorated level (``_Level``) indexes which of its members they
+    hold for, and nothing keeps them for an algebra outside a level
+    but the algebra itself.
     Kept values are immutable or private to their keeper, which hands
     out copies of mutable ones.
     """
@@ -594,13 +600,59 @@ def _keep_each(carriers, key, compute):
     """The value each of a sequence of carriers keeps under ``key``, in
     order.  The carriers that keep none get theirs from one call
     ``compute(missing)``, which returns a value per missing carrier, in
-    order, and keep them.  A value kept this way is never None."""
+    order, and keep them.  A value kept this way is never None.  A
+    level's reads come here only for the members its masks have not
+    decided yet (``_Level.held``)."""
     values = [A._kept.get(key) for A in carriers]
     missing = [i for i, value in enumerate(values) if value is None]
     if missing:
         for i, value in zip(missing, compute([carriers[i] for i in missing])):
             carriers[i]._kept[key] = values[i] = value
     return values
+
+
+class _Level(list):
+    """A decorated level: its members, in canonical order, and what is
+    known of them a level at a time, as masks over the members, bit i
+    standing for member i.  Under each key (a class flag or THEORY
+    name, a statement, the SI gate, a claim check) the level keeps one
+    pair of ints, the members decided and the members that hold, so a
+    warm read of a level is a few int operations, whatever its size.
+    The masks only index what the members keep themselves (verdicts
+    with their witnesses, class reports, check outcomes): they are
+    filled from the members' own readers and never decide anything.
+    They live as long as the level, which the stage cache that built
+    it keeps.
+    """
+
+    __slots__ = ("_masks",)
+
+    def __init__(self, members):
+        super().__init__(members)
+        self._masks = {}
+
+    @property
+    def full(self):
+        """The mask of every member."""
+        return (1 << len(self)) - 1
+
+    def members(self, mask):
+        """The members whose bits are set in mask, in order."""
+        return [self[i] for i in _bits(mask)]
+
+    def held(self, key, within, compute):
+        """The members in the mask ``within`` for which ``key`` holds,
+        as a mask.  The members of ``within`` not decided under ``key``
+        yet are read by one call ``compute(members)``, which returns a
+        truth value per member, in order; nothing else is read."""
+        decided, held = self._masks.get(key, (0, 0))
+        todo = within & ~decided
+        if todo:
+            order = _bits(todo)
+            held |= sum(1 << i for i, ok in zip(
+                order, compute([self[i] for i in order])) if ok)
+            self._masks[key] = decided | todo, held
+        return held & within
 
 
 class BoundedLattice(_Carrier):

@@ -35,17 +35,20 @@ canonical-form deduplication.  On top of that sit a smallest
 counterexample search and a registry of corpus-wide claims.  Each
 claim declares its hypotheses and conclusions as class flags and
 THEORY statements, universal clauses among them, read by name a level
-at a time through one reader (``axioms._held``): the hypotheses by
-``_admit``, the conclusions over the level's members; a check function
-is left only for what no flag or clause states (an equivalence, a
-size bound, a report), and it too takes the level's members.
-Decoration, filters, identity checks and claim checks all run in the
-calling process, over each level in its canonical order.
+at a time by ``_admit``: the hypotheses, then the conclusions over the
+level's members; a check function is left only for what no flag or
+clause states (an equivalence, a size bound, a report), and it too
+takes the level's members.  Decoration, filters, identity checks and
+claim checks all run in the calling process, over each level in its
+canonical order.
 
 Results are kept per carrier, through ``_Carrier._keep`` (canonical
 forms, blocks, reach sets) and ``core._keep_each`` (class reports,
-verdicts, claim-check outcomes), and per process, in the functools
-caches on ``_lattices``, ``_pk_pairs``, ``_aol_pairs``,
+verdicts, claim-check outcomes); per level, as masks over its members
+saying which of them a flag, statement, SI gate or check holds for
+(``core._Level``), so spec filters, searches and claims read a level
+in a few int operations once it is decided; and per process, in the
+functools caches on ``_lattices``, ``_pk_pairs``, ``_aol_pairs``,
 ``_pair_colors``, ``_pair_search``, ``_bz_level`` and
 ``cli.build_parser``; nothing is kept per spec.  Statements are
 interned in ``terms._STATEMENT_MEMO``.
@@ -55,14 +58,15 @@ raised before building a spec that goes beyond them.
 """
 
 import functools
-import itertools
+import operator
 
 from . import axioms, congruences, constructions, terms
 from .axioms import _sharp_interior
 from .core import (BoundedLattice, FiniteAlgebra, _bits, _canon_bytes,
                    _canonical_search_group, _check_order, _copy_along,
-                   _keep_each, _orbit, _Record, _refine_colors, _renumbered,
-                   _set_field, _set_index, canonical_form, chain_lattice)
+                   _keep_each, _Level, _orbit, _Record, _refine_colors,
+                   _renumbered, _set_field, _set_index, canonical_form,
+                   chain_lattice)
 # The benchmark's tracer (perfbench/spans.py) looks up
 # enumeration.canonical_form and enumeration.is_isomorphic by name when
 # it installs, so both stay importable from here, though no code in this
@@ -639,16 +643,18 @@ def _augmented(candidates):
 # corpora
 
 
-def _admit(level, names):
-    """The algebras of one level that have every class flag and satisfy
-    every THEORY statement named, narrowed by each name in turn: a
-    spec's filters or a claim's hypotheses.  Each name is read over the
-    algebras left (``axioms._held``), so the first flag classifies the
-    level at once and later names read what the algebras keep."""
-    kept = level
+def _admit(level, names, within):
+    """The members of a level (``core._Level``) in the mask ``within``
+    that have every class flag and satisfy every THEORY statement
+    named, as a mask, narrowed by each name in turn: a spec's filters,
+    a claim's hypotheses or its conclusions.  Each name is read off the
+    level's mask for it; the members left that it has not decided yet
+    are read together by ``axioms._held``, so the first flag classifies
+    them at once and later names read what the algebras keep."""
     for name in names:
-        kept = list(itertools.compress(kept, axioms._held(kept, name)))
-    return kept
+        within = level.held(name, within,
+                            functools.partial(axioms._held, name=name))
+    return within
 
 
 def _set_image(g, mask):
@@ -740,15 +746,17 @@ def _bz_level(n, cap_key):
     are exactly the antiortholattices.  The copies need no
     deduplication: the pairs are one per class, an isomorphism of two
     decorations is one of their pairs, and ``_decorations`` gives one
-    copy per class of a pair."""
+    copy per class of a pair.  The level (``core._Level``) keeps the
+    masks its readers fill, so they go when this cache is cleared."""
     if cap_key == "chain":
         pairs = [_chain_pair(n)]
     elif cap_key == "antiortholattice":
         pairs = _aol_pairs(n)
     else:
         pairs = _pk_pairs(n)
-    return sorted((A for order, kleene in pairs
-                   for A in _decorations(order, kleene)), key=canonical_form)
+    return _Level(sorted((A for order, kleene in pairs
+                          for A in _decorations(order, kleene)),
+                         key=canonical_form))
 
 
 def enumerate_pbz(n, spec):
@@ -761,20 +769,29 @@ def enumerate_pbz(n, spec):
     reversal for structure "chain") is decorated with each Brouwer map
     bz_brouwer_maps reads off its sharp sets.  That decorated level is
     built once per size and cap key, and every spec sharing them
-    narrows the same algebras by its class flags and identities
-    (``_admit``); structure "distributive" narrows by DIST, as
-    ``--require DIST`` does.  Flags and verdicts do not change
-    under isomorphism, so a spec's level is what decorating for it
-    alone would give, and the class reports and identity verdicts the
-    algebras keep serve every spec.  The spec's cap was checked when it
-    was built; n is checked against it here, for sizes above max_size.
+    narrows the same algebras by its class flags and identities, read
+    off the level's masks (``_spec_level``).  Flags and verdicts do not
+    change under isomorphism, so a spec's level is what decorating for
+    it alone would give, and the class reports and identity verdicts
+    the algebras keep, and the level's masks over them, serve every
+    spec.  The spec's cap was checked when it was built; n is checked
+    against it here, for sizes above max_size.
     """
+    level, kept = _spec_level(n, spec)
+    yield from level.members(kept)
+
+
+def _spec_level(n, spec):
+    """The decorated level of size n for the spec's cap key and the
+    mask of its members the spec keeps: those with its class flags and
+    identities (``_admit``), structure "distributive" narrowing by
+    DIST, as ``--require DIST`` does."""
     spec.check_size(n)
     identities = spec.identities
     if spec.structure == "distributive":
         identities = (*identities, "DIST")
-    yield from _admit(_bz_level(n, spec.cap_key()),
-                      (*spec.classes, *identities))
+    level = _bz_level(n, spec.cap_key())
+    return level, _admit(level, (*spec.classes, *identities), level.full)
 
 
 def enumerate_all(spec):
@@ -814,11 +831,13 @@ def search_counterexample(identity, spec):
 
     Size is the primary order; within a size the corpus comes in the
     order of canonical bytes, and the first failing algebra is returned,
-    so reruns return the identical algebra.  The identity is checked
-    over a whole level at once (``terms._verdicts``, as ``holds_each``
-    does), and only the witness returned is made a dict.  When nothing
-    fails up to spec.max_size the result says exhausted rather than
-    claiming the identity holds everywhere.
+    so reruns return the identical algebra.  The identity is read off
+    the level's mask for it (``core._Level.held``), the members it has
+    not decided scanned at once (``terms._verdicts``, as ``holds_each``
+    does); the first failing member is the lowest bit of the spec's
+    members the identity fails on, and only its kept witness is made a
+    dict.  When nothing fails up to spec.max_size the result says
+    exhausted rather than claiming the identity holds everywhere.
     """
     if isinstance(identity, str):
         identity = terms.parse_statement(identity)
@@ -826,13 +845,16 @@ def search_counterexample(identity, spec):
     identity = terms._interned(identity)
     examined = 0
     for n in range(1, spec.max_size + 1):
-        level = list(enumerate_pbz(n, spec))
-        examined += len(level)
-        for A, verdict in zip(level, terms._verdicts(level, identity)):
-            if not verdict[0]:
-                return SearchResult(terms.pretty(identity), spec, A,
-                                    terms._witness(identity, verdict)[1],
-                                    examined, False)
+        level, kept = _spec_level(n, spec)
+        examined += kept.bit_count()
+        failing = kept & ~level.held(identity, kept, lambda todo: [
+            ok for ok, _ in terms._verdicts(todo, identity)])
+        if failing:
+            A = level[(failing & -failing).bit_length() - 1]
+            verdict = terms._verdicts((A,), identity)[0]
+            return SearchResult(terms.pretty(identity), spec, A,
+                                terms._witness(identity, verdict)[1],
+                                examined, False)
     return SearchResult(terms.pretty(identity), spec, None, None,
                         examined, True)
 
@@ -860,13 +882,14 @@ class CorpusReport(_Record):
 
 class _Claim(_Record):
     """A registered claim: its text, its hypotheses (class flags, THEORY
-    statements and subdirect irreducibility), read over a level by
-    ``_admit``, and its conclusions (class flags and THEORY statements),
-    each read over the level's members by ``axioms._held``.
+    statements and subdirect irreducibility), and its conclusions
+    (class flags and THEORY statements), each name read over a level by
+    ``_admit``, the conclusions over the level's members.
     The optional check covers what no flag or clause states: it takes
     members of one level and returns a tuple per member saying what
     fails, empty when nothing does.  Each outcome is kept on its
-    algebra, so a check must give each member what it would give the
+    algebra, and the level's mask for the check says which members it
+    passes, so a check must give each member what it would give the
     member alone, a pure function of the algebra, as an immutable
     tuple."""
 
@@ -1021,6 +1044,24 @@ def claim_names():
     return sorted(_CLAIMS)
 
 
+def _irreducible(level, within):
+    """The subdirectly irreducible members of a level in the mask
+    ``within``, as a mask: the SI gate of a claim, read by
+    ``congruences._is_si`` for the members not decided yet."""
+    return level.held("si", within,
+                      lambda todo: list(map(congruences._is_si, todo)))
+
+
+def _passing(level, check, within):
+    """The members of a level in the mask ``within`` on which a claim
+    check finds nothing, as a mask.  The members not decided yet are
+    checked together, each keeping its outcome under ``("check",
+    check)`` (``core._keep_each``), where failure details read it."""
+    key = ("check", check)
+    return level.held(key, within, lambda todo: [
+        not found for found in _keep_each(todo, key, check)])
+
+
 def verify_over_corpus(claim, spec):
     """Evaluate a registered claim on every algebra the spec reaches.
 
@@ -1029,36 +1070,41 @@ def verify_over_corpus(claim, spec):
     vacuous rather than ok.  A failure's detail is the tuple of the
     check's problems followed by ``fails NAME`` for each conclusion not
     met.  Failures come in corpus order: by size, then by canonical
-    bytes.  Each level is read at once: the hypotheses through
-    ``_admit``, the check over the level's members, each keeping its
-    outcome under the check function (``("check", fn)``), so a later
-    call over the same level reads it and a claim whose check is
-    replaced runs the new one, and each conclusion through
-    ``axioms._held``.
+    bytes.  Each level is read at once, as masks over its members
+    (``core._Level``): the spec's filters and the claim's hypotheses
+    through ``_admit``, the SI gate (``_irreducible``), the check
+    (``_passing``) and each conclusion, each over the members left.  A
+    check's outcome is kept on each member under the check function
+    (``("check", fn)``), so a claim whose check is replaced runs the
+    new one.  A warm call counts members with ``bit_count`` and builds
+    details only for the members that fail.
     """
     if claim not in _CLAIMS:
         raise KeyError(f"unknown claim {claim!r}; see claim_names()")
     entry = _CLAIMS[claim]
     hypotheses = (*entry.classes, *entry.identities)
+    key = ("check", entry.check)
     examined = 0
     checked = 0
     failures = []
     for n in range(1, spec.max_size + 1):
-        level = list(enumerate_pbz(n, spec))
-        examined += len(level)
-        members = _admit(level, hypotheses)
+        level, kept = _spec_level(n, spec)
+        examined += kept.bit_count()
+        members = _admit(level, hypotheses, kept)
         if entry.si:
-            members = [A for A in members
-                       if congruences.is_subdirectly_irreducible(A)[0]]
+            members = _irreducible(level, members)
         if not members:
             continue
-        checked += len(members)
-        problems = [()] * len(members) if entry.check is None else \
-            _keep_each(members, ("check", entry.check), entry.check)
-        held = [axioms._held(members, name) for name in entry.conclusions]
-        for A, found, *ok in zip(members, problems, *held):
-            found += tuple(f"fails {name}" for name, met in
-                           zip(entry.conclusions, ok) if not met)
-            if found:
-                failures.append((A, found))
+        checked += members.bit_count()
+        passed = members if entry.check is None else \
+            _passing(level, entry.check, members)
+        met = [_admit(level, (name,), members) for name in entry.conclusions]
+        for i in _bits(members & ~functools.reduce(operator.and_, met,
+                                                   passed)):
+            A = level[i]
+            found = () if passed >> i & 1 else \
+                A._keep(key, lambda: entry.check([A])[0])
+            found += tuple(f"fails {name}" for name, mask in
+                           zip(entry.conclusions, met) if not mask >> i & 1)
+            failures.append((A, found))
     return CorpusReport(claim, spec, examined, checked, tuple(failures))

@@ -1,7 +1,8 @@
 """The canonical form, the class report, the cover reach sets behind
 every congruence question, the blocks and the identity verdicts a
-carrier keeps after their first computation, and the stage results a
-process keeps, which a benchmark round empties."""
+carrier keeps after their first computation, the masks a level keeps
+over its members, and the stage results a process keeps, which a
+benchmark round empties."""
 
 import functools
 import pickle
@@ -244,6 +245,102 @@ def test_claim_checks_run_once_per_algebra(monkeypatch):
     for B in (canonical_copy(A), A.relabel([f"x{a}" for a in range(A.n)]),
               pickle.loads(pickle.dumps(A))):
         assert set(B._kept) <= {"canon"}
+
+
+def sweep_reports():
+    """Every claim over both sweep corpora, each report as (examined,
+    checked, failure dumps, details)."""
+    return [(r.examined, r.checked,
+             [(fileformat.dumps(A), detail) for A, detail in r.failures])
+            for r in (verify_over_corpus(claim, spec)
+                      for spec in SWEEP_SPECS for claim in claim_names())]
+
+
+def test_a_warm_claim_sweep_reads_only_level_masks(monkeypatch):
+    # once every claim has read both sweep corpora, the levels' masks
+    # decide every hypothesis, SI gate, check and conclusion, so a
+    # second sweep reads no algebra's kept results and classifies,
+    # scans and checks nothing
+    monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
+        enumeration._bz_level.__wrapped__))
+    first = sweep_reports()
+    calls = Counter()
+
+    def spied(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    keep_each = spied("_keep_each", core._keep_each)
+    for mod in (core, axioms, terms, enumeration):
+        if hasattr(mod, "_keep_each"):
+            monkeypatch.setattr(mod, "_keep_each", keep_each)
+    monkeypatch.setattr(axioms, "_held", spied("_held", axioms._held))
+    for name in ("is_subdirectly_irreducible", "_is_si"):
+        monkeypatch.setattr(congruences, name,
+                            spied(name, getattr(congruences, name)))
+    second = sweep_reports()
+    assert calls == Counter()
+    assert second == first
+    assert any(failures for _, _, failures in first)
+
+
+def test_level_masks_match_the_per_algebra_readers(monkeypatch):
+    # on every level of both sweep corpora, each mask the claims and
+    # specs read equals the per-algebra reader's answer on fresh copies,
+    # which keep nothing of what the level's members keep; each mask is
+    # read first over every other member, then over the whole level (or
+    # the claim's members), so a mask filled for part of a level must
+    # still read right when widened
+    monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
+        enumeration._bz_level.__wrapped__))
+    claims = enumeration._CLAIMS.values()
+    names = {*axioms.CLASS_FLAGS, "DIST"}
+    for entry in claims:
+        names.update(entry.classes, entry.identities, entry.conclusions)
+    names = sorted(names)
+
+    def read_twice(level, within, read, want):
+        # want[i]: the per-algebra answer for member i, where it is read
+        narrow = sum(1 << i for i in core._bits(within)[::2])
+        assert read(narrow) == sum(1 << i for i in core._bits(narrow)
+                                   if want[i])
+        mask = read(within)
+        assert mask == sum(1 << i for i in core._bits(within) if want[i])
+        return mask
+
+    levels = 0
+    for spec in SWEEP_SPECS:
+        for n in range(1, spec.max_size + 1):
+            level = enumeration._bz_level(n, spec.cap_key())
+            copies = [pickle.loads(pickle.dumps(A)) for A in level]
+            assert all(set(B._kept) <= {"canon"} for B in copies)
+            for name in names:
+                read_twice(
+                    level, level.full,
+                    lambda within: enumeration._admit(level, (name,), within),
+                    [axioms.satisfies(B, name) for B in copies])
+            si = read_twice(
+                level, level.full,
+                lambda within: enumeration._irreducible(level, within),
+                [congruences.is_subdirectly_irreducible(B)[0]
+                 for B in copies])
+            for entry in claims:
+                if entry.check is None:
+                    continue
+                members = enumeration._admit(
+                    level, (*entry.classes, *entry.identities), level.full)
+                if entry.si:
+                    members &= si
+                want = {i: not entry.check([copies[i]])[0]
+                        for i in core._bits(members)}
+                read_twice(
+                    level, members,
+                    lambda within: enumeration._passing(level, entry.check,
+                                                        within), want)
+            levels += 1
+    assert levels == sum(spec.max_size for spec in SWEEP_SPECS)
 
 
 def test_warm_chain_claims_run_no_canonical_search(monkeypatch):
