@@ -1062,45 +1062,41 @@ def canonical_form(algebra):
 
 def canonical_copy(algebra):
     """The isomorphic copy numbered along the canonical ordering, with
-    default labels and the canonical form already kept.
+    default labels and the canonical form kept on the algebra and on
+    the copy.
 
     Isomorphic algebras have equal copies, tables and labels included,
     and an algebra that is its own copy comes back unchanged: its
     ordering is the identity, the first one the canonical search tries.
-    Every algebra can be copied this way, by a canonical search over
-    both maps; ``_copy_along`` skips the search when the ordering is
-    already known, as it is for an antiortholattice pair, and
-    ``enumeration._decorations`` seeds it with automorphisms it knows
-    and numbers the copy along its result (``_renumbered``).
+    A copy is built from an order and its maps (``_renumbered``), so
+    ``_copy_along`` and ``enumeration._decorations``, which know the
+    ordering or automorphisms to start from, copy with no algebra.
     """
-    ordering, enc = _canonical_search(algebra.n, algebra._ord.up,
-                                      (algebra.kleene, algebra.brouwer))
-    return _renumbered(algebra, ordering, enc)
+    maps = (algebra.kleene, algebra.brouwer)
+    ordering, enc = _canonical_search(algebra.n, algebra._ord.up, maps)
+    copy = _renumbered(algebra._ord, maps, ordering, enc, algebra.name)
+    algebra._kept["canon"] = copy._kept["canon"]
+    return copy
 
 
-def _copy_along(algebra, ordering, col):
-    """``canonical_copy(algebra)`` with no search, for an algebra whose
-    canonical ordering and ``_refine_colors`` with both maps are known:
-    the encoding is built along the ordering (``_encoding``).  The
-    caller vouches for both; ``enumeration._decorations`` hands in those
-    of the Kleene-only search of an antiortholattice pair."""
-    order = algebra._ord
-    return _renumbered(algebra, ordering, _encoding(
-        order.up, order.down, (algebra.kleene, algebra.brouwer), col,
-        ordering))
+def _copy_along(order, maps, ordering, col):
+    """The canonical copy of the algebra on ``order`` with ``maps``
+    (', ~) whose canonical ordering and ``_refine_colors`` are known, as
+    for an antiortholattice pair: no search, the encoding built along
+    the ordering (``_encoding``)."""
+    return _renumbered(order, maps, ordering, _encoding(
+        order.up, order.down, maps, col, ordering))
 
 
-def _renumbered(algebra, ordering, enc):
-    """The algebra renumbered along its canonical ordering, with default
-    labels, and its canonical form, from the encoding ``enc``, kept on
-    both."""
+def _renumbered(order, maps, ordering, enc, name=None):
+    """The algebra on ``order`` with ``maps`` (', ~) renumbered along
+    its canonical ordering, the one algebra built, with default labels
+    and its canonical form, from the encoding ``enc``, kept."""
     pick, rank = _picker(ordering), _inverse(ordering).__getitem__
-    kleene, brouwer = (tuple(map(rank, pick(f)))
-                       for f in (algebra.kleene, algebra.brouwer))
-    copy = FiniteAlgebra._from_order(algebra._ord.permuted(ordering),
-                                     kleene, brouwer, None, algebra.name)
-    copy._kept["canon"] = algebra._kept["canon"] = \
-        bytes([algebra.n, 2]) + bytes(enc)
+    kleene, brouwer = (tuple(map(rank, pick(f))) for f in maps)
+    copy = FiniteAlgebra._from_order(order.permuted(ordering), kleene,
+                                     brouwer, None, name)
+    copy._kept["canon"] = bytes([order.n, 2]) + bytes(enc)
     return copy
 
 

@@ -47,11 +47,12 @@ forms, blocks, reach sets) and ``core._keep_each`` (class reports,
 verdicts, claim-check outcomes); per level, as masks over its members
 saying which of them a flag, statement, SI gate or check holds for
 (``core._Level``), so spec filters, searches and claims read a level
-in a few int operations once it is decided; and per process, in the
-functools caches on ``_lattices``, ``_pk_pairs``, ``_aol_pairs``,
-``_pair_colors``, ``_pair_search``, ``_bz_level`` and
-``cli.build_parser``; nothing is kept per spec.  Statements are
-interned in ``terms._STATEMENT_MEMO``.
+in a few int operations once it is decided; per pseudo-Kleene pair,
+on its record (``_Pair``: colors and Kleene-only search, made for a
+candidate before its orbit test, so a rejected one's go with it); and
+per process, in the functools caches on ``_lattices``, ``_pk_pairs``,
+``_aol_pairs``, ``_bz_level`` and ``cli.build_parser``; nothing is
+kept per spec.  Statements are interned in ``terms._STATEMENT_MEMO``.
 
 Size caps are checked when a spec is built, so ``CAPS`` must be
 raised before building a spec that goes beyond them.
@@ -62,11 +63,10 @@ import operator
 
 from . import axioms, congruences, constructions, terms
 from .axioms import _sharp_interior
-from .core import (BoundedLattice, FiniteAlgebra, _bits, _canon_bytes,
-                   _canonical_search_group, _check_order, _copy_along,
-                   _keep_each, _Level, _orbit, _Record, _refine_colors,
-                   _renumbered, _set_field, _set_index, canonical_form,
-                   chain_lattice)
+from .core import (BoundedLattice, _bits, _canon_bytes, _check_order,
+                   _canonical_search_group, _copy_along, _keep_each, _Level,
+                   _orbit, _Record, _refine_colors, _renumbered, _set_field,
+                   _set_index, canonical_form, chain_lattice)
 # The benchmark's tracer (perfbench/spans.py) looks up
 # enumeration.canonical_form and enumeration.is_isomorphic by name when
 # it installs, so both stay importable from here, though no code in this
@@ -301,7 +301,11 @@ def bz_brouwer_maps(L, kleene):
     Kleene-sharp elements are 0 and 1 has S = {0, 1} alone, and with it
     the trivial map, a~ = 0 for every a but 0.
     """
-    order = L._ord
+    return _brouwer_maps(L._ord, kleene)
+
+
+def _brouwer_maps(order, kleene):
+    """``bz_brouwer_maps`` on the order alone."""
     if not axioms._pseudo_kleene(order, kleene):
         return []
     n, zero, one, join = order.n, order.zero, order.one, order.join
@@ -334,9 +338,41 @@ def _trivial_brouwer(order):
 # pseudo-Kleene pairs
 
 
+class _Pair:
+    """A pseudo-Kleene pair: a lattice order and its involution ', and
+    what is found of it once, on first read: ``colors``, its
+    ``_refine_colors``, and ``search``, its canonical ordering with '
+    alone and the generators of its automorphism group, all bytes.  Its
+    orbit test as a candidate, its insertions as a parent and its
+    decorations read them; a rejected candidate's go with its record."""
+
+    __slots__ = ("order", "kleene", "_colors", "_search")
+
+    def __init__(self, order, kleene):
+        self.order, self.kleene = order, kleene
+        self._colors = self._search = None
+
+    @property
+    def colors(self):
+        if self._colors is None:
+            order = self.order
+            self._colors = bytes(_refine_colors(
+                order.n, order.up, order.down, (self.kleene,)))
+        return self._colors
+
+    @property
+    def search(self):
+        if self._search is None:
+            order = self.order
+            ordering, _, gens = _canonical_search_group(
+                order.n, order.up, (self.kleene,), self.colors)
+            self._search = bytes(ordering), tuple(map(bytes, gens))
+        return self._search
+
+
 def _chain_pair(n):
     """The n-chain's order with its reversal, the Kleene chain's pair."""
-    return chain_lattice(n)._ord, tuple(range(n))[::-1]
+    return _Pair(chain_lattice(n)._ord, tuple(range(n))[::-1])
 
 
 def _fixed_insertion(order, kleene):
@@ -418,31 +454,6 @@ def _orbit_representatives(insertions, gens, x):
                     stack.append(img)
 
 
-@functools.cache
-def _pair_colors(order, kleene):
-    """The ``_refine_colors`` of a pseudo-Kleene pair, as bytes, refined
-    once per pair: for the orbit test of the candidate it was
-    (``_in_canonical_orbit``), the signatures of its insertions as a
-    parent (``_pk_candidates``, both routes), its canonical search, its
-    antiortholattice copy and whether its decorations need its group
-    (``_decorations``)."""
-    return bytes(_refine_colors(order.n, order.up, order.down, (kleene,)))
-
-
-@functools.cache
-def _pair_search(order, kleene):
-    """The Kleene-only canonical search of a pseudo-Kleene pair, run once
-    per pair with its kept colors: its canonical ordering, as bytes, and
-    the generators of its automorphism group, each a bytes of images.
-    The orbit tie-break of the candidate it was, its group as a parent
-    and as the seed of its decorations, and its antiortholattice copy
-    all read it.  The encoding is not kept: only a copy needs it, and a
-    copy builds it along the ordering."""
-    ordering, _, gens = _canonical_search_group(
-        order.n, order.up, (kleene,), _pair_colors(order, kleene))
-    return bytes(ordering), tuple(map(bytes, gens))
-
-
 def _pk_candidates(n, aol=False):
     """The insertion into each pair of size n-1, and one insertion per
     orbit of its automorphism group into each pair of size n-2, for
@@ -462,15 +473,15 @@ def _pk_candidates(n, aol=False):
     order, as ``_orbit_representatives`` would try them; only a tie
     needs the parent's automorphism group.  A parent's colors and group
     are those its own orbit test may have found when it was a
-    candidate, kept per pair (``_pair_colors``, ``_pair_search``)."""
-    for order, kleene in (_aol_pairs if aol else _pk_pairs)(n - 1):
-        yield _fixed_insertion(order, kleene)
+    candidate, kept on its record (``_Pair``)."""
+    for pair in (_aol_pairs if aol else _pk_pairs)(n - 1):
+        yield _fixed_insertion(pair.order, pair.kleene)
     if n >= 4:
         x = n - 2
         parent = (1 << x) - 1
-        for order, kleene in _pk_pairs(x):
-            insertions = list(_pair_insertions(order, kleene, aol))
-            col = _pair_colors(order, kleene)
+        for pair in _pk_pairs(x):
+            insertions = list(_pair_insertions(pair.order, pair.kleene, aol))
+            col = pair.colors
             signatures = {
                 (tuple(sorted(col[a] for a in _bits(up[x] & parent))),
                  up[x] >> x + 1 & 1) for up, _ in insertions}
@@ -478,7 +489,7 @@ def _pk_candidates(n, aol=False):
                 yield from insertions
             else:
                 yield from _orbit_representatives(
-                    insertions, _pair_search(order, kleene)[1], x)
+                    insertions, pair.search[1], x)
 
 
 def _top_degree_atoms(up, x):
@@ -510,36 +521,33 @@ def _top_degree_atoms(up, x):
     return top
 
 
-def _in_canonical_orbit(order, kleene, tied):
+def _in_canonical_orbit(pair, tied):
     """Whether the inserted atom x = kleene[-1] of a pseudo-Kleene pair
-    lies in its canonical orbit: the orbit, under the pair's
+    (``_Pair``) lies in its canonical orbit: the orbit, under the pair's
     automorphisms, of the first atom of largest color in its canonical
     ordering.  ``tied`` is the first round's top class among the atoms,
     which holds x (``_top_degree_atoms``); the atoms of largest color lie
     in it.  Colors are invariants, so an atom of a smaller color is not
     in the orbit and the only atom of the largest color is the whole of
-    it; only a tie after refinement needs the canonical search.  The
-    colors and the search are kept per pair (``_pair_colors``,
-    ``_pair_search``), so a kept pair is refined and searched once
-    whatever else reads them."""
-    x = kleene[-1]
+    it; only a tie after refinement needs the canonical search."""
+    x = pair.kleene[-1]
     if tied == 1 << x:
         return True
-    col = _pair_colors(order, kleene)
+    col = pair.colors
     top = max(col[a] for a in _bits(tied))
     if col[x] != top:
         return False
     tied = [a for a in _bits(tied) if col[a] == top]
     if len(tied) == 1:
         return True
-    ordering, gens = _pair_search(order, kleene)
+    ordering, gens = pair.search
     first = next(a for a in ordering if a in tied)
     return bool(_orbit(first, gens) >> x & 1)
 
 
 @functools.cache
 def _pk_pairs(n):
-    """Pseudo-Kleene pairs (order, kleene) of size n, one per isomorphism
+    """Pseudo-Kleene pairs (``_Pair``) of size n, one per isomorphism
     class.
 
     PK is hereditary: removing an atom x of a PK pair together with the
@@ -568,11 +576,8 @@ def _pk_pairs(n):
     parent's automorphisms preserve its colors, so an insertion whose
     color signature no other insertion shares is an orbit by itself
     (``_pk_candidates``).  The parent's group is searched only on a
-    tie.  Each pair is refined at most once and searched, with ' alone,
-    at most once, whatever reads the result: its own orbit test as a
-    candidate, its insertions as a parent on this route and
-    ``_aol_pairs``'s, and its antiortholattice copy (``_pair_colors``,
-    ``_pair_search``).
+    tie.  A pair is refined and searched, with ' alone, at most once,
+    on either route (``_Pair``).
 
     - Complete.  Remove from a pair C an atom m of its canonical orbit,
       with m'.  What is left is a PK pair, isomorphic to a parent P in
@@ -595,10 +600,10 @@ def _pk_pairs(n):
 
 @functools.cache
 def _aol_pairs(n):
-    """The pseudo-Kleene pairs of size n whose only Kleene-sharp elements
-    are 0 and 1, one per isomorphism class: ``_pk_pairs(n)`` narrowed to
-    them, the same pairs in the same order, grown without the pairs of
-    sizes n-1 and n.
+    """The pseudo-Kleene pairs (``_Pair``) of size n whose only
+    Kleene-sharp elements are 0 and 1, one per isomorphism class:
+    ``_pk_pairs(n)`` narrowed to them, the same pairs in the same order,
+    grown without the pairs of sizes n-1 and n.
 
     Which insertions give such a child is read off the parent P.  For a
     pair insertion, with x below U and x' a coatom, let a be an element
@@ -623,8 +628,8 @@ def _aol_pairs(n):
 
 
 def _augmented(candidates):
-    """The candidates canonical augmentation keeps, as (order, kleene):
-    the atom-degree pre-test, then the lattice and PK checks, then the
+    """The candidates canonical augmentation keeps, as ``_Pair``: the
+    atom-degree pre-test, then the lattice and PK checks, then the
     canonical orbit (``_pk_pairs``)."""
     pairs = []
     for up, kleene in candidates:
@@ -634,8 +639,9 @@ def _augmented(candidates):
         order, _ = _check_order(up)
         if order is None or not axioms._pseudo_kleene(order, kleene):
             continue
-        if _in_canonical_orbit(order, kleene, tied):
-            pairs.append((order, kleene))
+        pair = _Pair(order, kleene)
+        if _in_canonical_orbit(pair, tied):
+            pairs.append(pair)
     return pairs
 
 
@@ -662,9 +668,9 @@ def _set_image(g, mask):
     return sum(1 << g[a] for a in _bits(mask))
 
 
-def _decorations(order, kleene):
-    """Canonical copies of the BZ decorations of one pseudo-Kleene pair,
-    one per isomorphism class.
+def _decorations(pair):
+    """Canonical copies of the BZ decorations of one pseudo-Kleene pair
+    (``_Pair``), one per isomorphism class, and no other algebra.
 
     A pair with a Kleene-sharp element other than 0 and 1 takes the
     maps the Brouwer search reads off its sharp sets, one per '-closed
@@ -676,14 +682,14 @@ def _decorations(order, kleene):
     maps give isomorphic algebras, hence equal canonical copies, and
     the first map of each orbit, in the Brouwer search's order, stands
     for it.  The pair's group is read off its Kleene-only search
-    (``_pair_search``), its orbits on the sets followed generator by
-    generator; a pair whose colors (``_pair_colors``) give every
+    (``_Pair.search``), its orbits on the sets followed generator by
+    generator; a pair whose colors (``_Pair.colors``) give every
     element its own has the trivial group and no search.  A generator
     that fixes S commutes with ~, so it is an automorphism of the
     decoration, and the decoration's canonical search starts from those
     (``core._canonical_search_group``'s ``seed``): the same ordering
     and encoding as a search from scratch, with fewer branches walked.
-    The copy is numbered along that ordering (``core._renumbered``).
+    The copy is built along that ordering (``core._renumbered``).
     The old route, ``canonical_copy`` of every map and one copy kept
     per canonical form, is ``tests/_oracles.searched_level``.
 
@@ -691,7 +697,7 @@ def _decorations(order, kleene):
     pair, the Kleene chains among them) carries the trivial Brouwer map
     alone (``bz_brouwer_maps``): 0~ = 1 and a~ = 0 otherwise.  It takes
     that map with no Brouwer search, and its copy with no canonical
-    search of its own: the pair's Kleene-only search (``_pair_search``)
+    search of its own: the pair's Kleene-only search (``_Pair.search``)
     already gives the canonical ordering with ~.  Every automorphism of
     the pair fixes 0 and 1, so it commutes with the trivial ~, and the
     groups with and without ~ are the same.  Refinement ranks first by
@@ -699,24 +705,19 @@ def _decorations(order, kleene):
     n-1, so it colors 0 first and 1 last, each alone, with or without
     ~; and ~ splits no class of the other elements, each of which has
     image 0 and no preimage.  So the colors are the same
-    (``_pair_colors``), 0 and 1 are placed first and last, and at any
+    (``_Pair.colors``), 0 and 1 are placed first and last, and at any
     other depth every candidate's increment ends in the same ~ segment
     (image at depth 0, no preimage placed).  Every comparison of the
     search, hence every ordering it visits, its result and the
     automorphisms it records, are those of the Kleene-only search.  The
     copy's encoding is built along that ordering (``_copy_along``)."""
+    order, kleene = pair.order, pair.kleene
     if not _sharp_interior(order, kleene):
-        return [_copy_along(
-            FiniteAlgebra._from_order(order, kleene, _trivial_brouwer(order)),
-            _pair_search(order, kleene)[0], _pair_colors(order, kleene))]
-    # the Brouwer search reads only the order of the pair with trivial ~
-    maps = bz_brouwer_maps(FiniteAlgebra._from_order(
-        order, kleene, _trivial_brouwer(order)), kleene)
-    n = order.n
-    gens = (() if max(_pair_colors(order, kleene)) == n - 1
-            else _pair_search(order, kleene)[1])
+        return [_copy_along(order, (kleene, _trivial_brouwer(order)),
+                            pair.search[0], pair.colors)]
+    gens = () if max(pair.colors) == order.n - 1 else pair.search[1]
     copies, seen = [], set()
-    for tilde in maps:
+    for tilde in _brouwer_maps(order, kleene):
         S = sum(1 << s for s in set(tilde))
         if S in seen:
             continue
@@ -729,9 +730,8 @@ def _decorations(order, kleene):
         seen.update(orbit)
         seed = [g for g in gens if _set_image(g, S) == S]
         ordering, enc, _ = _canonical_search_group(
-            n, order.up, (kleene, tilde), None, seed)
-        copies.append(_renumbered(
-            FiniteAlgebra._from_order(order, kleene, tilde), ordering, enc))
+            order.n, order.up, (kleene, tilde), None, seed)
+        copies.append(_renumbered(order, (kleene, tilde), ordering, enc))
     return copies
 
 
@@ -754,8 +754,7 @@ def _bz_level(n, cap_key):
         pairs = _aol_pairs(n)
     else:
         pairs = _pk_pairs(n)
-    return _Level(sorted((A for order, kleene in pairs
-                          for A in _decorations(order, kleene)),
+    return _Level(sorted((A for pair in pairs for A in _decorations(pair)),
                          key=canonical_form))
 
 
@@ -826,14 +825,18 @@ class SearchResult(_Record):
         return self.found is not None
 
 
+_THEORY_NAMES = {statement: name for name, statement in terms.THEORY.items()}
+
+
 def search_counterexample(identity, spec):
     """Smallest algebra in the spec's class failing the identity.
 
     Size is the primary order; within a size the corpus comes in the
     order of canonical bytes, and the first failing algebra is returned,
     so reruns return the identical algebra.  The identity is read off
-    the level's mask for it (``core._Level.held``), the members it has
-    not decided scanned at once (``terms._verdicts``, as ``holds_each``
+    the level's mask for it (``core._Level.held``), keyed by its THEORY
+    name if it has one, as ``_admit`` keys it; the members it has not
+    decided are scanned at once (``terms._verdicts``, as ``holds_each``
     does); the first failing member is the lowest bit of the spec's
     members the identity fails on, and only its kept witness is made a
     dict.  When nothing fails up to spec.max_size the result says
@@ -843,11 +846,12 @@ def search_counterexample(identity, spec):
         identity = terms.parse_statement(identity)
     # each level's lookup then finds the statement itself in the memo
     identity = terms._interned(identity)
+    key = _THEORY_NAMES.get(identity, identity)
     examined = 0
     for n in range(1, spec.max_size + 1):
         level, kept = _spec_level(n, spec)
         examined += kept.bit_count()
-        failing = kept & ~level.held(identity, kept, lambda todo: [
+        failing = kept & ~level.held(key, kept, lambda todo: [
             ok for ok, _ in terms._verdicts(todo, identity)])
         if failing:
             A = level[(failing & -failing).bit_length() - 1]

@@ -473,7 +473,8 @@ def searched_level(n, cap_key):
     else:
         pairs = enumeration._pk_pairs(n)
     copies = {}
-    for order, kleene in pairs:
+    for pair in pairs:
+        order, kleene = pair.order, pair.kleene
         L = core.FiniteAlgebra._from_order(
             order, kleene, enumeration._trivial_brouwer(order))
         for brouwer in enumeration.bz_brouwer_maps(L, kleene):
@@ -489,7 +490,8 @@ def seeded_decorations(n):
     both maps, and the generators of the pair's automorphism group, from
     a Kleene-only search of its own, that fix the image of ~ as a set,
     the seeds of the decoration's canonical search."""
-    for order, kleene in enumeration._pk_pairs(n):
+    for pair in enumeration._pk_pairs(n):
+        order, kleene = pair.order, pair.kleene
         if not enumeration._sharp_interior(order, kleene):
             continue
         gens = core._canonical_search_group(n, order.up, (kleene,))[2]
@@ -581,18 +583,19 @@ def lattice_first_pk_pairs(n):
 
 @functools.cache
 def seen_set_pk_pairs(n):
-    """Pseudo-Kleene pairs (order, kleene) of size n, one per isomorphism
-    class, grown from this function's own smaller pairs: every insertion
-    into the pairs of size n-1 and n-2 that is a PK lattice is kept
-    unless its canonical bytes were seen before.  The generator that
-    canonical augmentation replaced."""
+    """Pseudo-Kleene pairs (``enumeration._Pair``) of size n, one per
+    isomorphism class, grown from this function's own smaller pairs:
+    every insertion into the pairs of size n-1 and n-2 that is a PK
+    lattice is kept unless its canonical bytes were seen before.  The
+    generator that canonical augmentation replaced."""
     if n <= 2:
         return [enumeration._chain_pair(n)]
-    candidates = [enumeration._fixed_insertion(order, kleene)
-                  for order, kleene in seen_set_pk_pairs(n - 1)]
+    candidates = [enumeration._fixed_insertion(pair.order, pair.kleene)
+                  for pair in seen_set_pk_pairs(n - 1)]
     if n >= 4:
-        candidates += [ins for order, kleene in seen_set_pk_pairs(n - 2)
-                       for ins in enumeration._pair_insertions(order, kleene)]
+        candidates += [ins for pair in seen_set_pk_pairs(n - 2)
+                       for ins in enumeration._pair_insertions(pair.order,
+                                                               pair.kleene)]
     pairs = []
     seen = set()
     for up, kleene in candidates:
@@ -602,7 +605,7 @@ def seen_set_pk_pairs(n):
         key = core._canon_bytes(n, up, (kleene,))
         if key not in seen:
             seen.add(key)
-            pairs.append((order, kleene))
+            pairs.append(enumeration._Pair(order, kleene))
     return pairs
 
 
@@ -612,10 +615,11 @@ def group_searched_candidates(n, aol=False):
     insertions, then the first pair insertion of each orbit of the full
     group.  The generator that the color signatures shortcut."""
     parents = enumeration._aol_pairs if aol else enumeration._pk_pairs
-    candidates = [enumeration._fixed_insertion(order, kleene)
-                  for order, kleene in parents(n - 1)]
+    candidates = [enumeration._fixed_insertion(pair.order, pair.kleene)
+                  for pair in parents(n - 1)]
     if n >= 4:
-        for order, kleene in enumeration._pk_pairs(n - 2):
+        for pair in enumeration._pk_pairs(n - 2):
+            order, kleene = pair.order, pair.kleene
             gens = core._canonical_search_group(n - 2, order.up, (kleene,))[2]
             candidates += enumeration._orbit_representatives(
                 enumeration._pair_insertions(order, kleene, aol), gens, n - 2)

@@ -324,7 +324,8 @@ def test_check_basics_agrees_with_nested_loops(data):
     # pseudo-Kleene pairs with arbitrary ~ maps, BZ or not, so that every
     # clause fails somewhere and the witnesses are compared too
     n = data.draw(st.integers(1, 8))
-    order, kleene = data.draw(st.sampled_from(enumeration._pk_pairs(n)))
+    pair = data.draw(st.sampled_from(enumeration._pk_pairs(n)))
+    order, kleene = pair.order, pair.kleene
     brouwer = data.draw(st.lists(st.integers(0, n - 1), min_size=n,
                                  max_size=n))
     A = FiniteAlgebra._from_order(order, kleene, brouwer)

@@ -73,8 +73,8 @@ def test_check_order_against_nested_loops():
     # lattices, each also with one or two bits flipped
     rng = random.Random(19)
     cases = []
-    lattices = [order.up for n in range(1, 8)
-                for order, _ in enumeration._pk_pairs(n)]
+    lattices = [pair.order.up for n in range(1, 8)
+                for pair in enumeration._pk_pairs(n)]
     for _ in range(150):
         n = rng.randint(1, 7)
         masks = [rng.getrandbits(n) for _ in range(n)]
@@ -173,16 +173,15 @@ def test_bits_against_bit_scan():
 
 
 def test_refine_colors_against_oracle(monkeypatch):
-    structures = [(order, (kleene,)) for n in range(1, 11)
-                  for order, kleene in enumeration._pk_pairs(n)]
+    structures = [(pair.order, (pair.kleene,)) for n in range(1, 11)
+                  for pair in enumeration._pk_pairs(n)]
     structures += [(A._ord, (A.kleene, A.brouwer))
                    for A in map(catalog.get, catalog.names())]
     for order, unaries in structures:
         args = order.n, order.up, order.down, unaries
         assert core._refine_colors(*args) == _oracles._refine_colors(*args)
     # every refinement a cold build of the antiortholattices to n=10 and
-    # the BZ-lattices to n=8 makes, from fresh pair, level and per-pair
-    # caches
+    # the BZ-lattices to n=8 makes, from fresh pair and level caches
     made = []
     refine = core._refine_colors
 
@@ -192,8 +191,7 @@ def test_refine_colors_against_oracle(monkeypatch):
 
     monkeypatch.setattr(core, "_refine_colors", recorded)
     monkeypatch.setattr(enumeration, "_refine_colors", recorded)
-    for name in ("_pk_pairs", "_aol_pairs", "_pair_colors", "_pair_search",
-                 "_bz_level"):
+    for name in ("_pk_pairs", "_aol_pairs", "_bz_level"):
         monkeypatch.setattr(enumeration, name, functools.cache(
             getattr(enumeration, name).__wrapped__))
     for n in range(1, 11):

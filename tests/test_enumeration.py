@@ -1,8 +1,10 @@
 """Corpus generation, counterexample search, registered claims."""
 
 import functools
+import gc
 import hashlib
 import pickle
+import weakref
 from collections import Counter
 
 import pytest
@@ -175,8 +177,7 @@ def test_brouwer_maps_match_backtracking():
 def test_pk_pairs_against_involutions():
     got = []
     for n in range(1, 11):
-        keys = [core._canon_bytes(n, order.up, (kleene,))
-                for order, kleene in enumeration._pk_pairs(n)]
+        keys = _pk_keys(n, enumeration._pk_pairs(n))
         assert len(set(keys)) == len(keys)
         assert set(keys) == _oracles.lattice_first_pk_pairs(n)
         got.append(len(keys))
@@ -184,8 +185,8 @@ def test_pk_pairs_against_involutions():
 
 
 def _pk_keys(n, pairs):
-    return [core._canon_bytes(n, order.up, (kleene,))
-            for order, kleene in pairs]
+    return [core._canon_bytes(n, pair.order.up, (pair.kleene,))
+            for pair in pairs]
 
 
 def test_pk_pairs_against_seen_set_generator():
@@ -198,8 +199,8 @@ def test_pk_pairs_against_seen_set_generator():
 def test_search_generators_give_every_orbit():
     # the canonical search's recorded automorphisms generate the whole
     # group: their orbits are those of every automorphism
-    structures = [(order, (kleene,)) for n in range(1, 11)
-                  for order, kleene in enumeration._pk_pairs(n)]
+    structures = [(pair.order, (pair.kleene,)) for n in range(1, 11)
+                  for pair in enumeration._pk_pairs(n)]
     structures += [(L._ord, ()) for n in range(1, 9)
                    for L in enumerate_lattices(n)]
     for order, unaries in structures:
@@ -274,8 +275,8 @@ def test_pk_pairs_frozen_in_order():
     # the generator's pairs and their order, sizes 1-12
     h = hashlib.sha256()
     for n in range(1, 13):
-        for order, kleene in enumeration._pk_pairs(n):
-            h.update(repr((tuple(order.up), kleene)).encode())
+        for pair in enumeration._pk_pairs(n):
+            h.update(repr((tuple(pair.order.up), pair.kleene)).encode())
     assert h.hexdigest() == \
         "24c3a00b4b1ec5c05bad0dfc6a931f02bd5d85da5950f2008376629ff5444bba"
 
@@ -294,8 +295,8 @@ def test_pk_pretest_agrees_with_the_canonical_orbit():
             top = enumeration._top_degree_atoms(up, x)
             kept = _oracles.in_canonical_orbit(order, kleene)
             if top:
-                assert enumeration._in_canonical_orbit(order, kleene,
-                                                       top) == kept
+                assert enumeration._in_canonical_orbit(
+                    enumeration._Pair(order, kleene), top) == kept
             kind = ("rejected" if not top else
                     "alone" if top == 1 << x else "tied")
             assert kind != ("rejected" if kept else "alone")
@@ -308,14 +309,14 @@ def test_pk_pretest_agrees_with_the_canonical_orbit():
 def test_aol_pairs_are_the_narrowed_pk_pairs():
     for n in range(1, 12):
         got = enumeration._aol_pairs(n)
-        want = [(order, kleene) for order, kleene in enumeration._pk_pairs(n)
-                if not enumeration._sharp_interior(order, kleene)]
+        want = [pair for pair in enumeration._pk_pairs(n)
+                if not enumeration._sharp_interior(pair.order, pair.kleene)]
         keys = _pk_keys(n, got)
         assert len(set(keys)) == len(keys)
         assert set(keys) == set(_pk_keys(n, want))
         # the same pairs in the same order, as the docstring says
-        assert [(order.up, kleene) for order, kleene in got] == \
-            [(order.up, kleene) for order, kleene in want]
+        assert [(pair.order.up, pair.kleene) for pair in got] == \
+            [(pair.order.up, pair.kleene) for pair in want]
 
 
 def _meets_aol_requirement(up, kleene):
@@ -407,7 +408,7 @@ def test_aol_generator_work_pinned(monkeypatch):
 
 def test_aol_level_work_pinned(monkeypatch):
     # a cold decorated build of the antiortholattice levels to n=10, from
-    # fresh pair, level and per-pair caches
+    # fresh pair and level caches
     calls = Counter()
 
     def counted(name, fn):
@@ -422,8 +423,7 @@ def test_aol_level_work_pinned(monkeypatch):
     refine = counted("refine", core._refine_colors)
     monkeypatch.setattr(core, "_refine_colors", refine)
     monkeypatch.setattr(enumeration, "_refine_colors", refine)
-    for name in ("_pk_pairs", "_aol_pairs", "_pair_colors", "_pair_search",
-                 "_bz_level"):
+    for name in ("_pk_pairs", "_aol_pairs", "_bz_level"):
         monkeypatch.setattr(enumeration, name, functools.cache(
             getattr(enumeration, name).__wrapped__))
     assert [len(enumeration._bz_level(n, "antiortholattice"))
@@ -440,7 +440,7 @@ def test_aol_level_work_pinned(monkeypatch):
 
 def test_general_level_decoration_work_pinned(monkeypatch):
     # a cold decorated build of the general levels to n=8, from fresh
-    # pair, level and per-pair caches
+    # pair and level caches
     calls = Counter()
 
     def counted(name, fn):
@@ -451,8 +451,10 @@ def test_general_level_decoration_work_pinned(monkeypatch):
             return fn(*args)
         return wrapper
 
-    def mapped(L, kleene):
-        maps = bz_brouwer_maps(L, kleene)
+    brouwer_maps = enumeration._brouwer_maps
+
+    def mapped(order, kleene):
+        maps = brouwer_maps(order, kleene)
         calls["brouwer"] += 1
         calls["map"] += len(maps)
         return maps
@@ -463,9 +465,8 @@ def test_general_level_decoration_work_pinned(monkeypatch):
     refine = counted("refine", core._refine_colors)
     monkeypatch.setattr(core, "_refine_colors", refine)
     monkeypatch.setattr(enumeration, "_refine_colors", refine)
-    monkeypatch.setattr(enumeration, "bz_brouwer_maps", mapped)
-    for name in ("_pk_pairs", "_aol_pairs", "_pair_colors", "_pair_search",
-                 "_bz_level"):
+    monkeypatch.setattr(enumeration, "_brouwer_maps", mapped)
+    for name in ("_pk_pairs", "_aol_pairs", "_bz_level"):
         monkeypatch.setattr(enumeration, name, functools.cache(
             getattr(enumeration, name).__wrapped__))
     assert [len(enumeration._bz_level(n, "general"))
@@ -483,21 +484,92 @@ def test_general_level_decoration_work_pinned(monkeypatch):
                      "search": 120, "refine": 128}
 
 
+def test_cold_builds_make_one_algebra_per_kept_copy(monkeypatch):
+    # from fresh pair and level caches, a cold build makes one algebra
+    # per canonical copy it keeps: the Brouwer search reads the pair's
+    # order, and a copy is built from the order and the maps.  With a
+    # carrier for each Brouwer search and each copy renumbered, the
+    # antiortholattices to n=10 made 116 and the BZ-lattices to n=8 221
+    made = Counter()
+    from_order = core.FiniteAlgebra.__dict__["_from_order"].__func__
+
+    def counted(cls, *args, **kwargs):
+        made["algebra"] += 1
+        return from_order(cls, *args, **kwargs)
+
+    monkeypatch.setattr(core.FiniteAlgebra, "_from_order",
+                        classmethod(counted))
+    for cap_key, top, copies in (("antiortholattice", 10, 58),
+                                 ("general", 8, 97)):
+        for name in ("_pk_pairs", "_aol_pairs", "_bz_level"):
+            monkeypatch.setattr(enumeration, name, functools.cache(
+                getattr(enumeration, name).__wrapped__))
+        made.clear()
+        kept = sum(len(enumeration._bz_level(n, cap_key))
+                   for n in range(1, top + 1))
+        assert made["algebra"] == kept == copies, cap_key
+
+
+def test_rejected_candidates_keep_nothing(monkeypatch):
+    # a candidate's record is made before its orbit test and holds what
+    # the test finds, so once a cold build of the PK pairs to n=12 is
+    # done the only records alive are the kept pairs, though rejected
+    # candidates were refined
+    made, refined = [], []
+
+    class Counted(enumeration._Pair):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, order, kleene):
+            super().__init__(order, kleene)
+            made.append(weakref.ref(self))
+
+        @property
+        def colors(self):
+            if self._colors is None:
+                refined.append(weakref.ref(self))
+            return super().colors
+
+    monkeypatch.setattr(enumeration, "_Pair", Counted)
+    monkeypatch.setattr(enumeration, "_pk_pairs", functools.cache(
+        enumeration._pk_pairs.__wrapped__))
+    kept = [pair for n in range(1, 13) for pair in enumeration._pk_pairs(n)]
+    gc.collect()
+    live = [ref() for ref in made if ref() is not None]
+    assert sorted(map(id, live)) == sorted(map(id, kept))
+    # 1182 records for 1112 pairs; 407 records were refined, among them
+    # the 70 rejected ones, whose colors went with them
+    dropped = sum(ref() is None for ref in refined)
+    assert (len(made), len(kept), len(refined), dropped) == \
+        (1182, 1112, 407, 70)
+
+
+def _fresh_search(order, unaries):
+    """The colors and canonical search of a structure, from scratch, in
+    the form a pair keeps them."""
+    n, up = order.n, order.up
+    ordering, _, gens = core._canonical_search_group(n, up, unaries)
+    return (bytes(core._refine_colors(n, up, order.down, unaries)),
+            (bytes(ordering), tuple(map(bytes, gens))))
+
+
 def test_antiortholattice_copies_take_the_kleene_only_search():
+    # every pair keeps the colors and the search with ' alone that a
+    # fresh refinement and search give
+    for n in range(1, 11):
+        for pair in enumeration._pk_pairs(n):
+            assert (pair.colors, pair.search) == \
+                _fresh_search(pair.order, (pair.kleene,))
     # the trivial ~ changes neither the colors nor anything the canonical
     # search does on an antiortholattice pair (see _decorations), so the
     # copy built along the pair's Kleene-only search is the one the
     # search with both maps gives
     for n in range(1, 13):
-        for order, kleene in enumeration._aol_pairs(n):
-            unaries = (kleene, enumeration._trivial_brouwer(order))
-            col = core._refine_colors(n, order.up, order.down, unaries)
-            ordering, _, gens = core._canonical_search_group(
-                n, order.up, unaries)
-            assert enumeration._pair_colors(order, kleene) == bytes(col)
-            assert enumeration._pair_search(order, kleene) == \
-                (bytes(ordering), tuple(map(bytes, gens)))
-            [C] = enumeration._decorations(order, kleene)
+        for pair in enumeration._aol_pairs(n):
+            order, kleene = pair.order, pair.kleene
+            assert (pair.colors, pair.search) == _fresh_search(
+                order, (kleene, enumeration._trivial_brouwer(order)))
+            [C] = enumeration._decorations(pair)
             assert _oracles.copy_contents(C) == _oracles.copy_contents(
                 _oracles.searched_aol_copy(order, kleene))
 
@@ -517,13 +589,15 @@ def test_antiortholattice_levels_take_the_trivial_map():
     # map alone, and so does the backtracking oracle on every PK pair
     # with no sharp element but 0 and 1
     for n in range(1, 12):
-        for order, kleene in enumeration._aol_pairs(n):
+        for pair in enumeration._aol_pairs(n):
+            order, kleene = pair.order, pair.kleene
             L = FiniteAlgebra._from_order(
                 order, kleene, enumeration._trivial_brouwer(order))
             assert bz_brouwer_maps(L, kleene) == \
                 [enumeration._trivial_brouwer(order)]
     for n in range(1, 11):
-        for order, kleene in enumeration._pk_pairs(n):
+        for pair in enumeration._pk_pairs(n):
+            order, kleene = pair.order, pair.kleene
             if not enumeration._sharp_interior(order, kleene):
                 L = FiniteAlgebra._from_order(
                     order, kleene, enumeration._trivial_brouwer(order))

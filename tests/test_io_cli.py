@@ -206,7 +206,8 @@ _ALGEBRA_NAMES = st.text("ABTxy0129_()-^", min_size=1, max_size=8)
 @given(st.data())
 def test_random_pk_algebras_round_trip(data):
     n = data.draw(st.integers(1, 8))
-    order, kleene = data.draw(st.sampled_from(enumeration._pk_pairs(n)))
+    pair = data.draw(st.sampled_from(enumeration._pk_pairs(n)))
+    order, kleene = pair.order, pair.kleene
     maps = enumeration.bz_brouwer_maps(BoundedLattice._from_order(order),
                                        kleene)
     brouwer = data.draw(st.one_of(
