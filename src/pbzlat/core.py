@@ -1069,8 +1069,8 @@ def canonical_copy(algebra):
     and an algebra that is its own copy comes back unchanged: its
     ordering is the identity, the first one the canonical search tries.
     A copy is built from an order and its maps (``_renumbered``), so
-    ``_copy_along`` and ``enumeration._decorations``, which know the
-    ordering or automorphisms to start from, copy with no algebra.
+    ``_copy_along`` and ``enumeration._decorations``, which know where
+    its search starts or ends, build no algebra but the copy.
     """
     maps = (algebra.kleene, algebra.brouwer)
     ordering, enc = _canonical_search(algebra.n, algebra._ord.up, maps)
