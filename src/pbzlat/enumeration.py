@@ -65,8 +65,8 @@ from . import axioms, congruences, constructions, terms
 from .axioms import _sharp_interior
 from .core import (BoundedLattice, _bits, _canon_bytes, _check_order,
                    _canonical_search_group, _copy_along, _keep_each, _Level,
-                   _orbit, _Record, _refine_colors, _renumbered, _set_field,
-                   _set_index, canonical_form, chain_lattice)
+                   _orbit, _Order, _Record, _refine_colors, _renumbered,
+                   _set_field, _set_index, canonical_form, chain_lattice)
 # The benchmark's tracer (perfbench/spans.py) looks up
 # enumeration.canonical_form and enumeration.is_isomorphic by name when
 # it installs, so both stay importable from here, though no code in this
@@ -280,7 +280,8 @@ def order_reversing_involutions(L):
 def bz_brouwer_maps(L, kleene):
     """All Brouwer complements making (L, kleene, ~) a BZ-lattice,
     sorted by their values along a descending linear extension.  Only
-    the order of L is read, so L may also be an algebra.
+    the order of L is read, so L may also be an algebra or that order
+    itself, as ``_decorations`` passes a pair's.
 
     In a BZ-lattice, a~ is the largest element of the modal-sharp set
     S = {s : s~ = s'} below a'.  With BZ1-BZ4 the THEORY statements
@@ -301,11 +302,7 @@ def bz_brouwer_maps(L, kleene):
     Kleene-sharp elements are 0 and 1 has S = {0, 1} alone, and with it
     the trivial map, a~ = 0 for every a but 0.
     """
-    return _brouwer_maps(L._ord, kleene)
-
-
-def _brouwer_maps(order, kleene):
-    """``bz_brouwer_maps`` on the order alone."""
+    order = L if isinstance(L, _Order) else L._ord
     if not axioms._pseudo_kleene(order, kleene):
         return []
     n, zero, one, join = order.n, order.zero, order.one, order.join
@@ -717,7 +714,7 @@ def _decorations(pair):
                             pair.search[0], pair.colors)]
     gens = () if max(pair.colors) == order.n - 1 else pair.search[1]
     copies, seen = [], set()
-    for tilde in _brouwer_maps(order, kleene):
+    for tilde in bz_brouwer_maps(order, kleene):
         S = sum(1 << s for s in set(tilde))
         if S in seen:
             continue
@@ -825,18 +822,14 @@ class SearchResult(_Record):
         return self.found is not None
 
 
-_THEORY_NAMES = {statement: name for name, statement in terms.THEORY.items()}
-
-
 def search_counterexample(identity, spec):
     """Smallest algebra in the spec's class failing the identity.
 
     Size is the primary order; within a size the corpus comes in the
     order of canonical bytes, and the first failing algebra is returned,
     so reruns return the identical algebra.  The identity is read off
-    the level's mask for it (``core._Level.held``), keyed by its THEORY
-    name if it has one, as ``_admit`` keys it; the members it has not
-    decided are scanned at once (``terms._verdicts``, as ``holds_each``
+    the level's mask for it (``core._Level.held``), the members it has
+    not decided scanned at once (``terms._verdicts``, as ``holds_each``
     does); the first failing member is the lowest bit of the spec's
     members the identity fails on, and only its kept witness is made a
     dict.  When nothing fails up to spec.max_size the result says
@@ -846,12 +839,11 @@ def search_counterexample(identity, spec):
         identity = terms.parse_statement(identity)
     # each level's lookup then finds the statement itself in the memo
     identity = terms._interned(identity)
-    key = _THEORY_NAMES.get(identity, identity)
     examined = 0
     for n in range(1, spec.max_size + 1):
         level, kept = _spec_level(n, spec)
         examined += kept.bit_count()
-        failing = kept & ~level.held(key, kept, lambda todo: [
+        failing = kept & ~level.held(identity, kept, lambda todo: [
             ok for ok, _ in terms._verdicts(todo, identity)])
         if failing:
             A = level[(failing & -failing).bit_length() - 1]

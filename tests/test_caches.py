@@ -343,28 +343,6 @@ def test_level_masks_match_the_per_algebra_readers(monkeypatch):
     assert levels == sum(spec.max_size for spec in SWEEP_SPECS)
 
 
-def test_a_searched_statement_shares_its_filter_mask(monkeypatch, capsys):
-    # a THEORY name a spec filters by and the statement a search reads
-    # share one mask on a level, keyed by the name, so ``search DIST
-    # --structure distributive`` decides DIST once per level, 8 times in
-    # all (16 with the name and the statement keyed apart)
-    monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
-        enumeration._bz_level.__wrapped__))
-    computed = Counter()
-    held = core._Level.held
-
-    def counted(level, key, within, compute):
-        def spied(members):
-            computed[key] += 1
-            return compute(members)
-        return held(level, key, within, spied)
-
-    monkeypatch.setattr(core._Level, "held", counted)
-    cli.main(["search", "DIST", "--structure", "distributive", "--max", "8"])
-    assert capsys.readouterr().out.startswith("exhausted")
-    assert computed == {"DIST": 8}
-
-
 def test_warm_chain_claims_run_no_canonical_search(monkeypatch):
     # both chain claims read clauses (CHAIN, DENSE) and class flags,
     # which the corpus members keep, so after one pass they search

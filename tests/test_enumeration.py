@@ -451,10 +451,8 @@ def test_general_level_decoration_work_pinned(monkeypatch):
             return fn(*args)
         return wrapper
 
-    brouwer_maps = enumeration._brouwer_maps
-
-    def mapped(order, kleene):
-        maps = brouwer_maps(order, kleene)
+    def mapped(L, kleene):
+        maps = bz_brouwer_maps(L, kleene)
         calls["brouwer"] += 1
         calls["map"] += len(maps)
         return maps
@@ -465,7 +463,7 @@ def test_general_level_decoration_work_pinned(monkeypatch):
     refine = counted("refine", core._refine_colors)
     monkeypatch.setattr(core, "_refine_colors", refine)
     monkeypatch.setattr(enumeration, "_refine_colors", refine)
-    monkeypatch.setattr(enumeration, "_brouwer_maps", mapped)
+    monkeypatch.setattr(enumeration, "bz_brouwer_maps", mapped)
     for name in ("_pk_pairs", "_aol_pairs", "_bz_level"):
         monkeypatch.setattr(enumeration, name, functools.cache(
             getattr(enumeration, name).__wrapped__))
