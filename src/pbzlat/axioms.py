@@ -1,9 +1,13 @@
 """Class flags and sharp-element bookkeeping.
 
-Every class flag is read off THEORY statements (``_FLAG_STATEMENTS``)
-by the one evaluator, ``terms._verdicts``, over a whole level of
-algebras at once, and ``_held`` reads a flag or a THEORY statement by
-name over a level, as spec filters and claims name them.  A scan runs
+Every class flag is read off THEORY statements by the one evaluator,
+``terms._verdicts``: one table (``_FLAGS``) gives each flag the flags
+it needs first and its own statements.  ``_held`` reads a flag or a
+THEORY statement by name over a whole level of algebras at once, as
+spec filters and claims name them, scanning only that flag's
+statements, each over the algebras still in, and building no class
+report; ``classify`` builds the report of one algebra off the same
+table and keeps it on the algebra.  A scan runs
 through the assignments in odometer order and reports the first
 (lexicographically least) failing one, so witnesses are reproducible
 and minimal.  The generator tests bare pairs of an order and an
@@ -11,10 +15,8 @@ involution before any algebra exists (``_pseudo_kleene``,
 ``_sharp_interior``).
 """
 
-import operator
-
 from . import terms
-from .core import _keep_each, _Record, _set_field
+from .core import _Record
 
 __all__ = [
     "kleene_sharp",
@@ -63,10 +65,9 @@ def sharp_sets(A):
     Raises ValueError off the BZ class, where the modal and Brouwer
     variants are not meaningful.
     """
-    report = classify(A)
-    if not report.bz:
+    if not satisfies(A, "bz"):
         raise ValueError("sharp_sets needs a BZ-lattice, violated "
-                         f"{dict(report.witnesses)['bz']}")
+                         f"{dict(classify(A).witnesses)['bz']}")
     s_diamond = frozenset(a for a in range(A.n) if A.diamond(a) == a)
     # a = <>a and a' = a~ are equivalent on BZ-lattices; keep both
     # computations around as a live cross-check rather than an assumption
@@ -78,13 +79,54 @@ def sharp_sets(A):
     return SharpSets(kleene_sharp(A), s_diamond, s_b)
 
 
+# Each class flag, in report order: the flags it needs first, and its
+# own THEORY statements, each with the label of its witness.  A flag
+# holds where every flag it needs holds and all of its statements hold,
+# and its witness is that of the first of its statements to fail,
+# tagged with the label when there is one, and none where the label is
+# False.  BZ* and diamond-orthomodularity need BZ, which keeps PBZ*
+# inside BZ* inside BZ on every report, whatever the raw scans would
+# say; S_K = {0, 1}, the bare order-theoretic reading, keeps no witness.
+_FLAGS = {
+    "bounded-involution": ((), ()),
+    "pseudo-kleene": ((), (("PK", None),)),
+    "ortholattice": ((), (("OL", None),)),
+    "orthomodular": ((), (("OM", None),)),
+    "paraorthomodular": ((), (("POM", None),)),
+    "bz": ((), (("PK", "pk"), ("BZ1", "bz:disjoint"),
+                ("BZ2", "bz:expanding"), ("BZ3", "bz:antitone"),
+                ("BZ4", "bz:link"))),
+    "bz-star": (("bz",), (("STAR", None),)),
+    "diamond-orthomodular": (("bz",), (("DIAMOND_OM", None),)),
+    "pbz-star": (("bz-star", "diamond-orthomodular"), ()),
+    "kleene-sharp-trivial": ((), (("ANTIORTHO", False),)),
+    "antiortholattice": (("pbz-star", "kleene-sharp-trivial"), ()),
+}
+CLASS_FLAGS = tuple(_FLAGS)
+
+
+def _statements(flag):
+    """The THEORY statements a flag holds on, in the order it reads
+    them: those of the flags it needs, then its own, each once."""
+    needs, own = _FLAGS[flag]
+    return tuple(dict.fromkeys((
+        *(statement for need in needs for statement in _statements(need)),
+        *(terms.THEORY[name] for name, _ in own))))
+
+
+# What a level read of each flag scans, statement by statement.
+_READS = {flag: _statements(flag) for flag in _FLAGS}
+
+
 class AlgebraClassReport(_Record):
     """One flag per axiom class, with witnesses for the failures.
 
     ``antiortholattice`` is the class flag (PBZ* with trivial S_K);
     ``kleene_sharp_trivial`` is the bare order-theoretic reading
     (S_K = {0, 1} regardless of the other axioms).  Every flag is a
-    bool and ``witnesses`` a tuple of (flag, witness) pairs.
+    bool and ``witnesses`` a tuple of (flag, witness) pairs.  The
+    fields are the class flags, spelt with underscores, in
+    ``CLASS_FLAGS`` order, then the witnesses.
     """
 
     __slots__ = __match_args__ = (
@@ -93,42 +135,14 @@ class AlgebraClassReport(_Record):
         "diamond_orthomodular", "pbz_star", "kleene_sharp_trivial",
         "antiortholattice", "witnesses")
 
-    def __init__(self, bounded_involution, pseudo_kleene, ortholattice,
-                 orthomodular, paraorthomodular, bz, bz_star,
-                 diamond_orthomodular, pbz_star, kleene_sharp_trivial,
-                 antiortholattice, witnesses):
-        _set_field(self, "bounded_involution", bounded_involution)
-        _set_field(self, "pseudo_kleene", pseudo_kleene)
-        _set_field(self, "ortholattice", ortholattice)
-        _set_field(self, "orthomodular", orthomodular)
-        _set_field(self, "paraorthomodular", paraorthomodular)
-        _set_field(self, "bz", bz)
-        _set_field(self, "bz_star", bz_star)
-        _set_field(self, "diamond_orthomodular", diamond_orthomodular)
-        _set_field(self, "pbz_star", pbz_star)
-        _set_field(self, "kleene_sharp_trivial", kleene_sharp_trivial)
-        _set_field(self, "antiortholattice", antiortholattice)
-        _set_field(self, "witnesses", witnesses)
-
     def flags(self):
-        return {name: getattr(self, field)
-                for name, field in _FLAG_FIELDS.items()}
-
-
-# The class-flag names, in report order: the fields above but the
-# witnesses, spelt with hyphens.
-CLASS_FLAGS = tuple(name.replace("_", "-")
-                    for name in AlgebraClassReport.__match_args__
-                    if name != "witnesses")
-_FLAG_FIELDS = {name: name.replace("-", "_") for name in CLASS_FLAGS}
-_FLAG_READERS = {name: operator.attrgetter(field)
-                 for name, field in _FLAG_FIELDS.items()}
+        return dict(zip(CLASS_FLAGS, self._fields()))
 
 
 def satisfies(A, name):
     """Whether A has the class flag ``name`` or satisfies the THEORY
-    statement ``name``; both are kept on the algebra once decided.
-    This is ``_held`` for one algebra."""
+    statement ``name``; the verdicts it is read off are kept on the
+    algebra.  This is ``_held`` for one algebra."""
     return _held((A,), name)[0]
 
 
@@ -136,75 +150,45 @@ def _held(algebras, name):
     """Whether each of some algebras of one size, in order, has the
     class flag ``name`` or satisfies the THEORY statement ``name``: the
     one reader of names behind spec filters, claim hypotheses and claim
-    conclusions.  A flag is read off the kept class reports, the
-    algebras with none classified together; a statement off the kept
-    verdicts (``terms._verdicts``)."""
-    read = _FLAG_READERS.get(name)
-    if read is not None:
-        return list(map(read, _keep_each(algebras, "classes", _classify)))
-    return [ok for ok, _ in terms._verdicts(algebras, terms.THEORY[name])]
-
-
-# The THEORY statements each class flag reads, in order, each with the
-# label of its witness.  A flag holds where all of its statements hold,
-# and its witness is that of the first one to fail, tagged with the
-# label when there is one.  BZ* and diamond-orthomodularity are read on
-# BZ algebras alone, which keeps PBZ* inside BZ* inside BZ on every
-# report, whatever the raw scans would say; S_K = {0, 1}, the bare
-# order-theoretic reading, keeps no witness.
-_FLAG_STATEMENTS = {
-    "pseudo-kleene": (("PK", None),),
-    "ortholattice": (("OL", None),),
-    "orthomodular": (("OM", None),),
-    "paraorthomodular": (("POM", None),),
-    "bz": (("PK", "pk"), ("BZ1", "bz:disjoint"), ("BZ2", "bz:expanding"),
-           ("BZ3", "bz:antitone"), ("BZ4", "bz:link")),
-    "bz-star": (("STAR", None),),
-    "diamond-orthomodular": (("DIAMOND_OM", None),),
-    "kleene-sharp-trivial": (("ANTIORTHO", None),),
-}
-_ON_BZ = ("bz-star", "diamond-orthomodular")
-_NO_WITNESS = ("kleene-sharp-trivial",)
+    conclusions.  A statement is read off the kept verdicts
+    (``terms._verdicts``); a flag off the statements of the flags it
+    needs and then its own (``_FLAGS``), each over the algebras still
+    in, so no other statement is scanned and no class report is
+    built."""
+    statements = _READS.get(name)
+    if statements is None:
+        return [ok for ok, _ in terms._verdicts(algebras, terms.THEORY[name])]
+    alive = range(len(algebras))
+    for statement in statements:
+        alive = [i for i, (ok, _) in zip(alive, terms._verdicts(
+            [algebras[i] for i in alive], statement)) if ok]
+    held = [False] * len(algebras)
+    for i in alive:
+        held[i] = True
+    return held
 
 
 def classify(A):
-    """Evaluate every class flag on a validated algebra: the report of
-    a level of one algebra (``_classify``).
+    """Evaluate every class flag on a validated algebra, off the same
+    statements and verdicts as ``_held`` (``_FLAGS``).
 
     The report is computed on the first call and kept on the algebra,
     whose maps cannot change; later calls return the same frozen
     report.
     """
-    return _keep_each((A,), "classes", _classify)[0]
+    return A._keep("classes", lambda: _report(A))
 
 
-def _classify(algebras):
-    """The class reports of some algebras of one size, in order: each
-    flag's statements scanned in turn (``terms._verdicts``), each over
-    the algebras that have failed none of the flag's statements yet."""
-    passed, witnesses = {}, [{} for _ in algebras]
-    for flag, statements in _FLAG_STATEMENTS.items():
-        alive = range(len(algebras)) if flag not in _ON_BZ else \
-            sorted(passed["bz"])
-        for name, label in statements:
-            verdicts = terms._verdicts([algebras[i] for i in alive],
-                                       terms.THEORY[name])
-            still = []
-            for i, (ok, witness) in zip(alive, verdicts):
-                if ok:
-                    still.append(i)
-                elif flag not in _NO_WITNESS:
-                    witnesses[i][flag] = witness if label is None \
-                        else (label, witness)
-            alive = still
-        passed[flag] = set(alive)
-    reports = []
-    for i, found in enumerate(witnesses):
-        flags = {_FLAG_FIELDS[flag]: i in on for flag, on in passed.items()}
-        pbz = flags["bz"] and flags["bz_star"] and \
-            flags["diamond_orthomodular"]
-        reports.append(AlgebraClassReport(
-            bounded_involution=True, pbz_star=pbz,
-            antiortholattice=pbz and flags["kleene_sharp_trivial"],
-            witnesses=tuple(sorted(found.items())), **flags))
-    return reports
+def _report(A):
+    held, witnesses = {}, []
+    for flag, (needs, statements) in _FLAGS.items():
+        ok = all(held[need] for need in needs)
+        for name, label in statements if ok else ():
+            ok, witness = terms._verdicts((A,), terms.THEORY[name])[0]
+            if not ok:
+                if label is not False:
+                    witnesses.append((flag, witness if label is None
+                                      else (label, witness)))
+                break
+        held[flag] = ok
+    return AlgebraClassReport(*held.values(), tuple(sorted(witnesses)))

@@ -291,7 +291,7 @@ def is_directly_indecomposable(A):
     Without a Brouwer ~ this fails: the 4-chain with ~ the identity has
     two unlinked classes of covers and is indecomposable.  The
     one-element algebra has no two nontrivial factors."""
-    if not axioms.classify(A).bz:
+    if not axioms.satisfies(A, "bz"):
         raise ValueError("direct indecomposability needs a BZ-lattice")
     reach = _reach(A).reach
     linked = reach[0] if reach else 0

@@ -106,8 +106,7 @@ class TwistRepresentation(_Record):
 def twist_represent(A):
     """Express a nontrivial antiortholattice as twist1/twist2 of its
     positive cone, returning a verified isomorphism."""
-    report = axioms.classify(A)
-    if A.n < 2 or not report.antiortholattice:
+    if A.n < 2 or not axioms.satisfies(A, "antiortholattice"):
         raise ValueError("twist_represent needs a nontrivial antiortholattice")
     cn = cones(A)
     missing = sorted(set(range(A.n)) - (cn.negative | cn.positive))
@@ -176,7 +175,8 @@ def horizontal_sum(summands, name=None):
         if S.kleene[S.zero] != S.one or S.brouwer[S.zero] != S.one \
                 or S.brouwer[S.one] != S.zero:
             raise ValueError("summand maps do not fix the shared bounds")
-    bad = sum(1 for S in summands if not axioms.classify(S).orthomodular)
+    bad = sum(1 for S in summands
+              if not axioms.satisfies(S, "orthomodular"))
     if bad > 1:
         raise ValueError(
             "at most one horizontal summand may fail orthomodularity")
@@ -302,8 +302,7 @@ def _block_masks(A):
 
 
 def _blocks(A):
-    report = axioms.classify(A)
-    if not report.pbz_star:
+    if not axioms.satisfies(A, "pbz-star"):
         raise ValueError("blocks needs a PBZ* algebra")
     o, kleene, brouwer = A._ord, A.kleene, A.brouwer
     n, meet, join = o.n, o.meet, o.join

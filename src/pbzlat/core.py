@@ -512,18 +512,18 @@ class _Carrier:
     Every carrier starts with nothing kept, so renamed copies, reducts
     and canonical copies compute their own results.  The keys in use
     are ``"canon"`` (``canonical_form``), ``"reach"``
-    (``congruences._CoverReach``) and ``"blocks"``
-    (``constructions.blocks``), kept one carrier at a time; and, kept a
-    level at a time, ``"classes"``, the class report
-    (``axioms.classify``), each statement itself, its verdict ``(ok,
+    (``congruences._CoverReach``), ``"blocks"``
+    (``constructions.blocks``) and ``"classes"``, the class report
+    (``axioms.classify``), kept one carrier at a time; and, kept a
+    level at a time, each statement itself, its verdict ``(ok,
     witness)`` with the witness a tuple in the order of the statement's
-    sorted variable names (``terms._verdicts``), and ``("check", fn)``,
-    the tuple of problems a claim check ``fn`` returned
-    (``enumeration.verify_over_corpus``).  These stay on the carrier,
-    witnesses and problems with them, for the readers of one algebra;
-    a decorated level (``_Level``) indexes which of its members they
-    hold for, and nothing keeps them for an algebra outside a level
-    but the algebra itself.
+    sorted variable names (``terms._verdicts``), which class flags are
+    read off too, and ``("check", fn)``, the tuple of problems a claim
+    check ``fn`` returned (``enumeration.verify_over_corpus``).  These
+    stay on the carrier, witnesses and problems with them, for the
+    readers of one algebra; a decorated level (``_Level``) indexes
+    which of its members they hold for, and nothing keeps them for an
+    algebra outside a level but the algebra itself.
     Kept values are immutable or private to their keeper, which hands
     out copies of mutable ones.
     """
@@ -600,9 +600,11 @@ def _keep_each(carriers, key, compute):
     """The value each of a sequence of carriers keeps under ``key``, in
     order.  The carriers that keep none get theirs from one call
     ``compute(missing)``, which returns a value per missing carrier, in
-    order, and keep them.  A value kept this way is never None.  A
-    level's reads come here only for the members its masks have not
-    decided yet (``_Level.held``)."""
+    order, and keep them.  A value kept this way is never None.
+    Statement verdicts (``terms._verdicts``) and claim-check outcomes
+    (``enumeration._passing``) are kept this way.  A level's reads come
+    here only for the members its masks have not decided yet
+    (``_Level.held``)."""
     values = [A._kept.get(key) for A in carriers]
     missing = [i for i, value in enumerate(values) if value is None]
     if missing:
@@ -619,7 +621,7 @@ class _Level(list):
     pair of ints, the members decided and the members that hold, so a
     warm read of a level is a few int operations, whatever its size.
     The masks only index what the members keep themselves (verdicts
-    with their witnesses, class reports, check outcomes): they are
+    with their witnesses, check outcomes): they are
     filled from the members' own readers and never decide anything.
     They live as long as the level, which the stage cache that built
     it keeps.

@@ -43,16 +43,18 @@ claim checks all run in the calling process, over each level in its
 canonical order.
 
 Results are kept per carrier, through ``_Carrier._keep`` (canonical
-forms, blocks, reach sets) and ``core._keep_each`` (class reports,
-verdicts, claim-check outcomes); per level, as masks over its members
-saying which of them a flag, statement, SI gate or check holds for
-(``core._Level``), so spec filters, searches and claims read a level
-in a few int operations once it is decided; per pseudo-Kleene pair,
-on its record (``_Pair``: colors and Kleene-only search, made for a
-candidate before its orbit test, so a rejected one's go with it); and
-per process, in the functools caches on ``_lattices``, ``_pk_pairs``,
-``_aol_pairs``, ``_bz_level`` and ``cli.build_parser``; nothing is
-kept per spec.  Statements are interned in ``terms._STATEMENT_MEMO``.
+forms, blocks, reach sets, class reports) and ``core._keep_each``
+(verdicts, which class flags are read off, and claim-check outcomes);
+per level, as masks over its members saying which of them a flag,
+statement, SI gate or check holds for (``core._Level``), so spec
+filters, searches and claims read a level in a few int operations
+once it is decided, and no level read builds a class report; per
+pseudo-Kleene pair, on its record (``_Pair``: colors and Kleene-only
+search, made for a candidate before its orbit test, so a rejected
+one's go with it); and per process, in the functools caches on
+``_lattices``, ``_pk_pairs``, ``_aol_pairs``, ``_bz_level`` and
+``cli.build_parser``; nothing is kept per spec.  Statements are
+interned in ``terms._STATEMENT_MEMO``.
 
 Size caps are checked when a spec is built, so ``CAPS`` must be
 raised before building a spec that goes beyond them.
@@ -652,8 +654,9 @@ def _admit(level, names, within):
     named, as a mask, narrowed by each name in turn: a spec's filters,
     a claim's hypotheses or its conclusions.  Each name is read off the
     level's mask for it; the members left that it has not decided yet
-    are read together by ``axioms._held``, so the first flag classifies
-    them at once and later names read what the algebras keep."""
+    are read together by ``axioms._held``, which scans a flag's own
+    statements over them at once and reads what the algebras keep
+    where earlier names scanned them."""
     for name in names:
         within = level.held(name, within,
                             functools.partial(axioms._held, name=name))
@@ -768,10 +771,10 @@ def enumerate_pbz(n, spec):
     narrows the same algebras by its class flags and identities, read
     off the level's masks (``_spec_level``).  Flags and verdicts do not
     change under isomorphism, so a spec's level is what decorating for
-    it alone would give, and the class reports and identity verdicts
-    the algebras keep, and the level's masks over them, serve every
-    spec.  The spec's cap was checked when it was built; n is checked
-    against it here, for sizes above max_size.
+    it alone would give, and the verdicts the algebras keep, and the
+    level's masks over them, serve every spec.  The spec's cap was
+    checked when it was built; n is checked against it here, for sizes
+    above max_size.
     """
     level, kept = _spec_level(n, spec)
     yield from level.members(kept)

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles
-from pbzlat import (axioms, catalog, cli, constructions, core, enumeration,
-                    terms)
+from pbzlat import axioms, catalog, cli, constructions, enumeration, terms
 from pbzlat.core import FiniteAlgebra, chain_lattice
 
 
@@ -18,16 +17,21 @@ def decorate(n, covers, kleene, brouwer):
 
 
 def by_levels(algebras):
-    """The class report of each algebra, in order, each size's algebras
-    classified at once."""
+    """The class flags of each algebra, in order, as a dict by flag name,
+    each flag read over each size's algebras at once (``axioms._held``).
+    The flags are read last to first, so the first read of a level
+    reads the statements of the flags it needs, and the later reads
+    widen what it decided."""
     levels = {}
-    for A in algebras:
-        levels.setdefault(A.n, []).append(A)
-    reports = {}
-    for level in levels.values():
-        reports.update(zip(map(id, level), core._keep_each(
-            level, "classes", axioms._classify)))
-    return [reports[id(A)] for A in algebras]
+    for i, A in enumerate(algebras):
+        levels.setdefault(A.n, []).append(i)
+    flags = [{} for _ in algebras]
+    for order in levels.values():
+        level = [algebras[i] for i in order]
+        for name in reversed(axioms.CLASS_FLAGS):
+            for i, ok in zip(order, axioms._held(level, name)):
+                flags[i][name] = ok
+    return flags
 
 
 def test_pseudo_kleene_witness():
@@ -79,8 +83,10 @@ def test_bz_and_bz_star_against_nested_loops():
     mutants = [FiniteAlgebra._from_order(A._ord, A.kleene, tilde)
                for A, tilde in maps]
     algebras = corpora[0] + corpora[1] + mutants
-    reports = by_levels(algebras)
-    assert reports == [_oracles.classify(A) for A in algebras]
+    want = [_oracles.classify(A) for A in algebras]
+    assert by_levels(algebras) == [r.flags() for r in want]
+    reports = [axioms.classify(A) for A in algebras]
+    assert reports == want
     bz = [(r.bz, dict(r.witnesses).get("bz")) for r in reports]
     assert bz == [_oracles.is_bz(A) for A in algebras]
     # BZ* as a statement, read on every algebra, BZ or not
@@ -99,7 +105,8 @@ def test_class_reports_equal_the_oracles():
     # every report, witnesses included, equals the nested loops' over
     # both sweep corpora and 10000 mutants with random ~ maps (the map
     # of a corpus algebra with some images redrawn, or all of them),
-    # classified a level at a time and one algebra at a time
+    # each flag read a level at a time, and each report built one
+    # algebra at a time; a level read builds no report
     corpora = [list(enumeration.enumerate_all(spec)) for spec in (
         enumeration.EnumerationSpec(max_size=10,
                                     structure="antiortholattice"),
@@ -120,7 +127,8 @@ def test_class_reports_equal_the_oracles():
                            for corpus in corpora for A in corpus),
                          *(FiniteAlgebra._from_order(A._ord, A.kleene, tilde)
                            for A, tilde in maps)] for _ in range(2))
-    assert by_levels(levelwise) == want
+    assert by_levels(levelwise) == [r.flags() for r in want]
+    assert not any("classes" in A._kept for A in levelwise)
     assert [axioms.classify(A) for A in apart] == want
     # every flag fails somewhere but the two the mutants cannot fail
     # (they keep the corpus's pseudo-Kleene pairs; the involutions that

@@ -114,11 +114,11 @@ def test_copies_carry_their_own_results():
 
 
 def test_claim_sweep_computes_each_result_once(monkeypatch):
-    # members are classified while the corpora are built, so counting
-    # starts before the build
+    # members are read while the corpora are built, so counting starts
+    # before the build
     monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
         enumeration._bz_level.__wrapped__))
-    classified, reached, scans, blocked = [], [], [], []
+    reached, scans, blocked = [], [], []
 
     def counted(fn, seen):
         def wrapper(*args):
@@ -126,13 +126,6 @@ def test_claim_sweep_computes_each_result_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    classify = axioms._classify
-
-    def classified_each(algebras):
-        classified.extend((A,) for A in algebras)
-        return classify(algebras)
-
-    monkeypatch.setattr(axioms, "_classify", classified_each)
     monkeypatch.setattr(congruences, "_CoverReach",
                         counted(congruences._CoverReach, reached))
     scan = terms._scan
@@ -148,16 +141,17 @@ def test_claim_sweep_computes_each_result_once(monkeypatch):
     for spec in SWEEP_SPECS:
         for claim in claim_names():
             verify_over_corpus(claim, spec)
-    # no algebra is classified or given its reach sets or its blocks
-    # twice, and no (algebra, statement) pair is scanned twice
+    # no algebra is given its reach sets or its blocks twice, and no
+    # (algebra, statement) pair is scanned twice
     assert scans and blocked
-    for seen in (classified, reached, scans, blocked):
+    for seen in (reached, scans, blocked):
         keys = [(id(A), *rest) for A, *rest in seen]
         assert len(set(keys)) == len(keys)
-    members = {id(A) for corpus in corpora for A in corpus}
-    # so every member is classified exactly once over build and sweep
-    assert members <= {id(A) for A, in classified}
-    assert members & {id(A) for A, in reached}
+    members = [A for corpus in corpora for A in corpus]
+    # the class flags are read off the verdicts alone: no member keeps
+    # a class report over build and sweep
+    assert not any("classes" in A._kept for A in members)
+    assert {id(A) for A in members} & {id(A) for A, in reached}
 
 
 def test_claims_read_each_statement_a_level_at_a_time(monkeypatch):
@@ -180,7 +174,42 @@ def test_claims_read_each_statement_a_level_at_a_time(monkeypatch):
             current[:] = claim, spec
             verify_over_corpus(claim, spec)
     assert len(set(scans)) == len(scans)
-    assert len(scans) == 550
+    assert len(scans) == 514
+
+
+def test_a_level_read_of_a_flag_scans_only_its_statements(monkeypatch):
+    # from fresh stage caches, reading bz-star over the BZ <= 8 levels
+    # scans its own statements and those of the flag it needs, each once
+    # per level, and never OL, OM, POM, DIAMOND_OM or ANTIORTHO; no
+    # member keeps a class report
+    monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
+        enumeration._bz_level.__wrapped__))
+    key = EnumerationSpec(max_size=8).cap_key()
+    levels = [enumeration._bz_level(n, key) for n in range(1, 9)]
+    assert all(set(A._kept) <= {"canon"} for level in levels for A in level)
+    names = {statement: name for name, statement in terms.THEORY.items()}
+    scans = []
+    scan = terms._scan
+
+    def spied(algebras, statement):
+        scans.append((algebras[0].n, names[statement]))
+        return scan(algebras, statement)
+
+    monkeypatch.setattr(terms, "_scan", spied)
+    for level in levels:
+        enumeration._admit(level, ("bz-star",), level.full)
+    assert sorted(scans) == [(n, name) for n in range(1, 9) for name in (
+        "BZ1", "BZ2", "BZ3", "BZ4", "PK", "STAR")]
+    assert not any("classes" in A._kept for level in levels for A in level)
+    # and every flag read over every level of both sweep corpora is the
+    # nested loops' flag
+    for spec in SWEEP_SPECS:
+        for n in range(1, spec.max_size + 1):
+            level = enumeration._bz_level(n, spec.cap_key())
+            want = [_oracles.classify(A).flags() for A in level]
+            for name in axioms.CLASS_FLAGS:
+                assert axioms._held(level, name) == \
+                    [flags[name] for flags in want], (n, name)
 
 
 def test_claim_checks_run_once_per_algebra(monkeypatch):
