@@ -1,13 +1,13 @@
 """Class flags and sharp-element bookkeeping.
 
-Every class flag is read off THEORY statements by the one evaluator,
-``terms._verdicts``: one table (``_FLAGS``) gives each flag the flags
-it needs first and its own statements.  ``_held`` reads a flag or a
-THEORY statement by name over a whole level of algebras at once, as
-spec filters and claims name them, scanning only that flag's
-statements, each over the algebras still in, and building no class
-report; ``classify`` builds the report of one algebra off the same
-table and keeps it on the algebra.  A scan runs
+Every class flag is read off THEORY statements by the one evaluator:
+one table (``_FLAGS``) gives each flag the flags it needs first and
+its own statements.  ``_held`` reads a flag or a THEORY statement by
+name over a level at once, as the AND of the level's masks for the
+statements it reads, scanning only what they have not decided and
+building no class report; ``satisfies`` is its case of one algebra,
+and ``classify`` builds the report of one algebra off the same table
+and keeps it on the algebra.  A scan runs
 through the assignments in odometer order and reports the first
 (lexicographically least) failing one, so witnesses are reproducible
 and minimal.  The generator tests bare pairs of an order and an
@@ -16,7 +16,7 @@ involution before any algebra exists (``_pseudo_kleene``,
 """
 
 from . import terms
-from .core import _Record
+from .core import _Level, _Record
 
 __all__ = [
     "kleene_sharp",
@@ -141,36 +141,32 @@ class AlgebraClassReport(_Record):
 
 def satisfies(A, name):
     """Whether A has the class flag ``name`` or satisfies the THEORY
-    statement ``name``; the verdicts it is read off are kept on the
-    algebra.  This is ``_held`` for one algebra."""
-    return _held((A,), name)[0]
+    statement ``name``: ``_held`` over a level of A alone, which
+    nothing keeps, so each call scans anew."""
+    return _held(_Level((A,)), name, 1) == 1
 
 
-def _held(algebras, name):
-    """Whether each of some algebras of one size, in order, has the
-    class flag ``name`` or satisfies the THEORY statement ``name``: the
-    one reader of names behind spec filters, claim hypotheses and claim
-    conclusions.  A statement is read off the kept verdicts
-    (``terms._verdicts``); a flag off the statements of the flags it
-    needs and then its own (``_FLAGS``), each over the algebras still
-    in, so no other statement is scanned and no class report is
-    built."""
+def _held(level, name, within):
+    """The members of a level (``core._Level``) in the mask ``within``
+    that have the class flag ``name`` or satisfy the THEORY statement
+    ``name``, as a mask: the one reader of names behind spec filters,
+    claim hypotheses, claim conclusions and claim checks.  A THEORY
+    name reads its statement, and a flag the statements of the flags
+    it needs and then its own (``_READS``), each off the level's mask
+    for it (``terms._level_held``) and over the members still in, so a
+    statement is scanned once per member whichever names read it, no
+    other statement is scanned, and no class report is built."""
     statements = _READS.get(name)
     if statements is None:
-        return [ok for ok, _ in terms._verdicts(algebras, terms.THEORY[name])]
-    alive = range(len(algebras))
+        statements = (terms.THEORY[name],)
     for statement in statements:
-        alive = [i for i, (ok, _) in zip(alive, terms._verdicts(
-            [algebras[i] for i in alive], statement)) if ok]
-    held = [False] * len(algebras)
-    for i in alive:
-        held[i] = True
-    return held
+        within = terms._level_held(level, statement, within)
+    return within
 
 
 def classify(A):
     """Evaluate every class flag on a validated algebra, off the same
-    statements and verdicts as ``_held`` (``_FLAGS``).
+    statements as ``_held`` (``_FLAGS``), each scanned on A alone.
 
     The report is computed on the first call and kept on the algebra,
     whose maps cannot change; later calls return the same frozen
@@ -184,7 +180,7 @@ def _report(A):
     for flag, (needs, statements) in _FLAGS.items():
         ok = all(held[need] for need in needs)
         for name, label in statements if ok else ():
-            ok, witness = terms._verdicts((A,), terms.THEORY[name])[0]
+            ok, witness = terms._scan((A,), terms.THEORY[name])[0]
             if not ok:
                 if label is not False:
                     witnesses.append((flag, witness if label is None

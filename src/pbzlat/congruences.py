@@ -398,7 +398,12 @@ def tilde_family_report(A):
     if failed:
         return TildeFamilyReport(False, tuple(failed), False, False, False,
                                  False, None)
+    return _tilde_family(A)
 
+
+def _tilde_family(A):
+    """The report of ``tilde_family_report`` on an algebra whose
+    preconditions hold, which is not verified here."""
     tilde_ok, tilde_w = is_congruence(A, tilde_partition(A))
     meet_ok = join_ok = disj_ok = True
     witness = tilde_w

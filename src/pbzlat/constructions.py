@@ -4,8 +4,8 @@ Twist doubles, ordinal and horizontal sums, direct products, generated
 subalgebras and quotients, plus the positive/negative cone bookkeeping
 and the block decomposition used to recognize horizontal sums.  The
 four element-wise conditions for a horizontal sum of blocks are the
-THEORY clauses ``HS_*``, read by the one evaluator over a whole level
-at once (``_horizontal_sum_reports``).
+THEORY clauses ``HS_*`` (``_HS_CONDITIONS``), which the
+``horizontal-sum-conditions`` claim reads off a level's masks.
 """
 
 from . import axioms, congruences, terms
@@ -293,17 +293,23 @@ def blocks(A):
     sorted elements, are computed on the first call and kept on the
     algebra; each call returns a new list of the blocks as frozensets.
     """
+    _need_pbz_star(A)
     return list(map(frozenset, map(_bits, _block_masks(A))))
 
 
+def _need_pbz_star(A):
+    if not axioms.satisfies(A, "pbz-star"):
+        raise ValueError("blocks needs a PBZ* algebra")
+
+
 def _block_masks(A):
-    """The blocks of A as bitmasks, kept on A (``blocks``)."""
+    """The blocks of A as bitmasks, kept on A (``blocks``).  A must be
+    PBZ*, which the public readers check and a claim's hypotheses
+    gate."""
     return A._keep("blocks", lambda: tuple(_blocks(A)))
 
 
 def _blocks(A):
-    if not axioms.satisfies(A, "pbz-star"):
-        raise ValueError("blocks needs a PBZ* algebra")
     o, kleene, brouwer = A._ord, A.kleene, A.brouwer
     n, meet, join = o.n, o.meet, o.join
     full = (1 << n) - 1
@@ -377,29 +383,22 @@ _HS_CONDITIONS = (("dense-comparable", "HS_DENSE_CHAIN"),
 
 
 def is_horizontal_sum_of_blocks(A):
-    """The horizontal-sum report of a PBZ* algebra: the report of a
-    level of one algebra (``_horizontal_sum_reports``)."""
-    return _horizontal_sum_reports((A,))[0]
+    """The horizontal-sum report of a PBZ* algebra."""
+    _need_pbz_star(A)
+    return _horizontal_sum_report(A)
 
 
-def _horizontal_sum_reports(level):
-    """The horizontal-sum report of each of some PBZ* algebras of one
-    size, in order.  The four conditions are THEORY clauses
-    (``_HS_CONDITIONS``), each read over the whole level with the
-    verdicts it keeps (``terms._verdicts``); the blocks are kept one
-    algebra at a time."""
-    names = [name for name, _ in _HS_CONDITIONS]
-    verdicts = [terms._verdicts(level, terms.THEORY[statement])
-                for _, statement in _HS_CONDITIONS]
-    reports = []
-    for A, conds in zip(level, zip(*verdicts)):
-        masks = _block_masks(A)
-        reports.append(HorizontalSumReport(
-            conditions=tuple(zip(names, conds)),
-            by_conditions=all(ok for ok, _ in conds),
-            by_blocks=_sum_of_blocks(A, masks),
-            blocks=tuple(map(frozenset, map(_bits, masks)))))
-    return reports
+def _horizontal_sum_report(A):
+    """``is_horizontal_sum_of_blocks`` on a PBZ* algebra, not verified
+    here, each condition its clause's verdict scanned on A alone."""
+    conditions = tuple((name, terms._scan((A,), terms.THEORY[clause])[0])
+                       for name, clause in _HS_CONDITIONS)
+    masks = _block_masks(A)
+    return HorizontalSumReport(
+        conditions=conditions,
+        by_conditions=all(ok for _, (ok, _) in conditions),
+        by_blocks=_sum_of_blocks(A, masks),
+        blocks=tuple(map(frozenset, map(_bits, masks))))
 
 
 def _sum_of_blocks(A, masks):

@@ -507,23 +507,14 @@ class _Carrier:
     A carrier's tables cannot change, so a result derived from them
     alone is computed once and kept on the carrier: ``_keep(key,
     compute)`` returns the value kept under ``key``, calling
-    ``compute()`` and keeping its value the first time, and
-    ``_keep_each`` does the same for a level of carriers at once.
-    Every carrier starts with nothing kept, so renamed copies, reducts
-    and canonical copies compute their own results.  The keys in use
-    are ``"canon"`` (``canonical_form``), ``"reach"``
-    (``congruences._CoverReach``), ``"blocks"``
-    (``constructions.blocks``) and ``"classes"``, the class report
-    (``axioms.classify``), kept one carrier at a time; and, kept a
-    level at a time, each statement itself, its verdict ``(ok,
-    witness)`` with the witness a tuple in the order of the statement's
-    sorted variable names (``terms._verdicts``), which class flags are
-    read off too, and ``("check", fn)``, the tuple of problems a claim
-    check ``fn`` returned (``enumeration.verify_over_corpus``).  These
-    stay on the carrier, witnesses and problems with them, for the
-    readers of one algebra; a decorated level (``_Level``) indexes
-    which of its members they hold for, and nothing keeps them for an
-    algebra outside a level but the algebra itself.
+    ``compute()`` and keeping its value the first time.  Every carrier
+    starts with nothing kept, so renamed copies, reducts and canonical
+    copies compute their own results.  The keys in use are ``"canon"``
+    (``canonical_form``), ``"reach"`` (``congruences._CoverReach``),
+    ``"blocks"`` (``constructions.blocks``) and ``"classes"``, the
+    class report (``axioms.classify``).  What a statement, class flag,
+    SI gate or claim check decides for a level's members is kept by the
+    level alone, as masks (``_Level``); a carrier keeps no verdict.
     Kept values are immutable or private to their keeper, which hands
     out copies of mutable ones.
     """
@@ -596,33 +587,22 @@ class _Carrier:
         return out
 
 
-def _keep_each(carriers, key, compute):
-    """The value each of a sequence of carriers keeps under ``key``, in
-    order.  The carriers that keep none get theirs from one call
-    ``compute(missing)``, which returns a value per missing carrier, in
-    order, and keep them.  A value kept this way is never None.
-    Statement verdicts (``terms._verdicts``) and claim-check outcomes
-    (``enumeration._passing``) are kept this way.  A level's reads come
-    here only for the members its masks have not decided yet
-    (``_Level.held``)."""
-    values = [A._kept.get(key) for A in carriers]
-    missing = [i for i, value in enumerate(values) if value is None]
-    if missing:
-        for i, value in zip(missing, compute([carriers[i] for i in missing])):
-            carriers[i]._kept[key] = values[i] = value
-    return values
+def _select(within, oks):
+    """The members of the mask ``within`` whose truth value in ``oks``,
+    one per member in ascending order, is true, as a mask."""
+    return sum(1 << i for i, ok in zip(_bits(within), oks) if ok)
 
 
 class _Level(list):
     """A decorated level: its members, in canonical order, and what is
     known of them a level at a time, as masks over the members, bit i
-    standing for member i.  Under each key (a class flag or THEORY
-    name, a statement, the SI gate, a claim check) the level keeps one
+    standing for member i.  Under each key (a statement, a class flag
+    or THEORY name, the SI gate, a claim check) the level keeps one
     pair of ints, the members decided and the members that hold, so a
     warm read of a level is a few int operations, whatever its size.
-    The masks only index what the members keep themselves (verdicts
-    with their witnesses, check outcomes): they are
-    filled from the members' own readers and never decide anything.
+    The masks are the one store of what a level read decides: its
+    members keep no verdict, witness or check outcome, and a reader
+    that needs one recomputes it for the one member it asks about.
     They live as long as the level, which the stage cache that built
     it keeps.
     """
@@ -645,14 +625,13 @@ class _Level(list):
     def held(self, key, within, compute):
         """The members in the mask ``within`` for which ``key`` holds,
         as a mask.  The members of ``within`` not decided under ``key``
-        yet are read by one call ``compute(members)``, which returns a
-        truth value per member, in order; nothing else is read."""
+        yet, as the mask ``todo``, are read by one call
+        ``compute(todo)``, which returns the mask of those among them
+        for which it holds; nothing else is read."""
         decided, held = self._masks.get(key, (0, 0))
         todo = within & ~decided
         if todo:
-            order = _bits(todo)
-            held |= sum(1 << i for i, ok in zip(
-                order, compute([self[i] for i in order])) if ok)
+            held |= compute(todo)
             self._masks[key] = decided | todo, held
         return held & within
 

@@ -38,23 +38,22 @@ THEORY statements, universal clauses among them, read by name a level
 at a time by ``_admit``: the hypotheses, then the conclusions over the
 level's members; a check function is left only for what no flag or
 clause states (an equivalence, a size bound, a report), and it too
-takes the level's members.  Decoration, filters, identity checks and
-claim checks all run in the calling process, over each level in its
-canonical order.
+takes a level, with a mask of its members.  Decoration, filters,
+identity checks and claim checks all run in the calling process, over
+each level in its canonical order.
 
 Results are kept per carrier, through ``_Carrier._keep`` (canonical
-forms, blocks, reach sets, class reports) and ``core._keep_each``
-(verdicts, which class flags are read off, and claim-check outcomes);
-per level, as masks over its members saying which of them a flag,
-statement, SI gate or check holds for (``core._Level``), so spec
-filters, searches and claims read a level in a few int operations
-once it is decided, and no level read builds a class report; per
-pseudo-Kleene pair, on its record (``_Pair``: colors and Kleene-only
-search, made for a candidate before its orbit test, so a rejected
-one's go with it); and per process, in the functools caches on
-``_lattices``, ``_pk_pairs``, ``_aol_pairs``, ``_bz_level`` and
-``cli.build_parser``; nothing is kept per spec.  Statements are
-interned in ``terms._STATEMENT_MEMO``.
+forms, blocks, reach sets, class reports); per level, as masks over
+its members saying which of them a statement, flag, SI gate or check
+holds for (``core._Level``), the one store of what a level read
+decides, so spec filters, searches and claims read a level in a few
+int operations once it is decided, and no member keeps a class
+report, verdict or check outcome; per pseudo-Kleene pair, on its
+record (``_Pair``: colors and Kleene-only search, made for a candidate
+before its orbit test, so a rejected one's go with it); and per
+process, in the functools caches on ``_lattices``, ``_pk_pairs``,
+``_aol_pairs``, ``_bz_level`` and ``cli.build_parser``; nothing is
+kept per spec.  Statements are interned in ``terms._STATEMENT_MEMO``.
 
 Size caps are checked when a spec is built, so ``CAPS`` must be
 raised before building a spec that goes beyond them.
@@ -66,8 +65,8 @@ import operator
 from . import axioms, congruences, constructions, terms
 from .axioms import _sharp_interior
 from .core import (BoundedLattice, _bits, _canon_bytes, _check_order,
-                   _canonical_search_group, _copy_along, _keep_each, _Level,
-                   _orbit, _Order, _Record, _refine_colors, _renumbered,
+                   _canonical_search_group, _copy_along, _Level, _orbit,
+                   _Order, _Record, _refine_colors, _renumbered, _select,
                    _set_field, _set_index, canonical_form, chain_lattice)
 # The benchmark's tracer (perfbench/spans.py) looks up
 # enumeration.canonical_form and enumeration.is_isomorphic by name when
@@ -653,13 +652,13 @@ def _admit(level, names, within):
     that have every class flag and satisfy every THEORY statement
     named, as a mask, narrowed by each name in turn: a spec's filters,
     a claim's hypotheses or its conclusions.  Each name is read off the
-    level's mask for it; the members left that it has not decided yet
-    are read together by ``axioms._held``, which scans a flag's own
-    statements over them at once and reads what the algebras keep
-    where earlier names scanned them."""
+    level's mask for it, kept under the name, so a warm read hashes a
+    str; the members left that it has not decided yet are read by
+    ``axioms._held``, off the level's masks for the statements the name
+    reads, scanning only the members those have not decided."""
     for name in names:
         within = level.held(name, within,
-                            functools.partial(axioms._held, name=name))
+                            functools.partial(axioms._held, level, name))
     return within
 
 
@@ -831,12 +830,13 @@ def search_counterexample(identity, spec):
     Size is the primary order; within a size the corpus comes in the
     order of canonical bytes, and the first failing algebra is returned,
     so reruns return the identical algebra.  The identity is read off
-    the level's mask for it (``core._Level.held``), the members it has
-    not decided scanned at once (``terms._verdicts``, as ``holds_each``
-    does); the first failing member is the lowest bit of the spec's
-    members the identity fails on, and only its kept witness is made a
-    dict.  When nothing fails up to spec.max_size the result says
-    exhausted rather than claiming the identity holds everywhere.
+    the level's mask for it (``terms._level_held``), the members it has
+    not decided scanned at once; the first failing member is the lowest
+    bit of the spec's members the identity fails on, and its witness is
+    the one the scan that decided it found, or, where an earlier read
+    decided it, a scan of that member alone.  When nothing fails up to
+    spec.max_size the result says exhausted rather than claiming the
+    identity holds everywhere.
     """
     if isinstance(identity, str):
         identity = terms.parse_statement(identity)
@@ -846,12 +846,12 @@ def search_counterexample(identity, spec):
     for n in range(1, spec.max_size + 1):
         level, kept = _spec_level(n, spec)
         examined += kept.bit_count()
-        failing = kept & ~level.held(identity, kept, lambda todo: [
-            ok for ok, _ in terms._verdicts(todo, identity)])
+        verdicts = {}
+        failing = kept & ~terms._level_held(level, identity, kept, verdicts)
         if failing:
-            A = level[(failing & -failing).bit_length() - 1]
-            verdict = terms._verdicts((A,), identity)[0]
-            return SearchResult(terms.pretty(identity), spec, A,
+            i = (failing & -failing).bit_length() - 1
+            verdict = verdicts.get(i) or terms._scan([level[i]], identity)[0]
+            return SearchResult(terms.pretty(identity), spec, level[i],
                                 terms._witness(identity, verdict)[1],
                                 examined, False)
     return SearchResult(terms.pretty(identity), spec, None, None,
@@ -885,12 +885,13 @@ class _Claim(_Record):
     (class flags and THEORY statements), each name read over a level by
     ``_admit``, the conclusions over the level's members.
     The optional check covers what no flag or clause states: it takes
-    members of one level and returns a tuple per member saying what
-    fails, empty when nothing does.  Each outcome is kept on its
-    algebra, and the level's mask for the check says which members it
-    passes, so a check must give each member what it would give the
-    member alone, a pure function of the algebra, as an immutable
-    tuple."""
+    a level (``core._Level``) and a mask of its members, and returns a
+    tuple per member of the mask, in order, saying what fails, empty
+    when nothing does.  The level keeps only the mask of the members
+    it passes, and a failure's detail is the check run again on its
+    member alone, so a check must give each member what it would give
+    the member alone, a pure function of the algebra, as a tuple.  It
+    reads names off the level's masks (``axioms._held``)."""
 
     __slots__ = __match_args__ = ("text", "check", "classes", "identities",
                                   "si", "conclusions")
@@ -898,26 +899,42 @@ class _Claim(_Record):
                  "si": False, "conclusions": ()}
 
 
-def _paraorthomodular_equivalence(level):
+def _paraorthomodular_equivalence(level, within):
     # an equivalence of two universal sentences is no universal clause
-    return [() if pom == dom else (pom, dom) for pom, dom in zip(
-        axioms._held(level, "paraorthomodular"),
-        axioms._held(level, "diamond-orthomodular"))]
+    pom, dom = (axioms._held(level, flag, within)
+                for flag in ("paraorthomodular", "diamond-orthomodular"))
+    return [() if a == b else (a, b) for a, b in (
+        (pom >> i & 1 == 1, dom >> i & 1 == 1) for i in _bits(within))]
 
 
-def _at_most_five_elements(level):
+def _at_most_five_elements(level, within):
     # a size bound is no clause of the term language
-    return [(f"unexpected size {A.n}",) if A.n > 5 else () for A in level]
+    return [(f"unexpected size {A.n}",) if A.n > 5 else ()
+            for A in level.members(within)]
 
 
-def _horizontal_sum_agreement(level):
-    return [() if rep.agree else
-            (rep.by_conditions, rep.by_blocks, rep.conditions)
-            for rep in constructions._horizontal_sum_reports(level)]
+def _horizontal_sum_agreement(level, within):
+    # the four conditions are the level's masks for their clauses; only
+    # a member where they and the blocks disagree is scanned alone, for
+    # the witnesses of its report
+    by_conditions = functools.reduce(operator.and_, (
+        axioms._held(level, clause, within)
+        for _, clause in constructions._HS_CONDITIONS))
+    problems = []
+    for i in _bits(within):
+        A = level[i]
+        if (by_conditions >> i & 1 == 1) == constructions._sum_of_blocks(
+                A, constructions._block_masks(A)):
+            problems.append(())
+        else:
+            rep = constructions._horizontal_sum_report(A)
+            problems.append((rep.by_conditions, rep.by_blocks,
+                             rep.conditions))
+    return problems
 
 
-def _agreement_relations(level):
-    return list(map(_agreement_problems, level))
+def _agreement_relations(level, within):
+    return list(map(_agreement_problems, level.members(within)))
 
 
 def _agreement_problems(A):
@@ -939,10 +956,11 @@ def _agreement_problems(A):
             lhs = congruences.meet_congruences(crel[p], crel[q])
             if lhs != crel[join[p * n + q]]:
                 probs.append(("meet-vs-join", p, q))
-    fam = congruences.tilde_family_report(A)
-    if not (fam.precondition_ok and fam.tilde_is_congruence
-            and fam.meet_relations_ok and fam.join_relations_ok
-            and fam.one_of_each_trivial):
+    # the claim's hypotheses are its preconditions, so they are not
+    # verified again
+    fam = congruences._tilde_family(A)
+    if not (fam.tilde_is_congruence and fam.meet_relations_ok
+            and fam.join_relations_ok and fam.one_of_each_trivial):
         probs.append(("tilde-family", fam.witness))
     return tuple(probs)
 
@@ -1047,18 +1065,18 @@ def _irreducible(level, within):
     """The subdirectly irreducible members of a level in the mask
     ``within``, as a mask: the SI gate of a claim, read by
     ``congruences._is_si`` for the members not decided yet."""
-    return level.held("si", within,
-                      lambda todo: list(map(congruences._is_si, todo)))
+    return level.held("si", within, lambda todo: _select(
+        todo, map(congruences._is_si, level.members(todo))))
 
 
 def _passing(level, check, within):
     """The members of a level in the mask ``within`` on which a claim
-    check finds nothing, as a mask.  The members not decided yet are
-    checked together, each keeping its outcome under ``("check",
-    check)`` (``core._keep_each``), where failure details read it."""
-    key = ("check", check)
-    return level.held(key, within, lambda todo: [
-        not found for found in _keep_each(todo, key, check)])
+    check finds nothing, as a mask, kept by the level under ``("check",
+    check)``.  The members not decided yet are checked together, and
+    only the mask is kept: a failure detail reruns the check on its
+    one member."""
+    return level.held(("check", check), within, lambda todo: _select(
+        todo, (not found for found in check(level, todo))))
 
 
 def verify_over_corpus(claim, spec):
@@ -1073,16 +1091,15 @@ def verify_over_corpus(claim, spec):
     (``core._Level``): the spec's filters and the claim's hypotheses
     through ``_admit``, the SI gate (``_irreducible``), the check
     (``_passing``) and each conclusion, each over the members left.  A
-    check's outcome is kept on each member under the check function
-    (``("check", fn)``), so a claim whose check is replaced runs the
-    new one.  A warm call counts members with ``bit_count`` and builds
-    details only for the members that fail.
+    check's mask is kept under the check function, so a claim whose
+    check is replaced runs the new one.  A warm call counts members
+    with ``bit_count`` and builds details only for the members that
+    fail, running the check again on each such member alone.
     """
     if claim not in _CLAIMS:
         raise KeyError(f"unknown claim {claim!r}; see claim_names()")
     entry = _CLAIMS[claim]
     hypotheses = (*entry.classes, *entry.identities)
-    key = ("check", entry.check)
     examined = 0
     checked = 0
     failures = []
@@ -1100,10 +1117,8 @@ def verify_over_corpus(claim, spec):
         met = [_admit(level, (name,), members) for name in entry.conclusions]
         for i in _bits(members & ~functools.reduce(operator.and_, met,
                                                    passed)):
-            A = level[i]
-            found = () if passed >> i & 1 else \
-                A._keep(key, lambda: entry.check([A])[0])
+            found = () if passed >> i & 1 else entry.check(level, 1 << i)[0]
             found += tuple(f"fails {name}" for name, mask in
                            zip(entry.conclusions, met) if not mask >> i & 1)
-            failures.append((A, found))
+            failures.append((level[i], found))
     return CorpusReport(claim, spec, examined, checked, tuple(failures))

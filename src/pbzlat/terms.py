@@ -24,7 +24,7 @@ import functools
 import itertools
 import operator
 
-from .core import _is_index, _keep_each, _Record, _row_type, _set_field
+from .core import _bits, _is_index, _Record, _row_type, _select, _set_field
 
 # numpy is imported only where a statement is scanned, so that
 # importing the package, and commands that scan no statement, do not
@@ -42,7 +42,8 @@ __all__ = [
 class _Node(_Record):
     """A frozen record with its hash kept on the node.
 
-    ``holds`` keys kept verdicts by statement, so a statement is hashed
+    A level keeps its masks by statement (``core._Level``), and
+    statements are interned (``_interned``), so a statement is hashed
     on every lookup; a node computes its hash once, from its type and
     its fields' (kept) hashes, so a lookup costs O(1) and not a walk
     over the tree.  A pickle rebuilds the node from its fields, so the
@@ -390,11 +391,8 @@ _BLOCK = 1 << 12
 # (``_scan_small``): on so few, numpy's calls cost more than the work
 _SMALL = 32
 
-# one representative per equal statement: verdict lookups hit by identity
+# one representative per equal statement: mask lookups hit by identity
 _STATEMENT_MEMO = {}
-
-# the one verdict object of every algebra a statement holds in
-_HELD = (True, None)
 
 _OPS = {Meet: "meet", Join: "join", Kleene: "kleene", Brouwer: "brouwer",
         Zero: "zero", One: "one"}
@@ -596,12 +594,12 @@ def _scan_small(A, plan):
                     for left, right in plan.premises):
             return False, tuple(reps[p] if f else p
                                 for p, f in zip(cell, fibred))
-    return _HELD
+    return True, None
 
 
 def _witness(statement, verdict):
-    """A kept verdict as ``holds`` returns it: the witness tuple as a
-    fresh dict by variable name."""
+    """A verdict of ``_scan`` as ``holds`` returns it: the witness tuple
+    as a dict by variable name."""
     ok, witness = verdict
     if witness is None:
         return verdict
@@ -632,33 +630,29 @@ def _interned(statement):
 
 
 def holds_each(algebras, statement):
-    """``holds`` for each of some algebras of one size, in order.
-
-    An algebra or a bare lattice, whose tables cannot change, keeps
-    each verdict by statement, and later calls read it; the algebras
-    with none kept are scanned together.  The assignments returned are
-    fresh copies, so a caller may change them.
-    """
+    """``holds`` for each of some algebras of one size, in order,
+    scanned together (``_scan``).  Nothing is kept: what a level read
+    decides, its level keeps as masks (``core._Level``)."""
     statement = _interned(statement)
-    return [_witness(statement, verdict)
-            for verdict in _verdicts(algebras, statement)]
-
-
-def _verdicts(algebras, statement):
-    """The verdict each algebra keeps for a statement, under the
-    statement itself, scanning those that keep none: ``(ok,
-    witness)``, the witness a tuple of values in the order of the
-    statement's sorted variable names, or None.  The statement is
-    interned at the public door (``_interned``), or is a THEORY
-    statement."""
     algebras = list(algebras)  # read twice below
-    if algebras:
-        n = algebras[0]._ord.n
-        for A in algebras:
-            if A._ord.n != n:
-                raise ValueError("holds_each takes algebras of one size")
-    return _keep_each(algebras, statement,
-                      lambda todo: _scan(todo, statement))
+    if len({A._ord.n for A in algebras}) > 1:
+        raise ValueError("holds_each takes algebras of one size")
+    return [_witness(statement, verdict) for verdict in
+            (_scan(algebras, statement) if algebras else ())]
+
+
+def _level_held(level, statement, within, verdicts=None):
+    """The members of a level (``core._Level``) in the mask ``within``
+    on which an interned or THEORY statement holds, as a mask, read off
+    the level's mask for it.  The members it has not decided are
+    scanned at once, and their verdicts put in the dict ``verdicts``,
+    if one is passed, by member index."""
+    def scan(todo):
+        found = _scan(level.members(todo), statement)
+        if verdicts is not None:
+            verdicts.update(zip(_bits(todo), found))
+        return _select(todo, (ok for ok, _ in found))
+    return level.held(statement, within, scan)
 
 
 def _fibres(brouwer):
@@ -688,8 +682,10 @@ def _stacked(block, op):
 
 
 def _scan(algebras, statement):
-    """The scan behind ``holds_each``, once per algebra and statement:
-    ``(ok, witness)`` per algebra, as ``_verdicts`` keeps it.
+    """The scan behind ``holds_each`` and every level read of a
+    statement: ``(ok, witness)`` per algebra, the witness a tuple of
+    values in the order of the statement's sorted variable names, or
+    None.
 
     A scan of at most ``_SMALL`` assignments in all runs the plan on
     Python ints, one algebra at a time (``_scan_small``).  Otherwise the
@@ -793,7 +789,7 @@ def _scan(algebras, statement):
                     unsettled -= 1
             if not unsettled:
                 break
-    return [_HELD if w is None else (False, w) for w in first]
+    return [(w is None, w) for w in first]
 
 
 def holds_quasi(A, quasi):

@@ -1155,5 +1155,5 @@ def claim_verdicts(claim, A):
     old, clauses = CLAIM_CHECKS[claim]
     check = enumeration._CLAIMS[claim].check
     return (old(A) == (),
-            not (check and check([A])[0])
+            not (check and check(core._Level([A]), 1)[0])
             and all(axioms.satisfies(A, name) for name in clauses))

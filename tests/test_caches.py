@@ -1,14 +1,12 @@
 """The canonical form, the class report, the cover reach sets behind
-every congruence question, the blocks and the identity verdicts a
-carrier keeps after their first computation, the masks a level keeps
-over its members, and the stage results a process keeps, which a
-benchmark round empties."""
+every congruence question and the blocks a carrier keeps after their
+first computation, the masks a level keeps over its members, the one
+store of what its reads decide, and the stage results a process keeps,
+which a benchmark round empties."""
 
 import functools
 import pickle
 from collections import Counter
-
-import pytest
 
 from pbzlat import (axioms, catalog, cli, congruences, constructions, core,
                     enumeration, fileformat, terms)
@@ -177,11 +175,61 @@ def test_claims_read_each_statement_a_level_at_a_time(monkeypatch):
     assert len(scans) == 514
 
 
+def test_level_members_keep_no_verdict_or_check_outcome(monkeypatch):
+    # from fresh stage caches: both sweep corpora built, every claim
+    # swept over them, and every THEORY statement searched at --max 8
+    # over the BZ corpus and its PBZ* members.  The levels' masks are
+    # the one store of what their reads decide, so a member keeps only
+    # its canonical form, reach sets and blocks; a search rescans its
+    # failing member alone only where an earlier read decided it, to
+    # find its witness, and that member is the one it returns
+    monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
+        enumeration._bz_level.__wrapped__))
+    for spec in SWEEP_SPECS:
+        list(enumerate_all(spec))
+        for claim in claim_names():
+            verify_over_corpus(claim, spec)
+    members = [A for spec in SWEEP_SPECS for n in range(1, spec.max_size + 1)
+               for A in enumeration._bz_level(n, spec.cap_key())]
+    assert all(set(A._kept) <= {"canon", "reach", "blocks"} for A in members)
+    rescans, depth = [], []
+    scan, level_held = terms._scan, terms._level_held
+
+    def scanned(algebras, statement):
+        found = scan(algebras, statement)
+        if not depth:
+            rescans.append((algebras, found))
+        return found
+
+    def held(*args):
+        depth.append(True)
+        try:
+            return level_held(*args)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(terms, "_scan", scanned)
+    monkeypatch.setattr(terms, "_level_held", held)
+    searched = 0
+    for classes in ((), ("pbz-star",)):
+        spec = EnumerationSpec(max_size=8, classes=classes)
+        for statement in terms.THEORY.values():
+            before = len(rescans)
+            result = search_counterexample(statement, spec)
+            if len(rescans) > before:
+                [(algebras, [(ok, _)])] = rescans[before:]
+                assert not ok and algebras == [result.found]
+            searched += 1
+    assert (searched, len(rescans)) == (66, 25)
+    assert all(set(A._kept) <= {"canon", "reach", "blocks"} for A in members)
+    assert any(set(A._kept) == {"canon", "reach", "blocks"} for A in members)
+
+
 def test_a_level_read_of_a_flag_scans_only_its_statements(monkeypatch):
     # from fresh stage caches, reading bz-star over the BZ <= 8 levels
     # scans its own statements and those of the flag it needs, each once
     # per level, and never OL, OM, POM, DIAMOND_OM or ANTIORTHO; no
-    # member keeps a class report
+    # member keeps a class report or a verdict
     monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
         enumeration._bz_level.__wrapped__))
     key = EnumerationSpec(max_size=8).cap_key()
@@ -200,7 +248,7 @@ def test_a_level_read_of_a_flag_scans_only_its_statements(monkeypatch):
         enumeration._admit(level, ("bz-star",), level.full)
     assert sorted(scans) == [(n, name) for n in range(1, 9) for name in (
         "BZ1", "BZ2", "BZ3", "BZ4", "PK", "STAR")]
-    assert not any("classes" in A._kept for level in levels for A in level)
+    assert all(set(A._kept) <= {"canon"} for level in levels for A in level)
     # and every flag read over every level of both sweep corpora is the
     # nested loops' flag
     for spec in SWEEP_SPECS:
@@ -208,23 +256,26 @@ def test_a_level_read_of_a_flag_scans_only_its_statements(monkeypatch):
             level = enumeration._bz_level(n, spec.cap_key())
             want = [_oracles.classify(A).flags() for A in level]
             for name in axioms.CLASS_FLAGS:
-                assert axioms._held(level, name) == \
-                    [flags[name] for flags in want], (n, name)
+                assert axioms._held(level, name, level.full) == sum(
+                    1 << i for i, flags in enumerate(want) if flags[name]), \
+                    (n, name)
 
 
 def test_claim_checks_run_once_per_algebra(monkeypatch):
-    # each algebra keeps what a claim check returned for it, under the
-    # check function, so a second sweep calls no check and reports the
-    # same; a check takes the members of a level, and each member is
-    # checked exactly once
+    # a claim check takes a level and a mask of its members; each member
+    # is checked once, for the level's mask, which a second sweep reads,
+    # and a failing member once more, alone, for its detail (the
+    # replaced check below).  No check fails on the sweep corpora, so
+    # the second sweep checks nothing and reports the same
     monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
         enumeration._bz_level.__wrapped__))
     calls = []
 
     def counted(check):
-        def wrapper(level):
-            calls.extend((A, wrapper, check) for A in level)
-            return check(level)
+        def wrapper(level, within):
+            calls.extend((level, i, wrapper, check)
+                         for i in core._bits(within))
+            return check(level, within)
         return wrapper
 
     for claim, entry in enumeration._CLAIMS.items():
@@ -241,7 +292,7 @@ def test_claim_checks_run_once_per_algebra(monkeypatch):
     ran = list(calls)
     second = sweep()
     assert ran and calls == ran
-    keys = [(id(A), wrapper) for A, wrapper, _ in ran]
+    keys = [(id(level[i]), wrapper) for level, i, wrapper, _ in ran]
     assert len(set(keys)) == len(keys)
     assert any(r.failures for r in first)
     for a, b in zip(first, second, strict=True):
@@ -249,28 +300,38 @@ def test_claim_checks_run_once_per_algebra(monkeypatch):
             (b.claim, b.spec, b.examined, b.checked)
         assert [(id(A), d) for A, d in a.failures] == \
             [(id(A), d) for A, d in b.failures]
-    for A, wrapper, check in ran:
-        kept = A._keep(("check", wrapper), lambda: pytest.fail("not kept"))
-        assert kept == check([A])[0], A
+    # the level's mask for each check says what the check gives each
+    # member alone, on a level of its own, as a failure detail reads it
+    for level, i, wrapper, check in ran:
+        alone = check(core._Level([level[i]]), 1)[0]
+        assert enumeration._passing(level, wrapper, 1 << i) == \
+            (alone == ()) << i, level[i]
+    assert calls == ran
 
-    # a replaced check is a new key: the next sweep runs it and reports
-    # what it returns
+    # a replaced check is a new key: the next sweep runs it, once per
+    # member for the mask and once more per failing member for its
+    # detail, and reports what it returns
     claim = "horizontal-sum-conditions"
     swapped = []
     monkeypatch.setitem(enumeration._CLAIMS, claim, _oracles.replaced(
         enumeration._CLAIMS[claim],
-        check=lambda level: swapped.extend(level) or
-        [("swapped",)] * len(level)))
+        check=lambda level, within: swapped.extend(level.members(within))
+        or [("swapped",)] * within.bit_count()))
     old = first[claim_names().index(claim)]
     new = verify_over_corpus(claim, SWEEP_SPECS[0])
-    assert new.checked == old.checked == len(swapped) > 0
-    assert [A for A, _ in new.failures] == swapped
+    assert new.checked == old.checked == len(new.failures) > 0
+    assert [A for A, _ in new.failures] == \
+        list({id(A): A for A in swapped}.values())
+    assert Counter(map(id, swapped)) == {id(A): 2 for A, _ in new.failures}
     assert all(detail == ("swapped",) for _, detail in new.failures)
     assert calls == ran
 
-    # copies of a checked member keep no outcome
-    A, wrapper, _ = ran[0]
-    assert ("check", wrapper) in A._kept
+    # no checked member keeps an outcome, and its copies keep nothing
+    # but their canonical forms
+    for level, i, _, _ in ran:
+        assert set(level[i]._kept) <= {"canon", "reach", "blocks"}
+    level, i, _, _ = ran[0]
+    A = level[i]
     for B in (canonical_copy(A), A.relabel([f"x{a}" for a in range(A.n)]),
               pickle.loads(pickle.dumps(A))):
         assert set(B._kept) <= {"canon"}
@@ -288,11 +349,10 @@ def sweep_reports():
 def test_a_warm_claim_sweep_reads_only_level_masks(monkeypatch):
     # once every claim has read both sweep corpora, the levels' masks
     # decide every hypothesis, SI gate, check and conclusion, so a
-    # second sweep reads no algebra's kept results and classifies,
-    # scans and checks nothing
+    # second sweep reads names, scans and checks nothing (no check
+    # fails on the sweep corpora, so no failure detail reruns one)
     monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
         enumeration._bz_level.__wrapped__))
-    first = sweep_reports()
     calls = Counter()
 
     def spied(name, fn):
@@ -301,10 +361,16 @@ def test_a_warm_claim_sweep_reads_only_level_masks(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    keep_each = spied("_keep_each", core._keep_each)
-    for mod in (core, axioms, terms, enumeration):
-        if hasattr(mod, "_keep_each"):
-            monkeypatch.setattr(mod, "_keep_each", keep_each)
+    # a check's mask is kept under the check, so the checks are counted
+    # from the first sweep on
+    for claim, entry in enumeration._CLAIMS.items():
+        if entry.check is not None:
+            monkeypatch.setitem(enumeration._CLAIMS, claim, _oracles.replaced(
+                entry, check=spied(claim, entry.check)))
+    first = sweep_reports()
+    assert calls
+    calls.clear()
+    monkeypatch.setattr(terms, "_scan", spied("_scan", terms._scan))
     monkeypatch.setattr(axioms, "_held", spied("_held", axioms._held))
     for name in ("is_subdirectly_irreducible", "_is_si"):
         monkeypatch.setattr(congruences, name,
@@ -362,7 +428,7 @@ def test_level_masks_match_the_per_algebra_readers(monkeypatch):
                     level, (*entry.classes, *entry.identities), level.full)
                 if entry.si:
                     members &= si
-                want = {i: not entry.check([copies[i]])[0]
+                want = {i: not entry.check(core._Level([copies[i]]), 1)[0]
                         for i in core._bits(members)}
                 read_twice(
                     level, members,
@@ -414,22 +480,33 @@ def test_bare_lattices_keep_their_results(monkeypatch):
     again = terms.holds(L, dist)
     assert again[1] is not first[1] and again[1] is not want[1]
     assert again == want
-    assert len(scans) <= 1
+    # a verdict is kept by a level alone, so each read scans
+    assert len(scans) == 2 and set(L._kept) == {"canon"}
 
 
 def test_statements_built_apart_read_the_kept_verdict(monkeypatch):
+    # a statement parsed anew or unpickled reads the verdict its twin
+    # gives, and the mask a level keeps for its twin with no scan
     A = catalog.get("D5")
-    kept = {name: terms.holds(A, s) for name, s in terms.THEORY.items()}
+    level = core._Level([A])
+    want = {name: terms.holds(A, s) for name, s in terms.THEORY.items()}
+    kept = {name: terms._level_held(level, s, 1)
+            for name, s in terms.THEORY.items()}
+    assert kept == {name: int(ok) for name, (ok, _) in want.items()}
+    twins = {name: (terms.parse_statement(terms._THEORY_SOURCE[name]),
+                    pickle.loads(pickle.dumps(statement)))
+             for name, statement in terms.THEORY.items()}
+    for name, statement in terms.THEORY.items():
+        for twin in twins[name]:
+            assert twin is not statement and twin == statement
+            assert hash(twin) == hash(statement)
+            assert terms.holds(A, twin) == want[name]
     scans = []
     monkeypatch.setattr(terms, "_scan",
                         lambda *args: scans.append(args) or [(True, None)])
-    for name, statement in terms.THEORY.items():
-        parsed = terms.parse_statement(terms._THEORY_SOURCE[name])
-        pickled = pickle.loads(pickle.dumps(statement))
-        for twin in (parsed, pickled):
-            assert twin is not statement and twin == statement
-            assert hash(twin) == hash(statement)
-            assert terms.holds(A, twin) == kept[name]
+    for name in terms.THEORY:
+        for twin in twins[name]:
+            assert terms._level_held(level, twin, 1) == kept[name]
     assert scans == []
     # a node keeps its hash: hashing it again reads none of its fields
     monkeypatch.setattr(terms._Node, "_fields", None)

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from pbzlat import axioms, catalog, constructions, fileformat, terms
+from pbzlat import axioms, catalog, constructions, core, fileformat, terms
 from pbzlat.congruences import Congruence, all_congruences
 from pbzlat.constructions import (
     blocks, commutes, cones, gamma, horizontal_sum,
@@ -308,22 +308,27 @@ def test_horizontal_sum_reports_match_the_oracle():
 
 
 def test_horizontal_sum_clauses_match_the_oracle_conditions():
-    # each HS_* clause's kept verdict, read a level at a time as the
-    # claim check reads it, against the oracle's nested loops, by repr,
-    # on every algebra of both sweep corpora, PBZ* or not; each of the
-    # four conditions holds somewhere and fails somewhere
+    # each HS_* clause's verdict, scanned a level at a time, and its
+    # level mask, read as the claim check reads it, against the
+    # oracle's nested loops, by repr, on every algebra of both sweep
+    # corpora, PBZ* or not; each of the four conditions holds somewhere
+    # and fails somewhere
     names = [name for name, _ in constructions._HS_CONDITIONS]
     seen = set()
     for spec in (EnumerationSpec(max_size=10, structure="antiortholattice"),
                  EnumerationSpec(max_size=8)):
         for n in range(1, spec.max_size + 1):
-            level = list(enumerate_pbz(n, spec))
-            kept = [terms._verdicts(level, terms.THEORY[clause])
-                    for _, clause in constructions._HS_CONDITIONS]
-            for A, verdicts in zip(level, zip(*kept)):
+            level = core._Level(enumerate_pbz(n, spec))
+            scanned = [terms._scan(level, terms.THEORY[clause])
+                       for _, clause in constructions._HS_CONDITIONS]
+            masks = [axioms._held(level, clause, level.full)
+                     for _, clause in constructions._HS_CONDITIONS]
+            for i, (A, verdicts) in enumerate(zip(level, zip(*scanned))):
                 got = tuple(zip(names, verdicts))
                 assert repr(got) == \
                     repr(_oracles.horizontal_sum_conditions(A)), A
+                assert [mask >> i & 1 == 1 for mask in masks] == \
+                    [ok for ok, _ in verdicts], A
                 seen.update((name, ok) for name, (ok, _) in got)
     assert seen == {(name, ok) for name in names for ok in (True, False)}
 

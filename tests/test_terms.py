@@ -579,18 +579,21 @@ def test_fibred_statement_on_a_bare_lattice():
 
 
 def test_kept_verdicts_hold_witness_tuples():
-    # a verdict keeps its witness as a tuple in the order of the sorted
-    # variable names, and every read returns a fresh dict
+    # a scan's verdict holds its witness as a tuple in the order of the
+    # sorted variable names, and every read returns a fresh dict; the
+    # algebra keeps no verdict
     A = pickle.loads(pickle.dumps(catalog.get("O6-benzene")))
     stmt = terms._interned(THEORY["J"])
     got = holds(A, stmt)
     assert not got[0]
-    kept = A._kept[stmt]
-    assert kept == (False, tuple(got[1][v] for v in term_vars(stmt)))
+    scanned = terms._scan([A], stmt)[0]
+    assert scanned == (False, tuple(got[1][v] for v in term_vars(stmt)))
     assert holds(A, stmt) == got and holds(A, stmt)[1] is not got[1]
     assert terms.holds_each([A], stmt) == [got]
     assert holds(A, terms._interned(THEORY["BZ1"])) == (True, None)
-    assert A._kept[terms._interned(THEORY["BZ1"])] is terms._HELD
+    assert terms._scan([A], terms._interned(THEORY["BZ1"]))[0] == \
+        (True, None)
+    assert set(A._kept) <= {"canon"}
 
 
 def test_holds_each_arguments():
