@@ -5,9 +5,9 @@ one table (``_FLAGS``) gives each flag the flags it needs first and
 its own statements.  ``_held`` reads a flag or a THEORY statement by
 name over a level at once, as the AND of the level's masks for the
 statements it reads, scanning only what they have not decided and
-building no class report; ``satisfies`` is its case of one algebra,
-and ``classify`` builds the report of one algebra off the same table
-and keeps it on the algebra.  A scan runs
+building no class report.  ``classify`` builds the report of one
+algebra off the same table and keeps it on the algebra, and
+``satisfies`` reads one algebra's flags off that report.  A scan runs
 through the assignments in odometer order and reports the first
 (lexicographically least) failing one, so witnesses are reproducible
 and minimal.  The generator tests bare pairs of an order and an
@@ -16,7 +16,7 @@ involution before any algebra exists (``_pseudo_kleene``,
 """
 
 from . import terms
-from .core import _Level, _Record
+from .core import _Record
 
 __all__ = [
     "kleene_sharp",
@@ -65,9 +65,10 @@ def sharp_sets(A):
     Raises ValueError off the BZ class, where the modal and Brouwer
     variants are not meaningful.
     """
-    if not satisfies(A, "bz"):
+    report = classify(A)
+    if not report.bz:
         raise ValueError("sharp_sets needs a BZ-lattice, violated "
-                         f"{dict(classify(A).witnesses)['bz']}")
+                         f"{dict(report.witnesses)['bz']}")
     s_diamond = frozenset(a for a in range(A.n) if A.diamond(a) == a)
     # a = <>a and a' = a~ are equivalent on BZ-lattices; keep both
     # computations around as a live cross-check rather than an assumption
@@ -130,20 +131,19 @@ class AlgebraClassReport(_Record):
     """
 
     __slots__ = __match_args__ = (
-        "bounded_involution", "pseudo_kleene", "ortholattice",
-        "orthomodular", "paraorthomodular", "bz", "bz_star",
-        "diamond_orthomodular", "pbz_star", "kleene_sharp_trivial",
-        "antiortholattice", "witnesses")
+        *(flag.replace("-", "_") for flag in CLASS_FLAGS), "witnesses")
 
     def flags(self):
         return dict(zip(CLASS_FLAGS, self._fields()))
 
 
 def satisfies(A, name):
-    """Whether A has the class flag ``name`` or satisfies the THEORY
-    statement ``name``: ``_held`` over a level of A alone, which
-    nothing keeps, so each call scans anew."""
-    return _held(_Level((A,)), name, 1) == 1
+    """Whether A has the class flag ``name``, read off its class report
+    (``classify``), or satisfies the THEORY statement ``name``, scanned
+    anew (``terms.holds``)."""
+    if name in _FLAGS:
+        return classify(A).flags()[name]
+    return terms.holds(A, terms.THEORY[name])[0]
 
 
 def _held(level, name, within):

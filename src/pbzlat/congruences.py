@@ -8,7 +8,7 @@ import functools
 import operator
 
 from . import axioms
-from .core import _bits, _Record, _row_type
+from .core import _bits, _Record, _row_type, _set_field
 
 __all__ = [
     "Congruence", "is_congruence", "congruence_generated",
@@ -20,7 +20,7 @@ __all__ = [
 ]
 
 
-class Congruence:
+class Congruence(_Record):
     """An equivalence relation in normalized partition form.
 
     ``block_of[a]`` is the block id of element a.  The constructor
@@ -29,26 +29,20 @@ class Congruence:
     immutable and hash on ``block_of``, so callers may share them.
     """
 
-    __slots__ = ("n", "block_of")
+    __slots__ = __match_args__ = ("block_of",)
 
     def __init__(self, block_of):
-        block_of = list(block_of)
-        object.__setattr__(self, "n", len(block_of))
         remap = {}
         norm = []
         for b in block_of:
             if b not in remap:
                 remap[b] = len(remap)
             norm.append(remap[b])
-        object.__setattr__(self, "block_of", tuple(norm))
+        _set_field(self, "block_of", tuple(norm))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{name!r} of Congruence is read-only")
-
-    def __reduce__(self):
-        # pickling and copying rebuild through __init__, which is the
-        # only place the slots are assigned
-        return (type(self), (self.block_of,))
+    @property
+    def n(self):
+        return len(self.block_of)
 
     @classmethod
     def identity(cls, n):
@@ -103,13 +97,6 @@ class Congruence:
             else:
                 seen[b] = other.block_of[a]
         return True
-
-    def __eq__(self, other):
-        return isinstance(other, Congruence) and \
-            self.block_of == other.block_of
-
-    def __hash__(self):
-        return hash(self.block_of)
 
     def __repr__(self):
         body = "|".join(",".join(str(a) for a in B) for B in self.blocks())
@@ -210,14 +197,10 @@ class _CoverReach:
         return Congruence(least)
 
 
-def _reach(A):
-    return A._keep("reach", lambda: _CoverReach(A))
-
-
 def congruence_generated(A, pairs):
     """Least congruence containing the given pairs: the union of the
     reach sets of the covers on their chains."""
-    cr = _reach(A)
+    cr = _CoverReach(A)
     mask = 0
     for a, b in pairs:
         for i in _bits(cr.chain(A.meet(a, b), A.join(a, b))):
@@ -246,7 +229,7 @@ def all_congruences(A):
     """
     if A.n > 12:
         raise ValueError("all_congruences is capped at 12 elements")
-    cr = _reach(A)
+    cr = _CoverReach(A)
     found = {0}
     for r in set(cr.reach):
         found |= {closed | r for closed in found}
@@ -259,20 +242,22 @@ def is_subdirectly_irreducible(A):
     the identity; trivial algebras come back (False, None).  Each such
     congruence contains some con(p), so the monolith collapses the
     covers every reach set shares."""
-    shared = _shared_covers(A)
-    return (True, _reach(A).partition(shared)) if shared else (False, None)
+    cr = _CoverReach(A)
+    shared = _shared_covers(cr)
+    return (True, cr.partition(shared)) if shared else (False, None)
 
 
-def _shared_covers(A):
-    """The covers every reach set of A shares, as a mask over its
-    covers: those the monolith collapses, none when A is not s.i."""
-    return functools.reduce(operator.and_, _reach(A).reach or (0,))
+def _shared_covers(cr):
+    """The covers every reach set of ``cr`` (a ``_CoverReach``) shares,
+    as a mask over its covers: those the monolith collapses, none when
+    the algebra is not s.i."""
+    return functools.reduce(operator.and_, cr.reach or (0,))
 
 
 def _is_si(A):
     """The flag of ``is_subdirectly_irreducible`` with no monolith
     built: the SI gate of the claims and of ``tilde_family_report``."""
-    return _shared_covers(A) != 0
+    return _shared_covers(_CoverReach(A)) != 0
 
 
 def is_directly_indecomposable(A):
@@ -293,7 +278,7 @@ def is_directly_indecomposable(A):
     one-element algebra has no two nontrivial factors."""
     if not axioms.satisfies(A, "bz"):
         raise ValueError("direct indecomposability needs a BZ-lattice")
-    reach = _reach(A).reach
+    reach = _CoverReach(A).reach
     linked = reach[0] if reach else 0
     for _ in reach:
         linked = functools.reduce(operator.or_,

@@ -289,12 +289,11 @@ def blocks(A):
     its closed parent plus a generator, and only what the generator
     brings is closed.  A subset of a chain is a chain and a subset of a
     Boolean set is Boolean, so every such subuniverse is reached; the
-    inclusion-maximal ones are the blocks.  Their masks, sorted by their
-    sorted elements, are computed on the first call and kept on the
-    algebra; each call returns a new list of the blocks as frozensets.
+    inclusion-maximal ones are the blocks, returned as frozensets sorted
+    by their sorted elements.  Each call computes them anew.
     """
     _need_pbz_star(A)
-    return list(map(frozenset, map(_bits, _block_masks(A))))
+    return list(map(frozenset, map(_bits, _blocks(A))))
 
 
 def _need_pbz_star(A):
@@ -302,14 +301,9 @@ def _need_pbz_star(A):
         raise ValueError("blocks needs a PBZ* algebra")
 
 
-def _block_masks(A):
-    """The blocks of A as bitmasks, kept on A (``blocks``).  A must be
-    PBZ*, which the public readers check and a claim's hypotheses
-    gate."""
-    return A._keep("blocks", lambda: tuple(_blocks(A)))
-
-
 def _blocks(A):
+    """The blocks of A as bitmasks (``blocks``).  A must be PBZ*, which
+    the public readers check and a claim's hypotheses gate."""
     o, kleene, brouwer = A._ord, A.kleene, A.brouwer
     n, meet, join = o.n, o.meet, o.join
     full = (1 << n) - 1
@@ -393,7 +387,7 @@ def _horizontal_sum_report(A):
     here, each condition its clause's verdict scanned on A alone."""
     conditions = tuple((name, terms._scan((A,), terms.THEORY[clause])[0])
                        for name, clause in _HS_CONDITIONS)
-    masks = _block_masks(A)
+    masks = _blocks(A)
     return HorizontalSumReport(
         conditions=conditions,
         by_conditions=all(ok for _, (ok, _) in conditions),

@@ -509,14 +509,14 @@ class _Carrier:
     compute)`` returns the value kept under ``key``, calling
     ``compute()`` and keeping its value the first time.  Every carrier
     starts with nothing kept, so renamed copies, reducts and canonical
-    copies compute their own results.  The keys in use are ``"canon"``
-    (``canonical_form``), ``"reach"`` (``congruences._CoverReach``),
-    ``"blocks"`` (``constructions.blocks``) and ``"classes"``, the
-    class report (``axioms.classify``).  What a statement, class flag,
+    copies compute their own results.  Only what a reader reads again
+    is kept: ``"canon"`` (``canonical_form``) and ``"classes"``, the
+    class report (``axioms.classify``), which a lone algebra's flags
+    are read off (``axioms.satisfies``).  What a statement, class flag,
     SI gate or claim check decides for a level's members is kept by the
-    level alone, as masks (``_Level``); a carrier keeps no verdict.
-    Kept values are immutable or private to their keeper, which hands
-    out copies of mutable ones.
+    level alone, as masks (``_Level``); a carrier keeps no verdict, and
+    its cover reach sets and blocks are computed where they are asked
+    for.  Kept values are immutable.
     """
 
     __slots__ = ("_ord", "_labels", "_name", "_kept")

@@ -43,17 +43,19 @@ identity checks and claim checks all run in the calling process, over
 each level in its canonical order.
 
 Results are kept per carrier, through ``_Carrier._keep`` (canonical
-forms, blocks, reach sets, class reports); per level, as masks over
-its members saying which of them a statement, flag, SI gate or check
-holds for (``core._Level``), the one store of what a level read
-decides, so spec filters, searches and claims read a level in a few
-int operations once it is decided, and no member keeps a class
-report, verdict or check outcome; per pseudo-Kleene pair, on its
-record (``_Pair``: colors and Kleene-only search, made for a candidate
-before its orbit test, so a rejected one's go with it); and per
-process, in the functools caches on ``_lattices``, ``_pk_pairs``,
-``_aol_pairs``, ``_bz_level`` and ``cli.build_parser``; nothing is
-kept per spec.  Statements are interned in ``terms._STATEMENT_MEMO``.
+forms and class reports, the only results a reader reads again); per
+level, as masks over its members saying which of them a statement,
+flag, SI gate or check holds for (``core._Level``), the one store of
+what a level read decides, so spec filters, searches and claims read
+a level in a few int operations once it is decided, and a level read
+keeps nothing on a member but its canonical form; per pseudo-Kleene
+pair, on its record (``_Pair``: colors and Kleene-only search, made
+for a candidate before its orbit test, so a rejected one's go with
+it); and per process, in the functools caches on ``_lattices``,
+``_pk_pairs``, ``_aol_pairs``, ``_bz_level`` and ``cli.build_parser``;
+nothing is kept per spec.  Reach sets and blocks are computed where
+they are asked for.  Statements are interned in
+``terms._STATEMENT_MEMO``.
 
 Size caps are checked when a spec is built, so ``CAPS`` must be
 raised before building a spec that goes beyond them.
@@ -770,10 +772,9 @@ def enumerate_pbz(n, spec):
     narrows the same algebras by its class flags and identities, read
     off the level's masks (``_spec_level``).  Flags and verdicts do not
     change under isomorphism, so a spec's level is what decorating for
-    it alone would give, and the verdicts the algebras keep, and the
-    level's masks over them, serve every spec.  The spec's cap was
-    checked when it was built; n is checked against it here, for sizes
-    above max_size.
+    it alone would give, and the level's masks serve every spec.  The
+    spec's cap was checked when it was built; n is checked against it
+    here, for sizes above max_size.
     """
     level, kept = _spec_level(n, spec)
     yield from level.members(kept)
@@ -924,7 +925,7 @@ def _horizontal_sum_agreement(level, within):
     for i in _bits(within):
         A = level[i]
         if (by_conditions >> i & 1 == 1) == constructions._sum_of_blocks(
-                A, constructions._block_masks(A)):
+                A, constructions._blocks(A)):
             problems.append(())
         else:
             rep = constructions._horizontal_sum_report(A)

@@ -146,7 +146,7 @@ class QuasiIdentity(_Node):
     __slots__ = __match_args__ = ("premises", "conclusion")
 
     def __init__(self, premises, conclusion):
-        # tuples, so that the statement hashes: holds keys verdicts by it
+        # tuples, so that the statement hashes: a level keys its masks by it
         premises, conclusion = tuple(premises), tuple(conclusion)
         if not conclusion:
             raise ValueError("a clause needs at least one disjunct")

@@ -1,12 +1,14 @@
-"""The canonical form, the class report, the cover reach sets behind
-every congruence question and the blocks a carrier keeps after their
-first computation, the masks a level keeps over its members, the one
-store of what its reads decide, and the stage results a process keeps,
-which a benchmark round empties."""
+"""The canonical form and the class report a carrier keeps after
+their first computation, the cover reach sets and blocks it computes
+anew, the masks a level keeps over its members, the one store of what
+its reads decide, and the stage results a process keeps, which a
+benchmark round empties."""
 
 import functools
 import pickle
 from collections import Counter
+
+import pytest
 
 from pbzlat import (axioms, catalog, cli, congruences, constructions, core,
                     enumeration, fileformat, terms)
@@ -24,7 +26,7 @@ SWEEP_SPECS = (EnumerationSpec(max_size=10, structure="antiortholattice"),
 
 
 def as_sets(masks):
-    """Blocks kept as masks, as the frozensets ``blocks`` returns."""
+    """Block masks as the frozensets ``blocks`` returns."""
     return [frozenset(core._bits(m)) for m in masks]
 
 
@@ -42,9 +44,8 @@ def test_cached_results_equal_fresh_ones_on_sweep_corpora():
             report = axioms.classify(A)
             assert axioms.classify(A) is report
             assert report == _oracles.classify(A), A
-            kept = congruences._reach(A)
-            assert congruences._reach(A) is kept
-            assert kept.reach == congruences._CoverReach(A).reach, A
+            reach = congruences._CoverReach(A).reach
+            assert reach == congruences._CoverReach(A).reach, A
             for statement in terms.THEORY.values():
                 verdict = terms.holds(A, statement)
                 assert terms.holds(A, statement) == verdict
@@ -80,6 +81,36 @@ def test_all_congruences_returns_a_new_list():
     second = blocks(A)
     assert second is not first
     assert second == want == as_sets(constructions._blocks(A))
+
+
+def test_a_lone_algebras_flags_are_read_off_its_class_report(monkeypatch):
+    # once an algebra of the sweep corpora has its class report, every
+    # flag read on it alone, its sharp sets' BZ gate and the PBZ* guard
+    # of its blocks read the kept report and scan nothing
+    monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
+        enumeration._bz_level.__wrapped__))
+    algebras = [A for spec in SWEEP_SPECS for A in enumerate_all(spec)]
+    reports = [axioms.classify(A) for A in algebras]
+    scans = []
+    scan = terms._scan
+    monkeypatch.setattr(terms, "_scan",
+                        lambda *args: scans.append(args) or scan(*args))
+    for A, report in zip(algebras, reports):
+        flags = report.flags()
+        assert {flag: axioms.satisfies(A, flag)
+                for flag in axioms.CLASS_FLAGS} == flags, A
+        if flags["bz"]:
+            assert axioms.sharp_sets(A).s_k == axioms.kleene_sharp(A)
+        else:
+            with pytest.raises(ValueError, match="needs a BZ-lattice"):
+                axioms.sharp_sets(A)
+        if flags["pbz-star"]:
+            assert blocks(A) == as_sets(constructions._blocks(A))
+        else:
+            with pytest.raises(ValueError, match="needs a PBZ\\* algebra"):
+                blocks(A)
+    assert scans == []
+    assert all(set(A._kept) == {"canon", "classes"} for A in algebras)
 
 
 def test_copies_carry_their_own_results():
@@ -177,21 +208,43 @@ def test_claims_read_each_statement_a_level_at_a_time(monkeypatch):
 
 def test_level_members_keep_no_verdict_or_check_outcome(monkeypatch):
     # from fresh stage caches: both sweep corpora built, every claim
-    # swept over them, and every THEORY statement searched at --max 8
-    # over the BZ corpus and its PBZ* members.  The levels' masks are
-    # the one store of what their reads decide, so a member keeps only
-    # its canonical form, reach sets and blocks; a search rescans its
-    # failing member alone only where an earlier read decided it, to
-    # find its witness, and that member is the one it returns
+    # swept over them twice, and every THEORY statement searched at
+    # --max 8 over the BZ corpus and its PBZ* members.  The levels'
+    # masks are the one store of what their reads decide, so a member
+    # keeps only its canonical form; the cold sweep builds each gated
+    # member's reach sets and blocks once, the warm one none; a search
+    # rescans its failing member alone only where an earlier read
+    # decided it, to find its witness, and that member is the one it
+    # returns
     monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
         enumeration._bz_level.__wrapped__))
-    for spec in SWEEP_SPECS:
-        list(enumerate_all(spec))
-        for claim in claim_names():
-            verify_over_corpus(claim, spec)
+    built = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            built[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(congruences, "_CoverReach",
+                        counted("reach", congruences._CoverReach))
+    monkeypatch.setattr(constructions, "_blocks",
+                        counted("blocks", constructions._blocks))
+
+    def sweep():
+        for spec in SWEEP_SPECS:
+            list(enumerate_all(spec))
+            for claim in claim_names():
+                verify_over_corpus(claim, spec)
+
+    sweep()
+    assert built == {"reach": 79, "blocks": 92}
+    built.clear()
+    sweep()
+    assert built == Counter()
     members = [A for spec in SWEEP_SPECS for n in range(1, spec.max_size + 1)
                for A in enumeration._bz_level(n, spec.cap_key())]
-    assert all(set(A._kept) <= {"canon", "reach", "blocks"} for A in members)
+    assert all(set(A._kept) == {"canon"} for A in members)
     rescans, depth = [], []
     scan, level_held = terms._scan, terms._level_held
 
@@ -221,8 +274,8 @@ def test_level_members_keep_no_verdict_or_check_outcome(monkeypatch):
                 assert not ok and algebras == [result.found]
             searched += 1
     assert (searched, len(rescans)) == (66, 25)
-    assert all(set(A._kept) <= {"canon", "reach", "blocks"} for A in members)
-    assert any(set(A._kept) == {"canon", "reach", "blocks"} for A in members)
+    assert all(set(A._kept) == {"canon"} for A in members)
+    assert built == Counter()
 
 
 def test_a_level_read_of_a_flag_scans_only_its_statements(monkeypatch):
@@ -329,7 +382,7 @@ def test_claim_checks_run_once_per_algebra(monkeypatch):
     # no checked member keeps an outcome, and its copies keep nothing
     # but their canonical forms
     for level, i, _, _ in ran:
-        assert set(level[i]._kept) <= {"canon", "reach", "blocks"}
+        assert set(level[i]._kept) == {"canon"}
     level, i, _, _ = ran[0]
     A = level[i]
     for B in (canonical_copy(A), A.relabel([f"x{a}" for a in range(A.n)]),

@@ -1,7 +1,8 @@
 """The frozen records: every class built on ``core._Record``.
 
 Each record class has sample instances below.  Their reprs are pinned
-strings in the dataclass format ``Name(field=value, ...)``, and each
+strings in the dataclass format ``Name(field=value, ...)``, but for a
+congruence's ``<Congruence blocks>``, and each
 sample is checked for construction by position, keyword and default,
 equality and hashing by type and fields, refused assignment and
 deletion, and a pickle round trip.
@@ -35,6 +36,7 @@ def _samples():
             constructions.is_horizontal_sum_of_blocks(MO2),
         "CatalogEntry": catalog.entry("D2"),
         "RelationReport": congruences.agreement_below(D3, 1),
+        "Congruence": congruences.Congruence([5, 5, 2, 2, 9]),
         "TildeFamilyReport": congruences.tilde_family_report(D3),
         "CorpusReport": enumeration.verify_over_corpus(
             enumeration.claim_names()[0], EnumerationSpec(3)),
@@ -83,6 +85,7 @@ _PINNED = {
     "RelationReport":
         "RelationReport(partition=<Congruence 0|1|2>, is_congruence=True, "
         "witness=None)",
+    "Congruence": "<Congruence 0,1|2,3|4>",
     "TildeFamilyReport":
         "TildeFamilyReport(precondition_ok=True, failed_preconditions=(), "
         "tilde_is_congruence=True, meet_relations_ok=True, "
@@ -171,7 +174,7 @@ def test_reprs_are_pinned():
 
 def test_every_record_class_has_samples():
     classes = _record_classes()
-    assert len(classes) == 22
+    assert len(classes) == 23
     assert {type(r) for r in _all_samples()} == set(classes)
     for cls in classes:
         assert cls.__slots__ == cls.__match_args__, cls
