@@ -39,8 +39,11 @@ def _load_algebra(token):
             + " ".join(catalog.names())) from None
 
 
+@functools.cache
 def _statement(text):
-    """THEORY name or literal identity or clause text."""
+    """THEORY name or literal identity or clause text, parsed once per
+    process: statements are immutable, so every command naming the same
+    text shares one.  A text that fails to parse raises each time."""
     if text in terms.THEORY:
         return terms.THEORY[text]
     return terms.parse_statement(text)
@@ -304,6 +307,9 @@ def cmd_search(args):
     res = enumeration.search_counterexample(stmt, spec)
     found = (res.found.relabel(res.found.labels, name=f"cex-n{res.found.n}")
              if res else None)
+    text = fileformat.dumps(found) if res else None
+    if res and args.out:
+        _emit(text, args.out)
     if args.format == "structured":
         doc = {"identity": res.identity, "spec": _spec_doc(spec),
                "examined": res.examined, "exhausted": res.exhausted,
@@ -311,15 +317,13 @@ def cmd_search(args):
         if res:
             doc["found"] = {"n": found.n,
                             "witness": _labelled(found, res.assignment),
-                            "file": fileformat.dumps(found)}
+                            "file": text}
         print(json.dumps(doc, indent=2, sort_keys=True))
     elif res:
         print(f"counterexample at n={found.n} "
               f"(examined {res.examined}): "
               f"fails at {_fmt_assignment(found, res.assignment)}")
-        text = fileformat.dumps(found)
         if args.out:
-            _emit(text, args.out)
             print(f"written to {args.out}")
         else:
             print()
@@ -425,7 +429,8 @@ def build_parser():
     p.add_argument("identity", help="theory name or identity text")
     _add_spec_flags(p)
     p.add_argument("-o", "--out", default=None,
-                   help="write the counterexample here instead of stdout")
+                   help="write the counterexample's algebra file here; "
+                   "text output then does not print it")
     _add_format(p)
     p.set_defaults(func=cmd_search)
 

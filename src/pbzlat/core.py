@@ -481,7 +481,10 @@ def validate_tables(leq, kleene, brouwer, labels=None, zero=None, one=None):
     return ValidationReport(True, ())
 
 
+@functools.cache
 def _default_labels(n, zero, one):
+    """0, 1 and letters for the rest, one tuple per (n, zero, one)
+    shared by every carrier that takes them."""
     names = []
     letters = "abcdefghijklmnopqrstuvwxyz"
     k = 0
@@ -603,15 +606,18 @@ class _Level(list):
     The masks are the one store of what a level read decides: its
     members keep no verdict, witness or check outcome, and a reader
     that needs one recomputes it for the one member it asks about.
-    They live as long as the level, which the stage cache that built
-    it keeps.
+    They start with the keys in ``settled``, which hold on every member
+    by the level's construction, decided and held for all, and readers
+    fill the rest.  They live as long as the level, which the stage cache
+    that built it keeps.
     """
 
     __slots__ = ("_masks",)
 
-    def __init__(self, members):
+    def __init__(self, members, settled=()):
         super().__init__(members)
-        self._masks = {}
+        full = self.full
+        self._masks = dict.fromkeys(settled, (full, full))
 
     @property
     def full(self):

@@ -46,13 +46,15 @@ Results are kept per carrier, through ``_Carrier._keep`` (canonical
 forms and class reports, the only results a reader reads again); per
 level, as masks over its members saying which of them a statement,
 flag, SI gate or check holds for (``core._Level``), the one store of
-what a level read decides, so spec filters, searches and claims read
-a level in a few int operations once it is decided, and a level read
-keeps nothing on a member but its canonical form; per pseudo-Kleene
-pair, on its record (``_Pair``: colors and Kleene-only search, made
-for a candidate before its orbit test, so a rejected one's go with
-it); and per process, in the functools caches on ``_lattices``,
-``_pk_pairs``, ``_aol_pairs``, ``_bz_level`` and ``cli.build_parser``;
+what a level read decides, starting with the statements the level's
+construction proves (``_bz_level``), so spec filters, searches and
+claims read a level in a few int operations once it is decided, and a
+level read keeps nothing on a member but its canonical form; per
+pseudo-Kleene pair, on its record (``_Pair``: colors and Kleene-only
+search, made for a candidate before its orbit test, so a rejected
+one's go with it); and per process, in the functools caches on
+``_lattices``, ``_pk_pairs``, ``_aol_pairs``, ``_bz_level``,
+``cli.build_parser``, ``cli._statement`` and ``core._default_labels``;
 nothing is kept per spec.  Reach sets and blocks are computed where
 they are asked for.  Statements are interned in
 ``terms._STATEMENT_MEMO``.
@@ -748,15 +750,38 @@ def _bz_level(n, cap_key):
     deduplication: the pairs are one per class, an isomorphism of two
     decorations is one of their pairs, and ``_decorations`` gives one
     copy per class of a pair.  The level (``core._Level``) keeps the
-    masks its readers fill, so they go when this cache is cleared."""
+    masks its readers fill, so they go when this cache is cleared.
+
+    The level starts with a mask, decided and held for every member,
+    for each statement its construction proves, so no read scans them:
+    those of the flag bz on a "general" level, and those of the flag
+    antiortholattice on the other two (``axioms._READS``).
+    - bz (PK, BZ1-BZ4).  Every pair is PK: ``_augmented`` tests it,
+      and the pairs of sizes 1 and 2 and the Kleene chains are chains
+      with their reversal a' = n-1-a, where a ^ a' = min(a, n-1-a) is
+      at most the middle and b v b' = max(b, n-1-b) at least it.
+      Every map is one ``bz_brouwer_maps`` returns for its pair (see
+      its docstring for BZ1-BZ4), or the trivial map, which it returns
+      alone for a pair with S_K = {0, 1}.
+    - antiortholattice (also STAR, DIAMOND_OM, ANTIORTHO).  Each pair
+      of an antiortholattice level has S_K = {0, 1} (``_aol_pairs``),
+      and so has the Kleene n-chain, where min(a, n-1-a) = 0 only at
+      its ends: that is ANTIORTHO.  So each member carries the trivial
+      map (``_decorations``), 0~ = 1 and a~ = 0 for a != 0, and <>a =
+      a~~ is 0 at 0 and 1 elsewhere.  STAR, (x ^ x')~ <= x~ v x'~: at
+      x = 0 or 1 both sides are 0~ = 1, since x ^ x' = 0 and one of x,
+      x' is 0; otherwise none of x ^ x', x and x' is 0, and both sides
+      are 0.  DIAMOND_OM, (x~ v (<>x ^ <>y)) ^ <>x <= <>y: at x = 0 the
+      left side is 0, and otherwise x~ = 0 and <>x = 1, so it is <>y.
+    """
     if cap_key == "chain":
-        pairs = [_chain_pair(n)]
+        pairs, proved = [_chain_pair(n)], "antiortholattice"
     elif cap_key == "antiortholattice":
-        pairs = _aol_pairs(n)
+        pairs, proved = _aol_pairs(n), "antiortholattice"
     else:
-        pairs = _pk_pairs(n)
+        pairs, proved = _pk_pairs(n), "bz"
     return _Level(sorted((A for pair in pairs for A in _decorations(pair)),
-                         key=canonical_form))
+                         key=canonical_form), axioms._READS[proved])
 
 
 def enumerate_pbz(n, spec):

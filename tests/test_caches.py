@@ -187,7 +187,8 @@ def test_claims_read_each_statement_a_level_at_a_time(monkeypatch):
     # a cold sweep of every claim over both sweep corpora: within one
     # claim's pass over a corpus, each statement is scanned at most once
     # per size, since hypotheses, checks and conclusions are each read
-    # over a whole level
+    # over a whole level, and never where the level's construction
+    # settled it
     monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
         enumeration._bz_level.__wrapped__))
     scans, current = [], []
@@ -203,7 +204,7 @@ def test_claims_read_each_statement_a_level_at_a_time(monkeypatch):
             current[:] = claim, spec
             verify_over_corpus(claim, spec)
     assert len(set(scans)) == len(scans)
-    assert len(scans) == 514
+    assert len(scans) == 394
 
 
 def test_level_members_keep_no_verdict_or_check_outcome(monkeypatch):
@@ -280,9 +281,10 @@ def test_level_members_keep_no_verdict_or_check_outcome(monkeypatch):
 
 def test_a_level_read_of_a_flag_scans_only_its_statements(monkeypatch):
     # from fresh stage caches, reading bz-star over the BZ <= 8 levels
-    # scans its own statements and those of the flag it needs, each once
-    # per level, and never OL, OM, POM, DIAMOND_OM or ANTIORTHO; no
-    # member keeps a class report or a verdict
+    # scans its own statement once per level: those of the flag it needs
+    # (PK, BZ1-BZ4) hold by construction, and OL, OM, POM, DIAMOND_OM
+    # and ANTIORTHO are never read; no member keeps a class report or a
+    # verdict
     monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
         enumeration._bz_level.__wrapped__))
     key = EnumerationSpec(max_size=8).cap_key()
@@ -299,8 +301,7 @@ def test_a_level_read_of_a_flag_scans_only_its_statements(monkeypatch):
     monkeypatch.setattr(terms, "_scan", spied)
     for level in levels:
         enumeration._admit(level, ("bz-star",), level.full)
-    assert sorted(scans) == [(n, name) for n in range(1, 9) for name in (
-        "BZ1", "BZ2", "BZ3", "BZ4", "PK", "STAR")]
+    assert sorted(scans) == [(n, "STAR") for n in range(1, 9)]
     assert all(set(A._kept) <= {"canon"} for level in levels for A in level)
     # and every flag read over every level of both sweep corpora is the
     # nested loops' flag
@@ -312,6 +313,46 @@ def test_a_level_read_of_a_flag_scans_only_its_statements(monkeypatch):
                 assert axioms._held(level, name, level.full) == sum(
                     1 << i for i, flags in enumerate(want) if flags[name]), \
                     (n, name)
+
+
+def test_levels_start_with_what_their_construction_proves(monkeypatch):
+    # every level of both sweep corpora and the chain levels to 12
+    # starts with one mask per statement of the flag its construction
+    # proves, bz on a general level and antiortholattice on the other
+    # two, each decided and held for every member; each equals a fresh
+    # scan of the members, so reading that flag scans nothing
+    monkeypatch.setattr(enumeration, "_bz_level", functools.cache(
+        enumeration._bz_level.__wrapped__))
+    scans = []
+    scan = terms._scan
+
+    def spied(algebras, statement):
+        scans.append(statement)
+        return scan(algebras, statement)
+
+    levels = 0
+    for spec in (*SWEEP_SPECS, EnumerationSpec(max_size=12,
+                                               structure="chain")):
+        key = spec.cap_key()
+        flag = "bz" if key == "general" else "antiortholattice"
+        for n in range(1, spec.max_size + 1):
+            level = enumeration._bz_level(n, key)
+            full = level.full
+            assert level._masks == dict.fromkeys(axioms._READS[flag],
+                                                 (full, full))
+            for statement in axioms._READS[flag]:
+                assert core._select(full, (
+                    ok for ok, _ in terms.holds_each(level, statement))) \
+                    == full, (key, n, statement)
+            monkeypatch.setattr(terms, "_scan", spied)
+            assert axioms._held(level, flag, full) == full
+            assert enumeration._admit(level, (flag,), full) == full
+            monkeypatch.setattr(terms, "_scan", scan)
+            if key == "chain":
+                assert _oracles.classify(level[0]).flags()[flag]
+            levels += 1
+    assert scans == []
+    assert levels == 10 + 8 + 12
 
 
 def test_claim_checks_run_once_per_algebra(monkeypatch):

@@ -500,6 +500,20 @@ def test_canonical_form_is_bytes_and_stable():
     assert cf == canonical_form(F)
 
 
+def test_default_labels_are_one_tuple_per_size_and_bounds():
+    # every canonical copy of a level takes the default labels, 0 first
+    # and 1 last, and they all hold the one tuple for that size
+    for n in (1, 2, 6):
+        level = enumeration._bz_level(n, "general")
+        want = core._default_labels(n, 0, n - 1)
+        assert all(A.labels is want for A in level)
+    assert want == ("0", "a", "b", "c", "d", "1")
+    # past z the letters take a number, and names stay apart
+    labels = core._default_labels(30, 29, 0)
+    assert labels[:3] == ("1", "a", "b") and labels[-3:] == ("a1", "b1", "0")
+    assert len(set(labels)) == 30
+
+
 def test_leq_is_readonly_numpy():
     A = chain_lattice(3)
     assert isinstance(A.leq, np.ndarray)

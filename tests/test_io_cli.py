@@ -456,6 +456,40 @@ def test_cli_search_structured(capsys):
     assert is_isomorphic(found, catalog.get("T1(2x2)"))
 
 
+def test_cli_search_writes_its_counterexample_in_both_formats(tmp_path,
+                                                              capsys):
+    # with -o, both formats write the same algebra file; the structured
+    # report stays on stdout as it is without -o, with the same exit code
+    argv = ["search", "J", "--max", "6"]
+    code, out, _ = run(capsys, *argv, "--format", "structured")
+    assert code == 0
+    dest = {fmt: tmp_path / f"{fmt}.alg" for fmt in ("text", "structured")}
+    assert run(capsys, *argv, "--format", "structured",
+               "-o", str(dest["structured"]))[:2] == (code, out)
+    assert dest["structured"].read_text() == json.loads(out)["found"]["file"]
+    assert run(capsys, *argv, "-o", str(dest["text"]))[0] == 0
+    assert dest["text"].read_bytes() == dest["structured"].read_bytes()
+    # an exhausted search writes nothing
+    none = tmp_path / "none.alg"
+    code, out, _ = run(capsys, "search", "DIST", "--max", "6", "--structure",
+                       "chain", "--format", "structured", "-o", str(none))
+    assert code == 1 and json.loads(out)["found"] is None
+    assert not none.exists()
+
+
+def test_cli_parses_each_statement_text_once(capsys):
+    # a text names one statement per process; a text that fails to
+    # parse is not kept and fails again
+    assert cli._statement("x ^ x' <= y v y'") is \
+        cli._statement("x ^ x' <= y v y'")
+    assert cli._statement("PK") is terms.THEORY["PK"]
+    for _ in range(2):
+        with pytest.raises(terms.ParseError):
+            cli._statement("x ^^ y")
+        code, _, err = run(capsys, "search", "x ^^ y", "--max", "3")
+        assert code == 2 and err.startswith("error:")
+
+
 def test_cli_search_exhausted(capsys):
     code, out, _ = run(capsys, "search", "DIST", "--max", "6",
                        "--structure", "chain")
@@ -649,7 +683,7 @@ for argv in argvs:
     text = io.StringIO()
     with contextlib.redirect_stdout(text):
         code = pbzlat.cli.main(argv)
-    report[argv[0]] = [code, text.getvalue(), "numpy" in sys.modules]
+    report[" ".join(argv)] = [code, text.getvalue(), "numpy" in sys.modules]
 A = catalog.get("T1(2x2)")
 if probe == "search":
     text = io.StringIO()
@@ -671,6 +705,8 @@ def test_numpy_is_imported_on_first_use(probe, tmp_path, capsys):
     out, path = tmp_path / "out", tmp_path / "t1.pbz"
     argvs = [["enumerate", "--structure", "antiortholattice", "--max", "8",
               "-o", str(out)],
+             ["enumerate", "--class", "antiortholattice", "--max", "8"],
+             ["enumerate", "--class", "bz", "--max", "6"],
              ["construct", "twist1(chain3)", "-o", str(path)],
              ["check", str(path)], ["export-dot", str(path)]]
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
@@ -682,13 +718,13 @@ def test_numpy_is_imported_on_first_use(probe, tmp_path, capsys):
     report = json.loads(fresh.stdout)
     assert report["import"] == []
     for argv in argvs:
-        assert report[argv[0]][2] is False, argv[0]
+        assert report[" ".join(argv)][2] is False, argv
     value, loaded = report[probe]
     assert loaded is True
     # the fresh process printed and wrote what this one does
     written = {p.name: p.read_bytes() for p in [path, *out.iterdir()]}
     for argv in argvs:
-        assert list(run(capsys, *argv)[:2]) == report[argv[0]][:2]
+        assert list(run(capsys, *argv)[:2]) == report[" ".join(argv)][:2]
     assert {p.name: p.read_bytes() for p in [path, *out.iterdir()]} == \
         written
     A = catalog.get("T1(2x2)")
